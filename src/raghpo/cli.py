@@ -21,6 +21,8 @@ from .dataio import (
     GridFormatError,
     GridTable,
     SamplePlan,
+    drop_torn_tail,
+    grid_cell_text,
     load_dataset,
     load_grid,
     sample_dev,
@@ -283,21 +285,26 @@ def cmd_grid(args: argparse.Namespace) -> int:
         + ([JUDGE_AC] if evaluator.judge is not None else [])
     )
 
+    if JUDGE_AC in metrics and evaluator.judge is None:
+        raise CliError("judge_ac requested but no judge endpoint configured")
     out_path = Path(out)
     if out_path.is_file():
+        drop_torn_tail(out_path)
         table = load_grid(out_path, space)
         print(f"resuming into existing table {out_path}")
     else:
         table = GridTable(space_fingerprint=space.fingerprint())
+        store_grid(table, out_path)
 
-    if JUDGE_AC in metrics and evaluator.judge is None:
-        raise CliError("judge_ac requested but no judge endpoint configured")
     # A context_mrr-only grid never needs generation; use the cheap path.
     retrieval_only_grid = set(metrics) == {CONTEXT_MRR}
     objective = Objective(
         metrics=tuple(m for m in metrics if m != CONTEXT_MRR) or (LEXICAL_AC,)
     )
     evaluated = 0
+    # Each cell's new rows are appended as soon as it is evaluated, so a killed
+    # run keeps them; the table is rewritten in canonical order once, at the end.
+    sink = out_path.open("a", encoding="utf-8")
     try:
         for ordinal in range(space.total_size):
             rag_config = space.config_at(ordinal)
@@ -316,20 +323,26 @@ def cmd_grid(args: argparse.Namespace) -> int:
                     result = evaluator.evaluate_retrieval_only(rag_config, split)
                 else:
                     result = evaluator.evaluate(rag_config, split, objective)
+                added = []
                 for qe in result.per_question:
                     for metric in metrics:
                         if metric in qe.scores and table.get(
                             ordinal, split, metric, qe.qid
                         ) is None:
                             table.add_score(ordinal, split, metric, qe.qid, qe.scores[metric])
+                            added.append((ordinal, split, metric, qe.qid))
                 table.set_cost(ordinal, split, result.cost)
                 evaluated += 1
-                store_grid(table, out_path)
+                sink.write(grid_cell_text(table, ordinal, split, added))
+                sink.flush()
     except ServiceFailure as exc:
+        sink.close()
         store_grid(table, out_path)
         print(f"grid run suspended: {exc}", file=sys.stderr)
         print(f"partial table written to {out_path}; re-run to resume", file=sys.stderr)
         return EXIT_SUSPENDED
+    finally:
+        sink.close()
 
     store_grid(table, out_path)
     if evaluated == 0:

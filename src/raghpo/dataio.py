@@ -12,8 +12,12 @@ A grid table is a JSON-lines file whose first line is a header carrying the
 format version and the fingerprint of the search space it was computed
 against. Remaining lines are score rows ``{"ordinal", "split", "metric",
 "qid", "score"}`` plus optional per-config cost rows (``"kind": "cost"``).
-Writers emit rows in the canonical order (ordinal, split, metric, qid) with
-canonical JSON, so store(load(x)) is byte-identical for canonical files.
+:func:`store_grid` emits rows in the canonical order (ordinal, split, metric,
+qid) with canonical JSON, so store(load(x)) is byte-identical for canonical
+files. While a grid is being computed, each cell's rows are appended to the
+file as they are produced (:func:`grid_cell_text`), so an in-progress table
+is in no particular order and may end with a row torn by a killed writer
+(:func:`drop_torn_tail`).
 """
 
 from __future__ import annotations
@@ -22,10 +26,12 @@ import hashlib
 import json
 import logging
 import math
+import os
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import IO, Iterable, Iterator
 
 from .costs import CostDelta
 from .metrics import METRIC_NAMES
@@ -242,6 +248,26 @@ def load_dataset(path: str | Path) -> Dataset:
 
 def _dump_canonical(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
+@contextmanager
+def atomic_write(path: str | Path) -> Iterator[IO[str]]:
+    """Open ``path`` for writing text so that readers see the old file or the whole new one.
+
+    The text goes to a temporary file in the same directory, which replaces
+    ``path`` only when the block exits normally; on an exception the
+    temporary file is removed and ``path`` is left as it was. A process
+    killed mid-write leaves at most a stray ``.tmp`` file beside ``path``.
+    """
+    target = Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    temp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        with temp.open("w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(temp, target)
+    finally:
+        temp.unlink(missing_ok=True)
 
 
 def store_dataset(dataset: Dataset, path: str | Path) -> None:
@@ -520,11 +546,22 @@ def load_grid(path: str | Path, space: SearchSpace | None = None) -> GridTable:
     return table
 
 
+def _score_line(key: GridKey, score: float) -> str:
+    ordinal, split, metric, qid = key
+    return _dump_canonical(
+        {"ordinal": ordinal, "split": split, "metric": metric, "qid": qid, "score": score}
+    ) + "\n"
+
+
+def _cost_line(ordinal: int, split: str, cost: CostDelta) -> str:
+    record = {"kind": "cost", "ordinal": ordinal, "split": split}
+    record.update(cost.as_dict())
+    return _dump_canonical(record) + "\n"
+
+
 def store_grid(table: GridTable, path: str | Path) -> None:
-    """Write a grid table in canonical row order (ordinal, split, metric, qid)."""
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with target.open("w", encoding="utf-8") as fh:
+    """Write a grid table atomically in canonical row order (ordinal, split, metric, qid)."""
+    with atomic_write(path) as fh:
         fh.write(
             _dump_canonical(
                 {
@@ -534,21 +571,42 @@ def store_grid(table: GridTable, path: str | Path) -> None:
             )
             + "\n"
         )
-        for (ordinal, split, metric, qid) in sorted(table.scores):
-            fh.write(
-                _dump_canonical(
-                    {
-                        "ordinal": ordinal,
-                        "split": split,
-                        "metric": metric,
-                        "qid": qid,
-                        "score": table.scores[(ordinal, split, metric, qid)],
-                    }
-                )
-                + "\n"
-            )
+        for key in sorted(table.scores):
+            fh.write(_score_line(key, table.scores[key]))
         for (ordinal, split) in sorted(table.costs):
-            cost = table.costs[(ordinal, split)]
-            record = {"kind": "cost", "ordinal": ordinal, "split": split}
-            record.update(cost.as_dict())
-            fh.write(_dump_canonical(record) + "\n")
+            fh.write(_cost_line(ordinal, split, table.costs[(ordinal, split)]))
+
+
+def grid_cell_text(
+    table: GridTable, ordinal: int, split: str, keys: Iterable[GridKey]
+) -> str:
+    """One evaluated cell's rows, to append to a table file: its cost row, then ``keys``' scores.
+
+    The cost row goes first so that a write cut short never keeps a cell's
+    scores without its cost: whatever is lost leaves the cell incomplete, so
+    a resumed run evaluates it again and appends a new cost row, which
+    :func:`load_grid` takes over the earlier one.
+    """
+    parts = [_cost_line(ordinal, split, table.costs[(ordinal, split)])]
+    parts.extend(_score_line(key, table.scores[key]) for key in keys)
+    return "".join(parts)
+
+
+def drop_torn_tail(path: str | Path) -> None:
+    """Cut a final line that lacks its newline, left by a writer killed mid-row.
+
+    Every row is written with its newline, so such a line is incomplete; a
+    warning names the file and the bytes dropped.
+    """
+    source = Path(path)
+    with source.open("rb+") as fh:
+        data = fh.read()
+        if not data or data.endswith(b"\n"):
+            return
+        keep = data.rfind(b"\n") + 1
+        fh.truncate(keep)
+    log.warning(
+        "%s: dropped a torn final line (%d bytes) left by an interrupted write",
+        source,
+        len(data) - keep,
+    )

@@ -9,6 +9,7 @@ model services.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .costs import CostDelta, ZERO_COST
@@ -21,12 +22,39 @@ class IncompleteTableError(ValueError):
     """Grid replay was asked for rows the table does not contain."""
 
 
+def _running_sum(values) -> float:
+    """Left-to-right float sum, the order in which evaluators combine weighted means."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def _normalized(weights: tuple[float, ...]) -> tuple[float, ...]:
+    """Weights whose running sum is at most 1, so no weighted mean of scores exceeds 1.
+
+    Rounding can only lower each ``weight * mean`` for a mean in [0, 1], and a
+    running sum of smaller terms is no larger. Weights already within that
+    limit are returned as given, which makes normalizing idempotent.
+    """
+    if _running_sum(weights) <= 1.0:
+        return weights
+    total = sum(weights)
+    scaled = [w / total for w in weights]
+    largest = scaled.index(max(scaled))
+    while _running_sum(scaled) > 1.0:
+        scaled[largest] = math.nextafter(scaled[largest], 0.0)
+    return tuple(scaled)
+
+
 @dataclass(frozen=True)
 class Objective:
     """What the optimizer maximizes: one metric, or a weighted sum of several.
 
-    Weights default to uniform and must sum to 1 when given explicitly.
-    Aggregation over questions is always the arithmetic mean.
+    Weights default to uniform and must sum to 1 (within 1e-9) when given
+    explicitly; weights whose sum rounds above 1 are scaled down slightly, so
+    a perfect score stays within [0, 1]. Aggregation over questions is always
+    the arithmetic mean.
     """
 
     metrics: tuple[str, ...] = ("lexical_ac",)
@@ -49,6 +77,7 @@ class Objective:
                 raise ValueError(f"weights must be non-negative, got {self.weights}")
             if abs(sum(self.weights) - 1.0) > 1e-9:
                 raise ValueError(f"weights must sum to 1, got {sum(self.weights)}")
+            object.__setattr__(self, "weights", _normalized(self.weights))
 
     def weighted_metrics(self) -> tuple[tuple[str, float], ...]:
         if self.weights is None:

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .costs import CostDelta
+from .dataio import atomic_write
 from .evaluator import Objective
 from .metrics import CONTEXT_MRR
 from .optimizers import (
@@ -435,15 +436,13 @@ def _seed_run_from_rows(space: SearchSpace, seed: int, rows: list[dict]) -> Seed
 
 
 def export_run(record: RunRecord, path: str | Path) -> None:
-    """Write a run as JSON lines: header, one row per trial, one per aggregate point.
+    """Write a run atomically as JSON lines: header, one row per trial, one per aggregate point.
 
     The header embeds the search space, so the file is self-contained and
     :func:`load_run` can rebuild configurations from ordinals.
     """
     spec = record.spec
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with target.open("w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         header = {"kind": "run_header", "format_version": RUN_FORMAT_VERSION}
         header.update(_spec_header(spec))
         fh.write(_dump(header) + "\n")
@@ -539,8 +538,8 @@ def _save_checkpoint(
         },
     }
     payload.update(_spec_header(spec))
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(_dump(payload) + "\n", encoding="utf-8")
+    with atomic_write(path) as fh:
+        fh.write(_dump(payload) + "\n")
 
 
 def _load_checkpoint(path: Path, spec: RunSpec) -> tuple[list[SeedRun], _SeedProgress | None]:

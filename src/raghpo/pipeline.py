@@ -143,6 +143,8 @@ class VectorIndex:
         matrix = np.asarray(vectors, dtype=np.float64)
         if matrix.ndim != 2 and len(self._chunks) > 0:
             raise ValueError("vectors must be a 2-D array")
+        if not np.isfinite(matrix).all():
+            raise ValueError("vectors must be finite")
         if len(self._chunks) == 0:
             matrix = matrix.reshape(0, 0)
         norms = np.linalg.norm(matrix, axis=1, keepdims=True) if len(self._chunks) else None
@@ -150,9 +152,19 @@ class VectorIndex:
             norms[norms == 0.0] = 1.0
             matrix = matrix / norms
         self._unit = matrix
+        # Each row's position in chunk_id order, the tie-break of search; rows
+        # are in corpus order, which need not be chunk_id order.
+        by_id = sorted(range(len(self._chunks)), key=lambda i: self._chunks[i].chunk_id)
+        self._id_rank = np.empty(len(self._chunks), dtype=np.intp)
+        self._id_rank[by_id] = np.arange(len(self._chunks))
 
     def __len__(self) -> int:
         return len(self._chunks)
+
+    @property
+    def dim(self) -> int:
+        """Vector dimension; 0 for an empty index."""
+        return self._unit.shape[1]
 
     @property
     def chunks(self) -> tuple[Chunk, ...]:
@@ -173,18 +185,25 @@ class VectorIndex:
         if top_k > n:
             log.warning("top_k=%d exceeds index size %d; returning all chunks", top_k, n)
         query = np.asarray(query_vector, dtype=np.float64)
+        if not np.isfinite(query).all():
+            raise ValueError("query vector must be finite")
         norm = np.linalg.norm(query)
         if norm > 0.0:
             query = query / norm
         sims = self._unit @ query
-        order = sorted(range(n), key=lambda i: (-sims[i], self._chunks[i].chunk_id))
+        k = min(top_k, n)
+        # Every row tied with the k-th largest similarity stays a candidate, so
+        # the chunk_id tie-break decides between them exactly as a full sort would.
+        kth = np.partition(sims, n - k)[n - k]
+        candidates = np.flatnonzero(sims >= kth)
+        order = candidates[np.lexsort((self._id_rank[candidates], -sims[candidates]))]
         return [
             RetrievedChunk(
                 source_doc_id=self._chunks[i].source_doc_id,
                 rank=rank,
                 text=self._chunks[i].text,
             )
-            for rank, i in enumerate(order[: min(top_k, n)], start=1)
+            for rank, i in enumerate(order[:k], start=1)
         ]
 
 
@@ -250,7 +269,17 @@ def _post_json(endpoint: ServiceEndpoint, route: str, payload: dict) -> dict:
             continue
         if response.status_code != 200:
             raise ServiceFailure(f"{url} returned HTTP {response.status_code}: {response.text[:200]}")
-        return response.json()
+        try:
+            reply = response.json()
+        except ValueError:  # requests' JSONDecodeError
+            raise ServiceFailure(
+                f"{url} returned a body that is not JSON: {response.text[:200]!r}"
+            ) from None
+        if not isinstance(reply, dict):
+            raise ServiceFailure(
+                f"{url} returned JSON that is not an object: {response.text[:200]!r}"
+            )
+        return reply
     raise ServiceFailure(f"{url} failed after {endpoint.max_attempts} attempts: {last_error}")
 
 
@@ -264,9 +293,10 @@ class EmbeddingClient:
         self.batch_size = batch_size
 
     def embed(self, model: str, texts: Sequence[str]) -> np.ndarray:
+        """One row per text; rejects ragged, empty or non-finite vectors and mixed dimensions."""
         if not texts:
             return np.zeros((0, 0))
-        vectors: list[list[float]] = []
+        blocks: list[np.ndarray] = []
         for start in range(0, len(texts), self.batch_size):
             batch = list(texts[start : start + self.batch_size])
             reply = _post_json(
@@ -278,11 +308,21 @@ class EmbeddingClient:
                     f"embed reply has {len(got) if isinstance(got, list) else 'no'} "
                     f"vectors for a batch of {len(batch)}"
                 )
-            vectors.extend(got)
-        matrix = np.asarray(vectors, dtype=np.float64)
-        if matrix.ndim != 2:
-            raise ServiceFailure("embed reply vectors have inconsistent dimensions")
-        return matrix
+            try:
+                block = np.asarray(got, dtype=np.float64)
+            except (TypeError, ValueError):
+                raise ServiceFailure("embed reply vectors are ragged or not numeric") from None
+            if block.ndim != 2 or block.shape[1] == 0:
+                raise ServiceFailure("embed reply vectors are ragged or empty")
+            if blocks and block.shape[1] != blocks[0].shape[1]:
+                raise ServiceFailure(
+                    f"embed reply dimension changed between batches: "
+                    f"{blocks[0].shape[1]} then {block.shape[1]}"
+                )
+            if not np.isfinite(block).all():
+                raise ServiceFailure("embed reply vectors contain NaN or infinite values")
+            blocks.append(block)
+        return np.concatenate(blocks)
 
 
 @dataclass(frozen=True)
@@ -477,7 +517,8 @@ class LivePipelineEvaluator:
     Indices are cached per IndexConfig, so configurations sharing chunking
     and embedding settings reuse one index; the reported embedded-token cost
     is attached to every evaluation that uses the index, and double charging
-    is prevented by the harness ledger.
+    is prevented by the harness ledger. Question vectors are cached per
+    (embedding model, split), so each split is embedded once per model.
     """
 
     def __init__(
@@ -500,6 +541,7 @@ class LivePipelineEvaluator:
         self.judge = judge
         self.parallelism = parallelism
         self._indices: dict[IndexConfig, tuple[VectorIndex, int]] = {}
+        self._question_vectors: dict[tuple[str, str], np.ndarray] = {}
 
     def _index_for(self, index_config: IndexConfig) -> tuple[VectorIndex, int]:
         cached = self._indices.get(index_config)
@@ -514,19 +556,29 @@ class LivePipelineEvaluator:
             self._indices[index_config] = cached
         return cached
 
+    def _questions_embedded(self, model: str, split: str) -> np.ndarray:
+        key = (model, split)
+        vectors = self._question_vectors.get(key)
+        if vectors is None:
+            questions = self.dataset.split(split)
+            vectors = self.embedder.embed(model, [qa.question for qa in questions])
+            self._question_vectors[key] = vectors
+        return vectors
+
     def _retrieve_all(
-        self, config: RagConfig, questions: Sequence[QaPair]
+        self, config: RagConfig, split: str
     ) -> tuple[list[list[RetrievedChunk]], int]:
         if not self.space.contains(config):
             raise ValueError(f"configuration {config.as_dict()} is not in the search space")
         index, embedded_tokens = self._index_for(config.index)
-        query_vectors = self.embedder.embed(
-            config.index.embedding_model, [qa.question for qa in questions]
-        )
-        retrieved = [
-            index.search(query_vectors[i], config.answer.top_k)
-            for i in range(len(questions))
-        ]
+        query_vectors = self._questions_embedded(config.index.embedding_model, split)
+        if len(index) and len(query_vectors) and query_vectors.shape[1] != index.dim:
+            raise ServiceFailure(
+                f"embedding model {config.index.embedding_model!r} returned "
+                f"{query_vectors.shape[1]}-dimensional question vectors for a "
+                f"{index.dim}-dimensional index"
+            )
+        retrieved = [index.search(vector, config.answer.top_k) for vector in query_vectors]
         return retrieved, embedded_tokens
 
     def supports_metric(self, metric: str, split: str) -> bool:
@@ -539,7 +591,7 @@ class LivePipelineEvaluator:
     def evaluate_retrieval_only(self, config: RagConfig, split: str) -> EvalResult:
         """Score retrieval quality only; no generation is run or charged."""
         questions = self.dataset.split(split)
-        retrieved, embedded_tokens = self._retrieve_all(config, questions)
+        retrieved, embedded_tokens = self._retrieve_all(config, split)
         per_question = []
         for qa, chunks in zip(questions, retrieved):
             qe = QuestionEval(qid=qa.qid, retrieved=tuple(chunks))
@@ -564,7 +616,7 @@ class LivePipelineEvaluator:
         if JUDGE_AC in objective.metrics and self.judge is None:
             raise ValueError("objective includes judge_ac but no judge endpoint is configured")
         questions = self.dataset.split(split)
-        retrieved, embedded_tokens = self._retrieve_all(config, questions)
+        retrieved, embedded_tokens = self._retrieve_all(config, split)
 
         def answer_one(args: tuple[QaPair, list[RetrievedChunk]]):
             qa, chunks = args

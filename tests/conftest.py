@@ -179,31 +179,39 @@ class _StubHandler(BaseHTTPRequestHandler):
             self.end_headers()
             return
         server.calls.setdefault(self.path, []).append(payload)
-        if self.path == "/embed":
-            texts = payload["texts"]
-            reply = {
-                "vectors": [stub_vector(t) for t in texts],
-                "token_counts": [len(t.split()) for t in texts],
-            }
-        elif self.path == "/generate":
-            prompt = payload["prompt"]
-            input_tokens, output_tokens = stub_generation_tokens(prompt)
-            reply = {"text": "echo: " + prompt[-48:]}
-            if not server.omit_token_counts:
-                reply["input_tokens"] = input_tokens
-                reply["output_tokens"] = output_tokens
-        elif self.path == "/judge":
-            reply = {"score": 0.5}
-        else:
+        override = server.overrides.get(self.path)
+        reply = override(payload) if override is not None else None
+        if reply is None:
+            reply = self._normal_reply(payload)
+        if reply is None:
             self.send_response(404)
             self.end_headers()
             return
-        body = json.dumps(reply).encode("utf-8")
+        body = reply if isinstance(reply, bytes) else json.dumps(reply).encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
+
+    def _normal_reply(self, payload: dict) -> dict | None:
+        if self.path == "/embed":
+            texts = payload["texts"]
+            return {
+                "vectors": [stub_vector(t) for t in texts],
+                "token_counts": [len(t.split()) for t in texts],
+            }
+        if self.path == "/generate":
+            prompt = payload["prompt"]
+            input_tokens, output_tokens = stub_generation_tokens(prompt)
+            reply = {"text": "echo: " + prompt[-48:]}
+            if not self.server.omit_token_counts:
+                reply["input_tokens"] = input_tokens
+                reply["output_tokens"] = output_tokens
+            return reply
+        if self.path == "/judge":
+            return {"score": 0.5}
+        return None
 
     def log_message(self, *args):  # silence per-request noise
         pass
@@ -215,6 +223,7 @@ class StubService:
         self.server.fail_counts = {}
         self.server.calls = {}
         self.server.omit_token_counts = False
+        self.server.overrides = {}
         self._thread = threading.Thread(
             target=lambda: self.server.serve_forever(poll_interval=0.01), daemon=True
         )
@@ -232,6 +241,14 @@ class StubService:
 
     def set_omit_token_counts(self, omit: bool) -> None:
         self.server.omit_token_counts = omit
+
+    def override(self, route: str, reply) -> None:
+        """Answer ``route`` with HTTP 200 and ``reply(payload)``.
+
+        Bytes are sent as the body unchanged, other values as JSON (NaN
+        included); ``None`` falls back to the normal reply.
+        """
+        self.server.overrides[route] = reply
 
     def close(self) -> None:
         self.server.shutdown()

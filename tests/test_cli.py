@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from pathlib import Path
@@ -8,6 +9,7 @@ from raghpo.cli import EXIT_OK, EXIT_SUSPENDED, EXIT_VALIDATION, main
 from raghpo.dataio import load_dataset, load_grid, store_dataset, store_grid
 from raghpo.harness import load_run
 from raghpo.metrics import CONTEXT_MRR, FAITHFULNESS, LEXICAL_AC
+from raghpo.pipeline import LivePipelineEvaluator
 from raghpo.searchspace import SearchSpace
 
 from conftest import make_document, table_from_config_scores
@@ -417,3 +419,105 @@ def test_grid_suspends_on_service_outage_then_resumes(live_setup, capsys):
     assert main(["grid", "--config", str(live_setup["config_path"])]) == EXIT_OK
     table = load_grid(live_setup["grid_path"], live_setup["space"])
     assert table.is_complete_for(LEXICAL_AC, "test", 2)
+
+
+class _Killed(BaseException):
+    """Stands in for the process being killed: nothing in raghpo catches it."""
+
+
+def _grid_killed_after(live_setup, monkeypatch, cells: int) -> bytes:
+    """Run grid from scratch until ``cells`` cells are evaluated, then kill it."""
+    live_setup["grid_path"].unlink(missing_ok=True)
+    original = LivePipelineEvaluator.evaluate
+    calls = itertools.count()
+
+    def evaluate(self, *args):
+        if next(calls) == cells:
+            raise _Killed
+        return original(self, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(LivePipelineEvaluator, "evaluate", evaluate)
+        with pytest.raises(_Killed):
+            main(["grid", "--config", str(live_setup["config_path"])])
+    return live_setup["grid_path"].read_bytes()
+
+
+def test_grid_resume_after_kill_mid_write_matches_uninterrupted_run(
+    live_setup, monkeypatch, caplog
+):
+    path = live_setup["grid_path"]
+    assert main(["grid", "--config", str(live_setup["config_path"])]) == EXIT_OK
+    reference = path.read_bytes()
+
+    # A killed run keeps the header and every finished cell, appended in order.
+    before = _grid_killed_after(live_setup, monkeypatch, 2)
+    cell = _grid_killed_after(live_setup, monkeypatch, 3)[len(before):]
+    lines = cell.splitlines(keepends=True)
+    assert len(lines) == 7  # the third cell: a cost row and 3 metrics x 2 dev questions
+
+    # Cut the third cell's write at and inside each of its lines.
+    cuts = set()
+    start = 0
+    for line in lines:
+        cuts.update({start, start + 1, start + len(line) // 2, start + len(line) - 1})
+        start += len(line)
+    for cut in sorted(cuts):
+        path.write_bytes(before + cell[:cut])
+        caplog.clear()
+        assert main(["grid", "--config", str(live_setup["config_path"])]) == EXIT_OK
+        assert path.read_bytes() == reference, f"cut at byte {cut}"
+        torn = cut not in {0, *(sum(map(len, lines[:i])) for i in range(len(lines)))}
+        assert ("torn final line" in caplog.text) == torn
+
+
+def _vectors(make):
+    """An /embed reply with ``make(i, text, batch_size)`` as the vector of each text."""
+    return lambda payload: {
+        "vectors": [make(i, t, len(payload["texts"])) for i, t in enumerate(payload["texts"])]
+    }
+
+
+# (route, reply, part of the message). The corpus is 6 chunks, embedded in
+# batches of 4 and 2.
+SUSPENDING_REPLIES = {
+    "embed not json": ("/embed", lambda payload: b"<html>busy</html>", "not JSON"),
+    "embed json array": ("/embed", lambda payload: [], "not an object"),
+    "embed ragged": ("/embed", _vectors(lambda i, t, n: [1.0] * (1 + (i == 0))), "ragged"),
+    "embed nan": ("/embed", _vectors(lambda i, t, n: [float("nan")] * 8), "NaN"),
+    "embed dimension changes between batches": (
+        "/embed", _vectors(lambda i, t, n: [1.0] * (2 + n)), "changed between batches"
+    ),
+    "question dimension differs from index": (
+        "/embed",
+        _vectors(lambda i, t, n: [1.0, 0.5] if t.startswith(("about", "closing")) else [0.5] * 8),
+        "2-dimensional question vectors",
+    ),
+    "generate not json": ("/generate", lambda payload: b"Internal error", "every generation failed"),
+}
+
+
+@pytest.mark.parametrize(
+    "route, reply, message", SUSPENDING_REPLIES.values(), ids=SUSPENDING_REPLIES.keys()
+)
+@pytest.mark.parametrize("command", ["grid", "optimize"])
+def test_malformed_service_reply_suspends_with_exit_3(
+    live_setup, tmp_path, capsys, command, route, reply, message
+):
+    config = json.loads(live_setup["config_path"].read_text())
+    config["embed_batch_size"] = 4
+    config["out"] = str(tmp_path / f"{command}.jsonl")
+    config_path = tmp_path / "batched.json"
+    config_path.write_text(json.dumps(config))
+    live_setup["stub"].override(route, reply)
+    argv = [command, "--config", str(config_path)]
+    if command == "optimize":
+        argv += ["--algo", "random", "--budget", "2", "--seeds", "1"]
+    assert main(argv) == EXIT_SUSPENDED
+    err = capsys.readouterr().err
+    assert "suspended" in err
+    assert message in err
+    written = tmp_path / (
+        "optimize.jsonl.checkpoint" if command == "optimize" else "grid.jsonl"
+    )
+    assert written.is_file()

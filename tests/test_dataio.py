@@ -14,7 +14,10 @@ from raghpo.dataio import (
     GridTable,
     QaPair,
     SamplePlan,
+    atomic_write,
     dataset_content_hash,
+    drop_torn_tail,
+    grid_cell_text,
     load_dataset,
     load_grid,
     sample_dev,
@@ -335,3 +338,57 @@ def test_grid_missing_header_rejected(tmp_path):
     path.write_text("")
     with pytest.raises(GridFormatError, match="header"):
         load_grid(path)
+
+
+def test_atomic_write_keeps_previous_file_on_failure(tmp_path):
+    target = tmp_path / "out.txt"
+    target.write_text("old\n")
+    with pytest.raises(RuntimeError):
+        with atomic_write(target) as fh:
+            fh.write("new, cut short")
+            raise RuntimeError("writer failed")
+    assert target.read_text() == "old\n"
+    assert list(tmp_path.iterdir()) == [target]
+    with atomic_write(target) as fh:
+        fh.write("new\n")
+    assert target.read_text() == "new\n"
+    assert list(tmp_path.iterdir()) == [target]
+
+
+@pytest.mark.parametrize(
+    "content, kept",
+    [
+        (b"", b""),
+        (b"a\nb\n", b"a\nb\n"),
+        (b"a\nb\n{\"ordinal\":1,", b"a\nb\n"),
+        (b"torn", b""),
+    ],
+)
+def test_drop_torn_tail_cuts_only_an_unterminated_last_line(tmp_path, caplog, content, kept):
+    path = tmp_path / "g.jsonl"
+    path.write_bytes(content)
+    with caplog.at_level("WARNING"):
+        drop_torn_tail(path)
+    assert path.read_bytes() == kept
+    assert ("torn final line" in caplog.text) == (kept != content)
+
+
+def test_appended_cells_load_with_last_cost_row_winning(tmp_path, tiny_space):
+    path = tmp_path / "g.jsonl"
+    table = GridTable(space_fingerprint=tiny_space.fingerprint())
+    store_grid(table, path)
+    table.add_score(0, "dev", LEXICAL_AC, "q0", 0.5)
+    table.set_cost(0, "dev", CostDelta(1, 2, 3))
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write(grid_cell_text(table, 0, "dev", [(0, "dev", LEXICAL_AC, "q0")]))
+        # The same cell evaluated again after an interrupted write.
+        table.set_cost(0, "dev", CostDelta(4, 5, 6))
+        fh.write(grid_cell_text(table, 0, "dev", []))
+    loaded = load_grid(path, tiny_space)
+    assert loaded.scores == table.scores
+    assert loaded.costs == {(0, "dev"): CostDelta(4, 5, 6)}
+
+    # load_grid itself stays strict: a torn tail is an error, not a silent drop.
+    path.write_bytes(path.read_bytes()[:-5])
+    with pytest.raises(GridFormatError, match="invalid JSON"):
+        load_grid(path, tiny_space)

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from raghpo.costs import CostDelta
 from raghpo.dataio import FingerprintMismatchError, GridTable
@@ -8,7 +9,7 @@ from raghpo.evaluator import (
     Objective,
     best_so_far,
 )
-from raghpo.metrics import CONTEXT_MRR, FAITHFULNESS, LEXICAL_AC
+from raghpo.metrics import CONTEXT_MRR, FAITHFULNESS, JUDGE_AC, LEXICAL_AC
 from raghpo.optimizers import Trial, TrialHistory
 
 from conftest import fill_table
@@ -152,6 +153,36 @@ def test_objective_validation():
         Objective(metrics=(LEXICAL_AC, FAITHFULNESS), weights=(0.5, 0.9))
     with pytest.raises(ValueError):
         Objective(metrics=(LEXICAL_AC,), weights=(-1.0,))
+
+
+def test_weights_summing_a_hair_above_one_keep_perfect_score_at_one(tiny_space):
+    table = GridTable(space_fingerprint=tiny_space.fingerprint())
+    for ordinal in range(tiny_space.total_size):
+        table.add_score(ordinal, "dev", LEXICAL_AC, "q0", 1.0)
+        table.add_score(ordinal, "dev", FAITHFULNESS, "q0", 1.0)
+    objective = Objective(metrics=(LEXICAL_AC, FAITHFULNESS), weights=(0.5, 0.5000000001))
+    result = GridReplayEvaluator(table, tiny_space).evaluate(
+        tiny_space.config_at(0), "dev", objective
+    )
+    assert result.objective_score == pytest.approx(1.0)
+    assert result.objective_score <= 1.0
+
+
+@given(
+    st.lists(st.floats(0.01, 1.0), min_size=1, max_size=4),
+    st.floats(-1e-10, 1e-10),
+)
+def test_accepted_weights_never_push_a_perfect_score_above_one(raw, skew):
+    metrics = (LEXICAL_AC, FAITHFULNESS, CONTEXT_MRR, JUDGE_AC)[: len(raw)]
+    weights = tuple(w / sum(raw) * (1.0 + skew) for w in raw)
+    objective = Objective(metrics=metrics, weights=weights)
+    perfect = 0.0
+    for _, weight in objective.weighted_metrics():
+        perfect += weight * 1.0
+    assert perfect <= 1.0
+    assert perfect == pytest.approx(1.0)
+    # Normalizing is idempotent, so a run header's weights rebuild the same objective.
+    assert Objective(metrics=metrics, weights=objective.weights) == objective
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import random
+from pathlib import Path
 
 import pytest
 
 from raghpo.costs import CostDelta
+from raghpo.dataio import store_grid
 from raghpo.evaluator import GridReplayEvaluator, Objective
 from raghpo.harness import (
     CostLedger,
@@ -430,3 +432,60 @@ def test_checkpoint_for_different_spec_rejected(tmp_path, default_space):
     spec_b = spec_for(default_space, algorithm="tpe", budget=10, seeds=(1, 2))
     with pytest.raises(ValueError, match="different run spec"):
         run(spec_b, evaluator, checkpoint_path=checkpoint)
+
+
+class _Killed(BaseException):
+    """Stands in for the process being killed: nothing in raghpo catches it."""
+
+
+@pytest.fixture()
+def kill_mid_write(monkeypatch):
+    """Arm to make every file opened for writing die halfway through its first write."""
+
+    real_open = Path.open
+
+    def open_(self, mode="r", *args, **kwargs):
+        fh = real_open(self, mode, *args, **kwargs)
+        if "w" in mode:
+            real_write = fh.write
+
+            def write(text):
+                real_write(text[: len(text) // 2])
+                fh.flush()
+                raise _Killed
+
+            fh.write = write
+        return fh
+
+    return lambda: monkeypatch.setattr(Path, "open", open_)
+
+
+def _grid_writer(path, space, version):
+    evaluator, _ = scored_evaluator(space, seed=version)
+    store_grid(evaluator.table, path)
+
+
+def _export_writer(path, space, version):
+    evaluator, _ = scored_evaluator(space)
+    export_run(run(spec_for(space, budget=4, seeds=range(1, version + 1)), evaluator), path)
+
+
+def _checkpoint_writer(path, space, version):
+    # Version 2 resumes from version 1's checkpoint and gets further.
+    evaluator, _ = scored_evaluator(space)
+    flaky = FlakyEvaluator(evaluator, fail_after_calls=3)
+    with pytest.raises(RunSuspended):
+        run(spec_for(space, budget=6, seeds=(1, 2)), flaky, checkpoint_path=path)
+
+
+@pytest.mark.parametrize("write", [_grid_writer, _export_writer, _checkpoint_writer])
+def test_write_killed_midway_leaves_previous_file_intact(
+    tmp_path, default_space, kill_mid_write, write
+):
+    path = tmp_path / "out.jsonl"
+    write(path, default_space, 1)
+    previous = path.read_bytes()
+    kill_mid_write()
+    with pytest.raises(_Killed):
+        write(path, default_space, 2)
+    assert path.read_bytes() == previous

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from raghpo.dataio import Dataset, QaPair
 from raghpo.evaluator import Objective
@@ -173,6 +174,46 @@ def test_search_single_chunk_any_k():
     assert got[0].rank == 1
 
 
+@st.composite
+def _index_and_query(draw):
+    """Small integer vectors, so duplicates and equal similarities are common."""
+    n = draw(st.integers(1, 24))
+    dim = draw(st.integers(1, 3))
+    component = st.integers(-2, 2)
+    pool = draw(st.lists(st.lists(component, min_size=dim, max_size=dim), min_size=1, max_size=n))
+    rows = [pool[draw(st.integers(0, len(pool) - 1))] for _ in range(n)]
+    # chunk_id order differs from row order.
+    id_order = draw(st.permutations(range(n)))
+    query = draw(st.lists(component, min_size=dim, max_size=dim))
+    return np.asarray(rows, dtype=float), [f"c{j:03d}" for j in id_order], np.asarray(query, float)
+
+
+@given(_index_and_query(), st.integers(1, 30), st.booleans())
+def test_search_matches_full_sort_with_ties(case, k, at_tie):
+    vectors, chunk_ids, query = case
+    n = len(vectors)
+    chunks = [Chunk(cid, f"row{i}", 0, 1, f"text {i}") for i, cid in enumerate(chunk_ids)]
+    index = VectorIndex(chunks, vectors)
+    norms = np.linalg.norm(vectors, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    qnorm = np.linalg.norm(query)
+    sims = (vectors / norms) @ (query / qnorm if qnorm > 0 else query)
+    oracle = sorted(range(n), key=lambda i: (-sims[i], chunk_ids[i]))
+    tie_cuts = [j for j in range(1, n) if sims[oracle[j - 1]] == sims[oracle[j]]]
+    if at_tie and tie_cuts:
+        k = tie_cuts[k % len(tie_cuts)]  # the k-th and (k+1)-th rows tie
+    got = index.search(query, k)
+    assert [c.source_doc_id for c in got] == [f"row{i}" for i in oracle[:k]]
+    assert [c.rank for c in got] == list(range(1, min(k, n) + 1))
+
+
+def test_index_rejects_non_finite_vectors():
+    with pytest.raises(ValueError, match="finite"):
+        _make_index([[1.0, float("nan")]])
+    with pytest.raises(ValueError, match="finite"):
+        _make_index([[1.0, 0.0]]).search(np.array([float("inf"), 0.0]), top_k=1)
+
+
 # ---------------------------------------------------------------------------
 # Index building
 # ---------------------------------------------------------------------------
@@ -272,6 +313,52 @@ def test_embedding_client_batches_requests(stub_service):
     assert vectors.shape == (5, 8)
     assert len(stub_service.calls("/embed")) == 3
     np.testing.assert_allclose(vectors[3], stub_vector("text 3"))
+
+
+def _vectors(make):
+    """An /embed reply with ``make(i, text)`` as the vector of each text."""
+    return lambda payload: {"vectors": [make(i, t) for i, t in enumerate(payload["texts"])]}
+
+
+BAD_EMBED_REPLIES = {
+    "ragged": _vectors(lambda i, t: [1.0, 2.0] if i == 0 else [1.0]),
+    "not numeric": _vectors(lambda i, t: ["a", "b"]),
+    "flat": _vectors(lambda i, t: 1.0),
+    "empty": _vectors(lambda i, t: []),
+    "nan": _vectors(lambda i, t: [float("nan"), 1.0]),
+    "infinite": _vectors(lambda i, t: [float("inf"), 1.0]),
+    # "text 0" and "text 1" form the first batch of two, "text 2" and "text 3" the second.
+    "dimension changes between batches": _vectors(lambda i, t: [1.0] * (2 + int(t[-1]) // 2)),
+}
+
+
+@pytest.mark.parametrize("reply", BAD_EMBED_REPLIES.values(), ids=BAD_EMBED_REPLIES.keys())
+def test_embedding_client_rejects_malformed_vectors(stub_service, reply):
+    stub_service.override("/embed", reply)
+    client = EmbeddingClient(_endpoint(stub_service), batch_size=2)
+    with pytest.raises(ServiceFailure):
+        client.embed("emb-model", [f"text {i}" for i in range(4)])
+
+
+MALFORMED_BODIES = {
+    "not json": lambda payload: b"<html>busy</html>",
+    "json array": lambda payload: [1, 2],
+    "json string": lambda payload: "ok",
+}
+
+
+@pytest.mark.parametrize("route", ["/embed", "/generate", "/judge"])
+@pytest.mark.parametrize("body", MALFORMED_BODIES.values(), ids=MALFORMED_BODIES.keys())
+def test_malformed_ok_reply_is_a_service_failure(stub_service, route, body):
+    stub_service.override(route, body)
+    endpoint = _endpoint(stub_service)
+    call = {
+        "/embed": lambda: EmbeddingClient(endpoint).embed("emb", ["text"]),
+        "/generate": lambda: GenerationClient(endpoint).generate("gen", "prompt"),
+        "/judge": lambda: JudgeClient(endpoint).score("q", "a", "gold"),
+    }[route]
+    with pytest.raises(ServiceFailure, match="JSON"):
+        call()
 
 
 def test_generation_client_token_accounting_matches_stub(stub_service):
@@ -410,12 +497,12 @@ def test_live_index_cache_reused_across_configs(stub_service, tiny_dataset):
     evaluator = _live(stub_service, tiny_dataset)
     evaluator.evaluate_retrieval_only(_config(), "dev")
     calls_after_first = len(stub_service.calls("/embed"))
-    # Same IndexConfig, different answering stage: corpus not re-embedded.
+    # Same IndexConfig, different answering stage: neither the corpus nor the
+    # split's questions are embedded again.
     other = RagConfig.from_values(256, 0.0, "multilingual-e5-large", 5, "Llama-3.1-8B-Instruct")
     evaluator.evaluate_retrieval_only(other, "dev")
     calls_after_second = len(stub_service.calls("/embed"))
-    # Only the question embeddings are requested the second time.
-    assert calls_after_second == calls_after_first + 1
+    assert calls_after_second == calls_after_first
 
 
 def test_live_evaluator_builds_eighteen_distinct_indices(tiny_dataset):
@@ -444,6 +531,26 @@ def test_live_failed_generation_excluded(stub_service, tiny_dataset):
     result = evaluator.evaluate(_config(), "dev", Objective())
     assert len(result.failed_qids) == 1
     assert len(result.per_question) == 3
+
+
+def test_live_malformed_generation_reply_excludes_question(stub_service, tiny_dataset):
+    stub_service.override(
+        "/generate",
+        lambda payload: b"not json" if "document 2" in payload["prompt"] else None,
+    )
+    result = _live(stub_service, tiny_dataset).evaluate(_config(), "dev", Objective())
+    assert result.failed_qids == ("q2",)
+    assert [qe.qid for qe in result.per_question] == ["q0", "q1", "q3"]
+
+
+def test_live_question_dimension_must_match_index(stub_service, tiny_dataset):
+    questions = {qa.question for qa in tiny_dataset.dev}
+    stub_service.override(
+        "/embed",
+        _vectors(lambda i, t: [1.0, 0.0, 0.0] if t in questions else stub_vector(t)),
+    )
+    with pytest.raises(ServiceFailure, match="3-dimensional question vectors for a 8-dimensional"):
+        _live(stub_service, tiny_dataset).evaluate_retrieval_only(_config(), "dev")
 
 
 def test_live_rejects_foreign_config(stub_service, tiny_dataset):
