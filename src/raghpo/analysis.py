@@ -17,31 +17,13 @@ from .searchspace import ORDINAL_ORDER, ParamName, RagConfig, SearchSpace
 DEFAULT_BIN_COUNT = 10
 
 
-class IncompleteGridError(ValueError):
-    """The requested analysis needs a complete (metric, split) slice."""
-
-
 def per_config_means(
     table: GridTable, metric: str, split: str, space: SearchSpace
 ) -> list[float]:
     """Mean score per config ordinal; requires a complete (metric, split) slice."""
-    qids = table.qids_for(metric, split)
-    if not qids:
-        raise IncompleteGridError(
-            f"grid table has no rows for metric {metric!r} on split {split!r}"
-        )
-    means = []
-    for ordinal in range(space.total_size):
-        gaps = [q for q in qids if (ordinal, split, metric, q) not in table.scores]
-        if gaps:
-            raise IncompleteGridError(
-                f"grid table incomplete for ({metric}, {split}): ordinal {ordinal} "
-                f"is missing {len(gaps)} of {len(qids)} questions"
-            )
-        means.append(
-            sum(table.scores[(ordinal, split, metric, q)] for q in qids) / len(qids)
-        )
-    return means
+    scores = table.slice(split, metric, space.total_size)
+    scores.require_complete(range(space.total_size))
+    return scores.means.tolist()
 
 
 @dataclass(frozen=True)

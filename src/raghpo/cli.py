@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from .dataio import (
     GridFormatError,
     GridTable,
     SamplePlan,
+    ScoreSlice,
     drop_torn_tail,
     grid_cell_text,
     load_dataset,
@@ -301,23 +303,33 @@ def cmd_grid(args: argparse.Namespace) -> int:
     objective = Objective(
         metrics=tuple(m for m in metrics if m != CONTEXT_MRR) or (LEXICAL_AC,)
     )
+    size = space.total_size
+    # The rows each split needs per metric; context_mrr is undefined for a
+    # question without gold documents. A NaN mean marks a cell with gaps.
+    needed: dict[str, dict[str, ScoreSlice]] = {split: {} for split in splits}
+    for split in splits:
+        for metric in metrics:
+            qids = [
+                qa.qid for qa in dataset.split(split) if metric != CONTEXT_MRR or qa.gold_doc_ids
+            ]
+            if qids:
+                needed[split][metric] = table.slice(split, metric, size, qids=qids)
     evaluated = 0
     # Each cell's new rows are appended as soon as it is evaluated, so a killed
     # run keeps them; the table is rewritten in canonical order once, at the end.
     sink = out_path.open("a", encoding="utf-8")
     try:
-        for ordinal in range(space.total_size):
+        for ordinal in range(size):
             rag_config = space.config_at(ordinal)
             for split in splits:
-                questions = dataset.split(split)
-                wanted = []
-                for metric in metrics:
-                    for qa in questions:
-                        if metric == CONTEXT_MRR and not qa.gold_doc_ids:
-                            continue  # undefined; excluded from this metric
-                        if table.get(ordinal, split, metric, qa.qid) is None:
-                            wanted.append((metric, qa.qid))
-                if not wanted:
+                gaps = {
+                    (metric, qid)
+                    for metric, scores in needed[split].items()
+                    if math.isnan(scores.means[ordinal])
+                    for qid, value in zip(scores.qids, scores.matrix[:, ordinal].tolist())
+                    if math.isnan(value)
+                }
+                if not gaps:
                     continue
                 if retrieval_only_grid:
                     result = evaluator.evaluate_retrieval_only(rag_config, split)
@@ -326,11 +338,10 @@ def cmd_grid(args: argparse.Namespace) -> int:
                 added = []
                 for qe in result.per_question:
                     for metric in metrics:
-                        if metric in qe.scores and table.get(
-                            ordinal, split, metric, qe.qid
-                        ) is None:
-                            table.add_score(ordinal, split, metric, qe.qid, qe.scores[metric])
-                            added.append((ordinal, split, metric, qe.qid))
+                        if metric in qe.scores and (metric, qe.qid) in gaps:
+                            score = qe.scores[metric]
+                            table.add_score(ordinal, split, metric, qe.qid, score)
+                            added.append(((ordinal, split, metric, qe.qid), score))
                 table.set_cost(ordinal, split, result.cost)
                 evaluated += 1
                 sink.write(grid_cell_text(table, ordinal, split, added))

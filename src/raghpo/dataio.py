@@ -12,6 +12,7 @@ A grid table is a JSON-lines file whose first line is a header carrying the
 format version and the fingerprint of the search space it was computed
 against. Remaining lines are score rows ``{"ordinal", "split", "metric",
 "qid", "score"}`` plus optional per-config cost rows (``"kind": "cost"``).
+In memory each (split, metric) is a float matrix over (qid, ordinal).
 :func:`store_grid` emits rows in the canonical order (ordinal, split, metric,
 qid) with canonical JSON, so store(load(x)) is byte-identical for canonical
 files. While a grid is being computed, each cell's rows are appended to the
@@ -32,6 +33,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Iterator
+
+import numpy as np
 
 from .costs import CostDelta
 from .metrics import METRIC_NAMES
@@ -145,7 +148,8 @@ class Dataset:
         }
 
 
-def _read_jsonl(path: Path) -> Iterable[tuple[int, dict]]:
+def _read_jsonl(path: Path, error: type[ValueError]) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, object) for each non-blank line; ``error`` names a bad line."""
     with path.open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -154,9 +158,9 @@ def _read_jsonl(path: Path) -> Iterable[tuple[int, dict]]:
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise DatasetFormatError(f"{path}:{lineno}: invalid JSON ({exc})") from None
+                raise error(f"{path}:{lineno}: invalid JSON ({exc})") from None
             if not isinstance(record, dict):
-                raise DatasetFormatError(f"{path}:{lineno}: expected a JSON object")
+                raise error(f"{path}:{lineno}: expected a JSON object")
             yield lineno, record
 
 
@@ -188,7 +192,7 @@ def load_dataset(path: str | Path) -> Dataset:
 
     corpus: list[Document] = []
     seen_docs: set[str] = set()
-    for lineno, record in _read_jsonl(corpus_path):
+    for lineno, record in _read_jsonl(corpus_path, DatasetFormatError):
         doc_id = str(_require(record, "doc_id", corpus_path, lineno))
         if doc_id in seen_docs:
             raise DatasetFormatError(f"{corpus_path}:{lineno}: duplicate doc_id {doc_id!r}")
@@ -207,7 +211,7 @@ def load_dataset(path: str | Path) -> Dataset:
     dev: list[QaPair] = []
     test: list[QaPair] = []
     seen_qids: set[str] = set()
-    for lineno, record in _read_jsonl(benchmark_path):
+    for lineno, record in _read_jsonl(benchmark_path, DatasetFormatError):
         qid = str(_require(record, "qid", benchmark_path, lineno))
         if qid in seen_qids:
             raise DatasetFormatError(f"{benchmark_path}:{lineno}: duplicate qid {qid!r}")
@@ -412,14 +416,78 @@ def sample_dev(dataset: Dataset, plan: SamplePlan) -> SampleOutcome:
 GridKey = tuple[int, str, str, str]  # (ordinal, split, metric, qid)
 
 
-@dataclass
+class IncompleteTableError(ValueError):
+    """A configuration lacks rows of the qid universe that a replay or analysis needs."""
+
+
+@dataclass(frozen=True, eq=False)
+class ScoreSlice:
+    """One (split, metric) of a grid table over ``range(size)`` configurations."""
+
+    split: str
+    metric: str
+    qids: tuple[str, ...]  # the qid universe, one matrix row each
+    matrix: np.ndarray  # [qid x ordinal], NaN where a row is missing
+    means: np.ndarray  # [ordinal], NaN where any qid of the universe is missing
+
+    def require_complete(self, ordinals: Iterable[int]) -> None:
+        """Raise :class:`IncompleteTableError` for the first of ``ordinals`` that lacks a qid."""
+        if not self.qids:
+            raise IncompleteTableError(
+                f"grid table has no rows for metric {self.metric!r} on split {self.split!r}"
+            )
+        for ordinal in ordinals:
+            if math.isnan(self.means[ordinal]):
+                gaps = [
+                    q for q, v in zip(self.qids, self.matrix[:, ordinal].tolist()) if math.isnan(v)
+                ]
+                shown = ", ".join(gaps[:5]) + ("..." if len(gaps) > 5 else "")
+                raise IncompleteTableError(
+                    f"grid table incomplete: config ordinal {ordinal} is missing {len(gaps)} "
+                    f"of {len(self.qids)} {self.metric!r}/{self.split!r} rows (qids: {shown})"
+                )
+
+
+class _Columns:
+    """The rows of one (split, metric) as added: qid -> matrix row, and a growable matrix."""
+
+    def __init__(self) -> None:
+        self.rows: dict[str, int] = {}
+        self.matrix = np.full((8, 8), np.nan)  # [qid x ordinal] capacity, NaN = missing
+        self.width = 0  # 1 + the largest ordinal with a row
+
+    def add(self, ordinal: int, qid: str, score: float) -> bool:
+        """Store a score; False, storing nothing, when the row is already present."""
+        row = self.rows.setdefault(qid, len(self.rows))
+        try:
+            if not math.isnan(self.matrix[row, ordinal]):
+                return False
+        except IndexError:
+            n_rows, n_cols = self.matrix.shape
+            grown = np.full((max(n_rows, 2 * row + 1), max(n_cols, 2 * ordinal + 1)), np.nan)
+            grown[:n_rows, :n_cols] = self.matrix
+            self.matrix = grown
+        self.matrix[row, ordinal] = score
+        if ordinal >= self.width:
+            self.width = ordinal + 1
+        return True
+
+
+@dataclass(eq=False)
 class GridTable:
-    """Per-(config, question, metric, split) score store; the replay oracle."""
+    """Per-(config, question, metric, split) scores, the replay oracle, plus per-cell costs.
+
+    Each (split, metric) is held as columns: a float matrix over (qid,
+    ordinal) with NaN for a missing row. :meth:`slice` is the one query over
+    them; ``scores`` rebuilds the row dict on each access.
+    """
 
     space_fingerprint: str
-    scores: dict[GridKey, float] = field(default_factory=dict)
     costs: dict[tuple[int, str], CostDelta] = field(default_factory=dict)
     format_version: int = GRID_FORMAT_VERSION
+    _columns: dict[tuple[str, str], _Columns] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     def add_score(
         self, ordinal: int, split: str, metric: str, qid: str, score: float
@@ -437,13 +505,11 @@ class GridTable:
                 f"score must be in [0, 1], got {score} for "
                 f"(ordinal={ordinal}, split={split}, metric={metric}, qid={qid})"
             )
-        key = (ordinal, split, metric, qid)
-        if key in self.scores:
-            raise GridFormatError(f"duplicate row for key {key}")
-        self.scores[key] = score
-
-    def get(self, ordinal: int, split: str, metric: str, qid: str) -> float | None:
-        return self.scores.get((ordinal, split, metric, qid))
+        columns = self._columns.get((split, metric))
+        if columns is None:
+            columns = self._columns[(split, metric)] = _Columns()
+        if not columns.add(ordinal, qid, score):
+            raise GridFormatError(f"duplicate row for key {(ordinal, split, metric, qid)}")
 
     def set_cost(self, ordinal: int, split: str, cost: CostDelta) -> None:
         self.costs[(ordinal, split)] = cost
@@ -451,98 +517,100 @@ class GridTable:
     def cost_for(self, ordinal: int, split: str) -> CostDelta | None:
         return self.costs.get((ordinal, split))
 
-    def qids_for(self, metric: str, split: str) -> tuple[str, ...]:
-        """All qids with at least one row for (metric, split), sorted."""
-        return tuple(
-            sorted({q for (_, s, m, q) in self.scores if s == split and m == metric})
-        )
+    def slice(
+        self, split: str, metric: str, size: int, qids: Iterable[str] | None = None
+    ) -> ScoreSlice:
+        """Scores of configurations ``range(size)`` over a qid universe, with each one's mean.
 
-    def has_metric(self, metric: str, split: str) -> bool:
-        return any(s == split and m == metric for (_, s, m, _) in self.scores)
-
-    def ordinals(self) -> tuple[int, ...]:
-        return tuple(sorted({o for (o, _, _, _) in self.scores}))
-
-    def missing_pairs(
-        self, metric: str, split: str, total_size: int
-    ) -> list[tuple[int, str]]:
-        """(ordinal, qid) pairs absent for (metric, split).
-
-        The qid universe is the union of qids seen for that metric and split;
-        a table with no rows at all for the pair is reported as missing every
-        ordinal with a placeholder qid.
+        The universe defaults to every qid with a row for (split, metric),
+        sorted; a configuration missing any of them gets a NaN mean.
         """
-        qids = self.qids_for(metric, split)
-        if not qids:
-            return [(o, "<no rows>") for o in range(total_size)]
-        missing = []
-        for ordinal in range(total_size):
-            for qid in qids:
-                if (ordinal, split, metric, qid) not in self.scores:
-                    missing.append((ordinal, qid))
-        return missing
+        columns = self._columns.get((split, metric), _Columns())
+        universe = tuple(sorted(columns.rows) if qids is None else qids)
+        matrix = np.full((len(universe), size), np.nan)
+        present = [(i, columns.rows[q]) for i, q in enumerate(universe) if q in columns.rows]
+        if present:
+            width = min(size, columns.width)
+            into, source = (list(t) for t in zip(*present))
+            matrix[into, :width] = columns.matrix[source, :width]
+        # Row by row down the qid axis: the order of a left-to-right Python sum
+        # over the universe, matched bit for bit. ``matrix.sum(axis=0)`` would
+        # switch to pairwise summation for a single column.
+        total = np.zeros(size)
+        for row in matrix:
+            total += row
+        means = total / len(universe) if universe else np.full(size, np.nan)
+        return ScoreSlice(split, metric, universe, matrix, means)
 
-    def is_complete_for(self, metric: str, split: str, total_size: int) -> bool:
-        return not self.missing_pairs(metric, split, total_size)
+    def _rows(self) -> Iterator[tuple[GridKey, float]]:
+        """Every present row in canonical (ordinal, split, metric, qid) order."""
+        width = max((c.width for c in self._columns.values()), default=0)
+        slices = [self.slice(*key, width) for key in sorted(self._columns)]
+        by_ordinal = [(sl.split, sl.metric, sl.qids, sl.matrix.T.tolist()) for sl in slices]
+        for ordinal in range(width):
+            for split, metric, qids, columns in by_ordinal:
+                for qid, score in zip(qids, columns[ordinal]):
+                    if not math.isnan(score):
+                        yield (ordinal, split, metric, qid), score
+
+    @property
+    def scores(self) -> dict[GridKey, float]:
+        """Every present row by (ordinal, split, metric, qid); rebuilt on each access."""
+        return dict(self._rows())
 
 
-def load_grid(path: str | Path, space: SearchSpace | None = None) -> GridTable:
-    """Load a grid table, optionally checking it matches ``space``."""
+def load_grid(path: str | Path, space: SearchSpace) -> GridTable:
+    """Load a grid table computed against ``space``.
+
+    A row whose ordinal lies outside ``space`` is rejected with its line.
+    """
     source = Path(path)
+    size = space.total_size
     table: GridTable | None = None
-    with source.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise GridFormatError(f"{source}:{lineno}: invalid JSON ({exc})") from None
-            if table is None:
-                version = record.get("format_version")
-                if version != GRID_FORMAT_VERSION:
-                    raise GridFormatError(
-                        f"{source}:{lineno}: unsupported format_version {version!r}"
-                    )
-                fingerprint = record.get("space_fingerprint")
-                if not fingerprint:
-                    raise GridFormatError(f"{source}:{lineno}: header missing space_fingerprint")
-                table = GridTable(space_fingerprint=fingerprint)
-                continue
-            if record.get("kind") == "cost":
-                try:
-                    table.set_cost(
-                        int(record["ordinal"]),
-                        str(record["split"]),
-                        CostDelta(
-                            embedded_tokens=int(record["embedded_tokens"]),
-                            generation_input_tokens=int(record["generation_input_tokens"]),
-                            generation_output_tokens=int(record["generation_output_tokens"]),
-                        ),
-                    )
-                except (KeyError, ValueError) as exc:
-                    raise GridFormatError(f"{source}:{lineno}: bad cost row ({exc})") from None
-                continue
-            try:
-                table.add_score(
-                    int(record["ordinal"]),
-                    str(record["split"]),
-                    str(record["metric"]),
-                    str(record["qid"]),
-                    float(record["score"]),
+    for lineno, record in _read_jsonl(source, GridFormatError):
+        if table is None:
+            version = record.get("format_version")
+            if version != GRID_FORMAT_VERSION:
+                raise GridFormatError(
+                    f"{source}:{lineno}: unsupported format_version {version!r}"
                 )
-            except KeyError as exc:
-                raise GridFormatError(f"{source}:{lineno}: missing field {exc}") from None
-            except GridFormatError as exc:
-                raise GridFormatError(f"{source}:{lineno}: {exc}") from None
+            fingerprint = record.get("space_fingerprint")
+            if not fingerprint:
+                raise GridFormatError(f"{source}:{lineno}: header missing space_fingerprint")
+            if fingerprint != space.fingerprint():
+                raise FingerprintMismatchError(
+                    f"{source}: table fingerprint {fingerprint[:12]}... does not "
+                    f"match the active search space {space.fingerprint()[:12]}..."
+                )
+            table = GridTable(space_fingerprint=fingerprint)
+            continue
+        try:
+            ordinal = int(record["ordinal"])
+            split = str(record["split"])
+            if not 0 <= ordinal < size:
+                raise GridFormatError(
+                    f"ordinal {ordinal} is outside the search space [0, {size})"
+                )
+            if record.get("kind") == "cost":
+                table.set_cost(
+                    ordinal,
+                    split,
+                    CostDelta(
+                        embedded_tokens=int(record["embedded_tokens"]),
+                        generation_input_tokens=int(record["generation_input_tokens"]),
+                        generation_output_tokens=int(record["generation_output_tokens"]),
+                    ),
+                )
+            else:
+                table.add_score(
+                    ordinal, split, str(record["metric"]), str(record["qid"]), float(record["score"])
+                )
+        except KeyError as exc:
+            raise GridFormatError(f"{source}:{lineno}: missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise GridFormatError(f"{source}:{lineno}: {exc}") from None
     if table is None:
         raise GridFormatError(f"{source}: empty file, expected a header line")
-    if space is not None and table.space_fingerprint != space.fingerprint():
-        raise FingerprintMismatchError(
-            f"{source}: table fingerprint {table.space_fingerprint[:12]}... does not "
-            f"match the active search space {space.fingerprint()[:12]}..."
-        )
     return table
 
 
@@ -571,16 +639,16 @@ def store_grid(table: GridTable, path: str | Path) -> None:
             )
             + "\n"
         )
-        for key in sorted(table.scores):
-            fh.write(_score_line(key, table.scores[key]))
+        for key, score in table._rows():
+            fh.write(_score_line(key, score))
         for (ordinal, split) in sorted(table.costs):
             fh.write(_cost_line(ordinal, split, table.costs[(ordinal, split)]))
 
 
 def grid_cell_text(
-    table: GridTable, ordinal: int, split: str, keys: Iterable[GridKey]
+    table: GridTable, ordinal: int, split: str, rows: Iterable[tuple[GridKey, float]]
 ) -> str:
-    """One evaluated cell's rows, to append to a table file: its cost row, then ``keys``' scores.
+    """One evaluated cell's rows, to append to a table file: its cost row, then ``rows``.
 
     The cost row goes first so that a write cut short never keeps a cell's
     scores without its cost: whatever is lost leaves the cell incomplete, so
@@ -588,7 +656,7 @@ def grid_cell_text(
     :func:`load_grid` takes over the earlier one.
     """
     parts = [_cost_line(ordinal, split, table.costs[(ordinal, split)])]
-    parts.extend(_score_line(key, table.scores[key]) for key in keys)
+    parts.extend(_score_line(key, score) for key, score in rows)
     return "".join(parts)
 
 

@@ -13,13 +13,9 @@ import math
 from dataclasses import dataclass
 
 from .costs import CostDelta, ZERO_COST
-from .dataio import FingerprintMismatchError, GridTable
+from .dataio import SPLITS, FingerprintMismatchError, GridTable, IncompleteTableError
 from .metrics import CONTEXT_MRR, METRIC_NAMES, QuestionEval
 from .searchspace import RagConfig, SearchSpace
-
-
-class IncompleteTableError(ValueError):
-    """Grid replay was asked for rows the table does not contain."""
 
 
 def _running_sum(values) -> float:
@@ -138,58 +134,41 @@ class GridReplayEvaluator:
             )
         self.table = table
         self.space = space
-        self._qids_cache: dict[tuple[str, str], tuple[str, ...]] = {}
-        self._mean_cache: dict[tuple[int, str, str], float] = {}
+        self._slices = {
+            (split, metric): table.slice(split, metric, space.total_size)
+            for split in SPLITS
+            for metric in METRIC_NAMES
+        }
 
-    def _qids(self, metric: str, split: str) -> tuple[str, ...]:
-        key = (metric, split)
-        if key not in self._qids_cache:
-            self._qids_cache[key] = self.table.qids_for(metric, split)
-        return self._qids_cache[key]
-
-    def _metric_mean(self, ordinal: int, metric: str, split: str) -> float:
-        key = (ordinal, metric, split)
-        cached = self._mean_cache.get(key)
-        if cached is not None:
-            return cached
-        qids = self._qids(metric, split)
-        if not qids:
-            raise IncompleteTableError(
-                f"grid table has no rows for metric {metric!r} on split {split!r}"
-            )
-        gaps = [q for q in qids if (ordinal, split, metric, q) not in self.table.scores]
-        if gaps:
-            shown = ", ".join(gaps[:5]) + ("..." if len(gaps) > 5 else "")
-            raise IncompleteTableError(
-                f"grid table incomplete: config ordinal {ordinal} is missing "
-                f"{len(gaps)} {metric!r}/{split!r} rows (qids: {shown})"
-            )
-        mean = sum(self.table.scores[(ordinal, split, metric, q)] for q in qids) / len(qids)
-        self._mean_cache[key] = mean
-        return mean
-
-    def _build_result(
-        self, config: RagConfig, split: str, objective: Objective, cost: CostDelta
-    ) -> EvalResult:
-        ordinal = self.space.ordinal_of(config)
+    def _objective(self, ordinal: int, split: str, objective: Objective) -> float:
+        """Weighted sum of the per-config means; NaN when a metric lacks rows for ``ordinal``."""
         score = 0.0
         for metric, weight in objective.weighted_metrics():
-            score += weight * self._metric_mean(ordinal, metric, split)
+            score += weight * float(self._slices[(split, metric)].means[ordinal])
+        return score
+
+    def _build_result(
+        self, config: RagConfig, ordinal: int, split: str, objective: Objective, cost: CostDelta
+    ) -> EvalResult:
         per_question: dict[str, QuestionEval] = {}
         for metric in objective.metrics:
-            for qid in self._qids(metric, split):
-                qe = per_question.setdefault(qid, QuestionEval(qid=qid))
-                qe.scores[metric] = self.table.scores[(ordinal, split, metric, qid)]
+            scores = self._slices[(split, metric)]
+            scores.require_complete((ordinal,))
+            for qid, value in zip(scores.qids, scores.matrix[:, ordinal].tolist()):
+                per_question.setdefault(qid, QuestionEval(qid=qid)).scores[metric] = value
         ordered = tuple(per_question[q] for q in sorted(per_question))
         return EvalResult(
-            config=config, per_question=ordered, objective_score=score, cost=cost
+            config=config,
+            per_question=ordered,
+            objective_score=self._objective(ordinal, split, objective),
+            cost=cost,
         )
 
     def evaluate(self, config: RagConfig, split: str, objective: Objective) -> EvalResult:
         """Replay the full objective for one configuration."""
         ordinal = self.space.ordinal_of(config)
         cost = self.table.cost_for(ordinal, split) or ZERO_COST
-        return self._build_result(config, split, objective, cost)
+        return self._build_result(config, ordinal, split, objective, cost)
 
     def evaluate_retrieval_only(self, config: RagConfig, split: str) -> EvalResult:
         """Replay retrieval quality only; generation is neither run nor charged."""
@@ -198,7 +177,7 @@ class GridReplayEvaluator:
         cost = (
             CostDelta(embedded_tokens=full.embedded_tokens) if full is not None else ZERO_COST
         )
-        return self._build_result(config, split, RETRIEVAL_OBJECTIVE, cost)
+        return self._build_result(config, ordinal, split, RETRIEVAL_OBJECTIVE, cost)
 
     def replay_objective(
         self, config: RagConfig, split: str, objective: Objective
@@ -209,14 +188,8 @@ class GridReplayEvaluator:
         retrieval-only probe, which on a replay backend is free. Live
         backends have no equivalent.
         """
-        try:
-            ordinal = self.space.ordinal_of(config)
-            score = 0.0
-            for metric, weight in objective.weighted_metrics():
-                score += weight * self._metric_mean(ordinal, metric, split)
-            return score
-        except IncompleteTableError:
-            return None
+        score = self._objective(self.space.ordinal_of(config), split, objective)
+        return None if math.isnan(score) else score
 
     def supports_metric(self, metric: str, split: str) -> bool:
-        return bool(self._qids(metric, split))
+        return bool(self._slices[(split, metric)].qids)

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .costs import CostDelta
-from .dataio import atomic_write
-from .evaluator import Objective
+from .dataio import _dump_canonical, _read_jsonl, atomic_write
+from .evaluator import Objective, best_so_far
 from .metrics import CONTEXT_MRR
 from .optimizers import (
     ALGORITHMS,
@@ -32,7 +32,7 @@ from .optimizers import (
     create_optimizer,
     restore_optimizer,
 )
-from .searchspace import IndexConfig, RagConfig, SearchSpace
+from .searchspace import IndexConfig, SearchSpace
 
 log = logging.getLogger(__name__)
 
@@ -87,10 +87,6 @@ class CostLedger:
     @property
     def snapshots(self) -> tuple[CostTotals, ...]:
         return tuple(self._snapshots)
-
-    @property
-    def charged_indexes(self) -> frozenset[IndexConfig]:
-        return frozenset(self._charged_indexes)
 
 
 @dataclass(frozen=True)
@@ -191,22 +187,15 @@ class _SeedProgress:
         # so a suspension rolls back to a clean iteration boundary.
         self.resume_state: dict | None = None
 
-    def best_so_far(self) -> tuple[RagConfig | None, float | None]:
-        # Strict improvement keeps the earliest trial on ties.
-        config, score = None, None
-        for trial in self.history:
-            if trial.objective_score is not None and (
-                score is None or trial.objective_score > score
-            ):
-                config, score = trial.config, trial.objective_score
-        return config, score
-
 
 def _advance_seed(
     spec: RunSpec, evaluator, progress: _SeedProgress, free_lookup, track_state: bool
 ) -> SeedRun:
     """Run the remaining iterations of one seed, returning its final record."""
-    best_config, best_score = progress.best_so_far()
+    try:
+        best_config, best_score = best_so_far(progress.history)
+    except ValueError:  # no trial has an objective score yet
+        best_config, best_score = None, None
     for iteration in range(len(progress.history) + 1, spec.budget + 1):
         if track_state:
             progress.resume_state = progress.optimizer.state_dict()
@@ -348,10 +337,6 @@ def run(spec: RunSpec, evaluator, checkpoint_path: str | Path | None = None) -> 
 # ---------------------------------------------------------------------------
 
 
-def _dump(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-
-
 def _spec_header(spec: RunSpec) -> dict:
     return {
         "algorithm": spec.algorithm,
@@ -445,13 +430,13 @@ def export_run(record: RunRecord, path: str | Path) -> None:
     with atomic_write(path) as fh:
         header = {"kind": "run_header", "format_version": RUN_FORMAT_VERSION}
         header.update(_spec_header(spec))
-        fh.write(_dump(header) + "\n")
+        fh.write(_dump_canonical(header) + "\n")
         for sr in record.seed_runs:
             for trial, it in zip(sr.history, sr.iterations):
-                fh.write(_dump(_trial_row(spec.space, sr.seed, trial, it)) + "\n")
+                fh.write(_dump_canonical(_trial_row(spec.space, sr.seed, trial, it)) + "\n")
         for point in record.aggregate:
             fh.write(
-                _dump(
+                _dump_canonical(
                     {
                         "kind": "aggregate",
                         "iteration": point.iteration,
@@ -470,33 +455,28 @@ def load_run(path: str | Path) -> RunRecord:
     header: dict | None = None
     trials_by_seed: dict[int, list[dict]] = {}
     aggregate: list[AggregatePoint] = []
-    with source.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            kind = record.get("kind")
-            if kind == "run_header":
-                if record.get("format_version") != RUN_FORMAT_VERSION:
-                    raise ValueError(
-                        f"{source}:{lineno}: unsupported run format_version "
-                        f"{record.get('format_version')!r}"
-                    )
-                header = record
-            elif kind == "trial":
-                trials_by_seed.setdefault(record["seed"], []).append(record)
-            elif kind == "aggregate":
-                aggregate.append(
-                    AggregatePoint(
-                        iteration=record["iteration"],
-                        mean_test=record["mean_test"],
-                        se_test=record["se_test"],
-                        n=record["n"],
-                    )
+    for lineno, record in _read_jsonl(source, ValueError):
+        kind = record.get("kind")
+        if kind == "run_header":
+            if record.get("format_version") != RUN_FORMAT_VERSION:
+                raise ValueError(
+                    f"{source}:{lineno}: unsupported run format_version "
+                    f"{record.get('format_version')!r}"
                 )
-            else:
-                raise ValueError(f"{source}:{lineno}: unknown row kind {kind!r}")
+            header = record
+        elif kind == "trial":
+            trials_by_seed.setdefault(record["seed"], []).append(record)
+        elif kind == "aggregate":
+            aggregate.append(
+                AggregatePoint(
+                    iteration=record["iteration"],
+                    mean_test=record["mean_test"],
+                    se_test=record["se_test"],
+                    n=record["n"],
+                )
+            )
+        else:
+            raise ValueError(f"{source}:{lineno}: unknown row kind {kind!r}")
     if header is None:
         raise ValueError(f"{source}: missing run_header row")
     spec = _spec_from_header(header)
@@ -539,7 +519,7 @@ def _save_checkpoint(
     }
     payload.update(_spec_header(spec))
     with atomic_write(path) as fh:
-        fh.write(_dump(payload) + "\n")
+        fh.write(_dump_canonical(payload) + "\n")
 
 
 def _load_checkpoint(path: Path, spec: RunSpec) -> tuple[list[SeedRun], _SeedProgress | None]:

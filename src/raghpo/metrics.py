@@ -30,9 +30,6 @@ JUDGE_AC = "judge_ac"
 #: Metric names allowed in grid tables and objectives.
 METRIC_NAMES = frozenset({LEXICAL_AC, FAITHFULNESS, CONTEXT_MRR, JUDGE_AC})
 
-#: Metrics computable locally from text (everything except the remote judge).
-LEXICAL_METRICS = (CONTEXT_MRR, FAITHFULNESS, LEXICAL_AC)
-
 
 class MetricUndefinedError(ValueError):
     """Raised when an aggregate is requested but no question defines the metric."""

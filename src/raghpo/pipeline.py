@@ -433,9 +433,6 @@ class TemplateStore:
                 f"known models: {sorted(self._templates)}"
             ) from None
 
-    def models(self) -> tuple[str, ...]:
-        return tuple(sorted(self._templates))
-
     @classmethod
     def builtin(cls) -> "TemplateStore":
         """Templates for the three stock generative models."""

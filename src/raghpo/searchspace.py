@@ -14,6 +14,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 
 
 class ParamName(str, Enum):
@@ -37,6 +38,22 @@ ORDINAL_ORDER: tuple[ParamName, ...] = (
 )
 
 SPACE_FORMAT_VERSION = 1
+
+# Where each parameter lives: its value on a RagConfig, its value list on a SearchSpace.
+_CONFIG_FIELD = {
+    ParamName.CHUNK_SIZE: attrgetter("index.chunk_size"),
+    ParamName.CHUNK_OVERLAP: attrgetter("index.chunk_overlap"),
+    ParamName.EMBEDDING_MODEL: attrgetter("index.embedding_model"),
+    ParamName.TOP_K: attrgetter("answer.top_k"),
+    ParamName.GENERATIVE_MODEL: attrgetter("answer.generative_model"),
+}
+_SPACE_FIELD = {
+    ParamName.CHUNK_SIZE: "chunk_sizes",
+    ParamName.CHUNK_OVERLAP: "chunk_overlaps",
+    ParamName.EMBEDDING_MODEL: "embedding_models",
+    ParamName.TOP_K: "top_ks",
+    ParamName.GENERATIVE_MODEL: "generative_models",
+}
 
 
 @dataclass(frozen=True)
@@ -94,17 +111,10 @@ class RagConfig:
         )
 
     def value_of(self, param: ParamName):
-        if param is ParamName.CHUNK_SIZE:
-            return self.index.chunk_size
-        if param is ParamName.CHUNK_OVERLAP:
-            return self.index.chunk_overlap
-        if param is ParamName.EMBEDDING_MODEL:
-            return self.index.embedding_model
-        if param is ParamName.TOP_K:
-            return self.answer.top_k
-        if param is ParamName.GENERATIVE_MODEL:
-            return self.answer.generative_model
-        raise ValueError(f"unknown parameter {param!r}")
+        try:
+            return _CONFIG_FIELD[param](self)
+        except KeyError:
+            raise ValueError(f"unknown parameter {param!r}") from None
 
     def replace(self, param: ParamName, value) -> "RagConfig":
         """Return a copy with one parameter set to ``value``."""
@@ -138,13 +148,7 @@ class SearchSpace:
 
     def __post_init__(self) -> None:
         # Accept any sequence; store tuples so the space is hashable.
-        for name in (
-            "chunk_sizes",
-            "chunk_overlaps",
-            "embedding_models",
-            "top_ks",
-            "generative_models",
-        ):
+        for name in _SPACE_FIELD.values():
             object.__setattr__(self, name, tuple(getattr(self, name)))
         for param in ParamName:
             values = self.values_of(param)
@@ -182,17 +186,10 @@ class SearchSpace:
         )
 
     def values_of(self, param: ParamName) -> tuple:
-        if param is ParamName.CHUNK_SIZE:
-            return self.chunk_sizes
-        if param is ParamName.CHUNK_OVERLAP:
-            return self.chunk_overlaps
-        if param is ParamName.EMBEDDING_MODEL:
-            return self.embedding_models
-        if param is ParamName.TOP_K:
-            return self.top_ks
-        if param is ParamName.GENERATIVE_MODEL:
-            return self.generative_models
-        raise ValueError(f"unknown parameter {param!r}")
+        try:
+            return getattr(self, _SPACE_FIELD[param])
+        except KeyError:
+            raise ValueError(f"unknown parameter {param!r}") from None
 
     @property
     def sizes(self) -> tuple[int, ...]:
@@ -208,25 +205,18 @@ class SearchSpace:
     def contains(self, config: RagConfig) -> bool:
         return all(config.value_of(p) in self.values_of(p) for p in ParamName)
 
-    def _ordinal_map(self) -> dict[RagConfig, int]:
-        # Lazy config -> ordinal index; a non-field attribute, so it stays
-        # out of equality and hashing. Optimizers hit this path constantly.
-        cached = self.__dict__.get("_ordinals")
-        if cached is None:
-            cached = {self.config_at(i): i for i in range(self.total_size)}
-            object.__setattr__(self, "_ordinals", cached)
-        return cached
-
     def ordinal_of(self, config: RagConfig) -> int:
         """Dense ordinal of a config under the canonical mixed-radix order."""
-        ordinal = self._ordinal_map().get(config)
-        if ordinal is None:
-            for param in ORDINAL_ORDER:
-                if config.value_of(param) not in self.values_of(param):
-                    raise ValueError(
-                        f"{param.value}={config.value_of(param)!r} is not in this space"
-                    )
-            raise ValueError(f"config {config!r} is not in this space")
+        ordinal = 0
+        for param in ORDINAL_ORDER:
+            values = self.values_of(param)
+            try:
+                digit = values.index(config.value_of(param))
+            except ValueError:
+                raise ValueError(
+                    f"{param.value}={config.value_of(param)!r} is not in this space"
+                ) from None
+            ordinal = ordinal * len(values) + digit
         return ordinal
 
     def config_at(self, ordinal: int) -> RagConfig:

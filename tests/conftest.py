@@ -8,6 +8,7 @@ import random
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+import numpy as np
 import pytest
 
 from raghpo.dataio import Dataset, Document, GridTable, QaPair
@@ -60,6 +61,12 @@ def fill_table(
                         ordinal, split, metric, qid, score_fn(ordinal, split, metric, qid)
                     )
     return table
+
+
+def is_complete(table: GridTable, metric: str, split: str, size: int) -> bool:
+    """Whether every config in ``range(size)`` has a row for each qid seen for (split, metric)."""
+    scores = table.slice(split, metric, size)
+    return bool(scores.qids) and not np.isnan(scores.means).any()
 
 
 def additive_utilities(space: SearchSpace, rng: random.Random) -> dict[ParamName, list[float]]:

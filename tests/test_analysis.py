@@ -4,14 +4,13 @@ import random
 import pytest
 
 from raghpo.analysis import (
-    IncompleteGridError,
     convergence_series,
     grid_extremes,
     marginal_means,
     normalized_bins,
     per_config_means,
 )
-from raghpo.dataio import GridTable
+from raghpo.dataio import GridTable, IncompleteTableError
 from raghpo.evaluator import GridReplayEvaluator, Objective
 from raghpo.harness import RunSpec, run
 from raghpo.metrics import JUDGE_AC, LEXICAL_AC
@@ -78,7 +77,7 @@ def test_extremes_product_docs_shaped_fixture(default_space):
 def test_extremes_incomplete_table_rejected(four_config_space):
     table = GridTable(space_fingerprint=four_config_space.fingerprint())
     table.add_score(0, "dev", LEXICAL_AC, "q0", 0.5)
-    with pytest.raises(IncompleteGridError):
+    with pytest.raises(IncompleteTableError, match="ordinal 1 is missing 1 of 1"):
         grid_extremes(table, LEXICAL_AC, "dev", four_config_space)
 
 

@@ -12,7 +12,7 @@ from raghpo.metrics import CONTEXT_MRR, FAITHFULNESS, LEXICAL_AC
 from raghpo.pipeline import LivePipelineEvaluator
 from raghpo.searchspace import SearchSpace
 
-from conftest import make_document, table_from_config_scores
+from conftest import is_complete, make_document, table_from_config_scores
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -272,6 +272,22 @@ def test_analyze_incomplete_table_fails(tmp_path, default_space, capsys):
     assert "incomplete" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad_line", ["[1]", "{not json"])
+@pytest.mark.parametrize("flag", ["--table", "--run"])
+def test_analyze_rejects_a_bad_line_with_its_location(tmp_path, fixture_table, capsys, flag, bad_line):
+    if flag == "--table":
+        source = fixture_table
+    else:
+        source = tmp_path / "run.jsonl"
+        main(["optimize", "--grid", str(fixture_table), "--budget", "2", "--seeds", "1", "--out", str(source)])
+    lines = source.read_text().splitlines(keepends=True)
+    broken = tmp_path / "broken.jsonl"
+    broken.write_text(lines[0] + bad_line + "\n" + "".join(lines[1:]))
+    capsys.readouterr()
+    assert main(["analyze", flag, str(broken), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    assert f"{broken}:2: " in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # grid (live against the loopback stub)
 # ---------------------------------------------------------------------------
@@ -322,8 +338,8 @@ def test_grid_builds_complete_table(live_setup, capsys):
     assert code == EXIT_OK
     table = load_grid(live_setup["grid_path"], live_setup["space"])
     for metric in (LEXICAL_AC, FAITHFULNESS, CONTEXT_MRR):
-        assert table.is_complete_for(metric, "dev", 2)
-        assert table.is_complete_for(metric, "test", 2)
+        assert is_complete(table, metric, "dev", 2)
+        assert is_complete(table, metric, "test", 2)
     assert "evaluated 4 (config, split) cells" in capsys.readouterr().out
 
 
@@ -343,8 +359,8 @@ def test_grid_retrieval_only_metrics_skip_generation(live_setup, capsys):
     assert code == EXIT_OK
     assert len(live_setup["stub"].calls("/generate")) == 0
     table = load_grid(live_setup["grid_path"], live_setup["space"])
-    assert table.is_complete_for(CONTEXT_MRR, "dev", 2)
-    assert not table.has_metric(LEXICAL_AC, "dev")
+    assert is_complete(table, CONTEXT_MRR, "dev", 2)
+    assert table.slice("dev", LEXICAL_AC, 2).qids == ()
     # Recorded costs carry no generation tokens either.
     assert all(
         c.generation_input_tokens == 0 and c.generation_output_tokens == 0
@@ -355,18 +371,21 @@ def test_grid_retrieval_only_metrics_skip_generation(live_setup, capsys):
 def test_grid_resume_fills_only_gaps(live_setup, capsys):
     assert main(["grid", "--config", str(live_setup["config_path"])]) == EXIT_OK
     capsys.readouterr()
-    # Drop one config's dev rows; resume must evaluate exactly that cell.
-    table = load_grid(live_setup["grid_path"], live_setup["space"])
-    table.scores = {
-        key: score
-        for key, score in table.scores.items()
-        if not (key[0] == 1 and key[1] == "dev")
-    }
-    store_grid(table, live_setup["grid_path"])
+    # Drop one config's dev score rows; resume must evaluate exactly that cell.
+    path = live_setup["grid_path"]
+    lines = path.read_text().splitlines(keepends=True)
+    kept = [
+        line
+        for line in lines
+        if not ('"ordinal":1,' in line and '"split":"dev"' in line and '"score"' in line)
+    ]
+    assert len(lines) - len(kept) == 6  # 3 metrics x 2 dev questions
+    path.write_text("".join(kept))
     assert main(["grid", "--config", str(live_setup["config_path"])]) == EXIT_OK
     assert "evaluated 1 (config, split) cells" in capsys.readouterr().out
-    restored = load_grid(live_setup["grid_path"], live_setup["space"])
-    assert restored.is_complete_for(LEXICAL_AC, "dev", 2)
+    restored = load_grid(path, live_setup["space"])
+    assert is_complete(restored, LEXICAL_AC, "dev", 2)
+    assert path.read_text() == "".join(lines)
 
 
 def test_optimize_live_backend_end_to_end(live_setup, tmp_path, capsys):
@@ -418,7 +437,7 @@ def test_grid_suspends_on_service_outage_then_resumes(live_setup, capsys):
     live_setup["stub"].fail_next("/generate", 0)
     assert main(["grid", "--config", str(live_setup["config_path"])]) == EXIT_OK
     table = load_grid(live_setup["grid_path"], live_setup["space"])
-    assert table.is_complete_for(LEXICAL_AC, "test", 2)
+    assert is_complete(table, LEXICAL_AC, "test", 2)
 
 
 class _Killed(BaseException):

@@ -2,6 +2,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from raghpo.costs import CostDelta
@@ -12,6 +13,7 @@ from raghpo.dataio import (
     FingerprintMismatchError,
     GridFormatError,
     GridTable,
+    IncompleteTableError,
     QaPair,
     SamplePlan,
     atomic_write,
@@ -26,7 +28,7 @@ from raghpo.dataio import (
 )
 from raghpo.metrics import LEXICAL_AC
 
-from conftest import fill_table, make_document
+from conftest import fill_table, is_complete, make_document
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +253,7 @@ def test_grid_complete_fixture_row_count(default_space):
         qids={"dev": qids},
     )
     assert len(table.scores) == 162 * 4
-    assert table.is_complete_for(LEXICAL_AC, "dev", default_space.total_size)
+    assert is_complete(table, LEXICAL_AC, "dev", default_space.total_size)
 
 
 def test_grid_roundtrip_byte_identical(tmp_path, tiny_space):
@@ -292,9 +294,12 @@ def test_grid_empty_table_loads_and_reports_incomplete(tmp_path, tiny_space):
     path = tmp_path / "empty.jsonl"
     store_grid(table, path)
     loaded = load_grid(path, tiny_space)
-    assert not loaded.is_complete_for(LEXICAL_AC, "dev", tiny_space.total_size)
-    missing = loaded.missing_pairs(LEXICAL_AC, "dev", tiny_space.total_size)
-    assert len(missing) == tiny_space.total_size
+    assert not is_complete(loaded, LEXICAL_AC, "dev", tiny_space.total_size)
+    scores = loaded.slice("dev", LEXICAL_AC, tiny_space.total_size)
+    assert scores.qids == ()
+    assert np.isnan(scores.means).all() and len(scores.means) == tiny_space.total_size
+    with pytest.raises(IncompleteTableError, match="no rows"):
+        scores.require_complete(range(tiny_space.total_size))
 
 
 def test_grid_score_out_of_range_rejected(tiny_space):
@@ -330,14 +335,73 @@ def test_grid_bad_score_row_reports_line(tmp_path, tiny_space):
     row = {"ordinal": 0, "split": "dev", "metric": LEXICAL_AC, "qid": "q0", "score": 2.0}
     path.write_text(json.dumps(header) + "\n" + json.dumps(row) + "\n")
     with pytest.raises(GridFormatError, match=":2"):
-        load_grid(path)
+        load_grid(path, tiny_space)
 
 
-def test_grid_missing_header_rejected(tmp_path):
+@pytest.mark.parametrize("kind", ["score", "cost"])
+@pytest.mark.parametrize("ordinal", [10**9, 32, -1])
+def test_grid_row_outside_the_space_rejected(tmp_path, tiny_space, kind, ordinal):
+    path = tmp_path / "g.jsonl"
+    header = {"format_version": 1, "space_fingerprint": tiny_space.fingerprint()}
+    row = {"ordinal": ordinal, "split": "dev", "metric": LEXICAL_AC, "qid": "q0", "score": 0.5}
+    if kind == "cost":
+        row = {"kind": "cost", "ordinal": ordinal, "split": "dev", **CostDelta(1, 2, 3).as_dict()}
+    path.write_text(json.dumps(header) + "\n" + json.dumps(row) + "\n")
+    with pytest.raises(GridFormatError, match=rf"g\.jsonl:2: ordinal {ordinal} is outside"):
+        load_grid(path, tiny_space)
+
+
+def test_grid_non_object_line_rejected(tmp_path, tiny_space):
+    path = tmp_path / "g.jsonl"
+    header = {"format_version": 1, "space_fingerprint": tiny_space.fingerprint()}
+    path.write_text(json.dumps(header) + "\n[1]\n")
+    with pytest.raises(GridFormatError, match=r"g\.jsonl:2: expected a JSON object"):
+        load_grid(path, tiny_space)
+
+
+@pytest.mark.parametrize("n_configs", [162, 1])
+def test_grid_means_match_a_sorted_qid_python_sum(n_configs):
+    # Means are summed down the qid axis in sorted-qid order, exactly as a
+    # left-to-right Python sum, so replayed scores never move by a rounding.
+    rng = random.Random(n_configs)
+    qids = [f"q{rng.randrange(10**6):06d}-{i}" for i in range(200)]
+    rows = [(o, q, rng.random()) for o in range(n_configs) for q in qids]
+    rng.shuffle(rows)
+    table = GridTable(space_fingerprint="f")
+    for ordinal, qid, score in rows:
+        table.add_score(ordinal, "dev", LEXICAL_AC, qid, score)
+    scores = table.slice("dev", LEXICAL_AC, n_configs)
+    assert scores.qids == tuple(sorted(qids))
+    by_key = {(o, q): s for o, q, s in rows}
+    for ordinal in range(n_configs):
+        expected = sum(by_key[(ordinal, q)] for q in sorted(qids)) / len(qids)
+        assert scores.means[ordinal] == expected
+
+
+def test_grid_slice_means_are_nan_where_a_qid_is_missing(tiny_space):
+    table = fill_table(
+        tiny_space,
+        lambda o, s, m, q: 0.25,
+        split_metrics={"dev": (LEXICAL_AC,)},
+        qids={"dev": ("q0", "q1")},
+    )
+    table.add_score(3, "dev", LEXICAL_AC, "q2", 0.75)
+    scores = table.slice("dev", LEXICAL_AC, tiny_space.total_size)
+    assert scores.qids == ("q0", "q1", "q2")
+    assert scores.means[3] == 1.25 / 3
+    assert np.isnan(np.delete(scores.means, 3)).all()
+    with pytest.raises(IncompleteTableError, match=r"ordinal 0 is missing 1 of 3 .*\(qids: q2\)"):
+        scores.require_complete(range(tiny_space.total_size))
+    # An explicit universe counts only the qids it names.
+    named = table.slice("dev", LEXICAL_AC, tiny_space.total_size, qids=("q0", "q1"))
+    assert (named.means == 0.25).all()
+
+
+def test_grid_missing_header_rejected(tmp_path, tiny_space):
     path = tmp_path / "g.jsonl"
     path.write_text("")
     with pytest.raises(GridFormatError, match="header"):
-        load_grid(path)
+        load_grid(path, tiny_space)
 
 
 def test_atomic_write_keeps_previous_file_on_failure(tmp_path):
@@ -380,7 +444,7 @@ def test_appended_cells_load_with_last_cost_row_winning(tmp_path, tiny_space):
     table.add_score(0, "dev", LEXICAL_AC, "q0", 0.5)
     table.set_cost(0, "dev", CostDelta(1, 2, 3))
     with path.open("a", encoding="utf-8") as fh:
-        fh.write(grid_cell_text(table, 0, "dev", [(0, "dev", LEXICAL_AC, "q0")]))
+        fh.write(grid_cell_text(table, 0, "dev", [((0, "dev", LEXICAL_AC, "q0"), 0.5)]))
         # The same cell evaluated again after an interrupted write.
         table.set_cost(0, "dev", CostDelta(4, 5, 6))
         fh.write(grid_cell_text(table, 0, "dev", []))

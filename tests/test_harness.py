@@ -366,6 +366,23 @@ def test_suspended_run_resumes_identically(tmp_path, default_space, algorithm, f
     assert not checkpoint.exists()  # consumed on completion
 
 
+def test_resume_before_any_scored_trial_has_no_dev_best(tmp_path, default_space):
+    # Without a free lookup, greedy_rcc's retrieval-only probes carry no
+    # objective score, so the resumed history has no scored trial yet.
+    evaluator, _ = scored_evaluator(default_space)
+    spec = spec_for(default_space, algorithm="greedy_rcc", budget=10, seeds=(1,))
+    reference = run(spec, _NoFreeLookup(evaluator))
+
+    checkpoint = tmp_path / "run.checkpoint"
+    flaky = FlakyEvaluator(_NoFreeLookup(evaluator), fail_after_calls=3)
+    with pytest.raises(RunSuspended):
+        run(spec, flaky, checkpoint_path=checkpoint)
+    resumed = run(spec, flaky, checkpoint_path=checkpoint)
+    assert resumed == reference
+    first = resumed.seed_runs[0].iterations[3]
+    assert (first.best_dev_score, first.best_ordinal) == (None, None)
+
+
 def test_suspension_without_checkpoint_path_propagates(default_space):
     evaluator, _ = scored_evaluator(default_space)
     flaky = FlakyEvaluator(evaluator, fail_after_calls=2)
