@@ -21,6 +21,7 @@ from .dataio import (
     FingerprintMismatchError,
     GridFormatError,
     GridTable,
+    QaPair,
     SamplePlan,
     ScoreSlice,
     drop_torn_tail,
@@ -32,7 +33,7 @@ from .dataio import (
     store_grid,
 )
 from .evaluator import GridReplayEvaluator, Objective
-from .metrics import CONTEXT_MRR, FAITHFULNESS, JUDGE_AC, LEXICAL_AC
+from .metrics import CONTEXT_MRR, FAITHFULNESS, JUDGE_AC, LEXICAL_AC, tokenize
 from .optimizers import ALGORITHMS
 from .pipeline import (
     EmbeddingClient,
@@ -305,13 +306,19 @@ def cmd_grid(args: argparse.Namespace) -> int:
     )
     size = space.total_size
     # The rows each split needs per metric; context_mrr is undefined for a
-    # question without gold documents. A NaN mean marks a cell with gaps.
+    # question without gold documents, lexical_ac for one whose gold answer
+    # has no tokens. A NaN mean marks a cell with gaps.
+    def defined(metric: str, qa: QaPair) -> bool:
+        if metric == CONTEXT_MRR:
+            return bool(qa.gold_doc_ids)
+        if metric == LEXICAL_AC:
+            return bool(tokenize(qa.gold_answer))
+        return True
+
     needed: dict[str, dict[str, ScoreSlice]] = {split: {} for split in splits}
     for split in splits:
         for metric in metrics:
-            qids = [
-                qa.qid for qa in dataset.split(split) if metric != CONTEXT_MRR or qa.gold_doc_ids
-            ]
+            qids = [qa.qid for qa in dataset.split(split) if defined(metric, qa)]
             if qids:
                 needed[split][metric] = table.slice(split, metric, size, qids=qids)
     evaluated = 0

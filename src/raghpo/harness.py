@@ -32,7 +32,7 @@ from .optimizers import (
     create_optimizer,
     restore_optimizer,
 )
-from .searchspace import IndexConfig, SearchSpace
+from .searchspace import IndexConfig, RagConfig, SearchSpace
 
 log = logging.getLogger(__name__)
 
@@ -188,8 +188,40 @@ class _SeedProgress:
         self.resume_state: dict | None = None
 
 
+#: Run-level evaluation memo: (config, split, objective) -> (objective score,
+#: cost). ``objective=None`` keys a retrieval-only evaluation.
+_EvalMemo = dict[tuple[RagConfig, str, Objective | None], tuple[float, CostDelta]]
+
+
+def _evaluate(
+    evaluator, memo: _EvalMemo, config: RagConfig, split: str, objective: Objective | None
+) -> tuple[float, CostDelta]:
+    """Score and cost of one evaluation, computed once per run.
+
+    Generation pins greedy decoding, so a repeat would return the same score
+    and token counts. A result with failed questions is not stored, so the
+    next request retries them.
+    """
+    key = (config, split, objective)
+    known = memo.get(key)
+    if known is None:
+        if objective is None:
+            result = evaluator.evaluate_retrieval_only(config, split)
+        else:
+            result = evaluator.evaluate(config, split, objective)
+        known = (result.objective_score, result.cost)
+        if not result.failed_qids:
+            memo[key] = known
+    return known
+
+
 def _advance_seed(
-    spec: RunSpec, evaluator, progress: _SeedProgress, free_lookup, track_state: bool
+    spec: RunSpec,
+    evaluator,
+    memo: _EvalMemo,
+    progress: _SeedProgress,
+    free_lookup,
+    track_state: bool,
 ) -> SeedRun:
     """Run the remaining iterations of one seed, returning its final record."""
     try:
@@ -202,15 +234,13 @@ def _advance_seed(
         suggestion = progress.optimizer.suggest(progress.history)
         config = suggestion.config
         if suggestion.retrieval_only:
-            result = evaluator.evaluate_retrieval_only(config, "dev")
-            retrieval_score = result.objective_score
+            retrieval_score, cost = _evaluate(evaluator, memo, config, "dev", None)
             objective_score = (
                 free_lookup(config, "dev", spec.objective) if free_lookup else None
             )
             driver = DRIVER_RETRIEVAL
         else:
-            result = evaluator.evaluate(config, "dev", spec.objective)
-            objective_score = result.objective_score
+            objective_score, cost = _evaluate(evaluator, memo, config, "dev", spec.objective)
             retrieval_score = None
             driver = DRIVER_OBJECTIVE
         progress.history.append(
@@ -219,11 +249,11 @@ def _advance_seed(
                 config=config,
                 objective_score=objective_score,
                 retrieval_score=retrieval_score,
-                cost=result.cost,
+                cost=cost,
                 driver=driver,
             )
         )
-        progress.ledger.charge(config.index, result.cost)
+        progress.ledger.charge(config.index, cost)
 
         if objective_score is not None and (
             best_score is None or objective_score > best_score
@@ -235,9 +265,10 @@ def _advance_seed(
             best_ordinal = spec.space.ordinal_of(best_config)
             test_score = progress.test_cache.get(best_ordinal)
             if test_score is None:
-                test_result = evaluator.evaluate(best_config, "test", spec.objective)
-                progress.test_ledger.charge(best_config.index, test_result.cost)
-                test_score = test_result.objective_score
+                test_score, test_cost = _evaluate(
+                    evaluator, memo, best_config, "test", spec.objective
+                )
+                progress.test_ledger.charge(best_config.index, test_cost)
                 progress.test_cache[best_ordinal] = test_score
         progress.iterations.append(
             IterationRecord(
@@ -265,10 +296,18 @@ def run(spec: RunSpec, evaluator, checkpoint_path: str | Path | None = None) -> 
     dev-best trajectory is defined from iteration 1 without charging any
     generation spend for those probes.
 
+    Each distinct (config, split, objective) is evaluated once per run:
+    seeds that propose the same configuration, and the per-iteration test
+    evaluation of the dev-best, reuse the first evaluation's score and cost.
+    Every seed's ledgers are still charged as if it had evaluated the
+    configuration itself, so the accounted spend does not depend on the
+    reuse; only the spend actually sent to the services drops. An
+    evaluation with failed questions is not reused.
+
     With ``checkpoint_path`` set, a live-service outage writes resumable
     state there and raises :class:`RunSuspended`; re-running with the same
     arguments continues the identical trajectory. A completed run removes
-    the checkpoint.
+    the checkpoint. The evaluation memo is not part of the checkpoint.
     """
     from .pipeline import ServiceFailure
 
@@ -281,6 +320,7 @@ def run(spec: RunSpec, evaluator, checkpoint_path: str | Path | None = None) -> 
                 "context_mrr rows); choose another algorithm or add gold labels"
             )
     free_lookup = getattr(evaluator, "replay_objective", None)
+    memo: _EvalMemo = {}
 
     seed_runs: list[SeedRun] = []
     resumed: _SeedProgress | None = None
@@ -303,7 +343,12 @@ def run(spec: RunSpec, evaluator, checkpoint_path: str | Path | None = None) -> 
             progress = _SeedProgress(spec, seed)
         try:
             seed_run = _advance_seed(
-                spec, evaluator, progress, free_lookup, track_state=checkpoint_path is not None
+                spec,
+                evaluator,
+                memo,
+                progress,
+                free_lookup,
+                track_state=checkpoint_path is not None,
             )
         except ServiceFailure as exc:
             if checkpoint_path is None:
@@ -410,14 +455,53 @@ def _parse_trial_row(space: SearchSpace, row: dict) -> tuple[Trial, IterationRec
     return trial, record
 
 
-def _seed_run_from_rows(space: SearchSpace, seed: int, rows: list[dict]) -> SeedRun:
+def _seed_run(seed: int, parsed: list[tuple[Trial, IterationRecord]]) -> SeedRun:
     history = TrialHistory()
     iterations = []
-    for row in sorted(rows, key=lambda r: r["iteration"]):
-        trial, record = _parse_trial_row(space, row)
+    for trial, record in sorted(parsed, key=lambda pair: pair[0].iteration):
         history.append(trial)
         iterations.append(record)
     return SeedRun(seed=seed, history=history, iterations=tuple(iterations))
+
+
+_OPTIONAL_NUMBER = (int, float, type(None))
+
+#: Field types of the rows of a run export and of a trial row's nested cost
+#: object. A JSON boolean is rejected where a number is expected.
+_ROW_FIELDS: dict[str, dict[str, type | tuple[type, ...]]] = {
+    "trial row": {
+        "seed": int,
+        "iteration": int,
+        "ordinal": int,
+        "objective_score": _OPTIONAL_NUMBER,
+        "retrieval_score": _OPTIONAL_NUMBER,
+        "driver": str,
+        "cost": dict,
+        "best_dev": _OPTIONAL_NUMBER,
+        "best_ordinal": (int, type(None)),
+        "test_of_best": _OPTIONAL_NUMBER,
+        "cum_embedded_tokens": int,
+        "cum_generation_input_tokens": int,
+        "cum_generation_output_tokens": int,
+    },
+    "trial cost": dict.fromkeys(CostDelta().as_dict(), int),
+    "aggregate row": {
+        "iteration": int,
+        "mean_test": _OPTIONAL_NUMBER,
+        "se_test": _OPTIONAL_NUMBER,
+        "n": int,
+    },
+}
+
+
+def _check_fields(record: dict, kind: str, where: str) -> None:
+    """Raise ValueError at ``where`` naming the first missing or mistyped field."""
+    for name, types in _ROW_FIELDS[kind].items():
+        if name not in record:
+            raise ValueError(f"{where}: {kind} lacks field {name!r}")
+        value = record[name]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ValueError(f"{where}: {kind} field {name!r} has the wrong type: {value!r}")
 
 
 def export_run(record: RunRecord, path: str | Path) -> None:
@@ -453,20 +537,24 @@ def load_run(path: str | Path) -> RunRecord:
     """Rebuild a RunRecord from an exported file (lossless round-trip)."""
     source = Path(path)
     header: dict | None = None
-    trials_by_seed: dict[int, list[dict]] = {}
+    header_line = 0
+    trial_rows: list[tuple[int, dict]] = []
     aggregate: list[AggregatePoint] = []
     for lineno, record in _read_jsonl(source, ValueError):
         kind = record.get("kind")
+        where = f"{source}:{lineno}"
         if kind == "run_header":
             if record.get("format_version") != RUN_FORMAT_VERSION:
                 raise ValueError(
-                    f"{source}:{lineno}: unsupported run format_version "
-                    f"{record.get('format_version')!r}"
+                    f"{where}: unsupported run format_version {record.get('format_version')!r}"
                 )
-            header = record
+            header, header_line = record, lineno
         elif kind == "trial":
-            trials_by_seed.setdefault(record["seed"], []).append(record)
+            _check_fields(record, "trial row", where)
+            _check_fields(record["cost"], "trial cost", where)
+            trial_rows.append((lineno, record))
         elif kind == "aggregate":
+            _check_fields(record, "aggregate row", where)
             aggregate.append(
                 AggregatePoint(
                     iteration=record["iteration"],
@@ -476,14 +564,23 @@ def load_run(path: str | Path) -> RunRecord:
                 )
             )
         else:
-            raise ValueError(f"{source}:{lineno}: unknown row kind {kind!r}")
+            raise ValueError(f"{where}: unknown row kind {kind!r}")
     if header is None:
         raise ValueError(f"{source}: missing run_header row")
-    spec = _spec_from_header(header)
-    seed_runs = tuple(
-        _seed_run_from_rows(spec.space, seed, trials_by_seed.get(seed, []))
-        for seed in spec.seeds
-    )
+    try:
+        spec = _spec_from_header(header)
+    except KeyError as exc:
+        raise ValueError(f"{source}:{header_line}: run_header lacks field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{source}:{header_line}: bad run_header: {exc}") from None
+    trials_by_seed: dict[int, list[tuple[Trial, IterationRecord]]] = {}
+    for lineno, row in trial_rows:
+        try:
+            parsed = _parse_trial_row(spec.space, row)
+        except (IndexError, TypeError, ValueError) as exc:  # ordinal range, cost keys and signs
+            raise ValueError(f"{source}:{lineno}: bad trial row: {exc}") from None
+        trials_by_seed.setdefault(row["seed"], []).append(parsed)
+    seed_runs = tuple(_seed_run(seed, trials_by_seed.get(seed, [])) for seed in spec.seeds)
     return RunRecord(spec=spec, seed_runs=seed_runs, aggregate=tuple(aggregate))
 
 
@@ -533,7 +630,7 @@ def _load_checkpoint(path: Path, spec: RunSpec) -> tuple[list[SeedRun], _SeedPro
             "delete it or re-run with the original settings"
         )
     completed = [
-        _seed_run_from_rows(spec.space, entry["seed"], entry["trials"])
+        _seed_run(entry["seed"], [_parse_trial_row(spec.space, row) for row in entry["trials"]])
         for entry in payload.get("completed", [])
     ]
     current = payload.get("current")

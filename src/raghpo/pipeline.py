@@ -27,6 +27,7 @@ from __future__ import annotations
 import importlib.resources
 import logging
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -229,14 +230,9 @@ class ServiceEndpoint:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
 
     def headers(self) -> dict[str, str]:
-        headers = {}
-        if self.auth_env:
-            token = os.environ.get(self.auth_env, "")
-            if token:
-                headers["Authorization"] = f"Bearer {token}"
-            else:
-                log.warning("auth env var %s is not set; sending unauthenticated", self.auth_env)
-        return headers
+        """The bearer token from ``auth_env``, or no headers when it is unset or empty."""
+        token = os.environ.get(self.auth_env, "") if self.auth_env else ""
+        return {"Authorization": f"Bearer {token}"} if token else {}
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ServiceEndpoint":
@@ -249,47 +245,61 @@ class ServiceEndpoint:
         )
 
 
-def _post_json(endpoint: ServiceEndpoint, route: str, payload: dict) -> dict:
-    url = endpoint.base_url.rstrip("/") + route
-    last_error: Exception | None = None
-    for attempt in range(endpoint.max_attempts):
-        if attempt:
-            time.sleep(endpoint.backoff_seconds * (2 ** (attempt - 1)))
-        try:
-            response = requests.post(
-                url, json=payload, timeout=endpoint.timeout, headers=endpoint.headers()
-            )
-        except requests.RequestException as exc:
-            last_error = exc
-            log.warning("request to %s failed (attempt %d): %s", url, attempt + 1, exc)
-            continue
-        if response.status_code >= 500 or response.status_code == 429:
-            last_error = ServiceFailure(f"{url} returned HTTP {response.status_code}")
-            log.warning("%s returned HTTP %d (attempt %d)", url, response.status_code, attempt + 1)
-            continue
-        if response.status_code != 200:
-            raise ServiceFailure(f"{url} returned HTTP {response.status_code}: {response.text[:200]}")
-        try:
-            reply = response.json()
-        except ValueError:  # requests' JSONDecodeError
-            raise ServiceFailure(
-                f"{url} returned a body that is not JSON: {response.text[:200]!r}"
-            ) from None
-        if not isinstance(reply, dict):
-            raise ServiceFailure(
-                f"{url} returned JSON that is not an object: {response.text[:200]!r}"
-            )
-        return reply
-    raise ServiceFailure(f"{url} failed after {endpoint.max_attempts} attempts: {last_error}")
+class _ServiceClient:
+    """Posts JSON to one endpoint; a missing auth token is logged once per client."""
+
+    def __init__(self, endpoint: ServiceEndpoint):
+        self.endpoint = endpoint
+        # Taken, and never released, by the first request that finds the token
+        # missing. Worker threads share a client, so a plain flag could race.
+        self._auth_warned = threading.Lock()
+
+    def _post(self, route: str, payload: dict) -> dict:
+        """POST ``payload`` with retries; a reply that is not a JSON object is a failure."""
+        endpoint = self.endpoint
+        headers = endpoint.headers()
+        if endpoint.auth_env and not headers and self._auth_warned.acquire(blocking=False):
+            log.warning("auth env var %s is not set; sending unauthenticated", endpoint.auth_env)
+        url = endpoint.base_url.rstrip("/") + route
+        last_error: Exception | None = None
+        for attempt in range(endpoint.max_attempts):
+            if attempt:
+                time.sleep(endpoint.backoff_seconds * (2 ** (attempt - 1)))
+            try:
+                response = requests.post(
+                    url, json=payload, timeout=endpoint.timeout, headers=headers
+                )
+            except requests.RequestException as exc:
+                last_error = exc
+                log.warning("request to %s failed (attempt %d): %s", url, attempt + 1, exc)
+                continue
+            if response.status_code >= 500 or response.status_code == 429:
+                last_error = ServiceFailure(f"{url} returned HTTP {response.status_code}")
+                log.warning("%s returned HTTP %d (attempt %d)", url, response.status_code, attempt + 1)
+                continue
+            if response.status_code != 200:
+                raise ServiceFailure(f"{url} returned HTTP {response.status_code}: {response.text[:200]}")
+            try:
+                reply = response.json()
+            except ValueError:  # requests' JSONDecodeError
+                raise ServiceFailure(
+                    f"{url} returned a body that is not JSON: {response.text[:200]!r}"
+                ) from None
+            if not isinstance(reply, dict):
+                raise ServiceFailure(
+                    f"{url} returned JSON that is not an object: {response.text[:200]!r}"
+                )
+            return reply
+        raise ServiceFailure(f"{url} failed after {endpoint.max_attempts} attempts: {last_error}")
 
 
-class EmbeddingClient:
+class EmbeddingClient(_ServiceClient):
     """Batched embedding requests against the ``/embed`` route."""
 
     def __init__(self, endpoint: ServiceEndpoint, batch_size: int = 32):
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        self.endpoint = endpoint
+        super().__init__(endpoint)
         self.batch_size = batch_size
 
     def embed(self, model: str, texts: Sequence[str]) -> np.ndarray:
@@ -299,9 +309,7 @@ class EmbeddingClient:
         blocks: list[np.ndarray] = []
         for start in range(0, len(texts), self.batch_size):
             batch = list(texts[start : start + self.batch_size])
-            reply = _post_json(
-                self.endpoint, "/embed", {"model": model, "texts": batch}
-            )
+            reply = self._post("/embed", {"model": model, "texts": batch})
             got = reply.get("vectors")
             if not isinstance(got, list) or len(got) != len(batch):
                 raise ServiceFailure(
@@ -333,15 +341,11 @@ class GenerationResult:
     counts_estimated: bool = False
 
 
-class GenerationClient:
+class GenerationClient(_ServiceClient):
     """Single-prompt generation against the ``/generate`` route, greedy decoding pinned."""
 
-    def __init__(self, endpoint: ServiceEndpoint):
-        self.endpoint = endpoint
-
     def generate(self, model: str, prompt: str) -> GenerationResult:
-        reply = _post_json(
-            self.endpoint,
+        reply = self._post(
             "/generate",
             {"model": model, "prompt": prompt, "params": {"temperature": 0.0, "greedy": True}},
         )
@@ -367,15 +371,11 @@ class GenerationClient:
         )
 
 
-class JudgeClient:
+class JudgeClient(_ServiceClient):
     """Remote answer-correctness judge; only its scores are ingested."""
 
-    def __init__(self, endpoint: ServiceEndpoint):
-        self.endpoint = endpoint
-
     def score(self, question: str, answer: str, gold_answer: str) -> float:
-        reply = _post_json(
-            self.endpoint,
+        reply = self._post(
             "/judge",
             {"question": question, "answer": answer, "gold_answer": gold_answer},
         )

@@ -272,7 +272,7 @@ def test_analyze_incomplete_table_fails(tmp_path, default_space, capsys):
     assert "incomplete" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bad_line", ["[1]", "{not json"])
+@pytest.mark.parametrize("bad_line", ["[1]", "{not json", '{"kind":"trial","iteration":1}'])
 @pytest.mark.parametrize("flag", ["--table", "--run"])
 def test_analyze_rejects_a_bad_line_with_its_location(tmp_path, fixture_table, capsys, flag, bad_line):
     if flag == "--table":
@@ -352,6 +352,37 @@ def test_grid_complete_table_is_noop(live_setup, capsys):
     assert len(live_setup["stub"].calls("/generate")) == generate_calls
 
 
+def test_grid_without_answer_tokens_completes(live_setup, tmp_path, capsys):
+    # lexical_ac is undefined for a gold answer with no tokens, so that
+    # question's missing row must not keep the cell incomplete.
+    from raghpo.dataio import Dataset, QaPair
+
+    dev = (
+        QaPair(qid="q0", question="about d0", gold_answer="tok0 tok1", gold_doc_ids=("d0",)),
+        QaPair(qid="q1", question="punctuation", gold_answer="?!", gold_doc_ids=("d1",)),
+    )
+    corpus = tuple(make_document(f"d{i}", 10) for i in range(2))
+    store_dataset(Dataset(corpus=corpus, dev=dev, test=()), tmp_path / "punct")
+    space = SearchSpace(
+        chunk_sizes=(8,),
+        chunk_overlaps=(0.0,),
+        embedding_models=("stub-emb",),
+        top_ks=(2,),
+        generative_models=("Granite-3.1-8B-instruct",),
+    )
+    (tmp_path / "one.json").write_text(json.dumps(space.to_dict()))
+    args = [
+        "grid", "--config", str(live_setup["config_path"]), "--dataset", str(tmp_path / "punct"),
+        "--space", str(tmp_path / "one.json"), "--splits", "dev", "--out", str(tmp_path / "g.jsonl"),
+    ]
+    assert main(args) == EXIT_OK
+    assert "evaluated 1 (config, split) cells" in capsys.readouterr().out
+    generate_calls = len(live_setup["stub"].calls("/generate"))
+    assert main(args) == EXIT_OK
+    assert "already complete" in capsys.readouterr().out
+    assert len(live_setup["stub"].calls("/generate")) == generate_calls
+
+
 def test_grid_retrieval_only_metrics_skip_generation(live_setup, capsys):
     code = main(
         ["grid", "--config", str(live_setup["config_path"]), "--metrics", CONTEXT_MRR]
@@ -412,6 +443,21 @@ def test_optimize_live_backend_end_to_end(live_setup, tmp_path, capsys):
     assert len(record.seed_runs[0].history) == 2
     # Real generation happened and was charged.
     assert record.seed_runs[0].iterations[-1].cost.generation_input_tokens > 0
+
+
+def test_optimize_live_evaluates_each_cell_once_across_seeds(live_setup, tmp_path):
+    out = tmp_path / "live_run.jsonl"
+    args = ["optimize", "--config", str(live_setup["config_path"]), "--algo", "random"]
+    assert main(args + ["--budget", "2", "--seeds", "2", "--out", str(out)]) == EXIT_OK
+    record = load_run(out)
+    dev_cells = {t.config for sr in record.seed_runs for t in sr.history}
+    test_cells = {it.best_ordinal for sr in record.seed_runs for it in sr.iterations}
+    # Both seeds evaluate both configs: the second seed reuses the first's results.
+    assert len(dev_cells) == 2
+    assert len(live_setup["stub"].calls("/generate")) == len(dev_cells) * 2 + len(test_cells) * 1
+    # The accounted spend still charges the second seed for both evaluations.
+    first, second = (sr.iterations[-1].cost for sr in record.seed_runs)
+    assert first == second and second.generation_input_tokens > 0
 
 
 def test_optimize_live_with_dev_sampling(live_setup, tmp_path, capsys):

@@ -1,8 +1,13 @@
+import dataclasses
+import json
 import random
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from raghpo import harness
 from raghpo.costs import CostDelta
 from raghpo.dataio import store_grid
 from raghpo.evaluator import GridReplayEvaluator, Objective
@@ -28,15 +33,16 @@ def scored_evaluator(space, seed=0, with_mrr=True, with_costs=False):
     if with_costs:
         for ordinal in range(space.total_size):
             config = space.config_at(ordinal)
-            table.set_cost(
-                ordinal,
-                "dev",
-                CostDelta(
-                    embedded_tokens=_index_tokens(space, config.index),
-                    generation_input_tokens=50,
-                    generation_output_tokens=5,
-                ),
-            )
+            for split, generated in (("dev", 50), ("test", 20)):
+                table.set_cost(
+                    ordinal,
+                    split,
+                    CostDelta(
+                        embedded_tokens=_index_tokens(space, config.index),
+                        generation_input_tokens=generated,
+                        generation_output_tokens=5,
+                    ),
+                )
     return GridReplayEvaluator(table, space), dev
 
 
@@ -196,6 +202,88 @@ def test_rcc_probes_get_free_objective_backfill(default_space):
 
 
 # ---------------------------------------------------------------------------
+# Run-level evaluation memo
+# ---------------------------------------------------------------------------
+
+
+class CountingEvaluator:
+    """Counts evaluations per (config, split, objective); ``None`` marks retrieval-only.
+
+    With ``fail_first``, the first evaluation of each cell reports a failed
+    question, as a transient generation failure would.
+    """
+
+    def __init__(self, inner, fail_first: bool = False):
+        self._inner = inner
+        self._fail_first = fail_first
+        self.calls: Counter = Counter()
+
+    def _count(self, key, result):
+        self.calls[key] += 1
+        if self._fail_first and self.calls[key] == 1:
+            return dataclasses.replace(result, failed_qids=("q0",))
+        return result
+
+    def evaluate(self, config, split, objective):
+        return self._count((config, split, objective), self._inner.evaluate(config, split, objective))
+
+    def evaluate_retrieval_only(self, config, split):
+        return self._count((config, split, None), self._inner.evaluate_retrieval_only(config, split))
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+@pytest.fixture()
+def seed_progress(monkeypatch):
+    """Every per-seed state object the harness creates, in creation order."""
+    created = []
+
+    class Recorded(harness._SeedProgress):
+        def __init__(self, *args):
+            super().__init__(*args)
+            created.append(self)
+
+    monkeypatch.setattr(harness, "_SeedProgress", Recorded)
+    return created
+
+
+@pytest.mark.parametrize("algorithm", ["random", "tpe", "greedy_m", "greedy_rcc"])
+def test_each_cell_is_evaluated_once_per_run(default_space, seed_progress, algorithm):
+    evaluator, _ = scored_evaluator(default_space, with_costs=True)
+    spec = spec_for(default_space, algorithm=algorithm, budget=20, seeds=(1, 2, 3, 4))
+    shared = CountingEvaluator(evaluator)
+    record = run(spec, shared)
+    assert set(shared.calls.values()) == {1}
+
+    # A fresh evaluator per seed gives every seed the same trials, ledger
+    # snapshots and test ledger, and shows that the seeds did repeat cells.
+    fresh_calls = 0
+    for seed, seed_run in zip(spec.seeds, record.seed_runs):
+        alone = CountingEvaluator(evaluator)
+        single = run(spec_for(default_space, algorithm=algorithm, budget=20, seeds=(seed,)), alone)
+        fresh_calls += sum(alone.calls.values())
+        assert single.seed_runs[0] == seed_run
+    assert fresh_calls > sum(shared.calls.values())
+    shared_progress, fresh_progress = seed_progress[:4], seed_progress[4:]
+    for a, b in zip(shared_progress, fresh_progress):
+        assert a.ledger.snapshots == b.ledger.snapshots
+        assert a.test_ledger.totals == b.test_ledger.totals
+    assert any(p.test_ledger.totals.generation_input_tokens for p in shared_progress)
+
+
+def test_evaluation_with_failed_questions_is_repeated(tiny_space):
+    # At full budget every seed evaluates every config on dev once.
+    evaluator, _ = scored_evaluator(tiny_space, with_costs=True)
+    spec = spec_for(tiny_space, budget=tiny_space.total_size, seeds=(1, 2, 3))
+    flaky = CountingEvaluator(evaluator, fail_first=True)
+    assert run(spec, flaky) == run(spec, evaluator)
+    dev_calls = [n for (_, split, _), n in flaky.calls.items() if split == "dev"]
+    assert len(dev_calls) == tiny_space.total_size
+    assert set(dev_calls) == {2}  # the failed first try, then one stored retry
+
+
+# ---------------------------------------------------------------------------
 # Cost ledger
 # ---------------------------------------------------------------------------
 
@@ -312,6 +400,43 @@ def test_load_run_rejects_missing_header(tmp_path):
         load_run(path)
 
 
+@pytest.mark.parametrize(
+    "change, field",
+    [
+        (lambda row: row.pop("seed"), "'seed'"),
+        (lambda row: row.update(iteration="1"), "'iteration'"),
+        (lambda row: row.update(objective_score=True), "'objective_score'"),
+        (lambda row: row["cost"].pop("embedded_tokens"), "'embedded_tokens'"),
+        (lambda row: row.update(ordinal=10**6), "ordinal 1000000"),
+        (lambda row: row["cost"].update(generation_input_tokens=-1), "generation_input_tokens"),
+    ],
+    ids=["no-seed", "str-iteration", "bool-score", "no-cost-field", "ordinal-range", "negative-cost"],
+)
+def test_load_run_names_the_line_and_field_of_a_bad_trial_row(
+    tmp_path, default_space, change, field
+):
+    evaluator, _ = scored_evaluator(default_space)
+    path = tmp_path / "run.jsonl"
+    export_run(run(spec_for(default_space, budget=2, seeds=(1,)), evaluator), path)
+    lines = path.read_text().splitlines()
+    row = json.loads(lines[1])
+    change(row)
+    lines[1] = json.dumps(row)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}:2: .*{re.escape(field)}"):
+        load_run(path)
+
+
+def test_load_run_names_a_missing_aggregate_or_header_field(tmp_path):
+    path = tmp_path / "run.jsonl"
+    path.write_text('{"kind":"aggregate","iteration":1,"mean_test":0.5,"se_test":0}\n')
+    with pytest.raises(ValueError, match=":1: aggregate row lacks field 'n'"):
+        load_run(path)
+    path.write_text('{"kind":"run_header","format_version":1}\n')
+    with pytest.raises(ValueError, match=":1: run_header lacks field 'space'"):
+        load_run(path)
+
+
 # ---------------------------------------------------------------------------
 # Suspension / resume
 # ---------------------------------------------------------------------------
@@ -381,6 +506,21 @@ def test_resume_before_any_scored_trial_has_no_dev_best(tmp_path, default_space)
     assert resumed == reference
     first = resumed.seed_runs[0].iterations[3]
     assert (first.best_dev_score, first.best_ordinal) == (None, None)
+
+
+def test_resume_in_a_later_seed_continues_identically(tmp_path, default_space):
+    evaluator, _ = scored_evaluator(default_space, with_costs=True)
+    spec = spec_for(default_space, algorithm="greedy_m", budget=10, seeds=(1, 2, 3))
+    reference = run(spec, evaluator)
+    first_seed = CountingEvaluator(evaluator)
+    run(spec_for(default_space, algorithm="greedy_m", budget=10, seeds=(1,)), first_seed)
+
+    # The outage strikes in seed 2, so the resumed run starts with an empty memo.
+    checkpoint = tmp_path / "run.checkpoint"
+    flaky = FlakyEvaluator(evaluator, fail_after_calls=sum(first_seed.calls.values()) + 2)
+    with pytest.raises(RunSuspended):
+        run(spec, flaky, checkpoint_path=checkpoint)
+    assert run(spec, flaky, checkpoint_path=checkpoint) == reference
 
 
 def test_suspension_without_checkpoint_path_propagates(default_space):

@@ -1,7 +1,9 @@
 import random
+import sys
+import unicodedata
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from raghpo.metrics import (
     MetricUndefinedError,
@@ -34,6 +36,39 @@ def test_tokenize_empty():
 def test_tokenize_rule_table():
     # Apostrophes, hyphens and periods all act as separators.
     assert tokenize("IBM's Granite-3.1") == ["ibm", "s", "granite", "3", "1"]
+
+
+def reference_tokenize(text: str) -> list[str]:
+    """The per-character tokenizer that ``tokenize`` must match exactly."""
+    lowered = text.lower()
+    cleaned = "".join(
+        " " if unicodedata.category(ch).startswith("P") else ch for ch in lowered
+    )
+    return cleaned.split()
+
+
+def test_tokenize_matches_reference_on_every_code_point():
+    # Each code point on both sides of a cased letter and a sigma, so case
+    # mapping that depends on context (final sigma) is exercised too.
+    mismatched = []
+    for code in range(sys.maxunicode + 1):
+        if 0xD800 <= code <= 0xDFFF:  # surrogates are not characters
+            continue
+        text = chr(code) + "a\u03a3" + chr(code)
+        if tokenize(text) != reference_tokenize(text):
+            mismatched.append(hex(code))
+    assert mismatched == []
+
+
+@example("\u0130stanbul")  # dotted capital I lowercases to two code points
+@example("\u039f\u0394\u039f\u03a3 \u03a3")  # final and lone sigma
+@example("a\u00a0b")  # no-break space
+@example("a\u2028b")  # line separator, which str.split splits on
+@example("don\u2019t")  # right single quotation mark
+@example("\u4f60\u597d\u3002\u300c\u4e16\u754c\u300d\uff0c\u3001")  # CJK punctuation
+@given(st.text())
+def test_tokenize_matches_reference_on_random_text(text):
+    assert tokenize(text) == reference_tokenize(text)
 
 
 def test_tokenize_is_deterministic():

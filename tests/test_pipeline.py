@@ -402,6 +402,22 @@ def test_service_failure_after_retry_budget(stub_service):
         client.generate("gen-model", "prompt")
 
 
+def test_missing_auth_token_is_logged_once_per_client(stub_service, monkeypatch, caplog):
+    monkeypatch.delenv("RAGHPO_TEST_TOKEN", raising=False)
+    endpoint = _endpoint(stub_service, auth_env="RAGHPO_TEST_TOKEN")
+    assert endpoint.headers() == {}
+    client = GenerationClient(endpoint)
+    with caplog.at_level("WARNING"):
+        for _ in range(3):
+            client.generate("gen-model", "prompt")
+    assert caplog.text.count("RAGHPO_TEST_TOKEN is not set") == 1
+    with caplog.at_level("WARNING"):
+        EmbeddingClient(endpoint).embed("emb", ["text"])
+    assert caplog.text.count("RAGHPO_TEST_TOKEN is not set") == 2
+    monkeypatch.setenv("RAGHPO_TEST_TOKEN", "secret")
+    assert endpoint.headers() == {"Authorization": "Bearer secret"}
+
+
 def test_judge_client_roundtrip(stub_service):
     judge = JudgeClient(_endpoint(stub_service))
     assert judge.score("q", "a", "gold") == 0.5
