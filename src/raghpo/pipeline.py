@@ -127,6 +127,17 @@ def chunk_document(doc: Document, chunk_size: int, chunk_overlap: float) -> list
     return chunks
 
 
+def chunk_corpus(
+    corpus: Iterable[Document], chunk_size: int, chunk_overlap: float
+) -> tuple[Chunk, ...]:
+    """Every document's chunks, in corpus order."""
+    return tuple(
+        chunk
+        for doc in corpus
+        for chunk in chunk_document(doc, chunk_size, chunk_overlap)
+    )
+
+
 # ---------------------------------------------------------------------------
 # Vector index
 # ---------------------------------------------------------------------------
@@ -333,6 +344,36 @@ class EmbeddingClient(_ServiceClient):
         return np.concatenate(blocks)
 
 
+class _EmbeddingMemo:
+    """(embedding model, text) -> vector memo in front of an ``EmbeddingClient``.
+
+    ``embed`` sends only the texts not yet embedded for the model, once each
+    and in first-seen order, and returns one row per requested text. Rows are
+    kept as the service returned them, so an index built from them normalizes
+    exactly the same numbers as one built from a fresh reply.
+    """
+
+    def __init__(self, client: EmbeddingClient):
+        self.client = client
+        self._rows: dict[str, dict[str, np.ndarray]] = {}
+
+    def embed(self, model: str, texts: Sequence[str]) -> np.ndarray:
+        if not texts:
+            return np.zeros((0, 0))
+        rows = self._rows.setdefault(model, {})
+        missing = [text for text in dict.fromkeys(texts) if text not in rows]
+        if missing:
+            rows.update(zip(missing, self.client.embed(model, missing)))
+        picked = [rows[text] for text in texts]
+        try:
+            return np.stack(picked)
+        except ValueError:  # rows from separate replies differ in dimension
+            dims = list(dict.fromkeys(len(row) for row in picked))
+            raise ServiceFailure(
+                f"embed reply dimension changed between batches: {dims[0]} then {dims[1]}"
+            ) from None
+
+
 @dataclass(frozen=True)
 class GenerationResult:
     text: str
@@ -462,17 +503,17 @@ class TemplateStore:
 def build_index(
     corpus: Iterable[Document],
     index_config: IndexConfig,
-    embedder: EmbeddingClient,
+    embedder: EmbeddingClient | _EmbeddingMemo,
+    chunks: Sequence[Chunk] | None = None,
 ) -> tuple[VectorIndex, int]:
     """Chunk and embed a corpus; returns the index and its embedded-token cost.
 
-    The cost basis is the sum of chunk token lengths, one vector per chunk.
+    ``chunks``, when given, is the corpus already cut with the config's size
+    and overlap, and the corpus is not chunked again. The cost basis is the
+    sum of chunk token lengths, one vector per chunk.
     """
-    chunks: list[Chunk] = []
-    for doc in corpus:
-        chunks.extend(
-            chunk_document(doc, index_config.chunk_size, index_config.chunk_overlap)
-        )
+    if chunks is None:
+        chunks = chunk_corpus(corpus, index_config.chunk_size, index_config.chunk_overlap)
     embedded_tokens = sum(c.token_length for c in chunks)
     vectors = embedder.embed(index_config.embedding_model, [c.text for c in chunks])
     return VectorIndex(chunks, vectors), embedded_tokens
@@ -511,11 +552,21 @@ def generate_answer(
 class LivePipelineEvaluator:
     """Evaluates configurations by actually running the RAG pipeline.
 
-    Indices are cached per IndexConfig, so configurations sharing chunking
-    and embedding settings reuse one index; the reported embedded-token cost
-    is attached to every evaluation that uses the index, and double charging
-    is prevented by the harness ledger. Question vectors are cached per
-    (embedding model, split), so each split is embedded once per model.
+    The evaluator does shared index work once for its lifetime:
+
+    * the corpus is chunked once per (chunk_size, chunk_overlap), and the
+      indexes of every embedding model share that chunk list;
+    * each distinct (embedding model, text) is sent to the embedding service
+      once; chunk texts that recur across indexes and every split's
+      questions are served from one memo;
+    * one index is built per IndexConfig, and retrieval is run once per
+      (IndexConfig, top_k, split), since it does not depend on the
+      generative model.
+
+    Each evaluation still reports the full embedded-token cost of its index
+    (the sum of its chunk lengths), so the *accounted* spend is what a fresh
+    build would cost; double charging is prevented by the harness ledger.
+    Only the spend actually sent to the embedding service drops.
     """
 
     def __init__(
@@ -532,13 +583,18 @@ class LivePipelineEvaluator:
             raise ValueError(f"parallelism must be >= 1, got {parallelism}")
         self.dataset = dataset
         self.space = space
-        self.embedder = embedder
         self.generator = generator
         self.templates = templates or TemplateStore.builtin()
         self.judge = judge
         self.parallelism = parallelism
+        # Nothing below may refer back to the evaluator: it must be freed by
+        # reference counting as soon as its command drops it.
+        self._embeddings = _EmbeddingMemo(embedder)
+        self._chunks: dict[tuple[int, float], tuple[Chunk, ...]] = {}
         self._indices: dict[IndexConfig, tuple[VectorIndex, int]] = {}
-        self._question_vectors: dict[tuple[str, str], np.ndarray] = {}
+        self._retrieved: dict[
+            tuple[IndexConfig, int, str], tuple[tuple[RetrievedChunk, ...], ...]
+        ] = {}
 
     def _index_for(self, index_config: IndexConfig) -> tuple[VectorIndex, int]:
         cached = self._indices.get(index_config)
@@ -549,33 +605,38 @@ class LivePipelineEvaluator:
                 index_config.chunk_overlap,
                 index_config.embedding_model,
             )
-            cached = build_index(self.dataset.corpus, index_config, self.embedder)
+            shape = (index_config.chunk_size, index_config.chunk_overlap)
+            chunks = self._chunks.get(shape)
+            if chunks is None:
+                chunks = self._chunks[shape] = chunk_corpus(self.dataset.corpus, *shape)
+            cached = build_index(
+                self.dataset.corpus, index_config, self._embeddings, chunks=chunks
+            )
             self._indices[index_config] = cached
         return cached
 
-    def _questions_embedded(self, model: str, split: str) -> np.ndarray:
-        key = (model, split)
-        vectors = self._question_vectors.get(key)
-        if vectors is None:
-            questions = self.dataset.split(split)
-            vectors = self.embedder.embed(model, [qa.question for qa in questions])
-            self._question_vectors[key] = vectors
-        return vectors
-
     def _retrieve_all(
         self, config: RagConfig, split: str
-    ) -> tuple[list[list[RetrievedChunk]], int]:
+    ) -> tuple[tuple[tuple[RetrievedChunk, ...], ...], int]:
         if not self.space.contains(config):
             raise ValueError(f"configuration {config.as_dict()} is not in the search space")
         index, embedded_tokens = self._index_for(config.index)
-        query_vectors = self._questions_embedded(config.index.embedding_model, split)
-        if len(index) and len(query_vectors) and query_vectors.shape[1] != index.dim:
-            raise ServiceFailure(
-                f"embedding model {config.index.embedding_model!r} returned "
-                f"{query_vectors.shape[1]}-dimensional question vectors for a "
-                f"{index.dim}-dimensional index"
+        key = (config.index, config.answer.top_k, split)
+        retrieved = self._retrieved.get(key)
+        if retrieved is None:
+            model = config.index.embedding_model
+            query_vectors = self._embeddings.embed(
+                model, [qa.question for qa in self.dataset.split(split)]
             )
-        retrieved = [index.search(vector, config.answer.top_k) for vector in query_vectors]
+            if len(index) and len(query_vectors) and query_vectors.shape[1] != index.dim:
+                raise ServiceFailure(
+                    f"embedding model {model!r} returned "
+                    f"{query_vectors.shape[1]}-dimensional question vectors for a "
+                    f"{index.dim}-dimensional index"
+                )
+            retrieved = self._retrieved[key] = tuple(
+                tuple(index.search(vector, config.answer.top_k)) for vector in query_vectors
+            )
         return retrieved, embedded_tokens
 
     def supports_metric(self, metric: str, split: str) -> bool:
@@ -591,7 +652,7 @@ class LivePipelineEvaluator:
         retrieved, embedded_tokens = self._retrieve_all(config, split)
         per_question = []
         for qa, chunks in zip(questions, retrieved):
-            qe = QuestionEval(qid=qa.qid, retrieved=tuple(chunks))
+            qe = QuestionEval(qid=qa.qid, retrieved=chunks)
             mrr = context_correctness_mrr(chunks, qa.gold_doc_ids)
             if mrr is not None:
                 qe.scores[CONTEXT_MRR] = mrr
@@ -610,41 +671,54 @@ class LivePipelineEvaluator:
 
     def evaluate(self, config: RagConfig, split: str, objective: Objective) -> EvalResult:
         """Run retrieval plus generation and score the requested objective."""
-        if JUDGE_AC in objective.metrics and self.judge is None:
+        judged = JUDGE_AC in objective.metrics
+        if judged and self.judge is None:
             raise ValueError("objective includes judge_ac but no judge endpoint is configured")
         questions = self.dataset.split(split)
         retrieved, embedded_tokens = self._retrieve_all(config, split)
 
-        def answer_one(args: tuple[QaPair, list[RetrievedChunk]]):
+        def answer_one(
+            args: tuple[QaPair, Sequence[RetrievedChunk]],
+        ) -> tuple[GenerationResult | None, float | None]:
+            """The generation and, when judged, its judge score; None for a failed call."""
             qa, chunks = args
             try:
-                return generate_answer(
+                result = generate_answer(
                     qa.question, chunks, config.answer, self.templates, self.generator
                 )
             except ServiceFailure as exc:
                 log.warning("generation failed for %s: %s", qa.qid, exc)
-                return None
+                return None, None
+            if not judged:
+                return result, None
+            try:
+                return result, self.judge.score(qa.question, result.text, qa.gold_answer)
+            except ServiceFailure as exc:
+                log.warning("judge call failed for %s: %s", qa.qid, exc)
+                return result, None
 
         work = list(zip(questions, retrieved))
         if self.parallelism > 1:
             with ThreadPoolExecutor(max_workers=self.parallelism) as pool:
-                generations = list(pool.map(answer_one, work))
+                answers = list(pool.map(answer_one, work))
         else:
-            generations = [answer_one(item) for item in work]
+            answers = [answer_one(item) for item in work]
 
         per_question: list[QuestionEval] = []
         failed: list[str] = []
         input_tokens = 0
         output_tokens = 0
-        for qa, chunks, result in zip(questions, retrieved, generations):
+        for qa, chunks, (result, judge_score) in zip(questions, retrieved, answers):
             if result is None:
                 failed.append(qa.qid)
                 continue
+            # A generation is paid for even when its judge call then fails.
             input_tokens += result.input_tokens
             output_tokens += result.output_tokens
-            qe = QuestionEval(
-                qid=qa.qid, generated_answer=result.text, retrieved=tuple(chunks)
-            )
+            if judged and judge_score is None:
+                failed.append(qa.qid)
+                continue
+            qe = QuestionEval(qid=qa.qid, generated_answer=result.text, retrieved=chunks)
             mrr = context_correctness_mrr(chunks, qa.gold_doc_ids)
             if mrr is not None:
                 qe.scores[CONTEXT_MRR] = mrr
@@ -652,19 +726,19 @@ class LivePipelineEvaluator:
             lex = lexical_answer_correctness(result.text, qa.gold_answer)
             if lex is not None:
                 qe.scores[LEXICAL_AC] = lex
-            if JUDGE_AC in objective.metrics:
-                qe.scores[JUDGE_AC] = self.judge.score(
-                    qa.question, result.text, qa.gold_answer
-                )
+            if judged:
+                qe.scores[JUDGE_AC] = judge_score
             per_question.append(qe)
         if failed:
             log.warning(
-                "%d/%d generations failed and are excluded from aggregation",
+                "%d/%d questions failed generation or judging and are excluded from aggregation",
                 len(failed),
                 len(questions),
             )
         if not per_question:
-            raise ServiceFailure("every generation failed; nothing to aggregate")
+            raise ServiceFailure(
+                f"every generation{' or judge call' if judged else ''} failed; nothing to aggregate"
+            )
 
         score = 0.0
         for metric, weight in objective.weighted_metrics():

@@ -543,34 +543,43 @@ def _vectors(make):
     }
 
 
-# (route, reply, part of the message). The corpus is 6 chunks, embedded in
-# batches of 4 and 2.
+# (route, reply, part of the message, embedding batch size). The corpus is 6
+# chunks with 2 distinct texts, "tok0 ... tok7" and "tok8 tok9", embedded once
+# each: one batch of 2, or two batches of 1.
 SUSPENDING_REPLIES = {
-    "embed not json": ("/embed", lambda payload: b"<html>busy</html>", "not JSON"),
-    "embed json array": ("/embed", lambda payload: [], "not an object"),
-    "embed ragged": ("/embed", _vectors(lambda i, t, n: [1.0] * (1 + (i == 0))), "ragged"),
-    "embed nan": ("/embed", _vectors(lambda i, t, n: [float("nan")] * 8), "NaN"),
+    "embed not json": ("/embed", lambda payload: b"<html>busy</html>", "not JSON", 4),
+    "embed json array": ("/embed", lambda payload: [], "not an object", 4),
+    "embed ragged": ("/embed", _vectors(lambda i, t, n: [1.0] * (1 + (i == 0))), "ragged", 4),
+    "embed nan": ("/embed", _vectors(lambda i, t, n: [float("nan")] * 8), "NaN", 4),
     "embed dimension changes between batches": (
-        "/embed", _vectors(lambda i, t, n: [1.0] * (2 + n)), "changed between batches"
+        "/embed",
+        _vectors(lambda i, t, n: [1.0] * (2 + t.startswith("tok8"))),
+        "changed between batches",
+        1,
     ),
     "question dimension differs from index": (
         "/embed",
         _vectors(lambda i, t, n: [1.0, 0.5] if t.startswith(("about", "closing")) else [0.5] * 8),
         "2-dimensional question vectors",
+        4,
     ),
-    "generate not json": ("/generate", lambda payload: b"Internal error", "every generation failed"),
+    "generate not json": (
+        "/generate", lambda payload: b"Internal error", "every generation failed", 4
+    ),
 }
 
 
 @pytest.mark.parametrize(
-    "route, reply, message", SUSPENDING_REPLIES.values(), ids=SUSPENDING_REPLIES.keys()
+    "route, reply, message, batch_size",
+    SUSPENDING_REPLIES.values(),
+    ids=SUSPENDING_REPLIES.keys(),
 )
 @pytest.mark.parametrize("command", ["grid", "optimize"])
 def test_malformed_service_reply_suspends_with_exit_3(
-    live_setup, tmp_path, capsys, command, route, reply, message
+    live_setup, tmp_path, capsys, command, route, reply, message, batch_size
 ):
     config = json.loads(live_setup["config_path"].read_text())
-    config["embed_batch_size"] = 4
+    config["embed_batch_size"] = batch_size
     config["out"] = str(tmp_path / f"{command}.jsonl")
     config_path = tmp_path / "batched.json"
     config_path.write_text(json.dumps(config))

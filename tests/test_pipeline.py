@@ -1,14 +1,19 @@
+import gc
 import math
 import random
+import threading
+import weakref
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import raghpo.pipeline
 from raghpo.dataio import Dataset, QaPair
 from raghpo.evaluator import Objective
-from raghpo.metrics import CONTEXT_MRR, LEXICAL_AC, RetrievedChunk
+from raghpo.metrics import CONTEXT_MRR, JUDGE_AC, LEXICAL_AC, RetrievedChunk
 from raghpo.pipeline import (
     Chunk,
     EmbeddingClient,
@@ -20,6 +25,7 @@ from raghpo.pipeline import (
     TemplateStore,
     VectorIndex,
     build_index,
+    chunk_corpus,
     chunk_document,
     chunk_spans,
     generate_answer,
@@ -28,7 +34,7 @@ from raghpo.pipeline import (
 )
 from raghpo.searchspace import AnswerConfig, IndexConfig, RagConfig, SearchSpace
 
-from conftest import make_document, stub_vector, stub_generation_tokens
+from conftest import STUB_VECTOR_DIM, make_document, stub_vector, stub_generation_tokens
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -603,3 +609,199 @@ def test_live_parallel_matches_sequential(stub_service, tiny_dataset):
     )
     result_par = parallel.evaluate(_config(), "dev", Objective())
     assert result_seq == result_par
+
+
+# ---------------------------------------------------------------------------
+# Work shared across indexes
+# ---------------------------------------------------------------------------
+
+
+def _shared_text_dataset() -> Dataset:
+    """Documents whose chunks recur across chunk sizes and overlaps.
+
+    A 3-token document is one chunk under every setting, d2 and d3 are the
+    same text, and every document of 4 or more tokens starts with the same
+    4-token window.
+    """
+    lengths = (3, 6, 10, 10, 17)
+    corpus = tuple(make_document(f"d{i}", n) for i, n in enumerate(lengths))
+    dev = tuple(
+        QaPair(qid=f"q{i}", question=f"where is tok{i}", gold_answer=f"tok{i}",
+               gold_doc_ids=(f"d{i}",))
+        for i in range(3)
+    )
+    test = (QaPair(qid="t0", question="tok9 please", gold_answer="tok9", gold_doc_ids=("d2",)),)
+    dataset = Dataset(corpus=corpus, dev=dev, test=test)
+    dataset.validate()
+    return dataset
+
+
+def _model_salted_embeddings(stub_service) -> None:
+    """Make the stub's vectors depend on the model as well as the text."""
+    stub_service.override(
+        "/embed",
+        lambda payload: {
+            "vectors": [stub_vector(payload["model"] + "|" + t) for t in payload["texts"]]
+        },
+    )
+
+
+def _evaluate_every_cell(evaluator: LivePipelineEvaluator, space: SearchSpace) -> None:
+    for config in space.enumerate():
+        for split in ("dev", "test"):
+            evaluator.evaluate_retrieval_only(config, split)
+
+
+def test_each_distinct_model_text_is_embedded_once(stub_service, tiny_space):
+    dataset = _shared_text_dataset()
+    _model_salted_embeddings(stub_service)
+    evaluator = _live(stub_service, dataset, tiny_space)
+    _evaluate_every_cell(evaluator, tiny_space)
+
+    sent = Counter(
+        (call["model"], text) for call in stub_service.calls("/embed") for text in call["texts"]
+    )
+    assert set(sent.values()) == {1}
+    chunk_lists = {
+        (size, overlap): chunk_corpus(dataset.corpus, size, overlap)
+        for size in tiny_space.chunk_sizes
+        for overlap in tiny_space.chunk_overlaps
+    }
+    texts = {c.text for chunks in chunk_lists.values() for c in chunks}
+    texts |= {qa.question for qa in dataset.dev + dataset.test}
+    assert set(sent) == {(model, t) for model in tiny_space.embedding_models for t in texts}
+    # The fixture does share texts: indexes of one model hold more chunks than
+    # the distinct chunk texts that were sent for it.
+    assert sum(len(chunks) for chunks in chunk_lists.values()) > len(texts)
+
+
+def test_chunking_and_retrieval_run_once_per_shape(stub_service, tiny_space, monkeypatch):
+    dataset = _shared_text_dataset()
+    cuts: Counter = Counter()
+    searches: Counter = Counter()
+    chunk_document_ = raghpo.pipeline.chunk_document
+    search = VectorIndex.search
+
+    def counting_chunk_document(doc, chunk_size, chunk_overlap):
+        cuts[doc.doc_id, chunk_size, chunk_overlap] += 1
+        return chunk_document_(doc, chunk_size, chunk_overlap)
+
+    def counting_search(index, query_vector, top_k):
+        searches[id(index), top_k] += 1
+        return search(index, query_vector, top_k)
+
+    monkeypatch.setattr(raghpo.pipeline, "chunk_document", counting_chunk_document)
+    monkeypatch.setattr(VectorIndex, "search", counting_search)
+    evaluator = _live(stub_service, dataset, tiny_space)
+    _evaluate_every_cell(evaluator, tiny_space)
+
+    assert set(cuts) == {
+        (doc.doc_id, size, overlap)
+        for doc in dataset.corpus
+        for size in tiny_space.chunk_sizes
+        for overlap in tiny_space.chunk_overlaps
+    }
+    assert set(cuts.values()) == {1}
+    # Both generative models share each (index, top_k, split) retrieval.
+    assert len(searches) == 8 * 2
+    assert set(searches.values()) == {len(dataset.dev) + len(dataset.test)}
+
+
+def test_cached_indexes_equal_a_fresh_build(stub_service, tiny_space):
+    dataset = _shared_text_dataset()
+    _model_salted_embeddings(stub_service)
+    evaluator = _live(stub_service, dataset, tiny_space)
+    _evaluate_every_cell(evaluator, tiny_space)
+    fresh_client = EmbeddingClient(_endpoint(stub_service), batch_size=16)
+    rng = np.random.default_rng(7)
+    queries = [rng.normal(size=STUB_VECTOR_DIM) for _ in range(5)]
+
+    assert len(evaluator._indices) == 8
+    for index_config, (index, embedded_tokens) in evaluator._indices.items():
+        fresh, fresh_tokens = build_index(dataset.corpus, index_config, fresh_client)
+        assert index.chunks == fresh.chunks
+        assert embedded_tokens == fresh_tokens
+        for query in queries:
+            for top_k in (1, 2, len(fresh)):
+                assert index.search(query, top_k) == fresh.search(query, top_k)
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_used_evaluator_is_freed_without_the_cycle_collector(
+    stub_service, tiny_dataset, parallelism
+):
+    evaluator = LivePipelineEvaluator(
+        dataset=tiny_dataset,
+        space=SearchSpace.default(),
+        embedder=EmbeddingClient(_endpoint(stub_service)),
+        generator=GenerationClient(_endpoint(stub_service)),
+        parallelism=parallelism,
+    )
+    ref = weakref.ref(evaluator)
+    gc.disable()
+    try:
+        evaluator.evaluate(_config(), "dev", Objective())
+        evaluator.evaluate_retrieval_only(_config(), "test")
+        del evaluator
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_memo_rows_of_different_dimensions_are_a_service_failure(stub_service, tiny_space):
+    # The first index and the questions come back 8-dimensional, the next
+    # index's new texts 4-dimensional, while its shared texts are memo rows.
+    dims = iter([STUB_VECTOR_DIM, STUB_VECTOR_DIM])
+
+    def reply(payload):
+        dim = next(dims, 4)
+        return {"vectors": [stub_vector(t)[:dim] for t in payload["texts"]]}
+
+    stub_service.override("/embed", reply)
+    evaluator = _live(stub_service, _shared_text_dataset(), tiny_space)
+    evaluator.evaluate_retrieval_only(RagConfig.from_values(4, 0.0, "emb-a", 1, "gen-a"), "dev")
+    with pytest.raises(ServiceFailure, match="changed between batches: 8 then 4"):
+        evaluator.evaluate_retrieval_only(
+            RagConfig.from_values(8, 0.0, "emb-a", 1, "gen-a"), "dev"
+        )
+
+
+def test_failed_judge_call_excludes_the_question_and_keeps_its_cost(
+    stub_service, tiny_dataset, monkeypatch
+):
+    stub_service.override(
+        "/judge", lambda payload: b"not json" if "document 2" in payload["question"] else None
+    )
+    judge_threads = []
+    score = JudgeClient.score
+
+    def recording_score(client, *args):
+        judge_threads.append(threading.current_thread())
+        return score(client, *args)
+
+    monkeypatch.setattr(JudgeClient, "score", recording_score)
+    evaluator = LivePipelineEvaluator(
+        dataset=tiny_dataset,
+        space=SearchSpace.default(),
+        embedder=EmbeddingClient(_endpoint(stub_service)),
+        generator=GenerationClient(_endpoint(stub_service)),
+        judge=JudgeClient(_endpoint(stub_service, max_attempts=1)),
+        parallelism=2,
+    )
+    result = evaluator.evaluate(_config(), "dev", Objective(metrics=(LEXICAL_AC, JUDGE_AC)))
+
+    assert result.failed_qids == ("q2",)
+    assert [qe.qid for qe in result.per_question] == ["q0", "q1", "q3"]
+    assert all(qe.scores[JUDGE_AC] == 0.5 for qe in result.per_question)
+    # All four generations were paid for, the judged-out one included.
+    declared = [stub_generation_tokens(c["prompt"]) for c in stub_service.calls("/generate")]
+    assert len(declared) == 4
+    assert result.cost.generation_input_tokens == sum(d[0] for d in declared)
+    assert result.cost.generation_output_tokens == sum(d[1] for d in declared)
+    # Judge calls run in the generation worker pool.
+    assert len(judge_threads) == 4
+    assert threading.main_thread() not in judge_threads
+
+    stub_service.override("/judge", lambda payload: b"not json")
+    with pytest.raises(ServiceFailure, match="every generation or judge call failed"):
+        evaluator.evaluate(_config(), "test", Objective(metrics=(LEXICAL_AC, JUDGE_AC)))
