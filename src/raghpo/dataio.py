@@ -19,6 +19,14 @@ files. While a grid is being computed, each cell's rows are appended to the
 file as they are produced (:func:`grid_cell_text`), so an in-progress table
 is in no particular order and may end with a row torn by a killed writer
 (:func:`drop_torn_tail`).
+
+Each grid table is parsed from JSON once. :func:`load_grid` and
+:func:`store_grid` save the in-memory columns beside the table as
+``<table>.cols.npz``, keyed on the SHA-256 of the table's bytes, and a load
+whose table still has those bytes rebuilds the columns from that file
+(:func:`_load_companion`). The companion is a derived cache: it is safe to
+delete, a failure to write it is only logged, and a damaged or stale one is
+ignored, so it never changes a result or an error.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ import logging
 import math
 import os
 import random
+import zipfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -148,11 +157,22 @@ class Dataset:
         }
 
 
-def _read_jsonl(path: Path, error: type[ValueError]) -> Iterator[tuple[int, dict]]:
-    """Yield (line number, object) for each non-blank line; ``error`` names a bad line."""
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+def _read_jsonl(
+    path: Path, error: type[ValueError], digest: hashlib._Hash | None = None
+) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, object) for each non-blank line; ``error`` names a bad line.
+
+    Lines end at ``\\n`` and are decoded one at a time, so invalid UTF-8 is
+    reported with its line. ``digest``, when given, is fed every byte read.
+    """
+    with path.open("rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            if digest is not None:
+                digest.update(raw)
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError:
+                raise error(f"{path}:{lineno}: not valid UTF-8") from None
             if not line:
                 continue
             try:
@@ -255,19 +275,20 @@ def _dump_canonical(record: dict) -> str:
 
 
 @contextmanager
-def atomic_write(path: str | Path) -> Iterator[IO[str]]:
-    """Open ``path`` for writing text so that readers see the old file or the whole new one.
+def atomic_write(path: str | Path, binary: bool = False) -> Iterator[IO]:
+    """Open ``path`` for writing so that readers see the old file or the whole new one.
 
-    The text goes to a temporary file in the same directory, which replaces
-    ``path`` only when the block exits normally; on an exception the
-    temporary file is removed and ``path`` is left as it was. A process
-    killed mid-write leaves at most a stray ``.tmp`` file beside ``path``.
+    The handle takes UTF-8 text, or bytes when ``binary``. What is written
+    goes to a temporary file in the same directory, which replaces ``path``
+    only when the block exits normally; on an exception the temporary file
+    is removed and ``path`` is left as it was. A process killed mid-write
+    leaves at most a stray ``.tmp`` file beside ``path``.
     """
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     temp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
-        with temp.open("w", encoding="utf-8") as fh:
+        with temp.open("wb") if binary else temp.open("w", encoding="utf-8") as fh:
             yield fh
         os.replace(temp, target)
     finally:
@@ -317,9 +338,19 @@ def dataset_content_hash(path: str | Path) -> str:
     """SHA-256 over the corpus and benchmark file bytes, for provenance records."""
     root = Path(path)
     manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
+    return _sha256_file(
+        root / manifest.get("corpus_file", "corpus.jsonl"),
+        root / manifest.get("benchmark_file", "benchmark.jsonl"),
+    )
+
+
+def _sha256_file(*paths: Path) -> str:
+    """SHA-256 over the bytes of ``paths`` in turn, read in 1 MB blocks."""
     digest = hashlib.sha256()
-    for key, default in (("corpus_file", "corpus.jsonl"), ("benchmark_file", "benchmark.jsonl")):
-        digest.update((root / manifest.get(key, default)).read_bytes())
+    for path in paths:
+        with path.open("rb") as fh:
+            while block := fh.read(1 << 20):
+                digest.update(block)
     return digest.hexdigest()
 
 
@@ -563,11 +594,32 @@ def load_grid(path: str | Path, space: SearchSpace) -> GridTable:
     """Load a grid table computed against ``space``.
 
     A row whose ordinal lies outside ``space`` is rejected with its line.
+    The bytes of a table are parsed once: the parsed columns are saved
+    beside it (:func:`_save_companion`), and a later load of the same bytes
+    rebuilds the table from them without reading the JSON.
     """
     source = Path(path)
+    table = _load_companion(source, space)
+    if table is None:
+        digest = hashlib.sha256()
+        table = _parse_grid(source, space, digest)
+        _save_companion(table, source, digest.hexdigest())
+    return table
+
+
+def _check_fingerprint(source: Path, fingerprint: str, space: SearchSpace) -> None:
+    if fingerprint != space.fingerprint():
+        raise FingerprintMismatchError(
+            f"{source}: table fingerprint {fingerprint[:12]}... does not "
+            f"match the active search space {space.fingerprint()[:12]}..."
+        )
+
+
+def _parse_grid(source: Path, space: SearchSpace, digest: hashlib._Hash) -> GridTable:
+    """Parse a grid-table file line by line, feeding ``digest`` every byte read."""
     size = space.total_size
     table: GridTable | None = None
-    for lineno, record in _read_jsonl(source, GridFormatError):
+    for lineno, record in _read_jsonl(source, GridFormatError, digest):
         if table is None:
             version = record.get("format_version")
             if version != GRID_FORMAT_VERSION:
@@ -577,11 +629,7 @@ def load_grid(path: str | Path, space: SearchSpace) -> GridTable:
             fingerprint = record.get("space_fingerprint")
             if not fingerprint:
                 raise GridFormatError(f"{source}:{lineno}: header missing space_fingerprint")
-            if fingerprint != space.fingerprint():
-                raise FingerprintMismatchError(
-                    f"{source}: table fingerprint {fingerprint[:12]}... does not "
-                    f"match the active search space {space.fingerprint()[:12]}..."
-                )
+            _check_fingerprint(source, fingerprint, space)
             table = GridTable(space_fingerprint=fingerprint)
             continue
         try:
@@ -614,6 +662,110 @@ def load_grid(path: str | Path, space: SearchSpace) -> GridTable:
     return table
 
 
+COMPANION_VERSION = 1
+# What reading a damaged or foreign companion can raise; each is a miss.
+_COMPANION_ERRORS = (
+    OSError,
+    ValueError,
+    KeyError,
+    TypeError,
+    EOFError,
+    zipfile.BadZipFile,
+    NotImplementedError,
+    RuntimeError,
+)
+
+
+def _companion_path(source: Path) -> Path:
+    return source.with_name(source.name + ".cols.npz")
+
+
+def _save_companion(table: GridTable, source: Path, table_sha256: str) -> None:
+    """Save ``table``'s columns beside ``source``, keyed on the SHA-256 of its bytes.
+
+    The ``.npz`` holds one float64 matrix ``scores<i>`` per (split, metric),
+    in sorted key order with rows in sorted qid order, and a ``manifest``:
+    ASCII JSON in a uint8 array with the companion and table format
+    versions, the digest, the space fingerprint, each matrix's key, width
+    and qids, and the cost rows. Its bytes depend on nothing else, so equal
+    tables give equal files. A failed write is logged, not raised.
+    """
+    columns, arrays = [], {}
+    for i, (split, metric) in enumerate(sorted(table._columns)):
+        col = table._columns[(split, metric)]
+        qids = sorted(col.rows)
+        arrays[f"scores{i}"] = col.matrix[[col.rows[q] for q in qids], : col.width]
+        columns.append([split, metric, col.width, qids])
+    manifest = {
+        "companion_version": COMPANION_VERSION,
+        "format_version": table.format_version,
+        "table_sha256": table_sha256,
+        "space_fingerprint": table.space_fingerprint,
+        "columns": columns,
+        "costs": [
+            [ordinal, split, *table.costs[(ordinal, split)].as_dict().values()]
+            for ordinal, split in sorted(table.costs)
+        ],
+    }
+    # ASCII JSON keeps every qid exactly, NULs and lone surrogates included.
+    text = json.dumps(manifest, ensure_ascii=True)
+    arrays["manifest"] = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    target = _companion_path(source)
+    try:
+        # A file handle, not a path: given a path, np.savez appends ".npz".
+        with atomic_write(target, binary=True) as fh:
+            np.savez(fh, **arrays)
+    except OSError as exc:
+        log.warning("%s: could not save the parsed grid table (%s); loads will parse it", target, exc)
+
+
+def _load_companion(source: Path, space: SearchSpace) -> GridTable | None:
+    """The table saved beside ``source`` by :func:`_save_companion`, or None to parse it.
+
+    The companion is trusted only when it is keyed on the current bytes of
+    ``source`` and whole: its members are exactly those its manifest names,
+    each matrix has the width and one row per qid that the manifest lists,
+    and every ordinal lies inside ``space``. Any error reading it is a miss.
+    A fingerprint other than ``space``'s raises as a parse of the table would.
+    """
+    size = space.total_size
+    try:
+        with np.load(_companion_path(source), allow_pickle=False) as npz:
+            manifest = json.loads(npz["manifest"].tobytes())
+            if (
+                manifest["companion_version"] != COMPANION_VERSION
+                or manifest["format_version"] != GRID_FORMAT_VERSION
+                or manifest["table_sha256"] != _sha256_file(source)
+            ):
+                return None
+            _check_fingerprint(source, manifest["space_fingerprint"], space)
+            names = [f"scores{i}" for i in range(len(manifest["columns"]))]
+            if sorted(npz.files) != sorted(["manifest", *names]):
+                return None
+            table = GridTable(space_fingerprint=manifest["space_fingerprint"])
+            for (split, metric, width, qids), name in zip(manifest["columns"], names):
+                columns = table._columns[(split, metric)] = _Columns()
+                columns.rows = {qid: row for row, qid in enumerate(qids)}
+                columns.matrix = npz[name]
+                columns.width = width
+                if not (
+                    columns.matrix.dtype == np.float64
+                    and columns.matrix.shape == (len(columns.rows), width)
+                    and len(qids) == len(columns.rows) > 0
+                    and 0 < width <= size
+                ):
+                    return None
+            for ordinal, split, *counts in manifest["costs"]:
+                if not 0 <= ordinal < size:
+                    return None
+                table.set_cost(ordinal, split, CostDelta(*counts))
+    except FingerprintMismatchError:
+        raise
+    except _COMPANION_ERRORS:
+        return None
+    return table
+
+
 def _score_line(key: GridKey, score: float) -> str:
     ordinal, split, metric, qid = key
     return _dump_canonical(
@@ -628,9 +780,20 @@ def _cost_line(ordinal: int, split: str, cost: CostDelta) -> str:
 
 
 def store_grid(table: GridTable, path: str | Path) -> None:
-    """Write a grid table atomically in canonical row order (ordinal, split, metric, qid)."""
-    with atomic_write(path) as fh:
-        fh.write(
+    """Write a grid table atomically in canonical row order (ordinal, split, metric, qid).
+
+    Its columns are saved beside it as :func:`load_grid` saves a parsed
+    table's, so the next load of the file need not parse it.
+    """
+    digest = hashlib.sha256()
+    with atomic_write(path, binary=True) as fh:
+
+        def write(text: str) -> None:
+            data = text.encode("utf-8")
+            digest.update(data)
+            fh.write(data)
+
+        write(
             _dump_canonical(
                 {
                     "format_version": table.format_version,
@@ -640,9 +803,10 @@ def store_grid(table: GridTable, path: str | Path) -> None:
             + "\n"
         )
         for key, score in table._rows():
-            fh.write(_score_line(key, score))
+            write(_score_line(key, score))
         for (ordinal, split) in sorted(table.costs):
-            fh.write(_cost_line(ordinal, split, table.costs[(ordinal, split)]))
+            write(_cost_line(ordinal, split, table.costs[(ordinal, split)]))
+    _save_companion(table, Path(path), digest.hexdigest())
 
 
 def grid_cell_text(
@@ -664,17 +828,29 @@ def drop_torn_tail(path: str | Path) -> None:
     """Cut a final line that lacks its newline, left by a writer killed mid-row.
 
     Every row is written with its newline, so such a line is incomplete; a
-    warning names the file and the bytes dropped.
+    warning names the file and the bytes dropped. Only the tail is read:
+    the last byte, then blocks backwards to the last newline.
     """
     source = Path(path)
     with source.open("rb+") as fh:
-        data = fh.read()
-        if not data or data.endswith(b"\n"):
+        size = fh.seek(0, os.SEEK_END)
+        if size == 0:
             return
-        keep = data.rfind(b"\n") + 1
+        fh.seek(size - 1)
+        if fh.read(1) == b"\n":
+            return
+        keep, end = 0, size
+        while end > 0:
+            start = max(0, end - (1 << 16))
+            fh.seek(start)
+            cut = fh.read(end - start).rfind(b"\n")
+            if cut >= 0:
+                keep = start + cut + 1
+                break
+            end = start
         fh.truncate(keep)
     log.warning(
         "%s: dropped a torn final line (%d bytes) left by an interrupted write",
         source,
-        len(data) - keep,
+        size - keep,
     )

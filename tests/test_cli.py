@@ -288,6 +288,27 @@ def test_analyze_rejects_a_bad_line_with_its_location(tmp_path, fixture_table, c
     assert f"{broken}:2: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["grid table", "run export", "dataset"])
+def test_invalid_utf8_exits_2_with_its_location(tmp_path, fixture_table, dataset_dir, capsys, kind):
+    run = tmp_path / "run.jsonl"
+    optimize = ["optimize", "--grid", str(fixture_table), "--budget", "2", "--seeds", "1", "--out", str(run)]
+    if kind == "grid table":
+        source, argv = fixture_table, optimize
+    elif kind == "run export":
+        main(optimize)
+        source, argv = run, ["analyze", "--run", str(run), "--out", str(tmp_path / "out")]
+    else:
+        source = dataset_dir / "benchmark.jsonl"
+        argv = ["sample", "--dataset", str(dataset_dir), "--out", str(tmp_path / "s"),
+                "--fraction", "0.5", "--noise", "1", "--seed", "1"]
+    lines = source.read_bytes().splitlines(keepends=True)
+    lines[1] = lines[1].replace(b'"', b'"\xff', 1)
+    source.write_bytes(b"".join(lines))
+    capsys.readouterr()
+    assert main(argv) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {source}:2: not valid UTF-8\n"
+
+
 # ---------------------------------------------------------------------------
 # grid (live against the loopback stub)
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
+import hashlib
+import io
 import json
 import math
 import random
+import zipfile
 
 import numpy as np
 import pytest
 
+from raghpo import dataio
 from raghpo.costs import CostDelta
 from raghpo.dataio import (
     Dataset,
@@ -12,6 +16,7 @@ from raghpo.dataio import (
     Document,
     FingerprintMismatchError,
     GridFormatError,
+    SPLITS,
     GridTable,
     IncompleteTableError,
     QaPair,
@@ -26,7 +31,8 @@ from raghpo.dataio import (
     store_dataset,
     store_grid,
 )
-from raghpo.metrics import LEXICAL_AC
+from raghpo.harness import RUN_FORMAT_VERSION, load_run
+from raghpo.metrics import CONTEXT_MRR, FAITHFULNESS, LEXICAL_AC, METRIC_NAMES
 
 from conftest import fill_table, is_complete, make_document
 
@@ -426,6 +432,9 @@ def test_atomic_write_keeps_previous_file_on_failure(tmp_path):
         (b"a\nb\n", b"a\nb\n"),
         (b"a\nb\n{\"ordinal\":1,", b"a\nb\n"),
         (b"torn", b""),
+        # Torn tails longer than the block read backwards from the end.
+        pytest.param(b"a\n" + b"x" * 70000, b"a\n", id="long-torn-tail"),
+        pytest.param(b"y" * 140000, b"", id="long-torn-only-line"),
     ],
 )
 def test_drop_torn_tail_cuts_only_an_unterminated_last_line(tmp_path, caplog, content, kept):
@@ -456,3 +465,300 @@ def test_appended_cells_load_with_last_cost_row_winning(tmp_path, tiny_space):
     path.write_bytes(path.read_bytes()[:-5])
     with pytest.raises(GridFormatError, match="invalid JSON"):
         load_grid(path, tiny_space)
+
+
+def test_dataset_content_hash_covers_corpus_then_benchmark_bytes(tmp_path, tiny_dataset):
+    store_dataset(tiny_dataset, tmp_path / "ds")
+    data = (tmp_path / "ds" / "corpus.jsonl").read_bytes()
+    data += (tmp_path / "ds" / "benchmark.jsonl").read_bytes()
+    assert dataset_content_hash(tmp_path / "ds") == hashlib.sha256(data).hexdigest()
+
+
+def _break_utf8(path, lineno=2):
+    """Put a 0xff byte inside the first string of line ``lineno``."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[lineno - 1] = lines[lineno - 1].replace(b'"', b'"\xff', 1)
+    path.write_bytes(b"".join(lines))
+
+
+@pytest.mark.parametrize("kind", ["grid table", "corpus", "benchmark", "run export"])
+def test_invalid_utf8_is_reported_with_its_line(tmp_path, tiny_space, tiny_dataset, kind):
+    if kind == "grid table":
+        path = tmp_path / "g.jsonl"
+        store_grid(fill_table(tiny_space, lambda *_: 0.5, split_metrics={"dev": (LEXICAL_AC,)},
+                              qids={"dev": ("q0",)}), path)
+        load = lambda: load_grid(path, tiny_space)  # noqa: E731
+    elif kind == "run export":
+        path = tmp_path / "run.jsonl"
+        header = {"kind": "run_header", "format_version": RUN_FORMAT_VERSION}
+        path.write_text(json.dumps(header) + '\n{"kind":"trial","note":"x"}\n')
+        load = lambda: load_run(path)  # noqa: E731
+    else:
+        store_dataset(tiny_dataset, tmp_path / "ds")
+        path = tmp_path / "ds" / f"{kind}.jsonl"
+        load = lambda: load_dataset(tmp_path / "ds")  # noqa: E731
+    _break_utf8(path)
+    with pytest.raises(ValueError) as excinfo:
+        load()
+    assert str(excinfo.value) == f"{path}:2: not valid UTF-8"
+
+
+# ---------------------------------------------------------------------------
+# Columnar companion of a grid table
+# ---------------------------------------------------------------------------
+
+
+def _companion(path):
+    return path.with_name(path.name + ".cols.npz")
+
+
+@pytest.fixture()
+def parses(monkeypatch):
+    """The tables that load_grid parses from JSON, in order."""
+    calls = []
+    real = dataio._parse_grid
+
+    def counting(source, *args):
+        calls.append(source)
+        return real(source, *args)
+
+    monkeypatch.setattr(dataio, "_parse_grid", counting)
+    return calls
+
+
+def _gappy_table(space, seed=0):
+    """Random scores with gaps, a qid seen once, unused ordinals and cost rows."""
+    rng = random.Random(seed)
+    table = GridTable(space_fingerprint=space.fingerprint())
+    rows = [
+        (ordinal, split, metric, qid, rng.random())
+        for split, metrics in (("dev", (LEXICAL_AC, CONTEXT_MRR)), ("test", (LEXICAL_AC,)))
+        for metric in metrics
+        for ordinal in range(space.total_size - 3)
+        for qid in ("q0", "q1", "q2", "q10")
+        if rng.random() < 0.9
+    ]
+    rows.append((5, "dev", FAITHFULNESS, "lonely", 1.0))
+    rng.shuffle(rows)
+    for row in rows:
+        table.add_score(*row)
+    for ordinal in range(0, space.total_size, 3):
+        table.set_cost(ordinal, rng.choice(SPLITS), CostDelta(ordinal, 2 * ordinal, 7))
+    return table
+
+
+def _write_shuffled(table, path):
+    """``table`` as an in-progress file: rows in no order, no companion."""
+    store_grid(table, path)
+    header, *rows = path.read_text().splitlines(keepends=True)
+    random.Random(1).shuffle(rows)
+    path.write_text(header + "".join(rows))
+    _companion(path).unlink()
+
+
+def _assert_same_table(a, b, space):
+    """Equal rows and costs, and bit-identical slices of every (split, metric)."""
+    assert a.space_fingerprint == b.space_fingerprint
+    assert a.scores == b.scores
+    assert a.costs == b.costs
+    for split in SPLITS:
+        for metric in sorted(METRIC_NAMES):
+            for qids in (None, ("q1", "absent", "q0")):
+                x = a.slice(split, metric, space.total_size, qids)
+                y = b.slice(split, metric, space.total_size, qids)
+                assert x.qids == y.qids
+                assert x.matrix.tobytes() == y.matrix.tobytes()
+                assert x.means.tobytes() == y.means.tobytes()
+
+
+def test_companion_hit_equals_a_parse(tmp_path, tiny_space, parses):
+    path = tmp_path / "g.jsonl"
+    _write_shuffled(_gappy_table(tiny_space), path)
+    parsed = load_grid(path, tiny_space)
+    assert parses == [path] and _companion(path).is_file()
+    hit = load_grid(path, tiny_space)
+    assert parses == [path]
+    _assert_same_table(hit, parsed, tiny_space)
+    # Both paths store the same canonical bytes.
+    store_grid(parsed, tmp_path / "from_parse.jsonl")
+    store_grid(hit, tmp_path / "from_hit.jsonl")
+    canonical = (tmp_path / "from_parse.jsonl").read_bytes()
+    assert (tmp_path / "from_hit.jsonl").read_bytes() == canonical
+    # A table rebuilt from a companion still takes new rows, as a resumed grid adds them.
+    for table in (parsed, hit):
+        table.add_score(tiny_space.total_size - 1, "test", LEXICAL_AC, "q99", 0.25)
+    _assert_same_table(hit, parsed, tiny_space)
+
+
+def test_stored_table_loads_without_a_parse(tmp_path, tiny_space, parses):
+    table = _gappy_table(tiny_space)
+    path = tmp_path / "g.jsonl"
+    store_grid(table, path)
+    _assert_same_table(load_grid(path, tiny_space), table, tiny_space)
+    assert parses == []
+    empty = GridTable(space_fingerprint=tiny_space.fingerprint())
+    store_grid(empty, path)
+    _assert_same_table(load_grid(path, tiny_space), empty, tiny_space)
+    assert parses == []
+
+
+def test_editing_one_byte_forces_a_parse(tmp_path, tiny_space, parses):
+    table = fill_table(tiny_space, lambda *_: 0.5, split_metrics={"dev": (LEXICAL_AC,)},
+                       qids={"dev": ("q0",)})
+    path = tmp_path / "g.jsonl"
+    store_grid(table, path)
+    data = path.read_bytes()
+    path.write_bytes(data.replace(b'"score":0.5', b'"score":0.6', 1))
+    edited = load_grid(path, tiny_space)
+    assert parses == [path]
+    assert edited.slice("dev", LEXICAL_AC, tiny_space.total_size).matrix[0, 0] == 0.6
+    # The parse replaced the companion, so the next load of the edit hits.
+    _assert_same_table(load_grid(path, tiny_space), edited, tiny_space)
+    assert parses == [path]
+
+
+def _small_table(space):
+    table = GridTable(space_fingerprint=space.fingerprint())
+    table.add_score(3, "dev", LEXICAL_AC, "q0", 0.5)
+    table.set_cost(1, "test", CostDelta(1, 2, 3))
+    return table
+
+
+def test_truncated_companion_is_ignored(tmp_path, tiny_space, parses):
+    table = _small_table(tiny_space)
+    path = tmp_path / "g.jsonl"
+    store_grid(table, path)
+    whole = _companion(path).read_bytes()
+    for size in range(len(whole)):
+        _companion(path).write_bytes(whole[:size])
+        _assert_same_table(load_grid(path, tiny_space), table, tiny_space)
+        assert len(parses) == size + 1
+    assert _companion(path).read_bytes() == whole
+
+
+def test_companion_with_a_flipped_bit_is_ignored_or_equal(tmp_path, tiny_space):
+    table = _small_table(tiny_space)
+    path = tmp_path / "g.jsonl"
+    store_grid(table, path)
+    whole = _companion(path).read_bytes()
+    for offset in range(len(whole)):
+        damaged = bytearray(whole)
+        damaged[offset] ^= 1 << (offset % 8)
+        _companion(path).write_bytes(bytes(damaged))
+        _assert_same_table(load_grid(path, tiny_space), table, tiny_space)
+
+
+@pytest.mark.parametrize("change", ["member deleted", "member added", "matrix narrowed"])
+def test_companion_with_other_members_is_ignored(tmp_path, tiny_space, parses, change):
+    table = _small_table(tiny_space)
+    path = tmp_path / "g.jsonl"
+    store_grid(table, path)
+    with zipfile.ZipFile(_companion(path)) as source:
+        members = {name: source.read(name) for name in source.namelist()}
+    if change == "member deleted":
+        del members["scores0.npy"]
+    elif change == "member added":
+        members["scores1.npy"] = members["scores0.npy"]
+    else:
+        narrowed = io.BytesIO()
+        np.save(narrowed, np.load(io.BytesIO(members["scores0.npy"]))[:, :-1])
+        members["scores0.npy"] = narrowed.getvalue()
+    with zipfile.ZipFile(_companion(path), "w") as target:
+        for name, data in members.items():
+            target.writestr(name, data)
+    _assert_same_table(load_grid(path, tiny_space), table, tiny_space)
+    assert parses == [path]
+
+
+def test_companion_hit_checks_the_fingerprint(tmp_path, tiny_space, default_space, parses):
+    path = tmp_path / "g.jsonl"
+    store_grid(_small_table(tiny_space), path)
+    with pytest.raises(FingerprintMismatchError) as from_hit:
+        load_grid(path, default_space)
+    assert parses == []
+    _companion(path).unlink()
+    with pytest.raises(FingerprintMismatchError) as from_parse:
+        load_grid(path, default_space)
+    assert parses == [path]
+    assert str(from_hit.value) == str(from_parse.value)
+
+
+class _SameFingerprintSmaller:
+    """A space that claims ``space``'s fingerprint but holds only ``size`` configurations."""
+
+    def __init__(self, space, size):
+        self.fingerprint = space.fingerprint
+        self.total_size = size
+
+
+@pytest.mark.parametrize("kind", ["score", "cost"])
+def test_companion_reaching_outside_the_space_is_a_miss(tmp_path, tiny_space, parses, kind):
+    table = GridTable(space_fingerprint=tiny_space.fingerprint())
+    table.add_score(9 if kind == "score" else 0, "dev", LEXICAL_AC, "q0", 0.5)
+    table.set_cost(9 if kind == "cost" else 0, "dev", CostDelta(1, 2, 3))
+    path = tmp_path / "g.jsonl"
+    store_grid(table, path)
+    with pytest.raises(GridFormatError, match=r"g\.jsonl:\d: ordinal 9 is outside"):
+        load_grid(path, _SameFingerprintSmaller(tiny_space, 8))
+    assert parses == [path]
+
+
+def test_malformed_table_reports_its_line_despite_a_companion(tmp_path, tiny_space):
+    path = tmp_path / "g.jsonl"
+    store_grid(_gappy_table(tiny_space), path)
+    header, *rows = path.read_text().splitlines(keepends=True)
+    # A broken copy beside a copy of the good companion, and the table broken in place.
+    broken = tmp_path / "broken.jsonl"
+    broken.write_text(header + "{not json\n" + "".join(rows))
+    _companion(broken).write_bytes(_companion(path).read_bytes())
+    path.write_text(header + rows[0].replace('"score":', '"score":9', 1) + "".join(rows[1:]))
+    with pytest.raises(GridFormatError, match=r"broken\.jsonl:2: invalid JSON"):
+        load_grid(broken, tiny_space)
+    with pytest.raises(GridFormatError, match=r"g\.jsonl:2: score must be in \[0, 1\]"):
+        load_grid(path, tiny_space)
+
+
+def test_companion_keeps_qids_exactly(tmp_path, tiny_space, parses):
+    qids = ["a\x00", "a", "\ud800", "é😀"]
+    path = tmp_path / "g.jsonl"
+    header = {"format_version": 1, "space_fingerprint": tiny_space.fingerprint()}
+    rows = [
+        {"ordinal": 0, "split": "dev", "metric": LEXICAL_AC, "qid": qid, "score": i / 4}
+        for i, qid in enumerate(qids)
+    ]
+    path.write_text("".join(json.dumps(r) + "\n" for r in [header, *rows]))
+    parsed = load_grid(path, tiny_space)
+    hit = load_grid(path, tiny_space)
+    assert parses == [path]
+    assert hit.slice("dev", LEXICAL_AC, 1).qids == tuple(sorted(qids))
+    _assert_same_table(hit, parsed, tiny_space)
+
+
+def test_unwritable_companion_returns_the_parsed_table_with_one_warning(
+    tmp_path, tiny_space, caplog
+):
+    table = _gappy_table(tiny_space)
+    path = tmp_path / "g.jsonl"
+    store_grid(table, path)
+    # A directory in the companion's place: it can be neither read nor replaced.
+    _companion(path).unlink()
+    _companion(path).mkdir()
+    (_companion(path) / "keep").write_text("x")
+    with caplog.at_level("WARNING", logger="raghpo.dataio"):
+        _assert_same_table(load_grid(path, tiny_space), table, tiny_space)
+    assert [r.levelname for r in caplog.records] == ["WARNING"]
+    assert str(_companion(path)) in caplog.records[0].getMessage()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.jsonl", "g.jsonl.cols.npz"]
+
+
+def test_companion_bytes_depend_only_on_the_table(tmp_path, tiny_space):
+    table = _gappy_table(tiny_space)
+    first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    store_grid(table, first)
+    saved = _companion(first).read_bytes()
+    # Saved again after a parse of a shuffled copy, and after a store of the loaded table.
+    _write_shuffled(table, second)
+    store_grid(load_grid(second, tiny_space), second)
+    assert _companion(second).read_bytes() == saved
+    store_grid(table, first)
+    assert _companion(first).read_bytes() == saved
