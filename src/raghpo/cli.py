@@ -63,13 +63,7 @@ def _load_config(path: str | None) -> dict:
     source = Path(path)
     if not source.is_file():
         raise CliError(f"config file not found: {source}")
-    try:
-        config = json.loads(source.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise CliError(f"{source}:{exc.lineno}: invalid JSON ({exc.msg})") from None
-    if not isinstance(config, dict):
-        raise CliError(f"{source}: config must be a JSON object")
-    return config
+    return dataio.read_json_object(source, CliError)
 
 
 def _setting(args: argparse.Namespace, config: dict, key: str, default=None):
@@ -83,11 +77,16 @@ def _load_space(value) -> SearchSpace:
     if value is None:
         return SearchSpace.default()
     if isinstance(value, dict):
-        return SearchSpace.from_dict(value)
-    path = Path(value)
-    if not path.is_file():
-        raise CliError(f"search space file not found: {path}")
-    return SearchSpace.from_dict(json.loads(path.read_text(encoding="utf-8")))
+        source, data = "space", value
+    else:
+        source = Path(value)
+        if not source.is_file():
+            raise CliError(f"search space file not found: {source}")
+        data = dataio.read_json_object(source, CliError)
+    try:
+        return SearchSpace.from_dict(data)
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"{source}: {exc}") from None
 
 
 def _parse_seeds(value) -> tuple[int, ...]:
@@ -118,23 +117,25 @@ def _build_live_evaluator(
     config: dict, dataset, space, parallelism: int
 ) -> LivePipelineEvaluator:
     endpoints = config.get("endpoints", {})
-    if "embed" not in endpoints or "generate" not in endpoints:
+    if not isinstance(endpoints, dict) or "embed" not in endpoints or "generate" not in endpoints:
         raise CliError(
             "live backend needs endpoints.embed and endpoints.generate in the config file"
         )
-    judge = (
-        JudgeClient(ServiceEndpoint.from_dict(endpoints["judge"]))
-        if "judge" in endpoints
-        else None
-    )
+
+    def endpoint(name: str) -> ServiceEndpoint:
+        try:
+            return ServiceEndpoint.from_dict(endpoints[name])
+        except ValueError as exc:
+            raise CliError(f"endpoints.{name}: {exc}") from None
+
+    judge = JudgeClient(endpoint("judge")) if "judge" in endpoints else None
     return LivePipelineEvaluator(
         dataset=dataset,
         space=space,
         embedder=EmbeddingClient(
-            ServiceEndpoint.from_dict(endpoints["embed"]),
-            batch_size=int(config.get("embed_batch_size", 32)),
+            endpoint("embed"), batch_size=int(config.get("embed_batch_size", 32))
         ),
-        generator=GenerationClient(ServiceEndpoint.from_dict(endpoints["generate"])),
+        generator=GenerationClient(endpoint("generate")),
         templates=TemplateStore.builtin(),
         judge=judge,
         parallelism=parallelism,

@@ -184,6 +184,25 @@ def _read_jsonl(
             yield lineno, record
 
 
+def read_json_object(path: Path, error: type[Exception]) -> dict:
+    """The single JSON object that ``path`` holds; ``error`` says why it is not one.
+
+    The message is ``path:line: invalid JSON (msg)``, ``path: not valid
+    UTF-8`` or ``path: expected a JSON object``.
+    """
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError:
+        raise error(f"{path}: not valid UTF-8") from None
+    try:
+        document = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from None
+    if not isinstance(document, dict):
+        raise error(f"{path}: expected a JSON object")
+    return document
+
+
 def _require(record: dict, key: str, path: Path, lineno: int) -> object:
     if key not in record:
         raise DatasetFormatError(f"{path}:{lineno}: missing required field {key!r}")
@@ -200,7 +219,7 @@ def load_dataset(path: str | Path) -> Dataset:
     manifest_path = root / "manifest.json"
     if not manifest_path.is_file():
         raise DatasetFormatError(f"{manifest_path}: manifest not found")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest = read_json_object(manifest_path, DatasetFormatError)
     version = manifest.get("format_version")
     if version != DATASET_FORMAT_VERSION:
         raise DatasetFormatError(
@@ -337,7 +356,7 @@ def store_dataset(dataset: Dataset, path: str | Path) -> None:
 def dataset_content_hash(path: str | Path) -> str:
     """SHA-256 over the corpus and benchmark file bytes, for provenance records."""
     root = Path(path)
-    manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
+    manifest = read_json_object(root / "manifest.json", DatasetFormatError)
     return _sha256_file(
         root / manifest.get("corpus_file", "corpus.jsonl"),
         root / manifest.get("benchmark_file", "benchmark.jsonl"),

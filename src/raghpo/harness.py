@@ -11,7 +11,6 @@ cost curves cover optimization-time spend only.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import statistics
@@ -19,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .costs import CostDelta
-from .dataio import _dump_canonical, _read_jsonl, atomic_write
+from .dataio import _dump_canonical, _read_jsonl, atomic_write, read_json_object
 from .evaluator import Objective, best_so_far
 from .metrics import CONTEXT_MRR
 from .optimizers import (
@@ -620,7 +619,7 @@ def _save_checkpoint(
 
 
 def _load_checkpoint(path: Path, spec: RunSpec) -> tuple[list[SeedRun], _SeedProgress | None]:
-    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload = read_json_object(path, ValueError)
     if payload.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint format_version")
     saved = _spec_from_header(payload)

@@ -14,6 +14,14 @@ vendor-neutral:
 * ``POST {base}/judge`` with ``{"question", "answer", "gold_answer"}``
   returns ``{"score": float}`` in [0, 1].
 
+Requests go out through the standard library's ``urllib.request``, which
+honours ``*_proxy``/``no_proxy`` (read once per process) and verifies HTTPS
+against the system trust store. A 5xx or 429 reply, a refused or dropped
+connection and a timeout are retried with exponential backoff; any other
+reply but 200 (a 307/308 redirect included) fails at once, as does a 200
+whose body is not a JSON object. Every such failure is a
+:class:`ServiceFailure`.
+
 Generation requests always pin greedy decoding. Retrieval is an exact
 cosine scan over an in-memory index rather than an approximate structure:
 at the scale this engine targets, exact search is affordable and removes an
@@ -24,18 +32,22 @@ particular model's tokenizer.
 
 from __future__ import annotations
 
+import http.client
 import importlib.resources
+import json
 import logging
 import os
 import threading
 import time
+import urllib.error
+import urllib.parse
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import floor
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-import requests
 
 from .costs import CostDelta
 from .dataio import Dataset, Document, QaPair
@@ -235,10 +247,24 @@ class ServiceEndpoint:
     backoff_seconds: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.timeout <= 0:
+        url = self.base_url
+        if not isinstance(url, str) or any(c <= " " or c >= "\x7f" for c in url):
+            raise ValueError(
+                f"base_url must be a string of printable ASCII without spaces, got {url!r}"
+            )
+        parts = urllib.parse.urlsplit(url)
+        try:
+            parts.port
+        except ValueError:
+            raise ValueError(f"base_url has an invalid port: {url!r}") from None
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ValueError(f"base_url must be an http:// or https:// URL with a host, got {url!r}")
+        if not self.timeout > 0:
             raise ValueError(f"timeout must be > 0, got {self.timeout}")
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
+        if not self.backoff_seconds >= 0:
+            raise ValueError(f"backoff_seconds must be >= 0, got {self.backoff_seconds}")
 
     def headers(self) -> dict[str, str]:
         """The bearer token from ``auth_env``, or no headers when it is unset or empty."""
@@ -247,13 +273,19 @@ class ServiceEndpoint:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ServiceEndpoint":
-        return cls(
-            base_url=data["base_url"],
-            auth_env=data.get("auth_env"),
-            timeout=float(data.get("timeout", 60.0)),
-            max_attempts=int(data.get("max_attempts", 3)),
-            backoff_seconds=float(data.get("backoff_seconds", 0.5)),
-        )
+        """The endpoint a config entry describes; a bad entry is a ``ValueError`` naming the field."""
+        if not isinstance(data, Mapping):
+            raise ValueError(f"expected an object with a base_url, got {data!r}")
+        if "base_url" not in data:
+            raise ValueError("base_url is required")
+        fields = {"base_url": data["base_url"], "auth_env": data.get("auth_env")}
+        for name, kind in (("timeout", float), ("max_attempts", int), ("backoff_seconds", float)):
+            if name in data:
+                try:
+                    fields[name] = kind(data[name])
+                except (TypeError, ValueError):
+                    raise ValueError(f"{name} must be a number, got {data[name]!r}") from None
+        return cls(**fields)
 
 
 class _ServiceClient:
@@ -272,36 +304,54 @@ class _ServiceClient:
         if endpoint.auth_env and not headers and self._auth_warned.acquire(blocking=False):
             log.warning("auth env var %s is not set; sending unauthenticated", endpoint.auth_env)
         url = endpoint.base_url.rstrip("/") + route
+        request = urllib.request.Request(
+            url,
+            data=json.dumps(payload, allow_nan=False).encode("utf-8"),
+            headers={"Content-Type": "application/json", **headers},
+            method="POST",
+        )
         last_error: Exception | None = None
         for attempt in range(endpoint.max_attempts):
             if attempt:
                 time.sleep(endpoint.backoff_seconds * (2 ** (attempt - 1)))
             try:
-                response = requests.post(
-                    url, json=payload, timeout=endpoint.timeout, headers=headers
-                )
-            except requests.RequestException as exc:
+                try:
+                    response = urllib.request.urlopen(request, timeout=endpoint.timeout)
+                except urllib.error.HTTPError as exc:
+                    # A reply other than 2xx, a 307/308 redirect included; it
+                    # carries the status and the body, and must be closed.
+                    response = exc
+                with response:
+                    status, body = response.status, response.read()
+            # URLError, timeouts and refused or reset connections are OSErrors;
+            # HTTPException covers a reply cut short or a dropped connection.
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
                 log.warning("request to %s failed (attempt %d): %s", url, attempt + 1, exc)
                 continue
-            if response.status_code >= 500 or response.status_code == 429:
-                last_error = ServiceFailure(f"{url} returned HTTP {response.status_code}")
-                log.warning("%s returned HTTP %d (attempt %d)", url, response.status_code, attempt + 1)
+            if status >= 500 or status == 429:
+                last_error = ServiceFailure(f"{url} returned HTTP {status}")
+                log.warning("%s returned HTTP %d (attempt %d)", url, status, attempt + 1)
                 continue
-            if response.status_code != 200:
-                raise ServiceFailure(f"{url} returned HTTP {response.status_code}: {response.text[:200]}")
+            if status != 200:
+                raise ServiceFailure(f"{url} returned HTTP {status}: {_excerpt(body)}")
             try:
-                reply = response.json()
-            except ValueError:  # requests' JSONDecodeError
+                reply = json.loads(body)
+            except ValueError:  # JSONDecodeError, or UnicodeDecodeError on bytes that are not UTF-8
                 raise ServiceFailure(
-                    f"{url} returned a body that is not JSON: {response.text[:200]!r}"
+                    f"{url} returned a body that is not JSON: {_excerpt(body)!r}"
                 ) from None
             if not isinstance(reply, dict):
                 raise ServiceFailure(
-                    f"{url} returned JSON that is not an object: {response.text[:200]!r}"
+                    f"{url} returned JSON that is not an object: {_excerpt(body)!r}"
                 )
             return reply
         raise ServiceFailure(f"{url} failed after {endpoint.max_attempts} attempts: {last_error}")
+
+
+def _excerpt(body: bytes) -> str:
+    """The first 200 characters of a reply body, for an error message."""
+    return body.decode("utf-8", errors="replace")[:200]
 
 
 class EmbeddingClient(_ServiceClient):

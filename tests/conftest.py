@@ -178,11 +178,13 @@ class _StubHandler(BaseHTTPRequestHandler):
     def do_POST(self):  # noqa: N802 (http.server API)
         server = self.server
         length = int(self.headers.get("Content-Length", 0))
-        payload = json.loads(self.rfile.read(length) or b"{}")
-        remaining = server.fail_counts.get(self.path, 0)
+        raw = self.rfile.read(length)
+        server.received.setdefault(self.path, []).append((self.headers, raw))
+        payload = json.loads(raw or b"{}")
+        remaining, status = server.fail_counts.get(self.path, (0, 500))
         if remaining > 0:
-            server.fail_counts[self.path] = remaining - 1
-            self.send_response(500)
+            server.fail_counts[self.path] = (remaining - 1, status)
+            self.send_response(status)
             self.end_headers()
             return
         server.calls.setdefault(self.path, []).append(payload)
@@ -191,11 +193,12 @@ class _StubHandler(BaseHTTPRequestHandler):
         if reply is None:
             reply = self._normal_reply(payload)
         if reply is None:
-            self.send_response(404)
-            self.end_headers()
+            self._send(404, f"no route {self.path}".encode("utf-8"))
             return
-        body = reply if isinstance(reply, bytes) else json.dumps(reply).encode("utf-8")
-        self.send_response(200)
+        self._send(200, reply if isinstance(reply, bytes) else json.dumps(reply).encode("utf-8"))
+
+    def _send(self, status: int, body: bytes) -> None:
+        self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
@@ -229,6 +232,7 @@ class StubService:
         self.server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
         self.server.fail_counts = {}
         self.server.calls = {}
+        self.server.received = {}
         self.server.omit_token_counts = False
         self.server.overrides = {}
         self._thread = threading.Thread(
@@ -243,8 +247,13 @@ class StubService:
     def calls(self, route: str) -> list[dict]:
         return self.server.calls.get(route, [])
 
-    def fail_next(self, route: str, count: int) -> None:
-        self.server.fail_counts[route] = count
+    def received(self, route: str) -> list[tuple]:
+        """(headers, raw body) of every request to ``route``, failed ones included."""
+        return self.server.received.get(route, [])
+
+    def fail_next(self, route: str, count: int, status: int = 500) -> None:
+        """Answer the next ``count`` requests to ``route`` with ``status`` and no body."""
+        self.server.fail_counts[route] = (count, status)
 
     def set_omit_token_counts(self, omit: bool) -> None:
         self.server.omit_token_counts = omit

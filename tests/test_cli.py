@@ -1,6 +1,9 @@
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -141,6 +144,21 @@ def test_help_lists_subcommands(capsys):
     out = capsys.readouterr().out
     for command in ("optimize", "grid", "sample", "analyze"):
         assert command in out
+
+
+def test_cli_imports_nothing_beyond_the_standard_library_and_numpy():
+    probe = (
+        "import sys; before = set(sys.modules); import raghpo.cli; "
+        "print(*sorted({m.partition('.')[0] for m in set(sys.modules) - before}))"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    imported = set(done.stdout.split())
+    assert imported - set(sys.stdlib_module_names) == {"numpy", "raghpo"}
 
 
 def test_optimize_config_file_with_flag_override(tmp_path, fixture_table):
@@ -307,6 +325,37 @@ def test_invalid_utf8_exits_2_with_its_location(tmp_path, fixture_table, dataset
     capsys.readouterr()
     assert main(argv) == EXIT_VALIDATION
     assert capsys.readouterr().err == f"error: {source}:2: not valid UTF-8\n"
+
+
+BAD_JSON_DOCUMENTS = {
+    "space array": ("space", b"[1]", "{path}: expected a JSON object"),
+    "space truncated": ("space", b'{"chunk_size": [256,', "{path}:1: invalid JSON ("),
+    "space bad value": (
+        "space",
+        json.dumps({**SearchSpace.default().to_dict(), "chunk_size": [256, "x"]}).encode(),
+        "{path}: ",
+    ),
+    "manifest array": ("manifest", b"[1]", "{path}: expected a JSON object"),
+    "manifest invalid utf-8": ("manifest", b'{"name": "\xff"}', "{path}: not valid UTF-8"),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, content, message", BAD_JSON_DOCUMENTS.values(), ids=BAD_JSON_DOCUMENTS.keys()
+)
+def test_bad_space_or_manifest_exits_2_naming_the_file(
+    tmp_path, fixture_table, dataset_dir, capsys, kind, content, message
+):
+    if kind == "space":
+        path = tmp_path / "space.json"
+        argv = ["optimize", "--grid", str(fixture_table), "--space", str(path), "--out", str(tmp_path / "run.jsonl")]
+    else:
+        path = dataset_dir / "manifest.json"
+        argv = ["sample", "--dataset", str(dataset_dir), "--out", str(tmp_path / "s"),
+                "--fraction", "0.5", "--noise", "1", "--seed", "1"]
+    path.write_bytes(content)
+    assert main(argv) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: " + message.format(path=path))
 
 
 # ---------------------------------------------------------------------------
@@ -616,3 +665,30 @@ def test_malformed_service_reply_suspends_with_exit_3(
         "optimize.jsonl.checkpoint" if command == "optimize" else "grid.jsonl"
     )
     assert written.is_file()
+
+
+BAD_ENDPOINTS = {
+    "no scheme": ({"base_url": "localhost:9"}, "endpoints.generate: base_url must be an http:// or https:// URL"),
+    "no base_url": ({"timeout": 5.0}, "endpoints.generate: base_url is required"),
+    "a string": ("http://127.0.0.1:9", "endpoints.generate: expected an object"),
+    "timeout not a number": (
+        {"base_url": "http://127.0.0.1:9", "timeout": "fast"},
+        "endpoints.generate: timeout must be a number, got 'fast'",
+    ),
+}
+
+
+@pytest.mark.parametrize("endpoint, message", BAD_ENDPOINTS.values(), ids=BAD_ENDPOINTS.keys())
+@pytest.mark.parametrize("command", ["grid", "optimize"])
+def test_bad_endpoint_exits_2_before_writing(live_setup, tmp_path, capsys, command, endpoint, message):
+    config = json.loads(live_setup["config_path"].read_text())
+    config["endpoints"]["generate"] = endpoint
+    config["out"] = str(tmp_path / f"{command}.jsonl")
+    config_path = tmp_path / "bad_endpoint.json"
+    config_path.write_text(json.dumps(config))
+    argv = [command, "--config", str(config_path)]
+    if command == "optimize":
+        argv += ["--algo", "random", "--budget", "2", "--seeds", "1"]
+    assert main(argv) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not list(tmp_path.glob(f"{command}.jsonl*"))  # no table, no checkpoint

@@ -1,7 +1,10 @@
 import gc
+import json
 import math
 import random
+import socket
 import threading
+import time
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -406,6 +409,96 @@ def test_service_failure_after_retry_budget(stub_service):
     client = GenerationClient(_endpoint(stub_service, max_attempts=2))
     with pytest.raises(ServiceFailure, match="after 2 attempts"):
         client.generate("gen-model", "prompt")
+
+
+# A ResourceWarning, such as one for a socket left to the garbage collector,
+# fails a transport test.
+transport_test = pytest.mark.filterwarnings(
+    "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
+)
+
+
+@transport_test
+def test_client_error_status_fails_after_one_request(stub_service):
+    client = GenerationClient(_endpoint(stub_service, base_url=stub_service.base_url + "/v9"))
+    with pytest.raises(ServiceFailure, match=r"returned HTTP 404: no route /v9/generate"):
+        client.generate("gen-model", "prompt")
+    assert len(stub_service.received("/v9/generate")) == 1
+
+
+@transport_test
+def test_too_many_requests_is_retried(stub_service):
+    stub_service.fail_next("/generate", 1, status=429)
+    result = GenerationClient(_endpoint(stub_service)).generate("gen-model", "prompt")
+    assert result.text.startswith("echo:")
+    assert len(stub_service.received("/generate")) == 2
+
+
+@transport_test
+def test_closed_port_is_retried_until_the_budget_is_spent(caplog):
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    endpoint = ServiceEndpoint(
+        base_url=f"http://127.0.0.1:{port}", timeout=1.0, max_attempts=3, backoff_seconds=0.01
+    )
+    with caplog.at_level("WARNING"), pytest.raises(ServiceFailure, match="failed after 3 attempts"):
+        GenerationClient(endpoint).generate("gen-model", "prompt")
+    assert caplog.text.count("failed (attempt") == 3
+
+
+@transport_test
+def test_reply_slower_than_the_timeout_is_retried(stub_service):
+    delays = iter([0.6])
+
+    def slow_once(payload):
+        time.sleep(next(delays, 0.0))
+
+    stub_service.override("/generate", slow_once)
+    client = GenerationClient(_endpoint(stub_service, timeout=0.2))
+    assert client.generate("gen-model", "prompt").text.startswith("echo:")
+    assert len(stub_service.received("/generate")) == 2
+
+
+@transport_test
+def test_ok_reply_of_invalid_utf8_is_not_json(stub_service):
+    stub_service.override("/generate", lambda payload: b'{"text": "\xff"}')
+    with pytest.raises(ServiceFailure, match="not JSON"):
+        GenerationClient(_endpoint(stub_service)).generate("gen-model", "prompt")
+
+
+@transport_test
+def test_request_carries_the_token_and_the_json_payload(stub_service, monkeypatch):
+    monkeypatch.setenv("RAGHPO_TEST_TOKEN", "secret")
+    client = GenerationClient(_endpoint(stub_service, auth_env="RAGHPO_TEST_TOKEN"))
+    client.generate("gen-model", "café prompt")
+    [(headers, body)] = stub_service.received("/generate")
+    assert headers["Authorization"] == "Bearer secret"
+    assert headers["Content-Type"] == "application/json"
+    payload = {
+        "model": "gen-model",
+        "prompt": "café prompt",
+        "params": {"temperature": 0.0, "greedy": True},
+    }
+    assert body == json.dumps(payload).encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"base_url": "localhost:9"}, "http:// or https:// URL with a host"),
+        ({"base_url": "ftp://host"}, "http:// or https:// URL with a host"),
+        ({"base_url": "http://"}, "http:// or https:// URL with a host"),
+        ({"base_url": "http://host:port"}, "invalid port"),
+        ({"base_url": "http://host/a b"}, "without spaces"),
+        ({"base_url": 9}, "must be a string"),
+        ({"base_url": "http://host", "timeout": 0.0}, "timeout must be > 0"),
+        ({"base_url": "http://host", "backoff_seconds": -1.0}, "backoff_seconds must be >= 0"),
+    ],
+)
+def test_endpoint_rejects_a_bad_field(fields, message):
+    with pytest.raises(ValueError, match=message):
+        ServiceEndpoint(**fields)
 
 
 def test_missing_auth_token_is_logged_once_per_client(stub_service, monkeypatch, caplog):
