@@ -1,0 +1,135 @@
+"""Pinned optimizer trajectories over a tie-heavy replay table.
+
+Every trial's ordinal and the optimizer's ``state_dict()`` after iterations
+7 (inside a greedy sweep), 40 and 162 are compared with
+``tests/golden/trajectories.json``. Scores are rounded to two decimals, so
+the TPE ``(-score, iteration)`` split and the greedy first-value tie rule
+both decide trajectories here. Any change to the order of RNG calls shows up
+as a difference.
+
+Regenerate (only for an intended behaviour change) with::
+
+    PYTHONPATH=src python tests/test_trajectory_golden.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+from pathlib import Path
+
+import pytest
+
+from raghpo.evaluator import GridReplayEvaluator, Objective
+from raghpo.optimizers import DRIVER_RETRIEVAL, Trial, TrialHistory, create_optimizer
+from raghpo.searchspace import SearchSpace
+
+from conftest import table_from_config_scores
+
+GOLDEN = Path(__file__).parent / "golden" / "trajectories.json"
+OBJECTIVE = Objective()
+TABLE_SEED = 2024
+BUDGET = 162
+SEEDS = (1, 2, 3)
+SNAPSHOTS = (7, 40, 162)
+
+#: variant id -> (algorithm, create_optimizer options)
+VARIANTS: dict[str, tuple[str, dict]] = {
+    "random": ("random", {}),
+    "tpe": ("tpe", {}),
+    "greedy_m": ("greedy_m", {}),
+    "greedy_r": ("greedy_r", {}),
+    "tpe-gamma0.5-cand8-init2": (
+        "tpe",
+        {"tpe_gamma": 0.5, "tpe_candidates": 8, "tpe_init": 2},
+    ),
+    "greedy_rcc": ("greedy_rcc", {}),
+    "greedy_m-per_candidate": ("greedy_m", {"greedy_suffix_mode": "per_candidate"}),
+}
+
+
+def _evaluator(space: SearchSpace) -> GridReplayEvaluator:
+    # 21 distinct scores over 162 configs: greedy sweeps often tie for best.
+    rng = random.Random(TABLE_SEED)
+    dev = [round(rng.uniform(0.4, 0.6), 2) for _ in range(space.total_size)]
+    mrr = [round(rng.uniform(0.4, 0.6), 2) for _ in range(space.total_size)]
+    return GridReplayEvaluator(table_from_config_scores(space, dev, mrr_scores=mrr), space)
+
+
+def _pinned_state(optimizer) -> dict:
+    """The state dict, with the RNG's 625-word state reduced to a digest."""
+    state = dict(optimizer.state_dict())
+    rng = json.dumps(state.pop("rng_state"), separators=(",", ":"))
+    state["rng_state_sha256"] = hashlib.sha256(rng.encode("ascii")).hexdigest()
+    return json.loads(json.dumps(state))
+
+
+def trajectory(variant: str, seed: int, space: SearchSpace, evaluator) -> dict:
+    algorithm, options = VARIANTS[variant]
+    optimizer = create_optimizer(algorithm, space, seed, **options)
+    history = TrialHistory()
+    out: dict = {"ordinals": []}
+    for iteration in range(1, BUDGET + 1):
+        suggestion = optimizer.suggest(history)
+        config = suggestion.config
+        if suggestion.retrieval_only:
+            trial = Trial(
+                iteration,
+                config,
+                objective_score=evaluator.replay_objective(config, "dev", OBJECTIVE),
+                retrieval_score=evaluator.evaluate_retrieval_only(config, "dev").objective_score,
+                driver=DRIVER_RETRIEVAL,
+            )
+        else:
+            trial = Trial(
+                iteration, config, evaluator.evaluate(config, "dev", OBJECTIVE).objective_score
+            )
+        history.append(trial)
+        out["ordinals"].append(space.ordinal_of(config))
+        if iteration in SNAPSHOTS:
+            out[f"state_{iteration}"] = _pinned_state(optimizer)
+    return out
+
+
+def generate() -> dict:
+    space = SearchSpace.default()
+    evaluator = _evaluator(space)
+    return {
+        variant: {str(seed): trajectory(variant, seed, space, evaluator) for seed in SEEDS}
+        for variant in VARIANTS
+    }
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+@pytest.fixture(scope="module")
+def replay():
+    space = SearchSpace.default()
+    return space, _evaluator(space)
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_trajectory_matches_golden(variant, golden, replay):
+    space, evaluator = replay
+    for seed in SEEDS:
+        assert trajectory(variant, seed, space, evaluator) == golden[variant][str(seed)], (
+            f"{variant} seed {seed}"
+        )
+
+
+def test_golden_exercises_score_ties(replay):
+    space, evaluator = replay
+    scores = [
+        evaluator.replay_objective(space.config_at(i), "dev", OBJECTIVE)
+        for i in range(space.total_size)
+    ]
+    assert len(set(scores)) <= 21
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(generate(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {GOLDEN}")
