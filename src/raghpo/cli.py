@@ -66,11 +66,26 @@ def _load_config(path: str | None) -> dict:
     return dataio.read_json_object(source, CliError)
 
 
-def _setting(args: argparse.Namespace, config: dict, key: str, default=None):
+def _convert(key: str, value, kind: type):
+    """``kind(value)`` for a numeric setting, or a CliError that names ``key``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise CliError(f"{key}: expected {kind.__name__}, got {value!r}") from None
+
+
+def _setting(args: argparse.Namespace, config: dict, key: str, default=None, kind=None):
     value = getattr(args, key, None)
-    if value is not None:
-        return value
-    return config.get(key, default)
+    if value is None:
+        value = config.get(key, default)
+    return value if kind is None else _convert(key, value, kind)
+
+
+def _section(config: dict, key: str) -> dict:
+    value = config.get(key) or {}
+    if not isinstance(value, dict):
+        raise CliError(f"{key}: expected an object, got {value!r}")
+    return value
 
 
 def _load_space(value) -> SearchSpace:
@@ -78,6 +93,8 @@ def _load_space(value) -> SearchSpace:
         return SearchSpace.default()
     if isinstance(value, dict):
         source, data = "space", value
+    elif not isinstance(value, str):
+        raise CliError(f"space: expected a search-space file path or object, got {value!r}")
     else:
         source = Path(value)
         if not source.is_file():
@@ -93,12 +110,12 @@ def _parse_seeds(value) -> tuple[int, ...]:
     if isinstance(value, int):
         return tuple(range(1, value + 1))
     if isinstance(value, str):
-        parts = [p for p in value.split(",") if p]
+        parts = [_convert("seeds", p, int) for p in value.split(",") if p]
         if len(parts) == 1:
-            return tuple(range(1, int(parts[0]) + 1))
-        return tuple(int(p) for p in parts)
+            return tuple(range(1, parts[0] + 1))
+        return tuple(parts)
     if isinstance(value, (list, tuple)):
-        return tuple(int(v) for v in value)
+        return tuple(_convert("seeds", v, int) for v in value)
     raise CliError(f"cannot interpret seeds value {value!r}")
 
 
@@ -106,9 +123,16 @@ def _parse_objective(value) -> Objective:
     if value is None:
         return Objective()
     if isinstance(value, dict):
+        metrics, weights = value.get("metrics"), value.get("weights")
+        if not isinstance(metrics, list) or not all(isinstance(m, str) for m in metrics):
+            raise CliError(f"objective.metrics: expected a list of metric names, got {metrics!r}")
+        if weights and not isinstance(weights, list):
+            raise CliError(f"objective.weights: expected a list of numbers, got {weights!r}")
         return Objective(
-            metrics=tuple(value["metrics"]),
-            weights=tuple(value["weights"]) if value.get("weights") else None,
+            metrics=tuple(metrics),
+            weights=tuple(_convert("objective.weights", w, float) for w in weights)
+            if weights
+            else None,
         )
     return Objective(metrics=tuple(m for m in str(value).split(",") if m))
 
@@ -133,7 +157,8 @@ def _build_live_evaluator(
         dataset=dataset,
         space=space,
         embedder=EmbeddingClient(
-            endpoint("embed"), batch_size=int(config.get("embed_batch_size", 32))
+            endpoint("embed"),
+            batch_size=_convert("embed_batch_size", config.get("embed_batch_size", 32), int),
         ),
         generator=GenerationClient(endpoint("generate")),
         templates=TemplateStore.builtin(),
@@ -162,23 +187,24 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     if algorithm not in ALGORITHMS:
         raise CliError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     objective = _parse_objective(_setting(args, config, "objective"))
-    budget = int(_setting(args, config, "budget", 10))
+    budget = _setting(args, config, "budget", 10, int)
     seeds = _parse_seeds(_setting(args, config, "seeds", 10))
     backend = _setting(args, config, "backend", None)
     grid_path = _setting(args, config, "grid_table", None)
     if backend is None:
         backend = "grid-replay" if grid_path else "live"
-    parallelism = int(_setting(args, config, "parallelism", 1))
+    parallelism = _setting(args, config, "parallelism", 1, int)
 
     optimizer_options = {}
-    tpe = config.get("tpe", {})
-    if "gamma" in tpe:
-        optimizer_options["tpe_gamma"] = float(tpe["gamma"])
-    if "candidates" in tpe:
-        optimizer_options["tpe_candidates"] = int(tpe["candidates"])
-    if "init" in tpe:
-        optimizer_options["tpe_init"] = int(tpe["init"])
-    greedy = config.get("greedy", {})
+    tpe = _section(config, "tpe")
+    for key, option, kind in (
+        ("gamma", "tpe_gamma", float),
+        ("candidates", "tpe_candidates", int),
+        ("init", "tpe_init", int),
+    ):
+        if key in tpe:
+            optimizer_options[option] = _convert(f"tpe.{key}", tpe[key], kind)
+    greedy = _section(config, "greedy")
     if "suffix_mode" in greedy:
         optimizer_options["greedy_suffix_mode"] = greedy["suffix_mode"]
 
@@ -192,16 +218,13 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         if dataset_path is None:
             raise CliError("live backend needs --dataset (or dataset in the config)")
         dataset = load_dataset(dataset_path)
-        sample_cfg = config.get("sample")
+        sample_cfg = _section(config, "sample")
         if sample_cfg:
-            outcome = sample_dev(
-                dataset,
-                SamplePlan(
-                    qa_fraction=float(sample_cfg["qa_fraction"]),
-                    noise_ratio=int(sample_cfg["noise_ratio"]),
-                    seed=int(sample_cfg["seed"]),
-                ),
-            )
+            plan = {
+                key: _convert(f"sample.{key}", sample_cfg.get(key), kind)
+                for key, kind in (("qa_fraction", float), ("noise_ratio", int), ("seed", int))
+            }
+            outcome = sample_dev(dataset, SamplePlan(**plan))
             dataset = outcome.dataset
             print(
                 f"sampled dev: {len(dataset.dev)} questions, corpus {len(dataset.corpus)} docs"
@@ -279,7 +302,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
     out = _setting(args, config, "out", "grid.jsonl")
     splits = [s for s in str(_setting(args, config, "splits", "dev,test")).split(",") if s]
     metric_arg = _setting(args, config, "metrics", None)
-    parallelism = int(_setting(args, config, "parallelism", 1))
+    parallelism = _setting(args, config, "parallelism", 1, int)
 
     evaluator = _build_live_evaluator(config, dataset, space, parallelism)
     metrics = (

@@ -29,7 +29,6 @@ from .optimizers import (
     Trial,
     TrialHistory,
     create_optimizer,
-    restore_optimizer,
 )
 from .searchspace import IndexConfig, RagConfig, SearchSpace
 
@@ -618,30 +617,58 @@ def _save_checkpoint(
         fh.write(_dump_canonical(payload) + "\n")
 
 
+def _checkpoint_trial(space: SearchSpace, row, where: str) -> tuple[Trial, IterationRecord]:
+    _check_fields(row, "trial row", where)
+    _check_fields(row["cost"], "trial cost", where)
+    return _parse_trial_row(space, row)
+
+
+def _restore_seeds(payload: dict, spec: RunSpec) -> tuple[list[SeedRun], _SeedProgress | None]:
+    completed = [
+        _seed_run(
+            entry["seed"],
+            [
+                _checkpoint_trial(spec.space, row, f"completed[{i}].trials[{j}]")
+                for j, row in enumerate(entry["trials"])
+            ],
+        )
+        for i, entry in enumerate(payload.get("completed", []))
+    ]
+    current = payload.get("current")
+    if current is None:
+        return completed, None
+    progress = _SeedProgress(spec, current["seed"])
+    # The spec's own optimizer refuses a state saved for another algorithm.
+    progress.optimizer.load_state_dict(current["optimizer_state"])
+    rows = [
+        _checkpoint_trial(spec.space, row, f"current.trials[{j}]")
+        for j, row in enumerate(current["trials"])
+    ]
+    for trial, record in sorted(rows, key=lambda pair: pair[0].iteration):
+        progress.history.append(trial)
+        progress.iterations.append(record)
+        progress.ledger.charge(trial.config.index, trial.cost)
+        progress.ledger.snapshot()
+    progress.test_cache = {int(k): v for k, v in current["test_cache"].items()}
+    return completed, progress
+
+
 def _load_checkpoint(path: Path, spec: RunSpec) -> tuple[list[SeedRun], _SeedProgress | None]:
+    """Completed seeds and the in-flight seed of a checkpoint written for ``spec``.
+
+    A malformed checkpoint is a ValueError that names ``path``.
+    """
     payload = read_json_object(path, ValueError)
     if payload.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint format_version")
-    saved = _spec_from_header(payload)
-    if saved != spec:
-        raise ValueError(
-            f"{path}: checkpoint was written for a different run spec; "
-            "delete it or re-run with the original settings"
-        )
-    completed = [
-        _seed_run(entry["seed"], [_parse_trial_row(spec.space, row) for row in entry["trials"]])
-        for entry in payload.get("completed", [])
-    ]
-    current = payload.get("current")
-    progress: _SeedProgress | None = None
-    if current is not None:
-        progress = _SeedProgress(spec, current["seed"])
-        progress.optimizer = restore_optimizer(spec.space, current["optimizer_state"])
-        for row in sorted(current["trials"], key=lambda r: r["iteration"]):
-            trial, record = _parse_trial_row(spec.space, row)
-            progress.history.append(trial)
-            progress.iterations.append(record)
-            progress.ledger.charge(trial.config.index, trial.cost)
-            progress.ledger.snapshot()
-        progress.test_cache = {int(k): v for k, v in current["test_cache"].items()}
-    return completed, progress
+    try:
+        if _spec_from_header(payload) == spec:
+            return _restore_seeds(payload, spec)
+    except KeyError as exc:
+        raise ValueError(f"{path}: bad checkpoint: missing field {exc}") from None
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: bad checkpoint: {exc}") from None
+    raise ValueError(
+        f"{path}: checkpoint was written for a different run spec; "
+        "delete it or re-run with the original settings"
+    )

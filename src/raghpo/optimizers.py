@@ -119,15 +119,8 @@ class TrialHistory:
     def trials(self) -> tuple[Trial, ...]:
         return tuple(self._trials)
 
-    @property
-    def explored(self) -> frozenset[RagConfig]:
-        return frozenset(self._configs)
-
     def configs(self) -> set[RagConfig]:
         return set(self._configs)
-
-    def by_config(self) -> dict[RagConfig, Trial]:
-        return {t.config: t for t in self._trials}
 
 
 @dataclass(frozen=True)
@@ -136,17 +129,6 @@ class Suggestion:
 
     config: RagConfig
     retrieval_only: bool = False
-
-
-def _value_tuple(config: RagConfig) -> tuple:
-    # Field order mirrors ORDINAL_ORDER; direct attribute access is the hot path.
-    return (
-        config.index.chunk_size,
-        config.index.chunk_overlap,
-        config.index.embedding_model,
-        config.answer.top_k,
-        config.answer.generative_model,
-    )
 
 
 def _encode_rng(rng: random.Random) -> list:
@@ -159,7 +141,11 @@ def _decode_rng(state: list) -> tuple:
 
 
 class Optimizer:
-    """Shared plumbing: seeded RNG, unexplored-set helpers, state snapshots."""
+    """Shared plumbing: seeded RNG, unexplored-set helpers, state snapshots.
+
+    Internally a configuration is its ordinal in ``space``; a
+    :class:`RagConfig` is built only for the suggestion returned.
+    """
 
     algorithm = ""
 
@@ -167,12 +153,11 @@ class Optimizer:
         self.space = space
         self.seed = seed
         self._rng = random.Random(seed)
-        # Incremental view of the explored ordinals. An optimizer is a
+        # Incremental ordinal -> trial view of the history. An optimizer is a
         # sequential state machine, so the history it sees only grows; the
         # guard below falls back to a full rescan if it does not.
-        self._seen = 0
         self._seen_last: Trial | None = None
-        self._explored: set[int] = set()
+        self._explored: dict[int, Trial] = {}
 
     def suggest(self, history: TrialHistory) -> Suggestion:
         raise NotImplementedError
@@ -204,23 +189,20 @@ class Optimizer:
 
     # -- helpers ------------------------------------------------------------
 
-    def _explored_ordinals(self, history: TrialHistory) -> set[int]:
+    def _explored_trials(self, history: TrialHistory) -> dict[int, Trial]:
         n = len(history)
-        if self._seen > n or (self._seen > 0 and history[self._seen - 1] is not self._seen_last):
-            self._seen = 0
-            self._explored = set()
-        for i in range(self._seen, n):
-            self._explored.add(self.space.ordinal_of(history[i].config))
-        self._seen = n
+        seen = len(self._explored)  # the history holds no duplicates
+        if seen > n or (seen > 0 and history[seen - 1] is not self._seen_last):
+            seen = 0
+            self._explored = {}
+        for i in range(seen, n):
+            self._explored[self.space.ordinal_of(history[i].config)] = history[i]
         self._seen_last = history[n - 1] if n else None
         return self._explored
 
-    def _unexplored(self, history: TrialHistory) -> list[int]:
-        explored = self._explored_ordinals(history)
-        return [i for i in range(self.space.total_size) if i not in explored]
-
     def _uniform_unexplored(self, history: TrialHistory) -> RagConfig:
-        pool = self._unexplored(history)
+        explored = self._explored_trials(history)
+        pool = [i for i in range(self.space.total_size) if i not in explored]
         if not pool:
             raise SpaceExhaustedError("all configurations have been explored")
         return self.space.config_at(pool[self._rng.randrange(len(pool))])
@@ -285,34 +267,32 @@ class TpeOptimizer(Optimizer):
         if not bad:
             return Suggestion(self._uniform_unexplored(history))
 
-        good_vals = [_value_tuple(t.config) for t in good]
-        bad_vals = [_value_tuple(t.config) for t in bad]
+        good_vals = [t.config.values() for t in good]
+        bad_vals = [t.config.values() for t in bad]
 
-        # Per parameter: one draw of n_candidates values from the good
+        # Per parameter: one draw of n_candidates value indices from the good
         # density, plus the per-value log ratio for scoring candidates.
-        draws: list[list] = []
-        log_ratio: list[dict] = []
+        draws: list[list[int]] = []
+        log_ratio: list[list[float]] = []
         for k, param in enumerate(ORDINAL_ORDER):
             values = self.space.values_of(param)
             l = self._smoothed([v[k] for v in good_vals], values)
             g = self._smoothed([v[k] for v in bad_vals], values)
-            draws.append(self._rng.choices(values, weights=l, k=self.n_candidates))
-            log_ratio.append(
-                {v: math.log(l[i]) - math.log(g[i]) for i, v in enumerate(values)}
-            )
+            draws.append(self._rng.choices(range(len(values)), weights=l, k=self.n_candidates))
+            log_ratio.append([math.log(li) - math.log(gi) for li, gi in zip(l, g)])
 
-        best: tuple[float, RagConfig] | None = None
-        for j in range(self.n_candidates):
-            cs, co, em, tk, gm = (draws[k][j] for k in range(5))
-            candidate = RagConfig.from_values(cs, co, em, tk, gm)
-            if candidate in history:
+        explored = self._explored_trials(history)
+        best: tuple[float, int] | None = None
+        for digits in zip(*draws):
+            ordinal = self.space.ordinal_at(digits)
+            if ordinal in explored:
                 continue
-            ratio = sum(log_ratio[k][draws[k][j]] for k in range(5))
+            ratio = sum(log_ratio[k][digit] for k, digit in enumerate(digits))
             if best is None or ratio > best[0]:
-                best = (ratio, candidate)
+                best = (ratio, ordinal)
         if best is None:
             return Suggestion(self._uniform_unexplored(history))
-        return Suggestion(best[1])
+        return Suggestion(self.space.config_at(best[1]))
 
     @staticmethod
     def _smoothed(observed: list, values: tuple) -> list[float]:
@@ -332,8 +312,8 @@ class TpeOptimizer(Optimizer):
 @dataclass
 class _Sweep:
     param: ParamName
-    # One candidate per value of ``param``, in the space's value order.
-    candidates: list[RagConfig]
+    # One candidate ordinal per value of ``param``, in the space's value order.
+    candidates: list[int]
     driver: str
 
 
@@ -379,34 +359,28 @@ class GreedyOptimizer(Optimizer):
             return DRIVER_RETRIEVAL
         return DRIVER_OBJECTIVE
 
-    def _draw_suffix(self, following: Sequence[ParamName]) -> dict[ParamName, object]:
-        return {q: self._rng.choice(self.space.values_of(q)) for q in following}
+    def _draw_suffix(self, following: Sequence[ParamName]) -> dict[ParamName, int]:
+        # randrange(n) consumes the RNG exactly as choice() of an n-value list.
+        return {q: self._rng.randrange(len(self.space.values_of(q))) for q in following}
 
     def _start_sweep(self) -> _Sweep:
         param = self.ordering[self._param_idx]
         following = self.ordering[self._param_idx + 1 :]
         shared_suffix = self._draw_suffix(following) if self.suffix_mode == "shared" else None
+        fixed = {p: self.space.values_of(p).index(v) for p, v in self._committed.items()}
         candidates = []
-        for value in self.space.values_of(param):
+        for digit in range(len(self.space.values_of(param))):
             suffix = shared_suffix if shared_suffix is not None else self._draw_suffix(following)
-            assignment = {**self._committed, param: value, **suffix}
-            candidates.append(
-                RagConfig.from_values(
-                    assignment[ParamName.CHUNK_SIZE],
-                    assignment[ParamName.CHUNK_OVERLAP],
-                    assignment[ParamName.EMBEDDING_MODEL],
-                    assignment[ParamName.TOP_K],
-                    assignment[ParamName.GENERATIVE_MODEL],
-                )
-            )
+            digits = {**fixed, param: digit, **suffix}
+            candidates.append(self.space.ordinal_at([digits[p] for p in ORDINAL_ORDER]))
         return _Sweep(param=param, candidates=candidates, driver=self._sweep_driver(param))
 
-    def _commit(self, sweep: _Sweep, trials: dict[RagConfig, Trial]) -> None:
+    def _commit(self, sweep: _Sweep, explored: dict[int, Trial]) -> None:
         values = self.space.values_of(sweep.param)
         best_value = None
         best_score = None
-        for value, candidate in zip(values, sweep.candidates):
-            trial = trials[candidate]
+        for value, ordinal in zip(values, sweep.candidates):
+            trial = explored[ordinal]
             score = (
                 trial.retrieval_score
                 if sweep.driver == DRIVER_RETRIEVAL
@@ -428,16 +402,17 @@ class GreedyOptimizer(Optimizer):
 
     def suggest(self, history: TrialHistory) -> Suggestion:
         self._check_not_exhausted(history)
+        explored = self._explored_trials(history)
         while self._param_idx < len(self.ordering):
             if self._sweep is None:
                 self._sweep = self._start_sweep()
-            for candidate in self._sweep.candidates:
-                if candidate not in history:
+            for ordinal in self._sweep.candidates:
+                if ordinal not in explored:
                     return Suggestion(
-                        candidate,
+                        self.space.config_at(ordinal),
                         retrieval_only=self._sweep.driver == DRIVER_RETRIEVAL,
                     )
-            self._commit(self._sweep, history.by_config())
+            self._commit(self._sweep, explored)
         return Suggestion(self._uniform_unexplored(history))
 
     # -- serialization -----------------------------------------------------
@@ -451,7 +426,7 @@ class GreedyOptimizer(Optimizer):
             if self._sweep is None
             else {
                 "param": self._sweep.param.value,
-                "candidates": [self.space.ordinal_of(c) for c in self._sweep.candidates],
+                "candidates": list(self._sweep.candidates),
                 "driver": self._sweep.driver,
             },
         }
@@ -461,15 +436,12 @@ class GreedyOptimizer(Optimizer):
         self._param_idx = state["param_idx"]
         self._committed = {ParamName(p): v for p, v in state["committed"].items()}
         sweep = state.get("sweep")
-        self._sweep = (
-            None
-            if sweep is None
-            else _Sweep(
-                param=ParamName(sweep["param"]),
-                candidates=[self.space.config_at(i) for i in sweep["candidates"]],
-                driver=sweep["driver"],
-            )
-        )
+        self._sweep = None
+        if sweep is not None:
+            candidates = list(sweep["candidates"])
+            if not all(isinstance(i, int) and 0 <= i < self.space.total_size for i in candidates):
+                raise ValueError(f"sweep candidates {candidates} are not ordinals of this space")
+            self._sweep = _Sweep(ParamName(sweep["param"]), candidates, sweep["driver"])
 
 
 def create_optimizer(

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from operator import attrgetter
 
 
@@ -105,9 +107,20 @@ class RagConfig:
         top_k: int,
         generative_model: str,
     ) -> "RagConfig":
+        """Build a config from its five values, given in ``ORDINAL_ORDER``."""
         return cls(
             index=IndexConfig(chunk_size, chunk_overlap, embedding_model),
             answer=AnswerConfig(top_k, generative_model),
+        )
+
+    def values(self) -> tuple:
+        """The five values in ``ORDINAL_ORDER``, as :meth:`from_values` takes them."""
+        return (
+            self.index.chunk_size,
+            self.index.chunk_overlap,
+            self.index.embedding_model,
+            self.answer.top_k,
+            self.answer.generative_model,
         )
 
     def value_of(self, param: ParamName):
@@ -118,14 +131,8 @@ class RagConfig:
 
     def replace(self, param: ParamName, value) -> "RagConfig":
         """Return a copy with one parameter set to ``value``."""
-        values = {p: self.value_of(p) for p in ParamName}
-        values[param] = value
         return RagConfig.from_values(
-            values[ParamName.CHUNK_SIZE],
-            values[ParamName.CHUNK_OVERLAP],
-            values[ParamName.EMBEDDING_MODEL],
-            values[ParamName.TOP_K],
-            values[ParamName.GENERATIVE_MODEL],
+            *(value if p == param else v for p, v in zip(ORDINAL_ORDER, self.values()))
         )
 
     def as_dict(self) -> dict:
@@ -191,57 +198,48 @@ class SearchSpace:
         except KeyError:
             raise ValueError(f"unknown parameter {param!r}") from None
 
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(self.values_of(p)) for p in ORDINAL_ORDER)
+    @cached_property
+    def _value_lists(self) -> tuple[tuple, ...]:
+        return tuple(self.values_of(p) for p in ORDINAL_ORDER)
 
-    @property
+    @cached_property
+    def sizes(self) -> tuple[int, ...]:
+        """Value-list lengths in ``ORDINAL_ORDER``: the radices of config ordinals."""
+        return tuple(map(len, self._value_lists))
+
+    @cached_property
     def total_size(self) -> int:
-        n = 1
-        for s in self.sizes:
-            n *= s
-        return n
+        return math.prod(self.sizes)
 
     def contains(self, config: RagConfig) -> bool:
         return all(config.value_of(p) in self.values_of(p) for p in ParamName)
 
+    def ordinal_at(self, digits) -> int:
+        """Ordinal of the config whose value indices, in ``ORDINAL_ORDER``, are ``digits``."""
+        ordinal = 0
+        for digit, size in zip(digits, self.sizes):
+            ordinal = ordinal * size + digit
+        return ordinal
+
     def ordinal_of(self, config: RagConfig) -> int:
         """Dense ordinal of a config under the canonical mixed-radix order."""
-        ordinal = 0
-        for param in ORDINAL_ORDER:
-            values = self.values_of(param)
+        digits = []
+        for param, values, value in zip(ORDINAL_ORDER, self._value_lists, config.values()):
             try:
-                digit = values.index(config.value_of(param))
+                digits.append(values.index(value))
             except ValueError:
-                raise ValueError(
-                    f"{param.value}={config.value_of(param)!r} is not in this space"
-                ) from None
-            ordinal = ordinal * len(values) + digit
-        return ordinal
+                raise ValueError(f"{param.value}={value!r} is not in this space") from None
+        return self.ordinal_at(digits)
 
     def config_at(self, ordinal: int) -> RagConfig:
         """Inverse of :meth:`ordinal_of`."""
         if not 0 <= ordinal < self.total_size:
-            raise IndexError(
-                f"ordinal {ordinal} out of range [0, {self.total_size})"
-            )
-        digits: list[int] = []
-        rest = ordinal
-        for param in reversed(ORDINAL_ORDER):
-            rest, digit = divmod(rest, len(self.values_of(param)))
-            digits.append(digit)
-        digits.reverse()
-        values = {
-            param: self.values_of(param)[digit]
-            for param, digit in zip(ORDINAL_ORDER, digits)
-        }
-        return RagConfig.from_values(
-            values[ParamName.CHUNK_SIZE],
-            values[ParamName.CHUNK_OVERLAP],
-            values[ParamName.EMBEDDING_MODEL],
-            values[ParamName.TOP_K],
-            values[ParamName.GENERATIVE_MODEL],
-        )
+            raise IndexError(f"ordinal {ordinal} out of range [0, {self.total_size})")
+        values = []
+        for param_values in reversed(self._value_lists):
+            ordinal, digit = divmod(ordinal, len(param_values))
+            values.append(param_values[digit])
+        return RagConfig.from_values(*reversed(values))
 
     def enumerate(self) -> list[RagConfig]:
         """All configurations in ordinal order."""

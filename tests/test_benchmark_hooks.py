@@ -1,0 +1,53 @@
+"""The names the benchmark wraps or patches from outside the package still exist.
+
+``perfbench/tracer.py`` wraps raghpo functions and methods by name, and
+``perfbench/faults.py`` replaces evaluator and client methods with wrappers of
+a fixed signature. Renaming or deleting one of them breaks only a traced
+benchmark run, so this test installs the tracer and checks those signatures.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import inspect
+from pathlib import Path
+
+from raghpo.evaluator import GridReplayEvaluator
+from raghpo.pipeline import EmbeddingClient, LivePipelineEvaluator
+from raghpo.searchspace import SearchSpace
+
+from conftest import table_from_config_scores
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_restores_every_wrapped_name():
+    tracing = _load_tracer()
+    before = SearchSpace.__dict__["neighbors_fixing"]
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        assert SearchSpace.__dict__["neighbors_fixing"] is not before
+    finally:
+        tracer.restore()
+    assert SearchSpace.__dict__["neighbors_fixing"] is before
+
+
+def test_patched_methods_keep_the_signatures_faults_wrap():
+    for method in (GridReplayEvaluator.evaluate, LivePipelineEvaluator.evaluate):
+        assert list(inspect.signature(method).parameters) == ["self", "config", "split", "objective"]
+    assert list(inspect.signature(EmbeddingClient.embed).parameters) == ["self", "model", "texts"]
+
+
+def test_replay_evaluator_exposes_its_space(tiny_space):
+    # faults.py reads self.space.ordinal_of(config) inside the wrapped evaluate.
+    table = table_from_config_scores(tiny_space, [0.5] * tiny_space.total_size)
+    evaluator = GridReplayEvaluator(table, tiny_space)
+    assert evaluator.space.ordinal_of(tiny_space.config_at(3)) == 3

@@ -10,9 +10,10 @@ import pytest
 
 from raghpo.cli import EXIT_OK, EXIT_SUSPENDED, EXIT_VALIDATION, main
 from raghpo.dataio import load_dataset, load_grid, store_dataset, store_grid
+from raghpo.evaluator import GridReplayEvaluator
 from raghpo.harness import load_run
 from raghpo.metrics import CONTEXT_MRR, FAITHFULNESS, LEXICAL_AC
-from raghpo.pipeline import LivePipelineEvaluator
+from raghpo.pipeline import LivePipelineEvaluator, ServiceFailure
 from raghpo.searchspace import SearchSpace
 
 from conftest import is_complete, make_document, table_from_config_scores
@@ -176,6 +177,121 @@ def test_optimize_config_file_with_flag_override(tmp_path, fixture_table):
     record = load_run(tmp_path / "cfg.jsonl")
     assert record.spec.budget == 6  # flag wins
     assert record.spec.algorithm == "random"
+
+
+DAMAGED_CHECKPOINTS = {
+    "test_cache missing": (lambda ck: ck["current"].pop("test_cache"), "missing field 'test_cache'"),
+    "trial row without driver": (
+        lambda ck: ck["completed"][0]["trials"][0].pop("driver"),
+        "completed[0].trials[0]: trial row lacks field 'driver'",
+    ),
+    "completed not a list": (lambda ck: ck.update(completed="x"), "bad checkpoint"),
+    "optimizer_state without param_idx": (
+        lambda ck: ck["current"]["optimizer_state"].pop("param_idx"),
+        "missing field 'param_idx'",
+    ),
+    "optimizer_state of another algorithm": (
+        lambda ck: ck["current"]["optimizer_state"].update(algorithm="tpe"),
+        "state is for algorithm 'tpe', not 'greedy_m'",
+    ),
+}
+
+
+@pytest.mark.parametrize("damage, message", DAMAGED_CHECKPOINTS.values(), ids=DAMAGED_CHECKPOINTS.keys())
+def test_damaged_checkpoint_exits_2_naming_its_path(
+    tmp_path, fixture_table, capsys, monkeypatch, damage, message
+):
+    out = tmp_path / "run.jsonl"
+    argv = ["optimize", "--grid", str(fixture_table), "--algo", "greedy_m", "--budget", "10",
+            "--seeds", "3", "--out", str(out)]
+    calls = itertools.count()
+    original = GridReplayEvaluator.evaluate
+
+    def evaluate(self, *args):
+        if next(calls) == 15:
+            raise ServiceFailure("injected outage")
+        return original(self, *args)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(GridReplayEvaluator, "evaluate", evaluate)
+        assert main(argv) == EXIT_SUSPENDED
+    checkpoint = tmp_path / "run.jsonl.checkpoint"
+    payload = json.loads(checkpoint.read_text())
+    assert payload["completed"] and payload["current"]["trials"]  # something to damage
+    damage(payload)
+    checkpoint.write_text(json.dumps(payload))
+    capsys.readouterr()
+
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {checkpoint}: bad checkpoint: ")
+    assert message in err
+    assert not out.exists()
+
+
+#: case -> (command, backend, config values, message)
+BAD_RUN_CONFIG_VALUES = {
+    "parallelism": ("optimize", "replay", {"parallelism": "two"}, "parallelism: expected int, got 'two'"),
+    "budget": ("optimize", "replay", {"budget": "ten"}, "budget: expected int, got 'ten'"),
+    "seeds": ("optimize", "replay", {"seeds": "1,x"}, "seeds: expected int, got 'x'"),
+    "tpe gamma": ("optimize", "replay", {"tpe": {"gamma": "x"}}, "tpe.gamma: expected float, got 'x'"),
+    "tpe init": ("optimize", "replay", {"tpe": {"init": [2]}}, "tpe.init: expected int, got [2]"),
+    "tpe not an object": ("optimize", "replay", {"tpe": "x"}, "tpe: expected an object, got 'x'"),
+    "greedy not an object": (
+        "optimize", "replay", {"greedy": ["x"]}, "greedy: expected an object, got ['x']"
+    ),
+    "space a list": (
+        "optimize", "replay", {"space": [1]},
+        "space: expected a search-space file path or object, got [1]",
+    ),
+    "objective without metrics": (
+        "optimize", "replay", {"objective": {"weights": [1]}},
+        "objective.metrics: expected a list of metric names, got None",
+    ),
+    "objective metrics a string": (
+        "optimize", "replay", {"objective": {"metrics": "lexical_ac"}},
+        "objective.metrics: expected a list of metric names, got 'lexical_ac'",
+    ),
+    "objective weight": (
+        "optimize", "replay", {"objective": {"metrics": ["lexical_ac"], "weights": ["x"]}},
+        "objective.weights: expected float, got 'x'",
+    ),
+    "sample fraction": (
+        "optimize", "live", {"sample": {"qa_fraction": "half", "noise_ratio": 1, "seed": 1}},
+        "sample.qa_fraction: expected float, got 'half'",
+    ),
+    "sample seed missing": (
+        "optimize", "live", {"sample": {"qa_fraction": 0.5, "noise_ratio": 1}},
+        "sample.seed: expected int, got None",
+    ),
+    "grid parallelism": ("grid", "live", {"parallelism": "two"}, "parallelism: expected int, got 'two'"),
+    "grid embed_batch_size": (
+        "grid", "live", {"embed_batch_size": "x"}, "embed_batch_size: expected int, got 'x'"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "command, backend, values, message",
+    BAD_RUN_CONFIG_VALUES.values(),
+    ids=BAD_RUN_CONFIG_VALUES.keys(),
+)
+def test_bad_run_config_value_exits_2_naming_its_key(
+    tmp_path, fixture_table, dataset_dir, capsys, command, backend, values, message
+):
+    out = tmp_path / "out.jsonl"
+    if backend == "live":
+        # Never contacted: every case fails before the first request.
+        endpoint = {"base_url": "http://127.0.0.1:9"}
+        config = {"dataset": str(dataset_dir), "endpoints": {"embed": endpoint, "generate": endpoint}}
+    else:
+        config = {"grid_table": str(fixture_table)}
+    config.update({"budget": 2, "seeds": 1, "out": str(out)}, **values)
+    config_path = tmp_path / "run_config.json"
+    config_path.write_text(json.dumps(config))
+    assert main([command, "--config", str(config_path)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.glob("out.jsonl*"))
 
 
 # ---------------------------------------------------------------------------
