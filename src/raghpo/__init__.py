@@ -41,7 +41,6 @@ from .optimizers import (
     Trial,
     TrialHistory,
     create_optimizer,
-    restore_optimizer,
 )
 from .pipeline import LivePipelineEvaluator, TemplateStore, chunk_document
 from .searchspace import (
@@ -94,7 +93,6 @@ __all__ = [
     "load_dataset",
     "load_grid",
     "load_run",
-    "restore_optimizer",
     "run",
     "sample_dev",
     "store_dataset",

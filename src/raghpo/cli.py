@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import sys
 from pathlib import Path
 
@@ -21,9 +20,7 @@ from .dataio import (
     FingerprintMismatchError,
     GridFormatError,
     GridTable,
-    QaPair,
     SamplePlan,
-    ScoreSlice,
     drop_torn_tail,
     grid_cell_text,
     load_dataset,
@@ -33,7 +30,7 @@ from .dataio import (
     store_grid,
 )
 from .evaluator import GridReplayEvaluator, Objective
-from .metrics import CONTEXT_MRR, FAITHFULNESS, JUDGE_AC, LEXICAL_AC, tokenize
+from .metrics import CONTEXT_MRR, FAITHFULNESS, JUDGE_AC, LEXICAL_AC
 from .optimizers import ALGORITHMS
 from .pipeline import (
     EmbeddingClient,
@@ -42,7 +39,6 @@ from .pipeline import (
     LivePipelineEvaluator,
     ServiceEndpoint,
     ServiceFailure,
-    TemplateStore,
 )
 from .searchspace import SearchSpace
 
@@ -134,11 +130,15 @@ def _parse_objective(value) -> Objective:
             if weights
             else None,
         )
+    if isinstance(value, list):
+        if not all(isinstance(m, str) for m in value):
+            raise CliError(f"objective: expected a list of metric names, got {value!r}")
+        return Objective(metrics=tuple(value))
     return Objective(metrics=tuple(m for m in str(value).split(",") if m))
 
 
 def _build_live_evaluator(
-    config: dict, dataset, space, parallelism: int
+    config: dict, dataset, space, parallelism: int, table: GridTable | None = None
 ) -> LivePipelineEvaluator:
     endpoints = config.get("endpoints", {})
     if not isinstance(endpoints, dict) or "embed" not in endpoints or "generate" not in endpoints:
@@ -161,9 +161,9 @@ def _build_live_evaluator(
             batch_size=_convert("embed_batch_size", config.get("embed_batch_size", 32), int),
         ),
         generator=GenerationClient(endpoint("generate")),
-        templates=TemplateStore.builtin(),
         judge=judge,
         parallelism=parallelism,
+        table=table,
     )
 
 
@@ -304,79 +304,41 @@ def cmd_grid(args: argparse.Namespace) -> int:
     metric_arg = _setting(args, config, "metrics", None)
     parallelism = _setting(args, config, "parallelism", 1, int)
 
-    evaluator = _build_live_evaluator(config, dataset, space, parallelism)
+    out_path = Path(out)
+    resuming = out_path.is_file()
+    if resuming:
+        drop_torn_tail(out_path)
+        table = load_grid(out_path, space)
+    else:
+        table = GridTable(space_fingerprint=space.fingerprint())
+    evaluator = _build_live_evaluator(config, dataset, space, parallelism, table)
     metrics = (
         [m for m in str(metric_arg).split(",") if m]
         if metric_arg
         else [LEXICAL_AC, FAITHFULNESS, CONTEXT_MRR]
         + ([JUDGE_AC] if evaluator.judge is not None else [])
     )
-
+    Objective(metrics=tuple(metrics))  # rejects unknown and repeated metric names
     if JUDGE_AC in metrics and evaluator.judge is None:
         raise CliError("judge_ac requested but no judge endpoint configured")
-    out_path = Path(out)
-    if out_path.is_file():
-        drop_torn_tail(out_path)
-        table = load_grid(out_path, space)
+    if resuming:
         print(f"resuming into existing table {out_path}")
     else:
-        table = GridTable(space_fingerprint=space.fingerprint())
         store_grid(table, out_path)
 
-    # A context_mrr-only grid never needs generation; use the cheap path.
-    retrieval_only_grid = set(metrics) == {CONTEXT_MRR}
-    objective = Objective(
-        metrics=tuple(m for m in metrics if m != CONTEXT_MRR) or (LEXICAL_AC,)
-    )
-    size = space.total_size
-    # The rows each split needs per metric; context_mrr is undefined for a
-    # question without gold documents, lexical_ac for one whose gold answer
-    # has no tokens. A NaN mean marks a cell with gaps.
-    def defined(metric: str, qa: QaPair) -> bool:
-        if metric == CONTEXT_MRR:
-            return bool(qa.gold_doc_ids)
-        if metric == LEXICAL_AC:
-            return bool(tokenize(qa.gold_answer))
-        return True
-
-    needed: dict[str, dict[str, ScoreSlice]] = {split: {} for split in splits}
-    for split in splits:
-        for metric in metrics:
-            qids = [qa.qid for qa in dataset.split(split) if defined(metric, qa)]
-            if qids:
-                needed[split][metric] = table.slice(split, metric, size, qids=qids)
     evaluated = 0
     # Each cell's new rows are appended as soon as it is evaluated, so a killed
     # run keeps them; the table is rewritten in canonical order once, at the end.
     sink = out_path.open("a", encoding="utf-8")
     try:
-        for ordinal in range(size):
+        for ordinal in range(space.total_size):
             rag_config = space.config_at(ordinal)
             for split in splits:
-                gaps = {
-                    (metric, qid)
-                    for metric, scores in needed[split].items()
-                    if math.isnan(scores.means[ordinal])
-                    for qid, value in zip(scores.qids, scores.matrix[:, ordinal].tolist())
-                    if math.isnan(value)
-                }
-                if not gaps:
-                    continue
-                if retrieval_only_grid:
-                    result = evaluator.evaluate_retrieval_only(rag_config, split)
-                else:
-                    result = evaluator.evaluate(rag_config, split, objective)
-                added = []
-                for qe in result.per_question:
-                    for metric in metrics:
-                        if metric in qe.scores and (metric, qe.qid) in gaps:
-                            score = qe.scores[metric]
-                            table.add_score(ordinal, split, metric, qe.qid, score)
-                            added.append(((ordinal, split, metric, qe.qid), score))
-                table.set_cost(ordinal, split, result.cost)
-                evaluated += 1
-                sink.write(grid_cell_text(table, ordinal, split, added))
-                sink.flush()
+                added = evaluator.fill(rag_config, split, metrics)
+                if added:
+                    evaluated += 1
+                    sink.write(grid_cell_text(table, ordinal, split, added))
+                    sink.flush()
     except ServiceFailure as exc:
         sink.close()
         store_grid(table, out_path)

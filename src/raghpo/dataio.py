@@ -480,6 +480,12 @@ class ScoreSlice:
     matrix: np.ndarray  # [qid x ordinal], NaN where a row is missing
     means: np.ndarray  # [ordinal], NaN where any qid of the universe is missing
 
+    def missing(self, ordinal: int) -> list[str]:
+        """The qids of the universe that lack a row for ``ordinal``, in universe order."""
+        if not math.isnan(self.means[ordinal]):
+            return []
+        return [q for q, v in zip(self.qids, self.matrix[:, ordinal].tolist()) if math.isnan(v)]
+
     def require_complete(self, ordinals: Iterable[int]) -> None:
         """Raise :class:`IncompleteTableError` for the first of ``ordinals`` that lacks a qid."""
         if not self.qids:
@@ -487,10 +493,8 @@ class ScoreSlice:
                 f"grid table has no rows for metric {self.metric!r} on split {self.split!r}"
             )
         for ordinal in ordinals:
-            if math.isnan(self.means[ordinal]):
-                gaps = [
-                    q for q, v in zip(self.qids, self.matrix[:, ordinal].tolist()) if math.isnan(v)
-                ]
+            gaps = self.missing(ordinal)
+            if gaps:
                 shown = ", ".join(gaps[:5]) + ("..." if len(gaps) > 5 else "")
                 raise IncompleteTableError(
                     f"grid table incomplete: config ordinal {ordinal} is missing {len(gaps)} "

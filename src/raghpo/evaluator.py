@@ -1,20 +1,28 @@
 """Evaluation contract consumed by the optimizers, with the grid-replay backend.
 
 An evaluator scores one configuration on one benchmark split under an
-objective. The grid-replay backend is a pure lookup into a precomputed score
-table, which makes optimizer runs exact, deterministic and free; the live
-backend (see :mod:`raghpo.pipeline`) runs the actual RAG pipeline against
-model services.
+objective. Both backends read scores and costs from a :class:`GridTable`
+through the same code (:class:`StoredScores`). The grid-replay backend's
+table is precomputed, which makes optimizer runs exact, deterministic and
+free; the live backend (see :mod:`raghpo.pipeline`) fills its table as it
+runs the actual RAG pipeline against model services.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Protocol
 
 from .costs import CostDelta, ZERO_COST
-from .dataio import SPLITS, FingerprintMismatchError, GridTable, IncompleteTableError
-from .metrics import CONTEXT_MRR, METRIC_NAMES, QuestionEval
+from .dataio import (
+    SPLITS,
+    FingerprintMismatchError,
+    GridTable,
+    IncompleteTableError,
+    ScoreSlice,
+)
+from .metrics import CONTEXT_MRR, METRIC_NAMES, MetricUndefinedError, aggregate
 from .searchspace import RagConfig, SearchSpace
 
 
@@ -93,10 +101,13 @@ RETRIEVAL_OBJECTIVE = Objective(metrics=(CONTEXT_MRR,))
 
 @dataclass(frozen=True)
 class EvalResult:
-    """Outcome of evaluating one configuration on one split."""
+    """Outcome of evaluating one configuration on one split.
+
+    ``failed_qids`` are the questions of the objective's universe that have
+    no score for the configuration; the objective averages the others.
+    """
 
     config: RagConfig
-    per_question: tuple[QuestionEval, ...]
     objective_score: float
     cost: CostDelta
     failed_qids: tuple[str, ...] = ()
@@ -104,6 +115,26 @@ class EvalResult:
     def __post_init__(self) -> None:
         if not 0.0 <= self.objective_score <= 1.0:
             raise ValueError(f"objective_score must be in [0, 1], got {self.objective_score}")
+
+
+class Evaluator(Protocol):
+    """What :func:`raghpo.harness.run` needs of a backend.
+
+    ``evaluate_retrieval_only`` scores context_mrr with no generation run or
+    charged; ``replay_objective`` is the objective at no cost, or None when
+    the backend has no such lookup; ``supports_metric`` says whether a
+    metric is defined for some question of a split.
+    """
+
+    def evaluate(self, config: RagConfig, split: str, objective: Objective) -> EvalResult: ...
+
+    def evaluate_retrieval_only(self, config: RagConfig, split: str) -> EvalResult: ...
+
+    def replay_objective(
+        self, config: RagConfig, split: str, objective: Objective
+    ) -> float | None: ...
+
+    def supports_metric(self, metric: str, split: str) -> bool: ...
 
 
 def best_so_far(history) -> tuple[RagConfig, float]:
@@ -124,8 +155,57 @@ def best_so_far(history) -> tuple[RagConfig, float]:
     return best
 
 
-class GridReplayEvaluator:
-    """Replays precomputed grid scores; evaluation is a deterministic lookup."""
+class StoredScores:
+    """What both backends share: scores and costs read from a :class:`GridTable`.
+
+    ``_slices`` holds one :class:`ScoreSlice` per (split, metric) of the
+    table over the backend's qid universe, in which order means are summed.
+    """
+
+    table: GridTable
+    space: SearchSpace
+    _slices: dict[tuple[str, str], ScoreSlice]
+
+    def supports_metric(self, metric: str, split: str) -> bool:
+        return bool(self._slices[(split, metric)].qids)
+
+    def _stored_result(
+        self, config: RagConfig, ordinal: int, split: str, objective: Objective, retrieval_only=False
+    ) -> EvalResult:
+        """The objective over the rows stored for ``ordinal``, and the cell's cost.
+
+        A metric whose universe lacks rows for ``ordinal`` is averaged over
+        the rows present, and the qids without one are reported as failed.
+        A retrieval-only result is charged the cell's embedding tokens only.
+        """
+        score = 0.0
+        missing: dict[str, None] = {}
+        for metric, weight in objective.weighted_metrics():
+            scores = self._slices[(split, metric)]
+            mean = float(scores.means[ordinal])
+            if math.isnan(mean):
+                missing.update(dict.fromkeys(scores.missing(ordinal)))
+                column = scores.matrix[:, ordinal].tolist()
+                try:
+                    mean = aggregate(None if math.isnan(v) else v for v in column).mean
+                except MetricUndefinedError:
+                    raise MetricUndefinedError(
+                        f"metric {metric!r} is undefined for every question on split {split!r}"
+                    ) from None
+            score += weight * mean
+        cost = self.table.cost_for(ordinal, split) or ZERO_COST
+        if retrieval_only:
+            cost = CostDelta(embedded_tokens=cost.embedded_tokens)
+        return EvalResult(config, score, cost, tuple(missing))
+
+
+class GridReplayEvaluator(StoredScores):
+    """Replays precomputed grid scores; evaluation is a deterministic lookup.
+
+    The qid universe of each (split, metric) is every qid with a row for it,
+    and a configuration that lacks any of them is an
+    :class:`IncompleteTableError`.
+    """
 
     def __init__(self, table: GridTable, space: SearchSpace):
         if table.space_fingerprint != space.fingerprint():
@@ -140,44 +220,24 @@ class GridReplayEvaluator:
             for metric in METRIC_NAMES
         }
 
-    def _objective(self, ordinal: int, split: str, objective: Objective) -> float:
-        """Weighted sum of the per-config means; NaN when a metric lacks rows for ``ordinal``."""
-        score = 0.0
-        for metric, weight in objective.weighted_metrics():
-            score += weight * float(self._slices[(split, metric)].means[ordinal])
-        return score
-
-    def _build_result(
-        self, config: RagConfig, ordinal: int, split: str, objective: Objective, cost: CostDelta
-    ) -> EvalResult:
-        per_question: dict[str, QuestionEval] = {}
-        for metric in objective.metrics:
-            scores = self._slices[(split, metric)]
-            scores.require_complete((ordinal,))
-            for qid, value in zip(scores.qids, scores.matrix[:, ordinal].tolist()):
-                per_question.setdefault(qid, QuestionEval(qid=qid)).scores[metric] = value
-        ordered = tuple(per_question[q] for q in sorted(per_question))
-        return EvalResult(
-            config=config,
-            per_question=ordered,
-            objective_score=self._objective(ordinal, split, objective),
-            cost=cost,
-        )
+    def _complete(self, config: RagConfig, split: str, metrics) -> int:
+        """The ordinal of ``config``, whose rows for ``metrics`` must all be present."""
+        ordinal = self.space.ordinal_of(config)
+        for metric in metrics:
+            self._slices[(split, metric)].require_complete((ordinal,))
+        return ordinal
 
     def evaluate(self, config: RagConfig, split: str, objective: Objective) -> EvalResult:
         """Replay the full objective for one configuration."""
-        ordinal = self.space.ordinal_of(config)
-        cost = self.table.cost_for(ordinal, split) or ZERO_COST
-        return self._build_result(config, ordinal, split, objective, cost)
+        ordinal = self._complete(config, split, objective.metrics)
+        return self._stored_result(config, ordinal, split, objective)
 
     def evaluate_retrieval_only(self, config: RagConfig, split: str) -> EvalResult:
         """Replay retrieval quality only; generation is neither run nor charged."""
-        ordinal = self.space.ordinal_of(config)
-        full = self.table.cost_for(ordinal, split)
-        cost = (
-            CostDelta(embedded_tokens=full.embedded_tokens) if full is not None else ZERO_COST
+        ordinal = self._complete(config, split, (CONTEXT_MRR,))
+        return self._stored_result(
+            config, ordinal, split, RETRIEVAL_OBJECTIVE, retrieval_only=True
         )
-        return self._build_result(config, ordinal, split, RETRIEVAL_OBJECTIVE, cost)
 
     def replay_objective(
         self, config: RagConfig, split: str, objective: Objective
@@ -185,11 +245,10 @@ class GridReplayEvaluator:
         """Zero-cost objective lookup, or None when the rows are absent.
 
         Lets the harness record the would-be objective score of a
-        retrieval-only probe, which on a replay backend is free. Live
-        backends have no equivalent.
+        retrieval-only probe, which on a replay backend is free.
         """
-        score = self._objective(self.space.ordinal_of(config), split, objective)
+        ordinal = self.space.ordinal_of(config)
+        score = 0.0
+        for metric, weight in objective.weighted_metrics():
+            score += weight * float(self._slices[(split, metric)].means[ordinal])
         return None if math.isnan(score) else score
-
-    def supports_metric(self, metric: str, split: str) -> bool:
-        return bool(self._slices[(split, metric)].qids)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .costs import CostDelta
 from .dataio import _dump_canonical, _read_jsonl, atomic_write, read_json_object
-from .evaluator import Objective, best_so_far
+from .evaluator import Evaluator, Objective, best_so_far
 from .metrics import CONTEXT_MRR
 from .optimizers import (
     ALGORITHMS,
@@ -30,7 +30,7 @@ from .optimizers import (
     TrialHistory,
     create_optimizer,
 )
-from .searchspace import IndexConfig, RagConfig, SearchSpace
+from .searchspace import IndexConfig, SearchSpace
 
 log = logging.getLogger(__name__)
 
@@ -186,40 +186,8 @@ class _SeedProgress:
         self.resume_state: dict | None = None
 
 
-#: Run-level evaluation memo: (config, split, objective) -> (objective score,
-#: cost). ``objective=None`` keys a retrieval-only evaluation.
-_EvalMemo = dict[tuple[RagConfig, str, Objective | None], tuple[float, CostDelta]]
-
-
-def _evaluate(
-    evaluator, memo: _EvalMemo, config: RagConfig, split: str, objective: Objective | None
-) -> tuple[float, CostDelta]:
-    """Score and cost of one evaluation, computed once per run.
-
-    Generation pins greedy decoding, so a repeat would return the same score
-    and token counts. A result with failed questions is not stored, so the
-    next request retries them.
-    """
-    key = (config, split, objective)
-    known = memo.get(key)
-    if known is None:
-        if objective is None:
-            result = evaluator.evaluate_retrieval_only(config, split)
-        else:
-            result = evaluator.evaluate(config, split, objective)
-        known = (result.objective_score, result.cost)
-        if not result.failed_qids:
-            memo[key] = known
-    return known
-
-
 def _advance_seed(
-    spec: RunSpec,
-    evaluator,
-    memo: _EvalMemo,
-    progress: _SeedProgress,
-    free_lookup,
-    track_state: bool,
+    spec: RunSpec, evaluator: Evaluator, progress: _SeedProgress, track_state: bool
 ) -> SeedRun:
     """Run the remaining iterations of one seed, returning its final record."""
     try:
@@ -232,15 +200,15 @@ def _advance_seed(
         suggestion = progress.optimizer.suggest(progress.history)
         config = suggestion.config
         if suggestion.retrieval_only:
-            retrieval_score, cost = _evaluate(evaluator, memo, config, "dev", None)
-            objective_score = (
-                free_lookup(config, "dev", spec.objective) if free_lookup else None
-            )
+            result = evaluator.evaluate_retrieval_only(config, "dev")
+            retrieval_score = result.objective_score
+            objective_score = evaluator.replay_objective(config, "dev", spec.objective)
             driver = DRIVER_RETRIEVAL
         else:
-            objective_score, cost = _evaluate(evaluator, memo, config, "dev", spec.objective)
-            retrieval_score = None
+            result = evaluator.evaluate(config, "dev", spec.objective)
+            objective_score, retrieval_score = result.objective_score, None
             driver = DRIVER_OBJECTIVE
+        cost = result.cost
         progress.history.append(
             Trial(
                 iteration=iteration,
@@ -263,10 +231,9 @@ def _advance_seed(
             best_ordinal = spec.space.ordinal_of(best_config)
             test_score = progress.test_cache.get(best_ordinal)
             if test_score is None:
-                test_score, test_cost = _evaluate(
-                    evaluator, memo, best_config, "test", spec.objective
-                )
-                progress.test_ledger.charge(best_config.index, test_cost)
+                test = evaluator.evaluate(best_config, "test", spec.objective)
+                test_score = test.objective_score
+                progress.test_ledger.charge(best_config.index, test.cost)
                 progress.test_cache[best_ordinal] = test_score
         progress.iterations.append(
             IterationRecord(
@@ -284,41 +251,37 @@ def _advance_seed(
     )
 
 
-def run(spec: RunSpec, evaluator, checkpoint_path: str | Path | None = None) -> RunRecord:
+def run(
+    spec: RunSpec, evaluator: Evaluator, checkpoint_path: str | Path | None = None
+) -> RunRecord:
     """Execute the full protocol: budget iterations per seed, then aggregate.
 
-    The evaluator must provide ``evaluate(config, split, objective)`` and
-    ``evaluate_retrieval_only(config, split)``. When it also provides
-    ``replay_objective`` (the grid-replay backend does), retrieval-only
-    probes get their objective score recorded via that free lookup, so the
-    dev-best trajectory is defined from iteration 1 without charging any
-    generation spend for those probes.
+    A retrieval-only probe records the evaluator's ``replay_objective`` as
+    its objective score. The grid-replay backend looks it up for free, so
+    the dev-best trajectory is defined from iteration 1 without charging
+    any generation spend for those probes; the live backend returns None.
 
-    Each distinct (config, split, objective) is evaluated once per run:
-    seeds that propose the same configuration, and the per-iteration test
-    evaluation of the dev-best, reuse the first evaluation's score and cost.
-    Every seed's ledgers are still charged as if it had evaluated the
-    configuration itself, so the accounted spend does not depend on the
-    reuse; only the spend actually sent to the services drops. An
-    evaluation with failed questions is not reused.
+    Every evaluation is asked of the evaluator, whose score store keeps
+    seeds from paying twice: the live backend runs a (config, split) cell
+    once and serves later requests for it from its table, and runs it again
+    only while a question lacks a row. Every seed's ledgers are charged the
+    cell's cost as if it had evaluated the configuration itself, so the
+    accounted spend does not depend on the reuse; only the spend actually
+    sent to the services drops.
 
     With ``checkpoint_path`` set, a live-service outage writes resumable
     state there and raises :class:`RunSuspended`; re-running with the same
     arguments continues the identical trajectory. A completed run removes
-    the checkpoint. The evaluation memo is not part of the checkpoint.
+    the checkpoint. The evaluator's table is not part of the checkpoint.
     """
     from .pipeline import ServiceFailure
 
-    if spec.algorithm == "greedy_rcc":
-        supports = getattr(evaluator, "supports_metric", None)
-        if supports is not None and not supports(CONTEXT_MRR, "dev"):
-            raise ValueError(
-                "greedy_rcc needs retrieval quality on the dev split, but no dev "
-                "question has gold document labels (and the grid table has no "
-                "context_mrr rows); choose another algorithm or add gold labels"
-            )
-    free_lookup = getattr(evaluator, "replay_objective", None)
-    memo: _EvalMemo = {}
+    if spec.algorithm == "greedy_rcc" and not evaluator.supports_metric(CONTEXT_MRR, "dev"):
+        raise ValueError(
+            "greedy_rcc needs retrieval quality on the dev split, but no dev "
+            "question has gold document labels (and the grid table has no "
+            "context_mrr rows); choose another algorithm or add gold labels"
+        )
 
     seed_runs: list[SeedRun] = []
     resumed: _SeedProgress | None = None
@@ -341,12 +304,7 @@ def run(spec: RunSpec, evaluator, checkpoint_path: str | Path | None = None) -> 
             progress = _SeedProgress(spec, seed)
         try:
             seed_run = _advance_seed(
-                spec,
-                evaluator,
-                memo,
-                progress,
-                free_lookup,
-                track_state=checkpoint_path is not None,
+                spec, evaluator, progress, track_state=checkpoint_path is not None
             )
         except ServiceFailure as exc:
             if checkpoint_path is None:

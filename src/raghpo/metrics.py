@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 # Any change to tokenize() shifts every lexical score; bump this when the
@@ -71,20 +71,6 @@ class RetrievedChunk:
     def __post_init__(self) -> None:
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
-
-
-@dataclass
-class QuestionEval:
-    """Per-question evaluation record: answer, retrieval, and metric scores.
-
-    Metrics undefined for the question (e.g. reciprocal rank without gold
-    document labels) are simply absent from ``scores``.
-    """
-
-    qid: str
-    generated_answer: str = ""
-    retrieved: tuple[RetrievedChunk, ...] = ()
-    scores: dict[str, float] = field(default_factory=dict)
 
 
 def context_correctness_mrr(

@@ -112,15 +112,9 @@ class TrialHistory:
     def __eq__(self, other) -> bool:
         return isinstance(other, TrialHistory) and self._trials == other._trials
 
-    def __contains__(self, config: RagConfig) -> bool:
-        return config in self._configs
-
     @property
     def trials(self) -> tuple[Trial, ...]:
         return tuple(self._trials)
-
-    def configs(self) -> set[RagConfig]:
-        return set(self._configs)
 
 
 @dataclass(frozen=True)
@@ -465,10 +459,3 @@ def create_optimizer(
         return GreedyOptimizer(space, seed, algorithm, suffix_mode=greedy_suffix_mode)
     raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
 
-
-def restore_optimizer(space: SearchSpace, state: dict) -> Optimizer:
-    """Rebuild an optimizer from a ``state_dict()`` snapshot."""
-    algorithm = state.get("algorithm")
-    optimizer = create_optimizer(algorithm, space, seed=state["seed"])
-    optimizer.load_state_dict(state)
-    return optimizer

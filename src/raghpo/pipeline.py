@@ -50,20 +50,19 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .costs import CostDelta
-from .dataio import Dataset, Document, QaPair
-from .evaluator import EvalResult, Objective
+from .dataio import SPLITS, Dataset, Document, GridKey, GridTable, QaPair, ScoreSlice
+from .evaluator import RETRIEVAL_OBJECTIVE, EvalResult, Objective, StoredScores
 from .metrics import (
     CONTEXT_MRR,
     FAITHFULNESS,
     JUDGE_AC,
     LEXICAL_AC,
-    MetricUndefinedError,
-    QuestionEval,
+    METRIC_NAMES,
     RetrievedChunk,
-    aggregate,
     context_correctness_mrr,
     faithfulness_precision,
     lexical_answer_correctness,
+    tokenize,
 )
 from .searchspace import AnswerConfig, IndexConfig, RagConfig, SearchSpace
 
@@ -599,10 +598,19 @@ def generate_answer(
 # ---------------------------------------------------------------------------
 
 
-class LivePipelineEvaluator:
+class LivePipelineEvaluator(StoredScores):
     """Evaluates configurations by actually running the RAG pipeline.
 
-    The evaluator does shared index work once for its lifetime:
+    It is a replay backend whose :class:`GridTable` fills as it goes: a new
+    table, or the one ``raghpo grid`` passes in. :meth:`fill` runs the
+    pipeline for a (config, split) cell that lacks rows, and both
+    evaluations read score and cost back from the table, so a cell is run
+    once per evaluator, and again only while a question lacks a row. The
+    qid universe of a (split, metric) is the split's questions, in dataset
+    order, for which the metric is defined: context_mrr needs gold
+    documents, lexical_ac a gold answer with a token, judge_ac a judge.
+
+    The evaluator also does shared index work once for its lifetime:
 
     * the corpus is chunked once per (chunk_size, chunk_overlap), and the
       indexes of every embedding model share that chunk list;
@@ -628,6 +636,7 @@ class LivePipelineEvaluator:
         templates: TemplateStore | None = None,
         judge: JudgeClient | None = None,
         parallelism: int = 1,
+        table: GridTable | None = None,
     ):
         if parallelism < 1:
             raise ValueError(f"parallelism must be >= 1, got {parallelism}")
@@ -637,6 +646,19 @@ class LivePipelineEvaluator:
         self.templates = templates or TemplateStore.builtin()
         self.judge = judge
         self.parallelism = parallelism
+        self.table = table or GridTable(space_fingerprint=space.fingerprint())
+        defined = {
+            CONTEXT_MRR: lambda qa: bool(qa.gold_doc_ids),
+            LEXICAL_AC: lambda qa: bool(tokenize(qa.gold_answer)),
+            FAITHFULNESS: lambda qa: True,
+            JUDGE_AC: lambda qa: judge is not None,
+        }
+        self._universes = {
+            (split, metric): tuple(qa.qid for qa in dataset.split(split) if defined[metric](qa))
+            for split in SPLITS
+            for metric in METRIC_NAMES
+        }
+        self._slices = {key: self._slice(key) for key in self._universes}
         # Nothing below may refer back to the evaluator: it must be freed by
         # reference counting as soon as its command drops it.
         self._embeddings = _EmbeddingMemo(embedder)
@@ -645,6 +667,9 @@ class LivePipelineEvaluator:
         self._retrieved: dict[
             tuple[IndexConfig, int, str], tuple[tuple[RetrievedChunk, ...], ...]
         ] = {}
+
+    def _slice(self, key: tuple[str, str]) -> ScoreSlice:
+        return self.table.slice(*key, self.space.total_size, qids=self._universes[key])
 
     def _index_for(self, index_config: IndexConfig) -> tuple[VectorIndex, int]:
         cached = self._indices.get(index_config)
@@ -668,8 +693,6 @@ class LivePipelineEvaluator:
     def _retrieve_all(
         self, config: RagConfig, split: str
     ) -> tuple[tuple[tuple[RetrievedChunk, ...], ...], int]:
-        if not self.space.contains(config):
-            raise ValueError(f"configuration {config.as_dict()} is not in the search space")
         index, embedded_tokens = self._index_for(config.index)
         key = (config.index, config.answer.top_k, split)
         retrieved = self._retrieved.get(key)
@@ -689,43 +712,28 @@ class LivePipelineEvaluator:
             )
         return retrieved, embedded_tokens
 
-    def supports_metric(self, metric: str, split: str) -> bool:
-        if metric == CONTEXT_MRR:
-            return any(qa.gold_doc_ids for qa in self.dataset.split(split))
-        if metric == JUDGE_AC:
-            return self.judge is not None
-        return metric in (LEXICAL_AC, FAITHFULNESS)
+    def fill(
+        self, config: RagConfig, split: str, metrics: Sequence[str]
+    ) -> list[tuple[GridKey, float]]:
+        """Evaluate a cell into the table when any (metric, qid) of its universe lacks a row.
 
-    def evaluate_retrieval_only(self, config: RagConfig, split: str) -> EvalResult:
-        """Score retrieval quality only; no generation is run or charged."""
+        The pipeline runs once for the whole cell, generating answers unless
+        context_mrr is the only metric asked for. Only the missing rows are
+        added, and the cell's cost row is replaced with the spend of this run.
+        A question whose generation or judge call fails keeps the rows it
+        has; when every one fails, nothing is stored and ServiceFailure is
+        raised. Returns the rows added, in the order added.
+        """
+        if not self.space.contains(config):
+            raise ValueError(f"configuration {config.as_dict()} is not in the search space")
         questions = self.dataset.split(split)
+        ordinal = self.space.ordinal_of(config)
+        gaps = {(m, qid) for m in metrics for qid in self._slices[(split, m)].missing(ordinal)}
+        if not gaps:
+            return []
         retrieved, embedded_tokens = self._retrieve_all(config, split)
-        per_question = []
-        for qa, chunks in zip(questions, retrieved):
-            qe = QuestionEval(qid=qa.qid, retrieved=chunks)
-            mrr = context_correctness_mrr(chunks, qa.gold_doc_ids)
-            if mrr is not None:
-                qe.scores[CONTEXT_MRR] = mrr
-            per_question.append(qe)
-        agg = aggregate(
-            [qe.scores.get(CONTEXT_MRR) for qe in per_question]
-        )  # raises when no question has gold documents
-        if agg.excluded:
-            log.info("%d questions lack gold documents; excluded from retrieval score", agg.excluded)
-        return EvalResult(
-            config=config,
-            per_question=tuple(per_question),
-            objective_score=agg.mean,
-            cost=CostDelta(embedded_tokens=embedded_tokens),
-        )
-
-    def evaluate(self, config: RagConfig, split: str, objective: Objective) -> EvalResult:
-        """Run retrieval plus generation and score the requested objective."""
-        judged = JUDGE_AC in objective.metrics
-        if judged and self.judge is None:
-            raise ValueError("objective includes judge_ac but no judge endpoint is configured")
-        questions = self.dataset.split(split)
-        retrieved, embedded_tokens = self._retrieve_all(config, split)
+        generated = any(metric != CONTEXT_MRR for metric in metrics)
+        judged = JUDGE_AC in metrics
 
         def answer_one(
             args: tuple[QaPair, Sequence[RetrievedChunk]],
@@ -748,65 +756,82 @@ class LivePipelineEvaluator:
                 return result, None
 
         work = list(zip(questions, retrieved))
-        if self.parallelism > 1:
+        if not generated:
+            answers = [(None, None)] * len(work)
+        elif self.parallelism > 1:
             with ThreadPoolExecutor(max_workers=self.parallelism) as pool:
                 answers = list(pool.map(answer_one, work))
         else:
             answers = [answer_one(item) for item in work]
 
-        per_question: list[QuestionEval] = []
-        failed: list[str] = []
+        rows: list[tuple[GridKey, float]] = []
+        failed = 0
         input_tokens = 0
         output_tokens = 0
         for qa, chunks, (result, judge_score) in zip(questions, retrieved, answers):
-            if result is None:
-                failed.append(qa.qid)
-                continue
-            # A generation is paid for even when its judge call then fails.
-            input_tokens += result.input_tokens
-            output_tokens += result.output_tokens
-            if judged and judge_score is None:
-                failed.append(qa.qid)
-                continue
-            qe = QuestionEval(qid=qa.qid, generated_answer=result.text, retrieved=chunks)
-            mrr = context_correctness_mrr(chunks, qa.gold_doc_ids)
-            if mrr is not None:
-                qe.scores[CONTEXT_MRR] = mrr
-            qe.scores[FAITHFULNESS] = faithfulness_precision(result.text, chunks)
-            lex = lexical_answer_correctness(result.text, qa.gold_answer)
-            if lex is not None:
-                qe.scores[LEXICAL_AC] = lex
-            if judged:
-                qe.scores[JUDGE_AC] = judge_score
-            per_question.append(qe)
+            scores = {CONTEXT_MRR: context_correctness_mrr(chunks, qa.gold_doc_ids)}
+            if result is not None:
+                # A generation is paid for even when its judge call then fails.
+                input_tokens += result.input_tokens
+                output_tokens += result.output_tokens
+                scores[FAITHFULNESS] = faithfulness_precision(result.text, chunks)
+                scores[LEXICAL_AC] = lexical_answer_correctness(result.text, qa.gold_answer)
+                scores[JUDGE_AC] = judge_score
+            if generated and (result is None or (judged and judge_score is None)):
+                failed += 1
+            for metric in metrics:
+                score = scores.get(metric)
+                if score is not None and (metric, qa.qid) in gaps:
+                    rows.append(((ordinal, split, metric, qa.qid), score))
         if failed:
             log.warning(
-                "%d/%d questions failed generation or judging and are excluded from aggregation",
-                len(failed),
+                "%d/%d questions failed generation or judging and lack rows",
+                failed,
                 len(questions),
             )
-        if not per_question:
-            raise ServiceFailure(
-                f"every generation{' or judge call' if judged else ''} failed; nothing to aggregate"
-            )
-
-        score = 0.0
-        for metric, weight in objective.weighted_metrics():
-            try:
-                agg = aggregate([qe.scores.get(metric) for qe in per_question])
-            except MetricUndefinedError:
-                raise MetricUndefinedError(
-                    f"metric {metric!r} is undefined for every question on split {split!r}"
-                ) from None
-            score += weight * agg.mean
-        return EvalResult(
-            config=config,
-            per_question=tuple(per_question),
-            objective_score=score,
-            cost=CostDelta(
+            if failed == len(questions):
+                raise ServiceFailure(
+                    f"every generation{' or judge call' if judged else ''} failed; "
+                    "nothing to aggregate"
+                )
+        for (_, _, metric, qid), score in rows:
+            self.table.add_score(ordinal, split, metric, qid, score)
+        self.table.set_cost(
+            ordinal,
+            split,
+            CostDelta(
                 embedded_tokens=embedded_tokens,
                 generation_input_tokens=input_tokens,
                 generation_output_tokens=output_tokens,
             ),
-            failed_qids=tuple(failed),
         )
+        for metric in {metric for (_, _, metric, _), _ in rows}:
+            self._slices[(split, metric)] = self._slice((split, metric))
+        return rows
+
+    def evaluate(self, config: RagConfig, split: str, objective: Objective) -> EvalResult:
+        """Fill the cell's generated metrics, judge_ac too when the objective asks for it,
+        and score the objective from the table."""
+        judged = JUDGE_AC in objective.metrics
+        if judged and self.judge is None:
+            raise ValueError("objective includes judge_ac but no judge endpoint is configured")
+        metrics = (LEXICAL_AC, FAITHFULNESS, CONTEXT_MRR) + ((JUDGE_AC,) if judged else ())
+        self.fill(config, split, metrics)
+        return self._stored_result(config, self.space.ordinal_of(config), split, objective)
+
+    def evaluate_retrieval_only(self, config: RagConfig, split: str) -> EvalResult:
+        """Fill and score context_mrr only; no generation is run or charged."""
+        self.fill(config, split, (CONTEXT_MRR,))
+        return self._stored_result(
+            config, self.space.ordinal_of(config), split, RETRIEVAL_OBJECTIVE, retrieval_only=True
+        )
+
+    def replay_objective(
+        self, config: RagConfig, split: str, objective: Objective
+    ) -> None:
+        """None: a live objective score is never free, so a probe records none.
+
+        A lookup into the filling table would make one seed's probes depend
+        on what other seeds had evaluated.
+        """
+        return None

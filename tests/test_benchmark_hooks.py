@@ -8,11 +8,14 @@ benchmark run, so this test installs the tracer and checks those signatures.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import inspect
 from pathlib import Path
 
-from raghpo.evaluator import GridReplayEvaluator
+import pytest
+
+from raghpo.evaluator import EvalResult, Evaluator, GridReplayEvaluator
 from raghpo.pipeline import EmbeddingClient, LivePipelineEvaluator
 from raghpo.searchspace import SearchSpace
 
@@ -51,3 +54,19 @@ def test_replay_evaluator_exposes_its_space(tiny_space):
     table = table_from_config_scores(tiny_space, [0.5] * tiny_space.total_size)
     evaluator = GridReplayEvaluator(table, tiny_space)
     assert evaluator.space.ordinal_of(tiny_space.config_at(3)) == 3
+
+
+def test_eval_result_keeps_the_fields_faults_replace():
+    # faults.py calls dataclasses.replace(result, config=...) and (objective_score=...).
+    assert {"config", "objective_score"} <= {f.name for f in dataclasses.fields(EvalResult)}
+
+
+@pytest.mark.parametrize("backend", [GridReplayEvaluator, LivePipelineEvaluator])
+def test_both_evaluators_satisfy_the_evaluator_protocol(backend):
+    members = [name for name in vars(Evaluator) if not name.startswith("_")]
+    assert sorted(members) == [
+        "evaluate", "evaluate_retrieval_only", "replay_objective", "supports_metric"
+    ]
+    for name in members:
+        expected = list(inspect.signature(getattr(Evaluator, name)).parameters)
+        assert list(inspect.signature(getattr(backend, name)).parameters) == expected

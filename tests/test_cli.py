@@ -16,7 +16,7 @@ from raghpo.metrics import CONTEXT_MRR, FAITHFULNESS, LEXICAL_AC
 from raghpo.pipeline import LivePipelineEvaluator, ServiceFailure
 from raghpo.searchspace import SearchSpace
 
-from conftest import is_complete, make_document, table_from_config_scores
+from conftest import fill_table, is_complete, make_document, table_from_config_scores
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -252,6 +252,10 @@ BAD_RUN_CONFIG_VALUES = {
         "optimize", "replay", {"objective": {"metrics": "lexical_ac"}},
         "objective.metrics: expected a list of metric names, got 'lexical_ac'",
     ),
+    "objective list holding a number": (
+        "optimize", "replay", {"objective": ["lexical_ac", 3]},
+        "objective: expected a list of metric names, got ['lexical_ac', 3]",
+    ),
     "objective weight": (
         "optimize", "replay", {"objective": {"metrics": ["lexical_ac"], "weights": ["x"]}},
         "objective.weights: expected float, got 'x'",
@@ -292,6 +296,26 @@ def test_bad_run_config_value_exits_2_naming_its_key(
     assert main([command, "--config", str(config_path)]) == EXIT_VALIDATION
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not list(tmp_path.glob("out.jsonl*"))
+
+
+def test_objective_list_in_a_run_config_means_the_comma_string(tmp_path, default_space):
+    table = fill_table(
+        default_space,
+        lambda ordinal, split, metric, qid: (ordinal * 7 + len(metric) + len(qid)) % 10 / 10,
+        split_metrics={"dev": (LEXICAL_AC, FAITHFULNESS), "test": (LEXICAL_AC, FAITHFULNESS)},
+        qids={"dev": ("q0", "q1"), "test": ("t0",)},
+    )
+    store_grid(table, tmp_path / "grid.jsonl")
+    exports = []
+    for objective in (["lexical_ac", "faithfulness"], "lexical_ac,faithfulness"):
+        out = tmp_path / f"run{len(exports)}.jsonl"
+        config = {"grid_table": str(tmp_path / "grid.jsonl"), "objective": objective}
+        config.update({"algorithm": "tpe", "budget": 8, "seeds": 2, "out": str(out)})
+        (tmp_path / "run_config.json").write_text(json.dumps(config))
+        assert main(["optimize", "--config", str(tmp_path / "run_config.json")]) == EXIT_OK
+        exports.append(out.read_bytes())
+        assert load_run(out).spec.objective.metrics == (LEXICAL_AC, FAITHFULNESS)
+    assert exports[0] == exports[1]
 
 
 # ---------------------------------------------------------------------------
@@ -679,16 +703,16 @@ class _Killed(BaseException):
 def _grid_killed_after(live_setup, monkeypatch, cells: int) -> bytes:
     """Run grid from scratch until ``cells`` cells are evaluated, then kill it."""
     live_setup["grid_path"].unlink(missing_ok=True)
-    original = LivePipelineEvaluator.evaluate
+    original = LivePipelineEvaluator.fill
     calls = itertools.count()
 
-    def evaluate(self, *args):
+    def fill(self, *args):
         if next(calls) == cells:
             raise _Killed
         return original(self, *args)
 
     with monkeypatch.context() as patch:
-        patch.setattr(LivePipelineEvaluator, "evaluate", evaluate)
+        patch.setattr(LivePipelineEvaluator, "fill", fill)
         with pytest.raises(_Killed):
             main(["grid", "--config", str(live_setup["config_path"])])
     return live_setup["grid_path"].read_bytes()

@@ -42,7 +42,7 @@ def test_replay_objective_is_question_mean(tiny_space):
     evaluator = GridReplayEvaluator(table, tiny_space)
     result = evaluator.evaluate(tiny_space.config_at(3), "dev", Objective())
     assert result.objective_score == 0.5
-    assert len(result.per_question) == 4
+    assert result.failed_qids == ()
 
 
 def test_replay_single_question_echo(tiny_space):

@@ -18,6 +18,14 @@ from raghpo.harness import (
     load_run,
     run,
 )
+from raghpo.pipeline import (
+    EmbeddingClient,
+    GenerationClient,
+    LivePipelineEvaluator,
+    PromptTemplate,
+    ServiceEndpoint,
+    TemplateStore,
+)
 from raghpo.searchspace import IndexConfig
 
 from conftest import table_from_config_scores
@@ -153,7 +161,7 @@ def test_rcc_refuses_to_start_without_retrieval_metric(default_space):
 
 
 class _NoFreeLookup:
-    """Evaluator facade without replay_objective, like a live backend."""
+    """Evaluator facade whose replay_objective has no free lookup, like a live backend."""
 
     def __init__(self, inner):
         self._inner = inner
@@ -163,6 +171,9 @@ class _NoFreeLookup:
 
     def evaluate_retrieval_only(self, *args):
         return self._inner.evaluate_retrieval_only(*args)
+
+    def replay_objective(self, *args):
+        return None
 
     def supports_metric(self, *args):
         return self._inner.supports_metric(*args)
@@ -202,33 +213,24 @@ def test_rcc_probes_get_free_objective_backfill(default_space):
 
 
 # ---------------------------------------------------------------------------
-# Run-level evaluation memo
+# The live evaluator's table as the run's store
 # ---------------------------------------------------------------------------
 
 
 class CountingEvaluator:
-    """Counts evaluations per (config, split, objective); ``None`` marks retrieval-only.
+    """Counts evaluations per (config, split, objective); ``None`` marks retrieval-only."""
 
-    With ``fail_first``, the first evaluation of each cell reports a failed
-    question, as a transient generation failure would.
-    """
-
-    def __init__(self, inner, fail_first: bool = False):
+    def __init__(self, inner):
         self._inner = inner
-        self._fail_first = fail_first
         self.calls: Counter = Counter()
 
-    def _count(self, key, result):
-        self.calls[key] += 1
-        if self._fail_first and self.calls[key] == 1:
-            return dataclasses.replace(result, failed_qids=("q0",))
-        return result
-
     def evaluate(self, config, split, objective):
-        return self._count((config, split, objective), self._inner.evaluate(config, split, objective))
+        self.calls[(config, split, objective)] += 1
+        return self._inner.evaluate(config, split, objective)
 
     def evaluate_retrieval_only(self, config, split):
-        return self._count((config, split, None), self._inner.evaluate_retrieval_only(config, split))
+        self.calls[(config, split, None)] += 1
+        return self._inner.evaluate_retrieval_only(config, split)
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
@@ -248,23 +250,45 @@ def seed_progress(monkeypatch):
     return created
 
 
+def live_evaluator(stub_service, dataset, space) -> LivePipelineEvaluator:
+    endpoint = ServiceEndpoint(stub_service.base_url, timeout=5.0, max_attempts=1)
+    return LivePipelineEvaluator(
+        dataset=dataset,
+        space=space,
+        embedder=EmbeddingClient(endpoint),
+        generator=GenerationClient(endpoint),
+        templates=TemplateStore(
+            {
+                "gen-a": PromptTemplate(body="{question}\n{retrieved documents}"),
+                "gen-b": PromptTemplate(body="{retrieved documents}\n{question}"),
+            }
+        ),
+    )
+
+
+def _generate_requests(stub_service) -> int:
+    return len(stub_service.received("/generate"))
+
+
 @pytest.mark.parametrize("algorithm", ["random", "tpe", "greedy_m", "greedy_rcc"])
-def test_each_cell_is_evaluated_once_per_run(default_space, seed_progress, algorithm):
-    evaluator, _ = scored_evaluator(default_space, with_costs=True)
-    spec = spec_for(default_space, algorithm=algorithm, budget=20, seeds=(1, 2, 3, 4))
-    shared = CountingEvaluator(evaluator)
+def test_each_cell_is_evaluated_once_per_run(
+    stub_service, tiny_dataset, tiny_space, seed_progress, algorithm
+):
+    spec = spec_for(tiny_space, algorithm=algorithm, budget=10, seeds=(1, 2, 3, 4))
+    shared = live_evaluator(stub_service, tiny_dataset, tiny_space)
     record = run(spec, shared)
-    assert set(shared.calls.values()) == {1}
+    # One /generate request per question of every cell that generated, once.
+    generated = [split for (_, split), cost in shared.table.costs.items() if cost.generation_input_tokens]
+    shared_requests = _generate_requests(stub_service)
+    assert shared_requests == sum(len(tiny_dataset.split(split)) for split in generated)
 
     # A fresh evaluator per seed gives every seed the same trials, ledger
     # snapshots and test ledger, and shows that the seeds did repeat cells.
-    fresh_calls = 0
     for seed, seed_run in zip(spec.seeds, record.seed_runs):
-        alone = CountingEvaluator(evaluator)
-        single = run(spec_for(default_space, algorithm=algorithm, budget=20, seeds=(seed,)), alone)
-        fresh_calls += sum(alone.calls.values())
+        alone = live_evaluator(stub_service, tiny_dataset, tiny_space)
+        single = run(spec_for(tiny_space, algorithm=algorithm, budget=10, seeds=(seed,)), alone)
         assert single.seed_runs[0] == seed_run
-    assert fresh_calls > sum(shared.calls.values())
+    assert _generate_requests(stub_service) - shared_requests > shared_requests
     shared_progress, fresh_progress = seed_progress[:4], seed_progress[4:]
     for a, b in zip(shared_progress, fresh_progress):
         assert a.ledger.snapshots == b.ledger.snapshots
@@ -272,15 +296,31 @@ def test_each_cell_is_evaluated_once_per_run(default_space, seed_progress, algor
     assert any(p.test_ledger.totals.generation_input_tokens for p in shared_progress)
 
 
-def test_evaluation_with_failed_questions_is_repeated(tiny_space):
-    # At full budget every seed evaluates every config on dev once.
-    evaluator, _ = scored_evaluator(tiny_space, with_costs=True)
+def test_evaluation_with_failed_questions_is_repeated(
+    stub_service, tiny_dataset, tiny_space
+):
+    # At full budget every seed evaluates every config on dev once. The first
+    # generation for q2 fails, so seed 1 scores that cell without q2.
+    failed = []
+
+    def first_q2_fails(payload):
+        if "document 2" in payload["prompt"] and not failed:
+            failed.append(payload["prompt"])
+            return b"not json"
+        return None
+
     spec = spec_for(tiny_space, budget=tiny_space.total_size, seeds=(1, 2, 3))
-    flaky = CountingEvaluator(evaluator, fail_first=True)
-    assert run(spec, flaky) == run(spec, evaluator)
-    dev_calls = [n for (_, split, _), n in flaky.calls.items() if split == "dev"]
-    assert len(dev_calls) == tiny_space.total_size
-    assert set(dev_calls) == {2}  # the failed first try, then one stored retry
+    clean = run(spec, live_evaluator(stub_service, tiny_dataset, tiny_space))
+    clean_requests = _generate_requests(stub_service)
+    stub_service.override("/generate", first_q2_fails)
+    flaky = live_evaluator(stub_service, tiny_dataset, tiny_space)
+    record = run(spec, flaky)
+
+    assert len(failed) == 1
+    # Seed 2 ran that one cell again and stored q2's rows; seed 3 ran nothing.
+    assert _generate_requests(stub_service) - clean_requests == clean_requests + len(tiny_dataset.dev)
+    assert record.seed_runs[1:] == clean.seed_runs[1:]
+    assert all(flaky.evaluate(c, "dev", OBJECTIVE).failed_qids == () for c in tiny_space.enumerate())
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +555,7 @@ def test_resume_in_a_later_seed_continues_identically(tmp_path, default_space):
     first_seed = CountingEvaluator(evaluator)
     run(spec_for(default_space, algorithm="greedy_m", budget=10, seeds=(1,)), first_seed)
 
-    # The outage strikes in seed 2, so the resumed run starts with an empty memo.
+    # The outage strikes in seed 2, so the run resumes in the middle of seed 2.
     checkpoint = tmp_path / "run.checkpoint"
     flaky = FlakyEvaluator(evaluator, fail_after_calls=sum(first_seed.calls.values()) + 2)
     with pytest.raises(RunSuspended):

@@ -14,9 +14,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import raghpo.pipeline
+from raghpo.costs import CostDelta
 from raghpo.dataio import Dataset, QaPair
 from raghpo.evaluator import Objective
-from raghpo.metrics import CONTEXT_MRR, JUDGE_AC, LEXICAL_AC, RetrievedChunk
+from raghpo.metrics import CONTEXT_MRR, FAITHFULNESS, JUDGE_AC, LEXICAL_AC, RetrievedChunk
 from raghpo.pipeline import (
     Chunk,
     EmbeddingClient,
@@ -575,6 +576,16 @@ def _config(model="Granite-3.1-8B-instruct") -> RagConfig:
     return RagConfig.from_values(256, 0.0, "multilingual-e5-large", 3, model)
 
 
+def _rows(evaluator: LivePipelineEvaluator, metric: str, split: str = "dev") -> dict[str, float]:
+    """The per-question scores the evaluator's table holds for ``_config()``."""
+    ordinal = evaluator.space.ordinal_of(_config())
+    return {
+        qid: score
+        for (o, s, m, qid), score in evaluator.table.scores.items()
+        if (o, s, m) == (ordinal, split, metric)
+    }
+
+
 def test_live_retrieval_only_zero_generation(stub_service, tiny_dataset):
     evaluator = _live(stub_service, tiny_dataset)
     result = evaluator.evaluate_retrieval_only(_config(), "dev")
@@ -595,10 +606,32 @@ def test_live_evaluate_full_cost_accounting(stub_service, tiny_dataset):
     assert result.cost.generation_input_tokens == sum(d[0] for d in declared)
     assert result.cost.generation_output_tokens == sum(d[1] for d in declared)
     assert result.cost.embedded_tokens == 60
-    for qe in result.per_question:
-        assert set(qe.scores) >= {CONTEXT_MRR, LEXICAL_AC}
-        for value in qe.scores.values():
-            assert 0.0 <= value <= 1.0
+    for metric in (CONTEXT_MRR, LEXICAL_AC, FAITHFULNESS):
+        rows = _rows(evaluator, metric)
+        assert list(rows) == ["q0", "q1", "q2", "q3"]
+        assert all(0.0 <= value <= 1.0 for value in rows.values())
+
+
+def test_fill_adds_only_missing_rows_and_replaces_the_cost_row(stub_service, tiny_dataset):
+    evaluator = _live(stub_service, tiny_dataset)
+    ordinal = evaluator.space.ordinal_of(_config())
+    qids = ["q0", "q1", "q2", "q3"]
+    added = evaluator.fill(_config(), "dev", (CONTEXT_MRR,))
+    assert [key for key, _ in added] == [(ordinal, "dev", CONTEXT_MRR, q) for q in qids]
+    assert evaluator.table.cost_for(ordinal, "dev") == CostDelta(embedded_tokens=60)
+
+    added = evaluator.fill(_config(), "dev", (LEXICAL_AC, FAITHFULNESS, CONTEXT_MRR))
+    assert [key[2:] for key, _ in added] == [(m, q) for q in qids for m in (LEXICAL_AC, FAITHFULNESS)]
+    cost = evaluator.table.cost_for(ordinal, "dev")
+    assert cost.embedded_tokens == 60 and cost.generation_input_tokens > 0
+
+    # The cell is complete: nothing runs, and each evaluation reads the stored cost.
+    requests = len(stub_service.received("/generate"))
+    assert evaluator.fill(_config(), "dev", (CONTEXT_MRR, LEXICAL_AC)) == []
+    assert evaluator.evaluate_retrieval_only(_config(), "dev").cost == CostDelta(embedded_tokens=60)
+    assert evaluator.evaluate(_config(), "dev", Objective(metrics=(CONTEXT_MRR,))).cost == cost
+    assert len(stub_service.received("/generate")) == requests
+    assert evaluator.replay_objective(_config(), "dev", Objective()) is None
 
 
 def test_live_evaluate_deterministic(stub_service, tiny_dataset):
@@ -645,7 +678,9 @@ def test_live_failed_generation_excluded(stub_service, tiny_dataset):
     stub_service.fail_next("/generate", 1)
     result = evaluator.evaluate(_config(), "dev", Objective())
     assert len(result.failed_qids) == 1
-    assert len(result.per_question) == 3
+    assert len(_rows(evaluator, LEXICAL_AC)) == 3
+    # Retrieval did not fail: the question keeps its context_mrr row.
+    assert len(_rows(evaluator, CONTEXT_MRR)) == 4
 
 
 def test_live_malformed_generation_reply_excludes_question(stub_service, tiny_dataset):
@@ -653,9 +688,11 @@ def test_live_malformed_generation_reply_excludes_question(stub_service, tiny_da
         "/generate",
         lambda payload: b"not json" if "document 2" in payload["prompt"] else None,
     )
-    result = _live(stub_service, tiny_dataset).evaluate(_config(), "dev", Objective())
+    evaluator = _live(stub_service, tiny_dataset)
+    result = evaluator.evaluate(_config(), "dev", Objective())
     assert result.failed_qids == ("q2",)
-    assert [qe.qid for qe in result.per_question] == ["q0", "q1", "q3"]
+    assert list(_rows(evaluator, LEXICAL_AC)) == ["q0", "q1", "q3"]
+    assert result.objective_score == sum(_rows(evaluator, LEXICAL_AC).values()) / 3
 
 
 def test_live_question_dimension_must_match_index(stub_service, tiny_dataset):
@@ -678,6 +715,7 @@ def test_live_rejects_foreign_config(stub_service, tiny_dataset):
 def test_live_supports_metric(stub_service, tiny_dataset):
     evaluator = _live(stub_service, tiny_dataset)
     assert evaluator.supports_metric(CONTEXT_MRR, "dev")
+    assert not evaluator.supports_metric(JUDGE_AC, "dev")  # no judge configured
     no_gold = Dataset(
         corpus=tiny_dataset.corpus,
         dev=tuple(
@@ -884,8 +922,9 @@ def test_failed_judge_call_excludes_the_question_and_keeps_its_cost(
     result = evaluator.evaluate(_config(), "dev", Objective(metrics=(LEXICAL_AC, JUDGE_AC)))
 
     assert result.failed_qids == ("q2",)
-    assert [qe.qid for qe in result.per_question] == ["q0", "q1", "q3"]
-    assert all(qe.scores[JUDGE_AC] == 0.5 for qe in result.per_question)
+    assert _rows(evaluator, JUDGE_AC) == {"q0": 0.5, "q1": 0.5, "q3": 0.5}
+    # The judged-out question keeps the rows its generation produced.
+    assert list(_rows(evaluator, LEXICAL_AC)) == ["q0", "q1", "q2", "q3"]
     # All four generations were paid for, the judged-out one included.
     declared = [stub_generation_tokens(c["prompt"]) for c in stub_service.calls("/generate")]
     assert len(declared) == 4
