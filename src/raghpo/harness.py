@@ -63,7 +63,6 @@ class CostLedger:
         self._embedded = 0
         self._gen_in = 0
         self._gen_out = 0
-        self._snapshots: list[CostTotals] = []
 
     def charge(self, index_config: IndexConfig, cost: CostDelta) -> None:
         """Add generation tokens always; embedding tokens only for new indexes."""
@@ -74,17 +73,11 @@ class CostLedger:
         self._gen_out += cost.generation_output_tokens
 
     def snapshot(self) -> CostTotals:
-        totals = self.totals
-        self._snapshots.append(totals)
-        return totals
+        return self.totals
 
     @property
     def totals(self) -> CostTotals:
         return CostTotals(self._embedded, self._gen_in, self._gen_out)
-
-    @property
-    def snapshots(self) -> tuple[CostTotals, ...]:
-        return tuple(self._snapshots)
 
 
 @dataclass(frozen=True)
@@ -181,22 +174,38 @@ class _SeedProgress:
         self.ledger = CostLedger()
         self.test_ledger = CostLedger()
         self.test_cache: dict[int, float] = {}
-        # Optimizer snapshot taken before the in-flight iteration's suggest,
-        # so a suspension rolls back to a clean iteration boundary.
-        self.resume_state: dict | None = None
+        # The optimizer state this seed started from (None: fresh from its
+        # seed) and how many trials the history held then.
+        self.origin: tuple[dict | None, int] = (None, 0)
+
+    def state_before_pending(self, spec: RunSpec) -> dict:
+        """The optimizer state before the suggest of the first unrecorded iteration.
+
+        A suspension rolls back to that clean iteration boundary. An
+        optimizer's state follows from where it started and the histories it
+        was shown, so a fresh one that starts there and is shown the recorded
+        trials again reaches it, and no iteration has to copy the state.
+        """
+        state, start = self.origin
+        optimizer = create_optimizer(
+            spec.algorithm, spec.space, self.seed, **spec.optimizer_options
+        )
+        if state is not None:
+            optimizer.load_state_dict(state)
+        shown = TrialHistory(self.history.trials[:start])
+        for trial in self.history.trials[start : len(self.iterations)]:
+            optimizer.suggest(shown)
+            shown.append(trial)
+        return optimizer.state_dict()
 
 
-def _advance_seed(
-    spec: RunSpec, evaluator: Evaluator, progress: _SeedProgress, track_state: bool
-) -> SeedRun:
+def _advance_seed(spec: RunSpec, evaluator: Evaluator, progress: _SeedProgress) -> SeedRun:
     """Run the remaining iterations of one seed, returning its final record."""
     try:
         best_config, best_score = best_so_far(progress.history)
     except ValueError:  # no trial has an objective score yet
         best_config, best_score = None, None
     for iteration in range(len(progress.history) + 1, spec.budget + 1):
-        if track_state:
-            progress.resume_state = progress.optimizer.state_dict()
         suggestion = progress.optimizer.suggest(progress.history)
         config = suggestion.config
         if suggestion.retrieval_only:
@@ -303,9 +312,7 @@ def run(
         else:
             progress = _SeedProgress(spec, seed)
         try:
-            seed_run = _advance_seed(
-                spec, evaluator, progress, track_state=checkpoint_path is not None
-            )
+            seed_run = _advance_seed(spec, evaluator, progress)
         except ServiceFailure as exc:
             if checkpoint_path is None:
                 raise
@@ -557,12 +564,12 @@ def _save_checkpoint(
             for sr in completed
         ],
         # Rows are the completed iterations only (zip drops a trial whose
-        # per-iteration record never landed); the optimizer state is the
-        # pre-suggest snapshot, so resume re-proposes the interrupted
-        # iteration identically.
+        # per-iteration record never landed); the optimizer state is the one
+        # before their successor's suggest, so resume re-proposes the
+        # interrupted iteration identically.
         "current": {
             "seed": progress.seed,
-            "optimizer_state": progress.resume_state or progress.optimizer.state_dict(),
+            "optimizer_state": progress.state_before_pending(spec),
             "trials": [
                 _trial_row(spec.space, progress.seed, trial, it)
                 for trial, it in zip(progress.history, progress.iterations)
@@ -606,7 +613,7 @@ def _restore_seeds(payload: dict, spec: RunSpec) -> tuple[list[SeedRun], _SeedPr
         progress.history.append(trial)
         progress.iterations.append(record)
         progress.ledger.charge(trial.config.index, trial.cost)
-        progress.ledger.snapshot()
+    progress.origin = (current["optimizer_state"], len(progress.history))
     progress.test_cache = {int(k): v for k, v in current["test_cache"].items()}
     return completed, progress
 

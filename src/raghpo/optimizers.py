@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -138,7 +138,7 @@ class Optimizer:
     """Shared plumbing: seeded RNG, unexplored-set helpers, state snapshots.
 
     Internally a configuration is its ordinal in ``space``; a
-    :class:`RagConfig` is built only for the suggestion returned.
+    :class:`RagConfig` is looked up only for the suggestion returned.
     """
 
     algorithm = ""
@@ -147,11 +147,7 @@ class Optimizer:
         self.space = space
         self.seed = seed
         self._rng = random.Random(seed)
-        # Incremental ordinal -> trial view of the history. An optimizer is a
-        # sequential state machine, so the history it sees only grows; the
-        # guard below falls back to a full rescan if it does not.
-        self._seen_last: Trial | None = None
-        self._explored: dict[int, Trial] = {}
+        self._reset_view()
 
     def suggest(self, history: TrialHistory) -> Suggestion:
         raise NotImplementedError
@@ -174,6 +170,7 @@ class Optimizer:
             )
         self._rng.setstate(_decode_rng(state["rng_state"]))
         self._load_extra_state(state)
+        self._reset_view()
 
     def _extra_state(self) -> dict:
         return {}
@@ -183,20 +180,34 @@ class Optimizer:
 
     # -- helpers ------------------------------------------------------------
 
+    # An optimizer keeps an incremental view of the history it is shown. It
+    # is a sequential state machine, so that history only grows; when it does
+    # not, _explored_trials rebuilds the view from the whole history.
+
+    def _reset_view(self) -> None:
+        self._seen_last: Trial | None = None
+        self._explored: dict[int, Trial] = {}  # ordinal -> trial
+        self._unexplored: list[int] = list(range(self.space.total_size))  # sorted
+
+    def _observe(self, ordinal: int, trial: Trial) -> None:
+        """Add one trial, the next of the history, to the view."""
+        self._explored[ordinal] = trial
+        del self._unexplored[bisect_left(self._unexplored, ordinal)]
+
     def _explored_trials(self, history: TrialHistory) -> dict[int, Trial]:
         n = len(history)
         seen = len(self._explored)  # the history holds no duplicates
         if seen > n or (seen > 0 and history[seen - 1] is not self._seen_last):
             seen = 0
-            self._explored = {}
+            self._reset_view()
         for i in range(seen, n):
-            self._explored[self.space.ordinal_of(history[i].config)] = history[i]
+            self._observe(self.space.ordinal_of(history[i].config), history[i])
         self._seen_last = history[n - 1] if n else None
         return self._explored
 
     def _uniform_unexplored(self, history: TrialHistory) -> RagConfig:
-        explored = self._explored_trials(history)
-        pool = [i for i in range(self.space.total_size) if i not in explored]
+        self._explored_trials(history)
+        pool = self._unexplored
         if not pool:
             raise SpaceExhaustedError("all configurations have been explored")
         return self.space.config_at(pool[self._rng.randrange(len(pool))])
@@ -249,50 +260,82 @@ class TpeOptimizer(Optimizer):
         self.n_candidates = n_candidates
         self.n_init = n_init
 
+    def _reset_view(self) -> None:
+        super()._reset_view()
+        # Scored trials best first, as (-score, iteration, value indices):
+        # ties go to the earlier trial. Per parameter and value index, the
+        # count among all of them and among the good prefix ranked[:_n_good].
+        self._ranked: list[tuple[float, int, tuple[int, ...]]] = []
+        self._total_counts = [[0] * n for n in self.space.sizes]
+        self._good_counts = [[0] * n for n in self.space.sizes]
+        self._n_good = 0
+
+    def _observe(self, ordinal: int, trial: Trial) -> None:
+        super()._observe(ordinal, trial)
+        if trial.objective_score is None:
+            return
+        digits = self.space.digits_at(ordinal)
+        entry = (-trial.objective_score, trial.iteration, digits)
+        rank = bisect_right(self._ranked, entry)
+        self._ranked.insert(rank, entry)
+        _count(self._total_counts, digits, 1)
+        if rank < self._n_good:
+            # It joins the good prefix and pushes the prefix's last trial out.
+            _count(self._good_counts, digits, 1)
+            _count(self._good_counts, self._ranked[self._n_good][2], -1)
+
+    def _grow_good(self, n_good: int) -> None:
+        """Make the good counts those of ``ranked[:n_good]``.
+
+        ``n_good`` never falls while a view lives: it grows with the number
+        of scored trials, and ``load_state_dict`` (which may change gamma)
+        resets the view.
+        """
+        while self._n_good < n_good:
+            _count(self._good_counts, self._ranked[self._n_good][2], 1)
+            self._n_good += 1
+
     def suggest(self, history: TrialHistory) -> Suggestion:
         self._check_not_exhausted(history)
-        scored = [t for t in history if t.objective_score is not None]
-        if len(history) < self.n_init or len(scored) < 2:
+        explored = self._explored_trials(history)
+        n_scored = len(self._ranked)
+        if len(history) < self.n_init or n_scored < 2:
             return Suggestion(self._uniform_unexplored(history))
 
-        ranked = sorted(scored, key=lambda t: (-t.objective_score, t.iteration))
-        n_good = max(1, math.ceil(self.gamma * len(ranked)))
-        good, bad = ranked[:n_good], ranked[n_good:]
-        if not bad:
+        n_good = max(1, math.ceil(self.gamma * n_scored))
+        if n_good == n_scored:  # no bad trials
             return Suggestion(self._uniform_unexplored(history))
-
-        good_vals = [t.config.values() for t in good]
-        bad_vals = [t.config.values() for t in bad]
+        self._grow_good(n_good)
 
         # Per parameter: one draw of n_candidates value indices from the good
-        # density, plus the per-value log ratio for scoring candidates.
+        # density, plus the per-value log ratio for scoring candidates. Both
+        # densities are add-one smoothed over the full value list.
         draws: list[list[int]] = []
         log_ratio: list[list[float]] = []
-        for k, param in enumerate(ORDINAL_ORDER):
-            values = self.space.values_of(param)
-            l = self._smoothed([v[k] for v in good_vals], values)
-            g = self._smoothed([v[k] for v in bad_vals], values)
-            draws.append(self._rng.choices(range(len(values)), weights=l, k=self.n_candidates))
+        for n, good, total in zip(self.space.sizes, self._good_counts, self._total_counts):
+            l = self._smoothed(good)
+            g = self._smoothed([t - c for t, c in zip(total, good)])
+            draws.append(self._rng.choices(range(n), weights=l, k=self.n_candidates))
             log_ratio.append([math.log(li) - math.log(gi) for li, gi in zip(l, g)])
 
-        explored = self._explored_trials(history)
+        # Each candidate's log ratio, summed over parameters in ORDINAL_ORDER:
+        # float addition is not associative, and ties between ratios matter.
+        ratios = [0] * self.n_candidates
+        for per_value, column in zip(log_ratio, draws):
+            ratios = [ratio + per_value[digit] for ratio, digit in zip(ratios, column)]
         best: tuple[float, int] | None = None
-        for digits in zip(*draws):
-            ordinal = self.space.ordinal_at(digits)
-            if ordinal in explored:
-                continue
-            ratio = sum(log_ratio[k][digit] for k, digit in enumerate(digits))
-            if best is None or ratio > best[0]:
+        for ordinal, ratio in zip(self.space.ordinals_at(draws), ratios):
+            if ordinal not in explored and (best is None or ratio > best[0]):
                 best = (ratio, ordinal)
         if best is None:
             return Suggestion(self._uniform_unexplored(history))
         return Suggestion(self.space.config_at(best[1]))
 
     @staticmethod
-    def _smoothed(observed: list, values: tuple) -> list[float]:
-        counts = Counter(observed)
-        total = len(observed) + len(values)
-        return [(counts[v] + 1) / total for v in values]
+    def _smoothed(counts: list[int]) -> list[float]:
+        """Add-one smoothed density over a value list, from per-value counts."""
+        total = sum(counts) + len(counts)
+        return [(c + 1) / total for c in counts]
 
     def _extra_state(self) -> dict:
         return {"gamma": self.gamma, "n_candidates": self.n_candidates, "n_init": self.n_init}
@@ -301,6 +344,11 @@ class TpeOptimizer(Optimizer):
         self.gamma = state.get("gamma", self.gamma)
         self.n_candidates = state.get("n_candidates", self.n_candidates)
         self.n_init = state.get("n_init", self.n_init)
+
+
+def _count(counts: list[list[int]], digits: tuple[int, ...], delta: int) -> None:
+    for per_value, digit in zip(counts, digits):
+        per_value[digit] += delta
 
 
 @dataclass
@@ -362,11 +410,12 @@ class GreedyOptimizer(Optimizer):
         following = self.ordering[self._param_idx + 1 :]
         shared_suffix = self._draw_suffix(following) if self.suffix_mode == "shared" else None
         fixed = {p: self.space.values_of(p).index(v) for p, v in self._committed.items()}
-        candidates = []
+        rows = []
         for digit in range(len(self.space.values_of(param))):
             suffix = shared_suffix if shared_suffix is not None else self._draw_suffix(following)
             digits = {**fixed, param: digit, **suffix}
-            candidates.append(self.space.ordinal_at([digits[p] for p in ORDINAL_ORDER]))
+            rows.append([digits[p] for p in ORDINAL_ORDER])
+        candidates = self.space.ordinals_at(list(zip(*rows)))
         return _Sweep(param=param, candidates=candidates, driver=self._sweep_driver(param))
 
     def _commit(self, sweep: _Sweep, explored: dict[int, Trial]) -> None:

@@ -606,9 +606,10 @@ class LivePipelineEvaluator(StoredScores):
     pipeline for a (config, split) cell that lacks rows, and both
     evaluations read score and cost back from the table, so a cell is run
     once per evaluator, and again only while a question lacks a row. The
-    qid universe of a (split, metric) is the split's questions, in dataset
-    order, for which the metric is defined: context_mrr needs gold
-    documents, lexical_ac a gold answer with a token, judge_ac a judge.
+    qid universe of a (split, metric) is the split's questions for which the
+    metric is defined (context_mrr needs gold documents, lexical_ac a gold
+    answer with a token, judge_ac a judge), sorted by qid as a replay of the
+    table sums them, so both backends compute bit-identical means.
 
     The evaluator also does shared index work once for its lifetime:
 
@@ -654,7 +655,9 @@ class LivePipelineEvaluator(StoredScores):
             JUDGE_AC: lambda qa: judge is not None,
         }
         self._universes = {
-            (split, metric): tuple(qa.qid for qa in dataset.split(split) if defined[metric](qa))
+            (split, metric): tuple(
+                sorted(qa.qid for qa in dataset.split(split) if defined[metric](qa))
+            )
             for split in SPLITS
             for metric in METRIC_NAMES
         }

@@ -214,32 +214,59 @@ class SearchSpace:
     def contains(self, config: RagConfig) -> bool:
         return all(config.value_of(p) in self.values_of(p) for p in ParamName)
 
-    def ordinal_at(self, digits) -> int:
-        """Ordinal of the config whose value indices, in ``ORDINAL_ORDER``, are ``digits``."""
-        ordinal = 0
-        for digit, size in zip(digits, self.sizes):
-            ordinal = ordinal * size + digit
-        return ordinal
+    def ordinals_at(self, columns) -> list[int]:
+        """Ordinals of many configs, given one column of value indices per parameter.
+
+        Columns are in ``ORDINAL_ORDER``; row ``i`` of them is config ``i``.
+        """
+        ordinals = [0] * len(columns[0])
+        for column, size in zip(columns, self.sizes):
+            ordinals = [ordinal * size + digit for ordinal, digit in zip(ordinals, column)]
+        return ordinals
+
+    # One shared RagConfig per ordinal, built on first use by config_at, so
+    # ordinal_of answers for those objects by identity. Entries are keyed by
+    # id() and checked with ``is``, so a stale key (in a copied space, say)
+    # never matches another object.
+    @cached_property
+    def _interned(self) -> dict[int, RagConfig]:
+        return {}
+
+    @cached_property
+    def _ordinals_by_id(self) -> dict[int, tuple[RagConfig, int]]:
+        return {}
 
     def ordinal_of(self, config: RagConfig) -> int:
         """Dense ordinal of a config under the canonical mixed-radix order."""
-        digits = []
+        known = self._ordinals_by_id.get(id(config))
+        if known is not None and known[0] is config:
+            return known[1]
+        ordinal = 0
         for param, values, value in zip(ORDINAL_ORDER, self._value_lists, config.values()):
             try:
-                digits.append(values.index(value))
+                ordinal = ordinal * len(values) + values.index(value)
             except ValueError:
                 raise ValueError(f"{param.value}={value!r} is not in this space") from None
-        return self.ordinal_at(digits)
+        return ordinal
 
-    def config_at(self, ordinal: int) -> RagConfig:
-        """Inverse of :meth:`ordinal_of`."""
+    def digits_at(self, ordinal: int) -> tuple[int, ...]:
+        """Value indices, in ``ORDINAL_ORDER``, of the config at ``ordinal``."""
         if not 0 <= ordinal < self.total_size:
             raise IndexError(f"ordinal {ordinal} out of range [0, {self.total_size})")
-        values = []
-        for param_values in reversed(self._value_lists):
-            ordinal, digit = divmod(ordinal, len(param_values))
-            values.append(param_values[digit])
-        return RagConfig.from_values(*reversed(values))
+        digits = []
+        for size in reversed(self.sizes):
+            ordinal, digit = divmod(ordinal, size)
+            digits.append(digit)
+        return tuple(reversed(digits))
+
+    def config_at(self, ordinal: int) -> RagConfig:
+        """Inverse of :meth:`ordinal_of`: the same object on every call for one ordinal."""
+        config = self._interned.get(ordinal)
+        if config is None:
+            values = (v[d] for v, d in zip(self._value_lists, self.digits_at(ordinal)))
+            config = self._interned.setdefault(ordinal, RagConfig.from_values(*values))
+            self._ordinals_by_id[id(config)] = (config, ordinal)
+        return config
 
     def enumerate(self) -> list[RagConfig]:
         """All configurations in ordinal order."""

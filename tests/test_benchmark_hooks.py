@@ -15,7 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from raghpo.evaluator import EvalResult, Evaluator, GridReplayEvaluator
+from raghpo import harness
+from raghpo.evaluator import EvalResult, Evaluator, GridReplayEvaluator, Objective
+from raghpo.optimizers import ALGORITHMS, create_optimizer
 from raghpo.pipeline import EmbeddingClient, LivePipelineEvaluator
 from raghpo.searchspace import SearchSpace
 
@@ -41,6 +43,34 @@ def test_tracer_installs_and_restores_every_wrapped_name():
     finally:
         tracer.restore()
     assert SearchSpace.__dict__["neighbors_fixing"] is before
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_every_optimizer_class_defines_its_own_suggest(tiny_space, algorithm):
+    # tracer.py wraps suggest only on classes whose own __dict__ defines it;
+    # a suggest inherited from a base class would leave optimizers.suggest empty.
+    assert "suggest" in type(create_optimizer(algorithm, tiny_space, 1)).__dict__
+
+
+def test_traced_replay_records_suggest_spans_for_every_algorithm(tiny_space):
+    n = tiny_space.total_size
+    table = table_from_config_scores(
+        tiny_space, [i / n for i in range(n)], mrr_scores=[(n - i) / n for i in range(n)]
+    )
+    evaluator = GridReplayEvaluator(table, tiny_space)
+    tracing = _load_tracer()
+    tracer = tracing.Tracer()
+    suggests = {}
+    try:
+        tracing.install(tracer)
+        for algorithm in ALGORITHMS:
+            before = tracer.calls().get("optimizers.suggest", 0)
+            spec = harness.RunSpec(tiny_space, algorithm, Objective(), budget=6, seeds=(1,))
+            harness.run(spec, evaluator)
+            suggests[algorithm] = tracer.calls()["optimizers.suggest"] - before
+    finally:
+        tracer.restore()
+    assert suggests == dict.fromkeys(ALGORITHMS, 6)
 
 
 def test_patched_methods_keep_the_signatures_faults_wrap():

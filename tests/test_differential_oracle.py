@@ -11,10 +11,14 @@ objective score for free, a live one does not, so a later objective sweep
 that meets a probed candidate can commit differently. Its runs must agree
 on the leading retrieval-driven trials, and every score either run records
 must be the table's score of that configuration.
+
+Both backends sum each mean over the qids in the same order, so a dataset
+whose questions are not in qid order gives the same scores too.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -41,8 +45,8 @@ AGREEING_FIELDS = (
 
 
 @pytest.fixture()
-def oracle(tmp_path, stub_service, tiny_dataset, tiny_space, monkeypatch):
-    """Paths of a live run config and of the full grid table ``raghpo grid`` built with it."""
+def build_oracle(tmp_path, stub_service, tiny_space, monkeypatch):
+    """Write a dataset, a live run config for it and the grid table ``raghpo grid`` builds."""
     monkeypatch.setattr(
         TemplateStore,
         "builtin",
@@ -57,25 +61,35 @@ def oracle(tmp_path, stub_service, tiny_dataset, tiny_space, monkeypatch):
             )
         ),
     )
-    store_dataset(tiny_dataset, tmp_path / "dataset")
-    (tmp_path / "space.json").write_text(json.dumps(tiny_space.to_dict()))
-    config = tmp_path / "live.json"
-    config.write_text(
-        json.dumps(
-            {
-                "dataset": str(tmp_path / "dataset"),
-                "space": str(tmp_path / "space.json"),
-                "endpoints": {
-                    "embed": {"base_url": stub_service.base_url},
-                    "generate": {"base_url": stub_service.base_url},
-                },
-            }
+
+    def build(dataset):
+        store_dataset(dataset, tmp_path / "dataset")
+        (tmp_path / "space.json").write_text(json.dumps(tiny_space.to_dict()))
+        config = tmp_path / "live.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "dataset": str(tmp_path / "dataset"),
+                    "space": str(tmp_path / "space.json"),
+                    "endpoints": {
+                        "embed": {"base_url": stub_service.base_url},
+                        "generate": {"base_url": stub_service.base_url},
+                    },
+                }
+            )
         )
-    )
-    grid = tmp_path / "grid.jsonl"
-    argv = ["grid", "--config", str(config), "--metrics", "lexical_ac,faithfulness,context_mrr"]
-    assert main(argv + ["--out", str(grid)]) == EXIT_OK
-    return config, grid
+        grid = tmp_path / "grid.jsonl"
+        argv = ["grid", "--config", str(config), "--metrics", "lexical_ac,faithfulness,context_mrr"]
+        assert main(argv + ["--out", str(grid)]) == EXIT_OK
+        return config, grid
+
+    return build
+
+
+@pytest.fixture()
+def oracle(build_oracle, tiny_dataset):
+    """Paths of a live run config and of the full grid table ``raghpo grid`` built with it."""
+    return build_oracle(tiny_dataset)
 
 
 def _trial_rows(tmp_path, name: str, backend: list[str], algorithm: str) -> list[dict]:
@@ -89,6 +103,22 @@ def _trial_rows(tmp_path, name: str, backend: list[str], algorithm: str) -> list
 
 @pytest.mark.parametrize("algorithm", ["random", "tpe", "greedy_m", "greedy_r", "greedy_rcc"])
 def test_replay_and_live_runs_agree(oracle, tmp_path, tiny_space, algorithm):
+    _assert_runs_agree(oracle, tmp_path, tiny_space, algorithm)
+
+
+@pytest.mark.parametrize("algorithm", ["random", "tpe", "greedy_m", "greedy_r"])
+def test_replay_and_live_runs_agree_on_unsorted_qids(
+    build_oracle, tiny_dataset, tmp_path, tiny_space, algorithm
+):
+    # The stub's dev scores sum to different last bits in dataset order and
+    # in qid order, so a backend that sums in dataset order disagrees.
+    names = ("q3", "q1", "q0", "q2")
+    dev = tuple(dataclasses.replace(qa, qid=name) for qa, name in zip(tiny_dataset.dev, names))
+    dataset = dataclasses.replace(tiny_dataset, dev=dev)
+    _assert_runs_agree(build_oracle(dataset), tmp_path, tiny_space, algorithm)
+
+
+def _assert_runs_agree(oracle, tmp_path, tiny_space, algorithm: str) -> None:
     config, grid = oracle
     space = ["--space", str(tmp_path / "space.json")]
     replayed = _trial_rows(tmp_path, "replay", ["--grid", str(grid), *space], algorithm)

@@ -280,8 +280,8 @@ def test_each_cell_is_evaluated_once_per_run(
     shared_requests = _generate_requests(stub_service)
     assert shared_requests == sum(len(tiny_dataset.split(split)) for split in generated)
 
-    # A fresh evaluator per seed gives every seed the same trials, ledger
-    # snapshots and test ledger, and shows that the seeds did repeat cells.
+    # A fresh evaluator per seed gives every seed the same trials, per-iteration
+    # costs and test ledger, and shows that the seeds did repeat cells.
     for seed, seed_run in zip(spec.seeds, record.seed_runs):
         alone = live_evaluator(stub_service, tiny_dataset, tiny_space)
         single = run(spec_for(tiny_space, algorithm=algorithm, budget=10, seeds=(seed,)), alone)
@@ -289,7 +289,7 @@ def test_each_cell_is_evaluated_once_per_run(
     assert _generate_requests(stub_service) - shared_requests > shared_requests
     shared_progress, fresh_progress = seed_progress[:4], seed_progress[4:]
     for a, b in zip(shared_progress, fresh_progress):
-        assert a.ledger.snapshots == b.ledger.snapshots
+        assert [it.cost for it in a.iterations] == [it.cost for it in b.iterations]
         assert a.test_ledger.totals == b.test_ledger.totals
     assert any(p.test_ledger.totals.generation_input_tokens for p in shared_progress)
 
@@ -347,11 +347,11 @@ def test_ledger_distinct_indexes_both_charged():
 def test_ledger_snapshots_monotone():
     rng = random.Random(2)
     ledger = CostLedger()
+    snaps = []
     for i in range(20):
         index = IndexConfig(256 + (i % 3), 0.0, "emb")
         ledger.charge(index, CostDelta(rng.randrange(100), rng.randrange(50), rng.randrange(20)))
-        ledger.snapshot()
-    snaps = ledger.snapshots
+        snaps.append(ledger.snapshot())
     for a, b in zip(snaps, snaps[1:]):
         assert b.embedded_tokens >= a.embedded_tokens
         assert b.generation_input_tokens >= a.generation_input_tokens
@@ -527,6 +527,54 @@ def test_suspended_run_resumes_identically(tmp_path, default_space, algorithm, f
     resumed = run(spec, flaky, checkpoint_path=checkpoint)  # outage cleared
     assert resumed == reference
     assert not checkpoint.exists()  # consumed on completion
+
+
+@pytest.mark.parametrize("algorithm", ["random", "tpe", "greedy_m", "greedy_r", "greedy_rcc"])
+def test_checkpoint_holds_the_state_before_the_interrupted_suggest(
+    tmp_path, default_space, monkeypatch, algorithm
+):
+    # An uninterrupted run records the optimizer state before every suggest.
+    # A suspension, and a second one after resuming, must each checkpoint the
+    # state before the suggest of the first iteration they did not record.
+    evaluator, _ = scored_evaluator(default_space, with_costs=True)
+    spec = spec_for(default_space, algorithm=algorithm, budget=12, seeds=(1,))
+    cls = type(harness.create_optimizer(algorithm, default_space, 1))
+    original = cls.suggest
+    before_suggest = []
+
+    def recording(self, history):
+        before_suggest.append(self.state_dict())
+        return original(self, history)
+
+    monkeypatch.setattr(cls, "suggest", recording)
+    run(spec, evaluator)
+    monkeypatch.setattr(cls, "suggest", original)
+
+    checkpoint = tmp_path / "run.checkpoint"
+    for fail_after in (4, 7):
+        with pytest.raises(RunSuspended):
+            run(spec, FlakyEvaluator(evaluator, fail_after), checkpoint_path=checkpoint)
+        current = json.loads(checkpoint.read_text())["current"]
+        assert current["optimizer_state"] == before_suggest[len(current["trials"])]
+    assert len(current["trials"]) > 4
+
+
+def test_suspension_after_resume_keeps_the_checkpointed_optimizer_state(tmp_path, default_space):
+    # A resumed optimizer starts from the checkpoint's state, even one its seed
+    # and trials would not lead to (here another seed's RNG state), and a
+    # suspension before its first suggest must write that state back.
+    evaluator, _ = scored_evaluator(default_space)
+    spec = spec_for(default_space, algorithm="random", budget=10, seeds=(1,))
+    checkpoint = tmp_path / "run.checkpoint"
+    with pytest.raises(RunSuspended):
+        run(spec, FlakyEvaluator(evaluator, 4), checkpoint_path=checkpoint)
+    payload = json.loads(checkpoint.read_text())
+    other_seed = harness.create_optimizer("random", default_space, 99).state_dict()
+    payload["current"]["optimizer_state"]["rng_state"] = other_seed["rng_state"]
+    checkpoint.write_text(json.dumps(payload))
+    with pytest.raises(RunSuspended):
+        run(spec, FlakyEvaluator(evaluator, 0), checkpoint_path=checkpoint)
+    assert json.loads(checkpoint.read_text())["current"] == payload["current"]
 
 
 def test_resume_before_any_scored_trial_has_no_dev_best(tmp_path, default_space):

@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from raghpo.evaluator import GridReplayEvaluator, Objective, best_so_far
 from raghpo.optimizers import (
@@ -16,7 +17,7 @@ from raghpo.optimizers import (
     TrialHistory,
     create_optimizer,
 )
-from raghpo.searchspace import ParamName, SearchSpace
+from raghpo.searchspace import ParamName, RagConfig, SearchSpace
 
 from conftest import (
     additive_scores,
@@ -372,19 +373,18 @@ def test_tpe_first_five_suggestions_are_distinct_and_deterministic(tiny_space):
 
 
 def test_tpe_smoothing_ratio_prefers_good_only_values():
-    # Value A seen only among good trials, B only among bad ones.
-    values = ("A", "B", "C")
-    l = TpeOptimizer._smoothed(["A"], values)
-    g = TpeOptimizer._smoothed(["B"], values)
+    # Per-value counts over values (A, B, C): A seen only among good trials,
+    # B only among bad ones.
+    l = TpeOptimizer._smoothed([1, 0, 0])
+    g = TpeOptimizer._smoothed([0, 1, 0])
     ratio_a = l[0] / g[0]
     ratio_b = l[1] / g[1]
     assert ratio_a > ratio_b
 
 
 def test_tpe_smoothing_is_add_one_over_value_list():
-    values = ("A", "B", "C")
-    assert TpeOptimizer._smoothed(["A", "A"], values) == [3 / 5, 1 / 5, 1 / 5]
-    assert sum(TpeOptimizer._smoothed([], values)) == pytest.approx(1.0)
+    assert TpeOptimizer._smoothed([2, 0, 0]) == [3 / 5, 1 / 5, 1 / 5]
+    assert sum(TpeOptimizer._smoothed([0, 0, 0])) == pytest.approx(1.0)
 
 
 def test_tpe_beats_random_on_planted_optimum_toy_space():
@@ -459,3 +459,110 @@ def test_history_rejects_duplicate_configs(tiny_space):
 def test_unknown_algorithm_rejected(tiny_space):
     with pytest.raises(ValueError, match="unknown algorithm"):
         create_optimizer("bohb", tiny_space, 1)
+
+
+# ---------------------------------------------------------------------------
+# Incremental view of the history
+# ---------------------------------------------------------------------------
+
+# 2 x 3 x 2 x 2 x 2 = 48 configurations.
+VIEW_SPACE = SearchSpace(
+    chunk_sizes=(4, 8),
+    chunk_overlaps=(0.0, 0.25, 0.5),
+    embedding_models=("emb-a", "emb-b"),
+    top_ks=(1, 2),
+    generative_models=("gen-a", "gen-b"),
+)
+# Few distinct values, so scores tie; None is a trial without that score.
+SCORES = st.lists(
+    st.one_of(st.none(), st.sampled_from([0.0, 0.25, 0.5, 1.0])),
+    min_size=VIEW_SPACE.total_size,
+    max_size=VIEW_SPACE.total_size,
+)
+VARIANTS = st.one_of(
+    st.tuples(st.sampled_from(["random", "greedy_m", "greedy_r", "greedy_rcc"]), st.just({})),
+    st.tuples(
+        st.sampled_from(["greedy_m", "greedy_rcc"]),
+        st.just({"greedy_suffix_mode": "per_candidate"}),
+    ),
+    st.tuples(
+        st.just("tpe"),
+        st.fixed_dictionaries(
+            {
+                "tpe_gamma": st.sampled_from([0.1, 0.25, 0.5, 0.9]),
+                "tpe_candidates": st.sampled_from([1, 4, 24]),
+                "tpe_init": st.sampled_from([0, 2, 5]),
+            }
+        ),
+    ),
+)
+
+
+def _copied(trials) -> TrialHistory:
+    """The same trials as new objects, with configs built outside ``config_at``."""
+    return TrialHistory(
+        Trial(
+            t.iteration,
+            RagConfig.from_values(*t.config.values()),
+            t.objective_score,
+            t.retrieval_score,
+            t.cost,
+            t.driver,
+        )
+        for t in trials
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    variant=VARIANTS,
+    seed=st.integers(0, 2**16),
+    objective=SCORES,
+    retrieval=SCORES,
+    swaps=st.dictionaries(st.integers(1, VIEW_SPACE.total_size), st.integers(0, 48), max_size=3),
+)
+def test_incremental_view_suggests_what_a_full_rebuild_does(
+    variant, seed, objective, retrieval, swaps
+):
+    # Before each suggest, a fresh optimizer loads the driven one's state and
+    # rebuilds its view from the whole history; both must agree. At the
+    # iterations in ``swaps`` the history is replaced by a copy of its first
+    # k trials (new objects, so the driven optimizer rescans as well).
+    algorithm, options = variant
+    space = VIEW_SPACE
+    optimizer = create_optimizer(algorithm, space, seed, **options)
+    history = TrialHistory()
+    while len(history) < space.total_size:
+        iteration = len(history) + 1
+        if iteration in swaps:
+            history = _copied(history.trials[: swaps.pop(iteration)])
+            iteration = len(history) + 1
+        rebuilt = create_optimizer(algorithm, space, seed, **options)
+        rebuilt.load_state_dict(json.loads(json.dumps(optimizer.state_dict())))
+        suggestion = optimizer.suggest(history)
+        assert rebuilt.suggest(history) == suggestion
+        ordinal = space.ordinal_of(suggestion.config)
+        history.append(
+            Trial(
+                iteration,
+                suggestion.config,
+                objective[ordinal],
+                retrieval[ordinal] if suggestion.retrieval_only else None,
+                driver=DRIVER_RETRIEVAL if suggestion.retrieval_only else DRIVER_OBJECTIVE,
+            )
+        )
+    with pytest.raises(SpaceExhaustedError):
+        optimizer.suggest(history)
+
+
+def test_config_at_is_shared_and_ordinal_of_reads_equal_configs():
+    space = VIEW_SPACE
+    for ordinal in range(space.total_size):
+        config = space.config_at(ordinal)
+        assert space.config_at(ordinal) is config
+        assert space.ordinal_of(config) == ordinal
+        assert space.ordinal_of(RagConfig.from_values(*config.values())) == ordinal
+    # An equal space holds configs of its own and reads the other's by value.
+    other = SearchSpace.from_dict(space.to_dict())
+    assert other.config_at(5) is not space.config_at(5)
+    assert other.ordinal_of(space.config_at(5)) == space.ordinal_of(other.config_at(5)) == 5
