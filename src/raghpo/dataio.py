@@ -148,14 +148,6 @@ class Dataset:
                             f"question {qa.qid!r} references missing doc_id {gid!r}"
                         )
 
-    def summary(self) -> dict:
-        return {
-            "name": self.name,
-            "documents": len(self.corpus),
-            "dev": len(self.dev),
-            "test": len(self.test),
-        }
-
 
 def _read_jsonl(
     path: Path, error: type[ValueError], digest: hashlib._Hash | None = None
@@ -278,15 +270,13 @@ def load_dataset(path: str | Path) -> Dataset:
         )
         (dev if split == "dev" else test).append(qa)
 
-    dataset = Dataset(
+    return Dataset(
         corpus=tuple(corpus),
         dev=tuple(dev),
         test=tuple(test),
         name=manifest.get("name"),
         relaxed_test_closure=relaxed,
     )
-    dataset.validate()
-    return dataset
 
 
 def _dump_canonical(record: dict) -> str:

@@ -7,6 +7,10 @@ so generalization can be analyzed per iteration. Token spend is accumulated
 in a cost ledger that charges each distinct index build once; test-side
 evaluation spend is tracked in a separate ledger because the optimization
 cost curves cover optimization-time spend only.
+
+A run has one file format, the run export. A checkpoint is the export of
+the iterations finished so far, without aggregate rows, and resuming shows
+fresh optimizers the recorded trials again.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .costs import CostDelta
-from .dataio import _dump_canonical, _read_jsonl, atomic_write, read_json_object
+from .dataio import _dump_canonical, _read_jsonl, atomic_write
 from .evaluator import Evaluator, Objective, best_so_far
 from .metrics import CONTEXT_MRR
 from .optimizers import (
@@ -35,7 +39,6 @@ from .searchspace import IndexConfig, SearchSpace
 log = logging.getLogger(__name__)
 
 RUN_FORMAT_VERSION = 1
-CHECKPOINT_FORMAT_VERSION = 1
 
 
 class RunSuspended(RuntimeError):
@@ -162,7 +165,7 @@ def _aggregate_test_scores(seed_runs: tuple[SeedRun, ...], budget: int) -> tuple
 
 
 class _SeedProgress:
-    """Mutable per-seed state, restorable from a checkpoint mid-run."""
+    """Mutable per-seed state, rebuilt from a checkpoint's rows on resume."""
 
     def __init__(self, spec: RunSpec, seed: int):
         self.seed = seed
@@ -173,30 +176,28 @@ class _SeedProgress:
         self.iterations: list[IterationRecord] = []
         self.ledger = CostLedger()
         self.test_ledger = CostLedger()
-        self.test_cache: dict[int, float] = {}
-        # The optimizer state this seed started from (None: fresh from its
-        # seed) and how many trials the history held then.
-        self.origin: tuple[dict | None, int] = (None, 0)
 
-    def state_before_pending(self, spec: RunSpec) -> dict:
-        """The optimizer state before the suggest of the first unrecorded iteration.
+    def replay(self, recorded: SeedRun, space: SearchSpace, path: str | Path) -> None:
+        """Show the fresh optimizer the recorded trials one by one.
 
-        A suspension rolls back to that clean iteration boundary. An
-        optimizer's state follows from where it started and the histories it
-        was shown, so a fresh one that starts there and is shown the recorded
-        trials again reaches it, and no iteration has to copy the state.
+        An optimizer is deterministic given its seed and the histories it is
+        shown, so it must suggest each recorded configuration in the recorded
+        mode; one it does not reproduce is a ValueError that names ``path``.
         """
-        state, start = self.origin
-        optimizer = create_optimizer(
-            spec.algorithm, spec.space, self.seed, **spec.optimizer_options
-        )
-        if state is not None:
-            optimizer.load_state_dict(state)
-        shown = TrialHistory(self.history.trials[:start])
-        for trial in self.history.trials[start : len(self.iterations)]:
-            optimizer.suggest(shown)
-            shown.append(trial)
-        return optimizer.state_dict()
+        for trial, record in zip(recorded.history, recorded.iterations):
+            suggestion = self.optimizer.suggest(self.history)
+            driver = DRIVER_RETRIEVAL if suggestion.retrieval_only else DRIVER_OBJECTIVE
+            if (suggestion.config, driver) != (trial.config, trial.driver):
+                raise ValueError(
+                    f"{path}: seed {self.seed} iteration {trial.iteration}: the "
+                    f"checkpoint records ordinal {space.ordinal_of(trial.config)} "
+                    f"({trial.driver}), but the optimizer suggests ordinal "
+                    f"{space.ordinal_of(suggestion.config)} ({driver}); delete it "
+                    "or re-run with the original settings"
+                )
+            self.history.append(trial)
+            self.iterations.append(record)
+            self.ledger.charge(trial.config.index, trial.cost)
 
 
 def _advance_seed(spec: RunSpec, evaluator: Evaluator, progress: _SeedProgress) -> SeedRun:
@@ -234,16 +235,17 @@ def _advance_seed(spec: RunSpec, evaluator: Evaluator, progress: _SeedProgress) 
             best_score is None or objective_score > best_score
         ):
             best_config, best_score = config, objective_score
-        best_ordinal = None
-        test_score = None
+        best_ordinal = test_score = None
         if best_config is not None:
             best_ordinal = spec.space.ordinal_of(best_config)
-            test_score = progress.test_cache.get(best_ordinal)
+            # A best changes only to a trial not seen before, so its test
+            # score is known only while the ordinal stays the same.
+            if progress.iterations and progress.iterations[-1].best_ordinal == best_ordinal:
+                test_score = progress.iterations[-1].test_score_of_best
             if test_score is None:
                 test = evaluator.evaluate(best_config, "test", spec.objective)
                 test_score = test.objective_score
                 progress.test_ledger.charge(best_config.index, test.cost)
-                progress.test_cache[best_ordinal] = test_score
         progress.iterations.append(
             IterationRecord(
                 iteration=iteration,
@@ -278,10 +280,12 @@ def run(
     accounted spend does not depend on the reuse; only the spend actually
     sent to the services drops.
 
-    With ``checkpoint_path`` set, a live-service outage writes resumable
-    state there and raises :class:`RunSuspended`; re-running with the same
-    arguments continues the identical trajectory. A completed run removes
-    the checkpoint. The evaluator's table is not part of the checkpoint.
+    With ``checkpoint_path`` set, a live-service outage writes the run
+    export of the iterations finished so far there and raises
+    :class:`RunSuspended`. Re-running with the same arguments replays that
+    export through fresh optimizers, refuses one they do not reproduce, and
+    continues the identical trajectory. A completed run removes the
+    checkpoint. The evaluator's table is not part of the checkpoint.
     """
     from .pipeline import ServiceFailure
 
@@ -292,31 +296,36 @@ def run(
             "context_mrr rows); choose another algorithm or add gold labels"
         )
 
-    seed_runs: list[SeedRun] = []
-    resumed: _SeedProgress | None = None
+    recorded: dict[int, SeedRun] = {}
     if checkpoint_path is not None and Path(checkpoint_path).is_file():
-        seed_runs, resumed = _load_checkpoint(Path(checkpoint_path), spec)
+        checkpoint = load_run(checkpoint_path)
+        if checkpoint.spec != spec:
+            raise ValueError(
+                f"{checkpoint_path}: checkpoint was written for a different run spec; "
+                "delete it or re-run with the original settings"
+            )
+        recorded = {sr.seed: sr for sr in checkpoint.seed_runs}
         log.info(
-            "resuming from %s: %d seeds complete%s",
+            "resuming from %s: %d trials recorded",
             checkpoint_path,
-            len(seed_runs),
-            f", seed {resumed.seed} mid-run" if resumed else "",
+            sum(len(sr.history) for sr in checkpoint.seed_runs),
         )
 
-    done = {sr.seed for sr in seed_runs}
+    seed_runs: list[SeedRun] = []
     for seed in spec.seeds:
-        if seed in done:
-            continue
-        if resumed is not None and resumed.seed == seed:
-            progress, resumed = resumed, None
-        else:
-            progress = _SeedProgress(spec, seed)
+        progress = _SeedProgress(spec, seed)
+        if seed in recorded:
+            progress.replay(recorded[seed], spec.space, checkpoint_path)
         try:
             seed_run = _advance_seed(spec, evaluator, progress)
         except ServiceFailure as exc:
             if checkpoint_path is None:
                 raise
-            _save_checkpoint(Path(checkpoint_path), spec, seed_runs, progress)
+            # export_run pairs each trial with its iteration record, so a
+            # trial whose record never landed is left out and resume
+            # re-proposes the interrupted iteration.
+            in_flight = SeedRun(seed, progress.history, tuple(progress.iterations))
+            export_run(RunRecord(spec, (*seed_runs, in_flight), aggregate=()), checkpoint_path)
             raise RunSuspended(
                 f"service outage during seed {seed}: {exc}; resumable state "
                 f"written to {checkpoint_path}",
@@ -332,16 +341,12 @@ def run(
         )
     if checkpoint_path is not None:
         Path(checkpoint_path).unlink(missing_ok=True)
-    ordered = tuple(sorted(seed_runs, key=lambda sr: spec.seeds.index(sr.seed)))
-    return RunRecord(
-        spec=spec,
-        seed_runs=ordered,
-        aggregate=_aggregate_test_scores(ordered, spec.budget),
-    )
+    done = tuple(seed_runs)
+    return RunRecord(spec=spec, seed_runs=done, aggregate=_aggregate_test_scores(done, spec.budget))
 
 
 # ---------------------------------------------------------------------------
-# Run export / import and checkpoints
+# Run export / import
 # ---------------------------------------------------------------------------
 
 
@@ -418,11 +423,15 @@ def _parse_trial_row(space: SearchSpace, row: dict) -> tuple[Trial, IterationRec
     return trial, record
 
 
-def _seed_run(seed: int, parsed: list[tuple[Trial, IterationRecord]]) -> SeedRun:
+def _seed_run(source: Path, seed: int, rows: list[tuple[int, Trial, IterationRecord]]) -> SeedRun:
+    """One seed's rows in iteration order; a gap or a repeat names its ``source`` line."""
     history = TrialHistory()
     iterations = []
-    for trial, record in sorted(parsed, key=lambda pair: pair[0].iteration):
-        history.append(trial)
+    for lineno, trial, record in sorted(rows, key=lambda row: row[1].iteration):
+        try:
+            history.append(trial)
+        except ValueError as exc:
+            raise ValueError(f"{source}:{lineno}: seed {seed}: {exc}") from None
         iterations.append(record)
     return SeedRun(seed=seed, history=history, iterations=tuple(iterations))
 
@@ -497,7 +506,11 @@ def export_run(record: RunRecord, path: str | Path) -> None:
 
 
 def load_run(path: str | Path) -> RunRecord:
-    """Rebuild a RunRecord from an exported file (lossless round-trip)."""
+    """Rebuild a RunRecord from an exported file or a checkpoint (lossless round-trip).
+
+    A malformed file is a ValueError that names ``path`` and, for a bad
+    row, its line.
+    """
     source = Path(path)
     header: dict | None = None
     header_line = 0
@@ -536,104 +549,24 @@ def load_run(path: str | Path) -> RunRecord:
         raise ValueError(f"{source}:{header_line}: run_header lacks field {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{source}:{header_line}: bad run_header: {exc}") from None
-    trials_by_seed: dict[int, list[tuple[Trial, IterationRecord]]] = {}
+    rows_by_seed: dict[int, list[tuple[int, Trial, IterationRecord]]] = {
+        seed: [] for seed in spec.seeds
+    }
     for lineno, row in trial_rows:
+        if row["seed"] not in rows_by_seed:
+            raise ValueError(
+                f"{source}:{lineno}: trial row seed {row['seed']} is not one of "
+                f"the run_header's seeds {list(spec.seeds)}"
+            )
+        if row["iteration"] > spec.budget:
+            raise ValueError(
+                f"{source}:{lineno}: trial row iteration {row['iteration']} exceeds "
+                f"the run_header's budget {spec.budget}"
+            )
         try:
             parsed = _parse_trial_row(spec.space, row)
         except (IndexError, TypeError, ValueError) as exc:  # ordinal range, cost keys and signs
             raise ValueError(f"{source}:{lineno}: bad trial row: {exc}") from None
-        trials_by_seed.setdefault(row["seed"], []).append(parsed)
-    seed_runs = tuple(_seed_run(seed, trials_by_seed.get(seed, [])) for seed in spec.seeds)
+        rows_by_seed[row["seed"]].append((lineno, *parsed))
+    seed_runs = tuple(_seed_run(source, seed, rows) for seed, rows in rows_by_seed.items())
     return RunRecord(spec=spec, seed_runs=seed_runs, aggregate=tuple(aggregate))
-
-
-def _save_checkpoint(
-    path: Path, spec: RunSpec, completed: list[SeedRun], progress: _SeedProgress
-) -> None:
-    payload = {
-        "kind": "run_checkpoint",
-        "format_version": CHECKPOINT_FORMAT_VERSION,
-        "completed": [
-            {
-                "seed": sr.seed,
-                "trials": [
-                    _trial_row(spec.space, sr.seed, trial, it)
-                    for trial, it in zip(sr.history, sr.iterations)
-                ],
-            }
-            for sr in completed
-        ],
-        # Rows are the completed iterations only (zip drops a trial whose
-        # per-iteration record never landed); the optimizer state is the one
-        # before their successor's suggest, so resume re-proposes the
-        # interrupted iteration identically.
-        "current": {
-            "seed": progress.seed,
-            "optimizer_state": progress.state_before_pending(spec),
-            "trials": [
-                _trial_row(spec.space, progress.seed, trial, it)
-                for trial, it in zip(progress.history, progress.iterations)
-            ],
-            "test_cache": {str(k): v for k, v in progress.test_cache.items()},
-        },
-    }
-    payload.update(_spec_header(spec))
-    with atomic_write(path) as fh:
-        fh.write(_dump_canonical(payload) + "\n")
-
-
-def _checkpoint_trial(space: SearchSpace, row, where: str) -> tuple[Trial, IterationRecord]:
-    _check_fields(row, "trial row", where)
-    _check_fields(row["cost"], "trial cost", where)
-    return _parse_trial_row(space, row)
-
-
-def _restore_seeds(payload: dict, spec: RunSpec) -> tuple[list[SeedRun], _SeedProgress | None]:
-    completed = [
-        _seed_run(
-            entry["seed"],
-            [
-                _checkpoint_trial(spec.space, row, f"completed[{i}].trials[{j}]")
-                for j, row in enumerate(entry["trials"])
-            ],
-        )
-        for i, entry in enumerate(payload.get("completed", []))
-    ]
-    current = payload.get("current")
-    if current is None:
-        return completed, None
-    progress = _SeedProgress(spec, current["seed"])
-    # The spec's own optimizer refuses a state saved for another algorithm.
-    progress.optimizer.load_state_dict(current["optimizer_state"])
-    rows = [
-        _checkpoint_trial(spec.space, row, f"current.trials[{j}]")
-        for j, row in enumerate(current["trials"])
-    ]
-    for trial, record in sorted(rows, key=lambda pair: pair[0].iteration):
-        progress.history.append(trial)
-        progress.iterations.append(record)
-        progress.ledger.charge(trial.config.index, trial.cost)
-    progress.origin = (current["optimizer_state"], len(progress.history))
-    progress.test_cache = {int(k): v for k, v in current["test_cache"].items()}
-    return completed, progress
-
-
-def _load_checkpoint(path: Path, spec: RunSpec) -> tuple[list[SeedRun], _SeedProgress | None]:
-    """Completed seeds and the in-flight seed of a checkpoint written for ``spec``.
-
-    A malformed checkpoint is a ValueError that names ``path``.
-    """
-    payload = read_json_object(path, ValueError)
-    if payload.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint format_version")
-    try:
-        if _spec_from_header(payload) == spec:
-            return _restore_seeds(payload, spec)
-    except KeyError as exc:
-        raise ValueError(f"{path}: bad checkpoint: missing field {exc}") from None
-    except (AttributeError, IndexError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: bad checkpoint: {exc}") from None
-    raise ValueError(
-        f"{path}: checkpoint was written for a different run spec; "
-        "delete it or re-run with the original settings"
-    )

@@ -179,21 +179,37 @@ def test_optimize_config_file_with_flag_override(tmp_path, fixture_table):
     assert record.spec.algorithm == "random"
 
 
+def _unsuggested_ordinal(rows):
+    # Rows 11 on are seed 2's, which is in flight; give its iteration 2 an
+    # ordinal no row has.
+    used = {row["ordinal"] for row in rows[1:]}
+    rows[12]["ordinal"] = next(i for i in range(162) if i not in used)
+
+
+def _old_checkpoint_object(rows):
+    # The single JSON object checkpoints were before they became run exports.
+    header, trials = rows[0], rows[1:]
+    rows[:] = [
+        {
+            **header,
+            "kind": "run_checkpoint",
+            "completed": [{"seed": 1, "trials": [r for r in trials if r["seed"] == 1]}],
+            "current": {"seed": 2, "trials": [r for r in trials if r["seed"] == 2]},
+        }
+    ]
+
+
 DAMAGED_CHECKPOINTS = {
-    "test_cache missing": (lambda ck: ck["current"].pop("test_cache"), "missing field 'test_cache'"),
-    "trial row without driver": (
-        lambda ck: ck["completed"][0]["trials"][0].pop("driver"),
-        "completed[0].trials[0]: trial row lacks field 'driver'",
+    "trial row without driver": (lambda rows: rows[1].pop("driver"), ":2: trial row lacks field 'driver'"),
+    "ordinal the optimizer would not suggest": (
+        _unsuggested_ordinal,
+        ": seed 2 iteration 2: the checkpoint records ordinal",
     ),
-    "completed not a list": (lambda ck: ck.update(completed="x"), "bad checkpoint"),
-    "optimizer_state without param_idx": (
-        lambda ck: ck["current"]["optimizer_state"].pop("param_idx"),
-        "missing field 'param_idx'",
+    "duplicated iteration": (
+        lambda rows: rows[2].update(iteration=1),
+        ":3: seed 1: iterations must be consecutive from 1; got 1 after 1 trials",
     ),
-    "optimizer_state of another algorithm": (
-        lambda ck: ck["current"]["optimizer_state"].update(algorithm="tpe"),
-        "state is for algorithm 'tpe', not 'greedy_m'",
-    ),
+    "old run_checkpoint object": (_old_checkpoint_object, ":1: unknown row kind 'run_checkpoint'"),
 }
 
 
@@ -208,7 +224,7 @@ def test_damaged_checkpoint_exits_2_naming_its_path(
     original = GridReplayEvaluator.evaluate
 
     def evaluate(self, *args):
-        if next(calls) == 15:
+        if next(calls) == 18:
             raise ServiceFailure("injected outage")
         return original(self, *args)
 
@@ -216,15 +232,16 @@ def test_damaged_checkpoint_exits_2_naming_its_path(
         patched.setattr(GridReplayEvaluator, "evaluate", evaluate)
         assert main(argv) == EXIT_SUSPENDED
     checkpoint = tmp_path / "run.jsonl.checkpoint"
-    payload = json.loads(checkpoint.read_text())
-    assert payload["completed"] and payload["current"]["trials"]  # something to damage
-    damage(payload)
-    checkpoint.write_text(json.dumps(payload))
+    rows = [json.loads(line) for line in checkpoint.read_text().splitlines()]
+    assert [row["seed"] for row in rows[1:]] == [1] * 10 + [2] * (len(rows) - 11)
+    assert len(rows) >= 13  # seed 2 is in flight with two rows or more
+    damage(rows)
+    checkpoint.write_text("".join(json.dumps(row) + "\n" for row in rows))
     capsys.readouterr()
 
     assert main(argv) == EXIT_VALIDATION
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {checkpoint}: bad checkpoint: ")
+    assert err.startswith(f"error: {checkpoint}")
     assert message in err
     assert not out.exists()
 

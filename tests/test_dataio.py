@@ -46,7 +46,7 @@ def test_dataset_store_load_roundtrip(tmp_path, tiny_dataset):
     store_dataset(tiny_dataset, tmp_path / "ds")
     loaded = load_dataset(tmp_path / "ds")
     assert loaded == tiny_dataset
-    assert loaded.summary() == {"name": "tiny", "documents": 5, "dev": 4, "test": 2}
+    assert (loaded.name, len(loaded.corpus), len(loaded.dev), len(loaded.test)) == ("tiny", 5, 4, 2)
 
 
 def test_dataset_counts_echoed(tmp_path, tiny_dataset):
@@ -71,10 +71,9 @@ def test_large_manifest_counts_surfaced(tmp_path):
     )
     dataset = Dataset(corpus=corpus, dev=dev, test=test, name="bio-shaped")
     store_dataset(dataset, tmp_path / "big")
-    summary = load_dataset(tmp_path / "big").summary()
-    assert summary["documents"] == 40181
-    assert summary["dev"] == 1000
-    assert summary["test"] == 150
+    loaded = load_dataset(tmp_path / "big")
+    assert loaded.name == "bio-shaped"
+    assert (len(loaded.corpus), len(loaded.dev), len(loaded.test)) == (40181, 1000, 150)
 
 
 def test_dangling_gold_reference_rejected(tmp_path, tiny_dataset):

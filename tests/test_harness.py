@@ -447,8 +447,21 @@ def test_load_run_rejects_missing_header(tmp_path):
         (lambda row: row["cost"].pop("embedded_tokens"), "'embedded_tokens'"),
         (lambda row: row.update(ordinal=10**6), "ordinal 1000000"),
         (lambda row: row["cost"].update(generation_input_tokens=-1), "generation_input_tokens"),
+        (lambda row: row.update(iteration=2), "seed 1: iterations must be consecutive"),
+        (lambda row: row.update(seed=99), "seed 99 is not one of the run_header's seeds"),
+        (lambda row: row.update(iteration=3), "iteration 3 exceeds the run_header's budget 2"),
     ],
-    ids=["no-seed", "str-iteration", "bool-score", "no-cost-field", "ordinal-range", "negative-cost"],
+    ids=[
+        "no-seed",
+        "str-iteration",
+        "bool-score",
+        "no-cost-field",
+        "ordinal-range",
+        "negative-cost",
+        "duplicate-iteration",
+        "unknown-seed",
+        "past-budget",
+    ],
 )
 def test_load_run_names_the_line_and_field_of_a_bad_trial_row(
     tmp_path, default_space, change, field
@@ -530,51 +543,61 @@ def test_suspended_run_resumes_identically(tmp_path, default_space, algorithm, f
 
 
 @pytest.mark.parametrize("algorithm", ["random", "tpe", "greedy_m", "greedy_r", "greedy_rcc"])
-def test_checkpoint_holds_the_state_before_the_interrupted_suggest(
-    tmp_path, default_space, monkeypatch, algorithm
+def test_each_checkpoint_is_a_prefix_of_the_uninterrupted_export(
+    tmp_path, default_space, algorithm
 ):
-    # An uninterrupted run records the optimizer state before every suggest.
-    # A suspension, and a second one after resuming, must each checkpoint the
-    # state before the suggest of the first iteration they did not record.
+    # Suspensions after 4, 7 and 9 more evaluator calls, each resuming the
+    # last, write the export of the finished iterations; each must be the
+    # first lines of the uninterrupted run's export, the last one in seed 2.
     evaluator, _ = scored_evaluator(default_space, with_costs=True)
-    spec = spec_for(default_space, algorithm=algorithm, budget=12, seeds=(1,))
-    cls = type(harness.create_optimizer(algorithm, default_space, 1))
-    original = cls.suggest
-    before_suggest = []
-
-    def recording(self, history):
-        before_suggest.append(self.state_dict())
-        return original(self, history)
-
-    monkeypatch.setattr(cls, "suggest", recording)
-    run(spec, evaluator)
-    monkeypatch.setattr(cls, "suggest", original)
+    spec = spec_for(default_space, algorithm=algorithm, budget=12, seeds=(1, 2))
+    export_run(run(spec, evaluator), tmp_path / "run.jsonl")
+    reference = (tmp_path / "run.jsonl").read_text().splitlines()
 
     checkpoint = tmp_path / "run.checkpoint"
-    for fail_after in (4, 7):
+    written = []
+    for fail_after in (4, 7, 9):
         with pytest.raises(RunSuspended):
             run(spec, FlakyEvaluator(evaluator, fail_after), checkpoint_path=checkpoint)
-        current = json.loads(checkpoint.read_text())["current"]
-        assert current["optimizer_state"] == before_suggest[len(current["trials"])]
-    assert len(current["trials"]) > 4
+        written.append(checkpoint.read_text().splitlines())
+        assert written[-1] == reference[: len(written[-1])]
+    assert [len(lines) for lines in written] == sorted({len(lines) for lines in written})
+    assert json.loads(written[-1][-1])["seed"] == 2
 
 
-def test_suspension_after_resume_keeps_the_checkpointed_optimizer_state(tmp_path, default_space):
-    # A resumed optimizer starts from the checkpoint's state, even one its seed
-    # and trials would not lead to (here another seed's RNG state), and a
-    # suspension before its first suggest must write that state back.
+def _unrecorded_ordinal(row, rows):
+    row["ordinal"] = next(i for i in range(162) if i not in {r["ordinal"] for r in rows})
+
+
+def _other_driver(row, rows):
+    row["driver"] = "objective" if row["driver"] == "context_mrr" else "context_mrr"
+
+
+@pytest.mark.parametrize(
+    "algorithm, edit",
+    [("random", _unrecorded_ordinal), ("greedy_rcc", _other_driver)],
+    ids=["ordinal", "driver"],
+)
+def test_resume_refuses_a_checkpoint_the_optimizer_does_not_reproduce(
+    tmp_path, default_space, algorithm, edit
+):
+    # Edit iteration 2 of the in-flight seed 2: the replayed optimizer does
+    # not suggest that row, so resuming names the path, seed and iteration.
     evaluator, _ = scored_evaluator(default_space)
-    spec = spec_for(default_space, algorithm="random", budget=10, seeds=(1,))
+    spec = spec_for(default_space, algorithm=algorithm, budget=10, seeds=(1, 2))
     checkpoint = tmp_path / "run.checkpoint"
     with pytest.raises(RunSuspended):
-        run(spec, FlakyEvaluator(evaluator, 4), checkpoint_path=checkpoint)
-    payload = json.loads(checkpoint.read_text())
-    other_seed = harness.create_optimizer("random", default_space, 99).state_dict()
-    payload["current"]["optimizer_state"]["rng_state"] = other_seed["rng_state"]
-    checkpoint.write_text(json.dumps(payload))
-    with pytest.raises(RunSuspended):
-        run(spec, FlakyEvaluator(evaluator, 0), checkpoint_path=checkpoint)
-    assert json.loads(checkpoint.read_text())["current"] == payload["current"]
+        run(spec, FlakyEvaluator(evaluator, 18), checkpoint_path=checkpoint)
+    lines = checkpoint.read_text().splitlines()
+    rows = [json.loads(line) for line in lines[1:]]
+    assert [row["seed"] for row in rows][10:12] == [2, 2]  # seed 2 is in flight
+    edit(rows[11], rows)
+    lines[12] = json.dumps(rows[11])
+    checkpoint.write_text("\n".join(lines) + "\n")
+    with pytest.raises(
+        ValueError, match=f"^{re.escape(str(checkpoint))}: seed 2 iteration 2: .* re-run"
+    ):
+        run(spec, evaluator, checkpoint_path=checkpoint)
 
 
 def test_resume_before_any_scored_trial_has_no_dev_best(tmp_path, default_space):
