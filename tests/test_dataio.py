@@ -761,3 +761,220 @@ def test_companion_bytes_depend_only_on_the_table(tmp_path, tiny_space):
     assert _companion(second).read_bytes() == saved
     store_grid(table, first)
     assert _companion(first).read_bytes() == saved
+
+
+# ---------------------------------------------------------------------------
+# Differential parse of grid-table files
+# ---------------------------------------------------------------------------
+
+
+def _load_line_by_line(path, space):
+    """The reference reader: one ``json.loads`` and one ``GridTable`` call per line."""
+    size = space.total_size
+    table = None
+    for lineno, record in dataio._read_jsonl(path, GridFormatError):
+        if table is None:
+            version = record.get("format_version")
+            if version != 1:
+                raise GridFormatError(f"{path}:{lineno}: unsupported format_version {version!r}")
+            if not record.get("space_fingerprint"):
+                raise GridFormatError(f"{path}:{lineno}: header missing space_fingerprint")
+            dataio._check_fingerprint(path, record["space_fingerprint"], space)
+            table = GridTable(space_fingerprint=record["space_fingerprint"])
+            continue
+        try:
+            ordinal, split = int(record["ordinal"]), str(record["split"])
+            if not 0 <= ordinal < size:
+                raise GridFormatError(f"ordinal {ordinal} is outside the search space [0, {size})")
+            if record.get("kind") == "cost":
+                counts = [int(record[k]) for k in CostDelta(0, 0, 0).as_dict()]
+                table.set_cost(ordinal, split, CostDelta(*counts))
+            else:
+                table.add_score(ordinal, split, str(record["metric"]), str(record["qid"]),
+                                float(record["score"]))
+        except KeyError as exc:
+            raise GridFormatError(f"{path}:{lineno}: missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise GridFormatError(f"{path}:{lineno}: {exc}") from None
+    if table is None:
+        raise GridFormatError(f"{path}: empty file, expected a header line")
+    return table
+
+
+def _row(ordinal, qid, score, split="dev", metric=LEXICAL_AC):
+    """A score row in the canonical layout, with ``qid`` and ``score`` spliced in as raw text."""
+    return (f'{{"metric":"{metric}","ordinal":{ordinal},"qid":"{qid}",'
+            f'"score":{score},"split":"{split}"}}\n').encode()
+
+
+def _line_at(lines, offset):
+    """The index of the line that holds byte ``offset`` of ``b"".join(lines)``."""
+    end = 0
+    for i, line in enumerate(lines):
+        end += len(line)
+        if end > offset:
+            return i
+    return len(lines) - 1
+
+
+def _insert(lines, offset, *new):
+    """``lines`` with ``new`` put in before the line that holds byte ``offset``."""
+    i = _line_at(lines, offset)
+    return b"".join(lines[:i] + list(new) + lines[i:])
+
+
+def _straddle(lines, block, middle):
+    """A new score row whose qid puts ``middle`` across the end of the second block."""
+    i = _line_at(lines, 2 * block - 200)
+    start = sum(map(len, lines[:i]))
+    head = b'{"metric":"lexical_ac","ordinal":3,"qid":"'
+    pad = b"a" * (2 * block - 1 - start - len(head))
+    return b"".join(lines[:i] + [head + pad + middle + b'","score":0.5,"split":"dev"}\n'] + lines[i:])
+
+
+def _dup_after(lines, offset, gap):
+    """A copy of the line that holds byte ``offset``, put in ``gap`` lines after it."""
+    i = _line_at(lines, offset)
+    return b"".join(lines[: i + gap] + [lines[i]] + lines[i + gap:])
+
+
+def _dup_across(lines, block):
+    """A copy of the last line of the second block, put in after the line that crosses its end."""
+    i = _line_at(lines, 2 * block)
+    return b"".join(lines[: i + 1] + [lines[i - 1]] + lines[i + 1:])
+
+
+def _shuffled(lines):
+    """The rows shuffled among blank lines, with one cost row repeated and one rewritten."""
+    rows = lines[1:] + [lines[-1], lines[-2].replace(b":7", b":8"), b"\n", b"  \t\n"] + [b"\n"] * 9
+    random.Random(2).shuffle(rows)
+    return b"".join([lines[0], b"\n", *rows])
+
+
+def _respelled(lines):
+    """Every seventh row rewritten with spaces, every other one of those in reverse key order."""
+    out = []
+    for i, line in enumerate(lines):
+        if i % 7 == 3:
+            items = list(json.loads(line).items())
+            line = (json.dumps(dict(items if i % 2 else items[::-1])) + "\n").encode()
+        out.append(line)
+    return b"".join(out)
+
+
+_MID = 1.5  # in blocks: inside the second block, away from both of its ends
+_BAD_COST = b'{"kind":"cost","ordinal":1,"split":"dev"}\n'
+
+
+def _one_row(*new):
+    return lambda lines, b: _insert(lines, _MID * b, *new)
+
+
+_GRID_CASES = {
+    "as stored": lambda lines, b: b"".join(lines),
+    "shuffled with blank lines and repeated cost rows": lambda lines, b: _shuffled(lines),
+    "keys in another order or spaced": lambda lines, b: _respelled(lines),
+    "crlf line endings": lambda lines, b: b"".join(line[:-1] + b"\r\n" for line in lines),
+    "trailing \\x85": _one_row(_row(1, "x", 0.5)[:-1] + "\x85\n".encode()),
+    "trailing \\u2028": _one_row(_row(1, "x", 0.5)[:-1] + "\u2028\n".encode()),
+    "qid with an escaped quote": _one_row(_row(1, 'a\\"b', 0.5)),
+    "qid e-acute raw and escaped is one qid": _one_row(
+        _row(1, "é", 0.5), _row(2, "\\u00e9", 0.5), _row(2, "é", 0.25)
+    ),
+    "qid with a \\u0000 escape": _one_row(_row(1, "a\\u0000", 0.5)),
+    "qid with a raw tab": _one_row(_row(1, "a\tb", 0.5)),
+    "ordinal of Arabic-Indic digits": _one_row(_row(1, "١", 0.5), _row("١", "y", 0.5)),
+    **{
+        f"score {text}": _one_row(_row(1, "x", text))
+        for text in ("0", "1", "1E0", "5e-1", "1.00000000000000000001", "-0", "-0.0", '"0.5"',
+                     "NaN", "Infinity", "1e999", "01", "0.5.5", "true")
+    },
+    'ordinal "3"': _one_row(_row('"3"', "x", 0.5)),
+    "ordinal -1": _one_row(_row(-1, "x", 0.5)),
+    "ordinal past the space": _one_row(_row(32, "x", 0.5)),
+    "ordinal of 30 digits": _one_row(_row(10**29, "x", 0.5)),
+    "unknown split": _one_row(_row(1, "x", 0.5, split="train")),
+    "unknown metric": _one_row(_row(1, "x", 0.5, metric="bleu")),
+    "duplicate row inside a block": lambda lines, b: _dup_after(lines, _MID * b, 3),
+    "duplicate row across a block boundary": lambda lines, b: _dup_across(lines, b),
+    "duplicate of a row of the first block": lambda lines, b: _insert(lines, _MID * b, lines[5]),
+    "row repeated in a later block": lambda lines, b: _insert(lines, _MID * b, lines[-300]),
+    "bad cost row before a duplicate row": lambda lines, b: _insert(lines, _MID * b, _BAD_COST, lines[5]),
+    "duplicate row before a bad cost row": lambda lines, b: _insert(lines, _MID * b, lines[5], _BAD_COST),
+    "line longer than a block": lambda lines, b: _insert(lines, _MID * b, _row(1, "x" * (b + 9), 0.5)),
+    "valid UTF-8 across a block boundary": lambda lines, b: _straddle(lines, b, "é😀".encode()),
+    "invalid UTF-8 mid-file": _one_row(_row(1, "x", 0.5).replace(b"x", b"\xff")),
+    "invalid UTF-8 across a block boundary": lambda lines, b: _straddle(lines, b, b"\xe2\x82("),
+    "invalid UTF-8 after a bad row of its block": _one_row(
+        _row(1, "x", 2.0), _row(1, "y", 0.5).replace(b"y", b"\xff")
+    ),
+    "missing final newline": lambda lines, b: b"".join(lines)[:-1],
+    "score row without its final newline": lambda lines, b: b"".join(lines) + _row(1, "x", 0.5)[:-1],
+    "torn tail": lambda lines, b: b"".join(lines)[:-9],
+    "torn score row": lambda lines, b: b"".join(lines) + _row(1, "x", 0.5)[:-9],
+    "lines that join into one object": _one_row(b'{"s":"}\n', b'{","t":1}\n'),
+    "a line that splits into two objects": _one_row(b'{"x":1},{"y":2}\n'),
+    "a JSON array": _one_row(b"[1]\n"),
+    "a score row first": lambda lines, b: b"".join(lines[1:]),
+    "only blank lines": lambda lines, b: b"\n \n\n",
+    "header only": lambda lines, b: lines[0],
+}
+
+
+@pytest.fixture()
+def stored_lines(tmp_path, tiny_space):
+    """A stored table of ~185 KB: 2,048 score rows in canonical order, then cost rows."""
+    rng = random.Random(0)
+    table = GridTable(space_fingerprint=tiny_space.fingerprint())
+    for ordinal in range(tiny_space.total_size):
+        for split in SPLITS:
+            for metric in (LEXICAL_AC, CONTEXT_MRR):
+                for q in range(16):
+                    table.add_score(ordinal, split, metric, f"q{q:02d}", rng.random())
+        table.set_cost(ordinal, rng.choice(SPLITS), CostDelta(ordinal, 2, 7))
+    store_grid(table, tmp_path / "stored.jsonl")
+    return (tmp_path / "stored.jsonl").read_bytes().splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("block", [1 << 16, 1000])
+@pytest.mark.parametrize("case", list(_GRID_CASES))
+def test_grid_parse_matches_a_line_by_line_read(tmp_path, tiny_space, stored_lines, monkeypatch,
+                                                case, block):
+    monkeypatch.setattr(dataio, "_BLOCK_SIZE", block, raising=False)
+    path = tmp_path / "g.jsonl"
+    path.write_bytes(_GRID_CASES[case](list(stored_lines), block))
+    outcomes = []
+    for load in (_load_line_by_line, load_grid):
+        try:
+            outcomes.append(load(path, tiny_space))
+        except Exception as exc:  # noqa: BLE001 - the two readers must fail alike
+            outcomes.append(exc)
+    expected, actual = outcomes
+    if isinstance(expected, Exception):
+        assert (type(actual), str(actual)) == (type(expected), str(expected))
+    else:
+        assert isinstance(actual, GridTable), actual
+        _assert_same_table(actual, expected, tiny_space)
+
+
+def test_grid_parse_memory_is_bounded_by_a_block(tmp_path, default_space):
+    import tracemalloc
+
+    path = tmp_path / "g.jsonl"
+    rng = random.Random(0)
+    with path.open("w") as fh:
+        fh.write(json.dumps({"format_version": 1, "space_fingerprint": default_space.fingerprint()}) + "\n")
+        for ordinal in range(default_space.total_size):
+            for split in SPLITS:
+                for metric in (LEXICAL_AC, CONTEXT_MRR, FAITHFULNESS):
+                    for q in range(48):
+                        fh.write(_row(ordinal, f"q{q:02d}", rng.random(), split, metric).decode())
+    size = path.stat().st_size
+    assert size >= 4 << 20
+    tracemalloc.start()
+    try:
+        load_grid(path, default_space)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < size / 2, (peak, size)
