@@ -883,7 +883,9 @@ _GRID_CASES = {
     ),
     "qid with a \\u0000 escape": _one_row(_row(1, "a\\u0000", 0.5)),
     "qid with a raw tab": _one_row(_row(1, "a\tb", 0.5)),
-    "ordinal of Arabic-Indic digits": _one_row(_row(1, "١", 0.5), _row("١", "y", 0.5)),
+    "Arabic-Indic digit in a qid": _one_row(_row(1, "١", 0.5)),
+    "Arabic-Indic digit in an ordinal": _one_row(_row("1١", "x", 0.5)),
+    "Arabic-Indic digit in a score": _one_row(_row(1, "x", "0.٥")),
     **{
         f"score {text}": _one_row(_row(1, "x", text))
         for text in ("0", "1", "1E0", "5e-1", "1.00000000000000000001", "-0", "-0.0", '"0.5"',
