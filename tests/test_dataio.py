@@ -772,7 +772,19 @@ def _load_line_by_line(path, space):
     """The reference reader: one ``json.loads`` and one ``GridTable`` call per line."""
     size = space.total_size
     table = None
-    for lineno, record in dataio._read_jsonl(path, GridFormatError):
+    for lineno, raw in enumerate(path.read_bytes().split(b"\n"), start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError:
+            raise GridFormatError(f"{path}:{lineno}: not valid UTF-8") from None
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise GridFormatError(f"{path}:{lineno}: invalid JSON ({exc})") from None
+        if not isinstance(record, dict):
+            raise GridFormatError(f"{path}:{lineno}: expected a JSON object")
         if table is None:
             version = record.get("format_version")
             if version != 1:
