@@ -34,18 +34,21 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import itertools
 import math
+import operator
 import os
 import random
+import re
 import zipfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .costs import CostDelta
+from .costs import ZERO_COST, CostDelta
 from .metrics import METRIC_NAMES
 from .searchspace import SearchSpace
 
@@ -149,31 +152,60 @@ class Dataset:
                         )
 
 
-def _read_jsonl(
-    path: Path, error: type[ValueError], digest: hashlib._Hash | None = None
-) -> Iterator[tuple[int, dict]]:
-    """Yield (line number, object) for each non-blank line; ``error`` names a bad line.
+_BLOCK_SIZE = 1 << 16  # bytes read at a time from a JSON-lines file
 
-    Lines end at ``\\n`` and are decoded one at a time, so invalid UTF-8 is
-    reported with its line. ``digest``, when given, is fed every byte read.
+
+def _read_blocks(
+    path: Path, error: type[ValueError], digest: hashlib._Hash | None = None
+) -> Iterator[tuple[int, str]]:
+    """Yield (number of the first line, text) for ``path`` in blocks of whole lines.
+
+    Lines end at ``\\n``. Each block read is fed to ``digest`` and cut after
+    its last ``\\n``, the rest carried into the next, so memory is bounded by
+    a block and the longest line. Invalid UTF-8 raises ``error`` naming its
+    line, once the lines before it are yielded.
     """
+    lineno, carried = 1, []
     with path.open("rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        while True:
+            block = fh.read(_BLOCK_SIZE)
             if digest is not None:
-                digest.update(raw)
-            try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError:
-                raise error(f"{path}:{lineno}: not valid UTF-8") from None
-            if not line:
+                digest.update(block)
+            carried.append(block or b"\n")  # the end of the file ends the last line
+            if b"\n" not in carried[-1]:
                 continue
+            head, _, tail = b"".join(carried).rpartition(b"\n")
+            data, carried = head + b"\n", [tail]
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise error(f"{path}:{lineno}: invalid JSON ({exc})") from None
-            if not isinstance(record, dict):
-                raise error(f"{path}:{lineno}: expected a JSON object")
-            yield lineno, record
+                text = data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                start = data.rfind(b"\n", 0, exc.start) + 1
+                yield lineno, data[:start].decode("utf-8")
+                lineno += data.count(b"\n", 0, start)
+                raise error(f"{path}:{lineno}: not valid UTF-8") from None
+            yield lineno, text
+            lineno += text.count("\n")
+            if not block:
+                return
+
+
+def _read_jsonl(path: Path, error: type[ValueError]) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, object) for each non-blank line; ``error`` names a bad line."""
+    for first, text in _read_blocks(path, error):
+        for lineno, line in enumerate(text.split("\n")[:-1], first):
+            if line := line.strip():
+                yield lineno, _json_object(line, f"{path}:{lineno}", error)
+
+
+def _json_object(line: str, where: str, error: type[ValueError]) -> dict:
+    """The JSON object on one line; ``error`` says at ``where`` why it is not one."""
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise error(f"{where}: invalid JSON ({exc})") from None
+    if not isinstance(record, dict):
+        raise error(f"{where}: expected a JSON object")
+    return record
 
 
 def read_json_object(path: Path, error: type[Exception]) -> dict:
@@ -503,18 +535,39 @@ class _Columns:
     def add(self, ordinal: int, qid: str, score: float) -> bool:
         """Store a score; False, storing nothing, when the row is already present."""
         row = self.rows.setdefault(qid, len(self.rows))
-        try:
-            if not math.isnan(self.matrix[row, ordinal]):
-                return False
-        except IndexError:
-            n_rows, n_cols = self.matrix.shape
-            grown = np.full((max(n_rows, 2 * row + 1), max(n_cols, 2 * ordinal + 1)), np.nan)
+        self._fit(row, ordinal)
+        if not math.isnan(self.matrix[row, ordinal]):
+            return False
+        self.matrix[row, ordinal] = score
+        self.width = max(self.width, ordinal + 1)
+        return True
+
+    def place(
+        self, qids: Sequence[str], ordinals: np.ndarray
+    ) -> tuple[np.ndarray, dict[str, int]] | None:
+        """Rows of ``qids`` and of the new ones among them; None if a row is present or twice.
+
+        New qids take rows in order of first appearance, as :meth:`add` gives them.
+        """
+        unseen = set(qids).difference(self.rows)
+        first_seen = (q for q in dict.fromkeys(qids) if q in unseen)
+        new = {q: len(self.rows) + i for i, q in enumerate(first_seen)}
+        index = {**self.rows, **new} if new else self.rows
+        rows = np.fromiter(map(index.__getitem__, qids), np.intp, len(qids))
+        cells = np.sort(rows * (int(ordinals.max()) + 1) + ordinals)
+        self._fit(int(rows.max()), int(ordinals.max()))
+        if (cells[1:] == cells[:-1]).any() or not np.isnan(self.matrix[rows, ordinals]).all():
+            return None
+        return rows, new
+
+    def _fit(self, row: int, ordinal: int) -> None:
+        """Grow the matrix to hold (row, ordinal), at least doubling an axis that grows."""
+        n_rows, n_cols = self.matrix.shape
+        if row >= n_rows or ordinal >= n_cols:
+            shape = [n if i < n else max(2 * n, i + 1) for n, i in ((n_rows, row), (n_cols, ordinal))]
+            grown = np.full(shape, np.nan)
             grown[:n_rows, :n_cols] = self.matrix
             self.matrix = grown
-        self.matrix[row, ordinal] = score
-        if ordinal >= self.width:
-            self.width = ordinal + 1
-        return True
 
 
 @dataclass(eq=False)
@@ -628,50 +681,94 @@ def _check_fingerprint(source: Path, fingerprint: str, space: SearchSpace) -> No
         )
 
 
+# A score row exactly as _score_line writes it (groups 1-5: metric, ordinal,
+# qid, score, split) or any other line (group 6). With no escape, control
+# character or sign allowed, each group is the text json.loads reads a value from.
+_STRING = r'"([^"\\\x00-\x1f]*)"'
+_LINE = re.compile(
+    rf'^(?:\{{"metric":{_STRING},"ordinal":(0|[1-9][0-9]{{0,17}}),"qid":{_STRING},'
+    rf'"score":((?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?),"split":{_STRING}\}}$|(.*)$)',
+    re.MULTILINE,
+)
+_SPLIT_METRIC = operator.itemgetter(4, 0)
+
+
 def _parse_grid(source: Path, space: SearchSpace, digest: hashlib._Hash) -> GridTable:
-    """Parse a grid-table file line by line, feeding ``digest`` every byte read."""
-    size = space.total_size
-    table: GridTable | None = None
-    for lineno, record in _read_jsonl(source, GridFormatError, digest):
-        if table is None:
-            version = record.get("format_version")
-            if version != GRID_FORMAT_VERSION:
-                raise GridFormatError(
-                    f"{source}:{lineno}: unsupported format_version {version!r}"
-                )
-            fingerprint = record.get("space_fingerprint")
-            if not fingerprint:
-                raise GridFormatError(f"{source}:{lineno}: header missing space_fingerprint")
-            _check_fingerprint(source, fingerprint, space)
-            table = GridTable(space_fingerprint=fingerprint)
-            continue
-        try:
-            ordinal = int(record["ordinal"])
-            split = str(record["split"])
-            if not 0 <= ordinal < size:
-                raise GridFormatError(
-                    f"ordinal {ordinal} is outside the search space [0, {size})"
-                )
-            if record.get("kind") == "cost":
-                table.set_cost(
-                    ordinal,
-                    split,
-                    CostDelta(
-                        embedded_tokens=int(record["embedded_tokens"]),
-                        generation_input_tokens=int(record["generation_input_tokens"]),
-                        generation_output_tokens=int(record["generation_output_tokens"]),
-                    ),
-                )
-            else:
-                table.add_score(
-                    ordinal, split, str(record["metric"]), str(record["qid"]), float(record["score"])
-                )
-        except KeyError as exc:
-            raise GridFormatError(f"{source}:{lineno}: missing field {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise GridFormatError(f"{source}:{lineno}: {exc}") from None
+    """Parse a grid-table file, feeding ``digest`` every byte read.
+
+    Runs of canonical score rows go in at once (:func:`_add_rows`). Other
+    lines, and a run with a bad row, go in one at a time (:func:`_add_line`),
+    so the first bad line raises as a line-by-line read would.
+    """
+    table = None
+    for first, text in _read_blocks(source, GridFormatError, digest):
+        found = _LINE.findall(text, 0, len(text) - 1)
+        start = 0
+        for end in [i for i, row in enumerate(found) if not row[1]] + [len(found)]:
+            if start < end and (table is None or not _add_rows(table, found[start:end], space)):
+                for lineno, line in enumerate(text.split("\n")[start:end], first + start):
+                    table = _add_line(table, line, source, lineno, space)
+            if end < len(found):
+                table = _add_line(table, found[end][5], source, first + end, space)
+            start = end + 1
     if table is None:
         raise GridFormatError(f"{source}: empty file, expected a header line")
+    return table
+
+
+def _add_rows(table: GridTable, rows: list[tuple[str, ...]], space: SearchSpace) -> bool:
+    """Add score rows by one numpy scatter per (split, metric); False, adding none, on a bad one."""
+    plans = []
+    for key, group in itertools.groupby(sorted(rows, key=_SPLIT_METRIC), _SPLIT_METRIC):
+        _, ordinals, qids, scores, _, _ = zip(*group)
+        ords = np.fromiter(map(int, ordinals), np.intp, len(qids))
+        values = np.fromiter(map(float, scores), np.float64, len(qids))
+        # The pattern takes no sign, so no ordinal or score is negative and no score NaN.
+        bad = key[0] not in SPLITS or key[1] not in METRIC_NAMES or values.max() > 1
+        columns = table._columns.get(key) or _Columns()
+        if bad or ords.max() >= space.total_size or not (placed := columns.place(qids, ords)):
+            return False
+        plans.append((key, columns, *placed, ords, values))
+    for key, columns, matrix_rows, new, ords, values in plans:
+        columns.rows.update(new)
+        columns.matrix[matrix_rows, ords] = values
+        columns.width = max(columns.width, int(ords.max()) + 1)
+        table._columns[key] = columns
+    return True
+
+
+def _add_line(
+    table: GridTable | None, line: str, source: Path, lineno: int, space: SearchSpace
+) -> GridTable | None:
+    """Apply one line: nothing if blank, the header if ``table`` is None, else a row."""
+    if not (line := line.strip()):
+        return table
+    record = _json_object(line, f"{source}:{lineno}", GridFormatError)
+    if table is None:
+        version = record.get("format_version")
+        if version != GRID_FORMAT_VERSION:
+            raise GridFormatError(f"{source}:{lineno}: unsupported format_version {version!r}")
+        fingerprint = record.get("space_fingerprint")
+        if not fingerprint:
+            raise GridFormatError(f"{source}:{lineno}: header missing space_fingerprint")
+        _check_fingerprint(source, fingerprint, space)
+        return GridTable(space_fingerprint=fingerprint)
+    size = space.total_size
+    try:
+        ordinal = int(record["ordinal"])
+        split = str(record["split"])
+        if not 0 <= ordinal < size:
+            raise GridFormatError(f"ordinal {ordinal} is outside the search space [0, {size})")
+        if record.get("kind") == "cost":
+            counts = (int(record[name]) for name in ZERO_COST.as_dict())
+            table.set_cost(ordinal, split, CostDelta(*counts))
+        else:
+            metric, qid, score = str(record["metric"]), str(record["qid"]), float(record["score"])
+            table.add_score(ordinal, split, metric, qid, score)
+    except KeyError as exc:
+        raise GridFormatError(f"{source}:{lineno}: missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise GridFormatError(f"{source}:{lineno}: {exc}") from None
     return table
 
 
