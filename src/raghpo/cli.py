@@ -53,13 +53,18 @@ class CliError(Exception):
     """Configuration or input problem; reported and mapped to exit code 2."""
 
 
+def _input_file(path: str | Path, what: str) -> Path:
+    """``path`` as an input file, or a CliError that it is not one."""
+    source = Path(path)
+    if not source.is_file():
+        raise CliError(f"{what} not found: {source}")
+    return source
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    source = Path(path)
-    if not source.is_file():
-        raise CliError(f"config file not found: {source}")
-    return dataio.read_json_object(source, CliError)
+    return dataio.read_json_object(_input_file(path, "config file"), CliError)
 
 
 def _convert(key: str, value, kind: type):
@@ -92,9 +97,7 @@ def _load_space(value) -> SearchSpace:
     elif not isinstance(value, str):
         raise CliError(f"space: expected a search-space file path or object, got {value!r}")
     else:
-        source = Path(value)
-        if not source.is_file():
-            raise CliError(f"search space file not found: {source}")
+        source = _input_file(value, "search space file")
         data = dataio.read_json_object(source, CliError)
     try:
         return SearchSpace.from_dict(data)
@@ -211,7 +214,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     if backend == "grid-replay":
         if grid_path is None:
             raise CliError("grid-replay backend needs --grid (or grid_table in the config)")
-        table = load_grid(grid_path, space)
+        table = load_grid(_input_file(grid_path, "grid table"), space)
         evaluator = GridReplayEvaluator(table, space)
     elif backend == "live":
         dataset_path = _setting(args, config, "dataset")
@@ -413,12 +416,14 @@ def _write_json(path: Path, payload) -> None:
 def cmd_analyze(args: argparse.Namespace) -> int:
     if not args.table and not args.run:
         raise CliError("analyze needs --table and/or --run")
+    table_path = args.table and _input_file(args.table, "grid table")
+    run_path = args.run and _input_file(args.run, "run export")
     out = Path(args.out)
     space = _load_space(args.space)
     grid_max = None
 
-    if args.table:
-        table = load_grid(args.table, space)
+    if table_path:
+        table = load_grid(table_path, space)
         extremes = analysis.grid_extremes(table, args.metric, args.split, space)
         grid_max = extremes.best_score
         _write_json(
@@ -469,8 +474,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         )
         print(f"wrote {out / 'extremes.json'}, {out / 'bins.json'}, {out / 'marginal_means.json'}")
 
-    if args.run:
-        record = harness.load_run(args.run)
+    if run_path:
+        record = harness.load_run(run_path)
         series = analysis.convergence_series(record, grid_max=grid_max)
         out.mkdir(parents=True, exist_ok=True)
         with (out / "convergence.jsonl").open("w", encoding="utf-8") as fh:

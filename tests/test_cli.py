@@ -484,6 +484,28 @@ def test_invalid_utf8_exits_2_with_its_location(tmp_path, fixture_table, dataset
     assert capsys.readouterr().err == f"error: {source}:2: not valid UTF-8\n"
 
 
+@pytest.mark.parametrize("missing", ["absent", "a directory"])
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        pytest.param(["optimize", "--grid", "{path}"], "grid table", id="optimize-grid"),
+        pytest.param(["analyze", "--table", "{path}"], "grid table", id="analyze-table"),
+        pytest.param(["analyze", "--run", "{path}"], "run export", id="analyze-run"),
+        pytest.param(["analyze", "--table", "{table}", "--run", "{path}"], "run export",
+                     id="analyze-good-table-missing-run"),
+    ],
+)
+def test_missing_input_file_exits_2_naming_it(tmp_path, fixture_table, capsys, argv, what, missing):
+    path = tmp_path / "nope.jsonl"
+    if missing == "a directory":
+        path.mkdir()
+    out = tmp_path / "out"
+    argv = [a.format(path=path, table=fixture_table) for a in argv] + ["--out", str(out)]
+    assert main(argv) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {what} not found: {path}\n"
+    assert not out.exists()
+
+
 BAD_JSON_DOCUMENTS = {
     "space array": ("space", b"[1]", "{path}: expected a JSON object"),
     "space truncated": ("space", b'{"chunk_size": [256,', "{path}:1: invalid JSON ("),
