@@ -554,9 +554,9 @@ class _Columns:
         new = {q: len(self.rows) + i for i, q in enumerate(first_seen)}
         index = {**self.rows, **new} if new else self.rows
         rows = np.fromiter(map(index.__getitem__, qids), np.intp, len(qids))
-        cells = np.sort(rows * (int(ordinals.max()) + 1) + ordinals)
+        cells = (rows * (int(ordinals.max()) + 1) + ordinals).tolist()
         self._fit(int(rows.max()), int(ordinals.max()))
-        if (cells[1:] == cells[:-1]).any() or not np.isnan(self.matrix[rows, ordinals]).all():
+        if len(set(cells)) < len(cells) or not np.isnan(self.matrix[rows, ordinals]).all():
             return None
         return rows, new
 
