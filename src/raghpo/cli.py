@@ -416,8 +416,8 @@ def _write_json(path: Path, payload) -> None:
 def cmd_analyze(args: argparse.Namespace) -> int:
     if not args.table and not args.run:
         raise CliError("analyze needs --table and/or --run")
-    table_path = args.table and _input_file(args.table, "grid table")
-    run_path = args.run and _input_file(args.run, "run export")
+    table_path = _input_file(args.table, "grid table") if args.table else None
+    run_path = _input_file(args.run, "run export") if args.run else None
     out = Path(args.out)
     space = _load_space(args.space)
     grid_max = None

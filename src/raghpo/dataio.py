@@ -682,8 +682,9 @@ def _check_fingerprint(source: Path, fingerprint: str, space: SearchSpace) -> No
 
 
 # A score row exactly as _score_line writes it (groups 1-5: metric, ordinal,
-# qid, score, split) or any other line (group 6). With no escape, control
-# character or sign allowed, each group is the text json.loads reads a value from.
+# qid, score, split) or any other line (group 6). Strings take no escape or
+# control character, numbers no sign and ordinals at most 18 digits, so each
+# group is the text json.loads reads a value from and an ordinal fits an intp.
 _STRING = r'"([^"\\\x00-\x1f]*)"'
 _LINE = re.compile(
     rf'^(?:\{{"metric":{_STRING},"ordinal":(0|[1-9][0-9]{{0,17}}),"qid":{_STRING},'

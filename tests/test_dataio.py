@@ -3,6 +3,7 @@ import io
 import json
 import math
 import random
+import tracemalloc
 import zipfile
 
 import numpy as np
@@ -879,6 +880,7 @@ _BAD_COST = b'{"kind":"cost","ordinal":1,"split":"dev"}\n'
 
 
 def _one_row(*new):
+    """A case that puts ``new`` lines inside the second block."""
     return lambda lines, b: _insert(lines, _MID * b, *new)
 
 
@@ -937,7 +939,7 @@ _GRID_CASES = {
 
 @pytest.fixture()
 def stored_lines(tmp_path, tiny_space):
-    """A stored table of ~185 KB: 2,048 score rows in canonical order, then cost rows."""
+    """A stored table of ~190 KB: 2,048 score rows in canonical order, then cost rows."""
     rng = random.Random(0)
     table = GridTable(space_fingerprint=tiny_space.fingerprint())
     for ordinal in range(tiny_space.total_size):
@@ -954,7 +956,7 @@ def stored_lines(tmp_path, tiny_space):
 @pytest.mark.parametrize("case", list(_GRID_CASES))
 def test_grid_parse_matches_a_line_by_line_read(tmp_path, tiny_space, stored_lines, monkeypatch,
                                                 case, block):
-    monkeypatch.setattr(dataio, "_BLOCK_SIZE", block, raising=False)
+    monkeypatch.setattr(dataio, "_BLOCK_SIZE", block)
     path = tmp_path / "g.jsonl"
     path.write_bytes(_GRID_CASES[case](list(stored_lines), block))
     outcomes = []
@@ -972,8 +974,6 @@ def test_grid_parse_matches_a_line_by_line_read(tmp_path, tiny_space, stored_lin
 
 
 def test_grid_parse_memory_is_bounded_by_a_block(tmp_path, default_space):
-    import tracemalloc
-
     path = tmp_path / "g.jsonl"
     rng = random.Random(0)
     with path.open("w") as fh:
