@@ -330,18 +330,25 @@ def cmd_grid(args: argparse.Namespace) -> int:
         store_grid(table, out_path)
 
     evaluated = 0
+    # Ordinals are index-major, so the loop is done with an index once it
+    # reaches a cell of the next one, and the evaluator can drop it.
+    held = space.config_at(0).index
     # Each cell's new rows are appended as soon as it is evaluated, so a killed
     # run keeps them; the table is rewritten in canonical order once, at the end.
     sink = out_path.open("a", encoding="utf-8")
     try:
         for ordinal in range(space.total_size):
             rag_config = space.config_at(ordinal)
+            if rag_config.index != held:
+                evaluator.release(held)
+                held = rag_config.index
             for split in splits:
                 added = evaluator.fill(rag_config, split, metrics)
                 if added:
                     evaluated += 1
                     sink.write(grid_cell_text(table, ordinal, split, added))
                     sink.flush()
+        evaluator.release(held)
     except ServiceFailure as exc:
         sink.close()
         store_grid(table, out_path)

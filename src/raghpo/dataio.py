@@ -201,7 +201,7 @@ def _json_object(line: str, where: str, error: type[ValueError]) -> dict:
     """The JSON object on one line; ``error`` says at ``where`` why it is not one."""
     try:
         record = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long for int()
         raise error(f"{where}: invalid JSON ({exc})") from None
     if not isinstance(record, dict):
         raise error(f"{where}: expected a JSON object")
@@ -222,6 +222,8 @@ def read_json_object(path: Path, error: type[Exception]) -> dict:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
         raise error(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from None
+    except ValueError as exc:  # an integer too long for int()
+        raise error(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(document, dict):
         raise error(f"{path}: expected a JSON object")
     return document
@@ -768,7 +770,7 @@ def _add_line(
             table.add_score(ordinal, split, metric, qid, score)
     except KeyError as exc:
         raise GridFormatError(f"{source}:{lineno}: missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise GridFormatError(f"{source}:{lineno}: {exc}") from None
     return table
 

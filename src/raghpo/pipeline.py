@@ -617,10 +617,12 @@ class LivePipelineEvaluator(StoredScores):
       indexes of every embedding model share that chunk list;
     * each distinct (embedding model, text) is sent to the embedding service
       once; chunk texts that recur across indexes and every split's
-      questions are served from one memo;
-    * one index is built per IndexConfig, and retrieval is run once per
-      (IndexConfig, top_k, split), since it does not depend on the
-      generative model.
+      questions are served from one memo.
+
+    An index is built once per IndexConfig, and retrieval is run once per
+    (IndexConfig, top_k, split), since it does not depend on the generative
+    model. Both are kept until :meth:`release` drops them, which an
+    optimizer run never calls, since optimizers revisit indexes.
 
     Each evaluation still reports the full embedded-token cost of its index
     (the sum of its chunk lengths), so the *accounted* spend is what a fresh
@@ -692,6 +694,17 @@ class LivePipelineEvaluator(StoredScores):
             )
             self._indices[index_config] = cached
         return cached
+
+    def release(self, index_config: IndexConfig) -> None:
+        """Drop the index of ``index_config`` and every retrieval made from it.
+
+        For a caller that evaluates no more cells of that index. The chunk
+        lists and the embedding memo stay, so a later evaluation rebuilds the
+        index without sending a text to the embedding service again.
+        """
+        self._indices.pop(index_config, None)
+        for key in [key for key in self._retrieved if key[0] == index_config]:
+            del self._retrieved[key]
 
     def _retrieve_all(
         self, config: RagConfig, split: str

@@ -1,14 +1,17 @@
+import gc
 import itertools
 import json
 import os
 import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
-from raghpo.cli import EXIT_OK, EXIT_SUSPENDED, EXIT_VALIDATION, main
+from raghpo import cli, pipeline
+from raghpo.cli import EXIT_OK, EXIT_SUSPENDED, EXIT_VALIDATION, _build_live_evaluator, main
 from raghpo.dataio import load_dataset, load_grid, store_dataset, store_grid
 from raghpo.evaluator import GridReplayEvaluator
 from raghpo.harness import load_run
@@ -484,6 +487,56 @@ def test_invalid_utf8_exits_2_with_its_location(tmp_path, fixture_table, dataset
     assert capsys.readouterr().err == f"error: {source}:2: not valid UTF-8\n"
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("score", 10**400, "int too large to convert to float"),
+        ("ordinal", float("inf"), "cannot convert float infinity to integer"),
+    ],
+    ids=["score", "ordinal"],
+)
+def test_number_out_of_float_range_exits_2_with_its_location(
+    tmp_path, fixture_table, capsys, field, value, message
+):
+    header = fixture_table.read_text().splitlines(keepends=True)[0]
+    row = {"metric": "lexical_ac", "ordinal": 0, "qid": "q0", "score": 0.5, "split": "dev"}
+    path = tmp_path / "huge.jsonl"
+    path.write_text(header + json.dumps({**row, field: value}) + "\n")
+    assert main(["analyze", "--table", str(path), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {path}:2: {message}\n"
+
+
+@pytest.mark.parametrize("kind", ["grid table", "run export", "dataset"])
+def test_integer_too_long_to_convert_exits_2_with_its_location(
+    tmp_path, fixture_table, dataset_dir, capsys, kind
+):
+    run = tmp_path / "run.jsonl"
+    optimize = ["optimize", "--grid", str(fixture_table), "--budget", "2", "--seeds", "1", "--out", str(run)]
+    if kind == "grid table":
+        source, argv = fixture_table, optimize
+    elif kind == "run export":
+        main(optimize)
+        source, argv = run, ["analyze", "--run", str(run), "--out", str(tmp_path / "out")]
+    else:
+        source = dataset_dir / "benchmark.jsonl"
+        argv = ["sample", "--dataset", str(dataset_dir), "--out", str(tmp_path / "s"),
+                "--fraction", "0.5", "--noise", "1", "--seed", "1"]
+    lines = source.read_text().splitlines(keepends=True)
+    lines[1] = lines[1].replace("{", '{"pad":' + "1" * 5000 + ",", 1)
+    source.write_text("".join(lines))
+    capsys.readouterr()
+    assert main(argv) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith(f"error: {source}:2: invalid JSON (")
+
+
+def test_integer_too_long_in_a_space_file_exits_2_naming_it(tmp_path, fixture_table, capsys):
+    path = tmp_path / "space.json"
+    path.write_text('{"chunk_size": [' + "1" * 5000 + "]}")
+    argv = ["optimize", "--grid", str(fixture_table), "--space", str(path), "--out", str(tmp_path / "run.jsonl")]
+    assert main(argv) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith(f"error: {path}: invalid JSON (")
+
+
 @pytest.mark.parametrize("missing", ["absent", "a directory"])
 @pytest.mark.parametrize(
     "argv, what",
@@ -666,6 +719,96 @@ def test_grid_resume_fills_only_gaps(live_setup, capsys):
     restored = load_grid(path, live_setup["space"])
     assert is_complete(restored, LEXICAL_AC, "dev", 2)
     assert path.read_text() == "".join(lines)
+
+
+def _tiny_grid(live_setup, tiny_space, tmp_path, monkeypatch):
+    """tiny_space with stock generative models, its table path, and a ``run()`` of its grid.
+
+    ``run()`` returns the IndexConfigs the grid built, in build order, and
+    keeps only a weak reference to each index. Building an index while an
+    earlier one is alive fails the run, and so does writing the table, or
+    returning, while any index is alive.
+    """
+    space = SearchSpace.from_dict(
+        {**tiny_space.to_dict(), "generative_model": list(live_setup["space"].generative_models)}
+    )
+    (tmp_path / "tiny.json").write_text(json.dumps(space.to_dict()))
+    out = tmp_path / "tiny_grid.jsonl"
+    argv = ["grid", "--config", str(live_setup["config_path"]),
+            "--space", str(tmp_path / "tiny.json"), "--out", str(out)]
+    built = []
+    build_original, store_original = pipeline.build_index, cli.store_grid
+
+    def alive() -> list:
+        return [index_config for index_config, ref in built if ref() is not None]
+
+    def build_index(corpus, index_config, *args, **kwargs):
+        assert alive() == [], "an earlier index is alive"
+        index, embedded_tokens = build_original(corpus, index_config, *args, **kwargs)
+        built.append((index_config, weakref.ref(index)))
+        return index, embedded_tokens
+
+    def store_grid(*args):
+        assert alive() == [], "an index is alive after the last ordinal"
+        return store_original(*args)
+
+    def run() -> list:
+        built.clear()
+        gc.disable()
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(pipeline, "build_index", build_index)
+                patch.setattr(cli, "store_grid", store_grid)
+                assert main(argv) == EXIT_OK
+        finally:
+            gc.enable()
+        assert alive() == []
+        return [index_config for index_config, _ in built]
+
+    return space, out, run
+
+
+def _indexes_of(space: SearchSpace, ordinals) -> list:
+    return list(dict.fromkeys(space.config_at(o).index for o in ordinals))
+
+
+def test_grid_holds_one_index_at_a_time(live_setup, tiny_space, tmp_path, monkeypatch):
+    space, out, run = _tiny_grid(live_setup, tiny_space, tmp_path, monkeypatch)
+    stub = live_setup["stub"]
+    assert run() == _indexes_of(space, range(space.total_size))
+    requests = {route: list(stub.calls(route)) for route in ("/embed", "/generate")}
+    assert len(requests["/generate"]) == space.total_size * 3
+
+    # The same cells, in the same order, through one evaluator that keeps every index.
+    stub.server.calls.clear()
+    config = json.loads(live_setup["config_path"].read_text())
+    evaluator = _build_live_evaluator(config, load_dataset(config["dataset"]), space, 1)
+    for ordinal in range(space.total_size):
+        for split in ("dev", "test"):
+            evaluator.fill(space.config_at(ordinal), split, (LEXICAL_AC, FAITHFULNESS, CONTEXT_MRR))
+    assert len(evaluator._indices) == len(_indexes_of(space, range(space.total_size)))
+    store_grid(evaluator.table, tmp_path / "kept.jsonl")
+    assert out.read_bytes() == (tmp_path / "kept.jsonl").read_bytes()
+    assert {route: list(stub.calls(route)) for route in requests} == requests
+
+
+def test_grid_resume_builds_no_index_for_complete_cells(
+    live_setup, tiny_space, tmp_path, monkeypatch
+):
+    space, out, run = _tiny_grid(live_setup, tiny_space, tmp_path, monkeypatch)
+    run()
+    complete = out.read_bytes()
+    # Keep the header and every row of the first three indexes' ordinals.
+    first = 3 * space.total_size // len(_indexes_of(space, range(space.total_size)))
+    out.write_text(
+        "".join(
+            line
+            for line in complete.decode().splitlines(keepends=True)
+            if json.loads(line).get("ordinal", -1) < first
+        )
+    )
+    assert run() == _indexes_of(space, range(first, space.total_size))
+    assert out.read_bytes() == complete
 
 
 def test_optimize_live_backend_end_to_end(live_setup, tmp_path, capsys):

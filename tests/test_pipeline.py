@@ -857,6 +857,29 @@ def test_cached_indexes_equal_a_fresh_build(stub_service, tiny_space):
                 assert index.search(query, top_k) == fresh.search(query, top_k)
 
 
+def test_release_drops_one_index_and_its_retrievals_but_not_the_memo(stub_service, tiny_space):
+    dataset = _shared_text_dataset()
+    model = _config().answer.generative_model
+    space = SearchSpace.from_dict({**tiny_space.to_dict(), "generative_model": [model]})
+    evaluator = _live(stub_service, dataset, space)
+    _evaluate_every_cell(evaluator, space)
+    config = space.config_at(0)
+    indexes = set(evaluator._indices)
+    retrieved = set(evaluator._retrieved)
+    chunks = dict(evaluator._chunks)
+    sent = len(stub_service.calls("/embed"))
+
+    evaluator.release(config.index)
+    assert set(evaluator._indices) == indexes - {config.index}
+    assert set(evaluator._retrieved) == {key for key in retrieved if key[0] != config.index}
+    # A later evaluation rebuilds the index from the kept chunk list and memo:
+    # nothing is chunked or embedded again.
+    evaluator.evaluate(config, "dev", Objective())
+    assert config.index in evaluator._indices
+    assert all(evaluator._chunks[shape] is chunks[shape] for shape in chunks)
+    assert len(stub_service.calls("/embed")) == sent
+
+
 @pytest.mark.parametrize("parallelism", [1, 2])
 def test_used_evaluator_is_freed_without_the_cycle_collector(
     stub_service, tiny_dataset, parallelism
