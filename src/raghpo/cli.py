@@ -37,6 +37,7 @@ from .pipeline import (
     GenerationClient,
     JudgeClient,
     LivePipelineEvaluator,
+    ReplyStore,
     ServiceEndpoint,
     ServiceFailure,
 )
@@ -140,9 +141,25 @@ def _parse_objective(value) -> Objective:
     return Objective(metrics=tuple(m for m in str(value).split(",") if m))
 
 
+def _replies_path(dataset_path: str | Path) -> Path:
+    """Where the reply store of a dataset directory lives: beside it, as ``<dir>.replies.sqlite3``."""
+    root = Path(dataset_path).resolve()
+    return root.parent / f"{root.name}.replies.sqlite3"
+
+
 def _build_live_evaluator(
-    config: dict, dataset, space, parallelism: int, table: GridTable | None = None
+    config: dict,
+    dataset,
+    space,
+    parallelism: int,
+    replies_path: Path,
+    table: GridTable | None = None,
 ) -> LivePipelineEvaluator:
+    """The live evaluator the config describes, with the reply store at ``replies_path``.
+
+    The store is opened once the endpoints are valid; one that cannot be
+    opened is a warning, and the run then sends every request.
+    """
     endpoints = config.get("endpoints", {})
     if not isinstance(endpoints, dict) or "embed" not in endpoints or "generate" not in endpoints:
         raise CliError(
@@ -156,17 +173,25 @@ def _build_live_evaluator(
             raise CliError(f"endpoints.{name}: {exc}") from None
 
     judge = JudgeClient(endpoint("judge")) if "judge" in endpoints else None
+    embedder = EmbeddingClient(
+        endpoint("embed"),
+        batch_size=_convert("embed_batch_size", config.get("embed_batch_size", 32), int),
+    )
+    generator = GenerationClient(endpoint("generate"))
+    try:
+        replies = ReplyStore(replies_path)
+    except OSError as exc:
+        log.warning("%s; sending every request", exc)
+        replies = None
     return LivePipelineEvaluator(
         dataset=dataset,
         space=space,
-        embedder=EmbeddingClient(
-            endpoint("embed"),
-            batch_size=_convert("embed_batch_size", config.get("embed_batch_size", 32), int),
-        ),
-        generator=GenerationClient(endpoint("generate")),
+        embedder=embedder,
+        generator=generator,
         judge=judge,
         parallelism=parallelism,
         table=table,
+        replies=replies,
     )
 
 
@@ -197,6 +222,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     if backend is None:
         backend = "grid-replay" if grid_path else "live"
     parallelism = _setting(args, config, "parallelism", 1, int)
+    replies = None
 
     optimizer_options = {}
     tpe = _section(config, "tpe")
@@ -232,7 +258,10 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             print(
                 f"sampled dev: {len(dataset.dev)} questions, corpus {len(dataset.corpus)} docs"
             )
-        evaluator = _build_live_evaluator(config, dataset, space, parallelism)
+        evaluator = _build_live_evaluator(
+            config, dataset, space, parallelism, _replies_path(dataset_path)
+        )
+        replies = evaluator.replies
     else:
         raise CliError(f"unknown backend {backend!r}; expected grid-replay or live")
 
@@ -255,6 +284,9 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     except ServiceFailure as exc:
         print(f"run suspended: {exc}", file=sys.stderr)
         return EXIT_SUSPENDED
+    finally:
+        if replies is not None:
+            replies.close()
 
     harness.export_run(record, out)
 
@@ -314,7 +346,25 @@ def cmd_grid(args: argparse.Namespace) -> int:
         table = load_grid(out_path, space)
     else:
         table = GridTable(space_fingerprint=space.fingerprint())
-    evaluator = _build_live_evaluator(config, dataset, space, parallelism, table)
+    evaluator = _build_live_evaluator(
+        config, dataset, space, parallelism, _replies_path(dataset_path), table
+    )
+    try:
+        return _fill_grid(evaluator, out_path, resuming, splits, metric_arg)
+    finally:
+        if evaluator.replies is not None:
+            evaluator.replies.close()
+
+
+def _fill_grid(
+    evaluator: LivePipelineEvaluator,
+    out_path: Path,
+    resuming: bool,
+    splits: list[str],
+    metric_arg: str | None,
+) -> int:
+    """Evaluate every cell of the evaluator's space that its table lacks, into ``out_path``."""
+    space, table = evaluator.space, evaluator.table
     metrics = (
         [m for m in str(metric_arg).split(",") if m]
         if metric_arg

@@ -32,6 +32,7 @@ particular model's tokenizer.
 
 from __future__ import annotations
 
+import hashlib
 import http.client
 import importlib.resources
 import json
@@ -50,7 +51,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .costs import CostDelta
-from .dataio import SPLITS, Dataset, Document, GridKey, GridTable, QaPair, ScoreSlice
+from .dataio import SPLITS, Dataset, Document, GridKey, GridTable, ScoreSlice
 from .evaluator import RETRIEVAL_OBJECTIVE, EvalResult, Objective, StoredScores
 from .metrics import (
     CONTEXT_MRR,
@@ -64,7 +65,7 @@ from .metrics import (
     lexical_answer_correctness,
     tokenize,
 )
-from .searchspace import AnswerConfig, IndexConfig, RagConfig, SearchSpace
+from .searchspace import IndexConfig, RagConfig, SearchSpace
 
 log = logging.getLogger(__name__)
 
@@ -399,11 +400,14 @@ class _EmbeddingMemo:
     ``embed`` sends only the texts not yet embedded for the model, once each
     and in first-seen order, and returns one row per requested text. Rows are
     kept as the service returned them, so an index built from them normalizes
-    exactly the same numbers as one built from a fresh reply.
+    exactly the same numbers as one built from a fresh reply. With a
+    :class:`ReplyStore`, texts the memo lacks are looked up there first, and
+    the rows fetched by one call are stored in one transaction.
     """
 
-    def __init__(self, client: EmbeddingClient):
+    def __init__(self, client: EmbeddingClient, replies: "ReplyStore | None" = None):
         self.client = client
+        self.replies = replies
         self._rows: dict[str, dict[str, np.ndarray]] = {}
 
     def embed(self, model: str, texts: Sequence[str]) -> np.ndarray:
@@ -411,8 +415,14 @@ class _EmbeddingMemo:
             return np.zeros((0, 0))
         rows = self._rows.setdefault(model, {})
         missing = [text for text in dict.fromkeys(texts) if text not in rows]
+        if missing and self.replies is not None:
+            rows.update(self.replies.vectors(model, missing))
+            missing = [text for text in missing if text not in rows]
         if missing:
-            rows.update(zip(missing, self.client.embed(model, missing)))
+            fetched = self.client.embed(model, missing)
+            rows.update(zip(missing, fetched))
+            if self.replies is not None:
+                self.replies.put_vectors(model, missing, fetched)
         picked = [rows[text] for text in texts]
         try:
             return np.stack(picked)
@@ -420,7 +430,19 @@ class _EmbeddingMemo:
             dims = list(dict.fromkeys(len(row) for row in picked))
             raise ServiceFailure(
                 f"embed reply dimension changed between batches: {dims[0]} then {dims[1]}"
+                + self.stored_hint()
             ) from None
+
+    def forget(self, model: str) -> None:
+        """Drop the model's rows when the reply store holds them; a no-op without one."""
+        if self.replies is not None:
+            self._rows.pop(model, None)
+
+    def stored_hint(self) -> str:
+        """A note naming the reply store, for a dimension error; empty without one."""
+        if self.replies is None:
+            return ""
+        return f" (rows may come from {self.replies.path}; delete it if the service changed)"
 
 
 @dataclass(frozen=True)
@@ -473,6 +495,103 @@ class JudgeClient(_ServiceClient):
         if not isinstance(score, (int, float)) or not 0.0 <= score <= 1.0:
             raise ServiceFailure(f"judge reply score must be in [0, 1], got {score!r}")
         return float(score)
+
+
+class ReplyStore:
+    """Validated ``/embed`` and ``/generate`` replies on disk, keyed on the literal request.
+
+    One SQLite table maps the SHA-256 of (route, model, input) to the reply
+    as the client accepted it: for a text sent to ``/embed``, its vector's
+    little-endian float64 bytes; for a prompt sent to ``/generate``, the
+    text, token counts and ``counts_estimated`` flag as JSON. The model name
+    is the model's identity; the endpoint URL is not part of the key.
+    Judge replies and failed calls are never stored. Each ``put_*`` call is
+    one transaction, so a killed process keeps every call that returned.
+    A store is used from the thread that opened it.
+    """
+
+    _BATCH = 500  # keys per lookup query, below SQLite's bound-parameter limit
+
+    def __init__(self, path: str | os.PathLike):
+        """Open or create the store; an ``OSError`` naming ``path`` when that fails."""
+        import sqlite3
+
+        self.path = path
+        try:
+            self._db = sqlite3.connect(path)
+        except sqlite3.Error as exc:
+            raise OSError(f"cannot open reply store {path}: {exc}") from None
+        try:
+            self._db.execute("PRAGMA journal_mode=WAL")
+            self._db.execute("PRAGMA synchronous=NORMAL")
+            self._db.execute(
+                "CREATE TABLE IF NOT EXISTS replies"
+                " (key BLOB PRIMARY KEY, reply BLOB NOT NULL)"
+            )
+            self._db.execute("SELECT key, reply FROM replies LIMIT 0")
+        except sqlite3.Error as exc:
+            self._db.close()
+            raise OSError(f"cannot open reply store {path}: {exc}") from None
+
+    def close(self) -> None:
+        self._db.close()
+
+    @staticmethod
+    def _keys(route: str, model: str, inputs: Sequence[str]) -> list[bytes]:
+        """Each input's key: the SHA-256 of a JSON array of route and model, then the input."""
+        # The array's closing bracket ends it, so no two requests hash the same bytes.
+        prefix = hashlib.sha256(json.dumps([route, model]).encode("utf-8"))
+        keys = []
+        for text in inputs:
+            digest = prefix.copy()
+            digest.update(text.encode("utf-8", "surrogatepass"))
+            keys.append(digest.digest())
+        return keys
+
+    def _get(self, route: str, model: str, inputs: Sequence[str]) -> dict[str, bytes]:
+        keys = dict(zip(self._keys(route, model, inputs), inputs))
+        wanted = list(keys)
+        found: dict[str, bytes] = {}
+        for start in range(0, len(wanted), self._BATCH):
+            batch = wanted[start : start + self._BATCH]
+            query = f"SELECT key, reply FROM replies WHERE key IN ({','.join('?' * len(batch))})"
+            found.update((keys[key], reply) for key, reply in self._db.execute(query, batch))
+        return found
+
+    def _put(self, route: str, model: str, inputs: Sequence[str], replies: Iterable[bytes]) -> None:
+        keys = self._keys(route, model, inputs)
+        with self._db:
+            self._db.executemany("INSERT OR IGNORE INTO replies VALUES (?, ?)", zip(keys, replies))
+
+    def vectors(self, model: str, texts: Sequence[str]) -> dict[str, np.ndarray]:
+        """The stored vector of each text that has one."""
+        return {
+            text: np.frombuffer(reply, dtype="<f8")
+            for text, reply in self._get("/embed", model, texts).items()
+        }
+
+    def put_vectors(self, model: str, texts: Sequence[str], vectors: np.ndarray) -> None:
+        self._put("/embed", model, texts, (np.asarray(row, dtype="<f8").tobytes() for row in vectors))
+
+    def generations(self, model: str, prompts: Sequence[str]) -> dict[str, GenerationResult]:
+        """The stored generation of each prompt that has one."""
+        return {
+            prompt: GenerationResult(*json.loads(reply))
+            for prompt, reply in self._get("/generate", model, prompts).items()
+        }
+
+    def put_generations(
+        self, model: str, prompts: Sequence[str], results: Iterable[GenerationResult]
+    ) -> None:
+        self._put(
+            "/generate",
+            model,
+            prompts,
+            (
+                json.dumps([r.text, r.input_tokens, r.output_tokens, r.counts_estimated]).encode()
+                for r in results
+            ),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -580,19 +699,6 @@ def retrieve(
     return index.search(query[0] if len(query) else np.zeros(0), top_k)
 
 
-def generate_answer(
-    question: str,
-    retrieved: Sequence[RetrievedChunk],
-    answer_config: AnswerConfig,
-    templates: TemplateStore,
-    generator: GenerationClient,
-) -> GenerationResult:
-    """Build the per-model prompt over the retrieved chunks and call the generator."""
-    template = templates.for_model(answer_config.generative_model)
-    prompt = template.render(question, [c.text for c in retrieved])
-    return generator.generate(answer_config.generative_model, prompt)
-
-
 # ---------------------------------------------------------------------------
 # Live evaluator backend
 # ---------------------------------------------------------------------------
@@ -624,10 +730,18 @@ class LivePipelineEvaluator(StoredScores):
     model. Both are kept until :meth:`release` drops them, which an
     optimizer run never calls, since optimizers revisit indexes.
 
+    With ``replies``, a :class:`ReplyStore`, nothing is sent that an earlier
+    evaluator, in this process or another, already sent and got a valid
+    reply for: the embedding memo looks up the texts it lacks, and
+    :meth:`fill` renders the cell's prompts, looks them up on the calling
+    thread and sends only the rest, then records the new replies in question
+    order. Without one, each evaluator starts from nothing.
+
     Each evaluation still reports the full embedded-token cost of its index
-    (the sum of its chunk lengths), so the *accounted* spend is what a fresh
-    build would cost; double charging is prevented by the harness ledger.
-    Only the spend actually sent to the embedding service drops.
+    (the sum of its chunk lengths) and the token counts of every generation,
+    stored or not, so the *accounted* spend is what a fresh evaluation would
+    cost; double charging is prevented by the harness ledger. Only the spend
+    actually sent to the services drops.
     """
 
     def __init__(
@@ -640,6 +754,7 @@ class LivePipelineEvaluator(StoredScores):
         judge: JudgeClient | None = None,
         parallelism: int = 1,
         table: GridTable | None = None,
+        replies: ReplyStore | None = None,
     ):
         if parallelism < 1:
             raise ValueError(f"parallelism must be >= 1, got {parallelism}")
@@ -649,6 +764,7 @@ class LivePipelineEvaluator(StoredScores):
         self.templates = templates or TemplateStore.builtin()
         self.judge = judge
         self.parallelism = parallelism
+        self.replies = replies
         self.table = table or GridTable(space_fingerprint=space.fingerprint())
         defined = {
             CONTEXT_MRR: lambda qa: bool(qa.gold_doc_ids),
@@ -666,7 +782,7 @@ class LivePipelineEvaluator(StoredScores):
         self._slices = {key: self._slice(key) for key in self._universes}
         # Nothing below may refer back to the evaluator: it must be freed by
         # reference counting as soon as its command drops it.
-        self._embeddings = _EmbeddingMemo(embedder)
+        self._embeddings = _EmbeddingMemo(embedder, replies)
         self._chunks: dict[tuple[int, float], tuple[Chunk, ...]] = {}
         self._indices: dict[IndexConfig, tuple[VectorIndex, int]] = {}
         self._retrieved: dict[
@@ -699,12 +815,14 @@ class LivePipelineEvaluator(StoredScores):
         """Drop the index of ``index_config`` and every retrieval made from it.
 
         For a caller that evaluates no more cells of that index. The chunk
-        lists and the embedding memo stay, so a later evaluation rebuilds the
-        index without sending a text to the embedding service again.
+        lists stay. The memo rows of its embedding model go only when the
+        reply store holds them, so a later evaluation rebuilds the index
+        without sending a text to the embedding service again.
         """
         self._indices.pop(index_config, None)
         for key in [key for key in self._retrieved if key[0] == index_config]:
             del self._retrieved[key]
+        self._embeddings.forget(index_config.embedding_model)
 
     def _retrieve_all(
         self, config: RagConfig, split: str
@@ -721,7 +839,7 @@ class LivePipelineEvaluator(StoredScores):
                 raise ServiceFailure(
                     f"embedding model {model!r} returned "
                     f"{query_vectors.shape[1]}-dimensional question vectors for a "
-                    f"{index.dim}-dimensional index"
+                    f"{index.dim}-dimensional index" + self._embeddings.stored_hint()
                 )
             retrieved = self._retrieved[key] = tuple(
                 tuple(index.search(vector, config.answer.top_k)) for vector in query_vectors
@@ -750,19 +868,28 @@ class LivePipelineEvaluator(StoredScores):
         retrieved, embedded_tokens = self._retrieve_all(config, split)
         generated = any(metric != CONTEXT_MRR for metric in metrics)
         judged = JUDGE_AC in metrics
+        model = config.answer.generative_model
+        prompts: list[str] = []
+        stored: dict[str, GenerationResult] = {}
+        if generated:
+            template = self.templates.for_model(model)
+            prompts = [
+                template.render(qa.question, [c.text for c in chunks])
+                for qa, chunks in zip(questions, retrieved)
+            ]
+            if self.replies is not None:
+                stored = self.replies.generations(model, prompts)
 
-        def answer_one(
-            args: tuple[QaPair, Sequence[RetrievedChunk]],
-        ) -> tuple[GenerationResult | None, float | None]:
-            """The generation and, when judged, its judge score; None for a failed call."""
-            qa, chunks = args
-            try:
-                result = generate_answer(
-                    qa.question, chunks, config.answer, self.templates, self.generator
-                )
-            except ServiceFailure as exc:
-                log.warning("generation failed for %s: %s", qa.qid, exc)
-                return None, None
+        def answer_one(i: int) -> tuple[GenerationResult | None, float | None]:
+            """Question i's generation and, when judged, its judge score; None for a failed call."""
+            qa = questions[i]
+            result = stored.get(prompts[i])
+            if result is None:
+                try:
+                    result = self.generator.generate(model, prompts[i])
+                except ServiceFailure as exc:
+                    log.warning("generation failed for %s: %s", qa.qid, exc)
+                    return None, None
             if not judged:
                 return result, None
             try:
@@ -771,14 +898,26 @@ class LivePipelineEvaluator(StoredScores):
                 log.warning("judge call failed for %s: %s", qa.qid, exc)
                 return result, None
 
-        work = list(zip(questions, retrieved))
-        if not generated:
-            answers = [(None, None)] * len(work)
-        elif self.parallelism > 1:
+        # Stored generations are answered here; only calls to a service go to the pool.
+        answers = (
+            [(stored.get(prompt), None) for prompt in prompts]
+            if generated
+            else [(None, None)] * len(questions)
+        )
+        todo = [i for i, prompt in enumerate(prompts) if judged or prompt not in stored]
+        if self.parallelism > 1 and len(todo) > 1:
             with ThreadPoolExecutor(max_workers=self.parallelism) as pool:
-                answers = list(pool.map(answer_one, work))
+                fresh = list(pool.map(answer_one, todo))
         else:
-            answers = [answer_one(item) for item in work]
+            fresh = [answer_one(i) for i in todo]
+        for i, answer in zip(todo, fresh):
+            answers[i] = answer
+        new = [i for i in todo if answers[i][0] is not None and prompts[i] not in stored]
+        if new and self.replies is not None:
+            # Recorded here, in question order, so the store never crosses threads.
+            self.replies.put_generations(
+                model, [prompts[i] for i in new], [answers[i][0] for i in new]
+            )
 
         rows: list[tuple[GridKey, float]] = []
         failed = 0

@@ -3,9 +3,11 @@ import itertools
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -777,15 +779,22 @@ def test_grid_holds_one_index_at_a_time(live_setup, tiny_space, tmp_path, monkey
     stub = live_setup["stub"]
     assert run() == _indexes_of(space, range(space.total_size))
     requests = {route: list(stub.calls(route)) for route in ("/embed", "/generate")}
-    assert len(requests["/generate"]) == space.total_size * 3
+    # The stub ignores the embedding model, so both models' cells render the same
+    # prompts, and the reply store answers every prompt after its first request.
+    prompts = [(call["model"], call["prompt"]) for call in requests["/generate"]]
+    assert len(prompts) == len(set(prompts)) == 32
 
-    # The same cells, in the same order, through one evaluator that keeps every index.
+    # The same cells, in the same order, through one evaluator that keeps every
+    # index, with a reply store of its own.
     stub.server.calls.clear()
     config = json.loads(live_setup["config_path"].read_text())
-    evaluator = _build_live_evaluator(config, load_dataset(config["dataset"]), space, 1)
+    evaluator = _build_live_evaluator(
+        config, load_dataset(config["dataset"]), space, 1, tmp_path / "kept.replies.sqlite3"
+    )
     for ordinal in range(space.total_size):
         for split in ("dev", "test"):
             evaluator.fill(space.config_at(ordinal), split, (LEXICAL_AC, FAITHFULNESS, CONTEXT_MRR))
+    evaluator.replies.close()
     assert len(evaluator._indices) == len(_indexes_of(space, range(space.total_size)))
     store_grid(evaluator.table, tmp_path / "kept.jsonl")
     assert out.read_bytes() == (tmp_path / "kept.jsonl").read_bytes()
@@ -1014,3 +1023,209 @@ def test_bad_endpoint_exits_2_before_writing(live_setup, tmp_path, capsys, comma
     assert main(argv) == EXIT_VALIDATION
     assert capsys.readouterr().err.startswith(f"error: {message}")
     assert not list(tmp_path.glob(f"{command}.jsonl*"))  # no table, no checkpoint
+
+
+# ---------------------------------------------------------------------------
+# Reply store
+# ---------------------------------------------------------------------------
+
+
+def _replies_of(live_setup) -> Path:
+    return Path(json.loads(live_setup["config_path"].read_text())["dataset"] + ".replies.sqlite3")
+
+
+def _optimize_argv(live_setup, out: Path, seeds: int = 2) -> list[str]:
+    return ["optimize", "--config", str(live_setup["config_path"]), "--algo", "random",
+            "--budget", "2", "--seeds", str(seeds), "--out", str(out)]
+
+
+def _sent(stub) -> dict[str, list]:
+    return {route: list(stub.calls(route)) for route in ("/embed", "/generate")}
+
+
+def test_second_live_optimize_sends_no_request_and_writes_the_same_export(live_setup, tmp_path):
+    stub, out = live_setup["stub"], tmp_path / "run.jsonl"
+    assert main(_optimize_argv(live_setup, out)) == EXIT_OK
+    first = out.read_bytes()
+    assert all(_sent(stub).values())
+    stub.server.calls.clear()
+    assert main(_optimize_argv(live_setup, out)) == EXIT_OK
+    assert _sent(stub) == {"/embed": [], "/generate": []}
+    assert out.read_bytes() == first
+    assert _replies_of(live_setup).is_file()
+
+
+def test_second_grid_into_a_fresh_out_sends_no_request(live_setup, tmp_path):
+    stub = live_setup["stub"]
+    argv = ["grid", "--config", str(live_setup["config_path"]), "--out"]
+    assert main(argv + [str(tmp_path / "first.jsonl")]) == EXIT_OK
+    stub.server.calls.clear()
+    assert main(argv + [str(tmp_path / "second.jsonl")]) == EXIT_OK
+    assert _sent(stub) == {"/embed": [], "/generate": []}
+    assert (tmp_path / "second.jsonl").read_bytes() == (tmp_path / "first.jsonl").read_bytes()
+
+
+def test_reply_store_keys_on_the_embedding_model(live_setup, tmp_path):
+    stub = live_setup["stub"]
+    space = SearchSpace.from_dict(
+        {**live_setup["space"].to_dict(), "embedding_model": ["emb-a", "emb-b"]}
+    )
+    (tmp_path / "two_models.json").write_text(json.dumps(space.to_dict()))
+    argv = ["grid", "--config", str(live_setup["config_path"]),
+            "--space", str(tmp_path / "two_models.json"), "--metrics", "context_mrr", "--out"]
+    assert main(argv + [str(tmp_path / "first.jsonl")]) == EXIT_OK
+    sent = {"emb-a": [], "emb-b": []}
+    for call in stub.calls("/embed"):
+        sent[call["model"]] += call["texts"]
+    # The stub gives both models the same vectors; each still gets every text, once.
+    assert sorted(sent["emb-a"]) == sorted(set(sent["emb-a"])) == sorted(sent["emb-b"])
+    stub.server.calls.clear()
+    assert main(argv + [str(tmp_path / "second.jsonl")]) == EXIT_OK
+    assert stub.calls("/embed") == []
+
+
+def _fail_first_prompt_twice_with_500(stub):
+    stub.fail_next("/generate", 2)  # both attempts of the first request
+    return lambda: json.loads(stub.received("/generate")[0][1])["prompt"]
+
+
+def _fail_first_prompt_with_bad_json(stub):
+    failed = []
+
+    def reply(payload):
+        failed[:] = failed or [payload["prompt"]]
+        return b"not json" if payload["prompt"] == failed[0] else None
+
+    stub.override("/generate", reply)
+    return lambda: failed[0]
+
+
+@pytest.mark.parametrize(
+    "fail", [_fail_first_prompt_twice_with_500, _fail_first_prompt_with_bad_json],
+    ids=["HTTP 500", "not JSON"],
+)
+def test_a_failed_generation_is_not_stored_and_costs_one_request_on_rerun(
+    live_setup, tmp_path, fail
+):
+    stub, out = live_setup["stub"], tmp_path / "run.jsonl"
+    # One seed, so the run evaluates the failed question's cell only once.
+    argv = _optimize_argv(live_setup, out, seeds=1)
+    dataset_path = json.loads(live_setup["config_path"].read_text())["dataset"]
+    shutil.copytree(dataset_path, tmp_path / "fresh")
+    failed_prompt = fail(stub)
+    assert main(argv) == EXIT_OK
+    failed_prompt = failed_prompt()
+    stub.server.overrides.clear()
+    stub.server.calls.clear()
+    assert main(argv) == EXIT_OK
+    assert [call["prompt"] for call in stub.calls("/generate")] == [failed_prompt]
+    assert stub.calls("/embed") == []
+    # The rerun exports what a run that never failed does, on a store of its own.
+    clean = tmp_path / "clean.jsonl"
+    assert main(_optimize_argv(live_setup, clean, seeds=1) + ["--dataset", str(tmp_path / "fresh")]) == EXIT_OK
+    assert out.read_bytes() == clean.read_bytes()
+
+
+def test_a_failed_embed_reply_is_not_stored(live_setup, tmp_path):
+    stub, out = live_setup["stub"], tmp_path / "run.jsonl"
+    # The test question's embedding fails; the chunks' and dev questions' are stored.
+    stub.override("/embed", lambda payload: b"not json" if "closing" in payload["texts"] else None)
+    assert main(_optimize_argv(live_setup, out)) == EXIT_SUSPENDED
+    refused = [call for call in stub.calls("/embed") if "closing" in call["texts"]]
+    assert refused and len(refused) < len(stub.calls("/embed"))
+    stub.server.overrides.clear()
+    stub.server.calls.clear()
+    assert main(_optimize_argv(live_setup, out)) == EXIT_OK
+    assert stub.calls("/embed") == refused
+
+
+def _garbage(path: Path) -> None:
+    path.write_bytes(b"this is not a database\n" * 64)
+
+
+def _directory(path: Path) -> None:
+    path.mkdir()
+
+
+def _unwritable_parent(path: Path) -> None:
+    if os.geteuid() == 0:
+        pytest.skip("permission bits do not bind the root user")
+    path.parent.chmod(0o555)
+
+
+@pytest.mark.parametrize(
+    "spoil", [_garbage, _directory, _unwritable_parent],
+    ids=["garbage bytes", "a directory in its place", "unwritable parent directory"],
+)
+def test_an_unusable_reply_store_is_one_warning_and_changes_no_output(
+    live_setup, tmp_path, caplog, spoil
+):
+    reference = tmp_path / "reference.jsonl"
+    assert main(_optimize_argv(live_setup, reference)) == EXIT_OK
+    replies = _replies_of(live_setup)
+    for path in replies.parent.glob(replies.name + "*"):
+        path.unlink()
+    out = tmp_path / "out" / "run.jsonl"
+    out.parent.mkdir()
+    mode = replies.parent.stat().st_mode
+    spoil(replies)
+    spoiled = replies.read_bytes() if replies.is_file() else None
+    caplog.clear()
+    try:
+        code = main(_optimize_argv(live_setup, out))
+    finally:
+        replies.parent.chmod(mode)
+    assert code == EXIT_OK
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 1 and str(replies) in warnings[0]
+    assert out.read_bytes() == reference.read_bytes()
+    if spoiled is not None:
+        assert replies.read_bytes() == spoiled
+
+
+@pytest.mark.parametrize("new_questions", ["one", "every"])
+def test_a_stored_row_of_another_dimension_suspends_naming_the_store(
+    live_setup, tmp_path, capsys, new_questions
+):
+    stub, out = live_setup["stub"], tmp_path / "run.jsonl"
+    assert main(_optimize_argv(live_setup, out)) == EXIT_OK
+    dataset_path = json.loads(live_setup["config_path"].read_text())["dataset"]
+    dataset = load_dataset(dataset_path)
+    # One new dev question mixes 3- and 8-dimensional rows in one split; when
+    # every question is new, the 3-dimensional questions meet an 8-dimensional index.
+    renamed = dataset.dev[:1] if new_questions == "one" else dataset.dev + dataset.test
+    changed = {qa.qid: replace(qa, question=qa.question + " again") for qa in renamed}
+    store_dataset(
+        replace(
+            dataset,
+            dev=tuple(changed.get(qa.qid, qa) for qa in dataset.dev),
+            test=tuple(changed.get(qa.qid, qa) for qa in dataset.test),
+        ),
+        dataset_path,
+    )
+    # The service now embeds in 3 dimensions; stored rows have 8.
+    stub.override("/embed", _vectors(lambda i, t, n: [1.0, 0.5, 0.25]))
+    capsys.readouterr()
+    assert main(_optimize_argv(live_setup, out)) == EXIT_SUSPENDED
+    assert str(_replies_of(live_setup)) in capsys.readouterr().err
+
+
+def test_replay_and_analyze_open_no_reply_store(tmp_path, fixture_table):
+    script = (
+        "import sys\n"
+        "from raghpo.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "print('sqlite3' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    for argv in (
+        ["optimize", "--grid", str(fixture_table), "--algo", "random", "--budget", "3",
+         "--seeds", "1", "--out", str(tmp_path / "run.jsonl")],
+        ["analyze", "--table", str(fixture_table), "--run", str(tmp_path / "run.jsonl"),
+         "--out", str(tmp_path / "analysis")],
+    ):
+        done = subprocess.run([sys.executable, "-c", script, *argv], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False"
+    assert not list(tmp_path.rglob("*.replies.sqlite3*"))

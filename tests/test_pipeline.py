@@ -17,13 +17,15 @@ import raghpo.pipeline
 from raghpo.costs import CostDelta
 from raghpo.dataio import Dataset, QaPair
 from raghpo.evaluator import Objective
-from raghpo.metrics import CONTEXT_MRR, FAITHFULNESS, JUDGE_AC, LEXICAL_AC, RetrievedChunk
+from raghpo.metrics import CONTEXT_MRR, FAITHFULNESS, JUDGE_AC, LEXICAL_AC
 from raghpo.pipeline import (
     Chunk,
     EmbeddingClient,
     GenerationClient,
+    GenerationResult,
     JudgeClient,
     LivePipelineEvaluator,
+    ReplyStore,
     ServiceEndpoint,
     ServiceFailure,
     TemplateStore,
@@ -32,7 +34,6 @@ from raghpo.pipeline import (
     chunk_corpus,
     chunk_document,
     chunk_spans,
-    generate_answer,
     retrieve,
     whitespace_tokens,
 )
@@ -542,19 +543,18 @@ def test_retrieve_over_stub_matches_local_scan(stub_service):
     assert [c.source_doc_id for c in got] == [index.chunks[i].source_doc_id for i in expected]
 
 
-def test_generate_answer_uses_template_and_tail_echo(stub_service):
-    generator = GenerationClient(_endpoint(stub_service))
-    chunks = [RetrievedChunk("d0", 1, "some context words")]
-    result = generate_answer(
-        "what is this?",
-        chunks,
-        AnswerConfig(top_k=1, generative_model="Granite-3.1-8B-instruct"),
-        TemplateStore.builtin(),
-        generator,
-    )
-    prompt = stub_service.calls("/generate")[0]["prompt"]
-    assert result.text == "echo: " + prompt[-48:]
-    assert "some context words" in prompt
+def test_fill_prompts_are_the_model_template_over_each_question_retrieval(
+    stub_service, tiny_dataset
+):
+    evaluator = _live(stub_service, tiny_dataset)
+    config = _config()
+    evaluator.evaluate(config, "dev", Objective())
+    retrieved, _ = evaluator._retrieve_all(config, "dev")
+    template = TemplateStore.builtin().for_model(config.answer.generative_model)
+    assert [call["prompt"] for call in stub_service.calls("/generate")] == [
+        template.render(qa.question, [c.text for c in chunks])
+        for qa, chunks in zip(tiny_dataset.dev, retrieved)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -562,13 +562,14 @@ def test_generate_answer_uses_template_and_tail_echo(stub_service):
 # ---------------------------------------------------------------------------
 
 
-def _live(stub_service, dataset, space=None, **kwargs) -> LivePipelineEvaluator:
+def _live(stub_service, dataset, space=None, replies=None, **kwargs) -> LivePipelineEvaluator:
     return LivePipelineEvaluator(
         dataset=dataset,
         space=space or SearchSpace.default(),
         embedder=EmbeddingClient(_endpoint(stub_service), batch_size=16),
         generator=GenerationClient(_endpoint(stub_service, **kwargs)),
         templates=TemplateStore.builtin(),
+        replies=replies,
     )
 
 
@@ -960,3 +961,85 @@ def test_failed_judge_call_excludes_the_question_and_keeps_its_cost(
     stub_service.override("/judge", lambda payload: b"not json")
     with pytest.raises(ServiceFailure, match="every generation or judge call failed"):
         evaluator.evaluate(_config(), "test", Objective(metrics=(LEXICAL_AC, JUDGE_AC)))
+
+
+# ---------------------------------------------------------------------------
+# Reply store
+# ---------------------------------------------------------------------------
+
+
+def test_reply_store_keeps_replies_exactly_under_route_model_and_input(tmp_path):
+    texts = ["a", "caf\u00e9", "lone \ud800 surrogate", ""]
+    vectors = np.random.default_rng(0).standard_normal((len(texts), 5))
+    answer = GenerationResult("answer \u2603", 12, 3, counts_estimated=True)
+    store = ReplyStore(tmp_path / "replies.sqlite3")
+    store.put_vectors("m", texts, vectors)
+    store.put_generations("m", ["a"], [answer])
+    store.close()
+
+    store = ReplyStore(tmp_path / "replies.sqlite3")
+    got = store.vectors("m", texts + ["never sent"])
+    assert set(got) == set(texts)
+    assert np.stack([got[t] for t in texts]).tobytes() == vectors.tobytes()
+    assert store.generations("m", texts) == {"a": answer}
+    assert store.vectors("other model", texts) == {}
+    assert store.generations("other model", ["a"]) == {}
+    store.close()
+
+
+def test_reply_store_refuses_a_file_that_is_not_a_database(tmp_path):
+    path = tmp_path / "replies.sqlite3"
+    path.write_bytes(b"not a database" * 100)
+    with pytest.raises(OSError, match="replies.sqlite3"):
+        ReplyStore(path)
+    assert path.read_bytes() == b"not a database" * 100
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_evaluators_sharing_a_reply_store_send_each_request_once(
+    stub_service, tiny_dataset, tmp_path, parallelism
+):
+    store = ReplyStore(tmp_path / "replies.sqlite3")
+
+    def evaluate(judge):
+        evaluator = LivePipelineEvaluator(
+            dataset=tiny_dataset,
+            space=SearchSpace.default(),
+            embedder=EmbeddingClient(_endpoint(stub_service), batch_size=16),
+            generator=GenerationClient(_endpoint(stub_service)),
+            judge=JudgeClient(_endpoint(stub_service)) if judge else None,
+            parallelism=parallelism,
+            replies=store,
+        )
+        metrics = (LEXICAL_AC, FAITHFULNESS) + ((JUDGE_AC,) if judge else ())
+        return evaluator.evaluate(_config(), "dev", Objective(metrics=metrics)), evaluator
+
+    first, first_evaluator = evaluate(judge=False)
+    sent = {route: len(stub_service.calls(route)) for route in ("/embed", "/generate")}
+    assert sent["/generate"] == len(tiny_dataset.dev)
+    second, second_evaluator = evaluate(judge=True)
+    assert {route: len(stub_service.calls(route)) for route in sent} == sent
+    assert second.cost == first.cost
+    assert {k: v for k, v in second_evaluator.table.scores.items() if k[2] != JUDGE_AC} == (
+        first_evaluator.table.scores
+    )
+    # Judge replies are not stored: every stored answer is judged again.
+    assert len(stub_service.calls("/judge")) == len(tiny_dataset.dev)
+    store.close()
+
+
+def test_release_drops_the_memo_rows_a_reply_store_holds(stub_service, tiny_space, tmp_path):
+    dataset = _shared_text_dataset()
+    space = SearchSpace.from_dict(
+        {**tiny_space.to_dict(), "generative_model": [_config().answer.generative_model]}
+    )
+    evaluator = _live(stub_service, dataset, space, replies=ReplyStore(tmp_path / "r.sqlite3"))
+    _evaluate_every_cell(evaluator, space)
+    config = space.config_at(0)
+    sent = len(stub_service.calls("/embed"))
+
+    evaluator.release(config.index)
+    assert config.index.embedding_model not in evaluator._embeddings._rows
+    evaluator.evaluate(config, "dev", Objective())
+    assert len(stub_service.calls("/embed")) == sent
+    evaluator.replies.close()
