@@ -2,8 +2,9 @@
 
 Settings come from an optional JSON run-config file plus flags; flags win.
 Exit codes: 0 on completion, 2 on validation/configuration errors, 3 when a
-live run was suspended by a service outage (partial results are written so
-the command can be re-run to resume).
+live run was suspended by a service outage. Re-running the same command
+resumes: ``grid`` continues its partial table, and both commands are served
+every reply the reply store beside the dataset kept.
 """
 
 from __future__ import annotations
@@ -266,7 +267,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         raise CliError(f"unknown backend {backend!r}; expected grid-replay or live")
 
     out = _setting(args, config, "out", "run.jsonl")
-    checkpoint = _setting(args, config, "checkpoint", f"{out}.checkpoint")
     spec = harness.RunSpec(
         space=space,
         algorithm=algorithm,
@@ -276,13 +276,10 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         optimizer_options=optimizer_options,
     )
     try:
-        record = harness.run(spec, evaluator, checkpoint_path=checkpoint)
-    except harness.RunSuspended as exc:
-        print(f"run suspended: {exc}", file=sys.stderr)
-        print("re-run the same command to resume", file=sys.stderr)
-        return EXIT_SUSPENDED
+        record = harness.run(spec, evaluator)
     except ServiceFailure as exc:
         print(f"run suspended: {exc}", file=sys.stderr)
+        print("re-run the same command to resume", file=sys.stderr)
         return EXIT_SUSPENDED
     finally:
         if replies is not None:
@@ -335,7 +332,10 @@ def cmd_grid(args: argparse.Namespace) -> int:
         raise CliError("grid needs --dataset (or dataset in the config)")
     dataset = load_dataset(dataset_path)
     out = _setting(args, config, "out", "grid.jsonl")
-    splits = [s for s in str(_setting(args, config, "splits", "dev,test")).split(",") if s]
+    split_arg = str(_setting(args, config, "splits", "dev,test"))
+    splits = [s for s in split_arg.split(",") if s]
+    if not splits or not set(splits) <= set(dataio.SPLITS):
+        raise CliError(f"splits: expected a comma-separated list of dev and test, got {split_arg!r}")
     metric_arg = _setting(args, config, "metrics", None)
     parallelism = _setting(args, config, "parallelism", 1, int)
 
@@ -580,7 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--backend", choices=("grid-replay", "live"))
     p_opt.add_argument("--parallelism", type=int, help="live evaluator fan-out cap")
     p_opt.add_argument("--out", help="run export path (default run.jsonl)")
-    p_opt.add_argument("--checkpoint", help="resumable-state path (default <out>.checkpoint)")
     p_opt.set_defaults(func=cmd_optimize)
 
     p_grid = sub.add_parser("grid", help="evaluate every configuration into a grid table")

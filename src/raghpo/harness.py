@@ -8,9 +8,9 @@ in a cost ledger that charges each distinct index build once; test-side
 evaluation spend is tracked in a separate ledger because the optimization
 cost curves cover optimization-time spend only.
 
-A run has one file format, the run export. A checkpoint is the export of
-the iterations finished so far, without aggregate rows, and resuming shows
-fresh optimizers the recorded trials again.
+A run keeps no state of its own between commands: every optimizer starts
+from its seed, and an evaluator that stores its replies lets a re-run after
+an interruption reproduce the trajectory without paying twice.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .costs import CostDelta
 from .dataio import _dump_canonical, _read_jsonl, atomic_write
-from .evaluator import Evaluator, Objective, best_so_far
+from .evaluator import Evaluator, Objective
 from .metrics import CONTEXT_MRR
 from .optimizers import (
     ALGORITHMS,
@@ -39,14 +39,6 @@ from .searchspace import IndexConfig, SearchSpace
 log = logging.getLogger(__name__)
 
 RUN_FORMAT_VERSION = 1
-
-
-class RunSuspended(RuntimeError):
-    """A live run hit a service outage; resumable state was written."""
-
-    def __init__(self, message: str, checkpoint_path: Path):
-        super().__init__(message)
-        self.checkpoint_path = checkpoint_path
 
 
 @dataclass(frozen=True)
@@ -165,7 +157,7 @@ def _aggregate_test_scores(seed_runs: tuple[SeedRun, ...], budget: int) -> tuple
 
 
 class _SeedProgress:
-    """Mutable per-seed state, rebuilt from a checkpoint's rows on resume."""
+    """Mutable per-seed state: the optimizer, its history and the seed's ledgers."""
 
     def __init__(self, spec: RunSpec, seed: int):
         self.seed = seed
@@ -177,36 +169,12 @@ class _SeedProgress:
         self.ledger = CostLedger()
         self.test_ledger = CostLedger()
 
-    def replay(self, recorded: SeedRun, space: SearchSpace, path: str | Path) -> None:
-        """Show the fresh optimizer the recorded trials one by one.
 
-        An optimizer is deterministic given its seed and the histories it is
-        shown, so it must suggest each recorded configuration in the recorded
-        mode; one it does not reproduce is a ValueError that names ``path``.
-        """
-        for trial, record in zip(recorded.history, recorded.iterations):
-            suggestion = self.optimizer.suggest(self.history)
-            driver = DRIVER_RETRIEVAL if suggestion.retrieval_only else DRIVER_OBJECTIVE
-            if (suggestion.config, driver) != (trial.config, trial.driver):
-                raise ValueError(
-                    f"{path}: seed {self.seed} iteration {trial.iteration}: the "
-                    f"checkpoint records ordinal {space.ordinal_of(trial.config)} "
-                    f"({trial.driver}), but the optimizer suggests ordinal "
-                    f"{space.ordinal_of(suggestion.config)} ({driver}); delete it "
-                    "or re-run with the original settings"
-                )
-            self.history.append(trial)
-            self.iterations.append(record)
-            self.ledger.charge(trial.config.index, trial.cost)
-
-
-def _advance_seed(spec: RunSpec, evaluator: Evaluator, progress: _SeedProgress) -> SeedRun:
-    """Run the remaining iterations of one seed, returning its final record."""
-    try:
-        best_config, best_score = best_so_far(progress.history)
-    except ValueError:  # no trial has an objective score yet
-        best_config, best_score = None, None
-    for iteration in range(len(progress.history) + 1, spec.budget + 1):
+def _run_seed(spec: RunSpec, evaluator: Evaluator, seed: int) -> SeedRun:
+    """Run every iteration of one seed, returning its final record."""
+    progress = _SeedProgress(spec, seed)
+    best_config, best_score = None, None
+    for iteration in range(1, spec.budget + 1):
         suggestion = progress.optimizer.suggest(progress.history)
         config = suggestion.config
         if suggestion.retrieval_only:
@@ -262,9 +230,7 @@ def _advance_seed(spec: RunSpec, evaluator: Evaluator, progress: _SeedProgress) 
     )
 
 
-def run(
-    spec: RunSpec, evaluator: Evaluator, checkpoint_path: str | Path | None = None
-) -> RunRecord:
+def run(spec: RunSpec, evaluator: Evaluator) -> RunRecord:
     """Execute the full protocol: budget iterations per seed, then aggregate.
 
     A retrieval-only probe records the evaluator's ``replay_objective`` as
@@ -280,15 +246,11 @@ def run(
     accounted spend does not depend on the reuse; only the spend actually
     sent to the services drops.
 
-    With ``checkpoint_path`` set, a live-service outage writes the run
-    export of the iterations finished so far there and raises
-    :class:`RunSuspended`. Re-running with the same arguments replays that
-    export through fresh optimizers, refuses one they do not reproduce, and
-    continues the identical trajectory. A completed run removes the
-    checkpoint. The evaluator's table is not part of the checkpoint.
+    An evaluator's failure propagates and nothing of the run is kept, so
+    resuming means running again: the optimizers are deterministic given
+    their seeds, and a live evaluator's reply store answers every request
+    that was answered before.
     """
-    from .pipeline import ServiceFailure
-
     if spec.algorithm == "greedy_rcc" and not evaluator.supports_metric(CONTEXT_MRR, "dev"):
         raise ValueError(
             "greedy_rcc needs retrieval quality on the dev split, but no dev "
@@ -296,41 +258,9 @@ def run(
             "context_mrr rows); choose another algorithm or add gold labels"
         )
 
-    recorded: dict[int, SeedRun] = {}
-    if checkpoint_path is not None and Path(checkpoint_path).is_file():
-        checkpoint = load_run(checkpoint_path)
-        if checkpoint.spec != spec:
-            raise ValueError(
-                f"{checkpoint_path}: checkpoint was written for a different run spec; "
-                "delete it or re-run with the original settings"
-            )
-        recorded = {sr.seed: sr for sr in checkpoint.seed_runs}
-        log.info(
-            "resuming from %s: %d trials recorded",
-            checkpoint_path,
-            sum(len(sr.history) for sr in checkpoint.seed_runs),
-        )
-
     seed_runs: list[SeedRun] = []
     for seed in spec.seeds:
-        progress = _SeedProgress(spec, seed)
-        if seed in recorded:
-            progress.replay(recorded[seed], spec.space, checkpoint_path)
-        try:
-            seed_run = _advance_seed(spec, evaluator, progress)
-        except ServiceFailure as exc:
-            if checkpoint_path is None:
-                raise
-            # export_run pairs each trial with its iteration record, so a
-            # trial whose record never landed is left out and resume
-            # re-proposes the interrupted iteration.
-            in_flight = SeedRun(seed, progress.history, tuple(progress.iterations))
-            export_run(RunRecord(spec, (*seed_runs, in_flight), aggregate=()), checkpoint_path)
-            raise RunSuspended(
-                f"service outage during seed {seed}: {exc}; resumable state "
-                f"written to {checkpoint_path}",
-                Path(checkpoint_path),
-            ) from exc
+        seed_run = _run_seed(spec, evaluator, seed)
         seed_runs.append(seed_run)
         log.info(
             "seed %d done: best dev %s",
@@ -339,8 +269,6 @@ def run(
             if seed_run.iterations[-1].best_dev_score is not None
             else "n/a",
         )
-    if checkpoint_path is not None:
-        Path(checkpoint_path).unlink(missing_ok=True)
     done = tuple(seed_runs)
     return RunRecord(spec=spec, seed_runs=done, aggregate=_aggregate_test_scores(done, spec.budget))
 
@@ -506,7 +434,7 @@ def export_run(record: RunRecord, path: str | Path) -> None:
 
 
 def load_run(path: str | Path) -> RunRecord:
-    """Rebuild a RunRecord from an exported file or a checkpoint (lossless round-trip).
+    """Rebuild a RunRecord from a run export (lossless round-trip).
 
     A malformed file is a ValueError that names ``path`` and, for a bad
     row, its line.

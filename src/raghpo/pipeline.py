@@ -235,6 +235,10 @@ class VectorIndex:
 # Service clients
 # ---------------------------------------------------------------------------
 
+#: The longest timeout or backoff, in seconds: ``time.sleep`` fails once the monotonic
+#: clock plus the wait passes ``threading.TIMEOUT_MAX``, so half of it leaves room.
+_MAX_WAIT = threading.TIMEOUT_MAX / 2
+
 
 @dataclass(frozen=True)
 class ServiceEndpoint:
@@ -259,12 +263,14 @@ class ServiceEndpoint:
             raise ValueError(f"base_url has an invalid port: {url!r}") from None
         if parts.scheme not in ("http", "https") or not parts.hostname:
             raise ValueError(f"base_url must be an http:// or https:// URL with a host, got {url!r}")
-        if not self.timeout > 0:
-            raise ValueError(f"timeout must be > 0, got {self.timeout}")
+        if not 0 < self.timeout <= _MAX_WAIT:
+            raise ValueError(f"timeout must be > 0 and <= {_MAX_WAIT:.0f}, got {self.timeout}")
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if not self.backoff_seconds >= 0:
-            raise ValueError(f"backoff_seconds must be >= 0, got {self.backoff_seconds}")
+        if not 0 <= self.backoff_seconds <= _MAX_WAIT:
+            raise ValueError(
+                f"backoff_seconds must be >= 0 and <= {_MAX_WAIT:.0f}, got {self.backoff_seconds}"
+            )
 
     def headers(self) -> dict[str, str]:
         """The bearer token from ``auth_env``, or no headers when it is unset or empty."""

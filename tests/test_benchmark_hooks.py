@@ -73,10 +73,9 @@ def test_traced_replay_records_suggest_spans_for_every_algorithm(tiny_space):
     assert suggests == dict.fromkeys(ALGORITHMS, 6)
 
 
-def test_a_checkpoint_path_that_never_fires_adds_no_export_or_load_span(tiny_space, tmp_path):
-    # run() writes a checkpoint with export_run and resumes with load_run; a
-    # run that is never suspended must call neither, so harness.export_run.s
-    # measures the export alone.
+def test_a_completed_run_adds_no_export_or_load_span(tiny_space):
+    # run() itself must call neither export_run nor load_run, so
+    # harness.export_run.s measures the export alone.
     n = tiny_space.total_size
     evaluator = GridReplayEvaluator(
         table_from_config_scores(tiny_space, [i / n for i in range(n)]), tiny_space
@@ -86,7 +85,7 @@ def test_a_checkpoint_path_that_never_fires_adds_no_export_or_load_span(tiny_spa
     try:
         tracing.install(tracer)
         spec = harness.RunSpec(tiny_space, "random", Objective(), budget=6, seeds=(1,))
-        harness.run(spec, evaluator, checkpoint_path=tmp_path / "run.checkpoint")
+        harness.run(spec, evaluator)
     finally:
         tracer.restore()
     calls = tracer.calls()

@@ -15,10 +15,9 @@ import pytest
 from raghpo import cli, pipeline
 from raghpo.cli import EXIT_OK, EXIT_SUSPENDED, EXIT_VALIDATION, _build_live_evaluator, main
 from raghpo.dataio import load_dataset, load_grid, store_dataset, store_grid
-from raghpo.evaluator import GridReplayEvaluator
 from raghpo.harness import load_run
 from raghpo.metrics import CONTEXT_MRR, FAITHFULNESS, LEXICAL_AC
-from raghpo.pipeline import LivePipelineEvaluator, ServiceFailure
+from raghpo.pipeline import LivePipelineEvaluator
 from raghpo.searchspace import SearchSpace
 
 from conftest import fill_table, is_complete, make_document, table_from_config_scores
@@ -184,71 +183,23 @@ def test_optimize_config_file_with_flag_override(tmp_path, fixture_table):
     assert record.spec.algorithm == "random"
 
 
-def _unsuggested_ordinal(rows):
-    # Rows 11 on are seed 2's, which is in flight; give its iteration 2 an
-    # ordinal no row has.
-    used = {row["ordinal"] for row in rows[1:]}
-    rows[12]["ordinal"] = next(i for i in range(162) if i not in used)
-
-
-def _old_checkpoint_object(rows):
-    # The single JSON object checkpoints were before they became run exports.
-    header, trials = rows[0], rows[1:]
-    rows[:] = [
-        {
-            **header,
-            "kind": "run_checkpoint",
-            "completed": [{"seed": 1, "trials": [r for r in trials if r["seed"] == 1]}],
-            "current": {"seed": 2, "trials": [r for r in trials if r["seed"] == 2]},
-        }
-    ]
-
-
-DAMAGED_CHECKPOINTS = {
-    "trial row without driver": (lambda rows: rows[1].pop("driver"), ":2: trial row lacks field 'driver'"),
-    "ordinal the optimizer would not suggest": (
-        _unsuggested_ordinal,
-        ": seed 2 iteration 2: the checkpoint records ordinal",
-    ),
-    "duplicated iteration": (
-        lambda rows: rows[2].update(iteration=1),
-        ":3: seed 1: iterations must be consecutive from 1; got 1 after 1 trials",
-    ),
-    "old run_checkpoint object": (_old_checkpoint_object, ":1: unknown row kind 'run_checkpoint'"),
-}
-
-
-@pytest.mark.parametrize("damage, message", DAMAGED_CHECKPOINTS.values(), ids=DAMAGED_CHECKPOINTS.keys())
-def test_damaged_checkpoint_exits_2_naming_its_path(
-    tmp_path, fixture_table, capsys, monkeypatch, damage, message
+def test_a_file_at_the_old_checkpoint_path_is_neither_read_nor_removed(
+    tmp_path, fixture_table, default_space
 ):
-    out = tmp_path / "run.jsonl"
-    argv = ["optimize", "--grid", str(fixture_table), "--algo", "greedy_m", "--budget", "10",
-            "--seeds", "3", "--out", str(out)]
-    calls = itertools.count()
-    original = GridReplayEvaluator.evaluate
-
-    def evaluate(self, *args):
-        if next(calls) == 18:
-            raise ServiceFailure("injected outage")
-        return original(self, *args)
-
-    with monkeypatch.context() as patched:
-        patched.setattr(GridReplayEvaluator, "evaluate", evaluate)
-        assert main(argv) == EXIT_SUSPENDED
-    checkpoint = tmp_path / "run.jsonl.checkpoint"
-    rows = [json.loads(line) for line in checkpoint.read_text().splitlines()]
-    assert [row["seed"] for row in rows[1:]] == [1] * 10 + [2] * (len(rows) - 11)
-    assert len(rows) >= 13  # seed 2 is in flight with two rows or more
-    damage(rows)
-    checkpoint.write_text("".join(json.dumps(row) + "\n" for row in rows))
-    capsys.readouterr()
-
-    assert main(argv) == EXIT_VALIDATION
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {checkpoint}")
-    assert message in err
-    assert not out.exists()
+    other = tmp_path / "other.jsonl"
+    store_grid(table_from_config_scores(default_space, [(i * 37 % 162) / 162 for i in range(162)]), other)
+    argv = ["optimize", "--algo", "random", "--budget", "10", "--seeds", "2", "--grid"]
+    clean, earlier, out = tmp_path / "clean.jsonl", tmp_path / "earlier.jsonl", tmp_path / "run.jsonl"
+    assert main(argv + [str(other), "--out", str(clean)]) == EXIT_OK
+    assert main(argv + [str(fixture_table), "--out", str(earlier)]) == EXIT_OK
+    # The first three iterations of a run over the other table, at the path
+    # beside the export that a resumed run read before re-running replaced it.
+    planted = tmp_path / "run.jsonl.checkpoint"
+    planted.write_text("".join(earlier.read_text().splitlines(keepends=True)[:4]))
+    kept = planted.read_bytes()
+    assert main(argv + [str(other), "--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == clean.read_bytes()
+    assert planted.read_bytes() == kept
 
 
 #: case -> (command, backend, config values, message)
@@ -293,6 +244,14 @@ BAD_RUN_CONFIG_VALUES = {
     "grid parallelism": ("grid", "live", {"parallelism": "two"}, "parallelism: expected int, got 'two'"),
     "grid embed_batch_size": (
         "grid", "live", {"embed_batch_size": "x"}, "embed_batch_size: expected int, got 'x'"
+    ),
+    "grid unknown split": (
+        "grid", "live", {"splits": "tset"},
+        "splits: expected a comma-separated list of dev and test, got 'tset'",
+    ),
+    "grid no split": (
+        "grid", "live", {"splits": ","},
+        "splits: expected a comma-separated list of dev and test, got ','",
     ),
 }
 
@@ -992,10 +951,9 @@ def test_malformed_service_reply_suspends_with_exit_3(
     err = capsys.readouterr().err
     assert "suspended" in err
     assert message in err
-    written = tmp_path / (
-        "optimize.jsonl.checkpoint" if command == "optimize" else "grid.jsonl"
-    )
-    assert written.is_file()
+    # grid keeps its partial table; optimize writes nothing and resumes by re-running.
+    written = sorted(path.name for path in tmp_path.glob(f"{command}.jsonl*"))
+    assert written == (["grid.jsonl", "grid.jsonl.cols.npz"] if command == "grid" else [])
 
 
 BAD_ENDPOINTS = {
@@ -1005,6 +963,15 @@ BAD_ENDPOINTS = {
     "timeout not a number": (
         {"base_url": "http://127.0.0.1:9", "timeout": "fast"},
         "endpoints.generate: timeout must be a number, got 'fast'",
+    ),
+    # Each is past what a socket timeout or time.sleep accepts.
+    "timeout too long": (
+        {"base_url": "http://127.0.0.1:9", "timeout": 1e10},
+        "endpoints.generate: timeout must be > 0 and <= 4611686018, got 10000000000.0",
+    ),
+    "backoff infinite": (
+        {"base_url": "http://127.0.0.1:9", "backoff_seconds": float("inf")},
+        "endpoints.generate: backoff_seconds must be >= 0 and <= 4611686018, got inf",
     ),
 }
 
@@ -1022,7 +989,7 @@ def test_bad_endpoint_exits_2_before_writing(live_setup, tmp_path, capsys, comma
         argv += ["--algo", "random", "--budget", "2", "--seeds", "1"]
     assert main(argv) == EXIT_VALIDATION
     assert capsys.readouterr().err.startswith(f"error: {message}")
-    assert not list(tmp_path.glob(f"{command}.jsonl*"))  # no table, no checkpoint
+    assert not list(tmp_path.glob(f"{command}.jsonl*"))  # no table, no export
 
 
 # ---------------------------------------------------------------------------
@@ -1123,6 +1090,38 @@ def test_a_failed_generation_is_not_stored_and_costs_one_request_on_rerun(
     # The rerun exports what a run that never failed does, on a store of its own.
     clean = tmp_path / "clean.jsonl"
     assert main(_optimize_argv(live_setup, clean, seeds=1) + ["--dataset", str(tmp_path / "fresh")]) == EXIT_OK
+    assert out.read_bytes() == clean.read_bytes()
+
+
+def test_a_rerun_after_an_outage_sends_no_answered_request_and_exports_the_uninterrupted_run(
+    live_setup, tmp_path
+):
+    stub, out = live_setup["stub"], tmp_path / "run.jsonl"
+    argv = _optimize_argv(live_setup, out)
+    dataset_path = json.loads(live_setup["config_path"].read_text())["dataset"]
+    shutil.copytree(dataset_path, tmp_path / "fresh")
+    # Seed 1 generates its first dev cell (2 prompts) and that cell on test (1);
+    # every later prompt gets a body that is not JSON, so its second dev cell fails whole.
+    answered = []
+    stub.override(
+        "/generate",
+        lambda payload: answered.append(payload["prompt"]) if len(answered) < 3 else b"not json",
+    )
+    assert main(argv) == EXIT_SUSPENDED
+    assert not list(tmp_path.glob(out.name + "*"))
+    failed = [call["prompt"] for call in stub.calls("/generate")[3:]]
+    embedded = {text for call in stub.calls("/embed") for text in call["texts"]}
+    assert len(answered) == 3 and len(failed) == 2 and embedded
+
+    stub.server.overrides.clear()
+    stub.server.calls.clear()
+    assert main(argv) == EXIT_OK
+    assert not {text for call in stub.calls("/embed") for text in call["texts"]} & embedded
+    resent = [call["prompt"] for call in stub.calls("/generate")]
+    assert resent[:2] == failed and not set(resent) & set(answered)
+    # The same command on a copy of the dataset, with a store of its own, never failed.
+    clean = tmp_path / "clean.jsonl"
+    assert main(_optimize_argv(live_setup, clean) + ["--dataset", str(tmp_path / "fresh")]) == EXIT_OK
     assert out.read_bytes() == clean.read_bytes()
 
 

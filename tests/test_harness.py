@@ -215,25 +215,6 @@ def test_rcc_probes_get_free_objective_backfill(default_space):
 # ---------------------------------------------------------------------------
 
 
-class CountingEvaluator:
-    """Counts the evaluations, retrieval-only ones included, asked of ``inner``."""
-
-    def __init__(self, inner):
-        self._inner = inner
-        self.calls = 0
-
-    def evaluate(self, *args):
-        self.calls += 1
-        return self._inner.evaluate(*args)
-
-    def evaluate_retrieval_only(self, *args):
-        self.calls += 1
-        return self._inner.evaluate_retrieval_only(*args)
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-
 @pytest.fixture()
 def seed_progress(monkeypatch):
     """Every per-seed state object the harness creates, in creation order."""
@@ -489,7 +470,7 @@ def test_load_run_names_a_missing_aggregate_or_header_field(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Suspension / resume
+# Suspension
 # ---------------------------------------------------------------------------
 
 
@@ -520,116 +501,7 @@ class FlakyEvaluator:
         return getattr(self._inner, name)
 
 
-from raghpo.harness import RunSuspended  # noqa: E402
 from raghpo.pipeline import ServiceFailure  # noqa: E402
-
-
-@pytest.mark.parametrize("algorithm", ["random", "tpe", "greedy_m", "greedy_rcc"])
-@pytest.mark.parametrize("fail_after", [0, 3, 11])
-def test_suspended_run_resumes_identically(tmp_path, default_space, algorithm, fail_after):
-    evaluator, _ = scored_evaluator(default_space, with_costs=True)
-    spec = spec_for(default_space, algorithm=algorithm, budget=10, seeds=(1, 2))
-    reference = run(spec, evaluator)
-
-    checkpoint = tmp_path / "run.checkpoint"
-    flaky = FlakyEvaluator(evaluator, fail_after_calls=fail_after)
-    with pytest.raises(RunSuspended):
-        run(spec, flaky, checkpoint_path=checkpoint)
-    assert checkpoint.is_file()
-
-    resumed = run(spec, flaky, checkpoint_path=checkpoint)  # outage cleared
-    assert resumed == reference
-    assert not checkpoint.exists()  # consumed on completion
-
-
-@pytest.mark.parametrize("algorithm", ["random", "tpe", "greedy_m", "greedy_r", "greedy_rcc"])
-def test_each_checkpoint_is_a_prefix_of_the_uninterrupted_export(
-    tmp_path, default_space, algorithm
-):
-    # Suspensions after 4, 7 and 9 more evaluator calls, each resuming the
-    # last, write the export of the finished iterations; each must be the
-    # first lines of the uninterrupted run's export, the last one in seed 2.
-    evaluator, _ = scored_evaluator(default_space, with_costs=True)
-    spec = spec_for(default_space, algorithm=algorithm, budget=12, seeds=(1, 2))
-    export_run(run(spec, evaluator), tmp_path / "run.jsonl")
-    reference = (tmp_path / "run.jsonl").read_text().splitlines()
-
-    checkpoint = tmp_path / "run.checkpoint"
-    written = []
-    for fail_after in (4, 7, 9):
-        with pytest.raises(RunSuspended):
-            run(spec, FlakyEvaluator(evaluator, fail_after), checkpoint_path=checkpoint)
-        written.append(checkpoint.read_text().splitlines())
-        assert written[-1] == reference[: len(written[-1])]
-    assert [len(lines) for lines in written] == sorted({len(lines) for lines in written})
-    assert json.loads(written[-1][-1])["seed"] == 2
-
-
-def _unrecorded_ordinal(row, rows):
-    row["ordinal"] = next(i for i in range(162) if i not in {r["ordinal"] for r in rows})
-
-
-def _other_driver(row, rows):
-    row["driver"] = "objective" if row["driver"] == "context_mrr" else "context_mrr"
-
-
-@pytest.mark.parametrize(
-    "algorithm, edit",
-    [("random", _unrecorded_ordinal), ("greedy_rcc", _other_driver)],
-    ids=["ordinal", "driver"],
-)
-def test_resume_refuses_a_checkpoint_the_optimizer_does_not_reproduce(
-    tmp_path, default_space, algorithm, edit
-):
-    # Edit iteration 2 of the in-flight seed 2: the replayed optimizer does
-    # not suggest that row, so resuming names the path, seed and iteration.
-    evaluator, _ = scored_evaluator(default_space)
-    spec = spec_for(default_space, algorithm=algorithm, budget=10, seeds=(1, 2))
-    checkpoint = tmp_path / "run.checkpoint"
-    with pytest.raises(RunSuspended):
-        run(spec, FlakyEvaluator(evaluator, 18), checkpoint_path=checkpoint)
-    lines = checkpoint.read_text().splitlines()
-    rows = [json.loads(line) for line in lines[1:]]
-    assert [row["seed"] for row in rows][10:12] == [2, 2]  # seed 2 is in flight
-    edit(rows[11], rows)
-    lines[12] = json.dumps(rows[11])
-    checkpoint.write_text("\n".join(lines) + "\n")
-    with pytest.raises(
-        ValueError, match=f"^{re.escape(str(checkpoint))}: seed 2 iteration 2: .* re-run"
-    ):
-        run(spec, evaluator, checkpoint_path=checkpoint)
-
-
-def test_resume_before_any_scored_trial_has_no_dev_best(tmp_path, default_space):
-    # Without a free lookup, greedy_rcc's retrieval-only probes carry no
-    # objective score, so the resumed history has no scored trial yet.
-    evaluator, _ = scored_evaluator(default_space)
-    spec = spec_for(default_space, algorithm="greedy_rcc", budget=10, seeds=(1,))
-    reference = run(spec, _NoFreeLookup(evaluator))
-
-    checkpoint = tmp_path / "run.checkpoint"
-    flaky = FlakyEvaluator(_NoFreeLookup(evaluator), fail_after_calls=3)
-    with pytest.raises(RunSuspended):
-        run(spec, flaky, checkpoint_path=checkpoint)
-    resumed = run(spec, flaky, checkpoint_path=checkpoint)
-    assert resumed == reference
-    first = resumed.seed_runs[0].iterations[3]
-    assert (first.best_dev_score, first.best_ordinal) == (None, None)
-
-
-def test_resume_in_a_later_seed_continues_identically(tmp_path, default_space):
-    evaluator, _ = scored_evaluator(default_space, with_costs=True)
-    spec = spec_for(default_space, algorithm="greedy_m", budget=10, seeds=(1, 2, 3))
-    reference = run(spec, evaluator)
-    first_seed = CountingEvaluator(evaluator)
-    run(spec_for(default_space, algorithm="greedy_m", budget=10, seeds=(1,)), first_seed)
-
-    # The outage strikes in seed 2, so the run resumes in the middle of seed 2.
-    checkpoint = tmp_path / "run.checkpoint"
-    flaky = FlakyEvaluator(evaluator, fail_after_calls=first_seed.calls + 2)
-    with pytest.raises(RunSuspended):
-        run(spec, flaky, checkpoint_path=checkpoint)
-    assert run(spec, flaky, checkpoint_path=checkpoint) == reference
 
 
 def test_suspension_without_checkpoint_path_propagates(default_space):
@@ -688,18 +560,6 @@ def test_live_rcc_integration_with_stub_service(stub_service, tiny_dataset):
             assert it.best_dev_score is not None
 
 
-def test_checkpoint_for_different_spec_rejected(tmp_path, default_space):
-    evaluator, _ = scored_evaluator(default_space)
-    checkpoint = tmp_path / "run.checkpoint"
-    flaky = FlakyEvaluator(evaluator, fail_after_calls=2)
-    spec_a = spec_for(default_space, algorithm="random", budget=10, seeds=(1, 2))
-    with pytest.raises(RunSuspended):
-        run(spec_a, flaky, checkpoint_path=checkpoint)
-    spec_b = spec_for(default_space, algorithm="tpe", budget=10, seeds=(1, 2))
-    with pytest.raises(ValueError, match="different run spec"):
-        run(spec_b, evaluator, checkpoint_path=checkpoint)
-
-
 class _Killed(BaseException):
     """Stands in for the process being killed: nothing in raghpo catches it."""
 
@@ -736,15 +596,7 @@ def _export_writer(path, space, version):
     export_run(run(spec_for(space, budget=4, seeds=range(1, version + 1)), evaluator), path)
 
 
-def _checkpoint_writer(path, space, version):
-    # Version 2 resumes from version 1's checkpoint and gets further.
-    evaluator, _ = scored_evaluator(space)
-    flaky = FlakyEvaluator(evaluator, fail_after_calls=3)
-    with pytest.raises(RunSuspended):
-        run(spec_for(space, budget=6, seeds=(1, 2)), flaky, checkpoint_path=path)
-
-
-@pytest.mark.parametrize("write", [_grid_writer, _export_writer, _checkpoint_writer])
+@pytest.mark.parametrize("write", [_grid_writer, _export_writer])
 def test_write_killed_midway_leaves_previous_file_intact(
     tmp_path, default_space, kill_mid_write, write
 ):
