@@ -159,7 +159,7 @@ def _build_live_evaluator(
     """The live evaluator the config describes, with the reply store at ``replies_path``.
 
     The store is opened once the endpoints are valid; one that cannot be
-    opened is a warning, and the run then sends every request.
+    opened is a warning, and the run then keeps its replies in memory.
     """
     endpoints = config.get("endpoints", {})
     if not isinstance(endpoints, dict) or "embed" not in endpoints or "generate" not in endpoints:
@@ -182,8 +182,8 @@ def _build_live_evaluator(
     try:
         replies = ReplyStore(replies_path)
     except OSError as exc:
-        log.warning("%s; sending every request", exc)
-        replies = None
+        log.warning("%s; keeping replies in memory for this run", exc)
+        replies = ReplyStore()
     return LivePipelineEvaluator(
         dataset=dataset,
         space=space,
@@ -223,7 +223,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     if backend is None:
         backend = "grid-replay" if grid_path else "live"
     parallelism = _setting(args, config, "parallelism", 1, int)
-    replies = None
 
     optimizer_options = {}
     tpe = _section(config, "tpe")
@@ -262,7 +261,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         evaluator = _build_live_evaluator(
             config, dataset, space, parallelism, _replies_path(dataset_path)
         )
-        replies = evaluator.replies
     else:
         raise CliError(f"unknown backend {backend!r}; expected grid-replay or live")
 
@@ -282,8 +280,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         print("re-run the same command to resume", file=sys.stderr)
         return EXIT_SUSPENDED
     finally:
-        if replies is not None:
-            replies.close()
+        if backend == "live":
+            evaluator.replies.close()
 
     harness.export_run(record, out)
 
@@ -352,8 +350,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
     try:
         return _fill_grid(evaluator, out_path, resuming, splits, metric_arg)
     finally:
-        if evaluator.replies is not None:
-            evaluator.replies.close()
+        evaluator.replies.close()
 
 
 def _fill_grid(

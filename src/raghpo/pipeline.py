@@ -400,57 +400,6 @@ class EmbeddingClient(_ServiceClient):
         return np.concatenate(blocks)
 
 
-class _EmbeddingMemo:
-    """(embedding model, text) -> vector memo in front of an ``EmbeddingClient``.
-
-    ``embed`` sends only the texts not yet embedded for the model, once each
-    and in first-seen order, and returns one row per requested text. Rows are
-    kept as the service returned them, so an index built from them normalizes
-    exactly the same numbers as one built from a fresh reply. With a
-    :class:`ReplyStore`, texts the memo lacks are looked up there first, and
-    the rows fetched by one call are stored in one transaction.
-    """
-
-    def __init__(self, client: EmbeddingClient, replies: "ReplyStore | None" = None):
-        self.client = client
-        self.replies = replies
-        self._rows: dict[str, dict[str, np.ndarray]] = {}
-
-    def embed(self, model: str, texts: Sequence[str]) -> np.ndarray:
-        if not texts:
-            return np.zeros((0, 0))
-        rows = self._rows.setdefault(model, {})
-        missing = [text for text in dict.fromkeys(texts) if text not in rows]
-        if missing and self.replies is not None:
-            rows.update(self.replies.vectors(model, missing))
-            missing = [text for text in missing if text not in rows]
-        if missing:
-            fetched = self.client.embed(model, missing)
-            rows.update(zip(missing, fetched))
-            if self.replies is not None:
-                self.replies.put_vectors(model, missing, fetched)
-        picked = [rows[text] for text in texts]
-        try:
-            return np.stack(picked)
-        except ValueError:  # rows from separate replies differ in dimension
-            dims = list(dict.fromkeys(len(row) for row in picked))
-            raise ServiceFailure(
-                f"embed reply dimension changed between batches: {dims[0]} then {dims[1]}"
-                + self.stored_hint()
-            ) from None
-
-    def forget(self, model: str) -> None:
-        """Drop the model's rows when the reply store holds them; a no-op without one."""
-        if self.replies is not None:
-            self._rows.pop(model, None)
-
-    def stored_hint(self) -> str:
-        """A note naming the reply store, for a dimension error; empty without one."""
-        if self.replies is None:
-            return ""
-        return f" (rows may come from {self.replies.path}; delete it if the service changed)"
-
-
 @dataclass(frozen=True)
 class GenerationResult:
     text: str
@@ -471,22 +420,20 @@ class GenerationClient(_ServiceClient):
         if not isinstance(text, str):
             raise ServiceFailure("generate reply is missing a text field")
         estimated = False
-        input_tokens = reply.get("input_tokens")
-        output_tokens = reply.get("output_tokens")
-        if input_tokens is None:
-            input_tokens = len(whitespace_tokens(prompt))
-            estimated = True
-        if output_tokens is None:
-            output_tokens = len(whitespace_tokens(text))
-            estimated = True
+        counts = []
+        for field, counted in (("input_tokens", prompt), ("output_tokens", text)):
+            count = reply.get(field)
+            if count is None:
+                count = len(whitespace_tokens(counted))
+                estimated = True
+            elif type(count) is not int or count < 0:  # excludes bool, an int subclass
+                raise ServiceFailure(
+                    f"generate reply {field} must be a non-negative integer, got {count!r}"
+                )
+            counts.append(count)
         if estimated:
             log.info("service omitted token counts; using local whitespace estimates")
-        return GenerationResult(
-            text=text,
-            input_tokens=int(input_tokens),
-            output_tokens=int(output_tokens),
-            counts_estimated=estimated,
-        )
+        return GenerationResult(text, *counts, counts_estimated=estimated)
 
 
 class JudgeClient(_ServiceClient):
@@ -498,33 +445,38 @@ class JudgeClient(_ServiceClient):
             {"question": question, "answer": answer, "gold_answer": gold_answer},
         )
         score = reply.get("score")
-        if not isinstance(score, (int, float)) or not 0.0 <= score <= 1.0:
+        if type(score) not in (int, float) or not 0.0 <= score <= 1.0:  # excludes bool
             raise ServiceFailure(f"judge reply score must be in [0, 1], got {score!r}")
         return float(score)
 
 
 class ReplyStore:
-    """Validated ``/embed`` and ``/generate`` replies on disk, keyed on the literal request.
+    """Validated ``/embed`` and ``/generate`` replies, keyed on the literal request.
 
-    One SQLite table maps the SHA-256 of (route, model, input) to the reply
-    as the client accepted it: for a text sent to ``/embed``, its vector's
-    little-endian float64 bytes; for a prompt sent to ``/generate``, the
-    text, token counts and ``counts_estimated`` flag as JSON. The model name
-    is the model's identity; the endpoint URL is not part of the key.
-    Judge replies and failed calls are never stored. Each ``put_*`` call is
-    one transaction, so a killed process keeps every call that returned.
-    A store is used from the thread that opened it.
+    One SQLite table, in a file or, without a path, in memory, maps the
+    SHA-256 of (route, model, input) to the reply as the client accepted
+    it: for a text sent to ``/embed``, its vector's little-endian float64
+    bytes; for a prompt sent to ``/generate``, the text, token counts and
+    ``counts_estimated`` flag as JSON. The model name is the model's
+    identity; the endpoint URL is not part of the key. Judge replies and
+    failed calls are never stored. Each ``put_*`` call is one transaction,
+    so a killed process keeps every call that returned to a store file. A
+    store is used by one thread at a time.
     """
 
     _BATCH = 500  # keys per lookup query, below SQLite's bound-parameter limit
 
-    def __init__(self, path: str | os.PathLike):
-        """Open or create the store; an ``OSError`` naming ``path`` when that fails."""
+    def __init__(self, path: str | os.PathLike | None = None):
+        """Open or create the store at ``path``, or one in memory without it;
+        an ``OSError`` naming ``path`` when that fails."""
         import sqlite3
 
         self.path = path
         try:
-            self._db = sqlite3.connect(path)
+            # Used by one thread at a time, which need not be the one that opened it.
+            self._db = sqlite3.connect(
+                ":memory:" if path is None else path, check_same_thread=False
+            )
         except sqlite3.Error as exc:
             raise OSError(f"cannot open reply store {path}: {exc}") from None
         try:
@@ -677,7 +629,7 @@ class TemplateStore:
 def build_index(
     corpus: Iterable[Document],
     index_config: IndexConfig,
-    embedder: EmbeddingClient | _EmbeddingMemo,
+    embedder: EmbeddingClient | LivePipelineEvaluator,
     chunks: Sequence[Chunk] | None = None,
 ) -> tuple[VectorIndex, int]:
     """Chunk and embed a corpus; returns the index and its embedded-token cost.
@@ -729,19 +681,20 @@ class LivePipelineEvaluator(StoredScores):
       indexes of every embedding model share that chunk list;
     * each distinct (embedding model, text) is sent to the embedding service
       once; chunk texts that recur across indexes and every split's
-      questions are served from one memo.
+      questions are served from the reply store.
 
     An index is built once per IndexConfig, and retrieval is run once per
     (IndexConfig, top_k, split), since it does not depend on the generative
     model. Both are kept until :meth:`release` drops them, which an
     optimizer run never calls, since optimizers revisit indexes.
 
-    With ``replies``, a :class:`ReplyStore`, nothing is sent that an earlier
-    evaluator, in this process or another, already sent and got a valid
-    reply for: the embedding memo looks up the texts it lacks, and
-    :meth:`fill` renders the cell's prompts, looks them up on the calling
-    thread and sends only the rest, then records the new replies in question
-    order. Without one, each evaluator starts from nothing.
+    ``replies``, a :class:`ReplyStore`, is the evaluator's only reply cache;
+    without one it opens its own in memory. Nothing is sent that the store
+    holds a valid reply for, from this evaluator or from an earlier one
+    that shared the store: :meth:`embed` looks up the texts and sends the
+    rest, and :meth:`fill` renders the cell's prompts, looks them up on the
+    calling thread and sends only the rest, then records the new replies in
+    question order.
 
     Each evaluation still reports the full embedded-token cost of its index
     (the sum of its chunk lengths) and the token counts of every generation,
@@ -770,7 +723,8 @@ class LivePipelineEvaluator(StoredScores):
         self.templates = templates or TemplateStore.builtin()
         self.judge = judge
         self.parallelism = parallelism
-        self.replies = replies
+        self.embedder = embedder
+        self.replies = replies or ReplyStore()
         self.table = table or GridTable(space_fingerprint=space.fingerprint())
         defined = {
             CONTEXT_MRR: lambda qa: bool(qa.gold_doc_ids),
@@ -788,7 +742,6 @@ class LivePipelineEvaluator(StoredScores):
         self._slices = {key: self._slice(key) for key in self._universes}
         # Nothing below may refer back to the evaluator: it must be freed by
         # reference counting as soon as its command drops it.
-        self._embeddings = _EmbeddingMemo(embedder, replies)
         self._chunks: dict[tuple[int, float], tuple[Chunk, ...]] = {}
         self._indices: dict[IndexConfig, tuple[VectorIndex, int]] = {}
         self._retrieved: dict[
@@ -811,9 +764,7 @@ class LivePipelineEvaluator(StoredScores):
             chunks = self._chunks.get(shape)
             if chunks is None:
                 chunks = self._chunks[shape] = chunk_corpus(self.dataset.corpus, *shape)
-            cached = build_index(
-                self.dataset.corpus, index_config, self._embeddings, chunks=chunks
-            )
+            cached = build_index(self.dataset.corpus, index_config, self, chunks=chunks)
             self._indices[index_config] = cached
         return cached
 
@@ -821,14 +772,44 @@ class LivePipelineEvaluator(StoredScores):
         """Drop the index of ``index_config`` and every retrieval made from it.
 
         For a caller that evaluates no more cells of that index. The chunk
-        lists stay. The memo rows of its embedding model go only when the
-        reply store holds them, so a later evaluation rebuilds the index
-        without sending a text to the embedding service again.
+        lists stay, and the reply store keeps the vectors, so a later
+        evaluation rebuilds the index without sending a text to the
+        embedding service again.
         """
         self._indices.pop(index_config, None)
         for key in [key for key in self._retrieved if key[0] == index_config]:
             del self._retrieved[key]
-        self._embeddings.forget(index_config.embedding_model)
+
+    def embed(self, model: str, texts: Sequence[str]) -> np.ndarray:
+        """One row per text: stored rows, and the rest sent once each and stored.
+
+        The texts the store lacks go to the embedding client in first-seen
+        order, and their rows are recorded in one transaction. Rows are kept
+        as the service returned them, so an index built from stored rows
+        normalizes exactly the numbers of one built from a fresh reply.
+        """
+        if not texts:
+            return np.zeros((0, 0))
+        rows = self.replies.vectors(model, texts)
+        missing = [text for text in dict.fromkeys(texts) if text not in rows]
+        if missing:
+            fetched = self.embedder.embed(model, missing)
+            self.replies.put_vectors(model, missing, fetched)
+            rows.update(zip(missing, fetched))
+        picked = [rows[text] for text in texts]
+        try:
+            return np.stack(picked)
+        except ValueError:  # rows from separate replies differ in dimension
+            dims = list(dict.fromkeys(len(row) for row in picked))
+            raise self._dimension_failure(
+                f"embed reply dimension changed between batches: {dims[0]} then {dims[1]}"
+            ) from None
+
+    def _dimension_failure(self, message: str) -> ServiceFailure:
+        """``message`` as a ServiceFailure, naming the store file the rows may come from."""
+        if self.replies.path is not None:
+            message += f" (rows may come from {self.replies.path}; delete it if the service changed)"
+        return ServiceFailure(message)
 
     def _retrieve_all(
         self, config: RagConfig, split: str
@@ -838,14 +819,12 @@ class LivePipelineEvaluator(StoredScores):
         retrieved = self._retrieved.get(key)
         if retrieved is None:
             model = config.index.embedding_model
-            query_vectors = self._embeddings.embed(
-                model, [qa.question for qa in self.dataset.split(split)]
-            )
+            query_vectors = self.embed(model, [qa.question for qa in self.dataset.split(split)])
             if len(index) and len(query_vectors) and query_vectors.shape[1] != index.dim:
-                raise ServiceFailure(
+                raise self._dimension_failure(
                     f"embedding model {model!r} returned "
                     f"{query_vectors.shape[1]}-dimensional question vectors for a "
-                    f"{index.dim}-dimensional index" + self._embeddings.stored_hint()
+                    f"{index.dim}-dimensional index"
                 )
             retrieved = self._retrieved[key] = tuple(
                 tuple(index.search(vector, config.answer.top_k)) for vector in query_vectors
@@ -876,15 +855,13 @@ class LivePipelineEvaluator(StoredScores):
         judged = JUDGE_AC in metrics
         model = config.answer.generative_model
         prompts: list[str] = []
-        stored: dict[str, GenerationResult] = {}
         if generated:
             template = self.templates.for_model(model)
             prompts = [
                 template.render(qa.question, [c.text for c in chunks])
                 for qa, chunks in zip(questions, retrieved)
             ]
-            if self.replies is not None:
-                stored = self.replies.generations(model, prompts)
+        stored = self.replies.generations(model, prompts)
 
         def answer_one(i: int) -> tuple[GenerationResult | None, float | None]:
             """Question i's generation and, when judged, its judge score; None for a failed call."""
@@ -919,7 +896,7 @@ class LivePipelineEvaluator(StoredScores):
         for i, answer in zip(todo, fresh):
             answers[i] = answer
         new = [i for i in todo if answers[i][0] is not None and prompts[i] not in stored]
-        if new and self.replies is not None:
+        if new:
             # Recorded here, in question order, so the store never crosses threads.
             self.replies.put_generations(
                 model, [prompts[i] for i in new], [answers[i][0] for i in new]

@@ -1056,20 +1056,30 @@ def _fail_first_prompt_twice_with_500(stub):
     return lambda: json.loads(stub.received("/generate")[0][1])["prompt"]
 
 
-def _fail_first_prompt_with_bad_json(stub):
-    failed = []
+def _fail_first_prompt_with(body):
+    """A ``fail`` that answers the first prompt with ``body``, every time it is sent."""
 
-    def reply(payload):
-        failed[:] = failed or [payload["prompt"]]
-        return b"not json" if payload["prompt"] == failed[0] else None
+    def fail(stub):
+        failed = []
 
-    stub.override("/generate", reply)
-    return lambda: failed[0]
+        def reply(payload):
+            failed[:] = failed or [payload["prompt"]]
+            return body if payload["prompt"] == failed[0] else None
+
+        stub.override("/generate", reply)
+        return lambda: failed[0]
+
+    return fail
 
 
 @pytest.mark.parametrize(
-    "fail", [_fail_first_prompt_twice_with_500, _fail_first_prompt_with_bad_json],
-    ids=["HTTP 500", "not JSON"],
+    "fail",
+    [
+        _fail_first_prompt_twice_with_500,
+        _fail_first_prompt_with(b"not json"),
+        _fail_first_prompt_with({"text": "an answer", "input_tokens": -5, "output_tokens": 3}),
+    ],
+    ids=["HTTP 500", "not JSON", "negative token count"],
 )
 def test_a_failed_generation_is_not_stored_and_costs_one_request_on_rerun(
     live_setup, tmp_path, fail

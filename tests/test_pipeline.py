@@ -7,6 +7,7 @@ import threading
 import time
 import weakref
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -349,6 +350,32 @@ def test_embedding_client_rejects_malformed_vectors(stub_service, reply):
     client = EmbeddingClient(_endpoint(stub_service), batch_size=2)
     with pytest.raises(ServiceFailure):
         client.embed("emb-model", [f"text {i}" for i in range(4)])
+
+
+BAD_TOKEN_COUNTS = {
+    "negative": b"-5",
+    "string": b'"abc"',
+    "out of float range": b"1e400",
+    "list": b"[3]",
+    "true": b"true",
+    "fraction": b"2.5",
+}
+
+
+@pytest.mark.parametrize("field", ["input_tokens", "output_tokens"])
+@pytest.mark.parametrize("count", BAD_TOKEN_COUNTS.values(), ids=BAD_TOKEN_COUNTS.keys())
+def test_generation_client_rejects_a_token_count_that_is_not_a_count(stub_service, field, count):
+    stub_service.override(
+        "/generate", lambda payload: b'{"text": "an answer", "%s": %s}' % (field.encode(), count)
+    )
+    with pytest.raises(ServiceFailure, match=field):
+        GenerationClient(_endpoint(stub_service)).generate("gen", "a prompt")
+
+
+def test_judge_client_rejects_a_boolean_score(stub_service):
+    stub_service.override("/judge", lambda payload: {"score": True})
+    with pytest.raises(ServiceFailure, match="score"):
+        JudgeClient(_endpoint(stub_service)).score("q", "a", "gold")
 
 
 MALFORMED_BODIES = {
@@ -858,7 +885,7 @@ def test_cached_indexes_equal_a_fresh_build(stub_service, tiny_space):
                 assert index.search(query, top_k) == fresh.search(query, top_k)
 
 
-def test_release_drops_one_index_and_its_retrievals_but_not_the_memo(stub_service, tiny_space):
+def test_release_drops_one_index_and_its_retrievals_but_not_the_chunks(stub_service, tiny_space):
     dataset = _shared_text_dataset()
     model = _config().answer.generative_model
     space = SearchSpace.from_dict({**tiny_space.to_dict(), "generative_model": [model]})
@@ -873,12 +900,22 @@ def test_release_drops_one_index_and_its_retrievals_but_not_the_memo(stub_servic
     evaluator.release(config.index)
     assert set(evaluator._indices) == indexes - {config.index}
     assert set(evaluator._retrieved) == {key for key in retrieved if key[0] != config.index}
-    # A later evaluation rebuilds the index from the kept chunk list and memo:
-    # nothing is chunked or embedded again.
+    # A later evaluation rebuilds the index from the kept chunk list and the
+    # evaluator's reply store: nothing is chunked or embedded again.
     evaluator.evaluate(config, "dev", Objective())
     assert config.index in evaluator._indices
     assert all(evaluator._chunks[shape] is chunks[shape] for shape in chunks)
     assert len(stub_service.calls("/embed")) == sent
+
+
+def test_an_evaluator_runs_on_a_thread_other_than_the_one_that_made_it(
+    stub_service, tiny_dataset
+):
+    evaluator = _live(stub_service, tiny_dataset)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        result = pool.submit(evaluator.evaluate, _config(), "dev", Objective()).result(timeout=60)
+    assert result.failed_qids == ()
+    assert len(stub_service.calls("/generate")) == len(tiny_dataset.dev)
 
 
 @pytest.mark.parametrize("parallelism", [1, 2])
@@ -903,9 +940,9 @@ def test_used_evaluator_is_freed_without_the_cycle_collector(
         gc.enable()
 
 
-def test_memo_rows_of_different_dimensions_are_a_service_failure(stub_service, tiny_space):
+def test_stored_rows_of_different_dimensions_are_a_service_failure(stub_service, tiny_space):
     # The first index and the questions come back 8-dimensional, the next
-    # index's new texts 4-dimensional, while its shared texts are memo rows.
+    # index's new texts 4-dimensional, while its shared texts are stored rows.
     dims = iter([STUB_VECTOR_DIM, STUB_VECTOR_DIM])
 
     def reply(payload):
@@ -1028,7 +1065,7 @@ def test_evaluators_sharing_a_reply_store_send_each_request_once(
     store.close()
 
 
-def test_release_drops_the_memo_rows_a_reply_store_holds(stub_service, tiny_space, tmp_path):
+def test_an_index_rebuilt_after_release_reads_a_store_file(stub_service, tiny_space, tmp_path):
     dataset = _shared_text_dataset()
     space = SearchSpace.from_dict(
         {**tiny_space.to_dict(), "generative_model": [_config().answer.generative_model]}
@@ -1039,7 +1076,6 @@ def test_release_drops_the_memo_rows_a_reply_store_holds(stub_service, tiny_spac
     sent = len(stub_service.calls("/embed"))
 
     evaluator.release(config.index)
-    assert config.index.embedding_model not in evaluator._embeddings._rows
     evaluator.evaluate(config, "dev", Objective())
     assert len(stub_service.calls("/embed")) == sent
     evaluator.replies.close()
