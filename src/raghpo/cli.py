@@ -22,6 +22,7 @@ from .dataio import (
     GridFormatError,
     GridTable,
     SamplePlan,
+    atomic_write,
     drop_torn_tail,
     grid_cell_text,
     load_dataset,
@@ -439,9 +440,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         "noise_shortfall": outcome.noise_shortfall,
         "output_content_sha256": dataio.dataset_content_hash(out),
     }
-    (out / "provenance.json").write_text(
-        json.dumps(provenance, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_json(out / "provenance.json", provenance)
     print(
         f"sampled {len(outcome.sampled_qids)} dev questions; corpus "
         f"{len(outcome.dataset.corpus)} docs ({len(outcome.gold_doc_ids)} gold + "
@@ -463,8 +462,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _write_json(path: Path, payload) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -531,8 +530,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if run_path:
         record = harness.load_run(run_path)
         series = analysis.convergence_series(record, grid_max=grid_max)
-        out.mkdir(parents=True, exist_ok=True)
-        with (out / "convergence.jsonl").open("w", encoding="utf-8") as fh:
+        with atomic_write(out / "convergence.jsonl") as fh:
             for point in series:
                 fh.write(
                     json.dumps(

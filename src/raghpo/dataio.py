@@ -339,9 +339,12 @@ def atomic_write(path: str | Path, binary: bool = False) -> Iterator[IO]:
 
 
 def store_dataset(dataset: Dataset, path: str | Path) -> None:
-    """Write a dataset directory in the canonical on-disk layout."""
+    """Write a dataset directory in the canonical on-disk layout, each file atomically.
+
+    The directory as a whole is not replaced at once: a process killed
+    between two files leaves some files new and others as they were.
+    """
     root = Path(path)
-    root.mkdir(parents=True, exist_ok=True)
     manifest = {
         "format_version": DATASET_FORMAT_VERSION,
         "corpus_file": "corpus.jsonl",
@@ -351,16 +354,15 @@ def store_dataset(dataset: Dataset, path: str | Path) -> None:
         manifest["name"] = dataset.name
     if dataset.relaxed_test_closure:
         manifest["relaxed_test_closure"] = True
-    (root / "manifest.json").write_text(
-        _dump_canonical(manifest) + "\n", encoding="utf-8"
-    )
-    with (root / "corpus.jsonl").open("w", encoding="utf-8") as fh:
+    with atomic_write(root / "manifest.json") as fh:
+        fh.write(_dump_canonical(manifest) + "\n")
+    with atomic_write(root / "corpus.jsonl") as fh:
         for doc in dataset.corpus:
             record = {"doc_id": doc.doc_id, "text": doc.text}
             if doc.title is not None:
                 record["title"] = doc.title
             fh.write(_dump_canonical(record) + "\n")
-    with (root / "benchmark.jsonl").open("w", encoding="utf-8") as fh:
+    with atomic_write(root / "benchmark.jsonl") as fh:
         for split in SPLITS:
             for qa in dataset.split(split):
                 fh.write(
@@ -562,6 +564,21 @@ class _Columns:
             return None
         return rows, new
 
+    def layout(self) -> tuple[list[str], np.ndarray]:
+        """The qids sorted, and the matrix with their rows in that order and ``width`` columns.
+
+        A matrix already in that layout is returned as it is, not copied.
+        """
+        qids = sorted(self.rows)
+        if list(self.rows) == qids and self.matrix.shape == (len(qids), self.width):
+            return qids, self.matrix
+        return qids, self.matrix[[self.rows[q] for q in qids], : self.width]
+
+    def compact(self) -> None:
+        """Put the rows in :meth:`layout`, dropping the capacity that growth left."""
+        qids, self.matrix = self.layout()
+        self.rows = {qid: row for row, qid in enumerate(qids)}
+
     def _fit(self, row: int, ordinal: int) -> None:
         """Grow the matrix to hold (row, ordinal), at least doubling an axis that grows."""
         n_rows, n_cols = self.matrix.shape
@@ -701,7 +718,11 @@ def _parse_grid(source: Path, space: SearchSpace, digest: hashlib._Hash) -> Grid
 
     Runs of canonical score rows go in at once (:func:`_add_rows`). Other
     lines, and a run with a bad row, go in one at a time (:func:`_add_line`),
-    so the first bad line raises as a line-by-line read would.
+    so the first bad line raises as a line-by-line read would. Each (split,
+    metric) then gets the companion's layout (:meth:`_Columns.compact`):
+    rows in sorted qid order and exactly ``len(qids) x width`` scores, so
+    the table keeps none of the capacity that growth by doubling left and
+    :func:`_save_companion` writes its matrices without copying them.
     """
     table = None
     for first, text in _read_blocks(source, GridFormatError, digest):
@@ -716,6 +737,8 @@ def _parse_grid(source: Path, space: SearchSpace, digest: hashlib._Hash) -> Grid
             start = end + 1
     if table is None:
         raise GridFormatError(f"{source}: empty file, expected a header line")
+    for columns in table._columns.values():
+        columns.compact()
     return table
 
 
@@ -801,13 +824,14 @@ def _save_companion(table: GridTable, source: Path, table_sha256: str) -> None:
     ASCII JSON in a uint8 array with the companion and table format
     versions, the digest, the space fingerprint, each matrix's key, width
     and qids, and the cost rows. Its bytes depend on nothing else, so equal
-    tables give equal files. A failed write is logged, not raised.
+    tables give equal files. A matrix already in that layout, as a parsed
+    or loaded table's is, is written as it is; a live table's is copied
+    into it. A failed write is logged, not raised.
     """
     columns, arrays = [], {}
     for i, (split, metric) in enumerate(sorted(table._columns)):
         col = table._columns[(split, metric)]
-        qids = sorted(col.rows)
-        arrays[f"scores{i}"] = col.matrix[[col.rows[q] for q in qids], : col.width]
+        qids, arrays[f"scores{i}"] = col.layout()
         columns.append([split, metric, col.width, qids])
     manifest = {
         "companion_version": COMPANION_VERSION,

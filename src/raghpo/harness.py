@@ -351,15 +351,15 @@ def _parse_trial_row(space: SearchSpace, row: dict) -> tuple[Trial, IterationRec
     return trial, record
 
 
-def _seed_run(source: Path, seed: int, rows: list[tuple[int, Trial, IterationRecord]]) -> SeedRun:
-    """One seed's rows in iteration order; a gap or a repeat names its ``source`` line."""
+def _seed_run(seed: int, rows: list[tuple[str, Trial, IterationRecord]]) -> SeedRun:
+    """One seed's rows in iteration order; a gap or a repeat names its row's ``path:line``."""
     history = TrialHistory()
     iterations = []
-    for lineno, trial, record in sorted(rows, key=lambda row: row[1].iteration):
+    for where, trial, record in sorted(rows, key=lambda row: row[1].iteration):
         try:
             history.append(trial)
         except ValueError as exc:
-            raise ValueError(f"{source}:{lineno}: seed {seed}: {exc}") from None
+            raise ValueError(f"{where}: seed {seed}: {exc}") from None
         iterations.append(record)
     return SeedRun(seed=seed, history=history, iterations=tuple(iterations))
 
@@ -433,68 +433,133 @@ def export_run(record: RunRecord, path: str | Path) -> None:
             )
 
 
+class _RunRows:
+    """The trial and aggregate rows of a run export, each converted as it is read under its header."""
+
+    def __init__(self, source: Path, spec: RunSpec):
+        self.source, self.spec = source, spec
+        self.trials: dict[int, list[tuple[str, Trial, IterationRecord]]] = {
+            seed: [] for seed in spec.seeds
+        }
+        self.aggregate: dict[int, AggregatePoint] = {}
+        self.error: ValueError | None = None  # the first bad row, in file order
+
+    def add(self, where: str, kind: str, row: dict) -> None:
+        """Convert a row whose fields are checked; a bad one is kept as ``error`` if it is the first."""
+        if self.error is None:
+            try:
+                (self._add_trial if kind == "trial" else self._add_aggregate)(where, row)
+            except ValueError as exc:
+                self.error = exc
+
+    def _add_trial(self, where: str, row: dict) -> None:
+        rows = self.trials.get(row["seed"])
+        if rows is None:
+            raise ValueError(
+                f"{where}: trial row seed {row['seed']} is not one of "
+                f"the run_header's seeds {list(self.spec.seeds)}"
+            )
+        if row["iteration"] > self.spec.budget:
+            raise ValueError(
+                f"{where}: trial row iteration {row['iteration']} exceeds "
+                f"the run_header's budget {self.spec.budget}"
+            )
+        try:
+            parsed = _parse_trial_row(self.spec.space, row)
+        except (IndexError, TypeError, ValueError) as exc:  # ordinal range, cost keys and signs
+            raise ValueError(f"{where}: bad trial row: {exc}") from None
+        rows.append((where, *parsed))
+
+    def _add_aggregate(self, where: str, row: dict) -> None:
+        iteration = row["iteration"]
+        if not 1 <= iteration <= self.spec.budget:
+            raise ValueError(
+                f"{where}: aggregate row iteration {iteration} is outside "
+                f"the run_header's budget 1..{self.spec.budget}"
+            )
+        if iteration in self.aggregate:
+            raise ValueError(f"{where}: a second aggregate row for iteration {iteration}")
+        self.aggregate[iteration] = AggregatePoint(
+            iteration=iteration, mean_test=row["mean_test"], se_test=row["se_test"], n=row["n"]
+        )
+
+    def record(self) -> RunRecord:
+        """The run, or the first bad row, gap, repeat or missing aggregate row as a ValueError."""
+        if self.error is not None:
+            raise self.error
+        seed_runs = tuple(_seed_run(seed, rows) for seed, rows in self.trials.items())
+        iterations = range(1, self.spec.budget + 1)
+        missing = [i for i in iterations if i not in self.aggregate]
+        if missing:
+            raise ValueError(
+                f"{self.source}: {len(missing)} of the run_header's {self.spec.budget} "
+                f"iterations lack an aggregate row, the first is iteration {missing[0]}"
+            )
+        return RunRecord(
+            spec=self.spec,
+            seed_runs=seed_runs,
+            aggregate=tuple(self.aggregate[i] for i in iterations),
+        )
+
+
+#: The kind of each row that follows the header, as :data:`_ROW_FIELDS` names it.
+_ROW_KINDS = {"trial": "trial row", "aggregate": "aggregate row"}
+
+
 def load_run(path: str | Path) -> RunRecord:
-    """Rebuild a RunRecord from a run export (lossless round-trip).
+    """Rebuild a RunRecord from a run export (lossless round-trip), reading it once.
+
+    The export holds exactly one ``run_header`` row and exactly one
+    aggregate row for each iteration from 1 to the budget. Each row becomes
+    its ``Trial`` and ``IterationRecord`` or its ``AggregatePoint`` as soon
+    as it is read under a valid header, so no raw row outlives its line;
+    only rows above the header wait for it.
 
     A malformed file is a ValueError that names ``path`` and, for a bad
-    row, its line.
+    row, its line. The error raised is, in this order: the first line that
+    is not a JSON object, is of unknown kind, lacks a field or mistypes
+    one, has an unsupported format version or is a second header; then a
+    missing or bad header; then the first bad row in file order; then a
+    seed whose iterations have a gap or a repeat; then missing aggregate
+    rows.
     """
     source = Path(path)
-    header: dict | None = None
-    header_line = 0
-    trial_rows: list[tuple[int, dict]] = []
-    aggregate: list[AggregatePoint] = []
+    rows: _RunRows | None = None
+    held: list[tuple[str, str, dict]] = []  # rows read before the run_header
+    header_line, header_error = 0, None
     for lineno, record in _read_jsonl(source, ValueError):
         kind = record.get("kind")
         where = f"{source}:{lineno}"
         if kind == "run_header":
+            if header_line:
+                raise ValueError(f"{where}: a second run_header row (the first is line {header_line})")
             if record.get("format_version") != RUN_FORMAT_VERSION:
                 raise ValueError(
                     f"{where}: unsupported run format_version {record.get('format_version')!r}"
                 )
-            header, header_line = record, lineno
-        elif kind == "trial":
-            _check_fields(record, "trial row", where)
-            _check_fields(record["cost"], "trial cost", where)
-            trial_rows.append((lineno, record))
-        elif kind == "aggregate":
-            _check_fields(record, "aggregate row", where)
-            aggregate.append(
-                AggregatePoint(
-                    iteration=record["iteration"],
-                    mean_test=record["mean_test"],
-                    se_test=record["se_test"],
-                    n=record["n"],
-                )
-            )
+            header_line = lineno
+            try:
+                rows = _RunRows(source, _spec_from_header(record))
+            except KeyError as exc:
+                header_error = ValueError(f"{where}: run_header lacks field {exc}")
+            except (TypeError, ValueError) as exc:
+                header_error = ValueError(f"{where}: bad run_header: {exc}")
+            else:
+                for held_row in held:
+                    rows.add(*held_row)
+            held = []
+        elif kind in _ROW_KINDS:
+            _check_fields(record, _ROW_KINDS[kind], where)
+            if kind == "trial":
+                _check_fields(record["cost"], "trial cost", where)
+            if rows is not None:
+                rows.add(where, kind, record)
+            elif not header_line:
+                held.append((where, kind, record))
         else:
             raise ValueError(f"{where}: unknown row kind {kind!r}")
-    if header is None:
+    if not header_line:
         raise ValueError(f"{source}: missing run_header row")
-    try:
-        spec = _spec_from_header(header)
-    except KeyError as exc:
-        raise ValueError(f"{source}:{header_line}: run_header lacks field {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{source}:{header_line}: bad run_header: {exc}") from None
-    rows_by_seed: dict[int, list[tuple[int, Trial, IterationRecord]]] = {
-        seed: [] for seed in spec.seeds
-    }
-    for lineno, row in trial_rows:
-        if row["seed"] not in rows_by_seed:
-            raise ValueError(
-                f"{source}:{lineno}: trial row seed {row['seed']} is not one of "
-                f"the run_header's seeds {list(spec.seeds)}"
-            )
-        if row["iteration"] > spec.budget:
-            raise ValueError(
-                f"{source}:{lineno}: trial row iteration {row['iteration']} exceeds "
-                f"the run_header's budget {spec.budget}"
-            )
-        try:
-            parsed = _parse_trial_row(spec.space, row)
-        except (IndexError, TypeError, ValueError) as exc:  # ordinal range, cost keys and signs
-            raise ValueError(f"{source}:{lineno}: bad trial row: {exc}") from None
-        rows_by_seed[row["seed"]].append((lineno, *parsed))
-    seed_runs = tuple(_seed_run(source, seed, rows) for seed, rows in rows_by_seed.items())
-    return RunRecord(spec=spec, seed_runs=seed_runs, aggregate=tuple(aggregate))
+    if header_error is not None:
+        raise header_error
+    return rows.record()

@@ -764,6 +764,28 @@ def test_companion_bytes_depend_only_on_the_table(tmp_path, tiny_space):
     assert _companion(first).read_bytes() == saved
 
 
+def test_parse_and_companion_hit_hold_the_same_columns(tmp_path, tiny_space, parses):
+    table = _gappy_table(tiny_space)
+    stored, path = tmp_path / "stored.jsonl", tmp_path / "g.jsonl"
+    store_grid(table, stored)  # the live table's columns, copied into the companion's layout
+    _write_shuffled(table, path)
+    parsed = load_grid(path, tiny_space)
+    hit = load_grid(path, tiny_space)
+    assert parses == [path]
+    assert parsed._columns.keys() == hit._columns.keys()
+    for key, columns in parsed._columns.items():
+        other = hit._columns[key]
+        assert list(columns.rows.items()) == list(other.rows.items())
+        assert list(columns.rows) == sorted(columns.rows)
+        assert columns.width == other.width
+        assert columns.matrix.shape == other.matrix.shape == (len(columns.rows), columns.width)
+        assert columns.matrix.tobytes() == other.matrix.tobytes()
+    # A companion saved after either equals the one saved for the live table.
+    for name, loaded in (("from_parse.jsonl", parsed), ("from_hit.jsonl", hit)):
+        store_grid(loaded, tmp_path / name)
+        assert _companion(tmp_path / name).read_bytes() == _companion(stored).read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # Differential parse of grid-table files
 # ---------------------------------------------------------------------------

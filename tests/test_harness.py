@@ -1,13 +1,14 @@
 import json
 import random
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from raghpo import harness
+from raghpo import cli, harness
 from raghpo.costs import CostDelta
-from raghpo.dataio import store_grid
+from raghpo.dataio import Dataset, Document, store_dataset, store_grid
 from raghpo.evaluator import GridReplayEvaluator, Objective
 from raghpo.harness import (
     CostLedger,
@@ -472,6 +473,46 @@ def test_load_run_names_a_missing_aggregate_or_header_field(tmp_path):
         load_run(path)
 
 
+@pytest.mark.parametrize(
+    "change, line, message",
+    [
+        (lambda lines: lines + lines[-1:], 11, "a second aggregate row for iteration 3"),
+        (lambda lines: lines[:-1] + [lines[-1].replace('"iteration":3', '"iteration":999')], 10,
+         "aggregate row iteration 999 is outside the run_header's budget 1..3"),
+        (lambda lines: lines[:-3], None, "3 of the run_header's 3 iterations lack an aggregate row"),
+        (lambda lines: lines + lines[:1], 11, "a second run_header row"),
+    ],
+    ids=["repeated-aggregate", "aggregate-past-budget", "no-aggregate", "two-headers"],
+)
+def test_load_run_requires_one_header_and_one_aggregate_row_per_iteration(
+    tmp_path, default_space, change, line, message
+):
+    evaluator, _ = scored_evaluator(default_space)
+    path = tmp_path / "run.jsonl"
+    export_run(run(spec_for(default_space, budget=3, seeds=(1, 2)), evaluator), path)
+    lines = path.read_text().splitlines(keepends=True)
+    assert len(lines) == 10 and '"iteration":3' in lines[-1]
+    path.write_text("".join(change(lines)))
+    where = f"{path}:{line}" if line else str(path)
+    with pytest.raises(ValueError, match=f"^{re.escape(where)}: {re.escape(message)}"):
+        load_run(path)
+
+
+def test_load_run_memory_is_bounded(tmp_path, default_space):
+    evaluator, _ = scored_evaluator(default_space, with_costs=True)
+    path = tmp_path / "run.jsonl"
+    export_run(run(spec_for(default_space, budget=162, seeds=range(1, 21)), evaluator), path)
+    assert path.read_text().count('"kind":"trial"') >= 3000
+    tracemalloc.start()
+    try:
+        record = load_run(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(len(sr.history) for sr in record.seed_runs) == 3240
+    assert peak < 1.5 * held, (peak, held)
+
+
 # ---------------------------------------------------------------------------
 # Suspension
 # ---------------------------------------------------------------------------
@@ -599,7 +640,27 @@ def _export_writer(path, space, version):
     export_run(run(spec_for(space, budget=4, seeds=range(1, version + 1)), evaluator), path)
 
 
-@pytest.mark.parametrize("write", [_grid_writer, _export_writer])
+def _analysis_writer(path, space, version):
+    """``raghpo analyze`` of a grid table and a run export; ``path`` links to its first output."""
+    table, export, out = (path.parent / name for name in ("grid.jsonl", "run.jsonl", "analysis"))
+    if version == 1:
+        _grid_writer(table, space, version)
+        _export_writer(export, space, version)
+        path.symlink_to(out / "extremes.json")
+    args = ["analyze", "--table", str(table), "--run", str(export), "--out", str(out)]
+    assert cli.main([*args, "--split", ("dev", "test")[version - 1]]) == 0
+
+
+def _dataset_writer(path, space, version):
+    """A dataset directory beside ``path``, which links to its first file."""
+    root = path.parent / "dataset"
+    if version == 1:
+        path.symlink_to(root / "manifest.json")
+    dataset = Dataset(corpus=(Document("d0", "text"),), dev=(), test=(), name=f"v{version}")
+    store_dataset(dataset, root)
+
+
+@pytest.mark.parametrize("write", [_grid_writer, _export_writer, _analysis_writer, _dataset_writer])
 def test_write_killed_midway_leaves_previous_file_intact(
     tmp_path, default_space, kill_mid_write, write
 ):
