@@ -3,8 +3,9 @@
 Settings come from an optional JSON run-config file plus flags; flags win.
 Exit codes: 0 on completion, 2 on validation/configuration errors, 3 when a
 live run was suspended by a service outage. Re-running the same command
-resumes: ``grid`` continues its partial table, and both commands are served
-every reply the reply store beside the dataset kept.
+resumes: the reply store beside the dataset, the only durable live state,
+serves every reply it kept, and ``grid`` also keeps the rows of a table it
+finds at ``--out``.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from .dataio import (
     GridTable,
     SamplePlan,
     atomic_write,
-    drop_torn_tail,
-    grid_cell_text,
     load_dataset,
     load_grid,
     sample_dev,
@@ -341,7 +340,6 @@ def cmd_grid(args: argparse.Namespace) -> int:
     out_path = Path(out)
     resuming = out_path.is_file()
     if resuming:
-        drop_torn_tail(out_path)
         table = load_grid(out_path, space)
     else:
         table = GridTable(space_fingerprint=space.fingerprint())
@@ -361,7 +359,13 @@ def _fill_grid(
     splits: list[str],
     metric_arg: str | None,
 ) -> int:
-    """Evaluate every cell of the evaluator's space that its table lacks, into ``out_path``."""
+    """Evaluate every cell of the evaluator's space that its table lacks, into ``out_path``.
+
+    The table is written whole, through :func:`store_grid`: at the start when
+    it is new, on suspension, and at the end. A killed run leaves what the last
+    write left; its progress is in the reply store, so a re-run sends nothing
+    the killed run had committed.
+    """
     space, table = evaluator.space, evaluator.table
     metrics = (
         [m for m in str(metric_arg).split(",") if m]
@@ -381,9 +385,6 @@ def _fill_grid(
     # Ordinals are index-major, so the loop is done with an index once it
     # reaches a cell of the next one, and the evaluator can drop it.
     held = space.config_at(0).index
-    # Each cell's new rows are appended as soon as it is evaluated, so a killed
-    # run keeps them; the table is rewritten in canonical order once, at the end.
-    sink = out_path.open("a", encoding="utf-8")
     try:
         for ordinal in range(space.total_size):
             rag_config = space.config_at(ordinal)
@@ -391,20 +392,14 @@ def _fill_grid(
                 evaluator.release(held)
                 held = rag_config.index
             for split in splits:
-                added = evaluator.fill(rag_config, split, metrics)
-                if added:
+                if evaluator.fill(rag_config, split, metrics):
                     evaluated += 1
-                    sink.write(grid_cell_text(table, ordinal, split, added))
-                    sink.flush()
         evaluator.release(held)
     except ServiceFailure as exc:
-        sink.close()
         store_grid(table, out_path)
         print(f"grid run suspended: {exc}", file=sys.stderr)
         print(f"partial table written to {out_path}; re-run to resume", file=sys.stderr)
         return EXIT_SUSPENDED
-    finally:
-        sink.close()
 
     store_grid(table, out_path)
     if evaluated == 0:

@@ -15,10 +15,8 @@ against. Remaining lines are score rows ``{"ordinal", "split", "metric",
 In memory each (split, metric) is a float matrix over (qid, ordinal).
 :func:`store_grid` emits rows in the canonical order (ordinal, split, metric,
 qid) with canonical JSON, so store(load(x)) is byte-identical for canonical
-files. While a grid is being computed, each cell's rows are appended to the
-file as they are produced (:func:`grid_cell_text`), so an in-progress table
-is in no particular order and may end with a row torn by a killed writer
-(:func:`drop_torn_tail`).
+files. A cost row may repeat, as versions that appended each cell's rows
+wrote it; the last one read wins.
 
 Each grid table is parsed from JSON once. :func:`load_grid` and
 :func:`store_grid` save the in-memory columns beside the table as
@@ -945,49 +943,3 @@ def store_grid(table: GridTable, path: str | Path) -> None:
             write(_cost_line(ordinal, split, table.costs[(ordinal, split)]))
     _save_companion(table, Path(path), digest.hexdigest())
 
-
-def grid_cell_text(
-    table: GridTable, ordinal: int, split: str, rows: Iterable[tuple[GridKey, float]]
-) -> str:
-    """One evaluated cell's rows, to append to a table file: its cost row, then ``rows``.
-
-    The cost row goes first so that a write cut short never keeps a cell's
-    scores without its cost: whatever is lost leaves the cell incomplete, so
-    a resumed run evaluates it again and appends a new cost row, which
-    :func:`load_grid` takes over the earlier one.
-    """
-    parts = [_cost_line(ordinal, split, table.costs[(ordinal, split)])]
-    parts.extend(_score_line(key, score) for key, score in rows)
-    return "".join(parts)
-
-
-def drop_torn_tail(path: str | Path) -> None:
-    """Cut a final line that lacks its newline, left by a writer killed mid-row.
-
-    Every row is written with its newline, so such a line is incomplete; a
-    warning names the file and the bytes dropped. Only the tail is read:
-    the last byte, then blocks backwards to the last newline.
-    """
-    source = Path(path)
-    with source.open("rb+") as fh:
-        size = fh.seek(0, os.SEEK_END)
-        if size == 0:
-            return
-        fh.seek(size - 1)
-        if fh.read(1) == b"\n":
-            return
-        keep, end = 0, size
-        while end > 0:
-            start = max(0, end - (1 << 16))
-            fh.seek(start)
-            cut = fh.read(end - start).rfind(b"\n")
-            if cut >= 0:
-                keep = start + cut + 1
-                break
-            end = start
-        fh.truncate(keep)
-    log.warning(
-        "%s: dropped a torn final line (%d bytes) left by an interrupted write",
-        source,
-        size - keep,
-    )

@@ -5,8 +5,8 @@ seed. Each iteration suggests a configuration, evaluates it on the dev
 split, then evaluates the current dev-best configuration on the test split,
 so generalization can be analyzed per iteration. Token spend is accumulated
 in a cost ledger that charges each distinct index build once; test-side
-evaluation spend is tracked in a separate ledger because the optimization
-cost curves cover optimization-time spend only.
+evaluation spend is not charged, because the optimization cost curves cover
+optimization-time spend only.
 
 A run keeps no state of its own between commands: every optimizer starts
 from its seed, and an evaluator that stores its replies lets a re-run after
@@ -156,26 +156,17 @@ def _aggregate_test_scores(seed_runs: tuple[SeedRun, ...], budget: int) -> tuple
     return tuple(points)
 
 
-class _SeedProgress:
-    """Mutable per-seed state: the optimizer, its history and the seed's ledgers."""
-
-    def __init__(self, spec: RunSpec, seed: int):
-        self.seed = seed
-        self.optimizer: Optimizer = create_optimizer(
-            spec.algorithm, spec.space, seed, **spec.optimizer_options
-        )
-        self.history = TrialHistory()
-        self.iterations: list[IterationRecord] = []
-        self.ledger = CostLedger()
-        self.test_ledger = CostLedger()
-
-
 def _run_seed(spec: RunSpec, evaluator: Evaluator, seed: int) -> SeedRun:
     """Run every iteration of one seed, returning its final record."""
-    progress = _SeedProgress(spec, seed)
+    optimizer: Optimizer = create_optimizer(
+        spec.algorithm, spec.space, seed, **spec.optimizer_options
+    )
+    history = TrialHistory()
+    iterations: list[IterationRecord] = []
+    ledger = CostLedger()
     best_config, best_score = None, None
     for iteration in range(1, spec.budget + 1):
-        suggestion = progress.optimizer.suggest(progress.history)
+        suggestion = optimizer.suggest(history)
         config = suggestion.config
         if suggestion.retrieval_only:
             result = evaluator.evaluate_retrieval_only(config, "dev")
@@ -187,7 +178,7 @@ def _run_seed(spec: RunSpec, evaluator: Evaluator, seed: int) -> SeedRun:
             objective_score, retrieval_score = result.objective_score, None
             driver = DRIVER_OBJECTIVE
         cost = result.cost
-        progress.history.append(
+        history.append(
             Trial(
                 iteration=iteration,
                 config=config,
@@ -197,7 +188,7 @@ def _run_seed(spec: RunSpec, evaluator: Evaluator, seed: int) -> SeedRun:
                 driver=driver,
             )
         )
-        progress.ledger.charge(config.index, cost)
+        ledger.charge(config.index, cost)
 
         if objective_score is not None and (
             best_score is None or objective_score > best_score
@@ -208,26 +199,20 @@ def _run_seed(spec: RunSpec, evaluator: Evaluator, seed: int) -> SeedRun:
             best_ordinal = spec.space.ordinal_of(best_config)
             # A best changes only to a trial not seen before, so its test
             # score is known only while the ordinal stays the same.
-            if progress.iterations and progress.iterations[-1].best_ordinal == best_ordinal:
-                test_score = progress.iterations[-1].test_score_of_best
+            if iterations and iterations[-1].best_ordinal == best_ordinal:
+                test_score = iterations[-1].test_score_of_best
             if test_score is None:
-                test = evaluator.evaluate(best_config, "test", spec.objective)
-                test_score = test.objective_score
-                progress.test_ledger.charge(best_config.index, test.cost)
-        progress.iterations.append(
+                test_score = evaluator.evaluate(best_config, "test", spec.objective).objective_score
+        iterations.append(
             IterationRecord(
                 iteration=iteration,
                 best_dev_score=best_score,
                 best_ordinal=best_ordinal,
                 test_score_of_best=test_score,
-                cost=progress.ledger.snapshot(),
+                cost=ledger.snapshot(),
             )
         )
-    return SeedRun(
-        seed=progress.seed,
-        history=progress.history,
-        iterations=tuple(progress.iterations),
-    )
+    return SeedRun(seed=seed, history=history, iterations=tuple(iterations))
 
 
 def run(spec: RunSpec, evaluator: Evaluator) -> RunRecord:
@@ -241,7 +226,7 @@ def run(spec: RunSpec, evaluator: Evaluator) -> RunRecord:
     Every evaluation is asked of the evaluator, whose score store keeps
     seeds from paying twice: the live backend runs a (config, split) cell
     once and serves later requests for it from its table, and runs it again
-    only while a question lacks a row. Every seed's ledgers are charged the
+    only while a question lacks a row. Every seed's ledger is charged the
     cell's cost as if it had evaluated the configuration itself, so the
     accounted spend does not depend on the reuse; only the spend actually
     sent to the services drops.
@@ -484,10 +469,17 @@ class _RunRows:
         )
 
     def record(self) -> RunRecord:
-        """The run, or the first bad row, gap, repeat or missing aggregate row as a ValueError."""
+        """The run, or the first bad row, gap, repeat, short seed or missing aggregate row
+        as a ValueError."""
         if self.error is not None:
             raise self.error
         seed_runs = tuple(_seed_run(seed, rows) for seed, rows in self.trials.items())
+        for seed_run in seed_runs:
+            if len(seed_run.iterations) != self.spec.budget:
+                raise ValueError(
+                    f"{self.source}: seed {seed_run.seed} holds {len(seed_run.iterations)} "
+                    f"of the run_header's {self.spec.budget} iterations"
+                )
         iterations = range(1, self.spec.budget + 1)
         missing = [i for i in iterations if i not in self.aggregate]
         if missing:
@@ -509,8 +501,9 @@ _ROW_KINDS = {"trial": "trial row", "aggregate": "aggregate row"}
 def load_run(path: str | Path) -> RunRecord:
     """Rebuild a RunRecord from a run export (lossless round-trip), reading it once.
 
-    The export holds exactly one ``run_header`` row and exactly one
-    aggregate row for each iteration from 1 to the budget. Each row becomes
+    The export holds exactly one ``run_header`` row, one trial row per
+    iteration from 1 to the budget for each of its seeds, and exactly one
+    aggregate row for each of those iterations. Each row becomes
     its ``Trial`` and ``IterationRecord`` or its ``AggregatePoint`` as soon
     as it is read under a valid header, so no raw row outlives its line;
     only rows above the header wait for it.
@@ -520,8 +513,8 @@ def load_run(path: str | Path) -> RunRecord:
     is not a JSON object, is of unknown kind, lacks a field or mistypes
     one, has an unsupported format version or is a second header; then a
     missing or bad header; then the first bad row in file order; then a
-    seed whose iterations have a gap or a repeat; then missing aggregate
-    rows.
+    seed whose iterations have a gap or a repeat; then a seed with fewer
+    iterations than the budget; then missing aggregate rows.
     """
     source = Path(path)
     rows: _RunRows | None = None

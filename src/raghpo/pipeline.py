@@ -46,12 +46,12 @@ import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import floor
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .costs import CostDelta
-from .dataio import SPLITS, Dataset, Document, GridKey, GridTable, ScoreSlice
+from .dataio import SPLITS, Dataset, Document, GridKey, GridTable, QaPair, ScoreSlice
 from .evaluator import RETRIEVAL_OBJECTIVE, EvalResult, Objective, StoredScores
 from .metrics import (
     CONTEXT_MRR,
@@ -451,17 +451,20 @@ class JudgeClient(_ServiceClient):
 
 
 class ReplyStore:
-    """Validated ``/embed`` and ``/generate`` replies, keyed on the literal request.
+    """Validated ``/embed``, ``/generate`` and ``/judge`` replies, keyed on the literal request.
 
     One SQLite table, in a file or, without a path, in memory, maps the
     SHA-256 of (route, model, input) to the reply as the client accepted
     it: for a text sent to ``/embed``, its vector's little-endian float64
     bytes; for a prompt sent to ``/generate``, the text, token counts and
-    ``counts_estimated`` flag as JSON. The model name is the model's
-    identity; the endpoint URL is not part of the key. Judge replies and
-    failed calls are never stored. Each ``put_*`` call is one transaction,
-    so a killed process keeps every call that returned to a store file. A
-    store is used by one thread at a time.
+    ``counts_estimated`` flag as JSON; for a (question, answer, gold answer)
+    sent to ``/judge``, encoded as one JSON array, its score as JSON. The
+    model name is the model's identity and the endpoint URL is not part of
+    the key, except for ``/judge``, whose request names no model: there the
+    judge's ``base_url`` stands in for it. Failed calls are never stored.
+    Each ``put_*`` call is one transaction, so a killed process keeps every
+    call that returned to a store file. A store is used by one thread at a
+    time.
     """
 
     _BATCH = 500  # keys per lookup query, below SQLite's bound-parameter limit
@@ -549,6 +552,26 @@ class ReplyStore:
                 json.dumps([r.text, r.input_tokens, r.output_tokens, r.counts_estimated]).encode()
                 for r in results
             ),
+        )
+
+    def judge_scores(
+        self, base_url: str, requests: Sequence[tuple[str, str, str]]
+    ) -> dict[tuple[str, str, str], float]:
+        """The stored score of each (question, answer, gold answer) that has one."""
+        encoded = {json.dumps(request): request for request in requests}
+        return {
+            encoded[text]: float(json.loads(reply))
+            for text, reply in self._get("/judge", base_url, list(encoded)).items()
+        }
+
+    def put_judge_scores(
+        self, base_url: str, requests: Sequence[tuple[str, str, str]], scores: Iterable[float]
+    ) -> None:
+        self._put(
+            "/judge",
+            base_url,
+            [json.dumps(request) for request in requests],
+            (json.dumps(score).encode() for score in scores),
         )
 
 
@@ -692,9 +715,11 @@ class LivePipelineEvaluator(StoredScores):
     without one it opens its own in memory. Nothing is sent that the store
     holds a valid reply for, from this evaluator or from an earlier one
     that shared the store: :meth:`embed` looks up the texts and sends the
-    rest, and :meth:`fill` renders the cell's prompts, looks them up on the
-    calling thread and sends only the rest, then records the new replies in
-    question order.
+    rest, recording each batch as it returns, and :meth:`fill` makes two
+    passes of the same shape, one for the cell's prompts and then one for
+    its judge requests. Each pass looks its requests up on the calling
+    thread, sends only the rest, and records the new replies in question
+    order.
 
     Each evaluation still reports the full embedded-token cost of its index
     (the sum of its chunk lengths) and the token counts of every generation,
@@ -784,18 +809,27 @@ class LivePipelineEvaluator(StoredScores):
         """One row per text: stored rows, and the rest sent once each and stored.
 
         The texts the store lacks go to the embedding client in first-seen
-        order, and their rows are recorded in one transaction. Rows are kept
-        as the service returned them, so an index built from stored rows
-        normalizes exactly the numbers of one built from a fresh reply.
+        order, one ``batch_size`` batch per call, and each batch's rows are
+        recorded as it returns, so an outage in a later batch loses none of
+        the earlier ones. Rows are kept as the service returned them, so an
+        index built from stored rows normalizes exactly the numbers of one
+        built from a fresh reply.
         """
         if not texts:
             return np.zeros((0, 0))
         rows = self.replies.vectors(model, texts)
         missing = [text for text in dict.fromkeys(texts) if text not in rows]
-        if missing:
-            fetched = self.embedder.embed(model, missing)
-            self.replies.put_vectors(model, missing, fetched)
-            rows.update(zip(missing, fetched))
+        size, dim = self.embedder.batch_size, None
+        for start in range(0, len(missing), size):
+            batch = missing[start : start + size]
+            block = self.embedder.embed(model, batch)
+            dim = dim or block.shape[1]
+            if block.shape[1] != dim:
+                raise ServiceFailure(
+                    f"embed reply dimension changed between batches: {dim} then {block.shape[1]}"
+                )
+            self.replies.put_vectors(model, batch, block)
+            rows.update(zip(batch, block))
         picked = [rows[text] for text in texts]
         try:
             return np.stack(picked)
@@ -837,11 +871,12 @@ class LivePipelineEvaluator(StoredScores):
         """Evaluate a cell into the table when any (metric, qid) of its universe lacks a row.
 
         The pipeline runs once for the whole cell, generating answers unless
-        context_mrr is the only metric asked for. Only the missing rows are
-        added, and the cell's cost row is replaced with the spend of this run.
-        A question whose generation or judge call fails keeps the rows it
-        has; when every one fails, nothing is stored and ServiceFailure is
-        raised. Returns the rows added, in the order added.
+        context_mrr is the only metric asked for, and judging every answer
+        when judge_ac is. Only the missing rows are added, and the cell's
+        cost row is replaced with the spend of this run. A question whose
+        generation or judge call fails keeps the rows it has; when every one
+        fails, no row is added and ServiceFailure is raised. Returns the rows
+        added, in the order added.
         """
         if not self.space.contains(config):
             raise ValueError(f"configuration {config.as_dict()} is not in the search space")
@@ -853,60 +888,45 @@ class LivePipelineEvaluator(StoredScores):
         retrieved, embedded_tokens = self._retrieve_all(config, split)
         generated = any(metric != CONTEXT_MRR for metric in metrics)
         judged = JUDGE_AC in metrics
-        model = config.answer.generative_model
-        prompts: list[str] = []
+        results: list[GenerationResult | None] = [None] * len(questions)
+        judge_scores: list[float | None] = [None] * len(questions)
         if generated:
+            model = config.answer.generative_model
             template = self.templates.for_model(model)
             prompts = [
                 template.render(qa.question, [c.text for c in chunks])
                 for qa, chunks in zip(questions, retrieved)
             ]
-        stored = self.replies.generations(model, prompts)
-
-        def answer_one(i: int) -> tuple[GenerationResult | None, float | None]:
-            """Question i's generation and, when judged, its judge score; None for a failed call."""
-            qa = questions[i]
-            result = stored.get(prompts[i])
-            if result is None:
-                try:
-                    result = self.generator.generate(model, prompts[i])
-                except ServiceFailure as exc:
-                    log.warning("generation failed for %s: %s", qa.qid, exc)
-                    return None, None
-            if not judged:
-                return result, None
-            try:
-                return result, self.judge.score(qa.question, result.text, qa.gold_answer)
-            except ServiceFailure as exc:
-                log.warning("judge call failed for %s: %s", qa.qid, exc)
-                return result, None
-
-        # Stored generations are answered here; only calls to a service go to the pool.
-        answers = (
-            [(stored.get(prompt), None) for prompt in prompts]
-            if generated
-            else [(None, None)] * len(questions)
-        )
-        todo = [i for i, prompt in enumerate(prompts) if judged or prompt not in stored]
-        if self.parallelism > 1 and len(todo) > 1:
-            with ThreadPoolExecutor(max_workers=self.parallelism) as pool:
-                fresh = list(pool.map(answer_one, todo))
-        else:
-            fresh = [answer_one(i) for i in todo]
-        for i, answer in zip(todo, fresh):
-            answers[i] = answer
-        new = [i for i in todo if answers[i][0] is not None and prompts[i] not in stored]
-        if new:
-            # Recorded here, in question order, so the store never crosses threads.
-            self.replies.put_generations(
-                model, [prompts[i] for i in new], [answers[i][0] for i in new]
+            results = self._replies(
+                "generation",
+                questions,
+                prompts,
+                self.replies.generations(model, prompts),
+                lambda prompt: self.generator.generate(model, prompt),
+                lambda sent, got: self.replies.put_generations(model, sent, got),
             )
+        if judged:
+            base_url = self.judge.endpoint.base_url
+            answered = [i for i, result in enumerate(results) if result is not None]
+            requests = [
+                (questions[i].question, results[i].text, questions[i].gold_answer) for i in answered
+            ]
+            judged_scores = self._replies(
+                "judge call",
+                [questions[i] for i in answered],
+                requests,
+                self.replies.judge_scores(base_url, requests),
+                lambda request: self.judge.score(*request),
+                lambda sent, got: self.replies.put_judge_scores(base_url, sent, got),
+            )
+            for i, score in zip(answered, judged_scores):
+                judge_scores[i] = score
 
         rows: list[tuple[GridKey, float]] = []
         failed = 0
         input_tokens = 0
         output_tokens = 0
-        for qa, chunks, (result, judge_score) in zip(questions, retrieved, answers):
+        for qa, chunks, result, judge_score in zip(questions, retrieved, results, judge_scores):
             scores = {CONTEXT_MRR: context_correctness_mrr(chunks, qa.gold_doc_ids)}
             if result is not None:
                 # A generation is paid for even when its judge call then fails.
@@ -946,6 +966,43 @@ class LivePipelineEvaluator(StoredScores):
         for metric in {metric for (_, _, metric, _), _ in rows}:
             self._slices[(split, metric)] = self._slice((split, metric))
         return rows
+
+    def _replies(
+        self,
+        what: str,
+        questions: Sequence[QaPair],
+        requests: Sequence,
+        stored: Mapping,
+        send: Callable,
+        record: Callable[[list, list], None],
+    ) -> list:
+        """Each request's reply: the stored one, else ``send``'s, else None for a failed call.
+
+        Only the requests ``stored`` lacks are sent, through the worker pool; a
+        failure is logged against its question. The new replies are passed to
+        ``record`` here, in question order, so the store never crosses threads.
+        """
+        todo = [i for i, request in enumerate(requests) if request not in stored]
+
+        def send_one(i: int):
+            try:
+                return send(requests[i])
+            except ServiceFailure as exc:
+                log.warning("%s failed for %s: %s", what, questions[i].qid, exc)
+                return None
+
+        if self.parallelism > 1 and len(todo) > 1:
+            with ThreadPoolExecutor(max_workers=self.parallelism) as pool:
+                fresh = list(pool.map(send_one, todo))
+        else:
+            fresh = [send_one(i) for i in todo]
+        replies = [stored.get(request) for request in requests]
+        for i, reply in zip(todo, fresh):
+            replies[i] = reply
+        new = [i for i in todo if replies[i] is not None]
+        if new:
+            record([requests[i] for i in new], [replies[i] for i in new])
+        return replies
 
     def evaluate(self, config: RagConfig, split: str, objective: Objective) -> EvalResult:
         """Fill the cell's generated metrics, judge_ac too when the objective asks for it,

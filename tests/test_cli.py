@@ -3,6 +3,7 @@ import itertools
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -23,6 +24,14 @@ from raghpo.searchspace import SearchSpace
 from conftest import fill_table, is_complete, make_document, table_from_config_scores
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+@pytest.fixture(autouse=True)
+def no_stray_temporary_file(tmp_path):
+    """Fail a test that leaves an ``atomic_write`` temporary file, ``.<name>.<pid>.tmp``, behind."""
+    yield
+    stray = [p for p in tmp_path.rglob(".*.tmp") if re.fullmatch(r"\..+\.[0-9]+\.tmp", p.name)]
+    assert stray == [], "an atomic_write temporary file was left behind"
 
 
 @pytest.fixture()
@@ -383,6 +392,26 @@ def test_analyze_run_convergence(tmp_path, fixture_table):
     lines = (out / "convergence.jsonl").read_text().strip().splitlines()
     assert len(lines) == 7
     assert all("mean_test" in line for line in lines)
+
+
+def test_analyze_a_run_export_short_of_a_seed_exits_2_naming_it(tmp_path, fixture_table, capsys):
+    run_path = tmp_path / "run.jsonl"
+    main(["optimize", "--grid", str(fixture_table), "--algo", "random", "--budget", "3",
+          "--seeds", "20", "--out", str(run_path)])
+    lines = run_path.read_text().splitlines(keepends=True)
+    run_path.write_text("".join(line for line in lines if '"seed":20,' not in line))
+    capsys.readouterr()
+    assert main(["analyze", "--run", str(run_path), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    assert f"{run_path}: seed 20 holds 0 of the run_header's 3 iterations" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_write_that_fails_at_its_rename_leaves_no_temporary_file(tmp_path, fixture_table):
+    # A directory where analyze writes extremes.json: the temporary file is
+    # written whole, and replacing the directory with it fails.
+    (tmp_path / "out" / "extremes.json").mkdir(parents=True)
+    with pytest.raises(IsADirectoryError):
+        main(["analyze", "--table", str(fixture_table), "--out", str(tmp_path / "out")])
 
 
 def test_analyze_is_idempotent(tmp_path, fixture_table):
@@ -850,50 +879,132 @@ class _Killed(BaseException):
     """Stands in for the process being killed: nothing in raghpo catches it."""
 
 
-def _grid_killed_after(live_setup, monkeypatch, cells: int) -> bytes:
-    """Run grid from scratch until ``cells`` cells are evaluated, then kill it."""
-    live_setup["grid_path"].unlink(missing_ok=True)
-    original = LivePipelineEvaluator.fill
-    calls = itertools.count()
+def _killed_at(monkeypatch, owner, name: str, calls: int, argv: list[str]) -> None:
+    """Run ``main(argv)`` and kill it at call number ``calls`` (from 0) of ``owner.name``."""
+    original = getattr(owner, name)
+    count = itertools.count()
 
-    def fill(self, *args):
-        if next(calls) == cells:
+    def wrapper(*args):
+        if next(count) == calls:
             raise _Killed
-        return original(self, *args)
+        return original(*args)
 
     with monkeypatch.context() as patch:
-        patch.setattr(LivePipelineEvaluator, "fill", fill)
+        patch.setattr(owner, name, wrapper)
         with pytest.raises(_Killed):
-            main(["grid", "--config", str(live_setup["config_path"])])
-    return live_setup["grid_path"].read_bytes()
+            main(argv)
 
 
-def test_grid_resume_after_kill_mid_write_matches_uninterrupted_run(
-    live_setup, monkeypatch, caplog
+def _judged_config(live_setup, tmp_path) -> Path:
+    """The live config with a judge on the stub as well."""
+    config = json.loads(live_setup["config_path"].read_text())
+    config["endpoints"]["judge"] = config["endpoints"]["generate"]
+    path = tmp_path / "judged.json"
+    path.write_text(json.dumps(config))
+    return path
+
+
+def _answered(stub) -> dict[str, list[str]]:
+    """Each request the stub answered, per route: one entry per embedded text."""
+    return {
+        "/embed": [
+            json.dumps([call["model"], text])
+            for call in stub.calls("/embed")
+            for text in call["texts"]
+        ],
+        "/generate": [json.dumps(call, sort_keys=True) for call in stub.calls("/generate")],
+        "/judge": [json.dumps(call, sort_keys=True) for call in stub.calls("/judge")],
+    }
+
+
+# (what is killed, its call number, how many /judge requests of the killed run
+# came from a cell that had not finished). The grid has 4 cells, judged with
+# 2, 1, 2 and 1 requests: call 4 of JudgeClient.score is the second judge
+# request of the third cell, whose first request was answered.
+KILL_POINTS = {
+    "after 1 cell": (LivePipelineEvaluator, "fill", 1, 0),
+    "after 3 cells": (LivePipelineEvaluator, "fill", 3, 0),
+    "inside a cell's judge pass": (pipeline.JudgeClient, "score", 4, 1),
+}
+
+
+@pytest.mark.parametrize(
+    "owner, name, calls, unfinished", KILL_POINTS.values(), ids=KILL_POINTS.keys()
+)
+def test_grid_rerun_after_kill_matches_uninterrupted_run(
+    live_setup, tmp_path, monkeypatch, owner, name, calls, unfinished
 ):
+    """The reply store is a killed grid run's only progress: the re-run sends no request
+    answered in a cell the killed run finished, and writes the uninterrupted table."""
+    stub, path = live_setup["stub"], live_setup["grid_path"]
+    argv = ["grid", "--config", str(_judged_config(live_setup, tmp_path)),
+            "--metrics", "lexical_ac,faithfulness,context_mrr,judge_ac"]
+    dataset_path = json.loads(live_setup["config_path"].read_text())["dataset"]
+    shutil.copytree(dataset_path, tmp_path / "fresh")
+    reference = tmp_path / "reference.jsonl"
+    assert main(argv + ["--dataset", str(tmp_path / "fresh"), "--out", str(reference)]) == EXIT_OK
+
+    stub.server.calls.clear()
+    _killed_at(monkeypatch, owner, name, calls, argv)
+    killed = _answered(stub)
+    assert all(killed.values())
+    # The table file holds only what the write at the start of the run left.
+    assert path.read_bytes() == reference.read_bytes().splitlines(keepends=True)[0]
+
+    stub.server.calls.clear()
+    assert main(argv) == EXIT_OK
+    rerun = _answered(stub)
+    resent = {route: [r for r in rerun[route] if r in killed[route]] for route in rerun}
+    uncommitted = killed["/judge"][len(killed["/judge"]) - unfinished :]
+    assert resent == {"/embed": [], "/generate": [], "/judge": uncommitted}
+    assert path.read_bytes() == reference.read_bytes()
+
+
+def test_grid_over_a_torn_table_exits_2_naming_its_line(live_setup, capsys):
     path = live_setup["grid_path"]
-    assert main(["grid", "--config", str(live_setup["config_path"])]) == EXIT_OK
-    reference = path.read_bytes()
+    argv = ["grid", "--config", str(live_setup["config_path"])]
+    assert main(argv) == EXIT_OK
+    lines = path.read_bytes().splitlines(keepends=True)
+    # Older versions appended each cell's rows, and a kill could cut the last one.
+    torn = b"".join(lines[:-1]) + lines[-1][:20]
+    path.write_bytes(torn)
+    capsys.readouterr()
+    assert main(argv) == EXIT_VALIDATION
+    assert f"{path}:{len(lines)}:" in capsys.readouterr().err
+    assert path.read_bytes() == torn
 
-    # A killed run keeps the header and every finished cell, appended in order.
-    before = _grid_killed_after(live_setup, monkeypatch, 2)
-    cell = _grid_killed_after(live_setup, monkeypatch, 3)[len(before):]
-    lines = cell.splitlines(keepends=True)
-    assert len(lines) == 7  # the third cell: a cost row and 3 metrics x 2 dev questions
 
-    # Cut the third cell's write at and inside each of its lines.
-    cuts = set()
-    start = 0
-    for line in lines:
-        cuts.update({start, start + 1, start + len(line) // 2, start + len(line) - 1})
-        start += len(line)
-    for cut in sorted(cuts):
-        path.write_bytes(before + cell[:cut])
-        caplog.clear()
-        assert main(["grid", "--config", str(live_setup["config_path"])]) == EXIT_OK
-        assert path.read_bytes() == reference, f"cut at byte {cut}"
-        torn = cut not in {0, *(sum(map(len, lines[:i])) for i in range(len(lines)))}
-        assert ("torn final line" in caplog.text) == torn
+def test_an_embed_outage_in_a_later_batch_keeps_the_earlier_batches(live_setup, tmp_path, capsys):
+    stub = live_setup["stub"]
+    from raghpo.dataio import Dataset, QaPair
+
+    # Four distinct one-chunk documents: one /embed call of four batches of one text.
+    corpus = tuple(make_document(f"d{i}", 8, word=f"w{i}x") for i in range(4))
+    dev = tuple(
+        QaPair(qid=f"q{i}", question=f"about d{i}", gold_answer="w0x0", gold_doc_ids=(f"d{i}",))
+        for i in range(2)
+    )
+    test = (QaPair(qid="t0", question="closing", gold_answer="w1x1", gold_doc_ids=("d1",)),)
+    store_dataset(Dataset(corpus=corpus, dev=dev, test=test), tmp_path / "four")
+    config = json.loads(live_setup["config_path"].read_text())
+    config.update(embed_batch_size=1, dataset=str(tmp_path / "four"))
+    (tmp_path / "batched.json").write_text(json.dumps(config))
+    argv = ["grid", "--config", str(tmp_path / "batched.json")]
+
+    # The first batch is answered; every request after it fails, both attempts of batch 2 too.
+    stub.override("/embed", lambda payload: stub.fail_next("/embed", 1000))
+    assert main(argv) == EXIT_SUSPENDED
+    assert "suspended" in capsys.readouterr().err
+    texts = [doc.text for doc in corpus]
+    assert [call["texts"] for call in stub.calls("/embed")] == [texts[:1]]
+
+    stub.server.overrides.clear()
+    stub.fail_next("/embed", 0)
+    stub.server.calls.clear()
+    assert main(argv) == EXIT_OK
+    sent = [call["texts"] for call in stub.calls("/embed")]
+    assert sent[:3] == [[text] for text in texts[1:]]
+    assert all(texts[0] not in batch for batch in sent)
 
 
 def _vectors(make):
@@ -1100,6 +1211,75 @@ def test_a_failed_generation_is_not_stored_and_costs_one_request_on_rerun(
     # The rerun exports what a run that never failed does, on a store of its own.
     clean = tmp_path / "clean.jsonl"
     assert main(_optimize_argv(live_setup, clean, seeds=1) + ["--dataset", str(tmp_path / "fresh")]) == EXIT_OK
+    assert out.read_bytes() == clean.read_bytes()
+
+
+def _judged_optimize_argv(live_setup, tmp_path, out: Path, dataset: Path | None = None) -> list[str]:
+    argv = ["optimize", "--config", str(_judged_config(live_setup, tmp_path)), "--algo", "random",
+            "--budget", "2", "--seeds", "1", "--objective", "judge_ac", "--out", str(out)]
+    return argv + (["--dataset", str(dataset)] if dataset else [])
+
+
+def test_second_judged_optimize_sends_no_request_and_writes_the_same_export(live_setup, tmp_path):
+    stub, out = live_setup["stub"], tmp_path / "run.jsonl"
+    argv = _judged_optimize_argv(live_setup, tmp_path, out)
+    assert main(argv) == EXIT_OK
+    first = out.read_bytes()
+    assert stub.calls("/judge")
+    stub.server.calls.clear()
+    assert main(argv) == EXIT_OK
+    assert _sent(stub) == {"/embed": [], "/generate": []} and stub.calls("/judge") == []
+    assert out.read_bytes() == first
+
+
+def _fail_first_judge_request_twice_with_500(stub):
+    stub.fail_next("/judge", 2)  # both attempts of the first request
+    return lambda: json.loads(stub.received("/judge")[0][1])
+
+
+def _answer_first_judge_request_with(body):
+    """A ``fail`` that answers the first judge request with ``body``, every time it is sent."""
+
+    def fail(stub):
+        failed = []
+
+        def reply(payload):
+            failed[:] = failed or [payload]
+            return body if payload == failed[0] else None
+
+        stub.override("/judge", reply)
+        return lambda: failed[0]
+
+    return fail
+
+
+@pytest.mark.parametrize(
+    "fail",
+    [
+        _fail_first_judge_request_twice_with_500,
+        _answer_first_judge_request_with({"score": True}),
+        _answer_first_judge_request_with({"score": 1.5}),
+    ],
+    ids=["HTTP 500", "boolean score", "score above 1"],
+)
+def test_a_failed_judge_call_is_not_stored_and_is_resent_once(
+    live_setup, tmp_path, fail
+):
+    stub, out = live_setup["stub"], tmp_path / "run.jsonl"
+    dataset_path = json.loads(live_setup["config_path"].read_text())["dataset"]
+    shutil.copytree(dataset_path, tmp_path / "fresh")
+    argv = _judged_optimize_argv(live_setup, tmp_path, out)
+    failed = fail(stub)
+    assert main(argv) == EXIT_OK
+    failed = failed()
+    stub.server.overrides.clear()
+    stub.server.calls.clear()
+    assert main(argv) == EXIT_OK
+    assert stub.calls("/judge") == [failed]
+    assert _sent(stub) == {"/embed": [], "/generate": []}
+    # The rerun exports what a run that never failed does, on a store of its own.
+    clean = tmp_path / "clean.jsonl"
+    assert main(_judged_optimize_argv(live_setup, tmp_path, clean, tmp_path / "fresh")) == EXIT_OK
     assert out.read_bytes() == clean.read_bytes()
 
 

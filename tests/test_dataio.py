@@ -24,8 +24,6 @@ from raghpo.dataio import (
     SamplePlan,
     atomic_write,
     dataset_content_hash,
-    drop_torn_tail,
-    grid_cell_text,
     load_dataset,
     load_grid,
     sample_dev,
@@ -425,38 +423,20 @@ def test_atomic_write_keeps_previous_file_on_failure(tmp_path):
     assert list(tmp_path.iterdir()) == [target]
 
 
-@pytest.mark.parametrize(
-    "content, kept",
-    [
-        (b"", b""),
-        (b"a\nb\n", b"a\nb\n"),
-        (b"a\nb\n{\"ordinal\":1,", b"a\nb\n"),
-        (b"torn", b""),
-        # Torn tails longer than the block read backwards from the end.
-        pytest.param(b"a\n" + b"x" * 70000, b"a\n", id="long-torn-tail"),
-        pytest.param(b"y" * 140000, b"", id="long-torn-only-line"),
-    ],
-)
-def test_drop_torn_tail_cuts_only_an_unterminated_last_line(tmp_path, caplog, content, kept):
-    path = tmp_path / "g.jsonl"
-    path.write_bytes(content)
-    with caplog.at_level("WARNING"):
-        drop_torn_tail(path)
-    assert path.read_bytes() == kept
-    assert ("torn final line" in caplog.text) == (kept != content)
-
-
 def test_appended_cells_load_with_last_cost_row_winning(tmp_path, tiny_space):
     path = tmp_path / "g.jsonl"
     table = GridTable(space_fingerprint=tiny_space.fingerprint())
     store_grid(table, path)
     table.add_score(0, "dev", LEXICAL_AC, "q0", 0.5)
-    table.set_cost(0, "dev", CostDelta(1, 2, 3))
+    table.set_cost(0, "dev", CostDelta(4, 5, 6))
+    cost = '{"embedded_tokens":%d,"generation_input_tokens":%d,"generation_output_tokens":%d,' \
+        '"kind":"cost","ordinal":0,"split":"dev"}\n'
+    # Older versions appended each evaluated cell, cost row first; a cell
+    # evaluated again after an interrupted write appended a second cost row.
     with path.open("a", encoding="utf-8") as fh:
-        fh.write(grid_cell_text(table, 0, "dev", [((0, "dev", LEXICAL_AC, "q0"), 0.5)]))
-        # The same cell evaluated again after an interrupted write.
-        table.set_cost(0, "dev", CostDelta(4, 5, 6))
-        fh.write(grid_cell_text(table, 0, "dev", []))
+        fh.write(cost % (1, 2, 3))
+        fh.write('{"metric":"lexical_ac","ordinal":0,"qid":"q0","score":0.5,"split":"dev"}\n')
+        fh.write(cost % (4, 5, 6))
     loaded = load_grid(path, tiny_space)
     assert loaded.scores == table.scores
     assert loaded.costs == {(0, "dev"): CostDelta(4, 5, 6)}

@@ -48,6 +48,8 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 class FakeEmbedder:
     """Local stand-in for the embedding service with the same stub vectors."""
 
+    batch_size = 32
+
     def __init__(self):
         self.batches: list[list[str]] = []
 
@@ -1060,7 +1062,7 @@ def test_evaluators_sharing_a_reply_store_send_each_request_once(
     assert {k: v for k, v in second_evaluator.table.scores.items() if k[2] != JUDGE_AC} == (
         first_evaluator.table.scores
     )
-    # Judge replies are not stored: every stored answer is judged again.
+    # The first evaluation judged nothing: every stored answer is judged once.
     assert len(stub_service.calls("/judge")) == len(tiny_dataset.dev)
     store.close()
 
