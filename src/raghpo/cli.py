@@ -617,6 +617,7 @@ def main(argv: list[str] | None = None) -> int:
         GridFormatError,
         FingerprintMismatchError,
         ValueError,
+        OSError,  # a file that cannot be read or written; its message names the path
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

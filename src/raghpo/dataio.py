@@ -425,7 +425,6 @@ class SampleOutcome:
     sampled_qids: tuple[str, ...]
     gold_doc_ids: tuple[str, ...]
     noise_doc_ids: tuple[str, ...]
-    noise_requested: int
     noise_shortfall: int
 
 
@@ -478,7 +477,6 @@ def sample_dev(dataset: Dataset, plan: SamplePlan) -> SampleOutcome:
         sampled_qids=tuple(qa.qid for qa in sampled),
         gold_doc_ids=tuple(gold_ids),
         noise_doc_ids=tuple(sorted(noise_ids)),
-        noise_requested=requested,
         noise_shortfall=shortfall,
     )
 

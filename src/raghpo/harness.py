@@ -41,15 +41,6 @@ log = logging.getLogger(__name__)
 RUN_FORMAT_VERSION = 1
 
 
-@dataclass(frozen=True)
-class CostTotals:
-    """A ledger snapshot: cumulative token counts up to some iteration."""
-
-    embedded_tokens: int = 0
-    generation_input_tokens: int = 0
-    generation_output_tokens: int = 0
-
-
 class CostLedger:
     """Accumulates token spend across evaluations, charging each index once."""
 
@@ -67,12 +58,13 @@ class CostLedger:
         self._gen_in += cost.generation_input_tokens
         self._gen_out += cost.generation_output_tokens
 
-    def snapshot(self) -> CostTotals:
+    def snapshot(self) -> CostDelta:
         return self.totals
 
     @property
-    def totals(self) -> CostTotals:
-        return CostTotals(self._embedded, self._gen_in, self._gen_out)
+    def totals(self) -> CostDelta:
+        """Cumulative token counts so far."""
+        return CostDelta(self._embedded, self._gen_in, self._gen_out)
 
 
 @dataclass(frozen=True)
@@ -83,7 +75,7 @@ class IterationRecord:
     best_dev_score: float | None
     best_ordinal: int | None
     test_score_of_best: float | None
-    cost: CostTotals
+    cost: CostDelta  # cumulative: the ledger's totals after this iteration
 
 
 @dataclass(frozen=True)
@@ -327,7 +319,7 @@ def _parse_trial_row(space: SearchSpace, row: dict) -> tuple[Trial, IterationRec
         best_dev_score=row["best_dev"],
         best_ordinal=row["best_ordinal"],
         test_score_of_best=row["test_of_best"],
-        cost=CostTotals(
+        cost=CostDelta(
             embedded_tokens=row["cum_embedded_tokens"],
             generation_input_tokens=row["cum_generation_input_tokens"],
             generation_output_tokens=row["cum_generation_output_tokens"],

@@ -186,11 +186,6 @@ class VectorIndex:
         return len(self._chunks)
 
     @property
-    def dim(self) -> int:
-        """Vector dimension; 0 for an empty index."""
-        return self._unit.shape[1]
-
-    @property
     def chunks(self) -> tuple[Chunk, ...]:
         return self._chunks
 
@@ -361,7 +356,11 @@ def _excerpt(body: bytes) -> str:
 
 
 class EmbeddingClient(_ServiceClient):
-    """Batched embedding requests against the ``/embed`` route."""
+    """Embedding requests against the ``/embed`` route.
+
+    ``batch_size`` is the most texts a caller should put in one request;
+    :class:`LivePipelineEvaluator` splits its texts by it.
+    """
 
     def __init__(self, endpoint: ServiceEndpoint, batch_size: int = 32):
         if batch_size < 1:
@@ -370,34 +369,26 @@ class EmbeddingClient(_ServiceClient):
         self.batch_size = batch_size
 
     def embed(self, model: str, texts: Sequence[str]) -> np.ndarray:
-        """One row per text; rejects ragged, empty or non-finite vectors and mixed dimensions."""
+        """One row per text, from one request of exactly ``texts``; rejects a reply
+        with the wrong count of vectors or with ragged, empty or non-finite ones."""
         if not texts:
             return np.zeros((0, 0))
-        blocks: list[np.ndarray] = []
-        for start in range(0, len(texts), self.batch_size):
-            batch = list(texts[start : start + self.batch_size])
-            reply = self._post("/embed", {"model": model, "texts": batch})
-            got = reply.get("vectors")
-            if not isinstance(got, list) or len(got) != len(batch):
-                raise ServiceFailure(
-                    f"embed reply has {len(got) if isinstance(got, list) else 'no'} "
-                    f"vectors for a batch of {len(batch)}"
-                )
-            try:
-                block = np.asarray(got, dtype=np.float64)
-            except (TypeError, ValueError):
-                raise ServiceFailure("embed reply vectors are ragged or not numeric") from None
-            if block.ndim != 2 or block.shape[1] == 0:
-                raise ServiceFailure("embed reply vectors are ragged or empty")
-            if blocks and block.shape[1] != blocks[0].shape[1]:
-                raise ServiceFailure(
-                    f"embed reply dimension changed between batches: "
-                    f"{blocks[0].shape[1]} then {block.shape[1]}"
-                )
-            if not np.isfinite(block).all():
-                raise ServiceFailure("embed reply vectors contain NaN or infinite values")
-            blocks.append(block)
-        return np.concatenate(blocks)
+        reply = self._post("/embed", {"model": model, "texts": list(texts)})
+        got = reply.get("vectors")
+        if not isinstance(got, list) or len(got) != len(texts):
+            raise ServiceFailure(
+                f"embed reply has {len(got) if isinstance(got, list) else 'no'} "
+                f"vectors for a batch of {len(texts)}"
+            )
+        try:
+            block = np.asarray(got, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ServiceFailure("embed reply vectors are ragged or not numeric") from None
+        if block.ndim != 2 or block.shape[1] == 0:
+            raise ServiceFailure("embed reply vectors are ragged or empty")
+        if not np.isfinite(block).all():
+            raise ServiceFailure("embed reply vectors contain NaN or infinite values")
+        return block
 
 
 @dataclass(frozen=True)
@@ -659,7 +650,9 @@ def build_index(
 
     ``chunks``, when given, is the corpus already cut with the config's size
     and overlap, and the corpus is not chunked again. The cost basis is the
-    sum of chunk token lengths, one vector per chunk.
+    sum of chunk token lengths, one vector per chunk. A bare
+    :class:`EmbeddingClient` gets every chunk in one request; the live
+    evaluator batches and stores them.
     """
     if chunks is None:
         chunks = chunk_corpus(corpus, index_config.chunk_size, index_config.chunk_overlap)
@@ -704,7 +697,10 @@ class LivePipelineEvaluator(StoredScores):
       indexes of every embedding model share that chunk list;
     * each distinct (embedding model, text) is sent to the embedding service
       once; chunk texts that recur across indexes and every split's
-      questions are served from the reply store.
+      questions are served from the reply store;
+    * each embedding model keeps the vector dimension of the first row the
+      evaluator sees, stored or fresh, and chunk and question rows alike
+      are held to it.
 
     An index is built once per IndexConfig, and retrieval is run once per
     (IndexConfig, top_k, split), since it does not depend on the generative
@@ -772,6 +768,7 @@ class LivePipelineEvaluator(StoredScores):
         self._retrieved: dict[
             tuple[IndexConfig, int, str], tuple[tuple[RetrievedChunk, ...], ...]
         ] = {}
+        self._dims: dict[str, int] = {}  # each embedding model's vector dimension
 
     def _slice(self, key: tuple[str, str]) -> ScoreSlice:
         return self.table.slice(*key, self.space.total_size, qids=self._universes[key])
@@ -811,39 +808,43 @@ class LivePipelineEvaluator(StoredScores):
         The texts the store lacks go to the embedding client in first-seen
         order, one ``batch_size`` batch per call, and each batch's rows are
         recorded as it returns, so an outage in a later batch loses none of
-        the earlier ones. Rows are kept as the service returned them, so an
-        index built from stored rows normalizes exactly the numbers of one
-        built from a fresh reply.
+        the earlier ones. Every stored row, and every batch before it is
+        recorded, must have the model's dimension (:meth:`_check_dimension`).
+        Rows are kept as the service returned them, so an index built from
+        stored rows normalizes exactly the numbers of one built from a fresh
+        reply.
         """
         if not texts:
             return np.zeros((0, 0))
         rows = self.replies.vectors(model, texts)
+        for dim in dict.fromkeys(map(len, rows.values())):
+            self._check_dimension(model, dim)
         missing = [text for text in dict.fromkeys(texts) if text not in rows]
-        size, dim = self.embedder.batch_size, None
+        size = self.embedder.batch_size
         for start in range(0, len(missing), size):
             batch = missing[start : start + size]
             block = self.embedder.embed(model, batch)
-            dim = dim or block.shape[1]
-            if block.shape[1] != dim:
-                raise ServiceFailure(
-                    f"embed reply dimension changed between batches: {dim} then {block.shape[1]}"
-                )
+            self._check_dimension(model, block.shape[1])
             self.replies.put_vectors(model, batch, block)
             rows.update(zip(batch, block))
-        picked = [rows[text] for text in texts]
-        try:
-            return np.stack(picked)
-        except ValueError:  # rows from separate replies differ in dimension
-            dims = list(dict.fromkeys(len(row) for row in picked))
-            raise self._dimension_failure(
-                f"embed reply dimension changed between batches: {dims[0]} then {dims[1]}"
-            ) from None
+        return np.stack([rows[text] for text in texts])
 
-    def _dimension_failure(self, message: str) -> ServiceFailure:
-        """``message`` as a ServiceFailure, naming the store file the rows may come from."""
-        if self.replies.path is not None:
-            message += f" (rows may come from {self.replies.path}; delete it if the service changed)"
-        return ServiceFailure(message)
+    def _check_dimension(self, model: str, dim: int) -> None:
+        """Hold ``model``'s vectors to the dimension of the first one this evaluator saw.
+
+        Any other dimension is a ServiceFailure naming the model, both
+        dimensions and the store file, if any, that the rows may come from.
+        """
+        first = self._dims.setdefault(model, dim)
+        if dim != first:
+            message = (
+                f"embedding model {model!r} vectors are {dim}-dimensional "
+                f"after {first}-dimensional ones"
+            )
+            store = self.replies.path
+            if store is not None:
+                message += f" (rows may come from {store}; delete it if the service changed)"
+            raise ServiceFailure(message)
 
     def _retrieve_all(
         self, config: RagConfig, split: str
@@ -852,14 +853,9 @@ class LivePipelineEvaluator(StoredScores):
         key = (config.index, config.answer.top_k, split)
         retrieved = self._retrieved.get(key)
         if retrieved is None:
-            model = config.index.embedding_model
-            query_vectors = self.embed(model, [qa.question for qa in self.dataset.split(split)])
-            if len(index) and len(query_vectors) and query_vectors.shape[1] != index.dim:
-                raise self._dimension_failure(
-                    f"embedding model {model!r} returned "
-                    f"{query_vectors.shape[1]}-dimensional question vectors for a "
-                    f"{index.dim}-dimensional index"
-                )
+            query_vectors = self.embed(
+                config.index.embedding_model, [qa.question for qa in self.dataset.split(split)]
+            )
             retrieved = self._retrieved[key] = tuple(
                 tuple(index.search(vector, config.answer.top_k)) for vector in query_vectors
             )

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import importlib.util
 import inspect
+from math import ceil
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,12 @@ import pytest
 from raghpo import harness
 from raghpo.evaluator import EvalResult, Evaluator, GridReplayEvaluator, Objective
 from raghpo.optimizers import ALGORITHMS, create_optimizer
-from raghpo.pipeline import EmbeddingClient, LivePipelineEvaluator
+from raghpo.pipeline import (
+    EmbeddingClient,
+    GenerationClient,
+    LivePipelineEvaluator,
+    ServiceEndpoint,
+)
 from raghpo.searchspace import SearchSpace
 
 from conftest import table_from_config_scores
@@ -120,3 +126,33 @@ def test_both_evaluators_satisfy_the_evaluator_protocol(backend):
     for name in members:
         expected = list(inspect.signature(getattr(Evaluator, name)).parameters)
         assert list(inspect.signature(getattr(backend, name)).parameters) == expected
+
+
+def test_live_embed_calls_send_at_most_one_batch(
+    stub_service, tiny_dataset, tiny_space, monkeypatch
+):
+    # tracer.py counts ceil(len(texts) / client.batch_size) requests per
+    # EmbeddingClient.embed call, which is the service's /embed count only
+    # while no call holds more than batch_size texts.
+    calls = []
+    embed = EmbeddingClient.embed
+
+    def recording_embed(client, model, texts):
+        calls.append((len(texts), client.batch_size))
+        return embed(client, model, texts)
+
+    monkeypatch.setattr(EmbeddingClient, "embed", recording_embed)
+    endpoint = ServiceEndpoint(stub_service.base_url, timeout=5.0)
+    evaluator = LivePipelineEvaluator(
+        dataset=tiny_dataset,
+        space=tiny_space,
+        embedder=EmbeddingClient(endpoint, batch_size=2),
+        generator=GenerationClient(endpoint),
+    )
+    for ordinal in range(tiny_space.total_size):
+        for split in ("dev", "test"):
+            evaluator.evaluate_retrieval_only(tiny_space.config_at(ordinal), split)
+    assert max(n for n, _ in calls) == 2
+    assert all(n <= batch_size for n, batch_size in calls)
+    batches = sum(ceil(n / batch_size) for n, batch_size in calls)
+    assert batches == len(stub_service.calls("/embed"))

@@ -406,12 +406,32 @@ def test_analyze_a_run_export_short_of_a_seed_exits_2_naming_it(tmp_path, fixtur
     assert not (tmp_path / "out").exists()
 
 
-def test_a_write_that_fails_at_its_rename_leaves_no_temporary_file(tmp_path, fixture_table):
+def test_a_write_that_fails_at_its_rename_leaves_no_temporary_file(
+    tmp_path, fixture_table, capsys
+):
     # A directory where analyze writes extremes.json: the temporary file is
     # written whole, and replacing the directory with it fails.
-    (tmp_path / "out" / "extremes.json").mkdir(parents=True)
-    with pytest.raises(IsADirectoryError):
-        main(["analyze", "--table", str(fixture_table), "--out", str(tmp_path / "out")])
+    target = tmp_path / "out" / "extremes.json"
+    target.mkdir(parents=True)
+    assert main(["analyze", "--table", str(fixture_table), "--out", str(tmp_path / "out")]) == (
+        EXIT_VALIDATION
+    )
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(target) in err
+
+
+def test_sample_from_a_dataset_without_its_corpus_exits_2_naming_it(
+    tmp_path, dataset_dir, capsys
+):
+    (dataset_dir / "corpus.jsonl").unlink()
+    argv = ["sample", "--dataset", str(dataset_dir), "--out", str(tmp_path / "sampled"),
+            "--fraction", "0.5", "--noise", "2", "--seed", "11"]
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(dataset_dir / "corpus.jsonl") in err
+    assert not (tmp_path / "sampled").exists()
 
 
 def test_analyze_is_idempotent(tmp_path, fixture_table):
@@ -1025,13 +1045,13 @@ SUSPENDING_REPLIES = {
     "embed dimension changes between batches": (
         "/embed",
         _vectors(lambda i, t, n: [1.0] * (2 + t.startswith("tok8"))),
-        "changed between batches",
+        "vectors are 3-dimensional after 2-dimensional ones",
         1,
     ),
     "question dimension differs from index": (
         "/embed",
         _vectors(lambda i, t, n: [1.0, 0.5] if t.startswith(("about", "closing")) else [0.5] * 8),
-        "2-dimensional question vectors",
+        "vectors are 2-dimensional after 8-dimensional ones",
         4,
     ),
     "generate not json": (

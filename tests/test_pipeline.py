@@ -1,8 +1,10 @@
+import contextlib
 import gc
 import json
 import math
 import random
 import socket
+import sqlite3
 import threading
 import time
 import weakref
@@ -320,15 +322,6 @@ def _endpoint(service, **kwargs) -> ServiceEndpoint:
     return ServiceEndpoint(**defaults)
 
 
-def test_embedding_client_batches_requests(stub_service):
-    client = EmbeddingClient(_endpoint(stub_service), batch_size=2)
-    texts = [f"text {i}" for i in range(5)]
-    vectors = client.embed("emb-model", texts)
-    assert vectors.shape == (5, 8)
-    assert len(stub_service.calls("/embed")) == 3
-    np.testing.assert_allclose(vectors[3], stub_vector("text 3"))
-
-
 def _vectors(make):
     """An /embed reply with ``make(i, text)`` as the vector of each text."""
     return lambda payload: {"vectors": [make(i, t) for i, t in enumerate(payload["texts"])]}
@@ -341,8 +334,6 @@ BAD_EMBED_REPLIES = {
     "empty": _vectors(lambda i, t: []),
     "nan": _vectors(lambda i, t: [float("nan"), 1.0]),
     "infinite": _vectors(lambda i, t: [float("inf"), 1.0]),
-    # "text 0" and "text 1" form the first batch of two, "text 2" and "text 3" the second.
-    "dimension changes between batches": _vectors(lambda i, t: [1.0] * (2 + int(t[-1]) // 2)),
 }
 
 
@@ -731,7 +722,7 @@ def test_live_question_dimension_must_match_index(stub_service, tiny_dataset):
         "/embed",
         _vectors(lambda i, t: [1.0, 0.0, 0.0] if t in questions else stub_vector(t)),
     )
-    with pytest.raises(ServiceFailure, match="3-dimensional question vectors for a 8-dimensional"):
+    with pytest.raises(ServiceFailure, match="3-dimensional after 8-dimensional"):
         _live(stub_service, tiny_dataset).evaluate_retrieval_only(_config(), "dev")
 
 
@@ -954,10 +945,57 @@ def test_stored_rows_of_different_dimensions_are_a_service_failure(stub_service,
     stub_service.override("/embed", reply)
     evaluator = _live(stub_service, _shared_text_dataset(), tiny_space)
     evaluator.evaluate_retrieval_only(RagConfig.from_values(4, 0.0, "emb-a", 1, "gen-a"), "dev")
-    with pytest.raises(ServiceFailure, match="changed between batches: 8 then 4"):
+    with pytest.raises(
+        ServiceFailure, match="'emb-a' vectors are 4-dimensional after 8-dimensional"
+    ):
         evaluator.evaluate_retrieval_only(
             RagConfig.from_values(8, 0.0, "emb-a", 1, "gen-a"), "dev"
         )
+
+
+def test_live_embed_sends_unstored_texts_once_in_batches_of_batch_size(
+    stub_service, tiny_dataset
+):
+    replies = ReplyStore()
+    replies.put_vectors("emb", ["stored"], np.asarray([stub_vector("stored")]))
+    evaluator = LivePipelineEvaluator(
+        dataset=tiny_dataset,
+        space=SearchSpace.default(),
+        embedder=EmbeddingClient(_endpoint(stub_service), batch_size=2),
+        generator=GenerationClient(_endpoint(stub_service)),
+        replies=replies,
+    )
+    texts = ["t0", "t1", "stored", "t2", "t1", "t3", "t4"]
+    vectors = evaluator.embed("emb", texts)
+    assert [call["texts"] for call in stub_service.calls("/embed")] == [
+        ["t0", "t1"], ["t2", "t3"], ["t4"]
+    ]
+    np.testing.assert_array_equal(vectors, [stub_vector(t) for t in texts])
+
+
+def test_a_fresh_batch_of_another_dimension_is_not_stored(stub_service, tiny_space, tmp_path):
+    path = tmp_path / "replies.sqlite3"
+    replies = ReplyStore(path)
+    dataset = _shared_text_dataset()
+    _live(stub_service, dataset, tiny_space, replies=replies).evaluate_retrieval_only(
+        RagConfig.from_values(4, 0.0, "emb-a", 1, "gen-a"), "dev"
+    )
+
+    def stored_rows() -> int:
+        with contextlib.closing(sqlite3.connect(path)) as db:
+            return db.execute("SELECT COUNT(*) FROM replies").fetchone()[0]
+
+    before = stored_rows()
+    sent = len(stub_service.calls("/embed"))
+    # The service now embeds in 3 dimensions; the next index shares stored 8-dimensional rows.
+    stub_service.override("/embed", _vectors(lambda i, t: [1.0, 0.5, 0.25]))
+    evaluator = _live(stub_service, dataset, tiny_space, replies=replies)
+    with pytest.raises(ServiceFailure, match="3-dimensional after 8-dimensional") as failure:
+        evaluator.evaluate_retrieval_only(RagConfig.from_values(8, 0.0, "emb-a", 1, "gen-a"), "dev")
+    assert str(path) in str(failure.value)
+    assert len(stub_service.calls("/embed")) == sent + 1
+    assert stored_rows() == before
+    replies.close()
 
 
 def test_failed_judge_call_excludes_the_question_and_keeps_its_cost(
