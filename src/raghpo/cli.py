@@ -70,9 +70,9 @@ def _load_config(path: str | None) -> dict:
 
 
 def _convert(key: str, value, kind: type):
-    """``kind(value)`` for a numeric setting, or a CliError that names ``key``."""
+    """:func:`~raghpo.dataio.number_setting` of ``value``, or a CliError that names ``key``."""
     try:
-        return kind(value)
+        return dataio.number_setting(value, kind)
     except (TypeError, ValueError):
         raise CliError(f"{key}: expected {kind.__name__}, got {value!r}") from None
 
@@ -108,7 +108,7 @@ def _load_space(value) -> SearchSpace:
 
 
 def _parse_seeds(value) -> tuple[int, ...]:
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return tuple(range(1, value + 1))
     if isinstance(value, str):
         parts = [_convert("seeds", p, int) for p in value.split(",") if p]

@@ -20,14 +20,16 @@ class CostDelta:
     generation_output_tokens: int = 0
 
     def __post_init__(self) -> None:
-        for name in (
-            "embedded_tokens",
-            "generation_input_tokens",
-            "generation_output_tokens",
-        ):
-            value = getattr(self, name)
-            if value < 0:
-                raise ValueError(f"{name} must be non-negative, got {value}")
+        if self.embedded_tokens < 0:
+            raise ValueError(f"embedded_tokens must be non-negative, got {self.embedded_tokens}")
+        if self.generation_input_tokens < 0:
+            raise ValueError(
+                f"generation_input_tokens must be non-negative, got {self.generation_input_tokens}"
+            )
+        if self.generation_output_tokens < 0:
+            raise ValueError(
+                f"generation_output_tokens must be non-negative, got {self.generation_output_tokens}"
+            )
 
     def as_dict(self) -> dict:
         return {

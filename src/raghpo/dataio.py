@@ -227,6 +227,22 @@ def read_json_object(path: Path, error: type[Exception]) -> dict:
     return document
 
 
+def number_setting(value, kind: type[int] | type[float]) -> int | float:
+    """``kind(value)`` for a numeric setting, refusing what it would change silently.
+
+    A boolean, a number with a fractional part where ``kind`` is int, or a
+    value ``kind`` cannot convert raises ValueError or TypeError.
+    """
+    if isinstance(value, bool) or (
+        kind is int and isinstance(value, float) and not value.is_integer()
+    ):
+        raise ValueError(value)
+    try:
+        return kind(value)
+    except OverflowError:  # an integer too large for a float
+        raise ValueError(value) from None
+
+
 def _require(record: dict, key: str, path: Path, lineno: int) -> object:
     if key not in record:
         raise DatasetFormatError(f"{path}:{lineno}: missing required field {key!r}")
@@ -596,7 +612,6 @@ class GridTable:
 
     space_fingerprint: str
     costs: dict[tuple[int, str], CostDelta] = field(default_factory=dict)
-    format_version: int = GRID_FORMAT_VERSION
     _columns: dict[tuple[str, str], _Columns] = field(
         default_factory=dict, init=False, repr=False
     )
@@ -831,7 +846,7 @@ def _save_companion(table: GridTable, source: Path, table_sha256: str) -> None:
         columns.append([split, metric, col.width, qids])
     manifest = {
         "companion_version": COMPANION_VERSION,
-        "format_version": table.format_version,
+        "format_version": GRID_FORMAT_VERSION,
         "table_sha256": table_sha256,
         "space_fingerprint": table.space_fingerprint,
         "columns": columns,
@@ -929,7 +944,7 @@ def store_grid(table: GridTable, path: str | Path) -> None:
         write(
             _dump_canonical(
                 {
-                    "format_version": table.format_version,
+                    "format_version": GRID_FORMAT_VERSION,
                     "space_fingerprint": table.space_fingerprint,
                 }
             )

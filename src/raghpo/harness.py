@@ -328,19 +328,6 @@ def _parse_trial_row(space: SearchSpace, row: dict) -> tuple[Trial, IterationRec
     return trial, record
 
 
-def _seed_run(seed: int, rows: list[tuple[str, Trial, IterationRecord]]) -> SeedRun:
-    """One seed's rows in iteration order; a gap or a repeat names its row's ``path:line``."""
-    history = TrialHistory()
-    iterations = []
-    for where, trial, record in sorted(rows, key=lambda row: row[1].iteration):
-        try:
-            history.append(trial)
-        except ValueError as exc:
-            raise ValueError(f"{where}: seed {seed}: {exc}") from None
-        iterations.append(record)
-    return SeedRun(seed=seed, history=history, iterations=tuple(iterations))
-
-
 _OPTIONAL_NUMBER = (int, float, type(None))
 
 #: Field types of the rows of a run export and of a trial row's nested cost
@@ -410,141 +397,105 @@ def export_run(record: RunRecord, path: str | Path) -> None:
             )
 
 
-class _RunRows:
-    """The trial and aggregate rows of a run export, each converted as it is read under its header."""
-
-    def __init__(self, source: Path, spec: RunSpec):
-        self.source, self.spec = source, spec
-        self.trials: dict[int, list[tuple[str, Trial, IterationRecord]]] = {
-            seed: [] for seed in spec.seeds
-        }
-        self.aggregate: dict[int, AggregatePoint] = {}
-        self.error: ValueError | None = None  # the first bad row, in file order
-
-    def add(self, where: str, kind: str, row: dict) -> None:
-        """Convert a row whose fields are checked; a bad one is kept as ``error`` if it is the first."""
-        if self.error is None:
-            try:
-                (self._add_trial if kind == "trial" else self._add_aggregate)(where, row)
-            except ValueError as exc:
-                self.error = exc
-
-    def _add_trial(self, where: str, row: dict) -> None:
-        rows = self.trials.get(row["seed"])
-        if rows is None:
-            raise ValueError(
-                f"{where}: trial row seed {row['seed']} is not one of "
-                f"the run_header's seeds {list(self.spec.seeds)}"
-            )
-        if row["iteration"] > self.spec.budget:
-            raise ValueError(
-                f"{where}: trial row iteration {row['iteration']} exceeds "
-                f"the run_header's budget {self.spec.budget}"
-            )
-        try:
-            parsed = _parse_trial_row(self.spec.space, row)
-        except (IndexError, TypeError, ValueError) as exc:  # ordinal range, cost keys and signs
-            raise ValueError(f"{where}: bad trial row: {exc}") from None
-        rows.append((where, *parsed))
-
-    def _add_aggregate(self, where: str, row: dict) -> None:
-        iteration = row["iteration"]
-        if not 1 <= iteration <= self.spec.budget:
-            raise ValueError(
-                f"{where}: aggregate row iteration {iteration} is outside "
-                f"the run_header's budget 1..{self.spec.budget}"
-            )
-        if iteration in self.aggregate:
-            raise ValueError(f"{where}: a second aggregate row for iteration {iteration}")
-        self.aggregate[iteration] = AggregatePoint(
-            iteration=iteration, mean_test=row["mean_test"], se_test=row["se_test"], n=row["n"]
-        )
-
-    def record(self) -> RunRecord:
-        """The run, or the first bad row, gap, repeat, short seed or missing aggregate row
-        as a ValueError."""
-        if self.error is not None:
-            raise self.error
-        seed_runs = tuple(_seed_run(seed, rows) for seed, rows in self.trials.items())
-        for seed_run in seed_runs:
-            if len(seed_run.iterations) != self.spec.budget:
-                raise ValueError(
-                    f"{self.source}: seed {seed_run.seed} holds {len(seed_run.iterations)} "
-                    f"of the run_header's {self.spec.budget} iterations"
-                )
-        iterations = range(1, self.spec.budget + 1)
-        missing = [i for i in iterations if i not in self.aggregate]
-        if missing:
-            raise ValueError(
-                f"{self.source}: {len(missing)} of the run_header's {self.spec.budget} "
-                f"iterations lack an aggregate row, the first is iteration {missing[0]}"
-            )
-        return RunRecord(
-            spec=self.spec,
-            seed_runs=seed_runs,
-            aggregate=tuple(self.aggregate[i] for i in iterations),
-        )
-
-
 #: The kind of each row that follows the header, as :data:`_ROW_FIELDS` names it.
 _ROW_KINDS = {"trial": "trial row", "aggregate": "aggregate row"}
 
 
 def load_run(path: str | Path) -> RunRecord:
-    """Rebuild a RunRecord from a run export (lossless round-trip), reading it once.
+    """Rebuild a RunRecord from a run export (lossless round-trip), reading it once in file order.
 
-    The export holds exactly one ``run_header`` row, one trial row per
-    iteration from 1 to the budget for each of its seeds, and exactly one
-    aggregate row for each of those iterations. Each row becomes
-    its ``Trial`` and ``IterationRecord`` or its ``AggregatePoint`` as soon
-    as it is read under a valid header, so no raw row outlives its line;
-    only rows above the header wait for it.
+    The export is the layout :func:`export_run` writes: the ``run_header``
+    row first, then each seed's trial rows for iterations 1 to the budget in
+    order, and exactly one aggregate row per iteration. Each trial row is
+    appended to its seed's history as it is read, so no raw row outlives
+    its line.
 
-    A malformed file is a ValueError that names ``path`` and, for a bad
-    row, its line. The error raised is, in this order: the first line that
-    is not a JSON object, is of unknown kind, lacks a field or mistypes
-    one, has an unsupported format version or is a second header; then a
-    missing or bad header; then the first bad row in file order; then a
-    seed whose iterations have a gap or a repeat; then a seed with fewer
-    iterations than the budget; then missing aggregate rows.
+    A malformed file is a ValueError naming ``path`` and, for a bad row, its
+    line: the first bad line in file order, else a missing header, a seed
+    short of the budget or missing aggregate rows, in that order.
     """
     source = Path(path)
-    rows: _RunRows | None = None
-    held: list[tuple[str, str, dict]] = []  # rows read before the run_header
-    header_line, header_error = 0, None
-    for lineno, record in _read_jsonl(source, ValueError):
-        kind = record.get("kind")
+    spec: RunSpec | None = None
+    seeds: dict[int, tuple[TrialHistory, list[IterationRecord]]] = {}
+    aggregate: dict[int, AggregatePoint] = {}
+    for lineno, row in _read_jsonl(source, ValueError):
+        kind = row.get("kind")
         where = f"{source}:{lineno}"
         if kind == "run_header":
-            if header_line:
-                raise ValueError(f"{where}: a second run_header row (the first is line {header_line})")
-            if record.get("format_version") != RUN_FORMAT_VERSION:
+            if spec is not None:
+                raise ValueError(f"{where}: a second run_header row")
+            if row.get("format_version") != RUN_FORMAT_VERSION:
                 raise ValueError(
-                    f"{where}: unsupported run format_version {record.get('format_version')!r}"
+                    f"{where}: unsupported run format_version {row.get('format_version')!r}"
                 )
-            header_line = lineno
             try:
-                rows = _RunRows(source, _spec_from_header(record))
+                spec = _spec_from_header(row)
             except KeyError as exc:
-                header_error = ValueError(f"{where}: run_header lacks field {exc}")
+                raise ValueError(f"{where}: run_header lacks field {exc}") from None
             except (TypeError, ValueError) as exc:
-                header_error = ValueError(f"{where}: bad run_header: {exc}")
-            else:
-                for held_row in held:
-                    rows.add(*held_row)
-            held = []
-        elif kind in _ROW_KINDS:
-            _check_fields(record, _ROW_KINDS[kind], where)
-            if kind == "trial":
-                _check_fields(record["cost"], "trial cost", where)
-            if rows is not None:
-                rows.add(where, kind, record)
-            elif not header_line:
-                held.append((where, kind, record))
-        else:
+                raise ValueError(f"{where}: bad run_header: {exc}") from None
+            seeds = {seed: (TrialHistory(), []) for seed in spec.seeds}
+            continue
+        if kind not in _ROW_KINDS:
             raise ValueError(f"{where}: unknown row kind {kind!r}")
-    if not header_line:
+        _check_fields(row, _ROW_KINDS[kind], where)
+        if kind == "trial":
+            _check_fields(row["cost"], "trial cost", where)
+        if spec is None:
+            raise ValueError(f"{where}: {_ROW_KINDS[kind]} before the run_header row")
+        iteration = row["iteration"]
+        if kind == "aggregate":
+            if not 1 <= iteration <= spec.budget:
+                raise ValueError(
+                    f"{where}: aggregate row iteration {iteration} is outside "
+                    f"the run_header's budget 1..{spec.budget}"
+                )
+            if iteration in aggregate:
+                raise ValueError(f"{where}: a second aggregate row for iteration {iteration}")
+            aggregate[iteration] = AggregatePoint(
+                iteration=iteration, mean_test=row["mean_test"], se_test=row["se_test"], n=row["n"]
+            )
+            continue
+        seed = row["seed"]
+        if seed not in seeds:
+            raise ValueError(
+                f"{where}: trial row seed {seed} is not one of "
+                f"the run_header's seeds {list(spec.seeds)}"
+            )
+        if iteration > spec.budget:
+            raise ValueError(
+                f"{where}: trial row iteration {iteration} exceeds "
+                f"the run_header's budget {spec.budget}"
+            )
+        try:
+            trial, record = _parse_trial_row(spec.space, row)
+        except (IndexError, TypeError, ValueError) as exc:  # ordinal range, cost keys and signs
+            raise ValueError(f"{where}: bad trial row: {exc}") from None
+        history, iterations = seeds[seed]
+        try:
+            history.append(trial)
+        except ValueError as exc:
+            raise ValueError(f"{where}: seed {seed}: {exc}") from None
+        iterations.append(record)
+    if spec is None:
         raise ValueError(f"{source}: missing run_header row")
-    if header_error is not None:
-        raise header_error
-    return rows.record()
+    for seed, (_, iterations) in seeds.items():
+        if len(iterations) != spec.budget:
+            raise ValueError(
+                f"{source}: seed {seed} holds {len(iterations)} "
+                f"of the run_header's {spec.budget} iterations"
+            )
+    missing = [i for i in range(1, spec.budget + 1) if i not in aggregate]
+    if missing:
+        raise ValueError(
+            f"{source}: {len(missing)} of the run_header's {spec.budget} "
+            f"iterations lack an aggregate row, the first is iteration {missing[0]}"
+        )
+    return RunRecord(
+        spec=spec,
+        seed_runs=tuple(
+            SeedRun(seed=seed, history=history, iterations=tuple(iterations))
+            for seed, (history, iterations) in seeds.items()
+        ),
+        aggregate=tuple(aggregate[i] for i in range(1, spec.budget + 1)),
+    )

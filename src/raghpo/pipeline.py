@@ -51,7 +51,16 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .costs import CostDelta
-from .dataio import SPLITS, Dataset, Document, GridKey, GridTable, QaPair, ScoreSlice
+from .dataio import (
+    SPLITS,
+    Dataset,
+    Document,
+    GridKey,
+    GridTable,
+    QaPair,
+    ScoreSlice,
+    number_setting,
+)
 from .evaluator import RETRIEVAL_OBJECTIVE, EvalResult, Objective, StoredScores
 from .metrics import (
     CONTEXT_MRR,
@@ -283,9 +292,10 @@ class ServiceEndpoint:
         for name, kind in (("timeout", float), ("max_attempts", int), ("backoff_seconds", float)):
             if name in data:
                 try:
-                    fields[name] = kind(data[name])
+                    fields[name] = number_setting(data[name], kind)
                 except (TypeError, ValueError):
-                    raise ValueError(f"{name} must be a number, got {data[name]!r}") from None
+                    what = "an integer" if kind is int else "a number"
+                    raise ValueError(f"{name} must be {what}, got {data[name]!r}") from None
         return cls(**fields)
 
 

@@ -215,8 +215,15 @@ def test_a_file_at_the_old_checkpoint_path_is_neither_read_nor_removed(
 BAD_RUN_CONFIG_VALUES = {
     "parallelism": ("optimize", "replay", {"parallelism": "two"}, "parallelism: expected int, got 'two'"),
     "budget": ("optimize", "replay", {"budget": "ten"}, "budget: expected int, got 'ten'"),
+    "budget fraction": ("optimize", "replay", {"budget": 2.9}, "budget: expected int, got 2.9"),
+    "budget boolean": ("optimize", "replay", {"budget": True}, "budget: expected int, got True"),
     "seeds": ("optimize", "replay", {"seeds": "1,x"}, "seeds: expected int, got 'x'"),
+    "seeds fraction": ("optimize", "replay", {"seeds": [1.5, 2]}, "seeds: expected int, got 1.5"),
+    "seeds boolean": ("optimize", "replay", {"seeds": True}, "cannot interpret seeds value True"),
     "tpe gamma": ("optimize", "replay", {"tpe": {"gamma": "x"}}, "tpe.gamma: expected float, got 'x'"),
+    "tpe gamma boolean": (
+        "optimize", "replay", {"tpe": {"gamma": True}}, "tpe.gamma: expected float, got True"
+    ),
     "tpe init": ("optimize", "replay", {"tpe": {"init": [2]}}, "tpe.init: expected int, got [2]"),
     "tpe not an object": ("optimize", "replay", {"tpe": "x"}, "tpe: expected an object, got 'x'"),
     "greedy not an object": (
@@ -253,6 +260,9 @@ BAD_RUN_CONFIG_VALUES = {
     "grid parallelism": ("grid", "live", {"parallelism": "two"}, "parallelism: expected int, got 'two'"),
     "grid embed_batch_size": (
         "grid", "live", {"embed_batch_size": "x"}, "embed_batch_size: expected int, got 'x'"
+    ),
+    "grid embed_batch_size fraction": (
+        "grid", "live", {"embed_batch_size": 31.9}, "embed_batch_size: expected int, got 31.9"
     ),
     "grid unknown split": (
         "grid", "live", {"splits": "tset"},

@@ -470,7 +470,9 @@ def test_invalid_utf8_is_reported_with_its_line(tmp_path, tiny_space, tiny_datas
         load = lambda: load_grid(path, tiny_space)  # noqa: E731
     elif kind == "run export":
         path = tmp_path / "run.jsonl"
-        header = {"kind": "run_header", "format_version": RUN_FORMAT_VERSION}
+        header = {"kind": "run_header", "format_version": RUN_FORMAT_VERSION, "algorithm": "random",
+                  "objective_metrics": [LEXICAL_AC], "budget": 1, "seeds": [1],
+                  "space": tiny_space.to_dict()}
         path.write_text(json.dumps(header) + '\n{"kind":"trial","note":"x"}\n')
         load = lambda: load_run(path)  # noqa: E731
     else:

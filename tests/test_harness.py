@@ -17,6 +17,7 @@ from raghpo.harness import (
     load_run,
     run,
 )
+from raghpo.optimizers import ALGORITHMS
 from raghpo.pipeline import (
     EmbeddingClient,
     GenerationClient,
@@ -379,10 +380,11 @@ def test_export_row_arithmetic(tmp_path, default_space):
     assert kinds.count("aggregate") == 10
 
 
-def test_export_roundtrip_reproduces_record(tmp_path, default_space):
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_export_roundtrip_reproduces_record(tmp_path, default_space, algorithm):
     evaluator, _ = scored_evaluator(default_space, with_costs=True)
     record = run(
-        spec_for(default_space, algorithm="greedy_rcc", budget=12, seeds=(1, 2)), evaluator
+        spec_for(default_space, algorithm=algorithm, budget=12, seeds=(1, 2)), evaluator
     )
     out = tmp_path / "run.jsonl"
     export_run(record, out)
@@ -464,8 +466,21 @@ def test_load_run_names_a_missing_aggregate_or_header_field(tmp_path):
          "aggregate row iteration 999 is outside the run_header's budget 1..3"),
         (lambda lines: lines[:-3], None, "3 of the run_header's 3 iterations lack an aggregate row"),
         (lambda lines: lines + lines[:1], 11, "a second run_header row"),
+        (lambda lines: lines[1:2] + lines[:1] + lines[2:], 1, "trial row before the run_header row"),
+        (lambda lines: lines[:1] + [lines[2], lines[1]] + lines[3:], 2,
+         "seed 1: iterations must be consecutive"),
+        (lambda lines: [lines[0], lines[1].replace('"seed":1,', '"seed":99,'), *lines[2:], lines[0]],
+         2, "trial row seed 99 is not one of the run_header's seeds [1, 2]"),
     ],
-    ids=["repeated-aggregate", "aggregate-past-budget", "no-aggregate", "two-headers"],
+    ids=[
+        "repeated-aggregate",
+        "aggregate-past-budget",
+        "no-aggregate",
+        "two-headers",
+        "trial-above-header",
+        "swapped-iterations",
+        "bad-trial-then-second-header",
+    ],
 )
 def test_load_run_requires_one_header_and_one_aggregate_row_per_iteration(
     tmp_path, default_space, change, line, message

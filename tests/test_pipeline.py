@@ -523,6 +523,15 @@ def test_endpoint_rejects_a_bad_field(fields, message):
         ServiceEndpoint(**fields)
 
 
+def test_endpoint_from_dict_rejects_a_fraction_or_boolean_number():
+    endpoint = ServiceEndpoint.from_dict({"base_url": "http://host", "max_attempts": 2.0, "timeout": "5"})
+    assert (endpoint.max_attempts, endpoint.timeout) == (2, 5.0)
+    with pytest.raises(ValueError, match=r"^max_attempts must be an integer, got 2\.7$"):
+        ServiceEndpoint.from_dict({"base_url": "http://host", "max_attempts": 2.7})
+    with pytest.raises(ValueError, match="^timeout must be a number, got True$"):
+        ServiceEndpoint.from_dict({"base_url": "http://host", "timeout": True})
+
+
 def test_missing_auth_token_is_logged_once_per_client(stub_service, monkeypatch, caplog):
     monkeypatch.delenv("RAGHPO_TEST_TOKEN", raising=False)
     endpoint = _endpoint(stub_service, auth_env="RAGHPO_TEST_TOKEN")
