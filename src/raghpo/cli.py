@@ -4,8 +4,8 @@ Settings come from an optional JSON run-config file plus flags; flags win.
 Exit codes: 0 on completion, 2 on validation/configuration errors, 3 when a
 live run was suspended by a service outage. Re-running the same command
 resumes: the reply store beside the dataset, the only durable live state,
-serves every reply it kept, and ``grid`` also keeps the rows of a table it
-finds at ``--out``.
+serves every reply it kept. Neither live command reads its ``--out``; each
+writes it once, when the run completes.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .dataio import (
     DatasetFormatError,
     FingerprintMismatchError,
     GridFormatError,
-    GridTable,
     SamplePlan,
     atomic_write,
     load_dataset,
@@ -120,6 +119,17 @@ def _parse_seeds(value) -> tuple[int, ...]:
     raise CliError(f"cannot interpret seeds value {value!r}")
 
 
+def _names(key: str, value, expected: str) -> list[str]:
+    """A list setting: a comma-separated string or a JSON list of strings; None means none."""
+    if value is None:
+        return []
+    if isinstance(value, str):
+        return [name for name in value.split(",") if name]
+    if isinstance(value, list) and all(isinstance(name, str) for name in value):
+        return value
+    raise CliError(f"{key}: expected {expected}, got {value!r}")
+
+
 def _parse_objective(value) -> Objective:
     if value is None:
         return Objective()
@@ -135,11 +145,7 @@ def _parse_objective(value) -> Objective:
             if weights
             else None,
         )
-    if isinstance(value, list):
-        if not all(isinstance(m, str) for m in value):
-            raise CliError(f"objective: expected a list of metric names, got {value!r}")
-        return Objective(metrics=tuple(value))
-    return Objective(metrics=tuple(m for m in str(value).split(",") if m))
+    return Objective(metrics=tuple(_names("objective", value, "a list of metric names")))
 
 
 def _replies_path(dataset_path: str | Path) -> Path:
@@ -154,7 +160,6 @@ def _build_live_evaluator(
     space,
     parallelism: int,
     replies_path: Path,
-    table: GridTable | None = None,
 ) -> LivePipelineEvaluator:
     """The live evaluator the config describes, with the reply store at ``replies_path``.
 
@@ -191,7 +196,6 @@ def _build_live_evaluator(
         generator=generator,
         judge=judge,
         parallelism=parallelism,
-        table=table,
         replies=replies,
     )
 
@@ -275,10 +279,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     )
     try:
         record = harness.run(spec, evaluator)
-    except ServiceFailure as exc:
-        print(f"run suspended: {exc}", file=sys.stderr)
-        print("re-run the same command to resume", file=sys.stderr)
-        return EXIT_SUSPENDED
     finally:
         if backend == "live":
             evaluator.replies.close()
@@ -323,69 +323,41 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
+    """Evaluate every cell of the space into a new table, written once at ``--out``.
+
+    The table is built from scratch on every run; the reply store serves
+    every reply an earlier run kept, so a re-run sends only what the store
+    lacks. Nothing is written unless every cell completes.
+    """
     config = _load_config(args.config)
     space = _load_space(_setting(args, config, "space"))
     dataset_path = _setting(args, config, "dataset")
     if dataset_path is None:
         raise CliError("grid needs --dataset (or dataset in the config)")
     dataset = load_dataset(dataset_path)
-    out = _setting(args, config, "out", "grid.jsonl")
-    split_arg = str(_setting(args, config, "splits", "dev,test"))
-    splits = [s for s in split_arg.split(",") if s]
+    out = Path(_setting(args, config, "out", "grid.jsonl"))
+    expected = "a comma-separated list of dev and test"
+    split_value = _setting(args, config, "splits", "dev,test")
+    splits = _names("splits", split_value, expected)
     if not splits or not set(splits) <= set(dataio.SPLITS):
-        raise CliError(f"splits: expected a comma-separated list of dev and test, got {split_arg!r}")
-    metric_arg = _setting(args, config, "metrics", None)
+        raise CliError(f"splits: expected {expected}, got {split_value!r}")
+    metrics = _names("metrics", _setting(args, config, "metrics"), "a list of metric names")
     parallelism = _setting(args, config, "parallelism", 1, int)
 
-    out_path = Path(out)
-    resuming = out_path.is_file()
-    if resuming:
-        table = load_grid(out_path, space)
-    else:
-        table = GridTable(space_fingerprint=space.fingerprint())
     evaluator = _build_live_evaluator(
-        config, dataset, space, parallelism, _replies_path(dataset_path), table
+        config, dataset, space, parallelism, _replies_path(dataset_path)
     )
     try:
-        return _fill_grid(evaluator, out_path, resuming, splits, metric_arg)
-    finally:
-        evaluator.replies.close()
-
-
-def _fill_grid(
-    evaluator: LivePipelineEvaluator,
-    out_path: Path,
-    resuming: bool,
-    splits: list[str],
-    metric_arg: str | None,
-) -> int:
-    """Evaluate every cell of the evaluator's space that its table lacks, into ``out_path``.
-
-    The table is written whole, through :func:`store_grid`: at the start when
-    it is new, on suspension, and at the end. A killed run leaves what the last
-    write left; its progress is in the reply store, so a re-run sends nothing
-    the killed run had committed.
-    """
-    space, table = evaluator.space, evaluator.table
-    metrics = (
-        [m for m in str(metric_arg).split(",") if m]
-        if metric_arg
-        else [LEXICAL_AC, FAITHFULNESS, CONTEXT_MRR]
-        + ([JUDGE_AC] if evaluator.judge is not None else [])
-    )
-    Objective(metrics=tuple(metrics))  # rejects unknown and repeated metric names
-    if JUDGE_AC in metrics and evaluator.judge is None:
-        raise CliError("judge_ac requested but no judge endpoint configured")
-    if resuming:
-        print(f"resuming into existing table {out_path}")
-    else:
-        store_grid(table, out_path)
-
-    evaluated = 0
-    # Ordinals are index-major, so the loop is done with an index once it
-    # reaches a cell of the next one, and the evaluator can drop it.
-    held = space.config_at(0).index
-    try:
+        if not metrics:
+            metrics = [LEXICAL_AC, FAITHFULNESS, CONTEXT_MRR]
+            metrics += [JUDGE_AC] if evaluator.judge is not None else []
+        Objective(metrics=tuple(metrics))  # rejects unknown and repeated metric names
+        if JUDGE_AC in metrics and evaluator.judge is None:
+            raise CliError("judge_ac requested but no judge endpoint configured")
+        evaluated = 0
+        # Ordinals are index-major, so the loop is done with an index once it
+        # reaches a cell of the next one, and the evaluator can drop it.
+        held = space.config_at(0).index
         for ordinal in range(space.total_size):
             rag_config = space.config_at(ordinal)
             if rag_config.index != held:
@@ -395,17 +367,11 @@ def _fill_grid(
                 if evaluator.fill(rag_config, split, metrics):
                     evaluated += 1
         evaluator.release(held)
-    except ServiceFailure as exc:
-        store_grid(table, out_path)
-        print(f"grid run suspended: {exc}", file=sys.stderr)
-        print(f"partial table written to {out_path}; re-run to resume", file=sys.stderr)
-        return EXIT_SUSPENDED
+    finally:
+        evaluator.replies.close()
 
-    store_grid(table, out_path)
-    if evaluated == 0:
-        print(f"table already complete for {metrics} on splits {splits}; nothing to do")
-    else:
-        print(f"evaluated {evaluated} (config, split) cells; table written to {out_path}")
+    store_grid(evaluator.table, out)
+    print(f"evaluated {evaluated} (config, split) cells; table written to {out}")
     return EXIT_OK
 
 
@@ -621,6 +587,10 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except ServiceFailure as exc:
+        print(f"run suspended: {exc}", file=sys.stderr)
+        print("re-run the same command to resume", file=sys.stderr)
+        return EXIT_SUSPENDED
 
 
 if __name__ == "__main__":

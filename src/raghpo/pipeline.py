@@ -691,15 +691,15 @@ def retrieve(
 class LivePipelineEvaluator(StoredScores):
     """Evaluates configurations by actually running the RAG pipeline.
 
-    It is a replay backend whose :class:`GridTable` fills as it goes: a new
-    table, or the one ``raghpo grid`` passes in. :meth:`fill` runs the
-    pipeline for a (config, split) cell that lacks rows, and both
-    evaluations read score and cost back from the table, so a cell is run
-    once per evaluator, and again only while a question lacks a row. The
-    qid universe of a (split, metric) is the split's questions for which the
-    metric is defined (context_mrr needs gold documents, lexical_ac a gold
-    answer with a token, judge_ac a judge), sorted by qid as a replay of the
-    table sums them, so both backends compute bit-identical means.
+    It is a replay backend whose own :class:`GridTable` fills as it goes.
+    :meth:`fill` runs the pipeline for a (config, split) cell that lacks
+    rows, and both evaluations read score and cost back from the table, so a
+    cell is run once per evaluator, and again only while a question lacks a
+    row. The qid universe of a (split, metric) is the split's questions for
+    which the metric is defined (context_mrr needs gold documents,
+    lexical_ac a gold answer with a token, judge_ac a judge), sorted by qid
+    as a replay of the table sums them, so both backends compute
+    bit-identical means.
 
     The evaluator also does shared index work once for its lifetime:
 
@@ -724,8 +724,8 @@ class LivePipelineEvaluator(StoredScores):
     rest, recording each batch as it returns, and :meth:`fill` makes two
     passes of the same shape, one for the cell's prompts and then one for
     its judge requests. Each pass looks its requests up on the calling
-    thread, sends only the rest, and records the new replies in question
-    order.
+    thread, sends each distinct one of the rest once, and records the new
+    replies in first-seen question order.
 
     Each evaluation still reports the full embedded-token cost of its index
     (the sum of its chunk lengths) and the token counts of every generation,
@@ -743,7 +743,6 @@ class LivePipelineEvaluator(StoredScores):
         templates: TemplateStore | None = None,
         judge: JudgeClient | None = None,
         parallelism: int = 1,
-        table: GridTable | None = None,
         replies: ReplyStore | None = None,
     ):
         if parallelism < 1:
@@ -756,7 +755,7 @@ class LivePipelineEvaluator(StoredScores):
         self.parallelism = parallelism
         self.embedder = embedder
         self.replies = replies or ReplyStore()
-        self.table = table or GridTable(space_fingerprint=space.fingerprint())
+        self.table = GridTable(space_fingerprint=space.fingerprint())
         defined = {
             CONTEXT_MRR: lambda qa: bool(qa.gold_doc_ids),
             LEXICAL_AC: lambda qa: bool(tokenize(qa.gold_answer)),
@@ -984,31 +983,33 @@ class LivePipelineEvaluator(StoredScores):
     ) -> list:
         """Each request's reply: the stored one, else ``send``'s, else None for a failed call.
 
-        Only the requests ``stored`` lacks are sent, through the worker pool; a
-        failure is logged against its question. The new replies are passed to
-        ``record`` here, in question order, so the store never crosses threads.
+        Each distinct request ``stored`` lacks is sent once, through the worker
+        pool, and its reply goes to every question that asked for it; a failure
+        is logged against the first of them. The new replies are passed to
+        ``record`` here, in first-seen question order, so the store never
+        crosses threads.
         """
-        todo = [i for i, request in enumerate(requests) if request not in stored]
+        asker: dict = {}  # each unstored request -> the first question that asked for it
+        for question, request in zip(questions, requests):
+            if request not in stored:
+                asker.setdefault(request, question)
 
-        def send_one(i: int):
+        def send_one(request):
             try:
-                return send(requests[i])
+                return send(request)
             except ServiceFailure as exc:
-                log.warning("%s failed for %s: %s", what, questions[i].qid, exc)
+                log.warning("%s failed for %s: %s", what, asker[request].qid, exc)
                 return None
 
-        if self.parallelism > 1 and len(todo) > 1:
+        if self.parallelism > 1 and len(asker) > 1:
             with ThreadPoolExecutor(max_workers=self.parallelism) as pool:
-                fresh = list(pool.map(send_one, todo))
+                fresh = dict(zip(asker, pool.map(send_one, asker)))
         else:
-            fresh = [send_one(i) for i in todo]
-        replies = [stored.get(request) for request in requests]
-        for i, reply in zip(todo, fresh):
-            replies[i] = reply
-        new = [i for i in todo if replies[i] is not None]
+            fresh = {request: send_one(request) for request in asker}
+        new = {request: reply for request, reply in fresh.items() if reply is not None}
         if new:
-            record([requests[i] for i in new], [replies[i] for i in new])
-        return replies
+            record(list(new), list(new.values()))
+        return [fresh[request] if request in fresh else stored[request] for request in requests]
 
     def evaluate(self, config: RagConfig, split: str, objective: Objective) -> EvalResult:
         """Fill the cell's generated metrics, judge_ac too when the objective asks for it,

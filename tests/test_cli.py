@@ -272,6 +272,24 @@ BAD_RUN_CONFIG_VALUES = {
         "grid", "live", {"splits": ","},
         "splits: expected a comma-separated list of dev and test, got ','",
     ),
+    "grid unknown split in a list": (
+        "grid", "live", {"splits": ["dev", "tset"]},
+        "splits: expected a comma-separated list of dev and test, got ['dev', 'tset']",
+    ),
+    "grid split list holding a number": (
+        "grid", "live", {"splits": ["dev", 1]},
+        "splits: expected a comma-separated list of dev and test, got ['dev', 1]",
+    ),
+    "grid metrics a number": (
+        "grid", "live", {"metrics": 3}, "metrics: expected a list of metric names, got 3"
+    ),
+    "grid metrics list holding a number": (
+        "grid", "live", {"metrics": ["context_mrr", 3]},
+        "metrics: expected a list of metric names, got ['context_mrr', 3]",
+    ),
+    "objective a number": (
+        "optimize", "replay", {"objective": 3}, "objective: expected a list of metric names, got 3"
+    ),
 }
 
 
@@ -316,6 +334,20 @@ def test_objective_list_in_a_run_config_means_the_comma_string(tmp_path, default
         exports.append(out.read_bytes())
         assert load_run(out).spec.objective.metrics == (LEXICAL_AC, FAITHFULNESS)
     assert exports[0] == exports[1]
+
+
+def test_metric_and_split_lists_in_a_grid_config_mean_the_comma_strings(live_setup, tmp_path):
+    config = json.loads(live_setup["config_path"].read_text())
+    tables = []
+    for metrics, splits in (([CONTEXT_MRR, LEXICAL_AC], ["dev"]), ("context_mrr,lexical_ac", "dev")):
+        out = tmp_path / f"grid{len(tables)}.jsonl"
+        config.update(metrics=metrics, splits=splits, out=str(out))
+        (tmp_path / "grid_config.json").write_text(json.dumps(config))
+        assert main(["grid", "--config", str(tmp_path / "grid_config.json")]) == EXIT_OK
+        tables.append(out.read_bytes())
+    assert tables[0] == tables[1]
+    keys = {key[1:3] for key in load_grid(out, live_setup["space"]).scores}
+    assert keys == {("dev", CONTEXT_MRR), ("dev", LEXICAL_AC)}
 
 
 # ---------------------------------------------------------------------------
@@ -670,8 +702,27 @@ def test_grid_complete_table_is_noop(live_setup, capsys):
     capsys.readouterr()
     generate_calls = len(live_setup["stub"].calls("/generate"))
     assert main(["grid", "--config", str(live_setup["config_path"])]) == EXIT_OK
-    assert "already complete" in capsys.readouterr().out
+    assert "evaluated 4 (config, split) cells" in capsys.readouterr().out
     assert len(live_setup["stub"].calls("/generate")) == generate_calls
+
+
+def test_grid_never_reads_the_table_at_its_out(live_setup, tmp_path):
+    """A re-run after a gold answer changed writes a fresh run's table, not the old one."""
+    stub, path = live_setup["stub"], live_setup["grid_path"]
+    argv = ["grid", "--config", str(live_setup["config_path"])]
+    assert main(argv) == EXIT_OK
+    first = path.read_bytes()
+    dataset_path = Path(json.loads(live_setup["config_path"].read_text())["dataset"])
+    dataset = load_dataset(dataset_path)
+    # The stub answers "echo: ...", so t0's lexical_ac goes from 0 to 1.
+    store_dataset(replace(dataset, test=(replace(dataset.test[0], gold_answer="echo"),)), dataset_path)
+    generate_calls = len(stub.calls("/generate"))
+    assert main(argv) == EXIT_OK
+    assert len(stub.calls("/generate")) == generate_calls
+    shutil.copytree(dataset_path, tmp_path / "fresh")
+    fresh = tmp_path / "fresh.jsonl"
+    assert main(argv + ["--dataset", str(tmp_path / "fresh"), "--out", str(fresh)]) == EXIT_OK
+    assert path.read_bytes() == fresh.read_bytes() != first
 
 
 def test_grid_without_answer_tokens_completes(live_setup, tmp_path, capsys):
@@ -701,7 +752,7 @@ def test_grid_without_answer_tokens_completes(live_setup, tmp_path, capsys):
     assert "evaluated 1 (config, split) cells" in capsys.readouterr().out
     generate_calls = len(live_setup["stub"].calls("/generate"))
     assert main(args) == EXIT_OK
-    assert "already complete" in capsys.readouterr().out
+    assert "evaluated 1 (config, split) cells" in capsys.readouterr().out
     assert len(live_setup["stub"].calls("/generate")) == generate_calls
 
 
@@ -721,33 +772,14 @@ def test_grid_retrieval_only_metrics_skip_generation(live_setup, capsys):
     )
 
 
-def test_grid_resume_fills_only_gaps(live_setup, capsys):
-    assert main(["grid", "--config", str(live_setup["config_path"])]) == EXIT_OK
-    capsys.readouterr()
-    # Drop one config's dev score rows; resume must evaluate exactly that cell.
-    path = live_setup["grid_path"]
-    lines = path.read_text().splitlines(keepends=True)
-    kept = [
-        line
-        for line in lines
-        if not ('"ordinal":1,' in line and '"split":"dev"' in line and '"score"' in line)
-    ]
-    assert len(lines) - len(kept) == 6  # 3 metrics x 2 dev questions
-    path.write_text("".join(kept))
-    assert main(["grid", "--config", str(live_setup["config_path"])]) == EXIT_OK
-    assert "evaluated 1 (config, split) cells" in capsys.readouterr().out
-    restored = load_grid(path, live_setup["space"])
-    assert is_complete(restored, LEXICAL_AC, "dev", 2)
-    assert path.read_text() == "".join(lines)
-
-
 def _tiny_grid(live_setup, tiny_space, tmp_path, monkeypatch):
     """tiny_space with stock generative models, its table path, and a ``run()`` of its grid.
 
     ``run()`` returns the IndexConfigs the grid built, in build order, and
     keeps only a weak reference to each index. Building an index while an
     earlier one is alive fails the run, and so does writing the table, or
-    returning, while any index is alive.
+    returning, while any index is alive, and writing the table other than
+    exactly once.
     """
     space = SearchSpace.from_dict(
         {**tiny_space.to_dict(), "generative_model": list(live_setup["space"].generative_models)}
@@ -756,7 +788,7 @@ def _tiny_grid(live_setup, tiny_space, tmp_path, monkeypatch):
     out = tmp_path / "tiny_grid.jsonl"
     argv = ["grid", "--config", str(live_setup["config_path"]),
             "--space", str(tmp_path / "tiny.json"), "--out", str(out)]
-    built = []
+    built, stored = [], []
     build_original, store_original = pipeline.build_index, cli.store_grid
 
     def alive() -> list:
@@ -770,10 +802,12 @@ def _tiny_grid(live_setup, tiny_space, tmp_path, monkeypatch):
 
     def store_grid(*args):
         assert alive() == [], "an index is alive after the last ordinal"
+        stored.append(args)
         return store_original(*args)
 
     def run() -> list:
         built.clear()
+        stored.clear()
         gc.disable()
         try:
             with monkeypatch.context() as patch:
@@ -783,6 +817,7 @@ def _tiny_grid(live_setup, tiny_space, tmp_path, monkeypatch):
         finally:
             gc.enable()
         assert alive() == []
+        assert len(stored) == 1
         return [index_config for index_config, _ in built]
 
     return space, out, run
@@ -818,24 +853,11 @@ def test_grid_holds_one_index_at_a_time(live_setup, tiny_space, tmp_path, monkey
     assert out.read_bytes() == (tmp_path / "kept.jsonl").read_bytes()
     assert {route: list(stub.calls(route)) for route in requests} == requests
 
-
-def test_grid_resume_builds_no_index_for_complete_cells(
-    live_setup, tiny_space, tmp_path, monkeypatch
-):
-    space, out, run = _tiny_grid(live_setup, tiny_space, tmp_path, monkeypatch)
-    run()
-    complete = out.read_bytes()
-    # Keep the header and every row of the first three indexes' ordinals.
-    first = 3 * space.total_size // len(_indexes_of(space, range(space.total_size)))
-    out.write_text(
-        "".join(
-            line
-            for line in complete.decode().splitlines(keepends=True)
-            if json.loads(line).get("ordinal", -1) < first
-        )
-    )
-    assert run() == _indexes_of(space, range(first, space.total_size))
-    assert out.read_bytes() == complete
+    # A re-run rebuilds every index and the whole table from the reply store alone.
+    stub.server.calls.clear()
+    assert run() == _indexes_of(space, range(space.total_size))
+    assert out.read_bytes() == (tmp_path / "kept.jsonl").read_bytes()
+    assert not stub.calls("/embed") and not stub.calls("/generate")
 
 
 def test_optimize_live_backend_end_to_end(live_setup, tmp_path, capsys):
@@ -897,7 +919,7 @@ def test_grid_suspends_on_service_outage_then_resumes(live_setup, capsys):
     code = main(["grid", "--config", str(live_setup["config_path"])])
     assert code == EXIT_SUSPENDED
     assert "resume" in capsys.readouterr().err
-    assert live_setup["grid_path"].is_file()
+    assert not list(live_setup["grid_path"].parent.glob("grid.jsonl*"))
 
     live_setup["stub"].fail_next("/generate", 0)
     assert main(["grid", "--config", str(live_setup["config_path"])]) == EXIT_OK
@@ -978,8 +1000,8 @@ def test_grid_rerun_after_kill_matches_uninterrupted_run(
     _killed_at(monkeypatch, owner, name, calls, argv)
     killed = _answered(stub)
     assert all(killed.values())
-    # The table file holds only what the write at the start of the run left.
-    assert path.read_bytes() == reference.read_bytes().splitlines(keepends=True)[0]
+    # A killed run writes no table.
+    assert not list(path.parent.glob("grid.jsonl*"))
 
     stub.server.calls.clear()
     assert main(argv) == EXIT_OK
@@ -988,20 +1010,6 @@ def test_grid_rerun_after_kill_matches_uninterrupted_run(
     uncommitted = killed["/judge"][len(killed["/judge"]) - unfinished :]
     assert resent == {"/embed": [], "/generate": [], "/judge": uncommitted}
     assert path.read_bytes() == reference.read_bytes()
-
-
-def test_grid_over_a_torn_table_exits_2_naming_its_line(live_setup, capsys):
-    path = live_setup["grid_path"]
-    argv = ["grid", "--config", str(live_setup["config_path"])]
-    assert main(argv) == EXIT_OK
-    lines = path.read_bytes().splitlines(keepends=True)
-    # Older versions appended each cell's rows, and a kill could cut the last one.
-    torn = b"".join(lines[:-1]) + lines[-1][:20]
-    path.write_bytes(torn)
-    capsys.readouterr()
-    assert main(argv) == EXIT_VALIDATION
-    assert f"{path}:{len(lines)}:" in capsys.readouterr().err
-    assert path.read_bytes() == torn
 
 
 def test_an_embed_outage_in_a_later_batch_keeps_the_earlier_batches(live_setup, tmp_path, capsys):
@@ -1092,9 +1100,8 @@ def test_malformed_service_reply_suspends_with_exit_3(
     err = capsys.readouterr().err
     assert "suspended" in err
     assert message in err
-    # grid keeps its partial table; optimize writes nothing and resumes by re-running.
-    written = sorted(path.name for path in tmp_path.glob(f"{command}.jsonl*"))
-    assert written == (["grid.jsonl", "grid.jsonl.cols.npz"] if command == "grid" else [])
+    # Neither command writes anything; each resumes by re-running.
+    assert not list(tmp_path.glob(f"{command}.jsonl*"))
 
 
 BAD_ENDPOINTS = {

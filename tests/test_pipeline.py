@@ -9,6 +9,7 @@ import threading
 import time
 import weakref
 from collections import Counter
+from dataclasses import replace
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -770,6 +771,29 @@ def test_live_parallel_matches_sequential(stub_service, tiny_dataset):
     )
     result_par = parallel.evaluate(_config(), "dev", Objective())
     assert result_seq == result_par
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_questions_of_the_same_text_share_one_request_per_pass(
+    stub_service, tiny_dataset, parallelism
+):
+    first = tiny_dataset.dev[0]
+    dev = (first, replace(first, qid="q1"), *tiny_dataset.dev[2:])
+    evaluator = LivePipelineEvaluator(
+        dataset=replace(tiny_dataset, dev=dev),
+        space=SearchSpace.default(),
+        embedder=EmbeddingClient(_endpoint(stub_service)),
+        generator=GenerationClient(_endpoint(stub_service)),
+        judge=JudgeClient(_endpoint(stub_service)),
+        parallelism=parallelism,
+    )
+    evaluator.evaluate(_config(), "dev", Objective(metrics=(LEXICAL_AC, JUDGE_AC)))
+    for route in ("/generate", "/judge"):
+        sent = [json.dumps(call, sort_keys=True) for call in stub_service.calls(route)]
+        assert len(sent) == len(set(sent)) == 3
+    for metric in (LEXICAL_AC, FAITHFULNESS, JUDGE_AC):
+        rows = _rows(evaluator, metric)
+        assert list(rows) == ["q0", "q1", "q2", "q3"] and rows["q0"] == rows["q1"]
 
 
 # ---------------------------------------------------------------------------
