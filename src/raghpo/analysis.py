@@ -12,17 +12,15 @@ from dataclasses import dataclass
 
 from .dataio import GridTable
 from .harness import RunRecord
-from .searchspace import ORDINAL_ORDER, ParamName, RagConfig, SearchSpace
+from .searchspace import ORDINAL_ORDER, ParamName, RagConfig
 
 DEFAULT_BIN_COUNT = 10
 
 
-def per_config_means(
-    table: GridTable, metric: str, split: str, space: SearchSpace
-) -> list[float]:
+def per_config_means(table: GridTable, metric: str, split: str) -> list[float]:
     """Mean score per config ordinal; requires a complete (metric, split) slice."""
-    scores = table.slice(split, metric, space.total_size)
-    scores.require_complete(range(space.total_size))
+    scores = table.slice(split, metric)
+    scores.require_complete(range(table.space.total_size))
     return scores.means.tolist()
 
 
@@ -34,17 +32,15 @@ class GridExtremes:
     best_score: float
 
 
-def grid_extremes(
-    table: GridTable, metric: str, split: str, space: SearchSpace
-) -> GridExtremes:
+def grid_extremes(table: GridTable, metric: str, split: str) -> GridExtremes:
     """Worst and best per-config mean scores; ties go to the lowest ordinal."""
-    means = per_config_means(table, metric, split, space)
+    means = per_config_means(table, metric, split)
     worst_ord = min(range(len(means)), key=lambda i: (means[i], i))
     best_ord = max(range(len(means)), key=lambda i: (means[i], -i))
     return GridExtremes(
-        worst=space.config_at(worst_ord),
+        worst=table.space.config_at(worst_ord),
         worst_score=means[worst_ord],
-        best=space.config_at(best_ord),
+        best=table.space.config_at(best_ord),
         best_score=means[best_ord],
     )
 
@@ -66,16 +62,12 @@ class BinnedScores:
 
 
 def normalized_bins(
-    table: GridTable,
-    metric: str,
-    split: str,
-    space: SearchSpace,
-    bin_count: int = DEFAULT_BIN_COUNT,
+    table: GridTable, metric: str, split: str, bin_count: int = DEFAULT_BIN_COUNT
 ) -> BinnedScores:
     """Min-max normalize per-config means and bin them uniformly over [0, 1]."""
     if bin_count < 1:
         raise ValueError(f"bin_count must be >= 1, got {bin_count}")
-    means = per_config_means(table, metric, split, space)
+    means = per_config_means(table, metric, split)
     worst, best = min(means), max(means)
     counts = [0] * bin_count
     if best == worst:
@@ -97,11 +89,10 @@ class MarginalMean:
     delta: float  # difference from the grand mean over all configs
 
 
-def marginal_means(
-    table: GridTable, metric: str, split: str, space: SearchSpace
-) -> list[MarginalMean]:
+def marginal_means(table: GridTable, metric: str, split: str) -> list[MarginalMean]:
     """Per parameter value, the mean over configs containing that value."""
-    means = per_config_means(table, metric, split, space)
+    space = table.space
+    means = per_config_means(table, metric, split)
     grand = sum(means) / len(means)
     sums: dict[tuple[ParamName, object], list[float]] = {}
     for ordinal, score in enumerate(means):

@@ -154,18 +154,10 @@ def _replies_path(dataset_path: str | Path) -> Path:
     return root.parent / f"{root.name}.replies.sqlite3"
 
 
-def _build_live_evaluator(
-    config: dict,
-    dataset,
-    space,
-    parallelism: int,
-    replies_path: Path,
-) -> LivePipelineEvaluator:
-    """The live evaluator the config describes, with the reply store at ``replies_path``.
-
-    The store is opened once the endpoints are valid; one that cannot be
-    opened is a warning, and the run then keeps its replies in memory.
-    """
+def _live_settings(config: dict, parallelism: int) -> dict:
+    """The live evaluator's service clients and fan-out, checked, as its keyword arguments."""
+    if parallelism < 1:
+        raise CliError(f"parallelism must be >= 1, got {parallelism}")
     endpoints = config.get("endpoints", {})
     if not isinstance(endpoints, dict) or "embed" not in endpoints or "generate" not in endpoints:
         raise CliError(
@@ -178,26 +170,32 @@ def _build_live_evaluator(
         except ValueError as exc:
             raise CliError(f"endpoints.{name}: {exc}") from None
 
-    judge = JudgeClient(endpoint("judge")) if "judge" in endpoints else None
-    embedder = EmbeddingClient(
-        endpoint("embed"),
-        batch_size=_convert("embed_batch_size", config.get("embed_batch_size", 32), int),
-    )
-    generator = GenerationClient(endpoint("generate"))
+    return {
+        "embedder": EmbeddingClient(
+            endpoint("embed"),
+            batch_size=_convert("embed_batch_size", config.get("embed_batch_size", 32), int),
+        ),
+        "generator": GenerationClient(endpoint("generate")),
+        "judge": JudgeClient(endpoint("judge")) if "judge" in endpoints else None,
+        "parallelism": parallelism,
+    }
+
+
+def _build_live_evaluator(
+    settings: dict, dataset, space, replies_path: Path
+) -> LivePipelineEvaluator:
+    """A live evaluator with :func:`_live_settings` and the reply store at ``replies_path``.
+
+    This creates the store file, so callers check every setting first. A
+    store that cannot be opened is a warning, and the run then keeps its
+    replies in memory.
+    """
     try:
         replies = ReplyStore(replies_path)
     except OSError as exc:
         log.warning("%s; keeping replies in memory for this run", exc)
         replies = ReplyStore()
-    return LivePipelineEvaluator(
-        dataset=dataset,
-        space=space,
-        embedder=embedder,
-        generator=generator,
-        judge=judge,
-        parallelism=parallelism,
-        replies=replies,
-    )
+    return LivePipelineEvaluator(dataset=dataset, space=space, replies=replies, **settings)
 
 
 def _format_cost(totals) -> str:
@@ -214,18 +212,14 @@ def _format_cost(totals) -> str:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
+    """Run the algorithm: replay ``grid_table`` when it is set, else run the pipeline live."""
     config = _load_config(args.config)
     space = _load_space(_setting(args, config, "space"))
     algorithm = _setting(args, config, "algorithm", "random")
-    if algorithm not in ALGORITHMS:
-        raise CliError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     objective = _parse_objective(_setting(args, config, "objective"))
     budget = _setting(args, config, "budget", 10, int)
     seeds = _parse_seeds(_setting(args, config, "seeds", 10))
-    backend = _setting(args, config, "backend", None)
     grid_path = _setting(args, config, "grid_table", None)
-    if backend is None:
-        backend = "grid-replay" if grid_path else "live"
     parallelism = _setting(args, config, "parallelism", 1, int)
 
     optimizer_options = {}
@@ -241,12 +235,20 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     if "suffix_mode" in greedy:
         optimizer_options["greedy_suffix_mode"] = greedy["suffix_mode"]
 
-    if backend == "grid-replay":
-        if grid_path is None:
-            raise CliError("grid-replay backend needs --grid (or grid_table in the config)")
+    out = _setting(args, config, "out", "run.jsonl")
+    spec = harness.RunSpec(
+        space=space,
+        algorithm=algorithm,
+        objective=objective,
+        budget=budget,
+        seeds=seeds,
+        optimizer_options=optimizer_options,
+    )
+
+    if grid_path:
         table = load_grid(_input_file(grid_path, "grid table"), space)
-        evaluator = GridReplayEvaluator(table, space)
-    elif backend == "live":
+        record = harness.run(spec, GridReplayEvaluator(table))
+    else:
         dataset_path = _setting(args, config, "dataset")
         if dataset_path is None:
             raise CliError("live backend needs --dataset (or dataset in the config)")
@@ -262,25 +264,13 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             print(
                 f"sampled dev: {len(dataset.dev)} questions, corpus {len(dataset.corpus)} docs"
             )
-        evaluator = _build_live_evaluator(
-            config, dataset, space, parallelism, _replies_path(dataset_path)
-        )
-    else:
-        raise CliError(f"unknown backend {backend!r}; expected grid-replay or live")
-
-    out = _setting(args, config, "out", "run.jsonl")
-    spec = harness.RunSpec(
-        space=space,
-        algorithm=algorithm,
-        objective=objective,
-        budget=budget,
-        seeds=seeds,
-        optimizer_options=optimizer_options,
-    )
-    try:
-        record = harness.run(spec, evaluator)
-    finally:
-        if backend == "live":
+        settings = _live_settings(config, parallelism)
+        if JUDGE_AC in objective.metrics and settings["judge"] is None:
+            raise CliError("objective includes judge_ac but no judge endpoint is configured")
+        evaluator = _build_live_evaluator(settings, dataset, space, _replies_path(dataset_path))
+        try:
+            record = harness.run(spec, evaluator)
+        finally:
             evaluator.replies.close()
 
     harness.export_run(record, out)
@@ -342,18 +332,16 @@ def cmd_grid(args: argparse.Namespace) -> int:
     if not splits or not set(splits) <= set(dataio.SPLITS):
         raise CliError(f"splits: expected {expected}, got {split_value!r}")
     metrics = _names("metrics", _setting(args, config, "metrics"), "a list of metric names")
-    parallelism = _setting(args, config, "parallelism", 1, int)
+    settings = _live_settings(config, _setting(args, config, "parallelism", 1, int))
+    judged = settings["judge"] is not None
+    if not metrics:
+        metrics = [LEXICAL_AC, FAITHFULNESS, CONTEXT_MRR] + ([JUDGE_AC] if judged else [])
+    Objective(metrics=tuple(metrics))  # rejects unknown and repeated metric names
+    if JUDGE_AC in metrics and not judged:
+        raise CliError("judge_ac requested but no judge endpoint configured")
 
-    evaluator = _build_live_evaluator(
-        config, dataset, space, parallelism, _replies_path(dataset_path)
-    )
+    evaluator = _build_live_evaluator(settings, dataset, space, _replies_path(dataset_path))
     try:
-        if not metrics:
-            metrics = [LEXICAL_AC, FAITHFULNESS, CONTEXT_MRR]
-            metrics += [JUDGE_AC] if evaluator.judge is not None else []
-        Objective(metrics=tuple(metrics))  # rejects unknown and repeated metric names
-        if JUDGE_AC in metrics and evaluator.judge is None:
-            raise CliError("judge_ac requested but no judge endpoint configured")
         evaluated = 0
         # Ordinals are index-major, so the loop is done with an index once it
         # reaches a cell of the next one, and the evaluator can drop it.
@@ -438,7 +426,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     if table_path:
         table = load_grid(table_path, space)
-        extremes = analysis.grid_extremes(table, args.metric, args.split, space)
+        extremes = analysis.grid_extremes(table, args.metric, args.split)
         grid_max = extremes.best_score
         _write_json(
             out / "extremes.json",
@@ -450,7 +438,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 "best": {"config": extremes.best.as_dict(), "score": extremes.best_score},
             },
         )
-        bins = analysis.normalized_bins(table, args.metric, args.split, space, args.bins)
+        bins = analysis.normalized_bins(table, args.metric, args.split, args.bins)
         _write_json(
             out / "bins.json",
             {
@@ -464,7 +452,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 "degenerate": bins.degenerate,
             },
         )
-        marginals = analysis.marginal_means(table, args.metric, args.split, space)
+        marginals = analysis.marginal_means(table, args.metric, args.split)
         _write_json(
             out / "marginal_means.json",
             {
@@ -533,7 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--grid", dest="grid_table", help="grid table for the replay backend")
     p_opt.add_argument("--dataset", help="dataset directory for the live backend")
     p_opt.add_argument("--space", help="search-space JSON file (default: stock space)")
-    p_opt.add_argument("--backend", choices=("grid-replay", "live"))
     p_opt.add_argument("--parallelism", type=int, help="live evaluator fan-out cap")
     p_opt.add_argument("--out", help="run export path (default run.jsonl)")
     p_opt.set_defaults(func=cmd_optimize)

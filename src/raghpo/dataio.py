@@ -12,7 +12,8 @@ A grid table is a JSON-lines file whose first line is a header carrying the
 format version and the fingerprint of the search space it was computed
 against. Remaining lines are score rows ``{"ordinal", "split", "metric",
 "qid", "score"}`` plus optional per-config cost rows (``"kind": "cost"``).
-In memory each (split, metric) is a float matrix over (qid, ordinal).
+In memory a table holds that search space, and each (split, metric) is a
+float matrix over (qid, ordinal) with one column per configuration.
 :func:`store_grid` emits rows in the canonical order (ordinal, split, metric,
 qid) with canonical JSON, so store(load(x)) is byte-identical for canonical
 files. A cost row may repeat, as versions that appended each cell's rows
@@ -510,7 +511,7 @@ class IncompleteTableError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class ScoreSlice:
-    """One (split, metric) of a grid table over ``range(size)`` configurations."""
+    """One (split, metric) of a grid table over every configuration of its space."""
 
     split: str
     metric: str
@@ -541,21 +542,23 @@ class ScoreSlice:
 
 
 class _Columns:
-    """The rows of one (split, metric) as added: qid -> matrix row, and a growable matrix."""
+    """The rows of one (split, metric) as added: qid -> matrix row, and a [qid x ordinal] matrix.
 
-    def __init__(self) -> None:
+    The matrix has one column per configuration of the space from the start,
+    and grows by rows only. NaN marks a missing row.
+    """
+
+    def __init__(self, size: int) -> None:
         self.rows: dict[str, int] = {}
-        self.matrix = np.full((8, 8), np.nan)  # [qid x ordinal] capacity, NaN = missing
-        self.width = 0  # 1 + the largest ordinal with a row
+        self.matrix = np.full((8, size), np.nan)
 
     def add(self, ordinal: int, qid: str, score: float) -> bool:
         """Store a score; False, storing nothing, when the row is already present."""
         row = self.rows.setdefault(qid, len(self.rows))
-        self._fit(row, ordinal)
+        self._fit(row)
         if not math.isnan(self.matrix[row, ordinal]):
             return False
         self.matrix[row, ordinal] = score
-        self.width = max(self.width, ordinal + 1)
         return True
 
     def place(
@@ -570,34 +573,33 @@ class _Columns:
         new = {q: len(self.rows) + i for i, q in enumerate(first_seen)}
         index = {**self.rows, **new} if new else self.rows
         rows = np.fromiter(map(index.__getitem__, qids), np.intp, len(qids))
-        cells = (rows * (int(ordinals.max()) + 1) + ordinals).tolist()
-        self._fit(int(rows.max()), int(ordinals.max()))
+        cells = (rows * self.matrix.shape[1] + ordinals).tolist()
+        self._fit(int(rows.max()))
         if len(set(cells)) < len(cells) or not np.isnan(self.matrix[rows, ordinals]).all():
             return None
         return rows, new
 
     def layout(self) -> tuple[list[str], np.ndarray]:
-        """The qids sorted, and the matrix with their rows in that order and ``width`` columns.
+        """The qids sorted, and the matrix with exactly their rows, in that order.
 
         A matrix already in that layout is returned as it is, not copied.
         """
         qids = sorted(self.rows)
-        if list(self.rows) == qids and self.matrix.shape == (len(qids), self.width):
+        if list(self.rows) == qids and len(self.matrix) == len(qids):
             return qids, self.matrix
-        return qids, self.matrix[[self.rows[q] for q in qids], : self.width]
+        return qids, self.matrix[[self.rows[q] for q in qids]]
 
     def compact(self) -> None:
         """Put the rows in :meth:`layout`, dropping the capacity that growth left."""
         qids, self.matrix = self.layout()
         self.rows = {qid: row for row, qid in enumerate(qids)}
 
-    def _fit(self, row: int, ordinal: int) -> None:
-        """Grow the matrix to hold (row, ordinal), at least doubling an axis that grows."""
-        n_rows, n_cols = self.matrix.shape
-        if row >= n_rows or ordinal >= n_cols:
-            shape = [n if i < n else max(2 * n, i + 1) for n, i in ((n_rows, row), (n_cols, ordinal))]
-            grown = np.full(shape, np.nan)
-            grown[:n_rows, :n_cols] = self.matrix
+    def _fit(self, row: int) -> None:
+        """Grow the matrix to hold ``row``, at least doubling its rows."""
+        n_rows, size = self.matrix.shape
+        if row >= n_rows:
+            grown = np.full((max(2 * n_rows, row + 1), size), np.nan)
+            grown[:n_rows] = self.matrix
             self.matrix = grown
 
 
@@ -605,28 +607,36 @@ class _Columns:
 class GridTable:
     """Per-(config, question, metric, split) scores, the replay oracle, plus per-cell costs.
 
-    Each (split, metric) is held as columns: a float matrix over (qid,
-    ordinal) with NaN for a missing row. :meth:`slice` is the one query over
-    them; ``scores`` rebuilds the row dict on each access.
+    A table is bound to its search space, the full grid: its ordinals are
+    exactly ``range(space.total_size)``, and its file header carries the
+    space's fingerprint. Each (split, metric) is held as columns: a float
+    matrix over (qid, ordinal) with one column per configuration and NaN
+    for a missing row. :meth:`slice` is the one query over them; ``scores``
+    rebuilds the row dict on each access.
     """
 
-    space_fingerprint: str
+    space: SearchSpace
     costs: dict[tuple[int, str], CostDelta] = field(default_factory=dict)
     _columns: dict[tuple[str, str], _Columns] = field(
         default_factory=dict, init=False, repr=False
     )
 
+    def _check_ordinal(self, ordinal: int) -> None:
+        """Refuse an ordinal that names no configuration of the table's space."""
+        size = self.space.total_size
+        if not 0 <= ordinal < size:
+            raise GridFormatError(f"ordinal {ordinal} is outside the search space [0, {size})")
+
     def add_score(
         self, ordinal: int, split: str, metric: str, qid: str, score: float
     ) -> None:
+        self._check_ordinal(ordinal)
         if split not in SPLITS:
             raise GridFormatError(f"split must be one of {SPLITS}, got {split!r}")
         if metric not in METRIC_NAMES:
             raise GridFormatError(
                 f"metric must be one of {sorted(METRIC_NAMES)}, got {metric!r}"
             )
-        if ordinal < 0:
-            raise GridFormatError(f"ordinal must be >= 0, got {ordinal}")
         if not 0.0 <= score <= 1.0:
             raise GridFormatError(
                 f"score must be in [0, 1], got {score} for "
@@ -634,32 +644,32 @@ class GridTable:
             )
         columns = self._columns.get((split, metric))
         if columns is None:
-            columns = self._columns[(split, metric)] = _Columns()
+            columns = self._columns[(split, metric)] = _Columns(self.space.total_size)
         if not columns.add(ordinal, qid, score):
             raise GridFormatError(f"duplicate row for key {(ordinal, split, metric, qid)}")
 
     def set_cost(self, ordinal: int, split: str, cost: CostDelta) -> None:
+        self._check_ordinal(ordinal)
         self.costs[(ordinal, split)] = cost
 
     def cost_for(self, ordinal: int, split: str) -> CostDelta | None:
         return self.costs.get((ordinal, split))
 
-    def slice(
-        self, split: str, metric: str, size: int, qids: Iterable[str] | None = None
-    ) -> ScoreSlice:
-        """Scores of configurations ``range(size)`` over a qid universe, with each one's mean.
+    def slice(self, split: str, metric: str, qids: Iterable[str] | None = None) -> ScoreSlice:
+        """Scores of every configuration over a qid universe, with each one's mean.
 
         The universe defaults to every qid with a row for (split, metric),
         sorted; a configuration missing any of them gets a NaN mean.
         """
-        columns = self._columns.get((split, metric), _Columns())
-        universe = tuple(sorted(columns.rows) if qids is None else qids)
+        size = self.space.total_size
+        columns = self._columns.get((split, metric))
+        rows = columns.rows if columns else {}
+        universe = tuple(sorted(rows) if qids is None else qids)
         matrix = np.full((len(universe), size), np.nan)
-        present = [(i, columns.rows[q]) for i, q in enumerate(universe) if q in columns.rows]
+        present = [(i, rows[q]) for i, q in enumerate(universe) if q in rows]
         if present:
-            width = min(size, columns.width)
             into, source = (list(t) for t in zip(*present))
-            matrix[into, :width] = columns.matrix[source, :width]
+            matrix[into] = columns.matrix[source]
         # Row by row down the qid axis: the order of a left-to-right Python sum
         # over the universe, matched bit for bit. ``matrix.sum(axis=0)`` would
         # switch to pairwise summation for a single column.
@@ -671,10 +681,9 @@ class GridTable:
 
     def _rows(self) -> Iterator[tuple[GridKey, float]]:
         """Every present row in canonical (ordinal, split, metric, qid) order."""
-        width = max((c.width for c in self._columns.values()), default=0)
-        slices = [self.slice(*key, width) for key in sorted(self._columns)]
+        slices = [self.slice(*key) for key in sorted(self._columns)]
         by_ordinal = [(sl.split, sl.metric, sl.qids, sl.matrix.T.tolist()) for sl in slices]
-        for ordinal in range(width):
+        for ordinal in range(self.space.total_size):
             for split, metric, qids, columns in by_ordinal:
                 for qid, score in zip(qids, columns[ordinal]):
                     if not math.isnan(score):
@@ -689,7 +698,8 @@ class GridTable:
 def load_grid(path: str | Path, space: SearchSpace) -> GridTable:
     """Load a grid table computed against ``space``.
 
-    A row whose ordinal lies outside ``space`` is rejected with its line.
+    The table is bound to ``space``, and a row whose ordinal lies outside
+    it is rejected with its line.
     The bytes of a table are parsed once: the parsed columns are saved
     beside it (:func:`_save_companion`), and a later load of the same bytes
     rebuilds the table from them without reading the JSON.
@@ -731,16 +741,16 @@ def _parse_grid(source: Path, space: SearchSpace, digest: hashlib._Hash) -> Grid
     lines, and a run with a bad row, go in one at a time (:func:`_add_line`),
     so the first bad line raises as a line-by-line read would. Each (split,
     metric) then gets the companion's layout (:meth:`_Columns.compact`):
-    rows in sorted qid order and exactly ``len(qids) x width`` scores, so
-    the table keeps none of the capacity that growth by doubling left and
-    :func:`_save_companion` writes its matrices without copying them.
+    rows in sorted qid order and exactly ``qids x configurations`` scores,
+    so the table keeps none of the capacity that growth by doubling left
+    and :func:`_save_companion` writes its matrices without copying them.
     """
     table = None
     for first, text in _read_blocks(source, GridFormatError, digest):
         found = _LINE.findall(text, 0, len(text) - 1)
         start = 0
         for end in [i for i, row in enumerate(found) if not row[1]] + [len(found)]:
-            if start < end and (table is None or not _add_rows(table, found[start:end], space)):
+            if start < end and (table is None or not _add_rows(table, found[start:end])):
                 for lineno, line in enumerate(text.split("\n")[start:end], first + start):
                     table = _add_line(table, line, source, lineno, space)
             if end < len(found):
@@ -753,8 +763,9 @@ def _parse_grid(source: Path, space: SearchSpace, digest: hashlib._Hash) -> Grid
     return table
 
 
-def _add_rows(table: GridTable, rows: list[tuple[str, ...]], space: SearchSpace) -> bool:
+def _add_rows(table: GridTable, rows: list[tuple[str, ...]]) -> bool:
     """Add score rows by one numpy scatter per (split, metric); False, adding none, on a bad one."""
+    size = table.space.total_size
     plans = []
     for key, group in itertools.groupby(sorted(rows, key=_SPLIT_METRIC), _SPLIT_METRIC):
         _, ordinals, qids, scores, _, _ = zip(*group)
@@ -762,14 +773,13 @@ def _add_rows(table: GridTable, rows: list[tuple[str, ...]], space: SearchSpace)
         values = np.fromiter(map(float, scores), np.float64, len(qids))
         # The pattern takes no sign, so no ordinal or score is negative and no score NaN.
         bad = key[0] not in SPLITS or key[1] not in METRIC_NAMES or values.max() > 1
-        columns = table._columns.get(key) or _Columns()
-        if bad or ords.max() >= space.total_size or not (placed := columns.place(qids, ords)):
+        columns = table._columns.get(key) or _Columns(size)
+        if bad or ords.max() >= size or not (placed := columns.place(qids, ords)):
             return False
         plans.append((key, columns, *placed, ords, values))
     for key, columns, matrix_rows, new, ords, values in plans:
         columns.rows.update(new)
         columns.matrix[matrix_rows, ords] = values
-        columns.width = max(columns.width, int(ords.max()) + 1)
         table._columns[key] = columns
     return True
 
@@ -777,7 +787,10 @@ def _add_rows(table: GridTable, rows: list[tuple[str, ...]], space: SearchSpace)
 def _add_line(
     table: GridTable | None, line: str, source: Path, lineno: int, space: SearchSpace
 ) -> GridTable | None:
-    """Apply one line: nothing if blank, the header if ``table`` is None, else a row."""
+    """Apply one line: nothing if blank, the header if ``table`` is None, else a row.
+
+    ``space`` is the one the header must name; the table it starts checks each row's ordinal.
+    """
     if not (line := line.strip()):
         return table
     record = _json_object(line, f"{source}:{lineno}", GridFormatError)
@@ -789,13 +802,10 @@ def _add_line(
         if not fingerprint:
             raise GridFormatError(f"{source}:{lineno}: header missing space_fingerprint")
         _check_fingerprint(source, fingerprint, space)
-        return GridTable(space_fingerprint=fingerprint)
-    size = space.total_size
+        return GridTable(space)
     try:
         ordinal = int(record["ordinal"])
         split = str(record["split"])
-        if not 0 <= ordinal < size:
-            raise GridFormatError(f"ordinal {ordinal} is outside the search space [0, {size})")
         if record.get("kind") == "cost":
             counts = (int(record[name]) for name in ZERO_COST.as_dict())
             table.set_cost(ordinal, split, CostDelta(*counts))
@@ -809,7 +819,7 @@ def _add_line(
     return table
 
 
-COMPANION_VERSION = 1
+COMPANION_VERSION = 2
 # What reading a damaged or foreign companion can raise; each is a miss.
 _COMPANION_ERRORS = (
     OSError,
@@ -831,24 +841,24 @@ def _save_companion(table: GridTable, source: Path, table_sha256: str) -> None:
     """Save ``table``'s columns beside ``source``, keyed on the SHA-256 of its bytes.
 
     The ``.npz`` holds one float64 matrix ``scores<i>`` per (split, metric),
-    in sorted key order with rows in sorted qid order, and a ``manifest``:
-    ASCII JSON in a uint8 array with the companion and table format
-    versions, the digest, the space fingerprint, each matrix's key, width
-    and qids, and the cost rows. Its bytes depend on nothing else, so equal
-    tables give equal files. A matrix already in that layout, as a parsed
-    or loaded table's is, is written as it is; a live table's is copied
-    into it. A failed write is logged, not raised.
+    in sorted key order with rows in sorted qid order and one column per
+    configuration, and a ``manifest``: ASCII JSON in a uint8 array with the
+    companion and table format versions, the digest, the space fingerprint,
+    each matrix's split, metric and qids, and the cost rows. Its bytes
+    depend on nothing else, so equal tables give equal files. A matrix
+    already in that layout, as a parsed or loaded table's is, is written as
+    it is; a live table's is copied into it. A failed write is logged, not
+    raised.
     """
     columns, arrays = [], {}
     for i, (split, metric) in enumerate(sorted(table._columns)):
-        col = table._columns[(split, metric)]
-        qids, arrays[f"scores{i}"] = col.layout()
-        columns.append([split, metric, col.width, qids])
+        qids, arrays[f"scores{i}"] = table._columns[(split, metric)].layout()
+        columns.append([split, metric, qids])
     manifest = {
         "companion_version": COMPANION_VERSION,
         "format_version": GRID_FORMAT_VERSION,
         "table_sha256": table_sha256,
-        "space_fingerprint": table.space_fingerprint,
+        "space_fingerprint": table.space.fingerprint(),
         "columns": columns,
         "costs": [
             [ordinal, split, *table.costs[(ordinal, split)].as_dict().values()]
@@ -872,11 +882,11 @@ def _load_companion(source: Path, space: SearchSpace) -> GridTable | None:
 
     The companion is trusted only when it is keyed on the current bytes of
     ``source`` and whole: its members are exactly those its manifest names,
-    each matrix has the width and one row per qid that the manifest lists,
-    and every ordinal lies inside ``space``. Any error reading it is a miss.
-    A fingerprint other than ``space``'s raises as a parse of the table would.
+    and each matrix has one row per qid that the manifest lists and one
+    column per configuration of ``space``. Any error reading it, a cost
+    ordinal outside ``space`` among them, is a miss. A fingerprint other
+    than ``space``'s raises as a parse of the table would.
     """
-    size = space.total_size
     try:
         with np.load(_companion_path(source), allow_pickle=False) as npz:
             manifest = json.loads(npz["manifest"].tobytes())
@@ -890,22 +900,18 @@ def _load_companion(source: Path, space: SearchSpace) -> GridTable | None:
             names = [f"scores{i}" for i in range(len(manifest["columns"]))]
             if sorted(npz.files) != sorted(["manifest", *names]):
                 return None
-            table = GridTable(space_fingerprint=manifest["space_fingerprint"])
-            for (split, metric, width, qids), name in zip(manifest["columns"], names):
-                columns = table._columns[(split, metric)] = _Columns()
+            table = GridTable(space)
+            for (split, metric, qids), name in zip(manifest["columns"], names):
+                columns = table._columns[(split, metric)] = _Columns(space.total_size)
                 columns.rows = {qid: row for row, qid in enumerate(qids)}
                 columns.matrix = npz[name]
-                columns.width = width
                 if not (
                     columns.matrix.dtype == np.float64
-                    and columns.matrix.shape == (len(columns.rows), width)
+                    and columns.matrix.shape == (len(columns.rows), space.total_size)
                     and len(qids) == len(columns.rows) > 0
-                    and 0 < width <= size
                 ):
                     return None
             for ordinal, split, *counts in manifest["costs"]:
-                if not 0 <= ordinal < size:
-                    return None
                 table.set_cost(ordinal, split, CostDelta(*counts))
     except FingerprintMismatchError:
         raise
@@ -945,7 +951,7 @@ def store_grid(table: GridTable, path: str | Path) -> None:
             _dump_canonical(
                 {
                     "format_version": GRID_FORMAT_VERSION,
-                    "space_fingerprint": table.space_fingerprint,
+                    "space_fingerprint": table.space.fingerprint(),
                 }
             )
             + "\n"

@@ -15,13 +15,7 @@ from dataclasses import dataclass
 from typing import Protocol
 
 from .costs import CostDelta, ZERO_COST
-from .dataio import (
-    SPLITS,
-    FingerprintMismatchError,
-    GridTable,
-    IncompleteTableError,
-    ScoreSlice,
-)
+from .dataio import SPLITS, GridTable, IncompleteTableError, ScoreSlice
 from .metrics import CONTEXT_MRR, METRIC_NAMES, MetricUndefinedError, aggregate
 from .searchspace import RagConfig, SearchSpace
 
@@ -158,13 +152,17 @@ def best_so_far(history) -> tuple[RagConfig, float]:
 class StoredScores:
     """What both backends share: scores and costs read from a :class:`GridTable`.
 
-    ``_slices`` holds one :class:`ScoreSlice` per (split, metric) of the
-    table over the backend's qid universe, in which order means are summed.
+    ``space`` is the table's. ``_slices`` holds one :class:`ScoreSlice` per
+    (split, metric) of the table over the backend's qid universe, in which
+    order means are summed.
     """
 
     table: GridTable
-    space: SearchSpace
     _slices: dict[tuple[str, str], ScoreSlice]
+
+    @property
+    def space(self) -> SearchSpace:
+        return self.table.space
 
     def supports_metric(self, metric: str, split: str) -> bool:
         return bool(self._slices[(split, metric)].qids)
@@ -207,15 +205,10 @@ class GridReplayEvaluator(StoredScores):
     :class:`IncompleteTableError`.
     """
 
-    def __init__(self, table: GridTable, space: SearchSpace):
-        if table.space_fingerprint != space.fingerprint():
-            raise FingerprintMismatchError(
-                "grid table fingerprint does not match the active search space"
-            )
+    def __init__(self, table: GridTable):
         self.table = table
-        self.space = space
         self._slices = {
-            (split, metric): table.slice(split, metric, space.total_size)
+            (split, metric): table.slice(split, metric)
             for split in SPLITS
             for metric in METRIC_NAMES
         }

@@ -26,7 +26,6 @@ from .dataio import _dump_canonical, _read_jsonl, atomic_write
 from .evaluator import Evaluator, Objective
 from .metrics import CONTEXT_MRR
 from .optimizers import (
-    ALGORITHMS,
     DRIVER_OBJECTIVE,
     DRIVER_RETRIEVAL,
     Optimizer,
@@ -108,10 +107,9 @@ class RunSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "seeds", tuple(self.seeds))
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(
-                f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}"
-            )
+        # One optimizer, built now, rejects an unknown algorithm or a bad
+        # option before any evaluation is paid for.
+        create_optimizer(self.algorithm, self.space, 0, **self.optimizer_options)
         if self.budget < 1:
             raise ValueError(f"budget must be >= 1, got {self.budget}")
         if self.budget > self.space.total_size:

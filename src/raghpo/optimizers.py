@@ -4,8 +4,8 @@ Each optimizer is a sequential state machine: ``suggest(history)`` proposes
 an unexplored configuration, the caller evaluates it and appends a
 :class:`Trial`, and the cycle repeats. An optimizer is deterministic given
 its seed, the search space and the histories it is shown, so the harness
-resumes a run by showing a fresh optimizer the recorded trials again.
-``state_dict()`` snapshots the state between suggestions, and
+resumes a run by running it again from the seed, and gets the same
+trajectory. ``state_dict()`` snapshots the state between suggestions, and
 ``load_state_dict`` restores it.
 
 Algorithms:

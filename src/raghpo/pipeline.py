@@ -748,14 +748,13 @@ class LivePipelineEvaluator(StoredScores):
         if parallelism < 1:
             raise ValueError(f"parallelism must be >= 1, got {parallelism}")
         self.dataset = dataset
-        self.space = space
         self.generator = generator
         self.templates = templates or TemplateStore.builtin()
         self.judge = judge
         self.parallelism = parallelism
         self.embedder = embedder
         self.replies = replies or ReplyStore()
-        self.table = GridTable(space_fingerprint=space.fingerprint())
+        self.table = GridTable(space)
         defined = {
             CONTEXT_MRR: lambda qa: bool(qa.gold_doc_ids),
             LEXICAL_AC: lambda qa: bool(tokenize(qa.gold_answer)),
@@ -780,7 +779,7 @@ class LivePipelineEvaluator(StoredScores):
         self._dims: dict[str, int] = {}  # each embedding model's vector dimension
 
     def _slice(self, key: tuple[str, str]) -> ScoreSlice:
-        return self.table.slice(*key, self.space.total_size, qids=self._universes[key])
+        return self.table.slice(*key, qids=self._universes[key])
 
     def _index_for(self, index_config: IndexConfig) -> tuple[VectorIndex, int]:
         cached = self._indices.get(index_config)

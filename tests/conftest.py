@@ -52,7 +52,7 @@ def fill_table(
     qids: dict[str, tuple[str, ...]],
 ) -> GridTable:
     """Complete table with score_fn(ordinal, split, metric, qid) everywhere."""
-    table = GridTable(space_fingerprint=space.fingerprint())
+    table = GridTable(space)
     for split, metrics in split_metrics.items():
         for metric in metrics:
             for ordinal in range(space.total_size):
@@ -63,9 +63,9 @@ def fill_table(
     return table
 
 
-def is_complete(table: GridTable, metric: str, split: str, size: int) -> bool:
-    """Whether every config in ``range(size)`` has a row for each qid seen for (split, metric)."""
-    scores = table.slice(split, metric, size)
+def is_complete(table: GridTable, metric: str, split: str) -> bool:
+    """Whether every config of the table's space has a row for each qid seen for (split, metric)."""
+    scores = table.slice(split, metric)
     return bool(scores.qids) and not np.isnan(scores.means).any()
 
 
@@ -110,7 +110,7 @@ def table_from_config_scores(
     is exactly that score. ``mrr_scores`` adds a context_mrr slice on dev.
     """
     test_scores = dev_scores if test_scores is None else test_scores
-    table = GridTable(space_fingerprint=space.fingerprint())
+    table = GridTable(space)
     for ordinal in range(space.total_size):
         for qid in dev_qids:
             table.add_score(ordinal, "dev", metric, qid, dev_scores[ordinal])

@@ -91,7 +91,7 @@ def test_criterion_02_grid_baseline_replay(tmp_path):
         rng = random.Random(501)
         scores = [rng.random() for _ in range(162)]
         table = table_from_config_scores(space, scores)
-        extremes = grid_extremes(table, LEXICAL_AC, "dev", space)
+        extremes = grid_extremes(table, LEXICAL_AC, "dev")
         assert extremes.worst_score == min(scores)
         assert extremes.best_score == max(scores)
         assert extremes.worst == space.config_at(scores.index(min(scores)))
@@ -132,7 +132,7 @@ def test_criterion_03_optimizer_soundness_suite():
         dev = [rng.random() for _ in range(162)]
         mrr = [rng.random() for _ in range(162)]
         table = table_from_config_scores(space, dev, mrr_scores=mrr)
-        evaluator = GridReplayEvaluator(table, space)
+        evaluator = GridReplayEvaluator(table)
         grid_max = max(dev)
         seeds = tuple(range(1, 101))
 
@@ -161,7 +161,7 @@ def test_criterion_04_greedy_separable_fixtures():
             utils = additive_utilities(space, random.Random(fixture_seed))
             scores = additive_scores(space, utils)
             evaluator = GridReplayEvaluator(
-                table_from_config_scores(space, scores), space
+                table_from_config_scores(space, scores)
             )
             optimizer = create_optimizer("greedy_m", space, seed=1000 + fixture_seed)
             history = TrialHistory()
@@ -185,7 +185,7 @@ def test_criterion_05_rcc_generation_charges_start_at_model_sweep():
         table = table_from_config_scores(space, dev, mrr_scores=mrr)
         for ordinal in range(162):
             table.set_cost(ordinal, "dev", CostDelta(1000 + ordinal, 500, 50))
-        evaluator = GridReplayEvaluator(table, space)
+        evaluator = GridReplayEvaluator(table)
         spec = RunSpec(
             space=space,
             algorithm="greedy_rcc",
@@ -307,7 +307,7 @@ def test_criterion_09_tpe_beats_random_on_planted_optimum():
                 utils[p][space.values_of(p).index(config.value_of(p))] for p in ParamName
             )
             scores.append(total / 5.0)
-        evaluator = GridReplayEvaluator(table_from_config_scores(space, scores), space)
+        evaluator = GridReplayEvaluator(table_from_config_scores(space, scores))
         target = argmax_config(space, scores)
 
         def hit_rate(algorithm: str, n_seeds: int) -> float:

@@ -36,12 +36,12 @@ def four_config_space():
 
 
 def test_extremes_match_scan_oracle(four_config_space):
-    table = GridTable(space_fingerprint=four_config_space.fingerprint())
+    table = GridTable(four_config_space)
     per_config = {0: (0.2, 0.4), 1: (0.9, 0.7), 2: (0.1, 0.3), 3: (0.6, 0.6)}
     for ordinal, (a, b) in per_config.items():
         table.add_score(ordinal, "dev", LEXICAL_AC, "q0", a)
         table.add_score(ordinal, "dev", LEXICAL_AC, "q1", b)
-    extremes = grid_extremes(table, LEXICAL_AC, "dev", four_config_space)
+    extremes = grid_extremes(table, LEXICAL_AC, "dev")
     means = {o: (a + b) / 2 for o, (a, b) in per_config.items()}
     assert extremes.worst_score == min(means.values()) == 0.2
     assert extremes.best_score == max(means.values()) == 0.8
@@ -51,14 +51,14 @@ def test_extremes_match_scan_oracle(four_config_space):
 
 def test_extremes_tie_goes_to_lowest_ordinal(four_config_space):
     table = table_from_config_scores(four_config_space, [0.5, 0.2, 0.5, 0.2])
-    extremes = grid_extremes(table, LEXICAL_AC, "dev", four_config_space)
+    extremes = grid_extremes(table, LEXICAL_AC, "dev")
     assert extremes.worst == four_config_space.config_at(1)
     assert extremes.best == four_config_space.config_at(0)
 
 
 def test_extremes_constant_table(four_config_space):
     table = table_from_config_scores(four_config_space, [0.4] * 4)
-    extremes = grid_extremes(table, LEXICAL_AC, "dev", four_config_space)
+    extremes = grid_extremes(table, LEXICAL_AC, "dev")
     assert extremes.worst_score == extremes.best_score == 0.4
 
 
@@ -69,16 +69,16 @@ def test_extremes_product_docs_shaped_fixture(default_space):
     scores[40] = 0.52
     scores[120] = 0.76
     table = table_from_config_scores(default_space, scores, metric=JUDGE_AC)
-    extremes = grid_extremes(table, JUDGE_AC, "dev", default_space)
+    extremes = grid_extremes(table, JUDGE_AC, "dev")
     assert extremes.worst_score == pytest.approx(0.52, abs=0.005)
     assert extremes.best_score == pytest.approx(0.76, abs=0.005)
 
 
 def test_extremes_incomplete_table_rejected(four_config_space):
-    table = GridTable(space_fingerprint=four_config_space.fingerprint())
+    table = GridTable(four_config_space)
     table.add_score(0, "dev", LEXICAL_AC, "q0", 0.5)
     with pytest.raises(IncompleteTableError, match="ordinal 1 is missing 1 of 1"):
-        grid_extremes(table, LEXICAL_AC, "dev", four_config_space)
+        grid_extremes(table, LEXICAL_AC, "dev")
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +88,7 @@ def test_extremes_incomplete_table_rejected(four_config_space):
 
 def test_bins_best_config_lands_in_last_bin(four_config_space):
     table = table_from_config_scores(four_config_space, [0.0, 0.3, 0.6, 1.0])
-    bins = normalized_bins(table, LEXICAL_AC, "dev", four_config_space, bin_count=10)
+    bins = normalized_bins(table, LEXICAL_AC, "dev", bin_count=10)
     assert bins.counts[-1] == 1
     assert bins.counts[0] == 1  # the worst config normalizes to exactly 0
     assert sum(bins.counts) == 4
@@ -98,7 +98,7 @@ def test_bins_match_independent_binning_oracle(default_space):
     rng = random.Random(31)
     scores = [rng.random() for _ in range(162)]
     table = table_from_config_scores(default_space, scores)
-    bins = normalized_bins(table, LEXICAL_AC, "dev", default_space, bin_count=10)
+    bins = normalized_bins(table, LEXICAL_AC, "dev", bin_count=10)
 
     lo, hi = min(scores), max(scores)
     edges = [lo + (hi - lo) * k / 10 for k in range(1, 10)]
@@ -116,14 +116,14 @@ def test_bins_affine_invariance(four_config_space):
     shifted = [0.5 * x + 0.2 for x in base]
     t1 = table_from_config_scores(four_config_space, base)
     t2 = table_from_config_scores(four_config_space, shifted)
-    b1 = normalized_bins(t1, LEXICAL_AC, "dev", four_config_space)
-    b2 = normalized_bins(t2, LEXICAL_AC, "dev", four_config_space)
+    b1 = normalized_bins(t1, LEXICAL_AC, "dev")
+    b2 = normalized_bins(t2, LEXICAL_AC, "dev")
     assert b1.counts == b2.counts
 
 
 def test_bins_degenerate_constant_table(four_config_space):
     table = table_from_config_scores(four_config_space, [0.5] * 4)
-    bins = normalized_bins(table, LEXICAL_AC, "dev", four_config_space)
+    bins = normalized_bins(table, LEXICAL_AC, "dev")
     assert bins.degenerate
     assert bins.counts[0] == 4
 
@@ -138,10 +138,10 @@ def test_marginal_means_value_row_counts(default_space):
     table = table_from_config_scores(
         default_space, [rng.random() for _ in range(162)]
     )
-    rows = marginal_means(table, LEXICAL_AC, "dev", default_space)
+    rows = marginal_means(table, LEXICAL_AC, "dev")
     assert len(rows) == 14  # 3 + 2 + 3 + 3 + 3 parameter values
     # Each generative model averages over 162 / 3 = 54 configurations.
-    means = per_config_means(table, LEXICAL_AC, "dev", default_space)
+    means = per_config_means(table, LEXICAL_AC, "dev")
     for value in default_space.generative_models:
         subset = [
             means[o]
@@ -157,7 +157,7 @@ def test_marginal_means_value_row_counts(default_space):
 
 def test_marginal_means_constant_table_zero_deltas(default_space):
     table = table_from_config_scores(default_space, [0.6] * 162)
-    for row in marginal_means(table, LEXICAL_AC, "dev", default_space):
+    for row in marginal_means(table, LEXICAL_AC, "dev"):
         assert row.delta == pytest.approx(0.0)
 
 
@@ -165,7 +165,7 @@ def test_marginal_means_recover_planted_additive_effects(default_space):
     utils = additive_utilities(default_space, random.Random(3))
     scores = additive_scores(default_space, utils)
     table = table_from_config_scores(default_space, scores)
-    rows = marginal_means(table, LEXICAL_AC, "dev", default_space)
+    rows = marginal_means(table, LEXICAL_AC, "dev")
     for row in rows:
         values = default_space.values_of(row.param)
         u = utils[row.param]
@@ -176,7 +176,7 @@ def test_marginal_means_recover_planted_additive_effects(default_space):
 def test_marginal_mean_deltas_sum_to_zero_per_param(default_space):
     rng = random.Random(9)
     table = table_from_config_scores(default_space, [rng.random() for _ in range(162)])
-    rows = marginal_means(table, LEXICAL_AC, "dev", default_space)
+    rows = marginal_means(table, LEXICAL_AC, "dev")
     for param in ParamName:
         total = sum(r.delta for r in rows if r.param is param)
         assert total == pytest.approx(0.0, abs=1e-12)
@@ -191,7 +191,7 @@ def test_convergence_series_length_and_reference(default_space):
     rng = random.Random(17)
     dev = [rng.random() for _ in range(162)]
     table = table_from_config_scores(default_space, dev)
-    evaluator = GridReplayEvaluator(table, default_space)
+    evaluator = GridReplayEvaluator(table)
     spec = RunSpec(
         space=default_space,
         algorithm="random",
@@ -212,7 +212,7 @@ def test_additive_fixture_reconstructs_best_from_marginals(default_space):
     utils = additive_utilities(default_space, random.Random(21))
     scores = additive_scores(default_space, utils)
     table = table_from_config_scores(default_space, scores)
-    rows = marginal_means(table, LEXICAL_AC, "dev", default_space)
+    rows = marginal_means(table, LEXICAL_AC, "dev")
     grand = sum(scores) / len(scores)
     delta = {(r.param, r.value): r.delta for r in rows}
     reconstructed = []
@@ -221,7 +221,7 @@ def test_additive_fixture_reconstructs_best_from_marginals(default_space):
         reconstructed.append(
             grand + sum(delta[(p, config.value_of(p))] for p in ParamName)
         )
-    extremes = grid_extremes(table, LEXICAL_AC, "dev", default_space)
+    extremes = grid_extremes(table, LEXICAL_AC, "dev")
     assert max(reconstructed) == pytest.approx(extremes.best_score)
     assert reconstructed.index(max(reconstructed)) == default_space.ordinal_of(extremes.best)
 
@@ -237,7 +237,7 @@ def test_reaggregation_from_export_file_matches_emitted_points(tmp_path, default
     dev = [rng.random() for _ in range(162)]
     test = [rng.random() for _ in range(162)]
     table = table_from_config_scores(default_space, dev, test_scores=test)
-    evaluator = GridReplayEvaluator(table, default_space)
+    evaluator = GridReplayEvaluator(table)
     spec = RunSpec(
         space=default_space,
         algorithm="random",
@@ -267,7 +267,7 @@ def test_reaggregation_from_export_file_matches_emitted_points(tmp_path, default
 
 def test_convergence_series_constant_histories_zero_se(tiny_space):
     table = table_from_config_scores(tiny_space, [0.5] * tiny_space.total_size)
-    evaluator = GridReplayEvaluator(table, tiny_space)
+    evaluator = GridReplayEvaluator(table)
     spec = RunSpec(
         space=tiny_space,
         algorithm="random",

@@ -63,7 +63,7 @@ def test_traced_replay_records_suggest_spans_for_every_algorithm(tiny_space):
     table = table_from_config_scores(
         tiny_space, [i / n for i in range(n)], mrr_scores=[(n - i) / n for i in range(n)]
     )
-    evaluator = GridReplayEvaluator(table, tiny_space)
+    evaluator = GridReplayEvaluator(table)
     tracing = _load_tracer()
     tracer = tracing.Tracer()
     suggests = {}
@@ -84,7 +84,7 @@ def test_a_completed_run_adds_no_export_or_load_span(tiny_space):
     # harness.export_run.s measures the export alone.
     n = tiny_space.total_size
     evaluator = GridReplayEvaluator(
-        table_from_config_scores(tiny_space, [i / n for i in range(n)]), tiny_space
+        table_from_config_scores(tiny_space, [i / n for i in range(n)])
     )
     tracing = _load_tracer()
     tracer = tracing.Tracer()
@@ -108,7 +108,7 @@ def test_patched_methods_keep_the_signatures_faults_wrap():
 def test_replay_evaluator_exposes_its_space(tiny_space):
     # faults.py reads self.space.ordinal_of(config) inside the wrapped evaluate.
     table = table_from_config_scores(tiny_space, [0.5] * tiny_space.total_size)
-    evaluator = GridReplayEvaluator(table, tiny_space)
+    evaluator = GridReplayEvaluator(table)
     assert evaluator.space.ordinal_of(tiny_space.config_at(3)) == 3
 
 

@@ -14,7 +14,14 @@ from pathlib import Path
 import pytest
 
 from raghpo import cli, pipeline
-from raghpo.cli import EXIT_OK, EXIT_SUSPENDED, EXIT_VALIDATION, _build_live_evaluator, main
+from raghpo.cli import (
+    EXIT_OK,
+    EXIT_SUSPENDED,
+    EXIT_VALIDATION,
+    _build_live_evaluator,
+    _live_settings,
+    main,
+)
 from raghpo.dataio import load_dataset, load_grid, store_dataset, store_grid
 from raghpo.harness import load_run
 from raghpo.metrics import CONTEXT_MRR, FAITHFULNESS, LEXICAL_AC
@@ -127,9 +134,11 @@ def test_optimize_unknown_algorithm_lists_choices(capsys):
 
 
 def test_optimize_missing_grid_is_validation_error(capsys):
-    code = main(["optimize", "--backend", "grid-replay"])
+    code = main(["optimize"])
     assert code == EXIT_VALIDATION
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: live backend needs --dataset (or dataset in the config)\n"
+    )
 
 
 def test_optimize_explicit_seed_list(tmp_path, fixture_table):
@@ -290,6 +299,33 @@ BAD_RUN_CONFIG_VALUES = {
     "objective a number": (
         "optimize", "replay", {"objective": 3}, "objective: expected a list of metric names, got 3"
     ),
+    "grid unknown metric": (
+        "grid", "live", {"metrics": "nope"},
+        "unknown metric names ['nope']; expected "
+        "['context_mrr', 'faithfulness', 'judge_ac', 'lexical_ac']",
+    ),
+    "grid judge_ac without a judge": (
+        "grid", "live", {"metrics": "judge_ac"},
+        "judge_ac requested but no judge endpoint configured",
+    ),
+    "grid parallelism zero": (
+        "grid", "live", {"parallelism": 0}, "parallelism must be >= 1, got 0"
+    ),
+    "live objective judge_ac without a judge": (
+        "optimize", "live", {"objective": "judge_ac"},
+        "objective includes judge_ac but no judge endpoint is configured",
+    ),
+    "live budget past the space": (
+        "optimize", "live", {"budget": 999}, "budget 999 exceeds the space size 162"
+    ),
+    "live tpe gamma out of range": (
+        "optimize", "live", {"algorithm": "tpe", "tpe": {"gamma": 1.5}},
+        "gamma must be in (0, 1), got 1.5",
+    ),
+    "live greedy suffix mode": (
+        "optimize", "live", {"algorithm": "greedy_m", "greedy": {"suffix_mode": "x"}},
+        "suffix_mode must be 'shared' or 'per_candidate', got 'x'",
+    ),
 }
 
 
@@ -314,6 +350,8 @@ def test_bad_run_config_value_exits_2_naming_its_key(
     assert main([command, "--config", str(config_path)]) == EXIT_VALIDATION
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not list(tmp_path.glob("out.jsonl*"))
+    # Every setting is checked before the reply store beside the dataset is created.
+    assert not list(tmp_path.glob("*.replies.sqlite3*"))
 
 
 def test_objective_list_in_a_run_config_means_the_comma_string(tmp_path, default_space):
@@ -494,7 +532,7 @@ def test_analyze_needs_input(capsys):
 def test_analyze_incomplete_table_fails(tmp_path, default_space, capsys):
     from raghpo.dataio import GridTable
 
-    table = GridTable(space_fingerprint=default_space.fingerprint())
+    table = GridTable(default_space)
     table.add_score(0, "dev", LEXICAL_AC, "q0", 0.5)
     path = tmp_path / "partial.jsonl"
     store_grid(table, path)
@@ -692,8 +730,8 @@ def test_grid_builds_complete_table(live_setup, capsys):
     assert code == EXIT_OK
     table = load_grid(live_setup["grid_path"], live_setup["space"])
     for metric in (LEXICAL_AC, FAITHFULNESS, CONTEXT_MRR):
-        assert is_complete(table, metric, "dev", 2)
-        assert is_complete(table, metric, "test", 2)
+        assert is_complete(table, metric, "dev")
+        assert is_complete(table, metric, "test")
     assert "evaluated 4 (config, split) cells" in capsys.readouterr().out
 
 
@@ -763,8 +801,8 @@ def test_grid_retrieval_only_metrics_skip_generation(live_setup, capsys):
     assert code == EXIT_OK
     assert len(live_setup["stub"].calls("/generate")) == 0
     table = load_grid(live_setup["grid_path"], live_setup["space"])
-    assert is_complete(table, CONTEXT_MRR, "dev", 2)
-    assert table.slice("dev", LEXICAL_AC, 2).qids == ()
+    assert is_complete(table, CONTEXT_MRR, "dev")
+    assert table.slice("dev", LEXICAL_AC).qids == ()
     # Recorded costs carry no generation tokens either.
     assert all(
         c.generation_input_tokens == 0 and c.generation_output_tokens == 0
@@ -842,7 +880,10 @@ def test_grid_holds_one_index_at_a_time(live_setup, tiny_space, tmp_path, monkey
     stub.server.calls.clear()
     config = json.loads(live_setup["config_path"].read_text())
     evaluator = _build_live_evaluator(
-        config, load_dataset(config["dataset"]), space, 1, tmp_path / "kept.replies.sqlite3"
+        _live_settings(config, 1),
+        load_dataset(config["dataset"]),
+        space,
+        tmp_path / "kept.replies.sqlite3",
     )
     for ordinal in range(space.total_size):
         for split in ("dev", "test"):
@@ -924,7 +965,7 @@ def test_grid_suspends_on_service_outage_then_resumes(live_setup, capsys):
     live_setup["stub"].fail_next("/generate", 0)
     assert main(["grid", "--config", str(live_setup["config_path"])]) == EXIT_OK
     table = load_grid(live_setup["grid_path"], live_setup["space"])
-    assert is_complete(table, LEXICAL_AC, "test", 2)
+    assert is_complete(table, LEXICAL_AC, "test")
 
 
 class _Killed(BaseException):

@@ -32,6 +32,7 @@ from raghpo.dataio import (
 )
 from raghpo.harness import RUN_FORMAT_VERSION, load_run
 from raghpo.metrics import CONTEXT_MRR, FAITHFULNESS, LEXICAL_AC, METRIC_NAMES
+from raghpo.searchspace import SearchSpace
 
 from conftest import fill_table, is_complete, make_document
 
@@ -257,7 +258,7 @@ def test_grid_complete_fixture_row_count(default_space):
         qids={"dev": qids},
     )
     assert len(table.scores) == 162 * 4
-    assert is_complete(table, LEXICAL_AC, "dev", default_space.total_size)
+    assert is_complete(table, LEXICAL_AC, "dev")
 
 
 def test_grid_roundtrip_byte_identical(tmp_path, tiny_space):
@@ -294,12 +295,12 @@ def test_grid_roundtrip_canonicalizes_row_order(tmp_path, tiny_space):
 
 
 def test_grid_empty_table_loads_and_reports_incomplete(tmp_path, tiny_space):
-    table = GridTable(space_fingerprint=tiny_space.fingerprint())
+    table = GridTable(tiny_space)
     path = tmp_path / "empty.jsonl"
     store_grid(table, path)
     loaded = load_grid(path, tiny_space)
-    assert not is_complete(loaded, LEXICAL_AC, "dev", tiny_space.total_size)
-    scores = loaded.slice("dev", LEXICAL_AC, tiny_space.total_size)
+    assert not is_complete(loaded, LEXICAL_AC, "dev")
+    scores = loaded.slice("dev", LEXICAL_AC)
     assert scores.qids == ()
     assert np.isnan(scores.means).all() and len(scores.means) == tiny_space.total_size
     with pytest.raises(IncompleteTableError, match="no rows"):
@@ -307,26 +308,26 @@ def test_grid_empty_table_loads_and_reports_incomplete(tmp_path, tiny_space):
 
 
 def test_grid_score_out_of_range_rejected(tiny_space):
-    table = GridTable(space_fingerprint=tiny_space.fingerprint())
+    table = GridTable(tiny_space)
     with pytest.raises(GridFormatError, match="score"):
         table.add_score(0, "dev", LEXICAL_AC, "q0", 1.2)
 
 
 def test_grid_duplicate_key_rejected(tiny_space):
-    table = GridTable(space_fingerprint=tiny_space.fingerprint())
+    table = GridTable(tiny_space)
     table.add_score(0, "dev", LEXICAL_AC, "q0", 0.5)
     with pytest.raises(GridFormatError, match="duplicate"):
         table.add_score(0, "dev", LEXICAL_AC, "q0", 0.6)
 
 
 def test_grid_unknown_metric_rejected(tiny_space):
-    table = GridTable(space_fingerprint=tiny_space.fingerprint())
+    table = GridTable(tiny_space)
     with pytest.raises(GridFormatError, match="metric"):
         table.add_score(0, "dev", "bleu", "q0", 0.5)
 
 
 def test_grid_fingerprint_mismatch(tmp_path, tiny_space, default_space):
-    table = GridTable(space_fingerprint=tiny_space.fingerprint())
+    table = GridTable(tiny_space)
     path = tmp_path / "g.jsonl"
     store_grid(table, path)
     with pytest.raises(FingerprintMismatchError):
@@ -355,6 +356,17 @@ def test_grid_row_outside_the_space_rejected(tmp_path, tiny_space, kind, ordinal
         load_grid(path, tiny_space)
 
 
+@pytest.mark.parametrize("ordinal", [32, 500, -1])
+def test_grid_table_rejects_an_ordinal_outside_its_space(tiny_space, ordinal):
+    table = GridTable(tiny_space)
+    message = rf"^ordinal {ordinal} is outside the search space \[0, 32\)$"
+    with pytest.raises(GridFormatError, match=message):
+        table.add_score(ordinal, "dev", LEXICAL_AC, "q0", 0.5)
+    with pytest.raises(GridFormatError, match=message):
+        table.set_cost(ordinal, "dev", CostDelta(1, 2, 3))
+    assert table.scores == {} and table.costs == {}
+
+
 def test_grid_non_object_line_rejected(tmp_path, tiny_space):
     path = tmp_path / "g.jsonl"
     header = {"format_version": 1, "space_fingerprint": tiny_space.fingerprint()}
@@ -371,10 +383,12 @@ def test_grid_means_match_a_sorted_qid_python_sum(n_configs):
     qids = [f"q{rng.randrange(10**6):06d}-{i}" for i in range(200)]
     rows = [(o, q, rng.random()) for o in range(n_configs) for q in qids]
     rng.shuffle(rows)
-    table = GridTable(space_fingerprint="f")
+    one_config = SearchSpace((4,), (0.0,), ("e",), (1,), ("g",))
+    space = {162: SearchSpace.default(), 1: one_config}[n_configs]
+    table = GridTable(space)
     for ordinal, qid, score in rows:
         table.add_score(ordinal, "dev", LEXICAL_AC, qid, score)
-    scores = table.slice("dev", LEXICAL_AC, n_configs)
+    scores = table.slice("dev", LEXICAL_AC)
     assert scores.qids == tuple(sorted(qids))
     by_key = {(o, q): s for o, q, s in rows}
     for ordinal in range(n_configs):
@@ -390,14 +404,14 @@ def test_grid_slice_means_are_nan_where_a_qid_is_missing(tiny_space):
         qids={"dev": ("q0", "q1")},
     )
     table.add_score(3, "dev", LEXICAL_AC, "q2", 0.75)
-    scores = table.slice("dev", LEXICAL_AC, tiny_space.total_size)
+    scores = table.slice("dev", LEXICAL_AC)
     assert scores.qids == ("q0", "q1", "q2")
     assert scores.means[3] == 1.25 / 3
     assert np.isnan(np.delete(scores.means, 3)).all()
     with pytest.raises(IncompleteTableError, match=r"ordinal 0 is missing 1 of 3 .*\(qids: q2\)"):
         scores.require_complete(range(tiny_space.total_size))
     # An explicit universe counts only the qids it names.
-    named = table.slice("dev", LEXICAL_AC, tiny_space.total_size, qids=("q0", "q1"))
+    named = table.slice("dev", LEXICAL_AC, qids=("q0", "q1"))
     assert (named.means == 0.25).all()
 
 
@@ -425,7 +439,7 @@ def test_atomic_write_keeps_previous_file_on_failure(tmp_path):
 
 def test_appended_cells_load_with_last_cost_row_winning(tmp_path, tiny_space):
     path = tmp_path / "g.jsonl"
-    table = GridTable(space_fingerprint=tiny_space.fingerprint())
+    table = GridTable(tiny_space)
     store_grid(table, path)
     table.add_score(0, "dev", LEXICAL_AC, "q0", 0.5)
     table.set_cost(0, "dev", CostDelta(4, 5, 6))
@@ -511,7 +525,7 @@ def parses(monkeypatch):
 def _gappy_table(space, seed=0):
     """Random scores with gaps, a qid seen once, unused ordinals and cost rows."""
     rng = random.Random(seed)
-    table = GridTable(space_fingerprint=space.fingerprint())
+    table = GridTable(space)
     rows = [
         (ordinal, split, metric, qid, rng.random())
         for split, metrics in (("dev", (LEXICAL_AC, CONTEXT_MRR)), ("test", (LEXICAL_AC,)))
@@ -540,14 +554,14 @@ def _write_shuffled(table, path):
 
 def _assert_same_table(a, b, space):
     """Equal rows and costs, and bit-identical slices of every (split, metric)."""
-    assert a.space_fingerprint == b.space_fingerprint
+    assert a.space == b.space
     assert a.scores == b.scores
     assert a.costs == b.costs
     for split in SPLITS:
         for metric in sorted(METRIC_NAMES):
             for qids in (None, ("q1", "absent", "q0")):
-                x = a.slice(split, metric, space.total_size, qids)
-                y = b.slice(split, metric, space.total_size, qids)
+                x = a.slice(split, metric, qids)
+                y = b.slice(split, metric, qids)
                 assert x.qids == y.qids
                 assert x.matrix.tobytes() == y.matrix.tobytes()
                 assert x.means.tobytes() == y.means.tobytes()
@@ -578,7 +592,7 @@ def test_stored_table_loads_without_a_parse(tmp_path, tiny_space, parses):
     store_grid(table, path)
     _assert_same_table(load_grid(path, tiny_space), table, tiny_space)
     assert parses == []
-    empty = GridTable(space_fingerprint=tiny_space.fingerprint())
+    empty = GridTable(tiny_space)
     store_grid(empty, path)
     _assert_same_table(load_grid(path, tiny_space), empty, tiny_space)
     assert parses == []
@@ -593,14 +607,14 @@ def test_editing_one_byte_forces_a_parse(tmp_path, tiny_space, parses):
     path.write_bytes(data.replace(b'"score":0.5', b'"score":0.6', 1))
     edited = load_grid(path, tiny_space)
     assert parses == [path]
-    assert edited.slice("dev", LEXICAL_AC, tiny_space.total_size).matrix[0, 0] == 0.6
+    assert edited.slice("dev", LEXICAL_AC).matrix[0, 0] == 0.6
     # The parse replaced the companion, so the next load of the edit hits.
     _assert_same_table(load_grid(path, tiny_space), edited, tiny_space)
     assert parses == [path]
 
 
 def _small_table(space):
-    table = GridTable(space_fingerprint=space.fingerprint())
+    table = GridTable(space)
     table.add_score(3, "dev", LEXICAL_AC, "q0", 0.5)
     table.set_cost(1, "test", CostDelta(1, 2, 3))
     return table
@@ -652,6 +666,24 @@ def test_companion_with_other_members_is_ignored(tmp_path, tiny_space, parses, c
     assert parses == [path]
 
 
+def test_version_1_companion_is_ignored_and_rewritten(tmp_path, tiny_space, parses):
+    table = _small_table(tiny_space)
+    path = tmp_path / "g.jsonl"
+    store_grid(table, path)
+    current = _companion(path).read_bytes()
+    with np.load(_companion(path)) as npz:
+        arrays = dict(npz)
+    manifest = json.loads(arrays["manifest"].tobytes())
+    # Only the version differs, so it alone must make the companion a miss.
+    manifest["companion_version"] = 1
+    arrays["manifest"] = np.frombuffer(json.dumps(manifest).encode("ascii"), dtype=np.uint8)
+    with _companion(path).open("wb") as fh:
+        np.savez(fh, **arrays)
+    _assert_same_table(load_grid(path, tiny_space), table, tiny_space)
+    assert parses == [path]
+    assert _companion(path).read_bytes() == current
+
+
 def test_companion_hit_checks_the_fingerprint(tmp_path, tiny_space, default_space, parses):
     path = tmp_path / "g.jsonl"
     store_grid(_small_table(tiny_space), path)
@@ -675,7 +707,7 @@ class _SameFingerprintSmaller:
 
 @pytest.mark.parametrize("kind", ["score", "cost"])
 def test_companion_reaching_outside_the_space_is_a_miss(tmp_path, tiny_space, parses, kind):
-    table = GridTable(space_fingerprint=tiny_space.fingerprint())
+    table = GridTable(tiny_space)
     table.add_score(9 if kind == "score" else 0, "dev", LEXICAL_AC, "q0", 0.5)
     table.set_cost(9 if kind == "cost" else 0, "dev", CostDelta(1, 2, 3))
     path = tmp_path / "g.jsonl"
@@ -712,7 +744,7 @@ def test_companion_keeps_qids_exactly(tmp_path, tiny_space, parses):
     parsed = load_grid(path, tiny_space)
     hit = load_grid(path, tiny_space)
     assert parses == [path]
-    assert hit.slice("dev", LEXICAL_AC, 1).qids == tuple(sorted(qids))
+    assert hit.slice("dev", LEXICAL_AC).qids == tuple(sorted(qids))
     _assert_same_table(hit, parsed, tiny_space)
 
 
@@ -759,8 +791,8 @@ def test_parse_and_companion_hit_hold_the_same_columns(tmp_path, tiny_space, par
         other = hit._columns[key]
         assert list(columns.rows.items()) == list(other.rows.items())
         assert list(columns.rows) == sorted(columns.rows)
-        assert columns.width == other.width
-        assert columns.matrix.shape == other.matrix.shape == (len(columns.rows), columns.width)
+        shape = (len(columns.rows), tiny_space.total_size)
+        assert columns.matrix.shape == other.matrix.shape == shape
         assert columns.matrix.tobytes() == other.matrix.tobytes()
     # A companion saved after either equals the one saved for the live table.
     for name, loaded in (("from_parse.jsonl", parsed), ("from_hit.jsonl", hit)):
@@ -775,7 +807,6 @@ def test_parse_and_companion_hit_hold_the_same_columns(tmp_path, tiny_space, par
 
 def _load_line_by_line(path, space):
     """The reference reader: one ``json.loads`` and one ``GridTable`` call per line."""
-    size = space.total_size
     table = None
     for lineno, raw in enumerate(path.read_bytes().split(b"\n"), start=1):
         try:
@@ -797,12 +828,10 @@ def _load_line_by_line(path, space):
             if not record.get("space_fingerprint"):
                 raise GridFormatError(f"{path}:{lineno}: header missing space_fingerprint")
             dataio._check_fingerprint(path, record["space_fingerprint"], space)
-            table = GridTable(space_fingerprint=record["space_fingerprint"])
+            table = GridTable(space)
             continue
         try:
             ordinal, split = int(record["ordinal"]), str(record["split"])
-            if not 0 <= ordinal < size:
-                raise GridFormatError(f"ordinal {ordinal} is outside the search space [0, {size})")
             if record.get("kind") == "cost":
                 counts = [int(record[k]) for k in CostDelta(0, 0, 0).as_dict()]
                 table.set_cost(ordinal, split, CostDelta(*counts))
@@ -945,7 +974,7 @@ _GRID_CASES = {
 def stored_lines(tmp_path, tiny_space):
     """A stored table of ~190 KB: 2,048 score rows in canonical order, then cost rows."""
     rng = random.Random(0)
-    table = GridTable(space_fingerprint=tiny_space.fingerprint())
+    table = GridTable(tiny_space)
     for ordinal in range(tiny_space.total_size):
         for split in SPLITS:
             for metric in (LEXICAL_AC, CONTEXT_MRR):

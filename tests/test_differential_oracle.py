@@ -122,10 +122,10 @@ def _assert_runs_agree(oracle, tmp_path, tiny_space, algorithm: str) -> None:
     config, grid = oracle
     space = ["--space", str(tmp_path / "space.json")]
     replayed = _trial_rows(tmp_path, "replay", ["--grid", str(grid), *space], algorithm)
-    live = _trial_rows(tmp_path, "live", ["--config", str(config), "--backend", "live"], algorithm)
+    live = _trial_rows(tmp_path, "live", ["--config", str(config)], algorithm)
     assert len(replayed) == len(live) == 3 * BUDGET
 
-    table = GridReplayEvaluator(load_grid(grid, tiny_space), tiny_space)
+    table = GridReplayEvaluator(load_grid(grid, tiny_space))
     objective = Objective(metrics=tuple(OBJECTIVE.split(",")))
     for row in replayed + live:
         cell = tiny_space.config_at(row["ordinal"])

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from raghpo.costs import CostDelta
-from raghpo.dataio import FingerprintMismatchError, GridTable
+from raghpo.dataio import GridTable
 from raghpo.evaluator import (
     GridReplayEvaluator,
     IncompleteTableError,
@@ -26,11 +26,11 @@ def replay(tiny_space):
         split_metrics={"dev": (LEXICAL_AC, CONTEXT_MRR), "test": (LEXICAL_AC,)},
         qids={"dev": ("q0", "q1"), "test": ("t0",)},
     )
-    return GridReplayEvaluator(table, tiny_space)
+    return GridReplayEvaluator(table)
 
 
 def _table_with_rows(space, rows, metric=LEXICAL_AC, split="dev"):
-    table = GridTable(space_fingerprint=space.fingerprint())
+    table = GridTable(space)
     for ordinal in range(space.total_size):
         for i, value in enumerate(rows):
             table.add_score(ordinal, split, metric, f"q{i}", value)
@@ -39,7 +39,7 @@ def _table_with_rows(space, rows, metric=LEXICAL_AC, split="dev"):
 
 def test_replay_objective_is_question_mean(tiny_space):
     table = _table_with_rows(tiny_space, (1.0, 0.5, 0.0, 0.5))
-    evaluator = GridReplayEvaluator(table, tiny_space)
+    evaluator = GridReplayEvaluator(table)
     result = evaluator.evaluate(tiny_space.config_at(3), "dev", Objective())
     assert result.objective_score == 0.5
     assert result.failed_qids == ()
@@ -47,7 +47,7 @@ def test_replay_objective_is_question_mean(tiny_space):
 
 def test_replay_single_question_echo(tiny_space):
     table = _table_with_rows(tiny_space, (0.77,))
-    evaluator = GridReplayEvaluator(table, tiny_space)
+    evaluator = GridReplayEvaluator(table)
     result = evaluator.evaluate(tiny_space.config_at(0), "dev", Objective())
     assert result.objective_score == pytest.approx(0.77)
 
@@ -80,7 +80,7 @@ def test_retrieval_only_uses_mrr_and_zero_generation_cost(tiny_space):
     table = _table_with_rows(tiny_space, (1.0, 0.5, 0.0), metric=CONTEXT_MRR)
     for ordinal in range(tiny_space.total_size):
         table.set_cost(ordinal, "dev", CostDelta(100, 200, 300))
-    evaluator = GridReplayEvaluator(table, tiny_space)
+    evaluator = GridReplayEvaluator(table)
     result = evaluator.evaluate_retrieval_only(tiny_space.config_at(0), "dev")
     assert result.objective_score == 0.5
     assert result.cost.embedded_tokens == 100
@@ -91,7 +91,7 @@ def test_retrieval_only_uses_mrr_and_zero_generation_cost(tiny_space):
 def test_replay_reports_costs_when_present(tiny_space):
     table = _table_with_rows(tiny_space, (0.5,))
     table.set_cost(0, "dev", CostDelta(11, 22, 33))
-    evaluator = GridReplayEvaluator(table, tiny_space)
+    evaluator = GridReplayEvaluator(table)
     with_cost = evaluator.evaluate(tiny_space.config_at(0), "dev", Objective())
     without = evaluator.evaluate(tiny_space.config_at(1), "dev", Objective())
     assert with_cost.cost == CostDelta(11, 22, 33)
@@ -99,27 +99,21 @@ def test_replay_reports_costs_when_present(tiny_space):
 
 
 def test_incomplete_table_names_gaps(tiny_space):
-    table = GridTable(space_fingerprint=tiny_space.fingerprint())
+    table = GridTable(tiny_space)
     table.add_score(0, "dev", LEXICAL_AC, "q0", 0.5)
     table.add_score(0, "dev", LEXICAL_AC, "q1", 0.5)
     table.add_score(1, "dev", LEXICAL_AC, "q0", 0.5)
-    evaluator = GridReplayEvaluator(table, tiny_space)
+    evaluator = GridReplayEvaluator(table)
     with pytest.raises(IncompleteTableError, match="q1"):
         evaluator.evaluate(tiny_space.config_at(1), "dev", Objective())
 
 
-def test_fingerprint_checked_at_construction(tiny_space, default_space):
-    table = GridTable(space_fingerprint=default_space.fingerprint())
-    with pytest.raises(FingerprintMismatchError):
-        GridReplayEvaluator(table, tiny_space)
-
-
 def test_weighted_objective_combines_metrics(tiny_space):
-    table = GridTable(space_fingerprint=tiny_space.fingerprint())
+    table = GridTable(tiny_space)
     for ordinal in range(tiny_space.total_size):
         table.add_score(ordinal, "dev", LEXICAL_AC, "q0", 0.8)
         table.add_score(ordinal, "dev", FAITHFULNESS, "q0", 0.2)
-    evaluator = GridReplayEvaluator(table, tiny_space)
+    evaluator = GridReplayEvaluator(table)
     objective = Objective(metrics=(LEXICAL_AC, FAITHFULNESS), weights=(0.75, 0.25))
     result = evaluator.evaluate(tiny_space.config_at(0), "dev", objective)
     assert result.objective_score == pytest.approx(0.75 * 0.8 + 0.25 * 0.2)
@@ -156,12 +150,12 @@ def test_objective_validation():
 
 
 def test_weights_summing_a_hair_above_one_keep_perfect_score_at_one(tiny_space):
-    table = GridTable(space_fingerprint=tiny_space.fingerprint())
+    table = GridTable(tiny_space)
     for ordinal in range(tiny_space.total_size):
         table.add_score(ordinal, "dev", LEXICAL_AC, "q0", 1.0)
         table.add_score(ordinal, "dev", FAITHFULNESS, "q0", 1.0)
     objective = Objective(metrics=(LEXICAL_AC, FAITHFULNESS), weights=(0.5, 0.5000000001))
-    result = GridReplayEvaluator(table, tiny_space).evaluate(
+    result = GridReplayEvaluator(table).evaluate(
         tiny_space.config_at(0), "dev", objective
     )
     assert result.objective_score == pytest.approx(1.0)

@@ -51,7 +51,7 @@ def scored_evaluator(space, seed=0, with_mrr=True, with_costs=False):
                         generation_output_tokens=5,
                     ),
                 )
-    return GridReplayEvaluator(table, space), dev
+    return GridReplayEvaluator(table), dev
 
 
 def _index_tokens(space, index_config: IndexConfig) -> int:
@@ -120,7 +120,7 @@ def test_test_score_tracks_dev_best(default_space):
     dev = [rng.random() for _ in range(162)]
     test = [rng.random() for _ in range(162)]
     table = table_from_config_scores(default_space, dev, test_scores=test)
-    evaluator = GridReplayEvaluator(table, default_space)
+    evaluator = GridReplayEvaluator(table)
     record = run(spec_for(default_space, budget=15, seeds=(1,)), evaluator)
     for it in record.seed_runs[0].iterations:
         assert it.test_score_of_best == pytest.approx(test[it.best_ordinal])
@@ -147,7 +147,7 @@ def test_cross_seed_aggregate_is_recomputable(default_space):
 
 def test_constant_histories_have_zero_se(tiny_space):
     table = table_from_config_scores(tiny_space, [0.5] * tiny_space.total_size)
-    evaluator = GridReplayEvaluator(table, tiny_space)
+    evaluator = GridReplayEvaluator(table)
     record = run(spec_for(tiny_space, budget=5, seeds=(1, 2, 3)), evaluator)
     for point in record.aggregate:
         assert point.mean_test == pytest.approx(0.5)

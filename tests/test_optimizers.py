@@ -31,7 +31,7 @@ OBJECTIVE = Objective()
 
 def make_replay(space, dev_scores, mrr_scores=None) -> GridReplayEvaluator:
     table = table_from_config_scores(space, dev_scores, mrr_scores=mrr_scores)
-    return GridReplayEvaluator(table, space)
+    return GridReplayEvaluator(table)
 
 
 def random_replay(space, seed, with_mrr=False) -> GridReplayEvaluator:

@@ -54,7 +54,7 @@ def _evaluator(space: SearchSpace) -> GridReplayEvaluator:
     rng = random.Random(TABLE_SEED)
     dev = [round(rng.uniform(0.4, 0.6), 2) for _ in range(space.total_size)]
     mrr = [round(rng.uniform(0.4, 0.6), 2) for _ in range(space.total_size)]
-    return GridReplayEvaluator(table_from_config_scores(space, dev, mrr_scores=mrr), space)
+    return GridReplayEvaluator(table_from_config_scores(space, dev, mrr_scores=mrr))
 
 
 def _pinned_state(optimizer) -> dict:
