@@ -4,17 +4,22 @@ Settings come from an optional JSON run-config file plus flags; flags win.
 Exit codes: 0 on completion, 2 on validation/configuration errors, 3 when a
 live run was suspended by a service outage. Re-running the same command
 resumes: the reply store beside the dataset, the only durable live state,
-serves every reply it kept. Neither live command reads its ``--out``; each
-writes it once, when the run completes.
+serves every reply it kept. Both live commands set up through
+:func:`_live_evaluator`, and the store creates its file with the first
+reply it keeps, so a command that fails before then leaves no file. Neither
+live command reads its ``--out``; each writes it once, when the run
+completes.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import sys
 from pathlib import Path
+from typing import Iterator
 
 from . import analysis, dataio, harness
 from .dataio import (
@@ -42,8 +47,6 @@ from .pipeline import (
     ServiceFailure,
 )
 from .searchspace import SearchSpace
-
-log = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -148,16 +151,25 @@ def _parse_objective(value) -> Objective:
     return Objective(metrics=tuple(_names("objective", value, "a list of metric names")))
 
 
-def _replies_path(dataset_path: str | Path) -> Path:
-    """Where the reply store of a dataset directory lives: beside it, as ``<dir>.replies.sqlite3``."""
-    root = Path(dataset_path).resolve()
-    return root.parent / f"{root.name}.replies.sqlite3"
+@contextlib.contextmanager
+def _live_evaluator(
+    args, config: dict, space: SearchSpace, metrics, parallelism: int, sample=None
+) -> Iterator[LivePipelineEvaluator]:
+    """The live evaluator over the dataset, with the reply store beside it, closed on exit.
 
-
-def _live_settings(config: dict, parallelism: int) -> dict:
-    """The live evaluator's service clients and fan-out, checked, as its keyword arguments."""
-    if parallelism < 1:
-        raise CliError(f"parallelism must be >= 1, got {parallelism}")
+    The store is ``<dataset dir>.replies.sqlite3``. ``metrics`` are those
+    the command will score; judge_ac among them needs a judge endpoint.
+    With a :class:`SamplePlan` ``sample``, the evaluator sees the sampled
+    dev split. Nothing is sent here, and the store creates its file only
+    when it keeps a reply.
+    """
+    dataset_path = _setting(args, config, "dataset")
+    if dataset_path is None:
+        raise CliError("live backend needs --dataset (or dataset in the config)")
+    dataset = load_dataset(dataset_path)
+    if sample is not None:
+        dataset = sample_dev(dataset, sample).dataset
+        print(f"sampled dev: {len(dataset.dev)} questions, corpus {len(dataset.corpus)} docs")
     endpoints = config.get("endpoints", {})
     if not isinstance(endpoints, dict) or "embed" not in endpoints or "generate" not in endpoints:
         raise CliError(
@@ -170,32 +182,21 @@ def _live_settings(config: dict, parallelism: int) -> dict:
         except ValueError as exc:
             raise CliError(f"endpoints.{name}: {exc}") from None
 
-    return {
-        "embedder": EmbeddingClient(
-            endpoint("embed"),
-            batch_size=_convert("embed_batch_size", config.get("embed_batch_size", 32), int),
-        ),
-        "generator": GenerationClient(endpoint("generate")),
-        "judge": JudgeClient(endpoint("judge")) if "judge" in endpoints else None,
-        "parallelism": parallelism,
-    }
-
-
-def _build_live_evaluator(
-    settings: dict, dataset, space, replies_path: Path
-) -> LivePipelineEvaluator:
-    """A live evaluator with :func:`_live_settings` and the reply store at ``replies_path``.
-
-    This creates the store file, so callers check every setting first. A
-    store that cannot be opened is a warning, and the run then keeps its
-    replies in memory.
-    """
+    embedder = EmbeddingClient(
+        endpoint("embed"), _convert("embed_batch_size", config.get("embed_batch_size", 32), int)
+    )
+    generator = GenerationClient(endpoint("generate"))
+    judge = JudgeClient(endpoint("judge")) if "judge" in endpoints else None
+    if JUDGE_AC in metrics and judge is None:
+        raise CliError("judge_ac requested but no judge endpoint is configured")
+    root = Path(dataset_path).resolve()
+    replies = ReplyStore(root.parent / f"{root.name}.replies.sqlite3")
     try:
-        replies = ReplyStore(replies_path)
-    except OSError as exc:
-        log.warning("%s; keeping replies in memory for this run", exc)
-        replies = ReplyStore()
-    return LivePipelineEvaluator(dataset=dataset, space=space, replies=replies, **settings)
+        yield LivePipelineEvaluator(
+            dataset, space, embedder, generator, judge=judge, parallelism=parallelism, replies=replies
+        )
+    finally:
+        replies.close()
 
 
 def _format_cost(totals) -> str:
@@ -249,29 +250,12 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         table = load_grid(_input_file(grid_path, "grid table"), space)
         record = harness.run(spec, GridReplayEvaluator(table))
     else:
-        dataset_path = _setting(args, config, "dataset")
-        if dataset_path is None:
-            raise CliError("live backend needs --dataset (or dataset in the config)")
-        dataset = load_dataset(dataset_path)
-        sample_cfg = _section(config, "sample")
-        if sample_cfg:
-            plan = {
-                key: _convert(f"sample.{key}", sample_cfg.get(key), kind)
-                for key, kind in (("qa_fraction", float), ("noise_ratio", int), ("seed", int))
-            }
-            outcome = sample_dev(dataset, SamplePlan(**plan))
-            dataset = outcome.dataset
-            print(
-                f"sampled dev: {len(dataset.dev)} questions, corpus {len(dataset.corpus)} docs"
-            )
-        settings = _live_settings(config, parallelism)
-        if JUDGE_AC in objective.metrics and settings["judge"] is None:
-            raise CliError("objective includes judge_ac but no judge endpoint is configured")
-        evaluator = _build_live_evaluator(settings, dataset, space, _replies_path(dataset_path))
-        try:
+        plan = None
+        if sample := _section(config, "sample"):
+            fields = (("qa_fraction", float), ("noise_ratio", int), ("seed", int))
+            plan = SamplePlan(*(_convert(f"sample.{k}", sample.get(k), kind) for k, kind in fields))
+        with _live_evaluator(args, config, space, objective.metrics, parallelism, plan) as evaluator:
             record = harness.run(spec, evaluator)
-        finally:
-            evaluator.replies.close()
 
     harness.export_run(record, out)
 
@@ -321,10 +305,6 @@ def cmd_grid(args: argparse.Namespace) -> int:
     """
     config = _load_config(args.config)
     space = _load_space(_setting(args, config, "space"))
-    dataset_path = _setting(args, config, "dataset")
-    if dataset_path is None:
-        raise CliError("grid needs --dataset (or dataset in the config)")
-    dataset = load_dataset(dataset_path)
     out = Path(_setting(args, config, "out", "grid.jsonl"))
     expected = "a comma-separated list of dev and test"
     split_value = _setting(args, config, "splits", "dev,test")
@@ -332,16 +312,12 @@ def cmd_grid(args: argparse.Namespace) -> int:
     if not splits or not set(splits) <= set(dataio.SPLITS):
         raise CliError(f"splits: expected {expected}, got {split_value!r}")
     metrics = _names("metrics", _setting(args, config, "metrics"), "a list of metric names")
-    settings = _live_settings(config, _setting(args, config, "parallelism", 1, int))
-    judged = settings["judge"] is not None
-    if not metrics:
-        metrics = [LEXICAL_AC, FAITHFULNESS, CONTEXT_MRR] + ([JUDGE_AC] if judged else [])
-    Objective(metrics=tuple(metrics))  # rejects unknown and repeated metric names
-    if JUDGE_AC in metrics and not judged:
-        raise CliError("judge_ac requested but no judge endpoint configured")
-
-    evaluator = _build_live_evaluator(settings, dataset, space, _replies_path(dataset_path))
-    try:
+    parallelism = _setting(args, config, "parallelism", 1, int)
+    with _live_evaluator(args, config, space, metrics, parallelism) as evaluator:
+        if not metrics:
+            metrics = [LEXICAL_AC, FAITHFULNESS, CONTEXT_MRR]
+            metrics += [JUDGE_AC] if evaluator.judge is not None else []
+        Objective(metrics=tuple(metrics))  # rejects unknown and repeated metric names
         evaluated = 0
         # Ordinals are index-major, so the loop is done with an index once it
         # reaches a cell of the next one, and the evaluator can drop it.
@@ -355,8 +331,6 @@ def cmd_grid(args: argparse.Namespace) -> int:
                 if evaluator.fill(rag_config, split, metrics):
                     evaluated += 1
         evaluator.release(held)
-    finally:
-        evaluator.replies.close()
 
     store_grid(evaluator.table, out)
     print(f"evaluated {evaluated} (config, split) cells; table written to {out}")

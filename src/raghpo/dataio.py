@@ -250,17 +250,33 @@ def _require(record: dict, key: str, path: Path, lineno: int) -> object:
     return record[key]
 
 
+def _check_unicode(where: str, *texts) -> None:
+    """A DatasetFormatError at ``where`` when a string holds a lone surrogate.
+
+    JSON can spell one (``"\\ud800"``), but UTF-8 cannot encode it, so no
+    dataset file could be written back.
+    """
+    for text in texts:
+        if isinstance(text, str) and not text.isascii():
+            try:
+                text.encode("utf-8")
+            except UnicodeEncodeError:
+                raise DatasetFormatError(f"{where}: not valid Unicode text") from None
+
+
 def load_dataset(path: str | Path) -> Dataset:
     """Load and validate a dataset directory.
 
-    Duplicate ids, dangling gold references, unknown splits and malformed
-    records are rejected with the offending file and line number.
+    Duplicate ids, dangling gold references, unknown splits, malformed
+    records and kept strings that UTF-8 cannot encode are rejected with the
+    offending file and line number.
     """
     root = Path(path)
     manifest_path = root / "manifest.json"
     if not manifest_path.is_file():
         raise DatasetFormatError(f"{manifest_path}: manifest not found")
     manifest = read_json_object(manifest_path, DatasetFormatError)
+    _check_unicode(str(manifest_path), manifest.get("name"))
     version = manifest.get("format_version")
     if version != DATASET_FORMAT_VERSION:
         raise DatasetFormatError(
@@ -278,15 +294,15 @@ def load_dataset(path: str | Path) -> Dataset:
             raise DatasetFormatError(f"{corpus_path}:{lineno}: duplicate doc_id {doc_id!r}")
         seen_docs.add(doc_id)
         try:
-            corpus.append(
-                Document(
-                    doc_id=doc_id,
-                    text=str(_require(record, "text", corpus_path, lineno)),
-                    title=record.get("title"),
-                )
+            doc = Document(
+                doc_id=doc_id,
+                text=str(_require(record, "text", corpus_path, lineno)),
+                title=record.get("title"),
             )
         except ValueError as exc:
             raise DatasetFormatError(f"{corpus_path}:{lineno}: {exc}") from None
+        _check_unicode(f"{corpus_path}:{lineno}", doc.doc_id, doc.text, doc.title)
+        corpus.append(doc)
 
     dev: list[QaPair] = []
     test: list[QaPair] = []
@@ -316,6 +332,9 @@ def load_dataset(path: str | Path) -> Dataset:
             question=str(_require(record, "question", benchmark_path, lineno)),
             gold_answer=str(_require(record, "gold_answer", benchmark_path, lineno)),
             gold_doc_ids=tuple(str(g) for g in gold_ids),
+        )
+        _check_unicode(
+            f"{benchmark_path}:{lineno}", qa.qid, qa.question, qa.gold_answer, *qa.gold_doc_ids
         )
         (dev if split == "dev" else test).append(qa)
 

@@ -466,37 +466,50 @@ class ReplyStore:
     Each ``put_*`` call is one transaction, so a killed process keeps every
     call that returned to a store file. A store is used by one thread at a
     time.
+
+    A store file exists only if a reply was kept: a file at ``path`` is
+    opened at once, and otherwise the first ``put_*`` creates it; until
+    then every lookup finds nothing. A file that cannot be opened or
+    created is one warning naming it, and from then on the store keeps its
+    replies in memory, those of the ``put_*`` that failed included, and
+    ``path`` is None.
     """
 
     _BATCH = 500  # keys per lookup query, below SQLite's bound-parameter limit
 
     def __init__(self, path: str | os.PathLike | None = None):
-        """Open or create the store at ``path``, or one in memory without it;
-        an ``OSError`` naming ``path`` when that fails."""
+        """A store over the file at ``path``, or in memory without it."""
+        self.path = path
+        self._db = None
+        if path is not None and os.path.exists(path):
+            self._open()
+
+    def _open(self) -> None:
+        """Connect to the file at ``path``, or in memory after one warning when that fails."""
         import sqlite3
 
-        self.path = path
         try:
             # Used by one thread at a time, which need not be the one that opened it.
-            self._db = sqlite3.connect(
-                ":memory:" if path is None else path, check_same_thread=False
-            )
-        except sqlite3.Error as exc:
-            raise OSError(f"cannot open reply store {path}: {exc}") from None
-        try:
+            self._db = sqlite3.connect(self.path or ":memory:", check_same_thread=False)
             self._db.execute("PRAGMA journal_mode=WAL")
             self._db.execute("PRAGMA synchronous=NORMAL")
             self._db.execute(
-                "CREATE TABLE IF NOT EXISTS replies"
-                " (key BLOB PRIMARY KEY, reply BLOB NOT NULL)"
+                "CREATE TABLE IF NOT EXISTS replies (key BLOB PRIMARY KEY, reply BLOB NOT NULL)"
             )
             self._db.execute("SELECT key, reply FROM replies LIMIT 0")
         except sqlite3.Error as exc:
-            self._db.close()
-            raise OSError(f"cannot open reply store {path}: {exc}") from None
+            self.close()
+            log.warning(
+                "cannot open reply store %s: %s; keeping replies in memory for this run",
+                self.path,
+                exc,
+            )
+            self.path = None
+            self._open()
 
     def close(self) -> None:
-        self._db.close()
+        if self._db is not None:
+            self._db.close()
 
     @staticmethod
     def _keys(route: str, model: str, inputs: Sequence[str]) -> list[bytes]:
@@ -511,6 +524,8 @@ class ReplyStore:
         return keys
 
     def _get(self, route: str, model: str, inputs: Sequence[str]) -> dict[str, bytes]:
+        if self._db is None:
+            return {}
         keys = dict(zip(self._keys(route, model, inputs), inputs))
         wanted = list(keys)
         found: dict[str, bytes] = {}
@@ -522,6 +537,8 @@ class ReplyStore:
 
     def _put(self, route: str, model: str, inputs: Sequence[str], replies: Iterable[bytes]) -> None:
         keys = self._keys(route, model, inputs)
+        if self._db is None:
+            self._open()
         with self._db:
             self._db.executemany("INSERT OR IGNORE INTO replies VALUES (?, ?)", zip(keys, replies))
 
@@ -1014,8 +1031,6 @@ class LivePipelineEvaluator(StoredScores):
         """Fill the cell's generated metrics, judge_ac too when the objective asks for it,
         and score the objective from the table."""
         judged = JUDGE_AC in objective.metrics
-        if judged and self.judge is None:
-            raise ValueError("objective includes judge_ac but no judge endpoint is configured")
         metrics = (LEXICAL_AC, FAITHFULNESS, CONTEXT_MRR) + ((JUDGE_AC,) if judged else ())
         self.fill(config, split, metrics)
         return self._stored_result(config, self.space.ordinal_of(config), split, objective)

@@ -1,3 +1,4 @@
+import argparse
 import gc
 import itertools
 import json
@@ -18,8 +19,6 @@ from raghpo.cli import (
     EXIT_OK,
     EXIT_SUSPENDED,
     EXIT_VALIDATION,
-    _build_live_evaluator,
-    _live_settings,
     main,
 )
 from raghpo.dataio import load_dataset, load_grid, store_dataset, store_grid
@@ -220,6 +219,8 @@ def test_a_file_at_the_old_checkpoint_path_is_neither_read_nor_removed(
     assert planted.read_bytes() == kept
 
 
+NO_JUDGE = "judge_ac requested but no judge endpoint is configured"
+
 #: case -> (command, backend, config values, message)
 BAD_RUN_CONFIG_VALUES = {
     "parallelism": ("optimize", "replay", {"parallelism": "two"}, "parallelism: expected int, got 'two'"),
@@ -305,15 +306,16 @@ BAD_RUN_CONFIG_VALUES = {
         "['context_mrr', 'faithfulness', 'judge_ac', 'lexical_ac']",
     ),
     "grid judge_ac without a judge": (
-        "grid", "live", {"metrics": "judge_ac"},
-        "judge_ac requested but no judge endpoint configured",
+        "grid", "live", {"metrics": "judge_ac"}, NO_JUDGE,
     ),
     "grid parallelism zero": (
         "grid", "live", {"parallelism": 0}, "parallelism must be >= 1, got 0"
     ),
     "live objective judge_ac without a judge": (
-        "optimize", "live", {"objective": "judge_ac"},
-        "objective includes judge_ac but no judge endpoint is configured",
+        "optimize", "live", {"objective": "judge_ac"}, NO_JUDGE,
+    ),
+    "live greedy_rcc objective judge_ac without a judge": (
+        "optimize", "live", {"algorithm": "greedy_rcc", "objective": "judge_ac"}, NO_JUDGE,
     ),
     "live budget past the space": (
         "optimize", "live", {"budget": 999}, "budget 999 exceeds the space size 162"
@@ -350,7 +352,7 @@ def test_bad_run_config_value_exits_2_naming_its_key(
     assert main([command, "--config", str(config_path)]) == EXIT_VALIDATION
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not list(tmp_path.glob("out.jsonl*"))
-    # Every setting is checked before the reply store beside the dataset is created.
+    # The reply store beside the dataset creates its file only when it keeps a reply.
     assert not list(tmp_path.glob("*.replies.sqlite3*"))
 
 
@@ -876,19 +878,15 @@ def test_grid_holds_one_index_at_a_time(live_setup, tiny_space, tmp_path, monkey
     assert len(prompts) == len(set(prompts)) == 32
 
     # The same cells, in the same order, through one evaluator that keeps every
-    # index, with a reply store of its own.
+    # index, over a copy of the dataset with a reply store of its own.
     stub.server.calls.clear()
     config = json.loads(live_setup["config_path"].read_text())
-    evaluator = _build_live_evaluator(
-        _live_settings(config, 1),
-        load_dataset(config["dataset"]),
-        space,
-        tmp_path / "kept.replies.sqlite3",
-    )
-    for ordinal in range(space.total_size):
-        for split in ("dev", "test"):
-            evaluator.fill(space.config_at(ordinal), split, (LEXICAL_AC, FAITHFULNESS, CONTEXT_MRR))
-    evaluator.replies.close()
+    config["dataset"] = str(shutil.copytree(config["dataset"], tmp_path / "kept"))
+    metrics = (LEXICAL_AC, FAITHFULNESS, CONTEXT_MRR)
+    with cli._live_evaluator(argparse.Namespace(), config, space, metrics, 1) as evaluator:
+        for ordinal in range(space.total_size):
+            for split in ("dev", "test"):
+                evaluator.fill(space.config_at(ordinal), split, metrics)
     assert len(evaluator._indices) == len(_indexes_of(space, range(space.total_size)))
     store_grid(evaluator.table, tmp_path / "kept.jsonl")
     assert out.read_bytes() == (tmp_path / "kept.jsonl").read_bytes()
@@ -1420,9 +1418,17 @@ def _unwritable_parent(path: Path) -> None:
     path.parent.chmod(0o555)
 
 
+def _symlink_below_a_file(path: Path) -> None:
+    # No file can be created below a regular file, whoever the user is.
+    afile = path.parent / "afile"
+    afile.write_text("a file, not a directory")
+    path.symlink_to(afile / "x.sqlite3")
+
+
 @pytest.mark.parametrize(
-    "spoil", [_garbage, _directory, _unwritable_parent],
-    ids=["garbage bytes", "a directory in its place", "unwritable parent directory"],
+    "spoil", [_garbage, _directory, _unwritable_parent, _symlink_below_a_file],
+    ids=["garbage bytes", "a directory in its place", "unwritable parent directory",
+         "a symlink below a regular file"],
 )
 def test_an_unusable_reply_store_is_one_warning_and_changes_no_output(
     live_setup, tmp_path, caplog, spoil
@@ -1496,3 +1502,58 @@ def test_replay_and_analyze_open_no_reply_store(tmp_path, fixture_table):
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "False"
     assert not list(tmp_path.rglob("*.replies.sqlite3*"))
+
+
+def test_greedy_rcc_without_dev_gold_labels_exits_2_before_any_request(live_setup, tmp_path, capsys):
+    stub = live_setup["stub"]
+    dataset_path = json.loads(live_setup["config_path"].read_text())["dataset"]
+    dataset = load_dataset(dataset_path)
+    dev = tuple(replace(qa, gold_doc_ids=()) for qa in dataset.dev)
+    store_dataset(replace(dataset, dev=dev), dataset_path)
+    argv = _optimize_argv(live_setup, tmp_path / "run.jsonl") + ["--algo", "greedy_rcc"]
+    assert main(argv) == EXIT_VALIDATION
+    assert "greedy_rcc needs retrieval quality on the dev split" in capsys.readouterr().err
+    assert _sent(stub) == {"/embed": [], "/generate": []}
+    assert not list(tmp_path.rglob("*.replies.sqlite3*"))
+    assert not list(tmp_path.glob("run.jsonl*"))
+
+
+def test_a_live_optimize_whose_service_is_down_keeps_no_store_file(live_setup, tmp_path, capsys):
+    config = json.loads(live_setup["config_path"].read_text())
+    down = {"base_url": "http://127.0.0.1:9", "max_attempts": 1}
+    config["endpoints"] = {"embed": down, "generate": down}
+    config_path = tmp_path / "down.json"
+    config_path.write_text(json.dumps(config))
+    argv = ["optimize", "--config", str(config_path), "--algo", "random", "--budget", "2",
+            "--seeds", "1", "--out", str(tmp_path / "run.jsonl")]
+    assert main(argv) == EXIT_SUSPENDED
+    assert "run suspended" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.replies.sqlite3*"))
+    assert not list(tmp_path.glob("run.jsonl*"))
+
+
+def test_a_lone_surrogate_in_a_dataset_exits_2_naming_its_line_and_writes_nothing(
+    live_setup, tmp_path, capsys
+):
+    dataset_path = Path(json.loads(live_setup["config_path"].read_text())["dataset"])
+    bench = dataset_path / "benchmark.jsonl"
+    lines = bench.read_text().splitlines(keepends=True)
+    record = json.loads(lines[1])
+    record["question"] += " \ud800"
+    lines[1] = json.dumps(record) + "\n"  # spelled as the escape \ud800
+    bench.write_text("".join(lines))
+    message = f"error: {bench}:2: not valid Unicode text\n"
+    sampled = tmp_path / "sampled"
+    argv = ["sample", "--dataset", str(dataset_path), "--out", str(sampled),
+            "--fraction", "0.5", "--noise", "1", "--seed", "1"]
+    assert main(argv) == EXIT_VALIDATION
+    assert capsys.readouterr().err == message
+    assert not sampled.exists()
+    grid_out = tmp_path / "table.jsonl"
+    assert main(["grid", "--config", str(live_setup["config_path"]), "--out", str(grid_out)]) == (
+        EXIT_VALIDATION
+    )
+    assert capsys.readouterr().err == message
+    assert not list(tmp_path.glob("table.jsonl*"))
+    assert not list(tmp_path.rglob("*.replies.sqlite3*"))
+    assert _sent(live_setup["stub"]) == {"/embed": [], "/generate": []}

@@ -499,6 +499,42 @@ def test_invalid_utf8_is_reported_with_its_line(tmp_path, tiny_space, tiny_datas
     assert str(excinfo.value) == f"{path}:2: not valid UTF-8"
 
 
+@pytest.mark.parametrize(
+    "kind, field",
+    [("corpus", "doc_id"), ("corpus", "text"), ("corpus", "title"), ("benchmark", "qid"),
+     ("benchmark", "question"), ("benchmark", "gold_answer"), ("manifest", "name")],
+)
+def test_a_lone_surrogate_in_a_kept_string_is_reported_with_its_line(
+    tmp_path, tiny_dataset, kind, field
+):
+    store_dataset(tiny_dataset, tmp_path / "ds")
+    if kind == "manifest":
+        path = tmp_path / "ds" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        path.write_text(json.dumps({**manifest, "name": "lone \ud800"}))
+        where = str(path)
+    else:
+        path = tmp_path / "ds" / f"{kind}.jsonl"
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[1])
+        record[field] = "lone \ud800"
+        lines[1] = json.dumps(record)  # spelled as the escape \ud800
+        path.write_text("\n".join(lines) + "\n")
+        where = f"{path}:2"
+    with pytest.raises(DatasetFormatError) as excinfo:
+        load_dataset(tmp_path / "ds")
+    assert str(excinfo.value) == f"{where}: not valid Unicode text"
+
+
+def test_a_lone_surrogate_in_an_ignored_field_is_accepted(tmp_path, tiny_dataset):
+    store_dataset(tiny_dataset, tmp_path / "ds")
+    path = tmp_path / "ds" / "benchmark.jsonl"
+    lines = path.read_text().splitlines()
+    lines[0] = json.dumps({**json.loads(lines[0]), "note": "lone \ud800"})
+    path.write_text("\n".join(lines) + "\n")
+    assert load_dataset(tmp_path / "ds") == tiny_dataset
+
+
 # ---------------------------------------------------------------------------
 # Columnar companion of a grid table
 # ---------------------------------------------------------------------------

@@ -1031,6 +1031,25 @@ def test_a_fresh_batch_of_another_dimension_is_not_stored(stub_service, tiny_spa
     replies.close()
 
 
+def test_a_dimension_change_after_a_store_fallback_names_no_store_file(
+    stub_service, tiny_space, tmp_path
+):
+    path = tmp_path / "replies.sqlite3"
+    path.write_bytes(b"not a database" * 100)
+    replies = ReplyStore(path)
+    dataset = _shared_text_dataset()
+    _live(stub_service, dataset, tiny_space, replies=replies).evaluate_retrieval_only(
+        RagConfig.from_values(4, 0.0, "emb-a", 1, "gen-a"), "dev"
+    )
+    stub_service.override("/embed", _vectors(lambda i, t: [1.0, 0.5, 0.25]))
+    evaluator = _live(stub_service, dataset, tiny_space, replies=replies)
+    with pytest.raises(ServiceFailure, match="3-dimensional after 8-dimensional") as failure:
+        evaluator.evaluate_retrieval_only(RagConfig.from_values(8, 0.0, "emb-a", 1, "gen-a"), "dev")
+    assert "rows may come from" not in str(failure.value)
+    assert str(path) not in str(failure.value)
+    replies.close()
+
+
 def test_failed_judge_call_excludes_the_question_and_keeps_its_cost(
     stub_service, tiny_dataset, monkeypatch
 ):
@@ -1097,12 +1116,59 @@ def test_reply_store_keeps_replies_exactly_under_route_model_and_input(tmp_path)
     store.close()
 
 
-def test_reply_store_refuses_a_file_that_is_not_a_database(tmp_path):
+def test_reply_store_refuses_a_file_that_is_not_a_database(tmp_path, caplog):
     path = tmp_path / "replies.sqlite3"
     path.write_bytes(b"not a database" * 100)
-    with pytest.raises(OSError, match="replies.sqlite3"):
-        ReplyStore(path)
+    store = ReplyStore(path)
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 1 and str(path) in warnings[0]
+    assert store.path is None
+    # The store keeps its replies in memory instead.
+    store.put_vectors("m", ["a"], np.ones((1, 3)))
+    assert list(store.vectors("m", ["a"])) == ["a"]
+    store.close()
     assert path.read_bytes() == b"not a database" * 100
+    assert [p.name for p in tmp_path.iterdir()] == ["replies.sqlite3"]
+
+
+def test_a_reply_store_creates_its_file_on_its_first_put(tmp_path):
+    path = tmp_path / "replies.sqlite3"
+    store = ReplyStore(path)
+    assert store.vectors("m", ["a"]) == {}
+    assert store.generations("m", ["p"]) == {}
+    assert store.judge_scores("http://judge", [("q", "a", "g")]) == {}
+    assert list(tmp_path.iterdir()) == []
+    store.put_generations("m", ["p"], [GenerationResult("answer", 3, 1)])
+    assert path.is_file() and store.path == path
+    store.close()
+    # A store opened over the file sees its rows.
+    again = ReplyStore(path)
+    assert again.generations("m", ["p"]) == {"p": GenerationResult("answer", 3, 1)}
+    again.close()
+
+
+def test_reply_stores_opened_on_one_missing_path_share_their_rows(tmp_path):
+    path = tmp_path / "replies.sqlite3"
+    first, second = ReplyStore(path), ReplyStore(path)
+    first.put_vectors("m", ["a"], np.ones((1, 3)))
+    second.put_vectors("m", ["b"], np.zeros((1, 3)))
+    for store in (first, second):
+        assert sorted(store.vectors("m", ["a", "b"])) == ["a", "b"]
+    first.close()
+    second.close()
+
+
+def test_a_store_that_cannot_be_created_keeps_the_replies_of_its_first_put(tmp_path, caplog):
+    (tmp_path / "afile").write_text("a file, not a directory")
+    path = tmp_path / "afile" / "replies.sqlite3"
+    store = ReplyStore(path)
+    store.put_vectors("m", ["a"], np.ones((1, 3)))
+    store.put_vectors("m", ["b"], np.ones((1, 3)))
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 1 and str(path) in warnings[0]
+    assert store.path is None
+    assert sorted(store.vectors("m", ["a", "b"])) == ["a", "b"]
+    store.close()
 
 
 @pytest.mark.parametrize("parallelism", [1, 2])
