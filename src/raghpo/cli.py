@@ -38,6 +38,7 @@ from .evaluator import GridReplayEvaluator, Objective
 from .metrics import CONTEXT_MRR, FAITHFULNESS, JUDGE_AC, LEXICAL_AC
 from .optimizers import ALGORITHMS
 from .pipeline import (
+    NO_JUDGE,
     EmbeddingClient,
     GenerationClient,
     JudgeClient,
@@ -188,7 +189,7 @@ def _live_evaluator(
     generator = GenerationClient(endpoint("generate"))
     judge = JudgeClient(endpoint("judge")) if "judge" in endpoints else None
     if JUDGE_AC in metrics and judge is None:
-        raise CliError("judge_ac requested but no judge endpoint is configured")
+        raise CliError(NO_JUDGE)
     root = Path(dataset_path).resolve()
     replies = ReplyStore(root.parent / f"{root.name}.replies.sqlite3")
     try:

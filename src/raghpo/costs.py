@@ -20,16 +20,9 @@ class CostDelta:
     generation_output_tokens: int = 0
 
     def __post_init__(self) -> None:
-        if self.embedded_tokens < 0:
-            raise ValueError(f"embedded_tokens must be non-negative, got {self.embedded_tokens}")
-        if self.generation_input_tokens < 0:
-            raise ValueError(
-                f"generation_input_tokens must be non-negative, got {self.generation_input_tokens}"
-            )
-        if self.generation_output_tokens < 0:
-            raise ValueError(
-                f"generation_output_tokens must be non-negative, got {self.generation_output_tokens}"
-            )
+        for name, count in self.as_dict().items():
+            if count < 0:
+                raise ValueError(f"{name} must be non-negative, got {count}")
 
     def as_dict(self) -> dict:
         return {

@@ -6,7 +6,12 @@ Dataset on disk is a directory of three files:
   ..., "benchmark_file": ..., "relaxed_test_closure": bool}``
 * corpus file (JSON lines) -- ``{"doc_id": str, "title": str?, "text": str}``
 * benchmark file (JSON lines) -- ``{"qid": str, "question": str,
-  "gold_answer": str, "gold_doc_ids": [str], "split": "dev"|"test"}``
+  "gold_answer": str, "gold_doc_ids": [str]?, "split": "dev"|"test"}``
+
+Every record read from a file, these and the grid-table and run-export
+rows, is checked against its field table (``MANIFEST_FIELDS`` and the
+rest) by :func:`check_fields`, the one field checker: an optional field
+takes its default, no value is converted, and a boolean is never a number.
 
 A grid table is a JSON-lines file whose first line is a header carrying the
 format version and the fingerprint of the search space it was computed
@@ -30,6 +35,7 @@ ignored, so it never changes a result or an error.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import logging
@@ -39,6 +45,7 @@ import operator
 import os
 import random
 import re
+import types
 import zipfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -228,6 +235,90 @@ def read_json_object(path: Path, error: type[Exception]) -> dict:
     return document
 
 
+_NUMBER = int | float
+
+#: The fields of each kind of record read from a file, by name: a type, a
+#: union of types or ``list[item]``, and for an optional field a pair of that
+#: and the value the field takes when a record lacks it. A JSON boolean is
+#: only ever a ``bool``, never a number.
+MANIFEST_FIELDS = {
+    "format_version": int,
+    "name": (str | None, None),
+    "corpus_file": (str, "corpus.jsonl"),
+    "benchmark_file": (str, "benchmark.jsonl"),
+    "relaxed_test_closure": (bool, False),
+}
+CORPUS_FIELDS = {"doc_id": str, "text": str, "title": (str | None, None)}
+BENCHMARK_FIELDS = {
+    "qid": str,
+    "question": str,
+    "gold_answer": str,
+    "gold_doc_ids": (list[str], []),
+    "split": str,
+}
+GRID_HEADER_FIELDS = {"format_version": int, "space_fingerprint": str}
+SCORE_FIELDS = {"ordinal": int, "split": str, "metric": str, "qid": str, "score": _NUMBER}
+COST_FIELDS = {"ordinal": int, "split": str, **dict.fromkeys(ZERO_COST.as_dict(), int)}
+RUN_HEADER_FIELDS = {
+    "format_version": int,
+    "space": dict,
+    "algorithm": str,
+    "objective_metrics": list[str],
+    "objective_weights": (list[_NUMBER] | None, None),
+    "budget": int,
+    "seeds": list[int],
+    "optimizer_options": (dict, {}),
+}
+TRIAL_FIELDS = {
+    "seed": int,
+    "iteration": int,
+    "ordinal": int,
+    "objective_score": _NUMBER | None,
+    "retrieval_score": _NUMBER | None,
+    "driver": str,
+    "cost": dict,
+    "best_dev": _NUMBER | None,
+    "best_ordinal": int | None,
+    "test_of_best": _NUMBER | None,
+    "cum_embedded_tokens": int,
+    "cum_generation_input_tokens": int,
+    "cum_generation_output_tokens": int,
+}
+TRIAL_COST_FIELDS = dict.fromkeys(ZERO_COST.as_dict(), int)
+AGGREGATE_FIELDS = {
+    "iteration": int, "mean_test": _NUMBER | None, "se_test": _NUMBER | None, "n": int
+}
+
+
+def _is_a(value, spec) -> bool:
+    """Whether a JSON value is of ``spec``: a type, a union of them, or ``list[item]``."""
+    if isinstance(spec, types.UnionType):
+        return any(_is_a(value, member) for member in spec.__args__)
+    if isinstance(spec, types.GenericAlias):
+        return isinstance(value, list) and all(_is_a(item, spec.__args__[0]) for item in value)
+    return isinstance(value, spec) and (spec is bool or not isinstance(value, bool))
+
+
+def check_fields(record: dict, kind: str, fields: dict, where: str, error: type[Exception]) -> None:
+    """Check ``record``, a ``kind`` of record, against its field table ``fields``.
+
+    Each optional field that ``record`` lacks is set to a copy of its
+    default. The first field that it otherwise lacks, or holds a value of
+    the wrong type, raises ``error`` at ``where``. No value is converted,
+    and fields that ``fields`` does not name are left as they are.
+    """
+    for name, spec in fields.items():
+        if isinstance(spec, tuple):
+            spec, default = spec
+            if name not in record:
+                record[name] = copy.copy(default)
+                continue
+        elif name not in record:
+            raise error(f"{where}: {kind} lacks field {name!r}")
+        if not _is_a(record[name], spec):
+            raise error(f"{where}: {kind} field {name!r} has the wrong type: {record[name]!r}")
+
+
 def number_setting(value, kind: type[int] | type[float]) -> int | float:
     """``kind(value)`` for a numeric setting, refusing what it would change silently.
 
@@ -244,12 +335,6 @@ def number_setting(value, kind: type[int] | type[float]) -> int | float:
         raise ValueError(value) from None
 
 
-def _require(record: dict, key: str, path: Path, lineno: int) -> object:
-    if key not in record:
-        raise DatasetFormatError(f"{path}:{lineno}: missing required field {key!r}")
-    return record[key]
-
-
 def _check_unicode(where: str, *texts) -> None:
     """A DatasetFormatError at ``where`` when a string holds a lone surrogate.
 
@@ -264,87 +349,74 @@ def _check_unicode(where: str, *texts) -> None:
                 raise DatasetFormatError(f"{where}: not valid Unicode text") from None
 
 
+def _read_manifest(root: Path) -> dict:
+    """The manifest of the dataset directory ``root``, checked, its defaults filled in."""
+    path = root / "manifest.json"
+    if not path.is_file():
+        raise DatasetFormatError(f"{path}: manifest not found")
+    manifest = read_json_object(path, DatasetFormatError)
+    check_fields(manifest, "manifest", MANIFEST_FIELDS, str(path), DatasetFormatError)
+    if (version := manifest["format_version"]) != DATASET_FORMAT_VERSION:
+        raise DatasetFormatError(f"{path}: unsupported format_version {version!r}")
+    _check_unicode(str(path), manifest["name"])
+    return manifest
+
+
 def load_dataset(path: str | Path) -> Dataset:
     """Load and validate a dataset directory.
 
-    Duplicate ids, dangling gold references, unknown splits, malformed
-    records and kept strings that UTF-8 cannot encode are rejected with the
-    offending file and line number.
+    A field of the wrong type, duplicate ids, dangling gold references,
+    unknown splits and kept strings that UTF-8 cannot encode are rejected
+    with the offending file and line number.
     """
     root = Path(path)
-    manifest_path = root / "manifest.json"
-    if not manifest_path.is_file():
-        raise DatasetFormatError(f"{manifest_path}: manifest not found")
-    manifest = read_json_object(manifest_path, DatasetFormatError)
-    _check_unicode(str(manifest_path), manifest.get("name"))
-    version = manifest.get("format_version")
-    if version != DATASET_FORMAT_VERSION:
-        raise DatasetFormatError(
-            f"{manifest_path}: unsupported format_version {version!r}"
-        )
-    corpus_path = root / manifest.get("corpus_file", "corpus.jsonl")
-    benchmark_path = root / manifest.get("benchmark_file", "benchmark.jsonl")
-    relaxed = bool(manifest.get("relaxed_test_closure", False))
+    manifest = _read_manifest(root)
+    corpus_path = root / manifest["corpus_file"]
+    benchmark_path = root / manifest["benchmark_file"]
+    relaxed = manifest["relaxed_test_closure"]
 
     corpus: list[Document] = []
     seen_docs: set[str] = set()
     for lineno, record in _read_jsonl(corpus_path, DatasetFormatError):
-        doc_id = str(_require(record, "doc_id", corpus_path, lineno))
+        where = f"{corpus_path}:{lineno}"
+        check_fields(record, "corpus row", CORPUS_FIELDS, where, DatasetFormatError)
+        doc_id = record["doc_id"]
         if doc_id in seen_docs:
-            raise DatasetFormatError(f"{corpus_path}:{lineno}: duplicate doc_id {doc_id!r}")
+            raise DatasetFormatError(f"{where}: duplicate doc_id {doc_id!r}")
         seen_docs.add(doc_id)
         try:
-            doc = Document(
-                doc_id=doc_id,
-                text=str(_require(record, "text", corpus_path, lineno)),
-                title=record.get("title"),
-            )
+            doc = Document(doc_id=doc_id, text=record["text"], title=record["title"])
         except ValueError as exc:
-            raise DatasetFormatError(f"{corpus_path}:{lineno}: {exc}") from None
-        _check_unicode(f"{corpus_path}:{lineno}", doc.doc_id, doc.text, doc.title)
+            raise DatasetFormatError(f"{where}: {exc}") from None
+        _check_unicode(where, doc.doc_id, doc.text, doc.title)
         corpus.append(doc)
 
     dev: list[QaPair] = []
     test: list[QaPair] = []
     seen_qids: set[str] = set()
     for lineno, record in _read_jsonl(benchmark_path, DatasetFormatError):
-        qid = str(_require(record, "qid", benchmark_path, lineno))
+        where = f"{benchmark_path}:{lineno}"
+        check_fields(record, "benchmark row", BENCHMARK_FIELDS, where, DatasetFormatError)
+        qid, split = record["qid"], record["split"]
         if qid in seen_qids:
-            raise DatasetFormatError(f"{benchmark_path}:{lineno}: duplicate qid {qid!r}")
+            raise DatasetFormatError(f"{where}: duplicate qid {qid!r}")
         seen_qids.add(qid)
-        split = _require(record, "split", benchmark_path, lineno)
         if split not in SPLITS:
-            raise DatasetFormatError(
-                f"{benchmark_path}:{lineno}: split must be one of {SPLITS}, got {split!r}"
-            )
-        gold_ids = record.get("gold_doc_ids", [])
-        if not isinstance(gold_ids, list):
-            raise DatasetFormatError(f"{benchmark_path}:{lineno}: gold_doc_ids must be a list")
+            raise DatasetFormatError(f"{where}: split must be one of {SPLITS}, got {split!r}")
         if split == "dev" or not relaxed:
-            for gid in gold_ids:
+            for gid in record["gold_doc_ids"]:
                 if gid not in seen_docs:
                     raise DatasetFormatError(
-                        f"{benchmark_path}:{lineno}: gold_doc_ids references "
-                        f"missing doc_id {gid!r}"
+                        f"{where}: gold_doc_ids references missing doc_id {gid!r}"
                     )
-        qa = QaPair(
-            qid=qid,
-            question=str(_require(record, "question", benchmark_path, lineno)),
-            gold_answer=str(_require(record, "gold_answer", benchmark_path, lineno)),
-            gold_doc_ids=tuple(str(g) for g in gold_ids),
-        )
-        _check_unicode(
-            f"{benchmark_path}:{lineno}", qa.qid, qa.question, qa.gold_answer, *qa.gold_doc_ids
-        )
+        try:
+            qa = QaPair(qid, record["question"], record["gold_answer"], record["gold_doc_ids"])
+        except ValueError as exc:
+            raise DatasetFormatError(f"{where}: {exc}") from None
+        _check_unicode(where, qa.qid, qa.question, qa.gold_answer, *qa.gold_doc_ids)
         (dev if split == "dev" else test).append(qa)
 
-    return Dataset(
-        corpus=tuple(corpus),
-        dev=tuple(dev),
-        test=tuple(test),
-        name=manifest.get("name"),
-        relaxed_test_closure=relaxed,
-    )
+    return Dataset(corpus, dev, test, manifest["name"], relaxed)
 
 
 def _dump_canonical(record: dict) -> str:
@@ -384,7 +456,7 @@ def store_dataset(dataset: Dataset, path: str | Path) -> None:
         "corpus_file": "corpus.jsonl",
         "benchmark_file": "benchmark.jsonl",
     }
-    if dataset.name:
+    if dataset.name is not None:
         manifest["name"] = dataset.name
     if dataset.relaxed_test_closure:
         manifest["relaxed_test_closure"] = True
@@ -416,11 +488,8 @@ def store_dataset(dataset: Dataset, path: str | Path) -> None:
 def dataset_content_hash(path: str | Path) -> str:
     """SHA-256 over the corpus and benchmark file bytes, for provenance records."""
     root = Path(path)
-    manifest = read_json_object(root / "manifest.json", DatasetFormatError)
-    return _sha256_file(
-        root / manifest.get("corpus_file", "corpus.jsonl"),
-        root / manifest.get("benchmark_file", "benchmark.jsonl"),
-    )
+    manifest = _read_manifest(root)
+    return _sha256_file(root / manifest["corpus_file"], root / manifest["benchmark_file"])
 
 
 def _sha256_file(*paths: Path) -> str:
@@ -812,33 +881,32 @@ def _add_line(
     """
     if not (line := line.strip()):
         return table
-    record = _json_object(line, f"{source}:{lineno}", GridFormatError)
+    where = f"{source}:{lineno}"
+    record = _json_object(line, where, GridFormatError)
     if table is None:
-        version = record.get("format_version")
-        if version != GRID_FORMAT_VERSION:
-            raise GridFormatError(f"{source}:{lineno}: unsupported format_version {version!r}")
-        fingerprint = record.get("space_fingerprint")
-        if not fingerprint:
-            raise GridFormatError(f"{source}:{lineno}: header missing space_fingerprint")
-        _check_fingerprint(source, fingerprint, space)
+        check_fields(record, "grid header", GRID_HEADER_FIELDS, where, GridFormatError)
+        if (version := record["format_version"]) != GRID_FORMAT_VERSION:
+            raise GridFormatError(f"{where}: unsupported format_version {version!r}")
+        _check_fingerprint(source, record["space_fingerprint"], space)
         return GridTable(space)
+    cost = record.get("kind") == "cost"
+    if cost:
+        check_fields(record, "cost row", COST_FIELDS, where, GridFormatError)
+    else:
+        check_fields(record, "score row", SCORE_FIELDS, where, GridFormatError)
     try:
-        ordinal = int(record["ordinal"])
-        split = str(record["split"])
-        if record.get("kind") == "cost":
-            counts = (int(record[name]) for name in ZERO_COST.as_dict())
-            table.set_cost(ordinal, split, CostDelta(*counts))
+        if cost:
+            counts = (record[name] for name in ZERO_COST.as_dict())
+            table.set_cost(record["ordinal"], record["split"], CostDelta(*counts))
         else:
-            metric, qid, score = str(record["metric"]), str(record["qid"]), float(record["score"])
-            table.add_score(ordinal, split, metric, qid, score)
-    except KeyError as exc:
-        raise GridFormatError(f"{source}:{lineno}: missing field {exc}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise GridFormatError(f"{source}:{lineno}: {exc}") from None
+            key = (record["ordinal"], record["split"], record["metric"], record["qid"])
+            table.add_score(*key, float(record["score"]))
+    except (ValueError, OverflowError) as exc:  # out of range, or an int too large for a float
+        raise GridFormatError(f"{where}: {exc}") from None
     return table
 
 
-COMPANION_VERSION = 2
+COMPANION_VERSION = 3
 # What reading a damaged or foreign companion can raise; each is a miss.
 _COMPANION_ERRORS = (
     OSError,

@@ -18,11 +18,12 @@ from __future__ import annotations
 import logging
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .costs import CostDelta
-from .dataio import _dump_canonical, _read_jsonl, atomic_write
+from . import dataio
+from .costs import ZERO_COST, CostDelta
+from .dataio import _dump_canonical, _read_jsonl, atomic_write, check_fields
 from .evaluator import Evaluator, Objective
 from .metrics import CONTEXT_MRR
 from .optimizers import (
@@ -269,18 +270,18 @@ def _spec_header(spec: RunSpec) -> dict:
 
 
 def _spec_from_header(header: dict) -> RunSpec:
+    """The spec of a run_header row that :data:`~raghpo.dataio.RUN_HEADER_FIELDS` checked."""
+    weights = header["objective_weights"]
     return RunSpec(
         space=SearchSpace.from_dict(header["space"]),
         algorithm=header["algorithm"],
         objective=Objective(
             metrics=tuple(header["objective_metrics"]),
-            weights=tuple(header["objective_weights"])
-            if header.get("objective_weights") is not None
-            else None,
+            weights=None if weights is None else tuple(weights),
         ),
         budget=header["budget"],
         seeds=tuple(header["seeds"]),
-        optimizer_options=header.get("optimizer_options", {}),
+        optimizer_options=header["optimizer_options"],
     )
 
 
@@ -297,9 +298,7 @@ def _trial_row(space: SearchSpace, seed: int, trial: Trial, it: IterationRecord)
         "best_dev": it.best_dev_score,
         "best_ordinal": it.best_ordinal,
         "test_of_best": it.test_score_of_best,
-        "cum_embedded_tokens": it.cost.embedded_tokens,
-        "cum_generation_input_tokens": it.cost.generation_input_tokens,
-        "cum_generation_output_tokens": it.cost.generation_output_tokens,
+        **{f"cum_{name}": count for name, count in it.cost.as_dict().items()},
     }
 
 
@@ -317,53 +316,9 @@ def _parse_trial_row(space: SearchSpace, row: dict) -> tuple[Trial, IterationRec
         best_dev_score=row["best_dev"],
         best_ordinal=row["best_ordinal"],
         test_score_of_best=row["test_of_best"],
-        cost=CostDelta(
-            embedded_tokens=row["cum_embedded_tokens"],
-            generation_input_tokens=row["cum_generation_input_tokens"],
-            generation_output_tokens=row["cum_generation_output_tokens"],
-        ),
+        cost=CostDelta(*(row[f"cum_{name}"] for name in ZERO_COST.as_dict())),
     )
     return trial, record
-
-
-_OPTIONAL_NUMBER = (int, float, type(None))
-
-#: Field types of the rows of a run export and of a trial row's nested cost
-#: object. A JSON boolean is rejected where a number is expected.
-_ROW_FIELDS: dict[str, dict[str, type | tuple[type, ...]]] = {
-    "trial row": {
-        "seed": int,
-        "iteration": int,
-        "ordinal": int,
-        "objective_score": _OPTIONAL_NUMBER,
-        "retrieval_score": _OPTIONAL_NUMBER,
-        "driver": str,
-        "cost": dict,
-        "best_dev": _OPTIONAL_NUMBER,
-        "best_ordinal": (int, type(None)),
-        "test_of_best": _OPTIONAL_NUMBER,
-        "cum_embedded_tokens": int,
-        "cum_generation_input_tokens": int,
-        "cum_generation_output_tokens": int,
-    },
-    "trial cost": dict.fromkeys(CostDelta().as_dict(), int),
-    "aggregate row": {
-        "iteration": int,
-        "mean_test": _OPTIONAL_NUMBER,
-        "se_test": _OPTIONAL_NUMBER,
-        "n": int,
-    },
-}
-
-
-def _check_fields(record: dict, kind: str, where: str) -> None:
-    """Raise ValueError at ``where`` naming the first missing or mistyped field."""
-    for name, types in _ROW_FIELDS[kind].items():
-        if name not in record:
-            raise ValueError(f"{where}: {kind} lacks field {name!r}")
-        value = record[name]
-        if isinstance(value, bool) or not isinstance(value, types):
-            raise ValueError(f"{where}: {kind} field {name!r} has the wrong type: {value!r}")
 
 
 def export_run(record: RunRecord, path: str | Path) -> None:
@@ -381,22 +336,14 @@ def export_run(record: RunRecord, path: str | Path) -> None:
             for trial, it in zip(sr.history, sr.iterations):
                 fh.write(_dump_canonical(_trial_row(spec.space, sr.seed, trial, it)) + "\n")
         for point in record.aggregate:
-            fh.write(
-                _dump_canonical(
-                    {
-                        "kind": "aggregate",
-                        "iteration": point.iteration,
-                        "mean_test": point.mean_test,
-                        "se_test": point.se_test,
-                        "n": point.n,
-                    }
-                )
-                + "\n"
-            )
+            fh.write(_dump_canonical({"kind": "aggregate", **asdict(point)}) + "\n")
 
 
-#: The kind of each row that follows the header, as :data:`_ROW_FIELDS` names it.
-_ROW_KINDS = {"trial": "trial row", "aggregate": "aggregate row"}
+#: The name and the field table of each kind of row that follows the header.
+_ROW_KINDS = {
+    "trial": ("trial row", dataio.TRIAL_FIELDS),
+    "aggregate": ("aggregate row", dataio.AGGREGATE_FIELDS),
+}
 
 
 def load_run(path: str | Path) -> RunRecord:
@@ -422,25 +369,23 @@ def load_run(path: str | Path) -> RunRecord:
         if kind == "run_header":
             if spec is not None:
                 raise ValueError(f"{where}: a second run_header row")
-            if row.get("format_version") != RUN_FORMAT_VERSION:
-                raise ValueError(
-                    f"{where}: unsupported run format_version {row.get('format_version')!r}"
-                )
+            check_fields(row, "run_header", dataio.RUN_HEADER_FIELDS, where, ValueError)
+            if (version := row["format_version"]) != RUN_FORMAT_VERSION:
+                raise ValueError(f"{where}: unsupported run format_version {version!r}")
             try:
                 spec = _spec_from_header(row)
-            except KeyError as exc:
-                raise ValueError(f"{where}: run_header lacks field {exc}") from None
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{where}: bad run_header: {exc}") from None
             seeds = {seed: (TrialHistory(), []) for seed in spec.seeds}
             continue
         if kind not in _ROW_KINDS:
             raise ValueError(f"{where}: unknown row kind {kind!r}")
-        _check_fields(row, _ROW_KINDS[kind], where)
+        name, fields = _ROW_KINDS[kind]
+        check_fields(row, name, fields, where, ValueError)
         if kind == "trial":
-            _check_fields(row["cost"], "trial cost", where)
+            check_fields(row["cost"], "trial cost", dataio.TRIAL_COST_FIELDS, where, ValueError)
         if spec is None:
-            raise ValueError(f"{where}: {_ROW_KINDS[kind]} before the run_header row")
+            raise ValueError(f"{where}: {name} before the run_header row")
         iteration = row["iteration"]
         if kind == "aggregate":
             if not 1 <= iteration <= spec.budget:

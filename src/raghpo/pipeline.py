@@ -79,6 +79,7 @@ from .searchspace import IndexConfig, RagConfig, SearchSpace
 log = logging.getLogger(__name__)
 
 TEMPLATE_VERSION = 1
+NO_JUDGE = "judge_ac requested but no judge endpoint is configured"
 
 
 class ServiceFailure(RuntimeError):
@@ -897,8 +898,11 @@ class LivePipelineEvaluator(StoredScores):
         cost row is replaced with the spend of this run. A question whose
         generation or judge call fails keeps the rows it has; when every one
         fails, no row is added and ServiceFailure is raised. Returns the rows
-        added, in the order added.
+        added, in the order added. judge_ac without a judge is a ValueError,
+        raised before any request.
         """
+        if JUDGE_AC in metrics and self.judge is None:
+            raise ValueError(NO_JUDGE)
         if not self.space.contains(config):
             raise ValueError(f"configuration {config.as_dict()} is not in the search space")
         questions = self.dataset.split(split)

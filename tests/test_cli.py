@@ -583,7 +583,7 @@ def test_invalid_utf8_exits_2_with_its_location(tmp_path, fixture_table, dataset
     "field, value, message",
     [
         ("score", 10**400, "int too large to convert to float"),
-        ("ordinal", float("inf"), "cannot convert float infinity to integer"),
+        ("ordinal", float("inf"), "score row field 'ordinal' has the wrong type: inf"),
     ],
     ids=["score", "ordinal"],
 )
@@ -596,6 +596,40 @@ def test_number_out_of_float_range_exits_2_with_its_location(
     path.write_text(header + json.dumps({**row, field: value}) + "\n")
     assert main(["analyze", "--table", str(path), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
     assert capsys.readouterr().err == f"error: {path}:2: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "kind, field, value",
+    [("manifest", "corpus_file", 5), ("corpus", "text", ["x", "y"]), ("benchmark", "qid", None),
+     ("grid table", "ordinal", 1.7), ("run export", "budget", True)],
+)
+def test_a_field_of_the_wrong_type_exits_2_naming_it_and_writes_nothing(
+    tmp_path, fixture_table, dataset_dir, capsys, kind, field, value
+):
+    run, out = tmp_path / "run.jsonl", tmp_path / "out"
+    if kind == "grid table":
+        source, lineno, record = fixture_table, 2, "score row"
+        argv = ["analyze", "--table", str(fixture_table), "--out", str(out)]
+    elif kind == "run export":
+        main(["optimize", "--grid", str(fixture_table), "--budget", "2", "--seeds", "1", "--out", str(run)])
+        source, lineno, record = run, 1, "run_header"
+        argv = ["analyze", "--run", str(run), "--out", str(out)]
+    else:
+        name = "manifest.json" if kind == "manifest" else f"{kind}.jsonl"
+        source, lineno = dataset_dir / name, None if kind == "manifest" else 2
+        record = "manifest" if kind == "manifest" else f"{kind} row"
+        argv = ["sample", "--dataset", str(dataset_dir), "--out", str(out),
+                "--fraction", "0.5", "--noise", "1", "--seed", "1"]
+    lines = source.read_text().splitlines()
+    i = (lineno or 1) - 1
+    lines[i] = json.dumps({**json.loads(lines[i]), field: value})
+    source.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(argv) == EXIT_VALIDATION
+    where = source if lineno is None else f"{source}:{lineno}"
+    message = f"error: {where}: {record} field {field!r} has the wrong type: {value!r}\n"
+    assert capsys.readouterr().err == message
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("kind", ["grid table", "run export", "dataset"])

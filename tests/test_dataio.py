@@ -3,8 +3,10 @@ import io
 import json
 import math
 import random
+import re
 import tracemalloc
 import zipfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from raghpo.dataio import (
     QaPair,
     SamplePlan,
     atomic_write,
+    check_fields,
     dataset_content_hash,
     load_dataset,
     load_grid,
@@ -30,7 +33,8 @@ from raghpo.dataio import (
     store_dataset,
     store_grid,
 )
-from raghpo.harness import RUN_FORMAT_VERSION, load_run
+from raghpo.evaluator import GridReplayEvaluator, Objective
+from raghpo.harness import RUN_FORMAT_VERSION, RunSpec, export_run, load_run, run
 from raghpo.metrics import CONTEXT_MRR, FAITHFULNESS, LEXICAL_AC, METRIC_NAMES
 from raghpo.searchspace import SearchSpace
 
@@ -535,6 +539,121 @@ def test_a_lone_surrogate_in_an_ignored_field_is_accepted(tmp_path, tiny_dataset
     assert load_dataset(tmp_path / "ds") == tiny_dataset
 
 
+def _rewrite_line(path, lineno, **changes):
+    """Set ``changes`` in the JSON object on line ``lineno`` of ``path``."""
+    lines = path.read_text().splitlines()
+    lines[lineno - 1] = json.dumps({**json.loads(lines[lineno - 1]), **changes})
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _file_of_kind(tmp_path, kind, tiny_dataset, space):
+    """A valid file holding a ``kind`` of record, its loader, and the line that record is on."""
+    if kind in ("manifest", "corpus row", "benchmark row"):
+        # Relaxed, so a test question's gold_doc_ids need not name a document.
+        store_dataset(replace(tiny_dataset, relaxed_test_closure=True), tmp_path / "ds")
+        name, lineno = {"manifest": ("manifest.json", None), "corpus row": ("corpus.jsonl", 2),
+                        "benchmark row": ("benchmark.jsonl", 5)}[kind]
+        return tmp_path / "ds" / name, lambda: load_dataset(tmp_path / "ds"), lineno
+    if kind == "run_header":
+        path = tmp_path / "run.jsonl"
+        table = fill_table(space, lambda *_: 0.5, split_metrics={s: (LEXICAL_AC,) for s in SPLITS},
+                           qids={"dev": ("q0",), "test": ("t0",)})
+        spec = RunSpec(space, "random", Objective((LEXICAL_AC,)), budget=1, seeds=(1,))
+        export_run(run(spec, GridReplayEvaluator(table)), path)
+        return path, lambda: load_run(path), 1
+    path = tmp_path / "g.jsonl"
+    row = {"metric": LEXICAL_AC, "ordinal": 0, "qid": "q0", "score": 0.5, "split": "dev"}
+    if kind == "cost row":
+        row = {"kind": "cost", "ordinal": 0, "split": "dev", **CostDelta(1, 2, 3).as_dict()}
+    header = {"format_version": 1, "space_fingerprint": space.fingerprint()}
+    path.write_text(json.dumps(header) + "\n" + json.dumps(row) + "\n")
+    return path, lambda: load_grid(path, space), 1 if kind == "grid header" else 2
+
+
+@pytest.mark.parametrize(
+    "kind, field, value",
+    [
+        ("corpus row", "text", ["x", "y"]),
+        ("corpus row", "doc_id", 1),
+        ("corpus row", "title", {"x": 1}),
+        ("benchmark row", "qid", None),
+        ("benchmark row", "question", 5),
+        ("benchmark row", "gold_answer", False),
+        ("benchmark row", "gold_doc_ids", [1]),
+        ("benchmark row", "gold_doc_ids", "d0"),
+        ("manifest", "relaxed_test_closure", "false"),
+        ("manifest", "corpus_file", 5),
+        ("manifest", "name", 5),
+        ("manifest", "format_version", True),
+        ("grid header", "format_version", True),
+        ("grid header", "space_fingerprint", 7),
+        ("score row", "ordinal", 1.7),
+        ("score row", "ordinal", 1.0),
+        ("score row", "score", "0.5"),
+        ("score row", "score", True),
+        ("score row", "qid", None),
+        ("cost row", "embedded_tokens", True),
+        ("cost row", "embedded_tokens", 2.9),
+        ("cost row", "embedded_tokens", "3"),
+        ("run_header", "format_version", True),
+        ("run_header", "budget", True),
+        ("run_header", "seeds", [True]),
+        ("run_header", "objective_weights", [False]),
+    ],
+)
+def test_a_field_of_the_wrong_type_is_reported_with_its_file_line_and_name(
+    tmp_path, tiny_dataset, tiny_space, kind, field, value
+):
+    path, load, lineno = _file_of_kind(tmp_path, kind, tiny_dataset, tiny_space)
+    load()  # the file as written loads
+    if lineno is None:
+        path.write_text(json.dumps({**json.loads(path.read_text()), field: value}))
+    else:
+        _rewrite_line(path, lineno, **{field: value})
+    where = str(path) if lineno is None else f"{path}:{lineno}"
+    with pytest.raises(ValueError) as excinfo:
+        load()
+    assert str(excinfo.value) == f"{where}: {kind} field {field!r} has the wrong type: {value!r}"
+
+
+@pytest.mark.parametrize(
+    "kind, field",
+    [("corpus row", "text"), ("benchmark row", "gold_answer"), ("manifest", "format_version"),
+     ("grid header", "space_fingerprint"), ("score row", "score"), ("cost row", "split"),
+     ("run_header", "seeds")],
+)
+def test_a_missing_field_is_reported_with_its_file_line_and_name(
+    tmp_path, tiny_dataset, tiny_space, kind, field
+):
+    path, load, lineno = _file_of_kind(tmp_path, kind, tiny_dataset, tiny_space)
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[(lineno or 1) - 1])
+    del record[field]
+    lines[(lineno or 1) - 1] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    where = str(path) if lineno is None else f"{path}:{lineno}"
+    with pytest.raises(ValueError) as excinfo:
+        load()
+    assert str(excinfo.value) == f"{where}: {kind} lacks field {field!r}"
+
+
+def test_absent_optional_dataset_fields_take_their_defaults(tmp_path, tiny_dataset):
+    root = tmp_path / "ds"
+    store_dataset(tiny_dataset, root)  # writes no title, since every title is None
+    optional = {"manifest.json": ("name", "corpus_file", "benchmark_file"),
+                "benchmark.jsonl": ("gold_doc_ids",)}
+    for name, fields in optional.items():
+        records = [json.loads(line) for line in (root / name).read_text().splitlines()]
+        (root / name).write_text("".join(
+            json.dumps({k: v for k, v in record.items() if k not in fields}) + "\n"
+            for record in records
+        ))
+    no_gold = lambda qas: tuple(replace(qa, gold_doc_ids=()) for qa in qas)  # noqa: E731
+    expected = replace(tiny_dataset, dev=no_gold(tiny_dataset.dev), test=no_gold(tiny_dataset.test),
+                       name=None)
+    assert load_dataset(root) == expected
+
+
 # ---------------------------------------------------------------------------
 # Columnar companion of a grid table
 # ---------------------------------------------------------------------------
@@ -720,6 +839,25 @@ def test_version_1_companion_is_ignored_and_rewritten(tmp_path, tiny_space, pars
     assert _companion(path).read_bytes() == current
 
 
+def test_version_2_companion_of_a_table_that_no_longer_parses_is_a_miss(tmp_path, tiny_space):
+    # Version 2 parsed a score "0.5" as 0.5 and saved a companion for those bytes.
+    path = tmp_path / "g.jsonl"
+    store_grid(_small_table(tiny_space), path)
+    with path.open("a") as fh:
+        fh.write('{"metric":"lexical_ac","ordinal":4,"qid":"q0","score":"0.5","split":"dev"}\n')
+    with np.load(_companion(path)) as npz:
+        arrays = dict(npz)
+    manifest = json.loads(arrays["manifest"].tobytes())
+    manifest["companion_version"] = 2
+    manifest["table_sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    arrays["manifest"] = np.frombuffer(json.dumps(manifest).encode("ascii"), dtype=np.uint8)
+    with _companion(path).open("wb") as fh:
+        np.savez(fh, **arrays)
+    message = f"{path}:4: score row field 'score' has the wrong type: '0.5'"
+    with pytest.raises(GridFormatError, match=f"^{re.escape(message)}$"):
+        load_grid(path, tiny_space)
+
+
 def test_companion_hit_checks_the_fingerprint(tmp_path, tiny_space, default_space, parses):
     path = tmp_path / "g.jsonl"
     store_grid(_small_table(tiny_space), path)
@@ -842,7 +980,7 @@ def test_parse_and_companion_hit_hold_the_same_columns(tmp_path, tiny_space, par
 
 
 def _load_line_by_line(path, space):
-    """The reference reader: one ``json.loads`` and one ``GridTable`` call per line."""
+    """The reference reader: one ``json.loads``, one field check and one ``GridTable`` call per line."""
     table = None
     for lineno, raw in enumerate(path.read_bytes().split(b"\n"), start=1):
         try:
@@ -857,27 +995,27 @@ def _load_line_by_line(path, space):
             raise GridFormatError(f"{path}:{lineno}: invalid JSON ({exc})") from None
         if not isinstance(record, dict):
             raise GridFormatError(f"{path}:{lineno}: expected a JSON object")
+        where = f"{path}:{lineno}"
         if table is None:
-            version = record.get("format_version")
+            check_fields(record, "grid header", dataio.GRID_HEADER_FIELDS, where, GridFormatError)
+            version = record["format_version"]
             if version != 1:
-                raise GridFormatError(f"{path}:{lineno}: unsupported format_version {version!r}")
-            if not record.get("space_fingerprint"):
-                raise GridFormatError(f"{path}:{lineno}: header missing space_fingerprint")
+                raise GridFormatError(f"{where}: unsupported format_version {version!r}")
             dataio._check_fingerprint(path, record["space_fingerprint"], space)
             table = GridTable(space)
             continue
+        cost = record.get("kind") == "cost"
+        kind, fields = ("cost row", dataio.COST_FIELDS) if cost else ("score row", dataio.SCORE_FIELDS)
+        check_fields(record, kind, fields, where, GridFormatError)
         try:
-            ordinal, split = int(record["ordinal"]), str(record["split"])
-            if record.get("kind") == "cost":
-                counts = [int(record[k]) for k in CostDelta(0, 0, 0).as_dict()]
-                table.set_cost(ordinal, split, CostDelta(*counts))
+            if cost:
+                counts = [record[k] for k in CostDelta(0, 0, 0).as_dict()]
+                table.set_cost(record["ordinal"], record["split"], CostDelta(*counts))
             else:
-                table.add_score(ordinal, split, str(record["metric"]), str(record["qid"]),
+                table.add_score(record["ordinal"], record["split"], record["metric"], record["qid"],
                                 float(record["score"]))
-        except KeyError as exc:
-            raise GridFormatError(f"{path}:{lineno}: missing field {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise GridFormatError(f"{path}:{lineno}: {exc}") from None
+        except ValueError as exc:
+            raise GridFormatError(f"{where}: {exc}") from None
     if table is None:
         raise GridFormatError(f"{path}: empty file, expected a header line")
     return table

@@ -759,6 +759,21 @@ def test_live_supports_metric(stub_service, tiny_dataset):
     assert not evaluator2.supports_metric(CONTEXT_MRR, "dev")
 
 
+@pytest.mark.parametrize("ask", ["evaluate", "fill"])
+def test_judge_ac_without_a_judge_raises_before_any_request(stub_service, tiny_dataset, ask):
+    evaluator = _live(stub_service, tiny_dataset)
+    with pytest.raises(ValueError) as excinfo:
+        if ask == "evaluate":
+            evaluator.evaluate(_config(), "dev", Objective(metrics=(JUDGE_AC,)))
+        else:
+            evaluator.fill(_config(), "dev", (LEXICAL_AC, JUDGE_AC))
+    assert str(excinfo.value) == "judge_ac requested but no judge endpoint is configured"
+    assert {route: stub_service.calls(route) for route in ("/embed", "/generate", "/judge")} == {
+        "/embed": [], "/generate": [], "/judge": []
+    }
+    assert evaluator.table.scores == {} and evaluator.table.costs == {}
+
+
 def test_live_parallel_matches_sequential(stub_service, tiny_dataset):
     sequential = _live(stub_service, tiny_dataset)
     result_seq = sequential.evaluate(_config(), "dev", Objective())
