@@ -1,6 +1,10 @@
 """Command-line entry points: optimize, grid, sample, analyze.
 
 Settings come from an optional JSON run-config file plus flags; flags win.
+Flags are typed by argparse. The config, its sections, its search space
+and its endpoints are checked by :func:`~raghpo.dataio.check_fields`
+against the field tables in :mod:`raghpo.dataio`, and no setting is
+converted: a bad one is an error naming the config file and the field.
 Exit codes: 0 on completion, 2 on validation/configuration errors, 3 when a
 live run was suspended by a service outage. Re-running the same command
 resumes: the reply store beside the dataset, the only durable live state,
@@ -28,6 +32,7 @@ from .dataio import (
     GridFormatError,
     SamplePlan,
     atomic_write,
+    check_fields,
     load_dataset,
     load_grid,
     sample_dev,
@@ -67,89 +72,55 @@ def _input_file(path: str | Path, what: str) -> Path:
 
 
 def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    return dataio.read_json_object(_input_file(path, "config file"), CliError)
+    """The run config at ``path``, or an empty one, checked, its defaults filled in."""
+    config = {} if path is None else dataio.read_json_object(_input_file(path, "config file"), CliError)
+    check_fields(config, "run config", dataio.RUN_CONFIG_FIELDS, str(path), CliError)
+    return config
 
 
-def _convert(key: str, value, kind: type):
-    """:func:`~raghpo.dataio.number_setting` of ``value``, or a CliError that names ``key``."""
-    try:
-        return dataio.number_setting(value, kind)
-    except (TypeError, ValueError):
-        raise CliError(f"{key}: expected {kind.__name__}, got {value!r}") from None
-
-
-def _setting(args: argparse.Namespace, config: dict, key: str, default=None, kind=None):
+def _setting(args: argparse.Namespace, config: dict, key: str, default=None):
+    """The flag ``key`` if given, else the config's; ``default`` when both are None."""
     value = getattr(args, key, None)
     if value is None:
-        value = config.get(key, default)
-    return value if kind is None else _convert(key, value, kind)
+        value = config[key]
+    return default if value is None else value
 
 
-def _section(config: dict, key: str) -> dict:
-    value = config.get(key) or {}
-    if not isinstance(value, dict):
-        raise CliError(f"{key}: expected an object, got {value!r}")
-    return value
-
-
-def _load_space(value) -> SearchSpace:
+def _load_space(value, where: str | None) -> SearchSpace:
+    """The space a path or a config's space object at ``where`` gives; the stock space for None."""
     if value is None:
         return SearchSpace.default()
-    if isinstance(value, dict):
-        source, data = "space", value
-    elif not isinstance(value, str):
-        raise CliError(f"space: expected a search-space file path or object, got {value!r}")
-    else:
-        source = _input_file(value, "search space file")
-        data = dataio.read_json_object(source, CliError)
-    try:
-        return SearchSpace.from_dict(data)
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"{source}: {exc}") from None
-
-
-def _parse_seeds(value) -> tuple[int, ...]:
-    if isinstance(value, int) and not isinstance(value, bool):
-        return tuple(range(1, value + 1))
     if isinstance(value, str):
-        parts = [_convert("seeds", p, int) for p in value.split(",") if p]
-        if len(parts) == 1:
-            return tuple(range(1, parts[0] + 1))
-        return tuple(parts)
-    if isinstance(value, (list, tuple)):
-        return tuple(_convert("seeds", v, int) for v in value)
-    raise CliError(f"cannot interpret seeds value {value!r}")
+        where = _input_file(value, "search space file")
+        value = dataio.read_json_object(where, CliError)
+    return dataio.read_space(value, str(where), CliError)
 
 
-def _names(key: str, value, expected: str) -> list[str]:
-    """A list setting: a comma-separated string or a JSON list of strings; None means none."""
-    if value is None:
-        return []
+def _seeds_flag(text: str) -> int | list[int]:
+    """``--seeds``: a count ``N``, or a comma-separated list of seeds ``1,2,3``."""
+    try:
+        seeds = [int(part) for part in text.split(",") if part]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a count N or a list 1,2,3, got {text!r}") from None
+    return seeds[0] if len(seeds) == 1 else seeds
+
+
+def _names(value: str | list[str] | None) -> list[str]:
+    """A list setting: a comma-separated string or a list of strings; None means none."""
     if isinstance(value, str):
         return [name for name in value.split(",") if name]
-    if isinstance(value, list) and all(isinstance(name, str) for name in value):
-        return value
-    raise CliError(f"{key}: expected {expected}, got {value!r}")
+    return value or []
 
 
-def _parse_objective(value) -> Objective:
+def _parse_objective(value: str | list[str] | dict | None, where: str | None) -> Objective:
+    """The objective of a flag, or of a config's metric names or objective object at ``where``."""
     if value is None:
         return Objective()
-    if isinstance(value, dict):
-        metrics, weights = value.get("metrics"), value.get("weights")
-        if not isinstance(metrics, list) or not all(isinstance(m, str) for m in metrics):
-            raise CliError(f"objective.metrics: expected a list of metric names, got {metrics!r}")
-        if weights and not isinstance(weights, list):
-            raise CliError(f"objective.weights: expected a list of numbers, got {weights!r}")
-        return Objective(
-            metrics=tuple(metrics),
-            weights=tuple(_convert("objective.weights", w, float) for w in weights)
-            if weights
-            else None,
-        )
-    return Objective(metrics=tuple(_names("objective", value, "a list of metric names")))
+    if not isinstance(value, dict):
+        return Objective(metrics=tuple(_names(value)))
+    check_fields(value, "objective", dataio.OBJECTIVE_FIELDS, str(where), CliError)
+    weights = value["weights"]
+    return Objective(tuple(value["metrics"]), tuple(weights) if weights else None)
 
 
 @contextlib.contextmanager
@@ -171,23 +142,19 @@ def _live_evaluator(
     if sample is not None:
         dataset = sample_dev(dataset, sample).dataset
         print(f"sampled dev: {len(dataset.dev)} questions, corpus {len(dataset.corpus)} docs")
-    endpoints = config.get("endpoints", {})
-    if not isinstance(endpoints, dict) or "embed" not in endpoints or "generate" not in endpoints:
+    endpoints = config["endpoints"]
+    check_fields(endpoints, "endpoints", dataio.ENDPOINTS_FIELDS, str(args.config), CliError)
+    if endpoints["embed"] is None or endpoints["generate"] is None:
         raise CliError(
             "live backend needs endpoints.embed and endpoints.generate in the config file"
         )
 
     def endpoint(name: str) -> ServiceEndpoint:
-        try:
-            return ServiceEndpoint.from_dict(endpoints[name])
-        except ValueError as exc:
-            raise CliError(f"endpoints.{name}: {exc}") from None
+        return ServiceEndpoint.from_dict(endpoints[name], f"{args.config}: endpoints.{name}")
 
-    embedder = EmbeddingClient(
-        endpoint("embed"), _convert("embed_batch_size", config.get("embed_batch_size", 32), int)
-    )
+    embedder = EmbeddingClient(endpoint("embed"), config["embed_batch_size"])
     generator = GenerationClient(endpoint("generate"))
-    judge = JudgeClient(endpoint("judge")) if "judge" in endpoints else None
+    judge = JudgeClient(endpoint("judge")) if endpoints["judge"] is not None else None
     if JUDGE_AC in metrics and judge is None:
         raise CliError(NO_JUDGE)
     root = Path(dataset_path).resolve()
@@ -216,26 +183,21 @@ def _format_cost(totals) -> str:
 def cmd_optimize(args: argparse.Namespace) -> int:
     """Run the algorithm: replay ``grid_table`` when it is set, else run the pipeline live."""
     config = _load_config(args.config)
-    space = _load_space(_setting(args, config, "space"))
-    algorithm = _setting(args, config, "algorithm", "random")
-    objective = _parse_objective(_setting(args, config, "objective"))
-    budget = _setting(args, config, "budget", 10, int)
-    seeds = _parse_seeds(_setting(args, config, "seeds", 10))
-    grid_path = _setting(args, config, "grid_table", None)
-    parallelism = _setting(args, config, "parallelism", 1, int)
+    space = _load_space(_setting(args, config, "space"), args.config)
+    algorithm = _setting(args, config, "algorithm")
+    objective = _parse_objective(_setting(args, config, "objective"), args.config)
+    budget = _setting(args, config, "budget")
+    seeds = _setting(args, config, "seeds")
+    seeds = tuple(range(1, seeds + 1)) if isinstance(seeds, int) else tuple(seeds)
+    grid_path = _setting(args, config, "grid_table")
+    parallelism = _setting(args, config, "parallelism")
 
     optimizer_options = {}
-    tpe = _section(config, "tpe")
-    for key, option, kind in (
-        ("gamma", "tpe_gamma", float),
-        ("candidates", "tpe_candidates", int),
-        ("init", "tpe_init", int),
-    ):
-        if key in tpe:
-            optimizer_options[option] = _convert(f"tpe.{key}", tpe[key], kind)
-    greedy = _section(config, "greedy")
-    if "suffix_mode" in greedy:
-        optimizer_options["greedy_suffix_mode"] = greedy["suffix_mode"]
+    for section, fields in (("tpe", dataio.TPE_FIELDS), ("greedy", dataio.GREEDY_FIELDS)):
+        values = config[section]
+        check_fields(values, section, fields, str(args.config), CliError)
+        options = {f"{section}_{key}": values[key] for key in fields if values[key] is not None}
+        optimizer_options.update(options)
 
     out = _setting(args, config, "out", "run.jsonl")
     spec = harness.RunSpec(
@@ -252,9 +214,9 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         record = harness.run(spec, GridReplayEvaluator(table))
     else:
         plan = None
-        if sample := _section(config, "sample"):
-            fields = (("qa_fraction", float), ("noise_ratio", int), ("seed", int))
-            plan = SamplePlan(*(_convert(f"sample.{k}", sample.get(k), kind) for k, kind in fields))
+        if (sample := config["sample"]) is not None:
+            check_fields(sample, "sample", dataio.SAMPLE_FIELDS, str(args.config), CliError)
+            plan = SamplePlan(*(sample[key] for key in dataio.SAMPLE_FIELDS))
         with _live_evaluator(args, config, space, objective.metrics, parallelism, plan) as evaluator:
             record = harness.run(spec, evaluator)
 
@@ -305,15 +267,16 @@ def cmd_grid(args: argparse.Namespace) -> int:
     lacks. Nothing is written unless every cell completes.
     """
     config = _load_config(args.config)
-    space = _load_space(_setting(args, config, "space"))
+    space = _load_space(_setting(args, config, "space"), args.config)
     out = Path(_setting(args, config, "out", "grid.jsonl"))
-    expected = "a comma-separated list of dev and test"
-    split_value = _setting(args, config, "splits", "dev,test")
-    splits = _names("splits", split_value, expected)
+    split_value = _setting(args, config, "splits")
+    splits = _names(split_value)
     if not splits or not set(splits) <= set(dataio.SPLITS):
-        raise CliError(f"splits: expected {expected}, got {split_value!r}")
-    metrics = _names("metrics", _setting(args, config, "metrics"), "a list of metric names")
-    parallelism = _setting(args, config, "parallelism", 1, int)
+        raise CliError(
+            f"splits: expected a comma-separated list of dev and test, got {split_value!r}"
+        )
+    metrics = _names(_setting(args, config, "metrics"))
+    parallelism = _setting(args, config, "parallelism")
     with _live_evaluator(args, config, space, metrics, parallelism) as evaluator:
         if not metrics:
             metrics = [LEXICAL_AC, FAITHFULNESS, CONTEXT_MRR]
@@ -396,7 +359,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     table_path = _input_file(args.table, "grid table") if args.table else None
     run_path = _input_file(args.run, "run export") if args.run else None
     out = Path(args.out)
-    space = _load_space(args.space)
+    space = _load_space(args.space, None)
     grid_max = None
 
     if table_path:
@@ -491,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--config", help="JSON run-config file; flags override it")
     p_opt.add_argument("--algo", dest="algorithm", choices=ALGORITHMS, help="algorithm id")
     p_opt.add_argument("--budget", type=int, help="iterations per seed")
-    p_opt.add_argument("--seeds", help="seed count (N) or explicit list (1,2,3)")
+    p_opt.add_argument("--seeds", type=_seeds_flag, help="seed count (N) or explicit list (1,2,3)")
     p_opt.add_argument("--objective", help="metric name, or comma-separated list")
     p_opt.add_argument("--grid", dest="grid_table", help="grid table for the replay backend")
     p_opt.add_argument("--dataset", help="dataset directory for the live backend")

@@ -8,10 +8,11 @@ Dataset on disk is a directory of three files:
 * benchmark file (JSON lines) -- ``{"qid": str, "question": str,
   "gold_answer": str, "gold_doc_ids": [str]?, "split": "dev"|"test"}``
 
-Every record read from a file, these and the grid-table and run-export
-rows, is checked against its field table (``MANIFEST_FIELDS`` and the
-rest) by :func:`check_fields`, the one field checker: an optional field
-takes its default, no value is converted, and a boolean is never a number.
+Every record read from a file, these, the grid-table and run-export rows,
+the run config with its sections and endpoints, and the search space, is
+checked against its field table (``MANIFEST_FIELDS`` and the rest) by
+:func:`check_fields`, the one field checker: an optional field takes its
+default, no value is converted, and a boolean is never a number.
 
 A grid table is a JSON-lines file whose first line is a header carrying the
 format version and the fingerprint of the search space it was computed
@@ -56,7 +57,7 @@ import numpy as np
 
 from .costs import ZERO_COST, CostDelta
 from .metrics import METRIC_NAMES
-from .searchspace import SearchSpace
+from .searchspace import SPACE_FORMAT_VERSION, SearchSpace
 
 log = logging.getLogger(__name__)
 
@@ -239,8 +240,10 @@ _NUMBER = int | float
 
 #: The fields of each kind of record read from a file, by name: a type, a
 #: union of types or ``list[item]``, and for an optional field a pair of that
-#: and the value the field takes when a record lacks it. A JSON boolean is
-#: only ever a ``bool``, never a number.
+#: and the value the field takes when a record lacks it. A default of None
+#: that the type does not admit leaves the setting unset, to a flag or to
+#: the default of the code that uses it. A JSON boolean is only ever a
+#: ``bool``, never a number.
 MANIFEST_FIELDS = {
     "format_version": int,
     "name": (str | None, None),
@@ -259,12 +262,13 @@ BENCHMARK_FIELDS = {
 GRID_HEADER_FIELDS = {"format_version": int, "space_fingerprint": str}
 SCORE_FIELDS = {"ordinal": int, "split": str, "metric": str, "qid": str, "score": _NUMBER}
 COST_FIELDS = {"ordinal": int, "split": str, **dict.fromkeys(ZERO_COST.as_dict(), int)}
+OBJECTIVE_FIELDS = {"metrics": list[str], "weights": (list[_NUMBER] | None, None)}
 RUN_HEADER_FIELDS = {
     "format_version": int,
     "space": dict,
     "algorithm": str,
-    "objective_metrics": list[str],
-    "objective_weights": (list[_NUMBER] | None, None),
+    "objective_metrics": OBJECTIVE_FIELDS["metrics"],
+    "objective_weights": OBJECTIVE_FIELDS["weights"],
     "budget": int,
     "seeds": list[int],
     "optimizer_options": (dict, {}),
@@ -287,6 +291,31 @@ TRIAL_FIELDS = {
 TRIAL_COST_FIELDS = dict.fromkeys(ZERO_COST.as_dict(), int)
 AGGREGATE_FIELDS = {
     "iteration": int, "mean_test": _NUMBER | None, "se_test": _NUMBER | None, "n": int
+}
+SPACE_FIELDS = {
+    "format_version": (int, SPACE_FORMAT_VERSION),
+    "chunk_size": list[int], "chunk_overlap": list[_NUMBER], "embedding_model": list[str],
+    "top_k": list[int], "generative_model": list[str],
+}
+RUN_CONFIG_FIELDS = {
+    **dict.fromkeys(("dataset", "grid_table", "out"), (str | None, None)),
+    "space": (str | dict | None, None),
+    "algorithm": (str, "random"),
+    "objective": (str | list[str] | dict | None, None),
+    "budget": (int, 10), "seeds": (int | list[int], 10), "parallelism": (int, 1),
+    "splits": (str | list[str], "dev,test"),
+    "metrics": (str | list[str] | None, None),
+    "tpe": (dict, {}), "greedy": (dict, {}), "endpoints": (dict, {}),
+    "sample": (dict | None, None),
+    "embed_batch_size": (int, 32),
+}
+TPE_FIELDS = {"gamma": (_NUMBER, None), "candidates": (int, None), "init": (int, None)}
+GREEDY_FIELDS = {"suffix_mode": (str, None)}
+SAMPLE_FIELDS = {"qa_fraction": _NUMBER, "noise_ratio": int, "seed": int}
+ENDPOINTS_FIELDS = dict.fromkeys(("embed", "generate", "judge"), (dict | None, None))
+ENDPOINT_FIELDS = {
+    "base_url": str, "auth_env": (str | None, None), "max_attempts": (int, None),
+    "timeout": (_NUMBER, None), "backoff_seconds": (_NUMBER, None),
 }
 
 
@@ -319,20 +348,20 @@ def check_fields(record: dict, kind: str, fields: dict, where: str, error: type[
             raise error(f"{where}: {kind} field {name!r} has the wrong type: {record[name]!r}")
 
 
-def number_setting(value, kind: type[int] | type[float]) -> int | float:
-    """``kind(value)`` for a numeric setting, refusing what it would change silently.
+def read_space(record: dict, where: str, error: type[Exception]) -> SearchSpace:
+    """The search space of a space record: a space file's, a run config's or a run header's.
 
-    A boolean, a number with a fractional part where ``kind`` is int, or a
-    value ``kind`` cannot convert raises ValueError or TypeError.
+    Each ``chunk_overlap`` is widened to float, so ``0`` and ``0.0`` give one
+    space. A bad record, or one :class:`SearchSpace` refuses, raises ``error`` at ``where``.
     """
-    if isinstance(value, bool) or (
-        kind is int and isinstance(value, float) and not value.is_integer()
-    ):
-        raise ValueError(value)
+    check_fields(record, "search space", SPACE_FIELDS, where, error)
+    if (version := record["format_version"]) != SPACE_FORMAT_VERSION:
+        raise error(f"{where}: unsupported search-space format_version {version!r}")
     try:
-        return kind(value)
-    except OverflowError:  # an integer too large for a float
-        raise ValueError(value) from None
+        overlaps = [float(value) for value in record["chunk_overlap"]]
+        return SearchSpace.from_dict({**record, "chunk_overlap": overlaps})
+    except (ValueError, OverflowError) as exc:  # a bad value list, or an int too large for a float
+        raise error(f"{where}: {exc}") from None
 
 
 def _check_unicode(where: str, *texts) -> None:
@@ -709,18 +738,18 @@ class GridTable:
         default_factory=dict, init=False, repr=False
     )
 
-    def _check_ordinal(self, ordinal: int) -> None:
-        """Refuse an ordinal that names no configuration of the table's space."""
+    def _check_cell(self, ordinal: int, split: str) -> None:
+        """Refuse an ordinal that names no configuration of the table's space, or an unknown split."""
         size = self.space.total_size
         if not 0 <= ordinal < size:
             raise GridFormatError(f"ordinal {ordinal} is outside the search space [0, {size})")
+        if split not in SPLITS:
+            raise GridFormatError(f"split must be one of {SPLITS}, got {split!r}")
 
     def add_score(
         self, ordinal: int, split: str, metric: str, qid: str, score: float
     ) -> None:
-        self._check_ordinal(ordinal)
-        if split not in SPLITS:
-            raise GridFormatError(f"split must be one of {SPLITS}, got {split!r}")
+        self._check_cell(ordinal, split)
         if metric not in METRIC_NAMES:
             raise GridFormatError(
                 f"metric must be one of {sorted(METRIC_NAMES)}, got {metric!r}"
@@ -737,7 +766,7 @@ class GridTable:
             raise GridFormatError(f"duplicate row for key {(ordinal, split, metric, qid)}")
 
     def set_cost(self, ordinal: int, split: str, cost: CostDelta) -> None:
-        self._check_ordinal(ordinal)
+        self._check_cell(ordinal, split)
         self.costs[(ordinal, split)] = cost
 
     def cost_for(self, ordinal: int, split: str) -> CostDelta | None:

@@ -68,7 +68,10 @@ class Objective:
         if len(set(self.metrics)) != len(self.metrics):
             raise ValueError(f"duplicate metrics in objective: {self.metrics}")
         if self.weights is not None:
-            object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+            try:
+                object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+            except OverflowError:  # an int too large for a float
+                raise ValueError("weights must be numbers that a float can hold") from None
             if len(self.weights) != len(self.metrics):
                 raise ValueError("weights must match metrics one-to-one")
             if any(w < 0 for w in self.weights):

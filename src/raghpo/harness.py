@@ -58,9 +58,6 @@ class CostLedger:
         self._gen_in += cost.generation_input_tokens
         self._gen_out += cost.generation_output_tokens
 
-    def snapshot(self) -> CostDelta:
-        return self.totals
-
     @property
     def totals(self) -> CostDelta:
         """Cumulative token counts so far."""
@@ -200,7 +197,7 @@ def _run_seed(spec: RunSpec, evaluator: Evaluator, seed: int) -> SeedRun:
                 best_dev_score=best_score,
                 best_ordinal=best_ordinal,
                 test_score_of_best=test_score,
-                cost=ledger.snapshot(),
+                cost=ledger.totals,
             )
         )
     return SeedRun(seed=seed, history=history, iterations=tuple(iterations))
@@ -269,11 +266,11 @@ def _spec_header(spec: RunSpec) -> dict:
     }
 
 
-def _spec_from_header(header: dict) -> RunSpec:
+def _spec_from_header(header: dict, space: SearchSpace) -> RunSpec:
     """The spec of a run_header row that :data:`~raghpo.dataio.RUN_HEADER_FIELDS` checked."""
     weights = header["objective_weights"]
     return RunSpec(
-        space=SearchSpace.from_dict(header["space"]),
+        space=space,
         algorithm=header["algorithm"],
         objective=Objective(
             metrics=tuple(header["objective_metrics"]),
@@ -372,8 +369,9 @@ def load_run(path: str | Path) -> RunRecord:
             check_fields(row, "run_header", dataio.RUN_HEADER_FIELDS, where, ValueError)
             if (version := row["format_version"]) != RUN_FORMAT_VERSION:
                 raise ValueError(f"{where}: unsupported run format_version {version!r}")
+            space = dataio.read_space(row["space"], where, ValueError)
             try:
-                spec = _spec_from_header(row)
+                spec = _spec_from_header(row, space)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{where}: bad run_header: {exc}") from None
             seeds = {seed: (TrialHistory(), []) for seed in spec.seeds}

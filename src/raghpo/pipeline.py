@@ -52,6 +52,7 @@ import numpy as np
 
 from .costs import CostDelta
 from .dataio import (
+    ENDPOINT_FIELDS,
     SPLITS,
     Dataset,
     Document,
@@ -59,7 +60,7 @@ from .dataio import (
     GridTable,
     QaPair,
     ScoreSlice,
-    number_setting,
+    check_fields,
 )
 from .evaluator import RETRIEVAL_OBJECTIVE, EvalResult, Objective, StoredScores
 from .metrics import (
@@ -283,21 +284,17 @@ class ServiceEndpoint:
         return {"Authorization": f"Bearer {token}"} if token else {}
 
     @classmethod
-    def from_dict(cls, data: Mapping) -> "ServiceEndpoint":
-        """The endpoint a config entry describes; a bad entry is a ``ValueError`` naming the field."""
-        if not isinstance(data, Mapping):
-            raise ValueError(f"expected an object with a base_url, got {data!r}")
-        if "base_url" not in data:
-            raise ValueError("base_url is required")
-        fields = {"base_url": data["base_url"], "auth_env": data.get("auth_env")}
-        for name, kind in (("timeout", float), ("max_attempts", int), ("backoff_seconds", float)):
-            if name in data:
-                try:
-                    fields[name] = number_setting(data[name], kind)
-                except (TypeError, ValueError):
-                    what = "an integer" if kind is int else "a number"
-                    raise ValueError(f"{name} must be {what}, got {data[name]!r}") from None
-        return cls(**fields)
+    def from_dict(cls, data: dict, where: str) -> "ServiceEndpoint":
+        """The endpoint a config entry describes; a bad entry is a ``ValueError`` at ``where``.
+
+        The entry is checked against :data:`~raghpo.dataio.ENDPOINT_FIELDS`;
+        a setting it lacks takes the class's default.
+        """
+        check_fields(data, "endpoint", ENDPOINT_FIELDS, where, ValueError)
+        try:
+            return cls(**{name: data[name] for name in ENDPOINT_FIELDS if data[name] is not None})
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
 
 
 class _ServiceClient:

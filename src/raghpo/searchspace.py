@@ -291,19 +291,8 @@ class SearchSpace:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SearchSpace":
-        version = data.get("format_version", SPACE_FORMAT_VERSION)
-        if version != SPACE_FORMAT_VERSION:
-            raise ValueError(f"unsupported search-space format_version {version}")
-        missing = [p.value for p in ParamName if p.value not in data]
-        if missing:
-            raise ValueError(f"search space config missing keys: {missing}")
-        return cls(
-            chunk_sizes=tuple(data["chunk_size"]),
-            chunk_overlaps=tuple(float(v) for v in data["chunk_overlap"]),
-            embedding_models=tuple(data["embedding_model"]),
-            top_ks=tuple(data["top_k"]),
-            generative_models=tuple(data["generative_model"]),
-        )
+        """The space of a record that :func:`raghpo.dataio.read_space` checked."""
+        return cls(**{_SPACE_FIELD[param]: data[param.value] for param in ParamName})
 
     def fingerprint(self) -> str:
         """Stable hash of the canonical serialization.

@@ -212,7 +212,7 @@ def test_criterion_06_cost_ledger_dedup():
         snapshots = []
         for _ in range(3):
             ledger.charge(shared, CostDelta(1000, 200, 20))
-            snapshots.append(ledger.snapshot())
+            snapshots.append(ledger.totals)
         assert ledger.totals.embedded_tokens == 1000
         assert ledger.totals.generation_input_tokens == 600
         assert ledger.totals.generation_output_tokens == 60

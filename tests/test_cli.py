@@ -21,6 +21,7 @@ from raghpo.cli import (
     EXIT_VALIDATION,
     main,
 )
+from raghpo.costs import CostDelta
 from raghpo.dataio import load_dataset, load_grid, store_dataset, store_grid
 from raghpo.harness import load_run
 from raghpo.metrics import CONTEXT_MRR, FAITHFULNESS, LEXICAL_AC
@@ -221,58 +222,107 @@ def test_a_file_at_the_old_checkpoint_path_is_neither_read_nor_removed(
 
 NO_JUDGE = "judge_ac requested but no judge endpoint is configured"
 
-#: case -> (command, backend, config values, message)
+STOCK_SPACE = SearchSpace.default().to_dict()
+PORT_9 = {"base_url": "http://127.0.0.1:9"}
+
+
+def _wrong_type(kind: str, field: str, value, where: str = "{config}") -> str:
+    return f"{where}: {kind} field {field!r} has the wrong type: {value!r}"
+
+
+#: case -> (command, backend, config values, message); ``{config}`` is the config file.
 BAD_RUN_CONFIG_VALUES = {
-    "parallelism": ("optimize", "replay", {"parallelism": "two"}, "parallelism: expected int, got 'two'"),
-    "budget": ("optimize", "replay", {"budget": "ten"}, "budget: expected int, got 'ten'"),
-    "budget fraction": ("optimize", "replay", {"budget": 2.9}, "budget: expected int, got 2.9"),
-    "budget boolean": ("optimize", "replay", {"budget": True}, "budget: expected int, got True"),
-    "seeds": ("optimize", "replay", {"seeds": "1,x"}, "seeds: expected int, got 'x'"),
-    "seeds fraction": ("optimize", "replay", {"seeds": [1.5, 2]}, "seeds: expected int, got 1.5"),
-    "seeds boolean": ("optimize", "replay", {"seeds": True}, "cannot interpret seeds value True"),
-    "tpe gamma": ("optimize", "replay", {"tpe": {"gamma": "x"}}, "tpe.gamma: expected float, got 'x'"),
-    "tpe gamma boolean": (
-        "optimize", "replay", {"tpe": {"gamma": True}}, "tpe.gamma: expected float, got True"
+    "parallelism": ("optimize", "replay", {"parallelism": "two"}, _wrong_type("run config", "parallelism", "two")),
+    "parallelism integral float": (
+        "optimize", "replay", {"parallelism": 2.0}, _wrong_type("run config", "parallelism", 2.0)
     ),
-    "tpe init": ("optimize", "replay", {"tpe": {"init": [2]}}, "tpe.init: expected int, got [2]"),
-    "tpe not an object": ("optimize", "replay", {"tpe": "x"}, "tpe: expected an object, got 'x'"),
-    "greedy not an object": (
-        "optimize", "replay", {"greedy": ["x"]}, "greedy: expected an object, got ['x']"
+    "budget": ("optimize", "replay", {"budget": "ten"}, _wrong_type("run config", "budget", "ten")),
+    "budget decimal string": ("optimize", "replay", {"budget": "2"}, _wrong_type("run config", "budget", "2")),
+    "budget fraction": ("optimize", "replay", {"budget": 2.9}, _wrong_type("run config", "budget", 2.9)),
+    "budget boolean": ("optimize", "replay", {"budget": True}, _wrong_type("run config", "budget", True)),
+    "seeds": ("optimize", "replay", {"seeds": "1,x"}, _wrong_type("run config", "seeds", "1,x")),
+    "seeds string": ("optimize", "replay", {"seeds": "1,2"}, _wrong_type("run config", "seeds", "1,2")),
+    "seeds fraction": ("optimize", "replay", {"seeds": [1.5, 2]}, _wrong_type("run config", "seeds", [1.5, 2])),
+    "seeds boolean": ("optimize", "replay", {"seeds": True}, _wrong_type("run config", "seeds", True)),
+    "grid_table a number": (
+        "optimize", "replay", {"grid_table": 5}, _wrong_type("run config", "grid_table", 5)
     ),
-    "space a list": (
-        "optimize", "replay", {"space": [1]},
-        "space: expected a search-space file path or object, got [1]",
+    "dataset a number": ("optimize", "live", {"dataset": 5}, _wrong_type("run config", "dataset", 5)),
+    "tpe gamma": ("optimize", "replay", {"tpe": {"gamma": "x"}}, _wrong_type("tpe", "gamma", "x")),
+    "tpe gamma boolean": ("optimize", "replay", {"tpe": {"gamma": True}}, _wrong_type("tpe", "gamma", True)),
+    "tpe init": ("optimize", "replay", {"tpe": {"init": [2]}}, _wrong_type("tpe", "init", [2])),
+    "tpe not an object": ("optimize", "replay", {"tpe": "x"}, _wrong_type("run config", "tpe", "x")),
+    "greedy not an object": ("optimize", "replay", {"greedy": ["x"]}, _wrong_type("run config", "greedy", ["x"])),
+    "space a list": ("optimize", "replay", {"space": [1]}, _wrong_type("run config", "space", [1])),
+    "space top_k a string": (
+        "optimize", "replay", {"space": {**STOCK_SPACE, "top_k": "35"}},
+        _wrong_type("search space", "top_k", "35"),
+    ),
+    "space embedding_model numbers": (
+        "optimize", "replay", {"space": {**STOCK_SPACE, "embedding_model": [1, 2]}},
+        _wrong_type("search space", "embedding_model", [1, 2]),
+    ),
+    "space top_k boolean": (
+        "optimize", "replay", {"space": {**STOCK_SPACE, "top_k": [True, 3]}},
+        _wrong_type("search space", "top_k", [True, 3]),
+    ),
+    "space chunk_overlap decimal string": (
+        "optimize", "replay", {"space": {**STOCK_SPACE, "chunk_overlap": ["0.5"]}},
+        _wrong_type("search space", "chunk_overlap", ["0.5"]),
+    ),
+    "space chunk_size integral float": (
+        "optimize", "replay", {"space": {**STOCK_SPACE, "chunk_size": [256.0, 512]}},
+        _wrong_type("search space", "chunk_size", [256.0, 512]),
+    ),
+    "space chunk_overlap too large for a float": (
+        "optimize", "replay", {"space": {**STOCK_SPACE, "chunk_overlap": [10**400]}},
+        "{config}: int too large to convert to float",
     ),
     "objective without metrics": (
-        "optimize", "replay", {"objective": {"weights": [1]}},
-        "objective.metrics: expected a list of metric names, got None",
+        "optimize", "replay", {"objective": {"weights": [1]}}, "{config}: objective lacks field 'metrics'"
     ),
     "objective metrics a string": (
         "optimize", "replay", {"objective": {"metrics": "lexical_ac"}},
-        "objective.metrics: expected a list of metric names, got 'lexical_ac'",
+        _wrong_type("objective", "metrics", "lexical_ac"),
     ),
     "objective list holding a number": (
         "optimize", "replay", {"objective": ["lexical_ac", 3]},
-        "objective: expected a list of metric names, got ['lexical_ac', 3]",
+        _wrong_type("run config", "objective", ["lexical_ac", 3]),
     ),
     "objective weight": (
         "optimize", "replay", {"objective": {"metrics": ["lexical_ac"], "weights": ["x"]}},
-        "objective.weights: expected float, got 'x'",
+        _wrong_type("objective", "weights", ["x"]),
+    ),
+    "objective weight too large for a float": (
+        "optimize", "replay", {"objective": {"metrics": ["lexical_ac"], "weights": [10**400]}},
+        "weights must be numbers that a float can hold",
     ),
     "sample fraction": (
         "optimize", "live", {"sample": {"qa_fraction": "half", "noise_ratio": 1, "seed": 1}},
-        "sample.qa_fraction: expected float, got 'half'",
+        _wrong_type("sample", "qa_fraction", "half"),
     ),
     "sample seed missing": (
         "optimize", "live", {"sample": {"qa_fraction": 0.5, "noise_ratio": 1}},
-        "sample.seed: expected int, got None",
+        "{config}: sample lacks field 'seed'",
     ),
-    "grid parallelism": ("grid", "live", {"parallelism": "two"}, "parallelism: expected int, got 'two'"),
+    "endpoint auth_env a number": (
+        "optimize", "live", {"endpoints": {"embed": {**PORT_9, "auth_env": 5}, "generate": PORT_9}},
+        _wrong_type("endpoint", "auth_env", 5, "{config}: endpoints.embed"),
+    ),
+    "endpoint timeout a decimal string": (
+        "grid", "live", {"endpoints": {"embed": PORT_9, "generate": {**PORT_9, "timeout": "5"}}},
+        _wrong_type("endpoint", "timeout", "5", "{config}: endpoints.generate"),
+    ),
+    "endpoint max_attempts integral float": (
+        "grid", "live", {"endpoints": {"embed": PORT_9, "generate": {**PORT_9, "max_attempts": 2.0}}},
+        _wrong_type("endpoint", "max_attempts", 2.0, "{config}: endpoints.generate"),
+    ),
+    "grid parallelism": ("grid", "live", {"parallelism": "two"}, _wrong_type("run config", "parallelism", "two")),
     "grid embed_batch_size": (
-        "grid", "live", {"embed_batch_size": "x"}, "embed_batch_size: expected int, got 'x'"
+        "grid", "live", {"embed_batch_size": "x"}, _wrong_type("run config", "embed_batch_size", "x")
     ),
     "grid embed_batch_size fraction": (
-        "grid", "live", {"embed_batch_size": 31.9}, "embed_batch_size: expected int, got 31.9"
+        "grid", "live", {"embed_batch_size": 31.9}, _wrong_type("run config", "embed_batch_size", 31.9)
     ),
     "grid unknown split": (
         "grid", "live", {"splits": "tset"},
@@ -287,19 +337,14 @@ BAD_RUN_CONFIG_VALUES = {
         "splits: expected a comma-separated list of dev and test, got ['dev', 'tset']",
     ),
     "grid split list holding a number": (
-        "grid", "live", {"splits": ["dev", 1]},
-        "splits: expected a comma-separated list of dev and test, got ['dev', 1]",
+        "grid", "live", {"splits": ["dev", 1]}, _wrong_type("run config", "splits", ["dev", 1])
     ),
-    "grid metrics a number": (
-        "grid", "live", {"metrics": 3}, "metrics: expected a list of metric names, got 3"
-    ),
+    "grid metrics a number": ("grid", "live", {"metrics": 3}, _wrong_type("run config", "metrics", 3)),
     "grid metrics list holding a number": (
         "grid", "live", {"metrics": ["context_mrr", 3]},
-        "metrics: expected a list of metric names, got ['context_mrr', 3]",
+        _wrong_type("run config", "metrics", ["context_mrr", 3]),
     ),
-    "objective a number": (
-        "optimize", "replay", {"objective": 3}, "objective: expected a list of metric names, got 3"
-    ),
+    "objective a number": ("optimize", "replay", {"objective": 3}, _wrong_type("run config", "objective", 3)),
     "grid unknown metric": (
         "grid", "live", {"metrics": "nope"},
         "unknown metric names ['nope']; expected "
@@ -350,7 +395,7 @@ def test_bad_run_config_value_exits_2_naming_its_key(
     config_path = tmp_path / "run_config.json"
     config_path.write_text(json.dumps(config))
     assert main([command, "--config", str(config_path)]) == EXIT_VALIDATION
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {message.format(config=config_path)}\n"
     assert not list(tmp_path.glob("out.jsonl*"))
     # The reply store beside the dataset creates its file only when it keeps a reply.
     assert not list(tmp_path.glob("*.replies.sqlite3*"))
@@ -691,7 +736,17 @@ BAD_JSON_DOCUMENTS = {
     "space bad value": (
         "space",
         json.dumps({**SearchSpace.default().to_dict(), "chunk_size": [256, "x"]}).encode(),
-        "{path}: ",
+        "{path}: search space field 'chunk_size' has the wrong type: [256, 'x']",
+    ),
+    "space top_k a string": (
+        "space",
+        json.dumps({**SearchSpace.default().to_dict(), "top_k": "35"}).encode(),
+        "{path}: search space field 'top_k' has the wrong type: '35'",
+    ),
+    "space without top_k": (
+        "space",
+        json.dumps({k: v for k, v in SearchSpace.default().to_dict().items() if k != "top_k"}).encode(),
+        "{path}: search space lacks field 'top_k'",
     ),
     "manifest array": ("manifest", b"[1]", "{path}: expected a JSON object"),
     "manifest invalid utf-8": ("manifest", b'{"name": "\xff"}', "{path}: not valid UTF-8"),
@@ -714,6 +769,18 @@ def test_bad_space_or_manifest_exits_2_naming_the_file(
     path.write_bytes(content)
     assert main(argv) == EXIT_VALIDATION
     assert capsys.readouterr().err.startswith("error: " + message.format(path=path))
+
+
+def test_a_cost_row_of_an_unknown_split_exits_2_with_its_line(tmp_path, fixture_table, capsys):
+    path = tmp_path / "train_cost.jsonl"
+    row = {"kind": "cost", "ordinal": 0, "split": "train", **CostDelta(1, 2, 3).as_dict()}
+    path.write_text(fixture_table.read_text() + json.dumps(row) + "\n")
+    lineno = len(path.read_text().splitlines())
+    out = tmp_path / "analysis"
+    assert main(["analyze", "--table", str(path), "--out", str(out)]) == EXIT_VALIDATION
+    message = f"{path}:{lineno}: split must be one of ('dev', 'test'), got 'train'"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -914,10 +981,11 @@ def test_grid_holds_one_index_at_a_time(live_setup, tiny_space, tmp_path, monkey
     # The same cells, in the same order, through one evaluator that keeps every
     # index, over a copy of the dataset with a reply store of its own.
     stub.server.calls.clear()
-    config = json.loads(live_setup["config_path"].read_text())
+    args = argparse.Namespace(config=str(live_setup["config_path"]))
+    config = cli._load_config(args.config)
     config["dataset"] = str(shutil.copytree(config["dataset"], tmp_path / "kept"))
     metrics = (LEXICAL_AC, FAITHFULNESS, CONTEXT_MRR)
-    with cli._live_evaluator(argparse.Namespace(), config, space, metrics, 1) as evaluator:
+    with cli._live_evaluator(args, config, space, metrics, 1) as evaluator:
         for ordinal in range(space.total_size):
             for split in ("dev", "test"):
                 evaluator.fill(space.config_at(ordinal), split, metrics)
@@ -1177,22 +1245,28 @@ def test_malformed_service_reply_suspends_with_exit_3(
     assert not list(tmp_path.glob(f"{command}.jsonl*"))
 
 
+#: case -> (the generate endpoint, message); ``{config}`` is the config file.
 BAD_ENDPOINTS = {
-    "no scheme": ({"base_url": "localhost:9"}, "endpoints.generate: base_url must be an http:// or https:// URL"),
-    "no base_url": ({"timeout": 5.0}, "endpoints.generate: base_url is required"),
-    "a string": ("http://127.0.0.1:9", "endpoints.generate: expected an object"),
+    "no scheme": (
+        {"base_url": "localhost:9"},
+        "{config}: endpoints.generate: base_url must be an http:// or https:// URL",
+    ),
+    "no base_url": ({"timeout": 5.0}, "{config}: endpoints.generate: endpoint lacks field 'base_url'"),
+    "a string": (
+        "http://127.0.0.1:9", _wrong_type("endpoints", "generate", "http://127.0.0.1:9")
+    ),
     "timeout not a number": (
         {"base_url": "http://127.0.0.1:9", "timeout": "fast"},
-        "endpoints.generate: timeout must be a number, got 'fast'",
+        _wrong_type("endpoint", "timeout", "fast", "{config}: endpoints.generate"),
     ),
     # Each is past what a socket timeout or time.sleep accepts.
     "timeout too long": (
         {"base_url": "http://127.0.0.1:9", "timeout": 1e10},
-        "endpoints.generate: timeout must be > 0 and <= 4611686018, got 10000000000.0",
+        "{config}: endpoints.generate: timeout must be > 0 and <= 4611686018, got 10000000000.0",
     ),
     "backoff infinite": (
         {"base_url": "http://127.0.0.1:9", "backoff_seconds": float("inf")},
-        "endpoints.generate: backoff_seconds must be >= 0 and <= 4611686018, got inf",
+        "{config}: endpoints.generate: backoff_seconds must be >= 0 and <= 4611686018, got inf",
     ),
 }
 
@@ -1209,8 +1283,23 @@ def test_bad_endpoint_exits_2_before_writing(live_setup, tmp_path, capsys, comma
     if command == "optimize":
         argv += ["--algo", "random", "--budget", "2", "--seeds", "1"]
     assert main(argv) == EXIT_VALIDATION
-    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert capsys.readouterr().err.startswith(f"error: {message.format(config=config_path)}")
     assert not list(tmp_path.glob(f"{command}.jsonl*"))  # no table, no export
+
+
+@pytest.mark.parametrize("command", ["grid", "optimize"])
+def test_an_auth_env_that_is_not_a_string_exits_2_before_any_request(live_setup, tmp_path, capsys, command):
+    config = json.loads(live_setup["config_path"].read_text())
+    config["endpoints"]["embed"]["auth_env"] = 5
+    config_path = tmp_path / "bad_auth_env.json"
+    config_path.write_text(json.dumps(config))
+    argv = [command, "--config", str(config_path)]
+    if command == "optimize":
+        argv += ["--algo", "random", "--budget", "2", "--seeds", "1"]
+    assert main(argv) == EXIT_VALIDATION
+    message = _wrong_type("endpoint", "auth_env", 5, f"{config_path}: endpoints.embed")
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert _sent(live_setup["stub"]) == {"/embed": [], "/generate": []}
 
 
 # ---------------------------------------------------------------------------

@@ -371,6 +371,35 @@ def test_grid_table_rejects_an_ordinal_outside_its_space(tiny_space, ordinal):
     assert table.scores == {} and table.costs == {}
 
 
+def test_grid_table_rejects_an_unknown_split(tiny_space):
+    table = GridTable(tiny_space)
+    message = r"^split must be one of \('dev', 'test'\), got 'train'$"
+    with pytest.raises(GridFormatError, match=message):
+        table.add_score(0, "train", LEXICAL_AC, "q0", 0.5)
+    with pytest.raises(GridFormatError, match=message):
+        table.set_cost(0, "train", CostDelta(1, 2, 3))
+    assert table.scores == {} and table.costs == {}
+
+
+def test_companion_holding_a_cost_of_an_unknown_split_is_a_miss(tmp_path, tiny_space, parses):
+    table = GridTable(tiny_space)
+    table.add_score(0, "dev", LEXICAL_AC, "q0", 0.5)
+    table.costs[(0, "train")] = CostDelta(1, 2, 3)  # past set_cost, as earlier versions kept it
+    path = tmp_path / "g.jsonl"
+    store_grid(table, path)
+    with pytest.raises(GridFormatError, match=r"g\.jsonl:3: split must be one of \('dev', 'test'\), got 'train'$"):
+        load_grid(path, tiny_space)
+    assert parses == [path]
+
+
+def test_a_space_record_widens_its_chunk_overlaps_to_floats(default_space):
+    record = {**default_space.to_dict(), "chunk_overlap": [0, 0.25]}
+    space = dataio.read_space(record, "space.json", ValueError)
+    assert space.chunk_overlaps == (0.0, 0.25)
+    assert all(type(overlap) is float for overlap in space.chunk_overlaps)
+    assert space.fingerprint() == default_space.fingerprint()
+
+
 def test_grid_non_object_line_rejected(tmp_path, tiny_space):
     path = tmp_path / "g.jsonl"
     header = {"format_version": 1, "space_fingerprint": tiny_space.fingerprint()}

@@ -26,7 +26,7 @@ from raghpo.pipeline import (
     ServiceEndpoint,
     TemplateStore,
 )
-from raghpo.searchspace import IndexConfig
+from raghpo.searchspace import IndexConfig, SearchSpace
 
 from conftest import table_from_config_scores
 
@@ -298,7 +298,6 @@ def test_ledger_charges_index_once():
     index = IndexConfig(256, 0.0, "emb")
     for _ in range(3):
         ledger.charge(index, CostDelta(1000, 50, 5))
-        ledger.snapshot()
     assert ledger.totals.embedded_tokens == 1000
     assert ledger.totals.generation_input_tokens == 150
     assert ledger.totals.generation_output_tokens == 15
@@ -318,7 +317,7 @@ def test_ledger_snapshots_monotone():
     for i in range(20):
         index = IndexConfig(256 + (i % 3), 0.0, "emb")
         ledger.charge(index, CostDelta(rng.randrange(100), rng.randrange(50), rng.randrange(20)))
-        snaps.append(ledger.snapshot())
+        snaps.append(ledger.totals)
     for a, b in zip(snaps, snaps[1:]):
         assert b.embedded_tokens >= a.embedded_tokens
         assert b.generation_input_tokens >= a.generation_input_tokens
@@ -455,6 +454,37 @@ def test_load_run_names_a_missing_aggregate_or_header_field(tmp_path):
         load_run(path)
     path.write_text('{"kind":"run_header","format_version":1}\n')
     with pytest.raises(ValueError, match=":1: run_header lacks field 'space'"):
+        load_run(path)
+
+
+STOCK_SPACE = SearchSpace.default().to_dict()
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ({"space": {**STOCK_SPACE, "top_k": "35"}}, "search space field 'top_k' has the wrong type: '35'"),
+        (
+            {"space": {**STOCK_SPACE, "chunk_size": [256.0, 512]}},
+            "search space field 'chunk_size' has the wrong type: [256.0, 512]",
+        ),
+        ({"space": {**STOCK_SPACE, "format_version": 2}}, "unsupported search-space format_version 2"),
+        ({"space": {**STOCK_SPACE, "chunk_overlap": [1.5]}}, "chunk_overlap values must be in [0, 1), got 1.5"),
+        (
+            {"objective_weights": [10**400]},
+            "bad run_header: weights must be numbers that a float can hold",
+        ),
+    ],
+)
+def test_load_run_checks_the_header_space_and_weights(
+    tmp_path, default_space, values, message
+):
+    evaluator, _ = scored_evaluator(default_space)
+    path = tmp_path / "run.jsonl"
+    export_run(run(spec_for(default_space, budget=2, seeds=(1,)), evaluator), path)
+    header, *rows = path.read_text().splitlines(keepends=True)
+    path.write_text(json.dumps({**json.loads(header), **values}) + "\n" + "".join(rows))
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:1: {message}')}$"):
         load_run(path)
 
 

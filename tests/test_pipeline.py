@@ -3,6 +3,7 @@ import gc
 import json
 import math
 import random
+import re
 import socket
 import sqlite3
 import threading
@@ -525,12 +526,17 @@ def test_endpoint_rejects_a_bad_field(fields, message):
 
 
 def test_endpoint_from_dict_rejects_a_fraction_or_boolean_number():
-    endpoint = ServiceEndpoint.from_dict({"base_url": "http://host", "max_attempts": 2.0, "timeout": "5"})
-    assert (endpoint.max_attempts, endpoint.timeout) == (2, 5.0)
-    with pytest.raises(ValueError, match=r"^max_attempts must be an integer, got 2\.7$"):
-        ServiceEndpoint.from_dict({"base_url": "http://host", "max_attempts": 2.7})
-    with pytest.raises(ValueError, match="^timeout must be a number, got True$"):
-        ServiceEndpoint.from_dict({"base_url": "http://host", "timeout": True})
+    # Nor a string or an integral float: no setting is converted.
+    for field, value in (("timeout", "5"), ("max_attempts", 2.0), ("max_attempts", 2.7), ("timeout", True)):
+        message = f"cfg.json: endpoint field {field!r} has the wrong type: {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ServiceEndpoint.from_dict({"base_url": "http://host", field: value}, "cfg.json")
+
+
+def test_endpoint_from_dict_takes_whole_seconds_and_defaults_what_it_lacks():
+    endpoint = ServiceEndpoint.from_dict({"base_url": "http://host", "timeout": 5, "backoff_seconds": 0}, "cfg")
+    assert endpoint == ServiceEndpoint("http://host", timeout=5, backoff_seconds=0)
+    assert (endpoint.auth_env, endpoint.max_attempts) == (None, 3)
 
 
 def test_missing_auth_token_is_logged_once_per_client(stub_service, monkeypatch, caplog):

@@ -1,4 +1,6 @@
 import importlib.util
+import itertools
+import re
 from pathlib import Path
 
 import pytest
@@ -36,3 +38,16 @@ def f(x):  # a trailing comment is code
     assert code_lines.count(source) == {
         "lines": 13, "code": 6, "docstring": 4, "comment": 1, "blank": 2
     }
+
+
+def test_every_field_of_every_dataio_field_table_is_in_the_readme_table():
+    from raghpo import dataio
+
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("| Record | Field | JSON type (default when absent) |")
+    rows = itertools.takewhile(lambda line: line.startswith("|"), lines[start + 2:])
+    documented = {name for row in rows for name in re.findall(r"`([^`]+)`", row.split("|")[2])}
+    tables = {name: table for name, table in vars(dataio).items() if name.endswith("_FIELDS")}
+    assert len(tables) >= 10
+    missing = [f"{name}[{field!r}]" for name, table in tables.items() for field in table if field not in documented]
+    assert missing == []
