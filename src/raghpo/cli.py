@@ -57,6 +57,7 @@ from .searchspace import SearchSpace
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_SUSPENDED = 3
+MAX_SEEDS = 10_000  # the largest seed count N, which runs the seeds 1 to N
 
 
 class CliError(Exception):
@@ -188,6 +189,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     objective = _parse_objective(_setting(args, config, "objective"), args.config)
     budget = _setting(args, config, "budget")
     seeds = _setting(args, config, "seeds")
+    if isinstance(seeds, int) and seeds > MAX_SEEDS:
+        raise CliError(f"seeds must be a count of at most {MAX_SEEDS} or a list, got {seeds}")
     seeds = tuple(range(1, seeds + 1)) if isinstance(seeds, int) else tuple(seeds)
     grid_path = _setting(args, config, "grid_table")
     parallelism = _setting(args, config, "parallelism")

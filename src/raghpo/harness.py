@@ -376,7 +376,7 @@ def load_run(path: str | Path) -> RunRecord:
                 raise ValueError(f"{where}: bad run_header: {exc}") from None
             seeds = {seed: (TrialHistory(), []) for seed in spec.seeds}
             continue
-        if kind not in _ROW_KINDS:
+        if not isinstance(kind, str) or kind not in _ROW_KINDS:
             raise ValueError(f"{where}: unknown row kind {kind!r}")
         name, fields = _ROW_KINDS[kind]
         check_fields(row, name, fields, where, ValueError)

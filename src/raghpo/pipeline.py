@@ -14,13 +14,21 @@ vendor-neutral:
 * ``POST {base}/judge`` with ``{"question", "answer", "gold_answer"}``
   returns ``{"score": float}`` in [0, 1].
 
+Each route is a :class:`Route` record (:data:`EMBED`, :data:`GENERATE`,
+:data:`JUDGE`) whose ``check`` is the route's one reply rule: an ``/embed``
+vector is a non-empty list of finite JSON numbers (a boolean or a numeric
+string is not one), a ``/generate`` text is a string and each token count
+an integer of at least 0, and a ``/judge`` score is a number in [0, 1]. The
+clients run it on every reply, and :class:`ReplyStore` on every row it
+reads back.
+
 Requests go out through the standard library's ``urllib.request``, which
 honours ``*_proxy``/``no_proxy`` (read once per process) and verifies HTTPS
 against the system trust store. A 5xx or 429 reply, a refused or dropped
 connection and a timeout are retried with exponential backoff; any other
 reply but 200 (a 307/308 redirect included) fails at once, as does a 200
-whose body is not a JSON object. Every such failure is a
-:class:`ServiceFailure`.
+whose body is not a JSON object or holds a reply its route's ``check``
+refuses. Every such failure is a :class:`ServiceFailure`.
 
 Generation requests always pin greedy decoding. Retrieval is an exact
 cosine scan over an in-memory index rather than an approximate structure:
@@ -38,13 +46,15 @@ import importlib.resources
 import json
 import logging
 import os
+import reprlib
 import threading
 import time
 import urllib.error
 import urllib.parse
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from functools import partial
 from math import floor
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -61,6 +71,7 @@ from .dataio import (
     QaPair,
     ScoreSlice,
     check_fields,
+    is_a,
 )
 from .evaluator import RETRIEVAL_OBJECTIVE, EvalResult, Objective, StoredScores
 from .metrics import (
@@ -297,6 +308,85 @@ class ServiceEndpoint:
             raise ValueError(f"{where}: {exc}") from None
 
 
+@dataclass(frozen=True)
+class GenerationResult:
+    text: str
+    input_tokens: int
+    output_tokens: int
+    counts_estimated: bool = False
+
+
+#: A ``/generate`` reply's values, in the order a store row keeps them; a token count that
+#: the service omits is estimated locally, and ``counts_estimated`` says so.
+GENERATION_FIELDS = {"text": str, "input_tokens": int, "output_tokens": int, "counts_estimated": bool}
+
+
+def _check_vector(vector) -> np.ndarray:
+    """An ``/embed`` reply: a non-empty vector of finite numbers, as float64.
+
+    Off the wire it is a list of JSON numbers; out of the store, float64 already.
+    """
+    if not isinstance(vector, np.ndarray):
+        if not is_a(vector, list[int | float]):
+            raise ValueError(f"vector is not a list of numbers: {reprlib.repr(vector)}")
+        try:
+            vector = np.asarray(vector, dtype=np.float64)
+        except OverflowError:
+            raise ValueError("vector holds an integer too large for a float") from None
+    if not vector.size:
+        raise ValueError("vector is empty")
+    if not np.isfinite(vector).all():
+        raise ValueError("vector holds NaN or infinite values")
+    return vector
+
+
+def _check_generation(values) -> GenerationResult:
+    """A ``/generate`` reply: a list of the values of :data:`GENERATION_FIELDS`, counts >= 0."""
+    if not (isinstance(values, list) and len(values) == len(GENERATION_FIELDS)):
+        raise ValueError(f"expected {len(GENERATION_FIELDS)} values, got {reprlib.repr(values)}")
+    for (name, spec), value in zip(GENERATION_FIELDS.items(), values):
+        if not is_a(value, spec) or (spec is int and value < 0):
+            what = "a non-negative integer" if spec is int else f"a {spec.__name__}"
+            raise ValueError(f"{name} is not {what}: {reprlib.repr(value)}")
+    return GenerationResult(*values)
+
+
+def _check_score(score) -> float:
+    """A ``/judge`` reply: a number in [0, 1], as a float."""
+    if not (is_a(score, int | float) and 0.0 <= score <= 1.0):
+        raise ValueError(f"score is not a number in [0, 1]: {reprlib.repr(score)}")
+    return float(score)
+
+
+@dataclass(frozen=True)
+class Route:
+    """One service route: its reply rule, and how the reply store keeps a reply.
+
+    ``check`` is the route's only reply rule. It takes one request's reply
+    as a client parsed it or ``decode`` read it from a store row, and
+    returns it as the evaluator uses it, or raises a ValueError saying what
+    is wrong. ``encode`` makes the store row of a checked reply. A store
+    key is the SHA-256 of the route, the model and ``key(request)``; the
+    model is the model's name, except on ``/judge``, whose requests name no
+    model: there the judge's ``base_url`` stands in for it.
+    """
+
+    path: str
+    check: Callable[[object], object]
+    encode: Callable[[object], bytes]
+    decode: Callable[[bytes], object]
+    key: Callable[[object], str] = lambda request: request
+
+
+#: A text's vector, kept as its little-endian float64 bytes.
+EMBED = Route("/embed", _check_vector, lambda row: np.asarray(row, dtype="<f8").tobytes(),
+              lambda row: np.frombuffer(row, dtype="<f8"))
+#: A prompt's generation, kept as a JSON array of :data:`GENERATION_FIELDS`' values.
+GENERATE = Route("/generate", _check_generation, lambda r: json.dumps(astuple(r)).encode(), json.loads)
+#: A (question, answer, gold answer)'s score, kept as JSON; the request is keyed as a JSON array.
+JUDGE = Route("/judge", _check_score, lambda score: json.dumps(score).encode(), json.loads, json.dumps)
+
+
 class _ServiceClient:
     """Posts JSON to one endpoint; a missing auth token is logged once per client."""
 
@@ -306,13 +396,16 @@ class _ServiceClient:
         # missing. Worker threads share a client, so a plain flag could race.
         self._auth_warned = threading.Lock()
 
-    def _post(self, route: str, payload: dict) -> dict:
+    def _url(self, route: Route) -> str:
+        return self.endpoint.base_url.rstrip("/") + route.path
+
+    def _post(self, route: Route, payload: dict) -> dict:
         """POST ``payload`` with retries; a reply that is not a JSON object is a failure."""
         endpoint = self.endpoint
         headers = endpoint.headers()
         if endpoint.auth_env and not headers and self._auth_warned.acquire(blocking=False):
             log.warning("auth env var %s is not set; sending unauthenticated", endpoint.auth_env)
-        url = endpoint.base_url.rstrip("/") + route
+        url = self._url(route)
         request = urllib.request.Request(
             url,
             data=json.dumps(payload, allow_nan=False).encode("utf-8"),
@@ -346,7 +439,8 @@ class _ServiceClient:
                 raise ServiceFailure(f"{url} returned HTTP {status}: {_excerpt(body)}")
             try:
                 reply = json.loads(body)
-            except ValueError:  # JSONDecodeError, or UnicodeDecodeError on bytes that are not UTF-8
+            # JSONDecodeError, UnicodeDecodeError on bytes that are not UTF-8, or arrays nested too deep
+            except (RecursionError, ValueError):
                 raise ServiceFailure(
                     f"{url} returned a body that is not JSON: {_excerpt(body)!r}"
                 ) from None
@@ -356,6 +450,13 @@ class _ServiceClient:
                 )
             return reply
         raise ServiceFailure(f"{url} failed after {endpoint.max_attempts} attempts: {last_error}")
+
+    def _check(self, route: Route, reply):
+        """``route.check`` of one request's reply; a reply it refuses is a ServiceFailure."""
+        try:
+            return route.check(reply)
+        except ValueError as exc:
+            raise ServiceFailure(f"{self._url(route)} reply {exc}") from None
 
 
 def _excerpt(body: bytes) -> str:
@@ -378,33 +479,20 @@ class EmbeddingClient(_ServiceClient):
 
     def embed(self, model: str, texts: Sequence[str]) -> np.ndarray:
         """One row per text, from one request of exactly ``texts``; rejects a reply
-        with the wrong count of vectors or with ragged, empty or non-finite ones."""
+        with the wrong count of vectors, a vector :data:`EMBED` refuses or ragged ones."""
         if not texts:
             return np.zeros((0, 0))
-        reply = self._post("/embed", {"model": model, "texts": list(texts)})
+        reply = self._post(EMBED, {"model": model, "texts": list(texts)})
         got = reply.get("vectors")
         if not isinstance(got, list) or len(got) != len(texts):
             raise ServiceFailure(
                 f"embed reply has {len(got) if isinstance(got, list) else 'no'} "
                 f"vectors for a batch of {len(texts)}"
             )
-        try:
-            block = np.asarray(got, dtype=np.float64)
-        except (TypeError, ValueError):
-            raise ServiceFailure("embed reply vectors are ragged or not numeric") from None
-        if block.ndim != 2 or block.shape[1] == 0:
-            raise ServiceFailure("embed reply vectors are ragged or empty")
-        if not np.isfinite(block).all():
-            raise ServiceFailure("embed reply vectors contain NaN or infinite values")
-        return block
-
-
-@dataclass(frozen=True)
-class GenerationResult:
-    text: str
-    input_tokens: int
-    output_tokens: int
-    counts_estimated: bool = False
+        rows = [self._check(EMBED, vector) for vector in got]
+        if len({len(row) for row in rows}) > 1:
+            raise ServiceFailure(f"{self._url(EMBED)} reply vectors are ragged")
+        return np.stack(rows)
 
 
 class GenerationClient(_ServiceClient):
@@ -412,27 +500,19 @@ class GenerationClient(_ServiceClient):
 
     def generate(self, model: str, prompt: str) -> GenerationResult:
         reply = self._post(
-            "/generate",
+            GENERATE,
             {"model": model, "prompt": prompt, "params": {"temperature": 0.0, "greedy": True}},
         )
         text = reply.get("text")
-        if not isinstance(text, str):
-            raise ServiceFailure("generate reply is missing a text field")
-        estimated = False
-        counts = []
-        for field, counted in (("input_tokens", prompt), ("output_tokens", text)):
-            count = reply.get(field)
-            if count is None:
-                count = len(whitespace_tokens(counted))
-                estimated = True
-            elif type(count) is not int or count < 0:  # excludes bool, an int subclass
-                raise ServiceFailure(
-                    f"generate reply {field} must be a non-negative integer, got {count!r}"
-                )
-            counts.append(count)
-        if estimated:
+        counts = [reply.get("input_tokens"), reply.get("output_tokens")]
+        estimated = None in counts
+        if estimated and isinstance(text, str):
             log.info("service omitted token counts; using local whitespace estimates")
-        return GenerationResult(text, *counts, counts_estimated=estimated)
+            counts = [
+                len(whitespace_tokens(counted)) if count is None else count
+                for count, counted in zip(counts, (prompt, text))
+            ]
+        return self._check(GENERATE, [text, *counts, estimated])
 
 
 class JudgeClient(_ServiceClient):
@@ -440,37 +520,28 @@ class JudgeClient(_ServiceClient):
 
     def score(self, question: str, answer: str, gold_answer: str) -> float:
         reply = self._post(
-            "/judge",
+            JUDGE,
             {"question": question, "answer": answer, "gold_answer": gold_answer},
         )
-        score = reply.get("score")
-        if type(score) not in (int, float) or not 0.0 <= score <= 1.0:  # excludes bool
-            raise ServiceFailure(f"judge reply score must be in [0, 1], got {score!r}")
-        return float(score)
+        return self._check(JUDGE, reply.get("score"))
 
 
 class ReplyStore:
-    """Validated ``/embed``, ``/generate`` and ``/judge`` replies, keyed on the literal request.
+    """Checked replies of every :class:`Route`, keyed on the literal request.
 
-    One SQLite table, in a file or, without a path, in memory, maps the
-    SHA-256 of (route, model, input) to the reply as the client accepted
-    it: for a text sent to ``/embed``, its vector's little-endian float64
-    bytes; for a prompt sent to ``/generate``, the text, token counts and
-    ``counts_estimated`` flag as JSON; for a (question, answer, gold answer)
-    sent to ``/judge``, encoded as one JSON array, its score as JSON. The
-    model name is the model's identity and the endpoint URL is not part of
-    the key, except for ``/judge``, whose request names no model: there the
-    judge's ``base_url`` stands in for it. Failed calls are never stored.
-    Each ``put_*`` call is one transaction, so a killed process keeps every
-    call that returned to a store file. A store is used by one thread at a
-    time.
+    One SQLite table, in a file or, without a path, in memory, maps each
+    request's key to its reply's row, both as the request's route makes
+    them. Failed calls are never stored. Each :meth:`put` is one
+    transaction, so a killed process keeps every call that returned to a
+    store file. A store is used by one thread at a time.
 
     A store file exists only if a reply was kept: a file at ``path`` is
-    opened at once, and otherwise the first ``put_*`` creates it; until
+    opened at once, and otherwise the first :meth:`put` creates it; until
     then every lookup finds nothing. A file that cannot be opened or
     created is one warning naming it, and from then on the store keeps its
-    replies in memory, those of the ``put_*`` that failed included, and
-    ``path`` is None.
+    replies in memory, those of the :meth:`put` that failed included, and
+    ``path`` is None. A row that is not a valid reply, and an SQLite error
+    once the store is open, are a ValueError naming the store.
     """
 
     _BATCH = 500  # keys per lookup query, below SQLite's bound-parameter limit
@@ -510,85 +581,54 @@ class ReplyStore:
             self._db.close()
 
     @staticmethod
-    def _keys(route: str, model: str, inputs: Sequence[str]) -> list[bytes]:
-        """Each input's key: the SHA-256 of a JSON array of route and model, then the input."""
+    def _keys(route: Route, model: str, requests: Sequence) -> list[bytes]:
+        """Each request's key: the SHA-256 of a JSON array of route and model, then the request."""
         # The array's closing bracket ends it, so no two requests hash the same bytes.
-        prefix = hashlib.sha256(json.dumps([route, model]).encode("utf-8"))
+        prefix = hashlib.sha256(json.dumps([route.path, model]).encode("utf-8"))
         keys = []
-        for text in inputs:
+        for request in requests:
             digest = prefix.copy()
-            digest.update(text.encode("utf-8", "surrogatepass"))
+            digest.update(route.key(request).encode("utf-8", "surrogatepass"))
             keys.append(digest.digest())
         return keys
 
-    def _get(self, route: str, model: str, inputs: Sequence[str]) -> dict[str, bytes]:
+    def get(self, route: Route, model: str, requests: Sequence) -> dict:
+        """The checked reply of each request that has a stored one."""
         if self._db is None:
             return {}
-        keys = dict(zip(self._keys(route, model, inputs), inputs))
-        wanted = list(keys)
-        found: dict[str, bytes] = {}
-        for start in range(0, len(wanted), self._BATCH):
-            batch = wanted[start : start + self._BATCH]
-            query = f"SELECT key, reply FROM replies WHERE key IN ({','.join('?' * len(batch))})"
-            found.update((keys[key], reply) for key, reply in self._db.execute(query, batch))
-        return found
+        import sqlite3
 
-    def _put(self, route: str, model: str, inputs: Sequence[str], replies: Iterable[bytes]) -> None:
-        keys = self._keys(route, model, inputs)
+        keys = dict(zip(self._keys(route, model, requests), requests))
+        wanted = list(keys)
+        rows = []
+        try:
+            for start in range(0, len(wanted), self._BATCH):
+                batch = wanted[start : start + self._BATCH]
+                query = f"SELECT key, reply FROM replies WHERE key IN ({','.join('?' * len(batch))})"
+                rows += self._db.execute(query, batch)
+        except sqlite3.Error as exc:
+            raise ValueError(f"reply store {self.path}: {exc}") from None
+        try:
+            return {keys[key]: route.check(route.decode(row)) for key, row in rows}
+        except (RecursionError, TypeError, ValueError) as exc:  # a row that fails decode or check
+            raise ValueError(
+                f"reply store {self.path}: a {route.path} row is not a valid reply ({exc}); "
+                "delete the file to send its requests again"
+            ) from None
+
+    def put(self, route: Route, model: str, requests: Sequence, replies: Iterable) -> None:
+        """Keep each request's checked reply, in one transaction."""
+        import sqlite3
+
+        keys = self._keys(route, model, requests)
         if self._db is None:
             self._open()
-        with self._db:
-            self._db.executemany("INSERT OR IGNORE INTO replies VALUES (?, ?)", zip(keys, replies))
-
-    def vectors(self, model: str, texts: Sequence[str]) -> dict[str, np.ndarray]:
-        """The stored vector of each text that has one."""
-        return {
-            text: np.frombuffer(reply, dtype="<f8")
-            for text, reply in self._get("/embed", model, texts).items()
-        }
-
-    def put_vectors(self, model: str, texts: Sequence[str], vectors: np.ndarray) -> None:
-        self._put("/embed", model, texts, (np.asarray(row, dtype="<f8").tobytes() for row in vectors))
-
-    def generations(self, model: str, prompts: Sequence[str]) -> dict[str, GenerationResult]:
-        """The stored generation of each prompt that has one."""
-        return {
-            prompt: GenerationResult(*json.loads(reply))
-            for prompt, reply in self._get("/generate", model, prompts).items()
-        }
-
-    def put_generations(
-        self, model: str, prompts: Sequence[str], results: Iterable[GenerationResult]
-    ) -> None:
-        self._put(
-            "/generate",
-            model,
-            prompts,
-            (
-                json.dumps([r.text, r.input_tokens, r.output_tokens, r.counts_estimated]).encode()
-                for r in results
-            ),
-        )
-
-    def judge_scores(
-        self, base_url: str, requests: Sequence[tuple[str, str, str]]
-    ) -> dict[tuple[str, str, str], float]:
-        """The stored score of each (question, answer, gold answer) that has one."""
-        encoded = {json.dumps(request): request for request in requests}
-        return {
-            encoded[text]: float(json.loads(reply))
-            for text, reply in self._get("/judge", base_url, list(encoded)).items()
-        }
-
-    def put_judge_scores(
-        self, base_url: str, requests: Sequence[tuple[str, str, str]], scores: Iterable[float]
-    ) -> None:
-        self._put(
-            "/judge",
-            base_url,
-            [json.dumps(request) for request in requests],
-            (json.dumps(score).encode() for score in scores),
-        )
+        rows = zip(keys, map(route.encode, replies))
+        try:
+            with self._db:
+                self._db.executemany("INSERT OR IGNORE INTO replies VALUES (?, ?)", rows)
+        except sqlite3.Error as exc:
+            raise ValueError(f"reply store {self.path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -735,12 +775,12 @@ class LivePipelineEvaluator(StoredScores):
     ``replies``, a :class:`ReplyStore`, is the evaluator's only reply cache;
     without one it opens its own in memory. Nothing is sent that the store
     holds a valid reply for, from this evaluator or from an earlier one
-    that shared the store: :meth:`embed` looks up the texts and sends the
-    rest, recording each batch as it returns, and :meth:`fill` makes two
-    passes of the same shape, one for the cell's prompts and then one for
-    its judge requests. Each pass looks its requests up on the calling
-    thread, sends each distinct one of the rest once, and records the new
-    replies in first-seen question order.
+    that shared the store. Every route's requests take one path,
+    :meth:`_replies`: :meth:`embed` sends its texts in ``batch_size``
+    batches and raises a failure, and :meth:`fill` makes two passes, one
+    for the cell's prompts and then one for its judge requests, each
+    sending its requests through the worker pool, where a failure is that
+    question's alone.
 
     Each evaluation still reports the full embedded-token cost of its index
     (the sum of its chunk lengths) and the token counts of every generation,
@@ -826,48 +866,38 @@ class LivePipelineEvaluator(StoredScores):
             del self._retrieved[key]
 
     def embed(self, model: str, texts: Sequence[str]) -> np.ndarray:
-        """One row per text: stored rows, and the rest sent once each and stored.
+        """One row per text, stored or sent once (:meth:`_replies`).
 
-        The texts the store lacks go to the embedding client in first-seen
-        order, one ``batch_size`` batch per call, and each batch's rows are
-        recorded as it returns, so an outage in a later batch loses none of
-        the earlier ones. Every stored row, and every batch before it is
-        recorded, must have the model's dimension (:meth:`_check_dimension`).
-        Rows are kept as the service returned them, so an index built from
-        stored rows normalizes exactly the numbers of one built from a fresh
-        reply.
+        The texts the store lacks go to the embedding client one
+        ``batch_size`` batch per call, and a failed call is raised. Every
+        stored row, and every batch before it is recorded, must have the
+        model's dimension (:meth:`_check_dimension`). Rows are kept as the
+        service returned them, so an index built from stored rows normalizes
+        exactly the numbers of one built from a fresh reply.
         """
         if not texts:
             return np.zeros((0, 0))
-        rows = self.replies.vectors(model, texts)
-        for dim in dict.fromkeys(map(len, rows.values())):
-            self._check_dimension(model, dim)
-        missing = [text for text in dict.fromkeys(texts) if text not in rows]
-        size = self.embedder.batch_size
-        for start in range(0, len(missing), size):
-            batch = missing[start : start + size]
-            block = self.embedder.embed(model, batch)
-            self._check_dimension(model, block.shape[1])
-            self.replies.put_vectors(model, batch, block)
-            rows.update(zip(batch, block))
-        return np.stack([rows[text] for text in texts])
+        send = partial(self.embedder.embed, model)
+        hold = partial(self._check_dimension, model)
+        return np.stack(self._replies(EMBED, model, texts, send, self.embedder.batch_size, hold))
 
-    def _check_dimension(self, model: str, dim: int) -> None:
-        """Hold ``model``'s vectors to the dimension of the first one this evaluator saw.
+    def _check_dimension(self, model: str, rows: Iterable[np.ndarray]) -> None:
+        """Hold ``model``'s rows to the dimension of the first one this evaluator saw.
 
         Any other dimension is a ServiceFailure naming the model, both
         dimensions and the store file, if any, that the rows may come from.
         """
-        first = self._dims.setdefault(model, dim)
-        if dim != first:
-            message = (
-                f"embedding model {model!r} vectors are {dim}-dimensional "
-                f"after {first}-dimensional ones"
-            )
-            store = self.replies.path
-            if store is not None:
-                message += f" (rows may come from {store}; delete it if the service changed)"
-            raise ServiceFailure(message)
+        for dim in dict.fromkeys(map(len, rows)):
+            first = self._dims.setdefault(model, dim)
+            if dim != first:
+                message = (
+                    f"embedding model {model!r} vectors are {dim}-dimensional "
+                    f"after {first}-dimensional ones"
+                )
+                store = self.replies.path
+                if store is not None:
+                    message += f" (rows may come from {store}; delete it if the service changed)"
+                raise ServiceFailure(message)
 
     def _retrieve_all(
         self, config: RagConfig, split: str
@@ -919,28 +949,16 @@ class LivePipelineEvaluator(StoredScores):
                 template.render(qa.question, [c.text for c in chunks])
                 for qa, chunks in zip(questions, retrieved)
             ]
-            results = self._replies(
-                "generation",
-                questions,
-                prompts,
-                self.replies.generations(model, prompts),
-                lambda prompt: self.generator.generate(model, prompt),
-                lambda sent, got: self.replies.put_generations(model, sent, got),
-            )
+            send = self._pooled(GENERATE, questions, prompts, partial(self.generator.generate, model))
+            results = self._replies(GENERATE, model, prompts, send)
         if judged:
-            base_url = self.judge.endpoint.base_url
             answered = [i for i, result in enumerate(results) if result is not None]
             requests = [
                 (questions[i].question, results[i].text, questions[i].gold_answer) for i in answered
             ]
-            judged_scores = self._replies(
-                "judge call",
-                [questions[i] for i in answered],
-                requests,
-                self.replies.judge_scores(base_url, requests),
-                lambda request: self.judge.score(*request),
-                lambda sent, got: self.replies.put_judge_scores(base_url, sent, got),
-            )
+            askers = [questions[i] for i in answered]
+            send = self._pooled(JUDGE, askers, requests, lambda request: self.judge.score(*request))
+            judged_scores = self._replies(JUDGE, self.judge.endpoint.base_url, requests, send)
             for i, score in zip(answered, judged_scores):
                 judge_scores[i] = score
 
@@ -990,43 +1008,58 @@ class LivePipelineEvaluator(StoredScores):
         return rows
 
     def _replies(
-        self,
-        what: str,
-        questions: Sequence[QaPair],
-        requests: Sequence,
-        stored: Mapping,
-        send: Callable,
-        record: Callable[[list, list], None],
+        self, route: Route, model: str, requests: Sequence, send: Callable, batch_size=None, hold=None
     ) -> list:
-        """Each request's reply: the stored one, else ``send``'s, else None for a failed call.
+        """Each request's reply: the stored one, else the one ``send`` got for it.
 
-        Each distinct request ``stored`` lacks is sent once, through the worker
-        pool, and its reply goes to every question that asked for it; a failure
-        is logged against the first of them. The new replies are passed to
-        ``record`` here, in first-seen question order, so the store never
-        crosses threads.
+        The store is looked up on the calling thread, and each distinct
+        request it lacks is sent once, in first-seen order, ``batch_size``
+        at a time (all at once without it): ``send`` takes a batch and
+        returns each request's reply, or None for a failed call. Each
+        batch's replies are recorded as it returns, so the store never
+        crosses threads and an outage in a later batch loses none of the
+        earlier ones. ``hold`` sees the stored replies, then each batch's
+        before it is recorded, and refuses them by raising.
         """
-        asker: dict = {}  # each unstored request -> the first question that asked for it
-        for question, request in zip(questions, requests):
-            if request not in stored:
-                asker.setdefault(request, question)
+        got = self.replies.get(route, model, requests)
+        if hold is not None:
+            hold(got.values())
+        missing = [request for request in dict.fromkeys(requests) if request not in got]
+        size = batch_size or len(missing) or 1
+        for start in range(0, len(missing), size):
+            batch = missing[start : start + size]
+            replies = send(batch)
+            if hold is not None:
+                hold(replies)
+            new = [(request, reply) for request, reply in zip(batch, replies) if reply is not None]
+            if new:
+                self.replies.put(route, model, *zip(*new))
+            got.update(zip(batch, replies))
+        return [got[request] for request in requests]
+
+    def _pooled(self, route: Route, askers: Sequence[QaPair], requests: Sequence, send: Callable):
+        """A ``send`` for :meth:`_replies` that sends each request alone, through the worker pool.
+
+        ``askers`` are the questions that asked for ``requests``. A failed
+        call is None and a warning against the first question that asked
+        for its request.
+        """
 
         def send_one(request):
             try:
                 return send(request)
             except ServiceFailure as exc:
-                log.warning("%s failed for %s: %s", what, asker[request].qid, exc)
+                first = askers[requests.index(request)]
+                log.warning("%s failed for %s: %s", route.path, first.qid, exc)
                 return None
 
-        if self.parallelism > 1 and len(asker) > 1:
-            with ThreadPoolExecutor(max_workers=self.parallelism) as pool:
-                fresh = dict(zip(asker, pool.map(send_one, asker)))
-        else:
-            fresh = {request: send_one(request) for request in asker}
-        new = {request: reply for request, reply in fresh.items() if reply is not None}
-        if new:
-            record(list(new), list(new.values()))
-        return [fresh[request] if request in fresh else stored[request] for request in requests]
+        def send_batch(batch: list) -> list:
+            if self.parallelism > 1 and len(batch) > 1:
+                with ThreadPoolExecutor(max_workers=self.parallelism) as pool:
+                    return list(pool.map(send_one, batch))
+            return [send_one(request) for request in batch]
+
+        return send_batch
 
     def evaluate(self, config: RagConfig, split: str, objective: Objective) -> EvalResult:
         """Fill the cell's generated metrics, judge_ac too when the objective asks for it,

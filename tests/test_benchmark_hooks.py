@@ -103,6 +103,8 @@ def test_patched_methods_keep_the_signatures_faults_wrap():
     for method in (GridReplayEvaluator.evaluate, LivePipelineEvaluator.evaluate):
         assert list(inspect.signature(method).parameters) == ["self", "config", "split", "objective"]
     assert list(inspect.signature(EmbeddingClient.embed).parameters) == ["self", "model", "texts"]
+    # The tracer reads (model, prompt) as args[1] and args[2] of generate.
+    assert list(inspect.signature(GenerationClient.generate).parameters) == ["self", "model", "prompt"]
 
 
 def test_replay_evaluator_exposes_its_space(tiny_space):

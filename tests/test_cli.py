@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import gc
 import itertools
 import json
@@ -6,8 +7,11 @@ import os
 import random
 import re
 import shutil
+import sqlite3
+import struct
 import subprocess
 import sys
+import time
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -531,6 +535,35 @@ def test_analyze_a_run_export_short_of_a_seed_exits_2_naming_it(tmp_path, fixtur
     assert main(["analyze", "--run", str(run_path), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
     assert f"{run_path}: seed 20 holds 0 of the run_header's 3 iterations" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", [["trial"], {"trial": 1}], ids=["a list", "an object"])
+def test_analyze_a_run_row_whose_kind_is_not_a_string_exits_2_naming_it(
+    tmp_path, fixture_table, capsys, kind
+):
+    run_path = tmp_path / "run.jsonl"
+    main(["optimize", "--grid", str(fixture_table), "--algo", "random", "--budget", "2",
+          "--seeds", "1", "--out", str(run_path)])
+    lines = run_path.read_text().splitlines(keepends=True)
+    lines[1] = json.dumps({**json.loads(lines[1]), "kind": kind}) + "\n"
+    run_path.write_text("".join(lines))
+    capsys.readouterr()
+    assert main(["analyze", "--run", str(run_path), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {run_path}:2: unknown row kind {kind!r}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+@pytest.mark.parametrize("count", [10_001, 10**30])
+def test_a_seed_count_past_the_bound_exits_2_naming_seeds(tmp_path, fixture_table, capsys, where, count):
+    config_path = tmp_path / "run_config.json"
+    config_path.write_text(json.dumps({"seeds": count} if where == "config" else {}))
+    argv = ["optimize", "--config", str(config_path), "--grid", str(fixture_table),
+            "--budget", "2", "--out", str(tmp_path / "run.jsonl")]
+    assert main(argv + (["--seeds", str(count)] if where == "flag" else [])) == EXIT_VALIDATION
+    message = f"error: seeds must be a count of at most {cli.MAX_SEEDS} or a list, got {count}\n"
+    assert capsys.readouterr().err == message
+    assert not list(tmp_path.glob("run.jsonl*"))
 
 
 def test_a_write_that_fails_at_its_rename_leaves_no_temporary_file(
@@ -1514,17 +1547,88 @@ def test_a_rerun_after_an_outage_sends_no_answered_request_and_exports_the_unint
     assert out.read_bytes() == clean.read_bytes()
 
 
-def test_a_failed_embed_reply_is_not_stored(live_setup, tmp_path):
+@pytest.mark.parametrize(
+    "body",
+    [b"not json", {"vectors": [[True, False]]}, {"vectors": [["1", "2.5"]]}, {"vectors": [[True, 1.5]]}],
+    ids=["not JSON", "booleans", "numeric strings", "a boolean among numbers"],
+)
+def test_a_failed_embed_reply_is_not_stored(live_setup, tmp_path, capsys, body):
     stub, out = live_setup["stub"], tmp_path / "run.jsonl"
     # The test question's embedding fails; the chunks' and dev questions' are stored.
-    stub.override("/embed", lambda payload: b"not json" if "closing" in payload["texts"] else None)
+    stub.override("/embed", lambda payload: body if "closing" in payload["texts"] else None)
     assert main(_optimize_argv(live_setup, out)) == EXIT_SUSPENDED
+    assert "run suspended" in capsys.readouterr().err
     refused = [call for call in stub.calls("/embed") if "closing" in call["texts"]]
     assert refused and len(refused) < len(stub.calls("/embed"))
     stub.server.overrides.clear()
     stub.server.calls.clear()
     assert main(_optimize_argv(live_setup, out)) == EXIT_OK
     assert stub.calls("/embed") == refused
+
+
+def _route_of(row: bytes) -> str:
+    """The route whose reply a stub-made store row holds."""
+    return "/generate" if row.startswith(b"[") else "/judge" if row == b"0.5" else "/embed"
+
+
+#: case -> (route, what replaces the first of that route's rows)
+SPOILED_ROWS = {
+    "embed no bytes": ("/embed", lambda row: b""),
+    "embed cut short": ("/embed", lambda row: row[:-3]),
+    "embed nan": ("/embed", lambda row: row[:-8] + struct.pack("<d", float("nan"))),
+    "generate string count": ("/generate", lambda row: b'["t", "x", 1, false]'),
+    "generate negative count": ("/generate", lambda row: b'["t", -1, 1, false]'),
+    "generate flag not a boolean": ("/generate", lambda row: b'["t", 1, 1, "yes"]'),
+    "generate wrong shape": ("/generate", lambda row: b'["t", 1, 1]'),
+    "judge past 1": ("/judge", lambda row: b"2.5"),
+    "judge boolean": ("/judge", lambda row: b"true"),
+    "judge not json": ("/judge", lambda row: b"half"),
+}
+
+
+@pytest.mark.parametrize("route, spoil", SPOILED_ROWS.values(), ids=SPOILED_ROWS.keys())
+def test_a_spoiled_store_row_exits_2_naming_the_store_until_the_store_is_deleted(
+    live_setup, tmp_path, capsys, route, spoil
+):
+    stub, replies = live_setup["stub"], _replies_of(live_setup)
+    argv = ["grid", "--config", str(_judged_config(live_setup, tmp_path)), "--out"]
+    assert main(argv + [str(tmp_path / "clean.jsonl")]) == EXIT_OK
+    with contextlib.closing(sqlite3.connect(replies)) as db, db:
+        key, row = next(
+            (key, row) for key, row in db.execute("SELECT key, reply FROM replies ORDER BY key")
+            if _route_of(row) == route
+        )
+        db.execute("UPDATE replies SET reply = ? WHERE key = ?", (spoil(row), key))
+    stub.server.calls.clear()
+    capsys.readouterr()
+    assert main(argv + [str(tmp_path / "spoiled.jsonl")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: reply store {replies}: a {route} row is not a valid reply (")
+    assert err.endswith("; delete the file to send its requests again\n")
+    assert stub.server.calls == {}
+    assert not list(tmp_path.glob("spoiled.jsonl*"))
+    # Once the store is deleted, the run is the one a clean store gives.
+    for path in replies.parent.glob(replies.name + "*"):
+        path.unlink()
+    assert main(argv + [str(tmp_path / "spoiled.jsonl")]) == EXIT_OK
+    assert (tmp_path / "spoiled.jsonl").read_bytes() == (tmp_path / "clean.jsonl").read_bytes()
+
+
+def test_a_store_locked_by_another_writer_exits_2_naming_it(live_setup, tmp_path, capsys):
+    replies = _replies_of(live_setup)
+    store = pipeline.ReplyStore(replies)
+    store.put(pipeline.EMBED, "another model", ["x"], [[1.0]])
+    store.close()
+    out = tmp_path / "grid.jsonl"
+    with contextlib.closing(sqlite3.connect(replies, isolation_level=None)) as db:
+        db.execute("BEGIN IMMEDIATE")  # holds the write lock until the connection closes
+        started = time.monotonic()
+        code = main(["grid", "--config", str(live_setup["config_path"]), "--out", str(out)])
+        waited = time.monotonic() - started
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: reply store {replies}: database is locked\n"
+    assert waited < 30  # SQLite's 5 s busy timeout, not a hang
+    assert not list(tmp_path.glob("grid.jsonl*"))
 
 
 def _garbage(path: Path) -> None:

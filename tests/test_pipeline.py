@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import hashlib
 import json
 import math
 import random
@@ -24,6 +25,9 @@ from raghpo.dataio import Dataset, QaPair
 from raghpo.evaluator import Objective
 from raghpo.metrics import CONTEXT_MRR, FAITHFULNESS, JUDGE_AC, LEXICAL_AC
 from raghpo.pipeline import (
+    EMBED,
+    GENERATE,
+    JUDGE,
     Chunk,
     EmbeddingClient,
     GenerationClient,
@@ -336,6 +340,10 @@ BAD_EMBED_REPLIES = {
     "empty": _vectors(lambda i, t: []),
     "nan": _vectors(lambda i, t: [float("nan"), 1.0]),
     "infinite": _vectors(lambda i, t: [float("inf"), 1.0]),
+    "booleans": _vectors(lambda i, t: [True, False]),
+    "numeric strings": _vectors(lambda i, t: ["1", "2.5"]),
+    "a boolean among numbers": _vectors(lambda i, t: [True, 1.5]),
+    "an integer too large for a float": _vectors(lambda i, t: [10**400, 1.0]),
 }
 
 
@@ -343,7 +351,7 @@ BAD_EMBED_REPLIES = {
 def test_embedding_client_rejects_malformed_vectors(stub_service, reply):
     stub_service.override("/embed", reply)
     client = EmbeddingClient(_endpoint(stub_service), batch_size=2)
-    with pytest.raises(ServiceFailure):
+    with pytest.raises(ServiceFailure, match=f"^{re.escape(stub_service.base_url)}/embed reply vector"):
         client.embed("emb-model", [f"text {i}" for i in range(4)])
 
 
@@ -377,6 +385,7 @@ MALFORMED_BODIES = {
     "not json": lambda payload: b"<html>busy</html>",
     "json array": lambda payload: [1, 2],
     "json string": lambda payload: "ok",
+    "json nested too deep": lambda payload: b"[" * 100_000,
 }
 
 
@@ -1011,7 +1020,7 @@ def test_live_embed_sends_unstored_texts_once_in_batches_of_batch_size(
     stub_service, tiny_dataset
 ):
     replies = ReplyStore()
-    replies.put_vectors("emb", ["stored"], np.asarray([stub_vector("stored")]))
+    replies.put(EMBED, "emb", ["stored"], [np.asarray(stub_vector("stored"))])
     evaluator = LivePipelineEvaluator(
         dataset=tiny_dataset,
         space=SearchSpace.default(),
@@ -1123,18 +1132,43 @@ def test_reply_store_keeps_replies_exactly_under_route_model_and_input(tmp_path)
     vectors = np.random.default_rng(0).standard_normal((len(texts), 5))
     answer = GenerationResult("answer \u2603", 12, 3, counts_estimated=True)
     store = ReplyStore(tmp_path / "replies.sqlite3")
-    store.put_vectors("m", texts, vectors)
-    store.put_generations("m", ["a"], [answer])
+    store.put(EMBED, "m", texts, vectors)
+    store.put(GENERATE, "m", ["a"], [answer])
+    store.put(JUDGE, "http://judge", [("q", "a", "g")], [1.0])
     store.close()
 
     store = ReplyStore(tmp_path / "replies.sqlite3")
-    got = store.vectors("m", texts + ["never sent"])
+    got = store.get(EMBED, "m", texts + ["never sent"])
     assert set(got) == set(texts)
     assert np.stack([got[t] for t in texts]).tobytes() == vectors.tobytes()
-    assert store.generations("m", texts) == {"a": answer}
-    assert store.vectors("other model", texts) == {}
-    assert store.generations("other model", ["a"]) == {}
+    assert store.get(GENERATE, "m", texts) == {"a": answer}
+    assert store.get(JUDGE, "http://judge", [("q", "a", "g"), ("q", "a", "x")]) == {("q", "a", "g"): 1.0}
+    assert store.get(EMBED, "other model", texts) == {}
+    assert store.get(GENERATE, "other model", ["a"]) == {}
+    # The same input on another route is another request.
+    assert store.get(EMBED, "m", ["a"]).keys() == {"a"} and store.get(JUDGE, "m", ["a"]) == {}
     store.close()
+
+
+def _key(route: str, model: str, text: str) -> bytes:
+    return hashlib.sha256(json.dumps([route, model]).encode() + text.encode("utf-8", "surrogatepass")).digest()
+
+
+def test_reply_store_keys_and_rows_keep_their_bytes(tmp_path):
+    # A store written by an earlier version is read unchanged: these are its bytes.
+    path = tmp_path / "replies.sqlite3"
+    store = ReplyStore(path)
+    store.put(EMBED, "m", ["caf\u00e9"], [np.asarray([0.5, -2.0])])
+    store.put(GENERATE, "g", ["p"], [GenerationResult("ans", 3, 1, True)])
+    store.put(JUDGE, "http://j", [("q", "a\u2603", "g")], [1.0])
+    store.close()
+    with contextlib.closing(sqlite3.connect(path)) as db:
+        rows = dict(db.execute("SELECT key, reply FROM replies"))
+    assert rows == {
+        _key("/embed", "m", "caf\u00e9"): np.asarray([0.5, -2.0], dtype="<f8").tobytes(),
+        _key("/generate", "g", "p"): b'["ans", 3, 1, true]',
+        _key("/judge", "http://j", '["q", "a\\u2603", "g"]'): b"1.0",
+    }
 
 
 def test_reply_store_refuses_a_file_that_is_not_a_database(tmp_path, caplog):
@@ -1145,8 +1179,8 @@ def test_reply_store_refuses_a_file_that_is_not_a_database(tmp_path, caplog):
     assert len(warnings) == 1 and str(path) in warnings[0]
     assert store.path is None
     # The store keeps its replies in memory instead.
-    store.put_vectors("m", ["a"], np.ones((1, 3)))
-    assert list(store.vectors("m", ["a"])) == ["a"]
+    store.put(EMBED, "m", ["a"], np.ones((1, 3)))
+    assert list(store.get(EMBED, "m", ["a"])) == ["a"]
     store.close()
     assert path.read_bytes() == b"not a database" * 100
     assert [p.name for p in tmp_path.iterdir()] == ["replies.sqlite3"]
@@ -1155,26 +1189,26 @@ def test_reply_store_refuses_a_file_that_is_not_a_database(tmp_path, caplog):
 def test_a_reply_store_creates_its_file_on_its_first_put(tmp_path):
     path = tmp_path / "replies.sqlite3"
     store = ReplyStore(path)
-    assert store.vectors("m", ["a"]) == {}
-    assert store.generations("m", ["p"]) == {}
-    assert store.judge_scores("http://judge", [("q", "a", "g")]) == {}
+    assert store.get(EMBED, "m", ["a"]) == {}
+    assert store.get(GENERATE, "m", ["p"]) == {}
+    assert store.get(JUDGE, "http://judge", [("q", "a", "g")]) == {}
     assert list(tmp_path.iterdir()) == []
-    store.put_generations("m", ["p"], [GenerationResult("answer", 3, 1)])
+    store.put(GENERATE, "m", ["p"], [GenerationResult("answer", 3, 1)])
     assert path.is_file() and store.path == path
     store.close()
     # A store opened over the file sees its rows.
     again = ReplyStore(path)
-    assert again.generations("m", ["p"]) == {"p": GenerationResult("answer", 3, 1)}
+    assert again.get(GENERATE, "m", ["p"]) == {"p": GenerationResult("answer", 3, 1)}
     again.close()
 
 
 def test_reply_stores_opened_on_one_missing_path_share_their_rows(tmp_path):
     path = tmp_path / "replies.sqlite3"
     first, second = ReplyStore(path), ReplyStore(path)
-    first.put_vectors("m", ["a"], np.ones((1, 3)))
-    second.put_vectors("m", ["b"], np.zeros((1, 3)))
+    first.put(EMBED, "m", ["a"], np.ones((1, 3)))
+    second.put(EMBED, "m", ["b"], np.zeros((1, 3)))
     for store in (first, second):
-        assert sorted(store.vectors("m", ["a", "b"])) == ["a", "b"]
+        assert sorted(store.get(EMBED, "m", ["a", "b"])) == ["a", "b"]
     first.close()
     second.close()
 
@@ -1183,12 +1217,62 @@ def test_a_store_that_cannot_be_created_keeps_the_replies_of_its_first_put(tmp_p
     (tmp_path / "afile").write_text("a file, not a directory")
     path = tmp_path / "afile" / "replies.sqlite3"
     store = ReplyStore(path)
-    store.put_vectors("m", ["a"], np.ones((1, 3)))
-    store.put_vectors("m", ["b"], np.ones((1, 3)))
+    store.put(EMBED, "m", ["a"], np.ones((1, 3)))
+    store.put(EMBED, "m", ["b"], np.ones((1, 3)))
     warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
     assert len(warnings) == 1 and str(path) in warnings[0]
     assert store.path is None
-    assert sorted(store.vectors("m", ["a", "b"])) == ["a", "b"]
+    assert sorted(store.get(EMBED, "m", ["a", "b"])) == ["a", "b"]
+    store.close()
+
+
+#: (route, model, request, a row that is not a valid reply of the route)
+SPOILED_ROWS = {
+    "embed no bytes": (EMBED, "m", "a", b""),
+    "embed cut short": (EMBED, "m", "a", np.ones(3).tobytes()[:-3]),
+    "embed nan": (EMBED, "m", "a", np.asarray([1.0, np.nan]).tobytes()),
+    "embed SQL text": (EMBED, "m", "a", "0123456789abcdef"),
+    "generate string count": (GENERATE, "m", "p", b'["t", "x", 1, false]'),
+    "generate negative count": (GENERATE, "m", "p", b'["t", -1, 1, false]'),
+    "generate flag not a boolean": (GENERATE, "m", "p", b'["t", 1, 1, "yes"]'),
+    "generate short": (GENERATE, "m", "p", b'["t", 1, 1]'),
+    "generate an object": (GENERATE, "m", "p", b'{"text": "t"}'),
+    "judge fraction past 1": (JUDGE, "http://j", ("q", "a", "g"), b"2.5"),
+    "judge boolean": (JUDGE, "http://j", ("q", "a", "g"), b"true"),
+    "judge not json": (JUDGE, "http://j", ("q", "a", "g"), b"\xffnot json"),
+    "judge SQL integer": (JUDGE, "http://j", ("q", "a", "g"), 1),
+    "generate nested too deep": (GENERATE, "m", "p", b"[" * 100_000),
+}
+
+
+@pytest.mark.parametrize("route, model, request_, row", SPOILED_ROWS.values(), ids=SPOILED_ROWS.keys())
+def test_a_stored_row_that_is_not_a_valid_reply_is_an_error_naming_the_store(
+    tmp_path, route, model, request_, row
+):
+    path = tmp_path / "replies.sqlite3"
+    store = ReplyStore(path)
+    valid = {EMBED: np.ones(2), GENERATE: GenerationResult("t", 1, 1), JUDGE: 0.5}[route]
+    store.put(route, model, [request_], [valid])
+    with contextlib.closing(sqlite3.connect(path)) as db, db:
+        db.execute("UPDATE replies SET reply = ?", (row,))
+    with pytest.raises(ValueError) as error:
+        store.get(route, model, [request_])
+    message = str(error.value)
+    assert f"reply store {path}: a {route.path} row is not a valid reply" in message
+    assert message.endswith("delete the file to send its requests again")
+    store.close()
+
+
+def test_an_sqlite_error_after_open_names_the_store(tmp_path):
+    path = tmp_path / "replies.sqlite3"
+    store = ReplyStore(path)
+    store.put(EMBED, "m", ["a"], np.ones((1, 2)))
+    with contextlib.closing(sqlite3.connect(path)) as db:
+        db.execute("DROP TABLE replies")
+        db.commit()
+    for call in (lambda: store.get(EMBED, "m", ["a"]), lambda: store.put(EMBED, "m", ["b"], np.ones((1, 2)))):
+        with pytest.raises(ValueError, match=f"^reply store {re.escape(str(path))}: no such table"):
+            call()
     store.close()
 
 

@@ -6,7 +6,8 @@ either loads and survives ``store_dataset`` -> ``load_dataset`` unchanged
 or is refused with a DatasetFormatError that names the file and, for a
 row, its line. Grid tables are built through ``add_score`` and
 ``set_cost`` and must load back equal, by a parse and by a companion hit.
-Run records must survive ``export_run`` -> ``load_run``.
+Run records must survive ``export_run`` -> ``load_run``, and every valid
+reply of a service route must survive the reply store's ``put`` -> ``get``.
 """
 
 import json
@@ -42,6 +43,7 @@ from raghpo.harness import (
 )
 from raghpo.metrics import METRIC_NAMES
 from raghpo.optimizers import ALGORITHMS, DRIVER_OBJECTIVE, DRIVER_RETRIEVAL, Trial, TrialHistory
+from raghpo.pipeline import EMBED, GENERATE, JUDGE, ReplyStore
 from raghpo.searchspace import SearchSpace
 
 SPACE = SearchSpace(
@@ -230,3 +232,36 @@ def test_a_run_record_survives_its_export(record):
         path = Path(tmp) / "run.jsonl"
         export_run(record, path)
         assert load_run(path) == record
+
+
+# ---------------------------------------------------------------------------
+# Reply store
+# ---------------------------------------------------------------------------
+
+FLOAT_RANGE = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-(10**300), 10**300)
+#: Each route's requests, and its valid replies in the form its ``check`` takes.
+ROUTES = {
+    EMBED: (TEXT, st.lists(FLOAT_RANGE, min_size=1, max_size=5)),
+    GENERATE: (
+        TEXT, st.tuples(TEXT, st.integers(0, 2**70), st.integers(0, 2**70), st.booleans()).map(list)
+    ),
+    JUDGE: (st.tuples(TEXT, TEXT, TEXT), st.floats(0.0, 1.0) | st.integers(0, 1)),
+}
+
+
+@FAST
+@given(st.sampled_from(list(ROUTES)), st.data())
+def test_a_valid_reply_survives_the_reply_store(route, data):
+    requests_, replies = ROUTES[route]
+    requests = data.draw(st.lists(requests_, min_size=1, max_size=3, unique=True))
+    checked = [route.check(data.draw(replies)) for _ in requests]
+    store = ReplyStore()
+    store.put(route, "model", requests, checked)
+    got = store.get(route, "model", requests + [("never", "sent", "") if route is JUDGE else "never sent"])
+    store.close()
+    assert set(got) == set(requests)
+    for request, reply in zip(requests, checked):
+        if route is EMBED:
+            assert got[request].tobytes() == reply.tobytes()
+        else:
+            assert got[request] == reply and type(got[request]) is type(reply)
