@@ -202,6 +202,11 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         options = {f"{section}_{key}": values[key] for key in fields if values[key] is not None}
         optimizer_options.update(options)
 
+    plan = None
+    if (sample := config["sample"]) is not None:
+        check_fields(sample, "sample", dataio.SAMPLE_FIELDS, str(args.config), CliError)
+        plan = SamplePlan(*(sample[key] for key in dataio.SAMPLE_FIELDS))
+
     out = _setting(args, config, "out", "run.jsonl")
     spec = harness.RunSpec(
         space=space,
@@ -216,10 +221,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         table = load_grid(_input_file(grid_path, "grid table"), space)
         record = harness.run(spec, GridReplayEvaluator(table))
     else:
-        plan = None
-        if (sample := config["sample"]) is not None:
-            check_fields(sample, "sample", dataio.SAMPLE_FIELDS, str(args.config), CliError)
-            plan = SamplePlan(*(sample[key] for key in dataio.SAMPLE_FIELDS))
         with _live_evaluator(args, config, space, objective.metrics, parallelism, plan) as evaluator:
             record = harness.run(spec, evaluator)
 
@@ -357,18 +358,28 @@ def _write_json(path: Path, payload) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    """Write the table's extremes, bins and marginal means and the run's convergence series.
+
+    Every input is read and checked before the first file is written, so a
+    refused command leaves ``--out`` as it was.
+    """
     if not args.table and not args.run:
         raise CliError("analyze needs --table and/or --run")
     table_path = _input_file(args.table, "grid table") if args.table else None
     run_path = _input_file(args.run, "run export") if args.run else None
     out = Path(args.out)
     space = _load_space(args.space, None)
-    grid_max = None
 
     if table_path:
         table = load_grid(table_path, space)
         extremes = analysis.grid_extremes(table, args.metric, args.split)
-        grid_max = extremes.best_score
+        bins = analysis.normalized_bins(table, args.metric, args.split, args.bins)
+        marginals = analysis.marginal_means(table, args.metric, args.split)
+    if run_path:
+        grid_max = extremes.best_score if table_path else None
+        series = analysis.convergence_series(harness.load_run(run_path), grid_max=grid_max)
+
+    if table_path:
         _write_json(
             out / "extremes.json",
             {
@@ -379,7 +390,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 "best": {"config": extremes.best.as_dict(), "score": extremes.best_score},
             },
         )
-        bins = analysis.normalized_bins(table, args.metric, args.split, args.bins)
         _write_json(
             out / "bins.json",
             {
@@ -393,7 +403,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 "degenerate": bins.degenerate,
             },
         )
-        marginals = analysis.marginal_means(table, args.metric, args.split)
         _write_json(
             out / "marginal_means.json",
             {
@@ -418,8 +427,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"wrote {out / 'extremes.json'}, {out / 'bins.json'}, {out / 'marginal_means.json'}")
 
     if run_path:
-        record = harness.load_run(run_path)
-        series = analysis.convergence_series(record, grid_max=grid_max)
         with atomic_write(out / "convergence.jsonl") as fh:
             for point in series:
                 fh.write(

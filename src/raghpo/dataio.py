@@ -370,18 +370,19 @@ def read_space(record: dict, where: str, error: type[Exception]) -> SearchSpace:
         raise error(f"{where}: {exc}") from None
 
 
-def _check_unicode(where: str, *texts) -> None:
-    """A DatasetFormatError at ``where`` when a string holds a lone surrogate.
+#: A lone surrogate: JSON can spell one (``"\\ud800"``), but UTF-8 cannot encode it.
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
-    JSON can spell one (``"\\ud800"``), but UTF-8 cannot encode it, so no
-    dataset file could be written back.
+
+def _check_unicode(record: dict, kind: str, fields: dict, where: str) -> None:
+    """A DatasetFormatError at ``where`` naming the first of ``fields`` whose text holds a lone surrogate.
+
+    No dataset file could be written back with one.
     """
-    for text in texts:
-        if isinstance(text, str) and not text.isascii():
-            try:
-                text.encode("utf-8")
-            except UnicodeEncodeError:
-                raise DatasetFormatError(f"{where}: not valid Unicode text") from None
+    for name in fields:
+        texts = record[name] if isinstance(record[name], list) else [record[name]]
+        if any(isinstance(text, str) and not text.isascii() and _SURROGATE.search(text) for text in texts):
+            raise DatasetFormatError(f"{where}: {kind} field {name!r} is not valid Unicode text")
 
 
 def _read_manifest(root: Path) -> dict:
@@ -393,7 +394,10 @@ def _read_manifest(root: Path) -> dict:
     check_fields(manifest, "manifest", MANIFEST_FIELDS, str(path), DatasetFormatError)
     if (version := manifest["format_version"]) != DATASET_FORMAT_VERSION:
         raise DatasetFormatError(f"{path}: unsupported format_version {version!r}")
-    _check_unicode(str(path), manifest["name"])
+    _check_unicode(manifest, "manifest", MANIFEST_FIELDS, str(path))
+    for name in ("corpus_file", "benchmark_file"):
+        if not (file := root / manifest[name]).is_file():
+            raise DatasetFormatError(f"{path}: manifest field {name!r} names no file: {file}")
     return manifest
 
 
@@ -423,7 +427,7 @@ def load_dataset(path: str | Path) -> Dataset:
             doc = Document(doc_id=doc_id, text=record["text"], title=record["title"])
         except ValueError as exc:
             raise DatasetFormatError(f"{where}: {exc}") from None
-        _check_unicode(where, doc.doc_id, doc.text, doc.title)
+        _check_unicode(record, "corpus row", CORPUS_FIELDS, where)
         corpus.append(doc)
 
     dev: list[QaPair] = []
@@ -448,7 +452,7 @@ def load_dataset(path: str | Path) -> Dataset:
             qa = QaPair(qid, record["question"], record["gold_answer"], record["gold_doc_ids"])
         except ValueError as exc:
             raise DatasetFormatError(f"{where}: {exc}") from None
-        _check_unicode(where, qa.qid, qa.question, qa.gold_answer, *qa.gold_doc_ids)
+        _check_unicode(record, "benchmark row", BENCHMARK_FIELDS, where)
         (dev if split == "dev" else test).append(qa)
 
     return Dataset(corpus, dev, test, manifest["name"], relaxed)
@@ -466,7 +470,9 @@ def atomic_write(path: str | Path, binary: bool = False) -> Iterator[IO]:
     goes to a temporary file in the same directory, which replaces ``path``
     only when the block exits normally; on an exception the temporary file
     is removed and ``path`` is left as it was. A process killed mid-write
-    leaves at most a stray ``.tmp`` file beside ``path``.
+    leaves at most a stray ``.tmp`` file beside ``path``. The temporary file
+    is fsynced before it replaces ``path``, and the directory after, so a
+    power loss once the block has exited keeps the new file whole.
     """
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
@@ -474,7 +480,14 @@ def atomic_write(path: str | Path, binary: bool = False) -> Iterator[IO]:
     try:
         with temp.open("wb") if binary else temp.open("w", encoding="utf-8") as fh:
             yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(temp, target)
+        directory = os.open(target.parent, os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
     finally:
         temp.unlink(missing_ok=True)
 
@@ -839,7 +852,7 @@ def load_grid(path: str | Path, space: SearchSpace) -> GridTable:
 def _check_fingerprint(source: Path, fingerprint: str, space: SearchSpace) -> None:
     if fingerprint != space.fingerprint():
         raise FingerprintMismatchError(
-            f"{source}: table fingerprint {fingerprint[:12]}... does not "
+            f"{source}:1: grid header field 'space_fingerprint' {fingerprint[:12]!r}... does not "
             f"match the active search space {space.fingerprint()[:12]}..."
         )
 

@@ -115,7 +115,7 @@ class RunSpec:
                 f"budget {self.budget} exceeds the space size {self.space.total_size}"
             )
         if not self.seeds:
-            raise ValueError("at least one seed is required")
+            raise ValueError("seeds must name at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be distinct, got {self.seeds}")
 

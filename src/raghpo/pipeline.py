@@ -177,32 +177,28 @@ def chunk_corpus(
 # ---------------------------------------------------------------------------
 
 
+#: The warning logged when a retrieval asks for more chunks than its index holds.
+_SHORTFALL = "top_k=%d exceeds index size %d; returning all chunks"
+
+
 class VectorIndex:
     """Immutable in-memory index with exact cosine top-k search."""
 
     def __init__(self, chunks: Sequence[Chunk], vectors: np.ndarray):
-        if len(chunks) != len(vectors):
-            raise ValueError(
-                f"chunk/vector count mismatch: {len(chunks)} vs {len(vectors)}"
-            )
+        """An index of ``chunks`` and their ``vectors``, one float64 row per chunk.
+
+        The embedders that make ``vectors`` have already held each row to
+        :data:`EMBED`'s rule and every row to one dimension, so nothing here
+        checks them again.
+        """
         self._chunks = tuple(chunks)
-        matrix = np.asarray(vectors, dtype=np.float64)
-        if matrix.ndim != 2 and len(self._chunks) > 0:
-            raise ValueError("vectors must be a 2-D array")
-        if not np.isfinite(matrix).all():
-            raise ValueError("vectors must be finite")
-        if len(self._chunks) == 0:
-            matrix = matrix.reshape(0, 0)
-        norms = np.linalg.norm(matrix, axis=1, keepdims=True) if len(self._chunks) else None
-        if norms is not None:
-            norms[norms == 0.0] = 1.0
-            matrix = matrix / norms
-        self._unit = matrix
+        norms = np.linalg.norm(vectors, axis=1, keepdims=True)
+        norms[norms == 0.0] = 1.0
+        self._unit = vectors / norms
         # Each row's position in chunk_id order, the tie-break of search; rows
         # are in corpus order, which need not be chunk_id order.
         by_id = sorted(range(len(self._chunks)), key=lambda i: self._chunks[i].chunk_id)
-        self._id_rank = np.empty(len(self._chunks), dtype=np.intp)
-        self._id_rank[by_id] = np.arange(len(self._chunks))
+        self._id_rank = np.argsort(np.asarray(by_id, dtype=np.intp))
 
     def __len__(self) -> int:
         return len(self._chunks)
@@ -214,23 +210,17 @@ class VectorIndex:
     def search(self, query_vector: np.ndarray, top_k: int) -> list[RetrievedChunk]:
         """Exact top-k by cosine similarity; ties broken by lower chunk_id.
 
-        Asking for more chunks than the index holds returns everything and
-        logs the shortfall.
+        ``top_k`` is at least 1. Asking for more chunks than the index holds
+        returns everything and logs the shortfall.
         """
-        if top_k < 1:
-            raise ValueError(f"top_k must be >= 1, got {top_k}")
         n = len(self._chunks)
         if n == 0:
             log.warning("retrieval against an empty index returns no chunks")
             return []
         if top_k > n:
-            log.warning("top_k=%d exceeds index size %d; returning all chunks", top_k, n)
-        query = np.asarray(query_vector, dtype=np.float64)
-        if not np.isfinite(query).all():
-            raise ValueError("query vector must be finite")
-        norm = np.linalg.norm(query)
-        if norm > 0.0:
-            query = query / norm
+            log.warning(_SHORTFALL, top_k, n)
+        norm = np.linalg.norm(query_vector)
+        query = query_vector / norm if norm > 0.0 else query_vector
         sims = self._unit @ query
         k = min(top_k, n)
         # Every row tied with the k-th largest similarity stays a candidate, so
@@ -734,8 +724,7 @@ def retrieve(
     embedding_model: str,
 ) -> list[RetrievedChunk]:
     """Embed the question and return the exact cosine top-k chunks."""
-    query = embedder.embed(embedding_model, [question])
-    return index.search(query[0] if len(query) else np.zeros(0), top_k)
+    return index.search(embedder.embed(embedding_model, [question])[0], top_k)
 
 
 # ---------------------------------------------------------------------------
@@ -768,9 +757,10 @@ class LivePipelineEvaluator(StoredScores):
       are held to it.
 
     An index is built once per IndexConfig, and retrieval is run once per
-    (IndexConfig, top_k, split), since it does not depend on the generative
-    model. Both are kept until :meth:`release` drops them, which an
-    optimizer run never calls, since optimizers revisit indexes.
+    (IndexConfig, split), since it depends on neither the generative model
+    nor, past a prefix of one exact ranking, on top_k. Both are kept until
+    :meth:`release` drops them, which an optimizer run never calls, since
+    optimizers revisit indexes.
 
     ``replies``, a :class:`ReplyStore`, is the evaluator's only reply cache;
     without one it opens its own in memory. Nothing is sent that the store
@@ -829,7 +819,7 @@ class LivePipelineEvaluator(StoredScores):
         self._chunks: dict[tuple[int, float], tuple[Chunk, ...]] = {}
         self._indices: dict[IndexConfig, tuple[VectorIndex, int]] = {}
         self._retrieved: dict[
-            tuple[IndexConfig, int, str], tuple[tuple[RetrievedChunk, ...], ...]
+            tuple[IndexConfig, str], tuple[tuple[RetrievedChunk, ...], ...]
         ] = {}
         self._dims: dict[str, int] = {}  # each embedding model's vector dimension
 
@@ -862,8 +852,8 @@ class LivePipelineEvaluator(StoredScores):
         embedding service again.
         """
         self._indices.pop(index_config, None)
-        for key in [key for key in self._retrieved if key[0] == index_config]:
-            del self._retrieved[key]
+        for split in SPLITS:
+            self._retrieved.pop((index_config, split), None)
 
     def embed(self, model: str, texts: Sequence[str]) -> np.ndarray:
         """One row per text, stored or sent once (:meth:`_replies`).
@@ -902,17 +892,28 @@ class LivePipelineEvaluator(StoredScores):
     def _retrieve_all(
         self, config: RagConfig, split: str
     ) -> tuple[tuple[tuple[RetrievedChunk, ...], ...], int]:
+        """Each of the split's questions' top-k chunks under ``config``, and the index's cost.
+
+        Each question is searched once per (index, split), to the space's
+        deepest top_k capped at the index size, and a config gets the first
+        ``top_k`` chunks of that ranking: the ranking is an exact sort, so
+        its prefix is the config's own top-k.
+        """
         index, embedded_tokens = self._index_for(config.index)
-        key = (config.index, config.answer.top_k, split)
-        retrieved = self._retrieved.get(key)
-        if retrieved is None:
+        top_k, size = config.answer.top_k, len(index)
+        if 0 < size < top_k:
+            log.warning(_SHORTFALL, top_k, size)
+        key = (config.index, split)
+        ranked = self._retrieved.get(key)
+        if ranked is None:
             query_vectors = self.embed(
                 config.index.embedding_model, [qa.question for qa in self.dataset.split(split)]
             )
-            retrieved = self._retrieved[key] = tuple(
-                tuple(index.search(vector, config.answer.top_k)) for vector in query_vectors
+            depth = min(max(self.space.top_ks), size)
+            ranked = self._retrieved[key] = tuple(
+                tuple(index.search(vector, depth)) for vector in query_vectors
             )
-        return retrieved, embedded_tokens
+        return tuple(chunks[:top_k] for chunks in ranked), embedded_tokens
 
     def fill(
         self, config: RagConfig, split: str, metrics: Sequence[str]

@@ -14,6 +14,7 @@ import inspect
 from math import ceil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from raghpo import harness
@@ -24,6 +25,7 @@ from raghpo.pipeline import (
     GenerationClient,
     LivePipelineEvaluator,
     ServiceEndpoint,
+    VectorIndex,
 )
 from raghpo.searchspace import SearchSpace
 
@@ -99,12 +101,18 @@ def test_a_completed_run_adds_no_export_or_load_span(tiny_space):
     assert "harness.export_run" not in calls and "harness.load_run" not in calls
 
 
-def test_patched_methods_keep_the_signatures_faults_wrap():
+def test_patched_methods_keep_the_signatures_faults_wrap(stub_service):
     for method in (GridReplayEvaluator.evaluate, LivePipelineEvaluator.evaluate):
         assert list(inspect.signature(method).parameters) == ["self", "config", "split", "objective"]
     assert list(inspect.signature(EmbeddingClient.embed).parameters) == ["self", "model", "texts"]
     # The tracer reads (model, prompt) as args[1] and args[2] of generate.
     assert list(inspect.signature(GenerationClient.generate).parameters) == ["self", "model", "prompt"]
+    # The tracer wraps search and reads len(args[0]), the index's chunk count.
+    assert list(inspect.signature(VectorIndex.search).parameters) == ["self", "query_vector", "top_k"]
+    # faults.py calls .tolist() on what embed returns.
+    vectors = EmbeddingClient(ServiceEndpoint(stub_service.base_url)).embed("emb", ["a", "b c"])
+    assert isinstance(vectors, np.ndarray)
+    assert (vectors.ndim, vectors.shape[0], vectors.dtype) == (2, 2, np.float64)
 
 
 def test_replay_evaluator_exposes_its_space(tiny_space):

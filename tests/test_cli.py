@@ -609,6 +609,33 @@ def test_analyze_needs_input(capsys):
     assert "needs --table" in capsys.readouterr().err
 
 
+def test_analyze_with_no_bin_exits_2_and_writes_nothing(tmp_path, fixture_table, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["analyze", "--table", str(fixture_table), "--bins", "0", "--out", str(out)]) == (
+        EXIT_VALIDATION
+    )
+    assert capsys.readouterr().err == "error: bin_count must be >= 1, got 0\n"
+    assert list(out.iterdir()) == []
+
+
+def test_analyze_of_a_good_table_and_a_bad_run_exits_2_and_writes_nothing(
+    tmp_path, fixture_table, capsys
+):
+    run, out = tmp_path / "run.jsonl", tmp_path / "out"
+    main(["optimize", "--grid", str(fixture_table), "--budget", "2", "--seeds", "1", "--out", str(run)])
+    lines = run.read_text().splitlines(keepends=True)
+    header = json.loads(lines[0])
+    del header["format_version"]
+    run.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
+    out.mkdir()
+    capsys.readouterr()
+    argv = ["analyze", "--table", str(fixture_table), "--run", str(run), "--out", str(out)]
+    assert main(argv) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {run}:1: run_header lacks field 'format_version'\n"
+    assert list(out.iterdir()) == []
+
+
 def test_analyze_incomplete_table_fails(tmp_path, default_space, capsys):
     from raghpo.dataio import GridTable
 
@@ -1769,7 +1796,7 @@ def test_a_lone_surrogate_in_a_dataset_exits_2_naming_its_line_and_writes_nothin
     record["question"] += " \ud800"
     lines[1] = json.dumps(record) + "\n"  # spelled as the escape \ud800
     bench.write_text("".join(lines))
-    message = f"error: {bench}:2: not valid Unicode text\n"
+    message = f"error: {bench}:2: benchmark row field 'question' is not valid Unicode text\n"
     sampled = tmp_path / "sampled"
     argv = ["sample", "--dataset", str(dataset_path), "--out", str(sampled),
             "--fraction", "0.5", "--noise", "1", "--seed", "1"]

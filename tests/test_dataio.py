@@ -2,11 +2,13 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
 import re
 import tracemalloc
 import zipfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -470,6 +472,34 @@ def test_atomic_write_keeps_previous_file_on_failure(tmp_path):
     assert list(tmp_path.iterdir()) == [target]
 
 
+def test_atomic_write_syncs_the_file_before_the_rename_and_the_directory_after(
+    tmp_path, monkeypatch
+):
+    target = tmp_path / "out.txt"
+    calls = []
+    fsync, replace_ = os.fsync, os.replace
+
+    def recording_fsync(fd):
+        stat = os.fstat(fd)
+        calls.append(("fsync", stat.st_ino, stat.st_size))
+        fsync(fd)
+
+    def recording_replace(source, destination):
+        calls.append(("replace", Path(source).stat().st_ino, Path(destination)))
+        replace_(source, destination)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    monkeypatch.setattr(os, "replace", recording_replace)
+    with atomic_write(target) as fh:
+        fh.write("new\n")
+    written, directory = target.stat().st_ino, tmp_path.stat()
+    assert calls == [
+        ("fsync", written, len("new\n")),  # the whole file, flushed
+        ("replace", written, target),
+        ("fsync", directory.st_ino, directory.st_size),
+    ]
+
+
 def test_appended_cells_load_with_last_cost_row_winning(tmp_path, tiny_space):
     path = tmp_path / "g.jsonl"
     table = GridTable(tiny_space)
@@ -556,7 +586,8 @@ def test_a_lone_surrogate_in_a_kept_string_is_reported_with_its_line(
         where = f"{path}:2"
     with pytest.raises(DatasetFormatError) as excinfo:
         load_dataset(tmp_path / "ds")
-    assert str(excinfo.value) == f"{where}: not valid Unicode text"
+    record_kind = kind if kind == "manifest" else f"{kind} row"
+    assert str(excinfo.value) == f"{where}: {record_kind} field {field!r} is not valid Unicode text"
 
 
 def test_a_lone_surrogate_in_an_ignored_field_is_accepted(tmp_path, tiny_dataset):

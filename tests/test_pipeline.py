@@ -229,13 +229,6 @@ def test_search_matches_full_sort_with_ties(case, k, at_tie):
     assert [c.rank for c in got] == list(range(1, min(k, n) + 1))
 
 
-def test_index_rejects_non_finite_vectors():
-    with pytest.raises(ValueError, match="finite"):
-        _make_index([[1.0, float("nan")]])
-    with pytest.raises(ValueError, match="finite"):
-        _make_index([[1.0, 0.0]]).search(np.array([float("inf"), 0.0]), top_k=1)
-
-
 # ---------------------------------------------------------------------------
 # Index building
 # ---------------------------------------------------------------------------
@@ -917,8 +910,8 @@ def test_chunking_and_retrieval_run_once_per_shape(stub_service, tiny_space, mon
         for overlap in tiny_space.chunk_overlaps
     }
     assert set(cuts.values()) == {1}
-    # Both generative models share each (index, top_k, split) retrieval.
-    assert len(searches) == 8 * 2
+    # Every top_k and both generative models share each (index, split) retrieval.
+    assert len(searches) == 8
     assert set(searches.values()) == {len(dataset.dev) + len(dataset.test)}
 
 
@@ -962,6 +955,32 @@ def test_release_drops_one_index_and_its_retrievals_but_not_the_chunks(stub_serv
     assert config.index in evaluator._indices
     assert all(evaluator._chunks[shape] is chunks[shape] for shape in chunks)
     assert len(stub_service.calls("/embed")) == sent
+
+
+@pytest.mark.parametrize("documents", [2, 0], ids=["two chunks", "empty index"])
+def test_each_top_k_is_a_prefix_of_one_retrieval_and_only_a_shortfall_warns(
+    stub_service, caplog, documents
+):
+    space = SearchSpace(
+        chunk_sizes=(4,), chunk_overlaps=(0.0,), embedding_models=("emb-a",),
+        top_ks=(1, 3), generative_models=("gen-a",),
+    )
+    corpus = tuple(make_document(f"d{i}", 3) for i in range(documents))
+    qa = QaPair(qid="q0", question="where is tok1", gold_answer="tok1", gold_doc_ids=("d0",))
+    evaluator = _live(stub_service, Dataset(corpus=corpus, dev=(qa,), test=()), space)
+    fits, exceeds = (RagConfig.from_values(4, 0.0, "emb-a", k, "gen-a") for k in (1, 3))
+
+    with caplog.at_level("WARNING"):
+        evaluator.evaluate_retrieval_only(fits, "dev")
+        assert "exceeds index size" not in caplog.text
+        evaluator.evaluate_retrieval_only(exceeds, "dev")
+    assert ("top_k=3 exceeds index size 2" in caplog.text) == bool(documents)
+    assert ("empty index" in caplog.text) == (not documents)
+    (short,), _ = evaluator._retrieve_all(fits, "dev")
+    (full,), _ = evaluator._retrieve_all(exceeds, "dev")
+    assert len(full) == documents
+    assert short == full[:1]
+    assert list(evaluator._retrieved) == [(fits.index, "dev")]
 
 
 def test_an_evaluator_runs_on_a_thread_other_than_the_one_that_made_it(
