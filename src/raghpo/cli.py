@@ -33,6 +33,7 @@ from .dataio import (
     SamplePlan,
     atomic_write,
     check_fields,
+    check_unicode,
     load_dataset,
     load_grid,
     sample_dev,
@@ -76,6 +77,7 @@ def _load_config(path: str | None) -> dict:
     """The run config at ``path``, or an empty one, checked, its defaults filled in."""
     config = {} if path is None else dataio.read_json_object(_input_file(path, "config file"), CliError)
     check_fields(config, "run config", dataio.RUN_CONFIG_FIELDS, str(path), CliError)
+    check_unicode(config, "run config", dataio.RUN_CONFIG_FIELDS, str(path), CliError)
     return config
 
 

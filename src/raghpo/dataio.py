@@ -132,32 +132,6 @@ class Dataset:
     def doc_ids(self) -> set[str]:
         return {d.doc_id for d in self.corpus}
 
-    def validate(self) -> None:
-        """Check id uniqueness, split disjointness and gold-doc referential integrity."""
-        seen_docs: set[str] = set()
-        for doc in self.corpus:
-            if doc.doc_id in seen_docs:
-                raise DatasetFormatError(f"duplicate doc_id {doc.doc_id!r}")
-            seen_docs.add(doc.doc_id)
-        seen_qids: set[str] = set()
-        for qa in self.dev + self.test:
-            if qa.qid in seen_qids:
-                raise DatasetFormatError(f"duplicate qid {qa.qid!r}")
-            seen_qids.add(qa.qid)
-        for qa in self.dev:
-            for gid in qa.gold_doc_ids:
-                if gid not in seen_docs:
-                    raise DatasetFormatError(
-                        f"question {qa.qid!r} references missing doc_id {gid!r}"
-                    )
-        if not self.relaxed_test_closure:
-            for qa in self.test:
-                for gid in qa.gold_doc_ids:
-                    if gid not in seen_docs:
-                        raise DatasetFormatError(
-                            f"question {qa.qid!r} references missing doc_id {gid!r}"
-                        )
-
 
 _BLOCK_SIZE = 1 << 16  # bytes read at a time from a JSON-lines file
 
@@ -354,6 +328,22 @@ def check_fields(record: dict, kind: str, fields: dict, where: str, error: type[
             raise error(f"{where}: {kind} field {name!r} has the wrong type: {record[name]!r}")
 
 
+#: A lone surrogate: JSON can spell one (``"\\ud800"``), but UTF-8 cannot encode it.
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def check_unicode(record: dict, kind: str, fields: dict, where: str, error: type[Exception]) -> None:
+    """Raise ``error`` at ``where`` naming the first of ``fields`` whose text holds a lone surrogate.
+
+    No file that a run writes, a dataset, a run export or a grid table,
+    could be written with one.
+    """
+    for name in fields:
+        texts = record[name] if isinstance(record[name], list) else [record[name]]
+        if any(isinstance(text, str) and not text.isascii() and _SURROGATE.search(text) for text in texts):
+            raise error(f"{where}: {kind} field {name!r} is not valid Unicode text")
+
+
 def read_space(record: dict, where: str, error: type[Exception]) -> SearchSpace:
     """The search space of a space record: a space file's, a run config's or a run header's.
 
@@ -361,6 +351,7 @@ def read_space(record: dict, where: str, error: type[Exception]) -> SearchSpace:
     space. A bad record, or one :class:`SearchSpace` refuses, raises ``error`` at ``where``.
     """
     check_fields(record, "search space", SPACE_FIELDS, where, error)
+    check_unicode(record, "search space", SPACE_FIELDS, where, error)
     if (version := record["format_version"]) != SPACE_FORMAT_VERSION:
         raise error(f"{where}: unsupported search-space format_version {version!r}")
     try:
@@ -368,21 +359,6 @@ def read_space(record: dict, where: str, error: type[Exception]) -> SearchSpace:
         return SearchSpace.from_dict({**record, "chunk_overlap": overlaps})
     except (ValueError, OverflowError) as exc:  # a bad value list, or an int too large for a float
         raise error(f"{where}: {exc}") from None
-
-
-#: A lone surrogate: JSON can spell one (``"\\ud800"``), but UTF-8 cannot encode it.
-_SURROGATE = re.compile("[\ud800-\udfff]")
-
-
-def _check_unicode(record: dict, kind: str, fields: dict, where: str) -> None:
-    """A DatasetFormatError at ``where`` naming the first of ``fields`` whose text holds a lone surrogate.
-
-    No dataset file could be written back with one.
-    """
-    for name in fields:
-        texts = record[name] if isinstance(record[name], list) else [record[name]]
-        if any(isinstance(text, str) and not text.isascii() and _SURROGATE.search(text) for text in texts):
-            raise DatasetFormatError(f"{where}: {kind} field {name!r} is not valid Unicode text")
 
 
 def _read_manifest(root: Path) -> dict:
@@ -394,7 +370,7 @@ def _read_manifest(root: Path) -> dict:
     check_fields(manifest, "manifest", MANIFEST_FIELDS, str(path), DatasetFormatError)
     if (version := manifest["format_version"]) != DATASET_FORMAT_VERSION:
         raise DatasetFormatError(f"{path}: unsupported format_version {version!r}")
-    _check_unicode(manifest, "manifest", MANIFEST_FIELDS, str(path))
+    check_unicode(manifest, "manifest", MANIFEST_FIELDS, str(path), DatasetFormatError)
     for name in ("corpus_file", "benchmark_file"):
         if not (file := root / manifest[name]).is_file():
             raise DatasetFormatError(f"{path}: manifest field {name!r} names no file: {file}")
@@ -427,7 +403,7 @@ def load_dataset(path: str | Path) -> Dataset:
             doc = Document(doc_id=doc_id, text=record["text"], title=record["title"])
         except ValueError as exc:
             raise DatasetFormatError(f"{where}: {exc}") from None
-        _check_unicode(record, "corpus row", CORPUS_FIELDS, where)
+        check_unicode(record, "corpus row", CORPUS_FIELDS, where, DatasetFormatError)
         corpus.append(doc)
 
     dev: list[QaPair] = []
@@ -452,7 +428,7 @@ def load_dataset(path: str | Path) -> Dataset:
             qa = QaPair(qid, record["question"], record["gold_answer"], record["gold_doc_ids"])
         except ValueError as exc:
             raise DatasetFormatError(f"{where}: {exc}") from None
-        _check_unicode(record, "benchmark row", BENCHMARK_FIELDS, where)
+        check_unicode(record, "benchmark row", BENCHMARK_FIELDS, where, DatasetFormatError)
         (dev if split == "dev" else test).append(qa)
 
     return Dataset(corpus, dev, test, manifest["name"], relaxed)
@@ -624,7 +600,6 @@ def sample_dev(dataset: Dataset, plan: SamplePlan) -> SampleOutcome:
         name=dataset.name,
         relaxed_test_closure=True,
     )
-    sampled_dataset.validate()
     return SampleOutcome(
         dataset=sampled_dataset,
         sampled_qids=tuple(qa.qid for qa in sampled),
@@ -688,33 +663,6 @@ class _Columns:
         self.rows: dict[str, int] = {}
         self.matrix = np.full((8, size), np.nan)
 
-    def add(self, ordinal: int, qid: str, score: float) -> bool:
-        """Store a score; False, storing nothing, when the row is already present."""
-        row = self.rows.setdefault(qid, len(self.rows))
-        self._fit(row)
-        if not math.isnan(self.matrix[row, ordinal]):
-            return False
-        self.matrix[row, ordinal] = score
-        return True
-
-    def place(
-        self, qids: Sequence[str], ordinals: np.ndarray
-    ) -> tuple[np.ndarray, dict[str, int]] | None:
-        """Rows of ``qids`` and of the new ones among them; None if a row is present or twice.
-
-        New qids take rows in order of first appearance, as :meth:`add` gives them.
-        """
-        unseen = set(qids).difference(self.rows)
-        first_seen = (q for q in dict.fromkeys(qids) if q in unseen)
-        new = {q: len(self.rows) + i for i, q in enumerate(first_seen)}
-        index = {**self.rows, **new} if new else self.rows
-        rows = np.fromiter(map(index.__getitem__, qids), np.intp, len(qids))
-        cells = (rows * self.matrix.shape[1] + ordinals).tolist()
-        self._fit(int(rows.max()))
-        if len(set(cells)) < len(cells) or not np.isnan(self.matrix[rows, ordinals]).all():
-            return None
-        return rows, new
-
     def layout(self) -> tuple[list[str], np.ndarray]:
         """The qids sorted, and the matrix with exactly their rows, in that order.
 
@@ -768,21 +716,65 @@ class GridTable:
     def add_score(
         self, ordinal: int, split: str, metric: str, qid: str, score: float
     ) -> None:
-        self._check_cell(ordinal, split)
-        if metric not in METRIC_NAMES:
-            raise GridFormatError(
-                f"metric must be one of {sorted(METRIC_NAMES)}, got {metric!r}"
-            )
-        if not 0.0 <= score <= 1.0:
-            raise GridFormatError(
-                f"score must be in [0, 1], got {score} for "
-                f"(ordinal={ordinal}, split={split}, metric={metric}, qid={qid})"
-            )
-        columns = self._columns.get((split, metric))
-        if columns is None:
-            columns = self._columns[(split, metric)] = _Columns(self.space.total_size)
-        if not columns.add(ordinal, qid, score):
+        self.add_scores(split, metric, [qid], [ordinal], [score])
+
+    def add_scores(
+        self,
+        split: str,
+        metric: str,
+        qids: Sequence[str],
+        ordinals: Sequence[int],
+        scores: Sequence[float],
+    ) -> None:
+        """Add the rows ``(ordinal, split, metric, qid) -> score``, all of them or none.
+
+        The one rule for a score row: its ordinal names a configuration of
+        the space, its split and metric are known, its score lies in [0, 1]
+        (NaN does not), and no row of its key is stored or earlier in the
+        batch. The first row in batch order that breaks the rule raises
+        GridFormatError, checked in that order, and nothing is stored.
+        """
+        if not qids:
+            return
+        size = self.space.total_size
+        n = len(qids)
+        try:
+            ords = np.fromiter(ordinals, np.intp, n)
+        except OverflowError:  # an ordinal too large for an intp, so outside the space
+            ords = np.array([o if 0 <= o < size else -1 for o in ordinals], np.intp)
+        values = np.fromiter(scores, np.float64, n)
+        columns = self._columns.get((split, metric)) or _Columns(size)
+        known = len(columns.rows)
+        unseen = (q for q in dict.fromkeys(qids) if q not in columns.rows)
+        new = {q: known + i for i, q in enumerate(unseen)}
+        index = {**columns.rows, **new} if new else columns.rows
+        rows = np.fromiter(map(index.__getitem__, qids), np.intp, n)
+        cols = ords % size  # a column of the matrix; an ordinal outside the space is refused
+        cells = rows * size + cols
+        order = np.argsort(cells, kind="stable")
+        repeated = np.zeros(n, bool)
+        repeated[order[1:][cells[order[1:]] == cells[order[:-1]]]] = True
+        columns._fit(known + len(new) - 1)  # room for the new qids' rows, all NaN
+        scored = (values >= 0) & (values <= 1)
+        bad = (cols != ords) | repeated | ~np.isnan(columns.matrix[rows, cols]) | ~scored
+        bad[0] |= split not in SPLITS or metric not in METRIC_NAMES
+        if bad.any():  # the first bad row's message, by the first check it fails
+            i = int(bad.argmax())
+            ordinal, qid = ordinals[i], qids[i]
+            self._check_cell(ordinal, split)
+            if metric not in METRIC_NAMES:
+                raise GridFormatError(
+                    f"metric must be one of {sorted(METRIC_NAMES)}, got {metric!r}"
+                )
+            if not scored[i]:
+                raise GridFormatError(
+                    f"score must be in [0, 1], got {scores[i]} for "
+                    f"(ordinal={ordinal}, split={split}, metric={metric}, qid={qid})"
+                )
             raise GridFormatError(f"duplicate row for key {(ordinal, split, metric, qid)}")
+        columns.rows.update(new)
+        columns.matrix[rows, ords] = values
+        self._columns[(split, metric)] = columns
 
     def set_cost(self, ordinal: int, split: str, cost: CostDelta) -> None:
         self._check_cell(ordinal, split)
@@ -867,28 +859,33 @@ _LINE = re.compile(
     rf'"score":((?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?),"split":{_STRING}\}}$|(.*)$)',
     re.MULTILINE,
 )
-_SPLIT_METRIC = operator.itemgetter(4, 0)
 
 
 def _parse_grid(source: Path, space: SearchSpace, digest: hashlib._Hash) -> GridTable:
     """Parse a grid-table file, feeding ``digest`` every byte read.
 
-    Runs of canonical score rows go in at once (:func:`_add_rows`). Other
-    lines, and a run with a bad row, go in one at a time (:func:`_add_line`),
-    so the first bad line raises as a line-by-line read would. Each (split,
-    metric) then gets the companion's layout (:meth:`_Columns.compact`):
-    rows in sorted qid order and exactly ``qids x configurations`` scores,
-    so the table keeps none of the capacity that growth by doubling left
-    and :func:`_save_companion` writes its matrices without copying them.
+    Each run of consecutive canonical score rows of one (split, metric) goes
+    in with one :meth:`GridTable.add_scores`. Other lines go in one at a
+    time (:func:`_add_line`), and so does a run that ``add_scores`` refuses,
+    re-read line by line so that the first bad line raises as a line-by-line
+    read would. Each (split, metric) then gets the companion's layout
+    (:meth:`_Columns.compact`): rows in sorted qid order and exactly ``qids x
+    configurations`` scores, so the table keeps none of the capacity that
+    growth by doubling left and :func:`_save_companion` writes its matrices
+    without copying them.
     """
     table = None
     for first, text in _read_blocks(source, GridFormatError, digest):
         found = _LINE.findall(text, 0, len(text) - 1)
         start = 0
         for end in [i for i, row in enumerate(found) if not row[1]] + [len(found)]:
-            if start < end and (table is None or not _add_rows(table, found[start:end])):
-                for lineno, line in enumerate(text.split("\n")[start:end], first + start):
-                    table = _add_line(table, line, source, lineno, space)
+            for _, group in itertools.groupby(found[start:end], operator.itemgetter(4, 0)):
+                run = list(group)
+                if not _add_run(table, run):
+                    lines = text.split("\n")[start : start + len(run)]
+                    for lineno, line in enumerate(lines, first + start):
+                        table = _add_line(table, line, source, lineno, space)
+                start += len(run)
             if end < len(found):
                 table = _add_line(table, found[end][5], source, first + end, space)
             start = end + 1
@@ -899,24 +896,18 @@ def _parse_grid(source: Path, space: SearchSpace, digest: hashlib._Hash) -> Grid
     return table
 
 
-def _add_rows(table: GridTable, rows: list[tuple[str, ...]]) -> bool:
-    """Add score rows by one numpy scatter per (split, metric); False, adding none, on a bad one."""
-    size = table.space.total_size
-    plans = []
-    for key, group in itertools.groupby(sorted(rows, key=_SPLIT_METRIC), _SPLIT_METRIC):
-        _, ordinals, qids, scores, _, _ = zip(*group)
-        ords = np.fromiter(map(int, ordinals), np.intp, len(qids))
-        values = np.fromiter(map(float, scores), np.float64, len(qids))
-        # The pattern takes no sign, so no ordinal or score is negative and no score NaN.
-        bad = key[0] not in SPLITS or key[1] not in METRIC_NAMES or values.max() > 1
-        columns = table._columns.get(key) or _Columns(size)
-        if bad or ords.max() >= size or not (placed := columns.place(qids, ords)):
-            return False
-        plans.append((key, columns, *placed, ords, values))
-    for key, columns, matrix_rows, new, ords, values in plans:
-        columns.rows.update(new)
-        columns.matrix[matrix_rows, ords] = values
-        table._columns[key] = columns
+def _add_run(table: GridTable | None, run: list[tuple[str, ...]]) -> bool:
+    """Whether ``table`` took a run of canonical score rows of one (split, metric) at once.
+
+    False, adding none, before the header or when :meth:`GridTable.add_scores` refuses a row.
+    """
+    if table is None:
+        return False
+    metrics, ordinals, qids, scores, splits, _ = zip(*run)
+    try:
+        table.add_scores(splits[0], metrics[0], qids, [*map(int, ordinals)], [*map(float, scores)])
+    except GridFormatError:
+        return False
     return True
 
 

@@ -308,12 +308,16 @@ def _parse_trial_row(space: SearchSpace, row: dict) -> tuple[Trial, IterationRec
         cost=CostDelta(**row["cost"]),
         driver=row["driver"],
     )
+    try:
+        cumulative = CostDelta(*(row[f"cum_{name}"] for name in ZERO_COST.as_dict()))
+    except ValueError as exc:  # "<count> must be non-negative", of the cum_<count> field
+        raise ValueError(f"cum_{exc}") from None
     record = IterationRecord(
         iteration=row["iteration"],
         best_dev_score=row["best_dev"],
         best_ordinal=row["best_ordinal"],
         test_score_of_best=row["test_of_best"],
-        cost=CostDelta(*(row[f"cum_{name}"] for name in ZERO_COST.as_dict())),
+        cost=cumulative,
     )
     return trial, record
 

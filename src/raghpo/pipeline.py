@@ -926,7 +926,7 @@ class LivePipelineEvaluator(StoredScores):
         cost row is replaced with the spend of this run. A question whose
         generation or judge call fails keeps the rows it has; when every one
         fails, no row is added and ServiceFailure is raised. Returns the rows
-        added, in the order added. judge_ac without a judge is a ValueError,
+        added, question by question. judge_ac without a judge is a ValueError,
         raised before any request.
         """
         if JUDGE_AC in metrics and self.judge is None:
@@ -993,8 +993,10 @@ class LivePipelineEvaluator(StoredScores):
                     f"every generation{' or judge call' if judged else ''} failed; "
                     "nothing to aggregate"
                 )
-        for (_, _, metric, qid), score in rows:
-            self.table.add_score(ordinal, split, metric, qid, score)
+        for metric in dict.fromkeys(key[2] for key, _ in rows):
+            qids, scores = zip(*[(key[3], score) for key, score in rows if key[2] == metric])
+            self.table.add_scores(split, metric, qids, [ordinal] * len(qids), scores)
+            self._slices[(split, metric)] = self._slice((split, metric))
         self.table.set_cost(
             ordinal,
             split,
@@ -1004,8 +1006,6 @@ class LivePipelineEvaluator(StoredScores):
                 generation_output_tokens=output_tokens,
             ),
         )
-        for metric in {metric for (_, _, metric, _), _ in rows}:
-            self._slices[(split, metric)] = self._slice((split, metric))
         return rows
 
     def _replies(

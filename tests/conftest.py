@@ -55,11 +55,11 @@ def fill_table(
     table = GridTable(space)
     for split, metrics in split_metrics.items():
         for metric in metrics:
-            for ordinal in range(space.total_size):
-                for qid in qids[split]:
-                    table.add_score(
-                        ordinal, split, metric, qid, score_fn(ordinal, split, metric, qid)
-                    )
+            keys = [(ordinal, qid) for ordinal in range(space.total_size) for qid in qids[split]]
+            table.add_scores(
+                split, metric, [qid for _, qid in keys], [ordinal for ordinal, _ in keys],
+                [score_fn(ordinal, split, metric, qid) for ordinal, qid in keys],
+            )
     return table
 
 
@@ -111,14 +111,13 @@ def table_from_config_scores(
     """
     test_scores = dev_scores if test_scores is None else test_scores
     table = GridTable(space)
-    for ordinal in range(space.total_size):
-        for qid in dev_qids:
-            table.add_score(ordinal, "dev", metric, qid, dev_scores[ordinal])
-        for qid in test_qids:
-            table.add_score(ordinal, "test", metric, qid, test_scores[ordinal])
-        if mrr_scores is not None:
-            for qid in dev_qids:
-                table.add_score(ordinal, "dev", "context_mrr", qid, mrr_scores[ordinal])
+    slices = [("dev", metric, dev_qids, dev_scores), ("test", metric, test_qids, test_scores)]
+    if mrr_scores is not None:
+        slices.append(("dev", "context_mrr", dev_qids, mrr_scores))
+    for split, name, qids, scores in slices:
+        ordinals = [ordinal for ordinal in range(space.total_size) for _ in qids]
+        table.add_scores(split, name, list(qids) * space.total_size, ordinals,
+                         [scores[ordinal] for ordinal in ordinals])
     return table
 
 
@@ -153,9 +152,7 @@ def tiny_dataset() -> Dataset:
         )
         for i in range(2)
     )
-    dataset = Dataset(corpus=corpus, dev=dev, test=test, name="tiny")
-    dataset.validate()
-    return dataset
+    return Dataset(corpus=corpus, dev=dev, test=test, name="tiny")
 
 
 # ---------------------------------------------------------------------------

@@ -282,6 +282,16 @@ BAD_RUN_CONFIG_VALUES = {
         "optimize", "replay", {"space": {**STOCK_SPACE, "chunk_overlap": [10**400]}},
         "{config}: int too large to convert to float",
     ),
+    "space model a lone surrogate": (
+        "optimize", "replay", {"space": {**STOCK_SPACE, "generative_model": ["g\ud800"]}},
+        "{config}: search space field 'generative_model' is not valid Unicode text",
+    ),
+    "out a lone surrogate": (
+        "optimize", "replay", {"out": "\ud800"}, "{config}: run config field 'out' is not valid Unicode text"
+    ),
+    "grid out a lone surrogate": (
+        "grid", "live", {"out": "\ud800"}, "{config}: run config field 'out' is not valid Unicode text"
+    ),
     "objective without metrics": (
         "optimize", "replay", {"objective": {"weights": [1]}}, "{config}: objective lacks field 'metrics'"
     ),
@@ -807,6 +817,11 @@ BAD_JSON_DOCUMENTS = {
         "space",
         json.dumps({k: v for k, v in SearchSpace.default().to_dict().items() if k != "top_k"}).encode(),
         "{path}: search space lacks field 'top_k'",
+    ),
+    "space model a lone surrogate": (
+        "space",
+        json.dumps({**SearchSpace.default().to_dict(), "embedding_model": ["e\ud800"]}).encode(),
+        "{path}: search space field 'embedding_model' is not valid Unicode text",
     ),
     "manifest array": ("manifest", b"[1]", "{path}: expected a JSON object"),
     "manifest invalid utf-8": ("manifest", b'{"name": "\xff"}', "{path}: not valid UTF-8"),

@@ -1039,9 +1039,36 @@ def test_parse_and_companion_hit_hold_the_same_columns(tmp_path, tiny_space, par
 # ---------------------------------------------------------------------------
 
 
+def _check_score_row(seen, size, ordinal, split, metric, qid, score):
+    """The score-row rule, one row at a time: a ValueError saying which check a row fails.
+
+    ``seen`` holds the keys of the rows added so far, and takes this row's.
+    """
+    key = (ordinal, split, metric, qid)
+    if not 0 <= ordinal < size:
+        raise ValueError(f"ordinal {ordinal} is outside the search space [0, {size})")
+    if split not in SPLITS:
+        raise ValueError(f"split must be one of {SPLITS}, got {split!r}")
+    if metric not in METRIC_NAMES:
+        raise ValueError(f"metric must be one of {sorted(METRIC_NAMES)}, got {metric!r}")
+    if not 0.0 <= score <= 1.0:
+        raise ValueError(f"score must be in [0, 1], got {score} for "
+                         f"(ordinal={ordinal}, split={split}, metric={metric}, qid={qid})")
+    if key in seen:
+        raise ValueError(f"duplicate row for key {key}")
+    seen.add(key)
+
+
 def _load_line_by_line(path, space):
-    """The reference reader: one ``json.loads``, one field check and one ``GridTable`` call per line."""
+    """The reference reader: one ``json.loads`` and one field check per line.
+
+    It checks each score row itself (:func:`_check_score_row`), so the parse
+    is compared with a rule it does not share, and adds the rows it checked
+    to the table once the file is read.
+    """
     table = None
+    seen = set()
+    rows = {}  # (split, metric) -> [(qid, ordinal, score)] in file order
     for lineno, raw in enumerate(path.read_bytes().split(b"\n"), start=1):
         try:
             line = raw.decode("utf-8").strip()
@@ -1072,12 +1099,15 @@ def _load_line_by_line(path, space):
                 counts = [record[k] for k in CostDelta(0, 0, 0).as_dict()]
                 table.set_cost(record["ordinal"], record["split"], CostDelta(*counts))
             else:
-                table.add_score(record["ordinal"], record["split"], record["metric"], record["qid"],
-                                float(record["score"]))
+                key = (record["ordinal"], record["split"], record["metric"], record["qid"])
+                _check_score_row(seen, space.total_size, *key, float(record["score"]))
+                rows.setdefault(key[1:3], []).append((key[3], key[0], float(record["score"])))
         except ValueError as exc:
             raise GridFormatError(f"{where}: {exc}") from None
     if table is None:
         raise GridFormatError(f"{path}: empty file, expected a header line")
+    for (split, metric), checked in rows.items():
+        table.add_scores(split, metric, *zip(*checked))
     return table
 
 
@@ -1212,8 +1242,8 @@ def stored_lines(tmp_path, tiny_space):
     for ordinal in range(tiny_space.total_size):
         for split in SPLITS:
             for metric in (LEXICAL_AC, CONTEXT_MRR):
-                for q in range(16):
-                    table.add_score(ordinal, split, metric, f"q{q:02d}", rng.random())
+                qids = [f"q{q:02d}" for q in range(16)]
+                table.add_scores(split, metric, qids, [ordinal] * 16, [rng.random() for _ in qids])
         table.set_cost(ordinal, rng.choice(SPLITS), CostDelta(ordinal, 2, 7))
     store_grid(table, tmp_path / "stored.jsonl")
     return (tmp_path / "stored.jsonl").read_bytes().splitlines(keepends=True)
@@ -1238,6 +1268,56 @@ def test_grid_parse_matches_a_line_by_line_read(tmp_path, tiny_space, stored_lin
     else:
         assert isinstance(actual, GridTable), actual
         _assert_same_table(actual, expected, tiny_space)
+
+
+#: A bad row of each kind, (ordinal, split, metric, qid, score), and its refusal.
+_BAD_SCORE_ROWS = {
+    "ordinal -1": ((-1, "dev", LEXICAL_AC, "x", 0.5), r"ordinal -1 is outside"),
+    "ordinal past the space": ((32, "dev", LEXICAL_AC, "x", 0.5), r"ordinal 32 is outside"),
+    "ordinal of 30 digits": ((10**29, "dev", LEXICAL_AC, "x", 0.5), rf"ordinal {10**29} is outside"),
+    "unknown split": ((1, "train", LEXICAL_AC, "x", 0.5), r"split must be one of"),
+    "unknown metric": ((1, "dev", "bleu", "x", 0.5), r"metric must be one of"),
+    "score -0.1": ((1, "dev", LEXICAL_AC, "x", -0.1), r"score must be in \[0, 1\], got -0.1 "),
+    "score 1.5": ((1, "dev", LEXICAL_AC, "x", 1.5), r"score must be in \[0, 1\], got 1.5 "),
+    "score NaN": ((1, "dev", LEXICAL_AC, "x", math.nan), r"score must be in \[0, 1\], got nan "),
+    "repeat within the batch": ((2, "dev", LEXICAL_AC, "q1", 0.5), r"duplicate row for key \(2, "),
+    "repeat of a stored row": ((0, "dev", LEXICAL_AC, "q0", 0.5), r"duplicate row for key \(0, "),
+}
+
+
+@pytest.mark.parametrize("bad", list(_BAD_SCORE_ROWS))
+def test_add_scores_refuses_a_batch_with_a_bad_row_and_stores_none(tiny_space, bad):
+    table = GridTable(tiny_space)
+    table.add_score(0, "dev", LEXICAL_AC, "q0", 0.25)
+    before = table.scores
+    (ordinal, split, metric, qid, score), message = _BAD_SCORE_ROWS[bad]
+    # Good rows of the bad row's (split, metric) around it, one of them the key it may repeat.
+    rows = [(1, "q0", 0.5), (2, "q1", 0.75), (ordinal, qid, score), (3, "q2", 1.0), (3, "q3", 0.0)]
+    ordinals, qids, scores = zip(*rows)
+    with pytest.raises(GridFormatError, match=message):
+        table.add_scores(split, metric, qids, ordinals, scores)
+    assert table.scores == before
+    assert list(table._columns) == [("dev", LEXICAL_AC)]
+    columns = table._columns[("dev", LEXICAL_AC)]
+    assert list(columns.rows) == ["q0"]
+    assert np.isnan(np.delete(columns.matrix.ravel(), 0)).all()
+
+
+@pytest.mark.parametrize("block", [1 << 16, 1000])
+def test_a_stored_table_parses_its_score_rows_without_the_line_path(
+    tmp_path, tiny_space, stored_lines, monkeypatch, block
+):
+    monkeypatch.setattr(dataio, "_BLOCK_SIZE", block)
+    path = tmp_path / "g.jsonl"  # no companion beside it
+    path.write_bytes(b"".join(stored_lines))
+    lines = []
+    add_line = dataio._add_line
+    monkeypatch.setattr(dataio, "_add_line", lambda *args: lines.append(args[1]) or add_line(*args))
+    table = load_grid(path, tiny_space)
+    assert len(table.scores) == 2048
+    # Blank lines aside (the end of the file reads as one), only the header and the cost rows.
+    costs = [line for line in stored_lines if b'"kind":"cost"' in line]
+    assert [line.encode() + b"\n" for line in lines if line] == [stored_lines[0], *costs]
 
 
 def test_grid_parse_memory_is_bounded_by_a_block(tmp_path, default_space):

@@ -58,8 +58,6 @@ ELSEWHERE = {
     "and a missing row has no line",
     r"trial row seed \d+ is not one of the run_header's seeds": "a header naming fewer seeds "
     "is valid; the first trial row of a seed it lacks is refused at its own line",
-    r"bad trial row: \w+_tokens must be non-negative": "a cumulative count is checked as the "
-    "count it sums, named without its cum_ prefix",
     r"bad run_header: (objective needs at least one metric|weights must match metrics)": "the "
     "objective's own check names its metrics and weights",
 }

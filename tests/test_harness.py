@@ -414,7 +414,7 @@ def test_load_run_rejects_missing_header(tmp_path):
         (lambda row: row["cost"].pop("embedded_tokens"), "'embedded_tokens'"),
         (lambda row: row.update(ordinal=10**6), "ordinal 1000000"),
         (lambda row: row["cost"].update(generation_input_tokens=-1), "generation_input_tokens"),
-        (lambda row: row.update(cum_embedded_tokens=-1), "embedded_tokens must be non-negative"),
+        (lambda row: row.update(cum_embedded_tokens=-1), "cum_embedded_tokens must be non-negative"),
         (lambda row: row.update(iteration=2), "seed 1: iterations must be consecutive"),
         (lambda row: row.update(seed=99), "seed 99 is not one of the run_header's seeds"),
         (lambda row: row.update(iteration=3), "iteration 3 exceeds the run_header's budget 2"),

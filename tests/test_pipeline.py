@@ -839,9 +839,7 @@ def _shared_text_dataset() -> Dataset:
         for i in range(3)
     )
     test = (QaPair(qid="t0", question="tok9 please", gold_answer="tok9", gold_doc_ids=("d2",)),)
-    dataset = Dataset(corpus=corpus, dev=dev, test=test)
-    dataset.validate()
-    return dataset
+    return Dataset(corpus=corpus, dev=dev, test=test)
 
 
 def _model_salted_embeddings(stub_service) -> None:
