@@ -22,6 +22,7 @@ import contextlib
 import json
 import logging
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Iterator
 
@@ -31,9 +32,9 @@ from .dataio import (
     FingerprintMismatchError,
     GridFormatError,
     SamplePlan,
+    _dump_canonical,
     atomic_write,
     check_fields,
-    check_unicode,
     load_dataset,
     load_grid,
     sample_dev,
@@ -65,11 +66,14 @@ class CliError(Exception):
     """Configuration or input problem; reported and mapped to exit code 2."""
 
 
-def _input_file(path: str | Path, what: str) -> Path:
-    """``path`` as an input file, or a CliError that it is not one."""
+def _input_file(path: str | Path, what: str, field: str | None = None) -> Path:
+    """``path`` as an input file, or a CliError that it is not one.
+
+    The error names ``field`` when the config gave ``path`` (:func:`_config_field`), else ``what``.
+    """
     source = Path(path)
     if not source.is_file():
-        raise CliError(f"{what} not found: {source}")
+        raise CliError(f"{field} names no file: {source}" if field else f"{what} not found: {source}")
     return source
 
 
@@ -77,7 +81,6 @@ def _load_config(path: str | None) -> dict:
     """The run config at ``path``, or an empty one, checked, its defaults filled in."""
     config = {} if path is None else dataio.read_json_object(_input_file(path, "config file"), CliError)
     check_fields(config, "run config", dataio.RUN_CONFIG_FIELDS, str(path), CliError)
-    check_unicode(config, "run config", dataio.RUN_CONFIG_FIELDS, str(path), CliError)
     return config
 
 
@@ -89,12 +92,22 @@ def _setting(args: argparse.Namespace, config: dict, key: str, default=None):
     return default if value is None else value
 
 
-def _load_space(value, where: str | None) -> SearchSpace:
-    """The space a path or a config's space object at ``where`` gives; the stock space for None."""
+def _config_field(args: argparse.Namespace, key: str) -> str | None:
+    """``<config>: run config field 'key'`` when the config file gives setting ``key``, else None."""
+    if args.config is None or getattr(args, key, None) is not None:
+        return None
+    return f"{args.config}: run config field {key!r}"
+
+
+def _load_space(value, where: str | None, field: str | None = None) -> SearchSpace:
+    """The space a path or a config's space object at ``where`` gives; the stock space for None.
+
+    ``field`` is the config field that gave a path, as :func:`_input_file` takes it.
+    """
     if value is None:
         return SearchSpace.default()
     if isinstance(value, str):
-        where = _input_file(value, "search space file")
+        where = _input_file(value, "search space file", field)
         value = dataio.read_json_object(where, CliError)
     return dataio.read_space(value, str(where), CliError)
 
@@ -115,15 +128,20 @@ def _names(value: str | list[str] | None) -> list[str]:
     return value or []
 
 
-def _parse_objective(value: str | list[str] | dict | None, where: str | None) -> Objective:
-    """The objective of a flag, or of a config's metric names or objective object at ``where``."""
+def _parse_objective(args: argparse.Namespace, config: dict) -> Objective:
+    """The objective of the flag, or of the config's metric names or objective object."""
+    value = _setting(args, config, "objective")
     if value is None:
         return Objective()
-    if not isinstance(value, dict):
-        return Objective(metrics=tuple(_names(value)))
-    check_fields(value, "objective", dataio.OBJECTIVE_FIELDS, str(where), CliError)
-    weights = value["weights"]
-    return Objective(tuple(value["metrics"]), tuple(weights) if weights else None)
+    if isinstance(value, dict):
+        check_fields(value, "objective", dataio.OBJECTIVE_FIELDS, str(args.config), CliError)
+        metrics, weights = value["metrics"], value["weights"]
+        field = f"{args.config}: objective field 'metrics'"
+    else:
+        metrics, weights, field = _names(value), None, _config_field(args, "objective")
+    if not metrics and field:
+        raise CliError(f"{field} names no metric")
+    return Objective(tuple(metrics), tuple(weights) if weights else None)
 
 
 @contextlib.contextmanager
@@ -148,8 +166,10 @@ def _live_evaluator(
     endpoints = config["endpoints"]
     check_fields(endpoints, "endpoints", dataio.ENDPOINTS_FIELDS, str(args.config), CliError)
     if endpoints["embed"] is None or endpoints["generate"] is None:
+        field = _config_field(args, "endpoints")
         raise CliError(
-            "live backend needs endpoints.embed and endpoints.generate in the config file"
+            f"{field} lacks embed or generate, which a live run (no 'grid_table') needs" if field
+            else "live backend needs endpoints.embed and endpoints.generate in the config file"
         )
 
     def endpoint(name: str) -> ServiceEndpoint:
@@ -186,9 +206,9 @@ def _format_cost(totals) -> str:
 def cmd_optimize(args: argparse.Namespace) -> int:
     """Run the algorithm: replay ``grid_table`` when it is set, else run the pipeline live."""
     config = _load_config(args.config)
-    space = _load_space(_setting(args, config, "space"), args.config)
+    space = _load_space(_setting(args, config, "space"), args.config, _config_field(args, "space"))
     algorithm = _setting(args, config, "algorithm")
-    objective = _parse_objective(_setting(args, config, "objective"), args.config)
+    objective = _parse_objective(args, config)
     budget = _setting(args, config, "budget")
     seeds = _setting(args, config, "seeds")
     if isinstance(seeds, int) and seeds > MAX_SEEDS:
@@ -220,7 +240,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     )
 
     if grid_path:
-        table = load_grid(_input_file(grid_path, "grid table"), space)
+        table = load_grid(_input_file(grid_path, "grid table", _config_field(args, "grid_table")), space)
         record = harness.run(spec, GridReplayEvaluator(table))
     else:
         with _live_evaluator(args, config, space, objective.metrics, parallelism, plan) as evaluator:
@@ -273,7 +293,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
     lacks. Nothing is written unless every cell completes.
     """
     config = _load_config(args.config)
-    space = _load_space(_setting(args, config, "space"), args.config)
+    space = _load_space(_setting(args, config, "space"), args.config, _config_field(args, "space"))
     out = Path(_setting(args, config, "out", "grid.jsonl"))
     split_value = _setting(args, config, "splits")
     splits = _names(split_value)
@@ -431,20 +451,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if run_path:
         with atomic_write(out / "convergence.jsonl") as fh:
             for point in series:
-                fh.write(
-                    json.dumps(
-                        {
-                            "iteration": point.iteration,
-                            "mean_test": point.mean_test,
-                            "se_test": point.se_test,
-                            "n": point.n,
-                            "grid_max": point.grid_max,
-                        },
-                        sort_keys=True,
-                        separators=(",", ":"),
-                    )
-                    + "\n"
-                )
+                fh.write(_dump_canonical(asdict(point)) + "\n")
         print(f"wrote {out / 'convergence.jsonl'} ({len(series)} points)")
     return EXIT_OK
 

@@ -12,7 +12,8 @@ Every record read from a file, these, the grid-table and run-export rows,
 the run config with its sections and endpoints, and the search space, is
 checked against its field table (``MANIFEST_FIELDS`` and the rest) by
 :func:`check_fields`, the one field checker: an optional field takes its
-default, no value is converted, and a boolean is never a number.
+default, no value is converted, a boolean is never a number, and text
+holding a lone surrogate, which no file could hold, is refused.
 
 A grid table is a JSON-lines file whose first line is a header carrying the
 format version and the fingerprint of the search space it was computed
@@ -308,13 +309,18 @@ def is_a(value, spec) -> bool:
     return isinstance(value, spec) and (spec is bool or not isinstance(value, bool))
 
 
+#: A lone surrogate: JSON can spell one (``"\\ud800"``), but UTF-8 cannot encode it.
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
 def check_fields(record: dict, kind: str, fields: dict, where: str, error: type[Exception]) -> None:
     """Check ``record``, a ``kind`` of record, against its field table ``fields``.
 
     Each optional field that ``record`` lacks is set to a copy of its
-    default. The first field that it otherwise lacks, or holds a value of
-    the wrong type, raises ``error`` at ``where``. No value is converted,
-    and fields that ``fields`` does not name are left as they are.
+    default. The first field that it otherwise lacks, holds a value of the
+    wrong type, or holds text with a lone surrogate, which no file that a
+    run writes could hold, raises ``error`` at ``where``. No value is
+    converted, and fields that ``fields`` does not name are left as they are.
     """
     for name, spec in fields.items():
         if isinstance(spec, tuple):
@@ -324,23 +330,11 @@ def check_fields(record: dict, kind: str, fields: dict, where: str, error: type[
                 continue
         elif name not in record:
             raise error(f"{where}: {kind} lacks field {name!r}")
-        if not is_a(record[name], spec):
-            raise error(f"{where}: {kind} field {name!r} has the wrong type: {record[name]!r}")
-
-
-#: A lone surrogate: JSON can spell one (``"\\ud800"``), but UTF-8 cannot encode it.
-_SURROGATE = re.compile("[\ud800-\udfff]")
-
-
-def check_unicode(record: dict, kind: str, fields: dict, where: str, error: type[Exception]) -> None:
-    """Raise ``error`` at ``where`` naming the first of ``fields`` whose text holds a lone surrogate.
-
-    No file that a run writes, a dataset, a run export or a grid table,
-    could be written with one.
-    """
-    for name in fields:
-        texts = record[name] if isinstance(record[name], list) else [record[name]]
-        if any(isinstance(text, str) and not text.isascii() and _SURROGATE.search(text) for text in texts):
+        value = record[name]
+        if not is_a(value, spec):
+            raise error(f"{where}: {kind} field {name!r} has the wrong type: {value!r}")
+        texts = [value] if isinstance(value, str) else value if isinstance(value, list) else ()
+        if texts and any(isinstance(t, str) and not t.isascii() and _SURROGATE.search(t) for t in texts):
             raise error(f"{where}: {kind} field {name!r} is not valid Unicode text")
 
 
@@ -351,7 +345,6 @@ def read_space(record: dict, where: str, error: type[Exception]) -> SearchSpace:
     space. A bad record, or one :class:`SearchSpace` refuses, raises ``error`` at ``where``.
     """
     check_fields(record, "search space", SPACE_FIELDS, where, error)
-    check_unicode(record, "search space", SPACE_FIELDS, where, error)
     if (version := record["format_version"]) != SPACE_FORMAT_VERSION:
         raise error(f"{where}: unsupported search-space format_version {version!r}")
     try:
@@ -370,7 +363,6 @@ def _read_manifest(root: Path) -> dict:
     check_fields(manifest, "manifest", MANIFEST_FIELDS, str(path), DatasetFormatError)
     if (version := manifest["format_version"]) != DATASET_FORMAT_VERSION:
         raise DatasetFormatError(f"{path}: unsupported format_version {version!r}")
-    check_unicode(manifest, "manifest", MANIFEST_FIELDS, str(path), DatasetFormatError)
     for name in ("corpus_file", "benchmark_file"):
         if not (file := root / manifest[name]).is_file():
             raise DatasetFormatError(f"{path}: manifest field {name!r} names no file: {file}")
@@ -403,7 +395,6 @@ def load_dataset(path: str | Path) -> Dataset:
             doc = Document(doc_id=doc_id, text=record["text"], title=record["title"])
         except ValueError as exc:
             raise DatasetFormatError(f"{where}: {exc}") from None
-        check_unicode(record, "corpus row", CORPUS_FIELDS, where, DatasetFormatError)
         corpus.append(doc)
 
     dev: list[QaPair] = []
@@ -428,7 +419,6 @@ def load_dataset(path: str | Path) -> Dataset:
             qa = QaPair(qid, record["question"], record["gold_answer"], record["gold_doc_ids"])
         except ValueError as exc:
             raise DatasetFormatError(f"{where}: {exc}") from None
-        check_unicode(record, "benchmark row", BENCHMARK_FIELDS, where, DatasetFormatError)
         (dev if split == "dev" else test).append(qa)
 
     return Dataset(corpus, dev, test, manifest["name"], relaxed)
@@ -991,7 +981,8 @@ def _save_companion(table: GridTable, source: Path, table_sha256: str) -> None:
             for ordinal, split in sorted(table.costs)
         ],
     }
-    # ASCII JSON keeps every qid exactly, NULs and lone surrogates included.
+    # ASCII JSON keeps every qid exactly, NULs included. A lone surrogate, which
+    # check_fields refuses in every record read, can reach only a table built in code.
     text = json.dumps(manifest, ensure_ascii=True)
     arrays["manifest"] = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
     target = _companion_path(source)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from raghpo import cli, pipeline
+from raghpo import analysis, cli, pipeline
 from raghpo.cli import (
     EXIT_OK,
     EXIT_SUSPENDED,
@@ -292,6 +292,28 @@ BAD_RUN_CONFIG_VALUES = {
     "grid out a lone surrogate": (
         "grid", "live", {"out": "\ud800"}, "{config}: run config field 'out' is not valid Unicode text"
     ),
+    "grid_table names no file": (
+        "optimize", "replay", {"grid_table": "no/such/grid.jsonl"},
+        "{config}: run config field 'grid_table' names no file: no/such/grid.jsonl",
+    ),
+    "space names no file": (
+        "optimize", "replay", {"space": "no/such/space.json"},
+        "{config}: run config field 'space' names no file: no/such/space.json",
+    ),
+    "grid space names no file": (
+        "grid", "live", {"space": "no/such/space.json"},
+        "{config}: run config field 'space' names no file: no/such/space.json",
+    ),
+    "objective an empty list": (
+        "optimize", "replay", {"objective": []}, "{config}: run config field 'objective' names no metric"
+    ),
+    "objective without a metric": (
+        "optimize", "replay", {"objective": {"metrics": []}}, "{config}: objective field 'metrics' names no metric"
+    ),
+    "live without endpoints": (
+        "optimize", "live", {"endpoints": {}},
+        "{config}: run config field 'endpoints' lacks embed or generate, which a live run (no 'grid_table') needs",
+    ),
     "objective without metrics": (
         "optimize", "replay", {"objective": {"weights": [1]}}, "{config}: objective lacks field 'metrics'"
     ),
@@ -415,6 +437,24 @@ def test_bad_run_config_value_exits_2_naming_its_key(
     assert not list(tmp_path.glob("*.replies.sqlite3*"))
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--grid", "no/such/grid.jsonl"], "grid table not found: no/such/grid.jsonl"),
+        (["--space", "no/such/space.json"], "search space file not found: no/such/space.json"),
+        (["--objective", ","], "objective needs at least one metric"),
+    ],
+    ids=["grid", "space", "objective"],
+)
+def test_a_bad_flag_over_a_good_config_keeps_the_flags_message(
+    tmp_path, fixture_table, capsys, flags, message
+):
+    config_path = tmp_path / "run_config.json"
+    config_path.write_text(json.dumps({"grid_table": str(fixture_table), "out": str(tmp_path / "o")}))
+    assert main(["optimize", "--config", str(config_path), *flags]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_objective_list_in_a_run_config_means_the_comma_string(tmp_path, default_space):
     table = fill_table(
         default_space,
@@ -532,7 +572,17 @@ def test_analyze_run_convergence(tmp_path, fixture_table):
     assert code == EXIT_OK
     lines = (out / "convergence.jsonl").read_text().strip().splitlines()
     assert len(lines) == 7
-    assert all("mean_test" in line for line in lines)
+    assert lines[0].startswith('{"grid_max":null,"iteration":1,"mean_test":')
+    # Canonical JSON: sorted keys, no spaces, one point a line.
+    expected = "".join(
+        json.dumps(
+            {"iteration": p.iteration, "mean_test": p.mean_test, "se_test": p.se_test, "n": p.n,
+             "grid_max": p.grid_max},
+            sort_keys=True, separators=(",", ":"),
+        ) + "\n"
+        for p in analysis.convergence_series(load_run(run_path))
+    )
+    assert (out / "convergence.jsonl").read_text() == expected
 
 
 def test_analyze_a_run_export_short_of_a_seed_exits_2_naming_it(tmp_path, fixture_table, capsys):
@@ -1343,6 +1393,10 @@ BAD_ENDPOINTS = {
         {"base_url": "http://127.0.0.1:9", "backoff_seconds": float("inf")},
         "{config}: endpoints.generate: backoff_seconds must be >= 0 and <= 4611686018, got inf",
     ),
+    "auth_env a lone surrogate": (
+        {"base_url": "http://127.0.0.1:9", "auth_env": "\ud800"},
+        "{config}: endpoints.generate: endpoint field 'auth_env' is not valid Unicode text",
+    ),
 }
 
 
@@ -1360,6 +1414,7 @@ def test_bad_endpoint_exits_2_before_writing(live_setup, tmp_path, capsys, comma
     assert main(argv) == EXIT_VALIDATION
     assert capsys.readouterr().err.startswith(f"error: {message.format(config=config_path)}")
     assert not list(tmp_path.glob(f"{command}.jsonl*"))  # no table, no export
+    assert _sent(live_setup["stub"]) == {"/embed": [], "/generate": []}
 
 
 @pytest.mark.parametrize("command", ["grid", "optimize"])

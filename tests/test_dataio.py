@@ -599,6 +599,16 @@ def test_a_lone_surrogate_in_an_ignored_field_is_accepted(tmp_path, tiny_dataset
     assert load_dataset(tmp_path / "ds") == tiny_dataset
 
 
+def test_check_fields_refuses_a_lone_surrogate_in_a_later_item_of_a_text_list():
+    fields = {"title": (str | None, None), "ids": list[str], "count": int}
+    record = {"ids": ["é", "d\ud800"], "count": "x", "note": "\ud800"}
+    with pytest.raises(DatasetFormatError) as excinfo:
+        check_fields(record, "row", fields, "f.jsonl:3", DatasetFormatError)
+    # The first field in table order that breaks the rule is named; an unnamed field is not read.
+    assert str(excinfo.value) == "f.jsonl:3: row field 'ids' is not valid Unicode text"
+    assert record["title"] is None
+
+
 def _rewrite_line(path, lineno, **changes):
     """Set ``changes`` in the JSON object on line ``lineno`` of ``path``."""
     lines = path.read_text().splitlines()
@@ -967,7 +977,7 @@ def test_malformed_table_reports_its_line_despite_a_companion(tmp_path, tiny_spa
 
 
 def test_companion_keeps_qids_exactly(tmp_path, tiny_space, parses):
-    qids = ["a\x00", "a", "\ud800", "é😀"]
+    qids = ["a\x00", "a", "é😀"]
     path = tmp_path / "g.jsonl"
     header = {"format_version": 1, "space_fingerprint": tiny_space.fingerprint()}
     rows = [
@@ -980,6 +990,13 @@ def test_companion_keeps_qids_exactly(tmp_path, tiny_space, parses):
     assert parses == [path]
     assert hit.slice("dev", LEXICAL_AC).qids == tuple(sorted(qids))
     _assert_same_table(hit, parsed, tiny_space)
+    # A lone surrogate, which no file could hold, is refused at its line, and no companion is kept.
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(json.dumps(r) + "\n" for r in [header, {**rows[0], "qid": "\ud800"}]))
+    with pytest.raises(GridFormatError) as excinfo:
+        load_grid(bad, tiny_space)
+    assert str(excinfo.value) == f"{bad}:2: score row field 'qid' is not valid Unicode text"
+    assert not _companion(bad).exists()
 
 
 def test_unwritable_companion_returns_the_parsed_table_with_one_warning(

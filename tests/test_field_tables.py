@@ -6,10 +6,12 @@ is written with each field dropped, and then set to each value of
 traceback, start no thread that outlives it, and leave nothing behind
 when it refuses. A refusal of a record read from a data file names the
 file, the line in a JSON-lines file, and the field, unless the refusal is
-one of :data:`ELSEWHERE`. A run config's settings merge with flags, so a
-config value that its field table accepts but a later check refuses is
-reported by that check, which need not name the config file; a refusal
-that does name it names the field too. The hand-written cases in
+one of :data:`ELSEWHERE`. A lone surrogate in a field that takes text, a
+string or a list of strings, is always refused, with the message that the
+field is not valid Unicode text. A run config's settings merge with flags,
+so a config value that its field table accepts but a later check refuses
+is reported by that check, which need not name the config file; a
+refusal that does name it names the field too. The hand-written cases in
 ``test_cli.py`` and ``test_dataio.py`` pin exact messages; these pin the
 shape of every answer to every field.
 """
@@ -49,6 +51,7 @@ VALUES = {
     "a list": [1],
     "an object": {},
     "a lone surrogate": "\ud800",
+    "a list holding a lone surrogate": ["d", "\ud800"],
 }
 
 #: Refusals of a record read from a data file that point past the record: a
@@ -181,6 +184,13 @@ def _mutations(fields: dict):
             yield name, label, value
 
 
+def _lone_surrogate(value, spec) -> bool:
+    """Whether ``value``, text of the type ``spec`` admits, holds a lone surrogate."""
+    spec = spec[0] if isinstance(spec, tuple) else spec
+    texts = value if isinstance(value, list) else [value]
+    return dataio.is_a(value, spec) and any(isinstance(t, str) and "\ud800" in t for t in texts)
+
+
 def _elsewhere(err: str) -> bool:
     return any(re.search(pattern, err) for pattern in ELSEWHERE)
 
@@ -213,7 +223,8 @@ def test_each_field_dropped_or_of_another_type_exits_0_or_2_naming_it(
     monkeypatch.setattr(time, "sleep", slept.append)
     capsys.readouterr()
     failures = []
-    for name, label, value in _mutations(getattr(dataio, table)):
+    fields = getattr(dataio, table)
+    for name, label, value in _mutations(fields):
         document = json.loads(lines[index]) if source.lines else json.loads(original)
         record = document[source.key] if source.key else document
         if label == "dropped":
@@ -235,8 +246,12 @@ def test_each_field_dropped_or_of_another_type_exits_0_or_2_naming_it(
         err = sys.stderr.getvalue()
         made = _snapshot(tmp_path) - before
         case = f"{name} {label}: exit {code}: {err.strip()!r}"
+        where = f"{source.file}:{index + 1}" if source.lines else source.file
+        if _lone_surrogate(value, fields[name]):
+            message = rf"error: {re.escape(where)}: [\w ]+ field '{name}' is not valid Unicode text\n"
+            if code != EXIT_VALIDATION or not re.fullmatch(message, err):
+                failures.append(f"{case} is not the text message at {where} for {name!r}")
         if code == EXIT_VALIDATION:
-            where = f"{source.file}:{index + 1}" if source.lines else source.file
             named = where in err and name in err
             if source.file == "config.json":
                 named = named or where not in err

@@ -1,6 +1,8 @@
+import ast
 import importlib.util
 import itertools
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -51,3 +53,44 @@ def test_every_field_of_every_dataio_field_table_is_in_the_readme_table():
     assert len(tables) >= 10
     missing = [f"{name}[{field!r}]" for name, table in tables.items() for field in table if field not in documented]
     assert missing == []
+
+
+#: Names defined in ``src/raghpo`` that nothing else in ``src`` refers to, each with the
+#: ROADMAP item that keeps it. Any other such name is API that only tests use.
+UNREFERENCED_IN_SRC = {
+    "metrics.TOKENIZER_VERSION": "item 6a: table provenance is to record it",
+    "pipeline.TEMPLATE_VERSION": "item 6a: table provenance is to record it",
+    "evaluator.best_so_far": "item 10: the acceptance tests use it",
+    "pipeline.retrieve": "item 10: the acceptance tests use it",
+    "dataio.Dataset.doc_ids": "item 10: the acceptance tests use it",
+    "searchspace.SearchSpace.neighbors_fixing": "items 5 and 9: perfbench's tracer pins it",
+}
+
+
+def _definitions(module: str, tree: ast.Module):
+    """(qualified name, node) of each function, class, method and constant a module defines."""
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        for target in targets:
+            if isinstance(target, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", target.id):
+                yield f"{module}.{target.id}", node
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield f"{module}.{node.name}", node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    yield f"{module}.{node.name}.{item.name}", item
+
+
+def test_every_name_defined_in_src_is_referred_to_in_src_or_kept_by_the_roadmap():
+    lines = {path: path.read_text(encoding="utf-8").splitlines() for path in MODULES}
+    # A name's word-boundary matches are the runs of word characters that equal it.
+    words = Counter(re.findall(r"\w+", "\n".join(line for text in lines.values() for line in text)))
+    unreferenced = []
+    for path in MODULES:
+        for qualified, node in _definitions(path.stem, ast.parse("\n".join(lines[path]))):
+            name = qualified.rpartition(".")[2]
+            own = re.findall(r"\w+", "\n".join(lines[path][node.lineno - 1 : node.end_lineno]))
+            if words[name] == own.count(name):  # no reference outside the definition
+                unreferenced.append(qualified)
+    assert sorted(unreferenced) == sorted(UNREFERENCED_IN_SRC)
