@@ -28,9 +28,6 @@ from typing import Iterator
 
 from . import analysis, dataio, harness
 from .dataio import (
-    DatasetFormatError,
-    FingerprintMismatchError,
-    GridFormatError,
     SamplePlan,
     _dump_canonical,
     atomic_write,
@@ -60,27 +57,24 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_SUSPENDED = 3
 MAX_SEEDS = 10_000  # the largest seed count N, which runs the seeds 1 to N
-
-
-class CliError(Exception):
-    """Configuration or input problem; reported and mapped to exit code 2."""
+MAX_BINS = 10_000  # the largest ``analyze --bins``; bins.json lists a count per bin
 
 
 def _input_file(path: str | Path, what: str, field: str | None = None) -> Path:
-    """``path`` as an input file, or a CliError that it is not one.
+    """``path`` as an input file, or a ValueError that it is not one.
 
     The error names ``field`` when the config gave ``path`` (:func:`_config_field`), else ``what``.
     """
     source = Path(path)
     if not source.is_file():
-        raise CliError(f"{field} names no file: {source}" if field else f"{what} not found: {source}")
+        raise ValueError(f"{field} names no file: {source}" if field else f"{what} not found: {source}")
     return source
 
 
 def _load_config(path: str | None) -> dict:
     """The run config at ``path``, or an empty one, checked, its defaults filled in."""
-    config = {} if path is None else dataio.read_json_object(_input_file(path, "config file"), CliError)
-    check_fields(config, "run config", dataio.RUN_CONFIG_FIELDS, str(path), CliError)
+    config = {} if path is None else dataio.read_json_object(_input_file(path, "config file"))
+    check_fields(config, "run config", dataio.RUN_CONFIG_FIELDS, str(path))
     return config
 
 
@@ -108,8 +102,8 @@ def _load_space(value, where: str | None, field: str | None = None) -> SearchSpa
         return SearchSpace.default()
     if isinstance(value, str):
         where = _input_file(value, "search space file", field)
-        value = dataio.read_json_object(where, CliError)
-    return dataio.read_space(value, str(where), CliError)
+        value = dataio.read_json_object(where)
+    return dataio.read_space(value, str(where))
 
 
 def _seeds_flag(text: str) -> int | list[int]:
@@ -134,13 +128,13 @@ def _parse_objective(args: argparse.Namespace, config: dict) -> Objective:
     if value is None:
         return Objective()
     if isinstance(value, dict):
-        check_fields(value, "objective", dataio.OBJECTIVE_FIELDS, str(args.config), CliError)
+        check_fields(value, "objective", dataio.OBJECTIVE_FIELDS, str(args.config))
         metrics, weights = value["metrics"], value["weights"]
         field = f"{args.config}: objective field 'metrics'"
     else:
         metrics, weights, field = _names(value), None, _config_field(args, "objective")
     if not metrics and field:
-        raise CliError(f"{field} names no metric")
+        raise ValueError(f"{field} names no metric")
     return Objective(tuple(metrics), tuple(weights) if weights else None)
 
 
@@ -151,23 +145,25 @@ def _live_evaluator(
     """The live evaluator over the dataset, with the reply store beside it, closed on exit.
 
     The store is ``<dataset dir>.replies.sqlite3``. ``metrics`` are those
-    the command will score; judge_ac among them needs a judge endpoint.
-    With a :class:`SamplePlan` ``sample``, the evaluator sees the sampled
-    dev split. Nothing is sent here, and the store creates its file only
-    when it keeps a reply.
+    the command will score, none for the default ones; judge_ac among them
+    needs a judge endpoint, and unless they are context_mrr alone, the
+    command generates, so each generative model of ``space`` needs a prompt
+    template. With a :class:`SamplePlan` ``sample``, the evaluator sees the
+    sampled dev split. Nothing is sent here, and the store creates its file
+    only when it keeps a reply.
     """
     dataset_path = _setting(args, config, "dataset")
     if dataset_path is None:
-        raise CliError("live backend needs --dataset (or dataset in the config)")
+        raise ValueError("live backend needs --dataset (or dataset in the config)")
     dataset = load_dataset(dataset_path)
     if sample is not None:
         dataset = sample_dev(dataset, sample).dataset
         print(f"sampled dev: {len(dataset.dev)} questions, corpus {len(dataset.corpus)} docs")
     endpoints = config["endpoints"]
-    check_fields(endpoints, "endpoints", dataio.ENDPOINTS_FIELDS, str(args.config), CliError)
+    check_fields(endpoints, "endpoints", dataio.ENDPOINTS_FIELDS, str(args.config))
     if endpoints["embed"] is None or endpoints["generate"] is None:
         field = _config_field(args, "endpoints")
-        raise CliError(
+        raise ValueError(
             f"{field} lacks embed or generate, which a live run (no 'grid_table') needs" if field
             else "live backend needs endpoints.embed and endpoints.generate in the config file"
         )
@@ -179,13 +175,17 @@ def _live_evaluator(
     generator = GenerationClient(endpoint("generate"))
     judge = JudgeClient(endpoint("judge")) if endpoints["judge"] is not None else None
     if JUDGE_AC in metrics and judge is None:
-        raise CliError(NO_JUDGE)
+        raise ValueError(NO_JUDGE)
     root = Path(dataset_path).resolve()
     replies = ReplyStore(root.parent / f"{root.name}.replies.sqlite3")
     try:
-        yield LivePipelineEvaluator(
+        evaluator = LivePipelineEvaluator(
             dataset, space, embedder, generator, judge=judge, parallelism=parallelism, replies=replies
         )
+        if set(metrics) != {CONTEXT_MRR}:
+            for model in space.generative_models:
+                evaluator.templates.for_model(model)
+        yield evaluator
     finally:
         replies.close()
 
@@ -212,7 +212,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     budget = _setting(args, config, "budget")
     seeds = _setting(args, config, "seeds")
     if isinstance(seeds, int) and seeds > MAX_SEEDS:
-        raise CliError(f"seeds must be a count of at most {MAX_SEEDS} or a list, got {seeds}")
+        raise ValueError(f"seeds must be a count of at most {MAX_SEEDS} or a list, got {seeds}")
     seeds = tuple(range(1, seeds + 1)) if isinstance(seeds, int) else tuple(seeds)
     grid_path = _setting(args, config, "grid_table")
     parallelism = _setting(args, config, "parallelism")
@@ -220,13 +220,13 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     optimizer_options = {}
     for section, fields in (("tpe", dataio.TPE_FIELDS), ("greedy", dataio.GREEDY_FIELDS)):
         values = config[section]
-        check_fields(values, section, fields, str(args.config), CliError)
+        check_fields(values, section, fields, str(args.config))
         options = {f"{section}_{key}": values[key] for key in fields if values[key] is not None}
         optimizer_options.update(options)
 
     plan = None
     if (sample := config["sample"]) is not None:
-        check_fields(sample, "sample", dataio.SAMPLE_FIELDS, str(args.config), CliError)
+        check_fields(sample, "sample", dataio.SAMPLE_FIELDS, str(args.config))
         plan = SamplePlan(*(sample[key] for key in dataio.SAMPLE_FIELDS))
 
     out = _setting(args, config, "out", "run.jsonl")
@@ -243,7 +243,9 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         table = load_grid(_input_file(grid_path, "grid table", _config_field(args, "grid_table")), space)
         record = harness.run(spec, GridReplayEvaluator(table))
     else:
-        with _live_evaluator(args, config, space, objective.metrics, parallelism, plan) as evaluator:
+        # An evaluation scores context_mrr and the generated metrics, and any the objective adds.
+        metrics = (LEXICAL_AC, FAITHFULNESS, CONTEXT_MRR, *objective.metrics)
+        with _live_evaluator(args, config, space, metrics, parallelism, plan) as evaluator:
             record = harness.run(spec, evaluator)
 
     harness.export_run(record, out)
@@ -298,7 +300,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
     split_value = _setting(args, config, "splits")
     splits = _names(split_value)
     if not splits or not set(splits) <= set(dataio.SPLITS):
-        raise CliError(
+        raise ValueError(
             f"splits: expected a comma-separated list of dev and test, got {split_value!r}"
         )
     metrics = _names(_setting(args, config, "metrics"))
@@ -386,7 +388,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     refused command leaves ``--out`` as it was.
     """
     if not args.table and not args.run:
-        raise CliError("analyze needs --table and/or --run")
+        raise ValueError("analyze needs --table and/or --run")
+    if args.bins > MAX_BINS:
+        raise ValueError(f"bins must be at most {MAX_BINS}, got {args.bins}")
     table_path = _input_file(args.table, "grid table") if args.table else None
     run_path = _input_file(args.run, "run export") if args.run else None
     out = Path(args.out)
@@ -521,14 +525,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except (
-        CliError,
-        DatasetFormatError,
-        GridFormatError,
-        FingerprintMismatchError,
-        ValueError,
-        OSError,  # a file that cannot be read or written; its message names the path
-    ) as exc:
+    except (ValueError, OSError) as exc:  # a refused input, or a file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except ServiceFailure as exc:

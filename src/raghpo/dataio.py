@@ -68,14 +68,6 @@ GRID_FORMAT_VERSION = 1
 SPLITS = ("dev", "test")
 
 
-class DatasetFormatError(ValueError):
-    """Schema violation, duplicate id, or dangling reference in dataset files."""
-
-
-class GridFormatError(ValueError):
-    """Schema violation in a grid-table file."""
-
-
 class FingerprintMismatchError(ValueError):
     """Grid table was computed against a different search space."""
 
@@ -137,15 +129,13 @@ class Dataset:
 _BLOCK_SIZE = 1 << 16  # bytes read at a time from a JSON-lines file
 
 
-def _read_blocks(
-    path: Path, error: type[ValueError], digest: hashlib._Hash | None = None
-) -> Iterator[tuple[int, str]]:
+def _read_blocks(path: Path, digest: hashlib._Hash | None = None) -> Iterator[tuple[int, str]]:
     """Yield (number of the first line, text) for ``path`` in blocks of whole lines.
 
     Lines end at ``\\n``. Each block read is fed to ``digest`` and cut after
     its last ``\\n``, the rest carried into the next, so memory is bounded by
-    a block and the longest line. Invalid UTF-8 raises ``error`` naming its
-    line, once the lines before it are yielded.
+    a block and the longest line. Invalid UTF-8 is a ValueError naming its
+    line, raised once the lines before it are yielded.
     """
     lineno, carried = 1, []
     with path.open("rb") as fh:
@@ -164,34 +154,34 @@ def _read_blocks(
                 start = data.rfind(b"\n", 0, exc.start) + 1
                 yield lineno, data[:start].decode("utf-8")
                 lineno += data.count(b"\n", 0, start)
-                raise error(f"{path}:{lineno}: not valid UTF-8") from None
+                raise ValueError(f"{path}:{lineno}: not valid UTF-8") from None
             yield lineno, text
             lineno += text.count("\n")
             if not block:
                 return
 
 
-def _read_jsonl(path: Path, error: type[ValueError]) -> Iterator[tuple[int, dict]]:
-    """Yield (line number, object) for each non-blank line; ``error`` names a bad line."""
-    for first, text in _read_blocks(path, error):
+def _read_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, object) for each non-blank line; a bad line is a ValueError naming it."""
+    for first, text in _read_blocks(path):
         for lineno, line in enumerate(text.split("\n")[:-1], first):
             if line := line.strip():
-                yield lineno, _json_object(line, f"{path}:{lineno}", error)
+                yield lineno, _json_object(line, f"{path}:{lineno}")
 
 
-def _json_object(line: str, where: str, error: type[ValueError]) -> dict:
-    """The JSON object on one line; ``error`` says at ``where`` why it is not one."""
+def _json_object(line: str, where: str) -> dict:
+    """The JSON object on one line; a ValueError says at ``where`` why it is not one."""
     try:
         record = json.loads(line)
     except ValueError as exc:  # a JSONDecodeError, or an integer too long for int()
-        raise error(f"{where}: invalid JSON ({exc})") from None
+        raise ValueError(f"{where}: invalid JSON ({exc})") from None
     if not isinstance(record, dict):
-        raise error(f"{where}: expected a JSON object")
+        raise ValueError(f"{where}: expected a JSON object")
     return record
 
 
-def read_json_object(path: Path, error: type[Exception]) -> dict:
-    """The single JSON object that ``path`` holds; ``error`` says why it is not one.
+def read_json_object(path: Path) -> dict:
+    """The single JSON object that ``path`` holds; a ValueError says why it is not one.
 
     The message is ``path:line: invalid JSON (msg)``, ``path: not valid
     UTF-8`` or ``path: expected a JSON object``.
@@ -199,15 +189,15 @@ def read_json_object(path: Path, error: type[Exception]) -> dict:
     try:
         text = path.read_bytes().decode("utf-8")
     except UnicodeDecodeError:
-        raise error(f"{path}: not valid UTF-8") from None
+        raise ValueError(f"{path}: not valid UTF-8") from None
     try:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise error(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from None
+        raise ValueError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from None
     except ValueError as exc:  # an integer too long for int()
-        raise error(f"{path}: invalid JSON ({exc})") from None
+        raise ValueError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(document, dict):
-        raise error(f"{path}: expected a JSON object")
+        raise ValueError(f"{path}: expected a JSON object")
     return document
 
 
@@ -313,13 +303,13 @@ def is_a(value, spec) -> bool:
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
 
-def check_fields(record: dict, kind: str, fields: dict, where: str, error: type[Exception]) -> None:
+def check_fields(record: dict, kind: str, fields: dict, where: str) -> None:
     """Check ``record``, a ``kind`` of record, against its field table ``fields``.
 
     Each optional field that ``record`` lacks is set to a copy of its
     default. The first field that it otherwise lacks, holds a value of the
     wrong type, or holds text with a lone surrogate, which no file that a
-    run writes could hold, raises ``error`` at ``where``. No value is
+    run writes could hold, is a ValueError at ``where``. No value is
     converted, and fields that ``fields`` does not name are left as they are.
     """
     for name, spec in fields.items():
@@ -329,43 +319,43 @@ def check_fields(record: dict, kind: str, fields: dict, where: str, error: type[
                 record[name] = copy.copy(default)
                 continue
         elif name not in record:
-            raise error(f"{where}: {kind} lacks field {name!r}")
+            raise ValueError(f"{where}: {kind} lacks field {name!r}")
         value = record[name]
         if not is_a(value, spec):
-            raise error(f"{where}: {kind} field {name!r} has the wrong type: {value!r}")
+            raise ValueError(f"{where}: {kind} field {name!r} has the wrong type: {value!r}")
         texts = [value] if isinstance(value, str) else value if isinstance(value, list) else ()
         if texts and any(isinstance(t, str) and not t.isascii() and _SURROGATE.search(t) for t in texts):
-            raise error(f"{where}: {kind} field {name!r} is not valid Unicode text")
+            raise ValueError(f"{where}: {kind} field {name!r} is not valid Unicode text")
 
 
-def read_space(record: dict, where: str, error: type[Exception]) -> SearchSpace:
+def read_space(record: dict, where: str) -> SearchSpace:
     """The search space of a space record: a space file's, a run config's or a run header's.
 
     Each ``chunk_overlap`` is widened to float, so ``0`` and ``0.0`` give one
-    space. A bad record, or one :class:`SearchSpace` refuses, raises ``error`` at ``where``.
+    space. A bad record, or one :class:`SearchSpace` refuses, is a ValueError at ``where``.
     """
-    check_fields(record, "search space", SPACE_FIELDS, where, error)
+    check_fields(record, "search space", SPACE_FIELDS, where)
     if (version := record["format_version"]) != SPACE_FORMAT_VERSION:
-        raise error(f"{where}: unsupported search-space format_version {version!r}")
+        raise ValueError(f"{where}: unsupported search-space format_version {version!r}")
     try:
         overlaps = [float(value) for value in record["chunk_overlap"]]
         return SearchSpace.from_dict({**record, "chunk_overlap": overlaps})
     except (ValueError, OverflowError) as exc:  # a bad value list, or an int too large for a float
-        raise error(f"{where}: {exc}") from None
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def _read_manifest(root: Path) -> dict:
     """The manifest of the dataset directory ``root``, checked, its defaults filled in."""
     path = root / "manifest.json"
     if not path.is_file():
-        raise DatasetFormatError(f"{path}: manifest not found")
-    manifest = read_json_object(path, DatasetFormatError)
-    check_fields(manifest, "manifest", MANIFEST_FIELDS, str(path), DatasetFormatError)
+        raise ValueError(f"{path}: manifest not found")
+    manifest = read_json_object(path)
+    check_fields(manifest, "manifest", MANIFEST_FIELDS, str(path))
     if (version := manifest["format_version"]) != DATASET_FORMAT_VERSION:
-        raise DatasetFormatError(f"{path}: unsupported format_version {version!r}")
+        raise ValueError(f"{path}: unsupported format_version {version!r}")
     for name in ("corpus_file", "benchmark_file"):
         if not (file := root / manifest[name]).is_file():
-            raise DatasetFormatError(f"{path}: manifest field {name!r} names no file: {file}")
+            raise ValueError(f"{path}: manifest field {name!r} names no file: {file}")
     return manifest
 
 
@@ -384,41 +374,41 @@ def load_dataset(path: str | Path) -> Dataset:
 
     corpus: list[Document] = []
     seen_docs: set[str] = set()
-    for lineno, record in _read_jsonl(corpus_path, DatasetFormatError):
+    for lineno, record in _read_jsonl(corpus_path):
         where = f"{corpus_path}:{lineno}"
-        check_fields(record, "corpus row", CORPUS_FIELDS, where, DatasetFormatError)
+        check_fields(record, "corpus row", CORPUS_FIELDS, where)
         doc_id = record["doc_id"]
         if doc_id in seen_docs:
-            raise DatasetFormatError(f"{where}: duplicate doc_id {doc_id!r}")
+            raise ValueError(f"{where}: duplicate doc_id {doc_id!r}")
         seen_docs.add(doc_id)
         try:
             doc = Document(doc_id=doc_id, text=record["text"], title=record["title"])
         except ValueError as exc:
-            raise DatasetFormatError(f"{where}: {exc}") from None
+            raise ValueError(f"{where}: {exc}") from None
         corpus.append(doc)
 
     dev: list[QaPair] = []
     test: list[QaPair] = []
     seen_qids: set[str] = set()
-    for lineno, record in _read_jsonl(benchmark_path, DatasetFormatError):
+    for lineno, record in _read_jsonl(benchmark_path):
         where = f"{benchmark_path}:{lineno}"
-        check_fields(record, "benchmark row", BENCHMARK_FIELDS, where, DatasetFormatError)
+        check_fields(record, "benchmark row", BENCHMARK_FIELDS, where)
         qid, split = record["qid"], record["split"]
         if qid in seen_qids:
-            raise DatasetFormatError(f"{where}: duplicate qid {qid!r}")
+            raise ValueError(f"{where}: duplicate qid {qid!r}")
         seen_qids.add(qid)
         if split not in SPLITS:
-            raise DatasetFormatError(f"{where}: split must be one of {SPLITS}, got {split!r}")
+            raise ValueError(f"{where}: split must be one of {SPLITS}, got {split!r}")
         if split == "dev" or not relaxed:
             for gid in record["gold_doc_ids"]:
                 if gid not in seen_docs:
-                    raise DatasetFormatError(
+                    raise ValueError(
                         f"{where}: gold_doc_ids references missing doc_id {gid!r}"
                     )
         try:
             qa = QaPair(qid, record["question"], record["gold_answer"], record["gold_doc_ids"])
         except ValueError as exc:
-            raise DatasetFormatError(f"{where}: {exc}") from None
+            raise ValueError(f"{where}: {exc}") from None
         (dev if split == "dev" else test).append(qa)
 
     return Dataset(corpus, dev, test, manifest["name"], relaxed)
@@ -699,9 +689,9 @@ class GridTable:
         """Refuse an ordinal that names no configuration of the table's space, or an unknown split."""
         size = self.space.total_size
         if not 0 <= ordinal < size:
-            raise GridFormatError(f"ordinal {ordinal} is outside the search space [0, {size})")
+            raise ValueError(f"ordinal {ordinal} is outside the search space [0, {size})")
         if split not in SPLITS:
-            raise GridFormatError(f"split must be one of {SPLITS}, got {split!r}")
+            raise ValueError(f"split must be one of {SPLITS}, got {split!r}")
 
     def add_score(
         self, ordinal: int, split: str, metric: str, qid: str, score: float
@@ -722,7 +712,7 @@ class GridTable:
         the space, its split and metric are known, its score lies in [0, 1]
         (NaN does not), and no row of its key is stored or earlier in the
         batch. The first row in batch order that breaks the rule raises
-        GridFormatError, checked in that order, and nothing is stored.
+        ValueError, checked in that order, and nothing is stored.
         """
         if not qids:
             return
@@ -753,15 +743,15 @@ class GridTable:
             ordinal, qid = ordinals[i], qids[i]
             self._check_cell(ordinal, split)
             if metric not in METRIC_NAMES:
-                raise GridFormatError(
+                raise ValueError(
                     f"metric must be one of {sorted(METRIC_NAMES)}, got {metric!r}"
                 )
             if not scored[i]:
-                raise GridFormatError(
+                raise ValueError(
                     f"score must be in [0, 1], got {scores[i]} for "
                     f"(ordinal={ordinal}, split={split}, metric={metric}, qid={qid})"
                 )
-            raise GridFormatError(f"duplicate row for key {(ordinal, split, metric, qid)}")
+            raise ValueError(f"duplicate row for key {(ordinal, split, metric, qid)}")
         columns.rows.update(new)
         columns.matrix[rows, ords] = values
         self._columns[(split, metric)] = columns
@@ -865,7 +855,7 @@ def _parse_grid(source: Path, space: SearchSpace, digest: hashlib._Hash) -> Grid
     without copying them.
     """
     table = None
-    for first, text in _read_blocks(source, GridFormatError, digest):
+    for first, text in _read_blocks(source, digest):
         found = _LINE.findall(text, 0, len(text) - 1)
         start = 0
         for end in [i for i, row in enumerate(found) if not row[1]] + [len(found)]:
@@ -880,7 +870,7 @@ def _parse_grid(source: Path, space: SearchSpace, digest: hashlib._Hash) -> Grid
                 table = _add_line(table, found[end][5], source, first + end, space)
             start = end + 1
     if table is None:
-        raise GridFormatError(f"{source}: empty file, expected a header line")
+        raise ValueError(f"{source}: empty file, expected a header line")
     for columns in table._columns.values():
         columns.compact()
     return table
@@ -896,7 +886,7 @@ def _add_run(table: GridTable | None, run: list[tuple[str, ...]]) -> bool:
     metrics, ordinals, qids, scores, splits, _ = zip(*run)
     try:
         table.add_scores(splits[0], metrics[0], qids, [*map(int, ordinals)], [*map(float, scores)])
-    except GridFormatError:
+    except ValueError:
         return False
     return True
 
@@ -911,18 +901,18 @@ def _add_line(
     if not (line := line.strip()):
         return table
     where = f"{source}:{lineno}"
-    record = _json_object(line, where, GridFormatError)
+    record = _json_object(line, where)
     if table is None:
-        check_fields(record, "grid header", GRID_HEADER_FIELDS, where, GridFormatError)
+        check_fields(record, "grid header", GRID_HEADER_FIELDS, where)
         if (version := record["format_version"]) != GRID_FORMAT_VERSION:
-            raise GridFormatError(f"{where}: unsupported format_version {version!r}")
+            raise ValueError(f"{where}: unsupported format_version {version!r}")
         _check_fingerprint(source, record["space_fingerprint"], space)
         return GridTable(space)
     cost = record.get("kind") == "cost"
     if cost:
-        check_fields(record, "cost row", COST_FIELDS, where, GridFormatError)
+        check_fields(record, "cost row", COST_FIELDS, where)
     else:
-        check_fields(record, "score row", SCORE_FIELDS, where, GridFormatError)
+        check_fields(record, "score row", SCORE_FIELDS, where)
     try:
         if cost:
             counts = (record[name] for name in ZERO_COST.as_dict())
@@ -931,7 +921,7 @@ def _add_line(
             key = (record["ordinal"], record["split"], record["metric"], record["qid"])
             table.add_score(*key, float(record["score"]))
     except (ValueError, OverflowError) as exc:  # out of range, or an int too large for a float
-        raise GridFormatError(f"{where}: {exc}") from None
+        raise ValueError(f"{where}: {exc}") from None
     return table
 
 

@@ -364,16 +364,16 @@ def load_run(path: str | Path) -> RunRecord:
     spec: RunSpec | None = None
     seeds: dict[int, tuple[TrialHistory, list[IterationRecord]]] = {}
     aggregate: dict[int, AggregatePoint] = {}
-    for lineno, row in _read_jsonl(source, ValueError):
+    for lineno, row in _read_jsonl(source):
         kind = row.get("kind")
         where = f"{source}:{lineno}"
         if kind == "run_header":
             if spec is not None:
                 raise ValueError(f"{where}: a second run_header row")
-            check_fields(row, "run_header", dataio.RUN_HEADER_FIELDS, where, ValueError)
+            check_fields(row, "run_header", dataio.RUN_HEADER_FIELDS, where)
             if (version := row["format_version"]) != RUN_FORMAT_VERSION:
                 raise ValueError(f"{where}: unsupported run format_version {version!r}")
-            space = dataio.read_space(row["space"], where, ValueError)
+            space = dataio.read_space(row["space"], where)
             try:
                 spec = _spec_from_header(row, space)
             except (TypeError, ValueError) as exc:
@@ -383,9 +383,9 @@ def load_run(path: str | Path) -> RunRecord:
         if not isinstance(kind, str) or kind not in _ROW_KINDS:
             raise ValueError(f"{where}: unknown row kind {kind!r}")
         name, fields = _ROW_KINDS[kind]
-        check_fields(row, name, fields, where, ValueError)
+        check_fields(row, name, fields, where)
         if kind == "trial":
-            check_fields(row["cost"], "trial cost", dataio.TRIAL_COST_FIELDS, where, ValueError)
+            check_fields(row["cost"], "trial cost", dataio.TRIAL_COST_FIELDS, where)
         if spec is None:
             raise ValueError(f"{where}: {name} before the run_header row")
         iteration = row["iteration"]

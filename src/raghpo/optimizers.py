@@ -394,10 +394,6 @@ class GreedyOptimizer(Optimizer):
         self._committed: dict[ParamName, object] = {}
         self._sweep: _Sweep | None = None
 
-    @property
-    def committed(self) -> dict[ParamName, object]:
-        return dict(self._committed)
-
     def _sweep_driver(self, param: ParamName) -> str:
         if self.algorithm == "greedy_rcc" and param in RCC_RETRIEVAL_PARAMS:
             return DRIVER_RETRIEVAL

@@ -291,7 +291,7 @@ class ServiceEndpoint:
         The entry is checked against :data:`~raghpo.dataio.ENDPOINT_FIELDS`;
         a setting it lacks takes the class's default.
         """
-        check_fields(data, "endpoint", ENDPOINT_FIELDS, where, ValueError)
+        check_fields(data, "endpoint", ENDPOINT_FIELDS, where)
         try:
             return cls(**{name: data[name] for name in ENDPOINT_FIELDS if data[name] is not None})
         except ValueError as exc:
@@ -664,7 +664,7 @@ class TemplateStore:
         try:
             return self._templates[model]
         except KeyError:
-            raise KeyError(
+            raise ValueError(
                 f"no prompt template registered for model {model!r}; "
                 f"known models: {sorted(self._templates)}"
             ) from None
@@ -926,8 +926,9 @@ class LivePipelineEvaluator(StoredScores):
         cost row is replaced with the spend of this run. A question whose
         generation or judge call fails keeps the rows it has; when every one
         fails, no row is added and ServiceFailure is raised. Returns the rows
-        added, question by question. judge_ac without a judge is a ValueError,
-        raised before any request.
+        added, question by question. judge_ac without a judge, and a generated
+        metric for a model with no template, are a ValueError raised before any
+        request.
         """
         if JUDGE_AC in metrics and self.judge is None:
             raise ValueError(NO_JUDGE)
@@ -938,14 +939,14 @@ class LivePipelineEvaluator(StoredScores):
         gaps = {(m, qid) for m in metrics for qid in self._slices[(split, m)].missing(ordinal)}
         if not gaps:
             return []
-        retrieved, embedded_tokens = self._retrieve_all(config, split)
         generated = any(metric != CONTEXT_MRR for metric in metrics)
+        model = config.answer.generative_model
+        template = self.templates.for_model(model) if generated else None
+        retrieved, embedded_tokens = self._retrieve_all(config, split)
         judged = JUDGE_AC in metrics
         results: list[GenerationResult | None] = [None] * len(questions)
         judge_scores: list[float | None] = [None] * len(questions)
         if generated:
-            model = config.answer.generative_model
-            template = self.templates.for_model(model)
             prompts = [
                 template.render(qa.question, [c.text for c in chunks])
                 for qa, chunks in zip(questions, retrieved)

@@ -679,6 +679,18 @@ def test_analyze_with_no_bin_exits_2_and_writes_nothing(tmp_path, fixture_table,
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("count", [cli.MAX_BINS + 1, 10**19])
+def test_analyze_with_bins_past_the_bound_exits_2_and_writes_nothing(
+    tmp_path, fixture_table, capsys, monkeypatch, count
+):
+    out = tmp_path / "out"
+    monkeypatch.setattr(cli.analysis, "normalized_bins", None)  # refused before it is called
+    argv = ["analyze", "--table", str(fixture_table), "--bins", str(count), "--out", str(out)]
+    assert main(argv) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: bins must be at most {cli.MAX_BINS}, got {count}\n"
+    assert not out.exists()
+
+
 def test_analyze_of_a_good_table_and_a_bad_run_exits_2_and_writes_nothing(
     tmp_path, fixture_table, capsys
 ):
@@ -1840,6 +1852,35 @@ def test_greedy_rcc_without_dev_gold_labels_exits_2_before_any_request(live_setu
     assert _sent(stub) == {"/embed": [], "/generate": []}
     assert not list(tmp_path.rglob("*.replies.sqlite3*"))
     assert not list(tmp_path.glob("run.jsonl*"))
+
+
+def _untemplated_space(live_setup, tmp_path) -> Path:
+    path = tmp_path / "untemplated.json"
+    path.write_text(json.dumps({**live_setup["space"].to_dict(), "generative_model": ["my-model", "other"]}))
+    return path
+
+
+@pytest.mark.parametrize(
+    "command", [["optimize", "--algo", "random", "--budget", "2", "--seeds", "1"], ["grid", "--metrics", LEXICAL_AC]]
+)
+def test_a_model_with_no_prompt_template_exits_2_before_any_request(live_setup, tmp_path, capsys, command):
+    out = tmp_path / "out.jsonl"
+    argv = [*command, "--config", str(live_setup["config_path"]),
+            "--space", str(_untemplated_space(live_setup, tmp_path)), "--out", str(out)]
+    assert main(argv) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: no prompt template registered for model 'my-model'; ")
+    assert _sent(live_setup["stub"]) == {"/embed": [], "/generate": []}
+    assert not list(tmp_path.rglob("*.replies.sqlite3*"))
+    assert not list(tmp_path.glob("out.jsonl*"))
+
+
+def test_a_retrieval_only_grid_needs_no_prompt_template(live_setup, tmp_path, capsys):
+    out = tmp_path / "out.jsonl"
+    argv = ["grid", "--config", str(live_setup["config_path"]), "--metrics", CONTEXT_MRR,
+            "--space", str(_untemplated_space(live_setup, tmp_path)), "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert "evaluated 4 (config, split) cells" in capsys.readouterr().out
+    assert live_setup["stub"].calls("/generate") == []
 
 
 def test_a_live_optimize_whose_service_is_down_keeps_no_store_file(live_setup, tmp_path, capsys):

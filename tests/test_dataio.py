@@ -17,10 +17,8 @@ from raghpo import dataio
 from raghpo.costs import CostDelta
 from raghpo.dataio import (
     Dataset,
-    DatasetFormatError,
     Document,
     FingerprintMismatchError,
-    GridFormatError,
     SPLITS,
     GridTable,
     IncompleteTableError,
@@ -90,7 +88,7 @@ def test_dangling_gold_reference_rejected(tmp_path, tiny_dataset):
     bad["gold_doc_ids"] = ["does-not-exist"]
     rows[0] = json.dumps(bad)
     bench.write_text("\n".join(rows) + "\n")
-    with pytest.raises(DatasetFormatError, match="does-not-exist"):
+    with pytest.raises(ValueError, match="does-not-exist"):
         load_dataset(tmp_path / "ds")
 
 
@@ -100,7 +98,7 @@ def test_duplicate_doc_id_rejected_with_location(tmp_path, tiny_dataset):
     lines = corpus.read_text().strip().splitlines()
     lines.append(lines[0])
     corpus.write_text("\n".join(lines) + "\n")
-    with pytest.raises(DatasetFormatError, match=r"corpus\.jsonl:6"):
+    with pytest.raises(ValueError, match=r"corpus\.jsonl:6"):
         load_dataset(tmp_path / "ds")
 
 
@@ -110,7 +108,7 @@ def test_duplicate_qid_rejected(tmp_path, tiny_dataset):
     lines = bench.read_text().strip().splitlines()
     lines.append(lines[0])
     bench.write_text("\n".join(lines) + "\n")
-    with pytest.raises(DatasetFormatError, match="duplicate qid"):
+    with pytest.raises(ValueError, match="duplicate qid"):
         load_dataset(tmp_path / "ds")
 
 
@@ -122,7 +120,7 @@ def test_missing_field_reported_with_line(tmp_path, tiny_dataset):
     del record["question"]
     lines[2] = json.dumps(record)
     bench.write_text("\n".join(lines) + "\n")
-    with pytest.raises(DatasetFormatError, match=r"benchmark\.jsonl:3.*question"):
+    with pytest.raises(ValueError, match=r"benchmark\.jsonl:3.*question"):
         load_dataset(tmp_path / "ds")
 
 
@@ -134,7 +132,7 @@ def test_unknown_split_rejected(tmp_path, tiny_dataset):
     record["split"] = "validation"
     lines[0] = json.dumps(record)
     bench.write_text("\n".join(lines) + "\n")
-    with pytest.raises(DatasetFormatError, match="split"):
+    with pytest.raises(ValueError, match="split"):
         load_dataset(tmp_path / "ds")
 
 
@@ -315,20 +313,20 @@ def test_grid_empty_table_loads_and_reports_incomplete(tmp_path, tiny_space):
 
 def test_grid_score_out_of_range_rejected(tiny_space):
     table = GridTable(tiny_space)
-    with pytest.raises(GridFormatError, match="score"):
+    with pytest.raises(ValueError, match="score"):
         table.add_score(0, "dev", LEXICAL_AC, "q0", 1.2)
 
 
 def test_grid_duplicate_key_rejected(tiny_space):
     table = GridTable(tiny_space)
     table.add_score(0, "dev", LEXICAL_AC, "q0", 0.5)
-    with pytest.raises(GridFormatError, match="duplicate"):
+    with pytest.raises(ValueError, match="duplicate"):
         table.add_score(0, "dev", LEXICAL_AC, "q0", 0.6)
 
 
 def test_grid_unknown_metric_rejected(tiny_space):
     table = GridTable(tiny_space)
-    with pytest.raises(GridFormatError, match="metric"):
+    with pytest.raises(ValueError, match="metric"):
         table.add_score(0, "dev", "bleu", "q0", 0.5)
 
 
@@ -345,7 +343,7 @@ def test_grid_bad_score_row_reports_line(tmp_path, tiny_space):
     header = {"format_version": 1, "space_fingerprint": tiny_space.fingerprint()}
     row = {"ordinal": 0, "split": "dev", "metric": LEXICAL_AC, "qid": "q0", "score": 2.0}
     path.write_text(json.dumps(header) + "\n" + json.dumps(row) + "\n")
-    with pytest.raises(GridFormatError, match=":2"):
+    with pytest.raises(ValueError, match=":2"):
         load_grid(path, tiny_space)
 
 
@@ -358,7 +356,7 @@ def test_grid_row_outside_the_space_rejected(tmp_path, tiny_space, kind, ordinal
     if kind == "cost":
         row = {"kind": "cost", "ordinal": ordinal, "split": "dev", **CostDelta(1, 2, 3).as_dict()}
     path.write_text(json.dumps(header) + "\n" + json.dumps(row) + "\n")
-    with pytest.raises(GridFormatError, match=rf"g\.jsonl:2: ordinal {ordinal} is outside"):
+    with pytest.raises(ValueError, match=rf"g\.jsonl:2: ordinal {ordinal} is outside"):
         load_grid(path, tiny_space)
 
 
@@ -366,9 +364,9 @@ def test_grid_row_outside_the_space_rejected(tmp_path, tiny_space, kind, ordinal
 def test_grid_table_rejects_an_ordinal_outside_its_space(tiny_space, ordinal):
     table = GridTable(tiny_space)
     message = rf"^ordinal {ordinal} is outside the search space \[0, 32\)$"
-    with pytest.raises(GridFormatError, match=message):
+    with pytest.raises(ValueError, match=message):
         table.add_score(ordinal, "dev", LEXICAL_AC, "q0", 0.5)
-    with pytest.raises(GridFormatError, match=message):
+    with pytest.raises(ValueError, match=message):
         table.set_cost(ordinal, "dev", CostDelta(1, 2, 3))
     assert table.scores == {} and table.costs == {}
 
@@ -376,9 +374,9 @@ def test_grid_table_rejects_an_ordinal_outside_its_space(tiny_space, ordinal):
 def test_grid_table_rejects_an_unknown_split(tiny_space):
     table = GridTable(tiny_space)
     message = r"^split must be one of \('dev', 'test'\), got 'train'$"
-    with pytest.raises(GridFormatError, match=message):
+    with pytest.raises(ValueError, match=message):
         table.add_score(0, "train", LEXICAL_AC, "q0", 0.5)
-    with pytest.raises(GridFormatError, match=message):
+    with pytest.raises(ValueError, match=message):
         table.set_cost(0, "train", CostDelta(1, 2, 3))
     assert table.scores == {} and table.costs == {}
 
@@ -389,14 +387,14 @@ def test_companion_holding_a_cost_of_an_unknown_split_is_a_miss(tmp_path, tiny_s
     table.costs[(0, "train")] = CostDelta(1, 2, 3)  # past set_cost, as earlier versions kept it
     path = tmp_path / "g.jsonl"
     store_grid(table, path)
-    with pytest.raises(GridFormatError, match=r"g\.jsonl:3: split must be one of \('dev', 'test'\), got 'train'$"):
+    with pytest.raises(ValueError, match=r"g\.jsonl:3: split must be one of \('dev', 'test'\), got 'train'$"):
         load_grid(path, tiny_space)
     assert parses == [path]
 
 
 def test_a_space_record_widens_its_chunk_overlaps_to_floats(default_space):
     record = {**default_space.to_dict(), "chunk_overlap": [0, 0.25]}
-    space = dataio.read_space(record, "space.json", ValueError)
+    space = dataio.read_space(record, "space.json")
     assert space.chunk_overlaps == (0.0, 0.25)
     assert all(type(overlap) is float for overlap in space.chunk_overlaps)
     assert space.fingerprint() == default_space.fingerprint()
@@ -406,7 +404,7 @@ def test_grid_non_object_line_rejected(tmp_path, tiny_space):
     path = tmp_path / "g.jsonl"
     header = {"format_version": 1, "space_fingerprint": tiny_space.fingerprint()}
     path.write_text(json.dumps(header) + "\n[1]\n")
-    with pytest.raises(GridFormatError, match=r"g\.jsonl:2: expected a JSON object"):
+    with pytest.raises(ValueError, match=r"g\.jsonl:2: expected a JSON object"):
         load_grid(path, tiny_space)
 
 
@@ -453,7 +451,7 @@ def test_grid_slice_means_are_nan_where_a_qid_is_missing(tiny_space):
 def test_grid_missing_header_rejected(tmp_path, tiny_space):
     path = tmp_path / "g.jsonl"
     path.write_text("")
-    with pytest.raises(GridFormatError, match="header"):
+    with pytest.raises(ValueError, match="header"):
         load_grid(path, tiny_space)
 
 
@@ -520,7 +518,7 @@ def test_appended_cells_load_with_last_cost_row_winning(tmp_path, tiny_space):
 
     # load_grid itself stays strict: a torn tail is an error, not a silent drop.
     path.write_bytes(path.read_bytes()[:-5])
-    with pytest.raises(GridFormatError, match="invalid JSON"):
+    with pytest.raises(ValueError, match="invalid JSON"):
         load_grid(path, tiny_space)
 
 
@@ -584,7 +582,7 @@ def test_a_lone_surrogate_in_a_kept_string_is_reported_with_its_line(
         lines[1] = json.dumps(record)  # spelled as the escape \ud800
         path.write_text("\n".join(lines) + "\n")
         where = f"{path}:2"
-    with pytest.raises(DatasetFormatError) as excinfo:
+    with pytest.raises(ValueError) as excinfo:
         load_dataset(tmp_path / "ds")
     record_kind = kind if kind == "manifest" else f"{kind} row"
     assert str(excinfo.value) == f"{where}: {record_kind} field {field!r} is not valid Unicode text"
@@ -602,8 +600,8 @@ def test_a_lone_surrogate_in_an_ignored_field_is_accepted(tmp_path, tiny_dataset
 def test_check_fields_refuses_a_lone_surrogate_in_a_later_item_of_a_text_list():
     fields = {"title": (str | None, None), "ids": list[str], "count": int}
     record = {"ids": ["é", "d\ud800"], "count": "x", "note": "\ud800"}
-    with pytest.raises(DatasetFormatError) as excinfo:
-        check_fields(record, "row", fields, "f.jsonl:3", DatasetFormatError)
+    with pytest.raises(ValueError) as excinfo:
+        check_fields(record, "row", fields, "f.jsonl:3")
     # The first field in table order that breaks the rule is named; an unnamed field is not read.
     assert str(excinfo.value) == "f.jsonl:3: row field 'ids' is not valid Unicode text"
     assert record["title"] is None
@@ -924,7 +922,7 @@ def test_version_2_companion_of_a_table_that_no_longer_parses_is_a_miss(tmp_path
     with _companion(path).open("wb") as fh:
         np.savez(fh, **arrays)
     message = f"{path}:4: score row field 'score' has the wrong type: '0.5'"
-    with pytest.raises(GridFormatError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         load_grid(path, tiny_space)
 
 
@@ -956,7 +954,7 @@ def test_companion_reaching_outside_the_space_is_a_miss(tmp_path, tiny_space, pa
     table.set_cost(9 if kind == "cost" else 0, "dev", CostDelta(1, 2, 3))
     path = tmp_path / "g.jsonl"
     store_grid(table, path)
-    with pytest.raises(GridFormatError, match=r"g\.jsonl:\d: ordinal 9 is outside"):
+    with pytest.raises(ValueError, match=r"g\.jsonl:\d: ordinal 9 is outside"):
         load_grid(path, _SameFingerprintSmaller(tiny_space, 8))
     assert parses == [path]
 
@@ -970,9 +968,9 @@ def test_malformed_table_reports_its_line_despite_a_companion(tmp_path, tiny_spa
     broken.write_text(header + "{not json\n" + "".join(rows))
     _companion(broken).write_bytes(_companion(path).read_bytes())
     path.write_text(header + rows[0].replace('"score":', '"score":9', 1) + "".join(rows[1:]))
-    with pytest.raises(GridFormatError, match=r"broken\.jsonl:2: invalid JSON"):
+    with pytest.raises(ValueError, match=r"broken\.jsonl:2: invalid JSON"):
         load_grid(broken, tiny_space)
-    with pytest.raises(GridFormatError, match=r"g\.jsonl:2: score must be in \[0, 1\]"):
+    with pytest.raises(ValueError, match=r"g\.jsonl:2: score must be in \[0, 1\]"):
         load_grid(path, tiny_space)
 
 
@@ -993,7 +991,7 @@ def test_companion_keeps_qids_exactly(tmp_path, tiny_space, parses):
     # A lone surrogate, which no file could hold, is refused at its line, and no companion is kept.
     bad = tmp_path / "bad.jsonl"
     bad.write_text("".join(json.dumps(r) + "\n" for r in [header, {**rows[0], "qid": "\ud800"}]))
-    with pytest.raises(GridFormatError) as excinfo:
+    with pytest.raises(ValueError) as excinfo:
         load_grid(bad, tiny_space)
     assert str(excinfo.value) == f"{bad}:2: score row field 'qid' is not valid Unicode text"
     assert not _companion(bad).exists()
@@ -1090,27 +1088,27 @@ def _load_line_by_line(path, space):
         try:
             line = raw.decode("utf-8").strip()
         except UnicodeDecodeError:
-            raise GridFormatError(f"{path}:{lineno}: not valid UTF-8") from None
+            raise ValueError(f"{path}:{lineno}: not valid UTF-8") from None
         if not line:
             continue
         try:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise GridFormatError(f"{path}:{lineno}: invalid JSON ({exc})") from None
+            raise ValueError(f"{path}:{lineno}: invalid JSON ({exc})") from None
         if not isinstance(record, dict):
-            raise GridFormatError(f"{path}:{lineno}: expected a JSON object")
+            raise ValueError(f"{path}:{lineno}: expected a JSON object")
         where = f"{path}:{lineno}"
         if table is None:
-            check_fields(record, "grid header", dataio.GRID_HEADER_FIELDS, where, GridFormatError)
+            check_fields(record, "grid header", dataio.GRID_HEADER_FIELDS, where)
             version = record["format_version"]
             if version != 1:
-                raise GridFormatError(f"{where}: unsupported format_version {version!r}")
+                raise ValueError(f"{where}: unsupported format_version {version!r}")
             dataio._check_fingerprint(path, record["space_fingerprint"], space)
             table = GridTable(space)
             continue
         cost = record.get("kind") == "cost"
         kind, fields = ("cost row", dataio.COST_FIELDS) if cost else ("score row", dataio.SCORE_FIELDS)
-        check_fields(record, kind, fields, where, GridFormatError)
+        check_fields(record, kind, fields, where)
         try:
             if cost:
                 counts = [record[k] for k in CostDelta(0, 0, 0).as_dict()]
@@ -1120,9 +1118,9 @@ def _load_line_by_line(path, space):
                 _check_score_row(seen, space.total_size, *key, float(record["score"]))
                 rows.setdefault(key[1:3], []).append((key[3], key[0], float(record["score"])))
         except ValueError as exc:
-            raise GridFormatError(f"{where}: {exc}") from None
+            raise ValueError(f"{where}: {exc}") from None
     if table is None:
-        raise GridFormatError(f"{path}: empty file, expected a header line")
+        raise ValueError(f"{path}: empty file, expected a header line")
     for (split, metric), checked in rows.items():
         table.add_scores(split, metric, *zip(*checked))
     return table
@@ -1311,7 +1309,7 @@ def test_add_scores_refuses_a_batch_with_a_bad_row_and_stores_none(tiny_space, b
     # Good rows of the bad row's (split, metric) around it, one of them the key it may repeat.
     rows = [(1, "q0", 0.5), (2, "q1", 0.75), (ordinal, qid, score), (3, "q2", 1.0), (3, "q3", 0.0)]
     ordinals, qids, scores = zip(*rows)
-    with pytest.raises(GridFormatError, match=message):
+    with pytest.raises(ValueError, match=message):
         table.add_scores(split, metric, qids, ordinals, scores)
     assert table.scores == before
     assert list(table._columns) == [("dev", LEXICAL_AC)]

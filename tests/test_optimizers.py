@@ -229,7 +229,7 @@ def test_greedy_full_pass_commits_all_parameters(default_space):
         optimizer = create_optimizer("greedy_m", default_space, seed)
         history = drive(optimizer, evaluator, 14)
         optimizer.suggest(history)  # triggers the last commit (or fallback)
-        assert len(optimizer.committed) == 5
+        assert len(optimizer._committed) == 5
 
 
 def test_greedy_full_pass_structure_without_collisions(default_space):
@@ -255,7 +255,7 @@ def test_greedy_commit_picks_argmax_value(tiny_space):
     optimizer = GreedyOptimizer(tiny_space, seed=2, algorithm="greedy_m")
     history = drive(optimizer, evaluator, 2)  # both generative models
     optimizer.suggest(history)
-    assert optimizer.committed[ParamName.GENERATIVE_MODEL] == "gen-b"
+    assert optimizer._committed[ParamName.GENERATIVE_MODEL] == "gen-b"
 
 
 def test_greedy_commit_tie_breaks_to_first_listed_value(tiny_space):
@@ -263,7 +263,7 @@ def test_greedy_commit_tie_breaks_to_first_listed_value(tiny_space):
     optimizer = GreedyOptimizer(tiny_space, seed=2, algorithm="greedy_m")
     history = drive(optimizer, evaluator, 2)
     optimizer.suggest(history)
-    assert optimizer.committed[ParamName.GENERATIVE_MODEL] == "gen-a"
+    assert optimizer._committed[ParamName.GENERATIVE_MODEL] == "gen-a"
 
 
 def test_greedy_separable_objective_recovers_global_argmax(default_space):
@@ -347,7 +347,7 @@ def test_rcc_commits_by_retrieval_score_not_objective(tiny_space):
     optimizer = create_optimizer("greedy_rcc", tiny_space, 3)
     history = drive(optimizer, evaluator, 2)  # embedding-model sweep (2 values)
     optimizer.suggest(history)
-    assert optimizer.committed[ParamName.EMBEDDING_MODEL] == "emb-b"
+    assert optimizer._committed[ParamName.EMBEDDING_MODEL] == "emb-b"
 
 
 def test_rcc_records_driver_per_trial(tiny_space):

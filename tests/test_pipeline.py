@@ -306,7 +306,7 @@ def test_empty_retrieval_renders_no_document_block():
 
 def test_unknown_model_raises():
     store = TemplateStore.builtin()
-    with pytest.raises(KeyError, match="no prompt template"):
+    with pytest.raises(ValueError, match="no prompt template"):
         store.for_model("gpt-42")
 
 
@@ -671,6 +671,15 @@ def test_fill_adds_only_missing_rows_and_replaces_the_cost_row(stub_service, tin
     assert evaluator.evaluate(_config(), "dev", Objective(metrics=(CONTEXT_MRR,))).cost == cost
     assert len(stub_service.received("/generate")) == requests
     assert evaluator.replay_objective(_config(), "dev", Objective()) is None
+
+
+def test_fill_of_a_model_with_no_template_raises_before_any_request(stub_service, tiny_dataset):
+    space = SearchSpace.from_dict({**SearchSpace.default().to_dict(), "generative_model": ["my-model"]})
+    evaluator = _live(stub_service, tiny_dataset, space)
+    with pytest.raises(ValueError, match="^no prompt template registered for model 'my-model'; "):
+        evaluator.fill(_config("my-model"), "dev", (CONTEXT_MRR, LEXICAL_AC))
+    assert stub_service.received("/embed") == stub_service.received("/generate") == []
+    assert evaluator.table.scores == {}
 
 
 def test_live_evaluate_deterministic(stub_service, tiny_dataset):

@@ -64,6 +64,8 @@ UNREFERENCED_IN_SRC = {
     "pipeline.retrieve": "item 10: the acceptance tests use it",
     "dataio.Dataset.doc_ids": "item 10: the acceptance tests use it",
     "searchspace.SearchSpace.neighbors_fixing": "items 5 and 9: perfbench's tracer pins it",
+    "optimizers.Optimizer.state_dict": "item 10: removing it means regenerating the trajectory golden",
+    "optimizers.Optimizer.load_state_dict": "item 10: removing it means regenerating the trajectory golden",
 }
 
 
@@ -82,15 +84,22 @@ def _definitions(module: str, tree: ast.Module):
                     yield f"{module}.{node.name}.{item.name}", item
 
 
+def _references(tree: ast.AST) -> Counter:
+    """How many times each name is read in code: as a variable or as an attribute.
+
+    A name in a docstring, a comment or any other string is not a reference.
+    """
+    nodes = (node for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr for node in nodes)
+
+
 def test_every_name_defined_in_src_is_referred_to_in_src_or_kept_by_the_roadmap():
-    lines = {path: path.read_text(encoding="utf-8").splitlines() for path in MODULES}
-    # A name's word-boundary matches are the runs of word characters that equal it.
-    words = Counter(re.findall(r"\w+", "\n".join(line for text in lines.values() for line in text)))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    references = sum(map(_references, trees.values()), Counter())
     unreferenced = []
-    for path in MODULES:
-        for qualified, node in _definitions(path.stem, ast.parse("\n".join(lines[path]))):
+    for path, tree in trees.items():
+        for qualified, node in _definitions(path.stem, tree):
             name = qualified.rpartition(".")[2]
-            own = re.findall(r"\w+", "\n".join(lines[path][node.lineno - 1 : node.end_lineno]))
-            if words[name] == own.count(name):  # no reference outside the definition
+            if references[name] == _references(node)[name]:  # no reference outside the definition
                 unreferenced.append(qualified)
     assert sorted(unreferenced) == sorted(UNREFERENCED_IN_SRC)
