@@ -12,9 +12,12 @@ from dataclasses import dataclass
 
 from .dataio import GridTable
 from .harness import RunRecord
+from .rules import Interval
 from .searchspace import ORDINAL_ORDER, ParamName, RagConfig
 
 DEFAULT_BIN_COUNT = 10
+MAX_BINS = 10_000  # the most bins; bins.json lists a count per bin
+BIN_COUNT_RULE = Interval(1, MAX_BINS)
 
 
 def per_config_means(table: GridTable, metric: str, split: str) -> list[float]:
@@ -65,8 +68,7 @@ def normalized_bins(
     table: GridTable, metric: str, split: str, bin_count: int = DEFAULT_BIN_COUNT
 ) -> BinnedScores:
     """Min-max normalize per-config means and bin them uniformly over [0, 1]."""
-    if bin_count < 1:
-        raise ValueError(f"bin_count must be >= 1, got {bin_count}")
+    BIN_COUNT_RULE.check(bin_count, "bin_count")
     means = per_config_means(table, metric, split)
     worst, best = min(means), max(means)
     counts = [0] * bin_count

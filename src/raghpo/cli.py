@@ -1,10 +1,13 @@
 """Command-line entry points: optimize, grid, sample, analyze.
 
 Settings come from an optional JSON run-config file plus flags; flags win.
-Flags are typed by argparse. The config, its sections, its search space
-and its endpoints are checked by :func:`~raghpo.dataio.check_fields`
-against the field tables in :mod:`raghpo.dataio`, and no setting is
-converted: a bad one is an error naming the config file and the field.
+Flags are typed by argparse. :func:`_load_config` checks the whole config
+before any flag merges: every field, section, search space and endpoint,
+whatever the command uses of it, against the field tables in
+:mod:`raghpo.dataio` and the value rules they carry. It then checks each
+flag that was given by the rule of its field. No setting is converted, and
+a bad one is an error naming the config file and the field, or the flag as
+typed; only a refusal that involves two settings is made later.
 Exit codes: 0 on completion, 2 on validation/configuration errors, 3 when a
 live run was suspended by a service outage. Re-running the same command
 resumes: the reply store beside the dataset, the only durable live state,
@@ -51,59 +54,80 @@ from .pipeline import (
     ServiceEndpoint,
     ServiceFailure,
 )
+from .rules import names_in
 from .searchspace import SearchSpace
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_SUSPENDED = 3
-MAX_SEEDS = 10_000  # the largest seed count N, which runs the seeds 1 to N
-MAX_BINS = 10_000  # the largest ``analyze --bins``; bins.json lists a count per bin
+
+#: The optimizer sections of a run config, each with its field table.
+_OPTIMIZER_SECTIONS = {"tpe": dataio.TPE_FIELDS, "greedy": dataio.GREEDY_FIELDS}
+#: The rules of the flags of ``analyze``, as a field table.
+_ANALYZE_FLAGS = {
+    **dict.fromkeys(("table", "run", "space"), (str, dataio.FILE_RULE)),
+    "metric": (str, dataio.METRIC_RULE), "bins": (int, analysis.BIN_COUNT_RULE),
+}
+#: The flag of each setting whose flag is not ``--<setting>``.
+_FLAGS = {"grid_table": "--grid", "qa_fraction": "--fraction", "noise_ratio": "--noise"}
 
 
-def _input_file(path: str | Path, what: str, field: str | None = None) -> Path:
-    """``path`` as an input file, or a ValueError that it is not one.
+def _check_flags(args: argparse.Namespace, fields: dict) -> None:
+    """Check each flag given for a field of ``fields`` by the field's rule, naming the flag."""
+    for key, spec in fields.items():
+        value, rule = getattr(args, key, None), dataio.spec_parts(spec)[2]
+        if value is not None and rule is not None:
+            rule.check(value, _FLAGS.get(key, f"--{key}"))
 
-    The error names ``field`` when the config gave ``path`` (:func:`_config_field`), else ``what``.
+
+def _load_config(args: argparse.Namespace) -> dict:
+    """The settings of a run: the run config of ``--config``, checked whole, then the flags given.
+
+    Every field and section of the config, an empty one without ``--config``,
+    is checked, whatever the command uses of it, and its defaults are filled
+    in; a ``grid_table`` or ``space`` path must name a file, and a
+    ``dataset`` path a directory. Then each flag that was given is checked
+    by its field's rule and replaces the config's value. The settings come
+    back built: ``space`` a :class:`SearchSpace`, ``objective`` an
+    :class:`Objective`, ``sample`` a :class:`SamplePlan` or None, and
+    ``endpoints`` a :class:`ServiceEndpoint` or None per route.
     """
-    source = Path(path)
-    if not source.is_file():
-        raise ValueError(f"{field} names no file: {source}" if field else f"{what} not found: {source}")
-    return source
-
-
-def _load_config(path: str | None) -> dict:
-    """The run config at ``path``, or an empty one, checked, its defaults filled in."""
-    config = {} if path is None else dataio.read_json_object(_input_file(path, "config file"))
-    check_fields(config, "run config", dataio.RUN_CONFIG_FIELDS, str(path))
+    where = str(args.config)
+    if args.config is not None:
+        dataio.FILE_RULE.check(args.config, "--config")
+    config = {} if args.config is None else dataio.read_json_object(Path(args.config))
+    check_fields(config, "run config", dataio.RUN_CONFIG_FIELDS, where)
+    for section, fields in {**_OPTIMIZER_SECTIONS, "endpoints": dataio.ENDPOINTS_FIELDS}.items():
+        check_fields(config[section], section, fields, where)
+    if isinstance(config["space"], dict):
+        config["space"] = dataio.read_space(config["space"], where)
+    if isinstance(objective := config["objective"], dict):
+        check_fields(objective, "objective", dataio.OBJECTIVE_FIELDS, where)
+        config["objective"] = Objective(objective["metrics"], objective["weights"])
+    if (sample := config["sample"]) is not None:
+        check_fields(sample, "sample", dataio.SAMPLE_FIELDS, where)
+        config["sample"] = SamplePlan(*(sample[key] for key in dataio.SAMPLE_FIELDS))
+    endpoints = config["endpoints"]
+    config["endpoints"] = {
+        name: None if endpoints[name] is None
+        else ServiceEndpoint.from_dict(endpoints[name], f"{where}: endpoints.{name}")
+        for name in dataio.ENDPOINTS_FIELDS
+    }
+    _check_flags(args, dataio.RUN_CONFIG_FIELDS)
+    for key in dataio.RUN_CONFIG_FIELDS:
+        if (value := getattr(args, key, None)) is not None:
+            config[key] = value
+    config["space"] = _load_space(config["space"])
+    if not isinstance(objective := config["objective"], Objective):
+        config["objective"] = Objective() if objective is None else Objective(tuple(names_in(objective)))
     return config
 
 
-def _setting(args: argparse.Namespace, config: dict, key: str, default=None):
-    """The flag ``key`` if given, else the config's; ``default`` when both are None."""
-    value = getattr(args, key, None)
-    if value is None:
-        value = config[key]
-    return default if value is None else value
-
-
-def _config_field(args: argparse.Namespace, key: str) -> str | None:
-    """``<config>: run config field 'key'`` when the config file gives setting ``key``, else None."""
-    if args.config is None or getattr(args, key, None) is not None:
-        return None
-    return f"{args.config}: run config field {key!r}"
-
-
-def _load_space(value, where: str | None, field: str | None = None) -> SearchSpace:
-    """The space a path or a config's space object at ``where`` gives; the stock space for None.
-
-    ``field`` is the config field that gave a path, as :func:`_input_file` takes it.
-    """
-    if value is None:
-        return SearchSpace.default()
+def _load_space(value: str | SearchSpace | None) -> SearchSpace:
+    """The space of the space file at the path ``value``, or ``value``; the stock space for None."""
     if isinstance(value, str):
-        where = _input_file(value, "search space file", field)
-        value = dataio.read_json_object(where)
-    return dataio.read_space(value, str(where))
+        return dataio.read_space(dataio.read_json_object(Path(value)), value)
+    return SearchSpace.default() if value is None else value
 
 
 def _seeds_flag(text: str) -> int | list[int]:
@@ -115,75 +139,44 @@ def _seeds_flag(text: str) -> int | list[int]:
     return seeds[0] if len(seeds) == 1 else seeds
 
 
-def _names(value: str | list[str] | None) -> list[str]:
-    """A list setting: a comma-separated string or a list of strings; None means none."""
-    if isinstance(value, str):
-        return [name for name in value.split(",") if name]
-    return value or []
-
-
-def _parse_objective(args: argparse.Namespace, config: dict) -> Objective:
-    """The objective of the flag, or of the config's metric names or objective object."""
-    value = _setting(args, config, "objective")
-    if value is None:
-        return Objective()
-    if isinstance(value, dict):
-        check_fields(value, "objective", dataio.OBJECTIVE_FIELDS, str(args.config))
-        metrics, weights = value["metrics"], value["weights"]
-        field = f"{args.config}: objective field 'metrics'"
-    else:
-        metrics, weights, field = _names(value), None, _config_field(args, "objective")
-    if not metrics and field:
-        raise ValueError(f"{field} names no metric")
-    return Objective(tuple(metrics), tuple(weights) if weights else None)
-
-
 @contextlib.contextmanager
-def _live_evaluator(
-    args, config: dict, space: SearchSpace, metrics, parallelism: int, sample=None
-) -> Iterator[LivePipelineEvaluator]:
-    """The live evaluator over the dataset, with the reply store beside it, closed on exit.
+def _live_evaluator(args, config: dict, metrics, sample=None) -> Iterator[LivePipelineEvaluator]:
+    """The live evaluator of the settings ``config``, with the dataset's reply store, closed on exit.
 
     The store is ``<dataset dir>.replies.sqlite3``. ``metrics`` are those
     the command will score, none for the default ones; judge_ac among them
     needs a judge endpoint, and unless they are context_mrr alone, the
-    command generates, so each generative model of ``space`` needs a prompt
+    command generates, so each generative model of the space needs a prompt
     template. With a :class:`SamplePlan` ``sample``, the evaluator sees the
     sampled dev split. Nothing is sent here, and the store creates its file
     only when it keeps a reply.
     """
-    dataset_path = _setting(args, config, "dataset")
-    if dataset_path is None:
+    if (dataset_path := config["dataset"]) is None:
         raise ValueError("live backend needs --dataset (or dataset in the config)")
     dataset = load_dataset(dataset_path)
     if sample is not None:
         dataset = sample_dev(dataset, sample).dataset
         print(f"sampled dev: {len(dataset.dev)} questions, corpus {len(dataset.corpus)} docs")
     endpoints = config["endpoints"]
-    check_fields(endpoints, "endpoints", dataio.ENDPOINTS_FIELDS, str(args.config))
     if endpoints["embed"] is None or endpoints["generate"] is None:
-        field = _config_field(args, "endpoints")
         raise ValueError(
-            f"{field} lacks embed or generate, which a live run (no 'grid_table') needs" if field
-            else "live backend needs endpoints.embed and endpoints.generate in the config file"
+            f"{args.config or '--config'}: run config field 'endpoints' lacks embed or generate, "
+            "which a live run (no 'grid_table') needs"
         )
-
-    def endpoint(name: str) -> ServiceEndpoint:
-        return ServiceEndpoint.from_dict(endpoints[name], f"{args.config}: endpoints.{name}")
-
-    embedder = EmbeddingClient(endpoint("embed"), config["embed_batch_size"])
-    generator = GenerationClient(endpoint("generate"))
-    judge = JudgeClient(endpoint("judge")) if endpoints["judge"] is not None else None
+    embedder = EmbeddingClient(endpoints["embed"], config["embed_batch_size"])
+    generator = GenerationClient(endpoints["generate"])
+    judge = JudgeClient(endpoints["judge"]) if endpoints["judge"] is not None else None
     if JUDGE_AC in metrics and judge is None:
         raise ValueError(NO_JUDGE)
     root = Path(dataset_path).resolve()
     replies = ReplyStore(root.parent / f"{root.name}.replies.sqlite3")
     try:
         evaluator = LivePipelineEvaluator(
-            dataset, space, embedder, generator, judge=judge, parallelism=parallelism, replies=replies
+            dataset, config["space"], embedder, generator, judge=judge, parallelism=config["parallelism"],
+            replies=replies,
         )
         if set(metrics) != {CONTEXT_MRR}:
-            for model in space.generative_models:
+            for model in config["space"].generative_models:
                 evaluator.templates.for_model(model)
         yield evaluator
     finally:
@@ -205,47 +198,29 @@ def _format_cost(totals) -> str:
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     """Run the algorithm: replay ``grid_table`` when it is set, else run the pipeline live."""
-    config = _load_config(args.config)
-    space = _load_space(_setting(args, config, "space"), args.config, _config_field(args, "space"))
-    algorithm = _setting(args, config, "algorithm")
-    objective = _parse_objective(args, config)
-    budget = _setting(args, config, "budget")
-    seeds = _setting(args, config, "seeds")
-    if isinstance(seeds, int) and seeds > MAX_SEEDS:
-        raise ValueError(f"seeds must be a count of at most {MAX_SEEDS} or a list, got {seeds}")
+    config = _load_config(args)
+    space, objective, seeds = config["space"], config["objective"], config["seeds"]
     seeds = tuple(range(1, seeds + 1)) if isinstance(seeds, int) else tuple(seeds)
-    grid_path = _setting(args, config, "grid_table")
-    parallelism = _setting(args, config, "parallelism")
-
-    optimizer_options = {}
-    for section, fields in (("tpe", dataio.TPE_FIELDS), ("greedy", dataio.GREEDY_FIELDS)):
-        values = config[section]
-        check_fields(values, section, fields, str(args.config))
-        options = {f"{section}_{key}": values[key] for key in fields if values[key] is not None}
-        optimizer_options.update(options)
-
-    plan = None
-    if (sample := config["sample"]) is not None:
-        check_fields(sample, "sample", dataio.SAMPLE_FIELDS, str(args.config))
-        plan = SamplePlan(*(sample[key] for key in dataio.SAMPLE_FIELDS))
-
-    out = _setting(args, config, "out", "run.jsonl")
+    optimizer_options = {
+        f"{section}_{key}": config[section][key]
+        for section, fields in _OPTIMIZER_SECTIONS.items() for key in fields if config[section][key] is not None
+    }
+    out = config["out"] or "run.jsonl"
     spec = harness.RunSpec(
         space=space,
-        algorithm=algorithm,
+        algorithm=config["algorithm"],
         objective=objective,
-        budget=budget,
+        budget=config["budget"],
         seeds=seeds,
         optimizer_options=optimizer_options,
     )
 
-    if grid_path:
-        table = load_grid(_input_file(grid_path, "grid table", _config_field(args, "grid_table")), space)
-        record = harness.run(spec, GridReplayEvaluator(table))
+    if config["grid_table"]:
+        record = harness.run(spec, GridReplayEvaluator(load_grid(config["grid_table"], space)))
     else:
         # An evaluation scores context_mrr and the generated metrics, and any the objective adds.
         metrics = (LEXICAL_AC, FAITHFULNESS, CONTEXT_MRR, *objective.metrics)
-        with _live_evaluator(args, config, space, metrics, parallelism, plan) as evaluator:
+        with _live_evaluator(args, config, metrics, config["sample"]) as evaluator:
             record = harness.run(spec, evaluator)
 
     harness.export_run(record, out)
@@ -260,8 +235,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         ),
     )
     last = best_seed.iterations[-1]
-    print(f"algorithm: {algorithm}  objective: {objective.describe()}")
-    print(f"budget: {budget} iterations x {len(seeds)} seeds")
+    print(f"algorithm: {spec.algorithm}  objective: {objective.describe()}")
+    print(f"budget: {spec.budget} iterations x {len(seeds)} seeds")
     if last.best_ordinal is not None:
         best_config = space.config_at(last.best_ordinal)
         print(f"best configuration (dev, seed {best_seed.seed}): {best_config.as_dict()}")
@@ -294,22 +269,13 @@ def cmd_grid(args: argparse.Namespace) -> int:
     every reply an earlier run kept, so a re-run sends only what the store
     lacks. Nothing is written unless every cell completes.
     """
-    config = _load_config(args.config)
-    space = _load_space(_setting(args, config, "space"), args.config, _config_field(args, "space"))
-    out = Path(_setting(args, config, "out", "grid.jsonl"))
-    split_value = _setting(args, config, "splits")
-    splits = _names(split_value)
-    if not splits or not set(splits) <= set(dataio.SPLITS):
-        raise ValueError(
-            f"splits: expected a comma-separated list of dev and test, got {split_value!r}"
-        )
-    metrics = _names(_setting(args, config, "metrics"))
-    parallelism = _setting(args, config, "parallelism")
-    with _live_evaluator(args, config, space, metrics, parallelism) as evaluator:
+    config = _load_config(args)
+    space, out = config["space"], Path(config["out"] or "grid.jsonl")
+    splits, metrics = names_in(config["splits"]), names_in(config["metrics"] or "")
+    with _live_evaluator(args, config, metrics) as evaluator:
         if not metrics:
             metrics = [LEXICAL_AC, FAITHFULNESS, CONTEXT_MRR]
             metrics += [JUDGE_AC] if evaluator.judge is not None else []
-        Objective(metrics=tuple(metrics))  # rejects unknown and repeated metric names
         evaluated = 0
         # Ordinals are index-major, so the loop is done with an index once it
         # reaches a cell of the next one, and the evaluator can drop it.
@@ -335,8 +301,9 @@ def cmd_grid(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
+    _check_flags(args, dataio.SAMPLE_FIELDS)
     dataset = load_dataset(args.dataset)
-    plan = SamplePlan(qa_fraction=args.fraction, noise_ratio=args.noise, seed=args.seed)
+    plan = SamplePlan(args.qa_fraction, args.noise_ratio, args.seed)
     outcome = sample_dev(dataset, plan)
     out = Path(args.out)
     store_dataset(outcome.dataset, out)
@@ -344,11 +311,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         "format_version": 1,
         "source": str(Path(args.dataset)),
         "source_content_sha256": dataio.dataset_content_hash(args.dataset),
-        "plan": {
-            "qa_fraction": plan.qa_fraction,
-            "noise_ratio": plan.noise_ratio,
-            "seed": plan.seed,
-        },
+        "plan": asdict(plan),
         "sampled_questions": len(outcome.sampled_qids),
         "gold_documents": len(outcome.gold_doc_ids),
         "noise_documents": len(outcome.noise_doc_ids),
@@ -389,23 +352,20 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     """
     if not args.table and not args.run:
         raise ValueError("analyze needs --table and/or --run")
-    if args.bins > MAX_BINS:
-        raise ValueError(f"bins must be at most {MAX_BINS}, got {args.bins}")
-    table_path = _input_file(args.table, "grid table") if args.table else None
-    run_path = _input_file(args.run, "run export") if args.run else None
+    _check_flags(args, _ANALYZE_FLAGS)
     out = Path(args.out)
-    space = _load_space(args.space, None)
+    space = _load_space(args.space)
 
-    if table_path:
-        table = load_grid(table_path, space)
+    if args.table:
+        table = load_grid(args.table, space)
         extremes = analysis.grid_extremes(table, args.metric, args.split)
         bins = analysis.normalized_bins(table, args.metric, args.split, args.bins)
         marginals = analysis.marginal_means(table, args.metric, args.split)
-    if run_path:
-        grid_max = extremes.best_score if table_path else None
-        series = analysis.convergence_series(harness.load_run(run_path), grid_max=grid_max)
+    if args.run:
+        grid_max = extremes.best_score if args.table else None
+        series = analysis.convergence_series(harness.load_run(args.run), grid_max=grid_max)
 
-    if table_path:
+    if args.table:
         _write_json(
             out / "extremes.json",
             {
@@ -452,7 +412,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         )
         print(f"wrote {out / 'extremes.json'}, {out / 'bins.json'}, {out / 'marginal_means.json'}")
 
-    if run_path:
+    if args.run:
         with atomic_write(out / "convergence.jsonl") as fh:
             for point in series:
                 fh.write(_dump_canonical(asdict(point)) + "\n")
@@ -499,8 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample = sub.add_parser("sample", help="subsample a dev benchmark and its corpus")
     p_sample.add_argument("--dataset", required=True, help="source dataset directory")
     p_sample.add_argument("--out", required=True, help="output dataset directory")
-    p_sample.add_argument("--fraction", type=float, required=True, help="dev QA fraction")
-    p_sample.add_argument("--noise", type=int, required=True, help="noise docs per gold doc")
+    p_sample.add_argument("--fraction", dest="qa_fraction", type=float, required=True, help="dev QA fraction")
+    p_sample.add_argument("--noise", dest="noise_ratio", type=int, required=True, help="noise docs per gold doc")
     p_sample.add_argument("--seed", type=int, required=True, help="sampling seed")
     p_sample.set_defaults(func=cmd_sample)
 

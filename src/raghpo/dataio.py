@@ -12,8 +12,9 @@ Every record read from a file, these, the grid-table and run-export rows,
 the run config with its sections and endpoints, and the search space, is
 checked against its field table (``MANIFEST_FIELDS`` and the rest) by
 :func:`check_fields`, the one field checker: an optional field takes its
-default, no value is converted, a boolean is never a number, and text
-holding a lone surrogate, which no file could hold, is refused.
+default, no value is converted, a boolean is never a number, text
+holding a lone surrogate, which no file could hold, is refused, and a
+field whose spec carries a value rule (:mod:`raghpo.rules`) is held to it.
 
 A grid table is a JSON-lines file whose first line is a header carrying the
 format version and the fingerprint of the search space it was computed
@@ -47,6 +48,7 @@ import operator
 import os
 import random
 import re
+import threading
 import types
 import zipfile
 from contextlib import contextmanager
@@ -58,12 +60,15 @@ import numpy as np
 
 from .costs import ZERO_COST, CostDelta
 from .metrics import METRIC_NAMES
-from .searchspace import SPACE_FORMAT_VERSION, SearchSpace
+from .optimizers import ALGORITHM_RULE, CANDIDATES_RULE, GAMMA_RULE, INIT_RULE, SUFFIX_MODE_RULE
+from .rules import Choice, Interval, Rule
+from .searchspace import CHUNK_OVERLAP_RULE, CHUNK_SIZE_RULE, SPACE_FORMAT_VERSION, TOP_K_RULE, SearchSpace
 
 log = logging.getLogger(__name__)
 
 DATASET_FORMAT_VERSION = 1
 GRID_FORMAT_VERSION = 1
+RUN_FORMAT_VERSION = 1
 
 SPLITS = ("dev", "test")
 
@@ -203,12 +208,52 @@ def read_json_object(path: Path) -> dict:
 
 _NUMBER = int | float
 
-#: The fields of each kind of record read from a file, by name: a type, a
-#: union of types or ``list[item]``, and for an optional field a pair of that
-#: and the value the field takes when a record lacks it. A default of None
-#: that the type does not admit leaves the setting unset, to a flag or to
-#: the default of the code that uses it. A JSON boolean is only ever a
-#: ``bool``, never a number.
+MAX_SEEDS = 10_000  # the most seeds of a run, as a count N (the seeds 1 to N) or a list
+MAX_PARALLELISM = 64  # the most requests a live evaluator sends at once
+#: The longest endpoint timeout or backoff, in seconds: ``time.sleep`` fails once the
+#: monotonic clock plus the wait passes ``threading.TIMEOUT_MAX``, so half of it leaves room.
+MAX_WAIT = int(threading.TIMEOUT_MAX / 2)
+
+
+def _are_seeds(seeds: int | Sequence[int]) -> bool:
+    """Whether ``seeds`` is a count from 1 to MAX_SEEDS, or a list of that many distinct seeds."""
+    count = seeds if isinstance(seeds, int) else len(seeds) if len(set(seeds)) == len(seeds) else 0
+    return 1 <= count <= MAX_SEEDS
+
+
+def _are_weights(weights: Sequence[float]) -> bool:
+    """Whether ``weights`` are numbers >= 0 that sum to 1 within 1e-9.
+
+    A weight above 2 cannot, and is refused before the sum, which a number
+    too large for a float would overflow.
+    """
+    return all(0 <= w <= 2 for w in weights) and abs(sum(map(float, weights)) - 1.0) <= 1e-9
+
+
+#: The value rules whose owners this module does not import, beside the field tables that carry them.
+SPLITS_RULE = Choice(SPLITS, several=True)
+METRIC_RULE = Choice(sorted(METRIC_NAMES))
+METRICS_RULE = Choice(METRIC_RULE.choices, several=True)
+WEIGHTS_RULE = Rule("numbers >= 0 that sum to 1", _are_weights)
+BUDGET_RULE = Interval(1)
+SEEDS_RULE = Rule(f"a count from 1 to {MAX_SEEDS}, or a list of 1 to {MAX_SEEDS} distinct seeds", _are_seeds)
+PARALLELISM_RULE = Interval(1, MAX_PARALLELISM)
+EMBED_BATCH_SIZE_RULE = Interval(1)
+QA_FRACTION_RULE = Interval(0, 1, "(]")
+NOISE_RATIO_RULE = Interval(0)
+TIMEOUT_RULE = Interval(0, MAX_WAIT, "(]")
+MAX_ATTEMPTS_RULE = Interval(1)
+BACKOFF_RULE = Interval(0, MAX_WAIT)
+FILE_RULE = Rule("the path of a file", lambda path: Path(path).is_file())
+DIRECTORY_RULE = Rule("the path of a directory", lambda path: Path(path).is_dir())
+
+#: The fields of each kind of record read from a file, by name. A field's
+#: spec is its type: a type, a union of types or ``list[item]``; or a tuple
+#: of the type, then for an optional field the value it takes when a record
+#: lacks it, then the field's value :class:`~raghpo.rules.Rule`, if any. A
+#: default of None that the type does not admit leaves the setting unset, to
+#: a flag or to the default of the code that uses it. A JSON boolean is only
+#: ever a ``bool``, never a number.
 MANIFEST_FIELDS = {
     "format_version": int,
     "name": (str | None, None),
@@ -227,15 +272,17 @@ BENCHMARK_FIELDS = {
 GRID_HEADER_FIELDS = {"format_version": int, "space_fingerprint": str}
 SCORE_FIELDS = {"ordinal": int, "split": str, "metric": str, "qid": str, "score": _NUMBER}
 COST_FIELDS = {"ordinal": int, "split": str, **dict.fromkeys(ZERO_COST.as_dict(), int)}
-OBJECTIVE_FIELDS = {"metrics": list[str], "weights": (list[_NUMBER] | None, None)}
+OBJECTIVE_FIELDS = {
+    "metrics": (list[str], METRICS_RULE), "weights": (list[_NUMBER] | None, None, WEIGHTS_RULE)
+}
 RUN_HEADER_FIELDS = {
-    "format_version": int,
+    "format_version": (int, Choice([RUN_FORMAT_VERSION])),
     "space": dict,
-    "algorithm": str,
+    "algorithm": (str, ALGORITHM_RULE),
     "objective_metrics": OBJECTIVE_FIELDS["metrics"],
     "objective_weights": OBJECTIVE_FIELDS["weights"],
-    "budget": int,
-    "seeds": list[int],
+    "budget": (int, BUDGET_RULE),
+    "seeds": (list[int], SEEDS_RULE),
     "optimizer_options": (dict, {}),
 }
 TRIAL_FIELDS = {
@@ -258,29 +305,33 @@ AGGREGATE_FIELDS = {
     "iteration": int, "mean_test": _NUMBER | None, "se_test": _NUMBER | None, "n": int
 }
 SPACE_FIELDS = {
-    "format_version": (int, SPACE_FORMAT_VERSION),
-    "chunk_size": list[int], "chunk_overlap": list[_NUMBER], "embedding_model": list[str],
-    "top_k": list[int], "generative_model": list[str],
+    "format_version": (int, SPACE_FORMAT_VERSION, Choice([SPACE_FORMAT_VERSION])),
+    "chunk_size": (list[int], CHUNK_SIZE_RULE), "chunk_overlap": (list[_NUMBER], CHUNK_OVERLAP_RULE),
+    "embedding_model": list[str], "top_k": (list[int], TOP_K_RULE), "generative_model": list[str],
 }
 RUN_CONFIG_FIELDS = {
-    **dict.fromkeys(("dataset", "grid_table", "out"), (str | None, None)),
-    "space": (str | dict | None, None),
-    "algorithm": (str, "random"),
-    "objective": (str | list[str] | dict | None, None),
-    "budget": (int, 10), "seeds": (int | list[int], 10), "parallelism": (int, 1),
-    "splits": (str | list[str], "dev,test"),
-    "metrics": (str | list[str] | None, None),
+    "dataset": (str | None, None, DIRECTORY_RULE), "out": (str | None, None),
+    "grid_table": (str | None, None, FILE_RULE),
+    "space": (str | dict | None, None, FILE_RULE),
+    "algorithm": (str, "random", ALGORITHM_RULE),
+    "objective": (str | list[str] | dict | None, None, METRICS_RULE),
+    "budget": (int, 10, BUDGET_RULE), "seeds": (int | list[int], 10, SEEDS_RULE),
+    "parallelism": (int, 1, PARALLELISM_RULE), "embed_batch_size": (int, 32, EMBED_BATCH_SIZE_RULE),
+    "splits": (str | list[str], "dev,test", SPLITS_RULE),
+    "metrics": (str | list[str] | None, None, METRICS_RULE),
     "tpe": (dict, {}), "greedy": (dict, {}), "endpoints": (dict, {}),
     "sample": (dict | None, None),
-    "embed_batch_size": (int, 32),
 }
-TPE_FIELDS = {"gamma": (_NUMBER, None), "candidates": (int, None), "init": (int, None)}
-GREEDY_FIELDS = {"suffix_mode": (str, None)}
-SAMPLE_FIELDS = {"qa_fraction": _NUMBER, "noise_ratio": int, "seed": int}
+TPE_FIELDS = {
+    "gamma": (_NUMBER, None, GAMMA_RULE), "candidates": (int, None, CANDIDATES_RULE),
+    "init": (int, None, INIT_RULE),
+}
+GREEDY_FIELDS = {"suffix_mode": (str, None, SUFFIX_MODE_RULE)}
+SAMPLE_FIELDS = {"qa_fraction": (_NUMBER, QA_FRACTION_RULE), "noise_ratio": (int, NOISE_RATIO_RULE), "seed": int}
 ENDPOINTS_FIELDS = dict.fromkeys(("embed", "generate", "judge"), (dict | None, None))
 ENDPOINT_FIELDS = {
-    "base_url": str, "auth_env": (str | None, None), "max_attempts": (int, None),
-    "timeout": (_NUMBER, None), "backoff_seconds": (_NUMBER, None),
+    "base_url": str, "auth_env": (str | None, None), "max_attempts": (int, None, MAX_ATTEMPTS_RULE),
+    "timeout": (_NUMBER, None, TIMEOUT_RULE), "backoff_seconds": (_NUMBER, None, BACKOFF_RULE),
 }
 
 
@@ -303,29 +354,41 @@ def is_a(value, spec) -> bool:
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
 
+def spec_parts(spec) -> tuple:
+    """A field's spec as (type, ``[default]`` or ``[]`` for a required field, rule or None)."""
+    spec, *rest = spec if isinstance(spec, tuple) else (spec,)
+    rule = rest.pop() if rest and isinstance(rest[-1], Rule) else None
+    return spec, rest, rule
+
+
 def check_fields(record: dict, kind: str, fields: dict, where: str) -> None:
     """Check ``record``, a ``kind`` of record, against its field table ``fields``.
 
     Each optional field that ``record`` lacks is set to a copy of its
     default. The first field that it otherwise lacks, holds a value of the
-    wrong type, or holds text with a lone surrogate, which no file that a
-    run writes could hold, is a ValueError at ``where``. No value is
-    converted, and fields that ``fields`` does not name are left as they are.
+    wrong type, holds text with a lone surrogate, which no file that a run
+    writes could hold, or holds a value its rule refuses, is a ValueError at
+    ``where``. A rule judges a value that is neither null nor an object (a
+    record of its own), and a rule with ``each`` judges each item of a list.
+    No value is converted, and fields that ``fields`` does not name are left
+    as they are.
     """
     for name, spec in fields.items():
-        if isinstance(spec, tuple):
-            spec, default = spec
-            if name not in record:
-                record[name] = copy.copy(default)
-                continue
-        elif name not in record:
-            raise ValueError(f"{where}: {kind} lacks field {name!r}")
+        spec, default, rule = spec_parts(spec) if isinstance(spec, tuple) else (spec, (), None)
+        if name not in record:
+            if not default:
+                raise ValueError(f"{where}: {kind} lacks field {name!r}")
+            record[name] = copy.copy(default[0])
+            continue
         value = record[name]
         if not is_a(value, spec):
             raise ValueError(f"{where}: {kind} field {name!r} has the wrong type: {value!r}")
         texts = [value] if isinstance(value, str) else value if isinstance(value, list) else ()
         if texts and any(isinstance(t, str) and not t.isascii() and _SURROGATE.search(t) for t in texts):
             raise ValueError(f"{where}: {kind} field {name!r} is not valid Unicode text")
+        if rule is not None and value is not None and not isinstance(value, dict):
+            for item in value if rule.each and isinstance(value, list) else [value]:
+                rule.check(item, f"{where}: {kind} field {name!r}")
 
 
 def read_space(record: dict, where: str) -> SearchSpace:
@@ -335,12 +398,10 @@ def read_space(record: dict, where: str) -> SearchSpace:
     space. A bad record, or one :class:`SearchSpace` refuses, is a ValueError at ``where``.
     """
     check_fields(record, "search space", SPACE_FIELDS, where)
-    if (version := record["format_version"]) != SPACE_FORMAT_VERSION:
-        raise ValueError(f"{where}: unsupported search-space format_version {version!r}")
     try:
         overlaps = [float(value) for value in record["chunk_overlap"]]
         return SearchSpace.from_dict({**record, "chunk_overlap": overlaps})
-    except (ValueError, OverflowError) as exc:  # a bad value list, or an int too large for a float
+    except ValueError as exc:  # an empty value list, or one with duplicates
         raise ValueError(f"{where}: {exc}") from None
 
 
@@ -520,10 +581,8 @@ class SamplePlan:
     seed: int
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.qa_fraction <= 1.0:
-            raise ValueError(f"qa_fraction must be in (0, 1], got {self.qa_fraction}")
-        if self.noise_ratio < 0:
-            raise ValueError(f"noise_ratio must be >= 0, got {self.noise_ratio}")
+        QA_FRACTION_RULE.check(self.qa_fraction, "qa_fraction")
+        NOISE_RATIO_RULE.check(self.noise_ratio, "noise_ratio")
 
 
 @dataclass(frozen=True)

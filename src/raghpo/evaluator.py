@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Protocol
 
 from .costs import CostDelta, ZERO_COST
-from .dataio import SPLITS, GridTable, IncompleteTableError, ScoreSlice
+from .dataio import METRICS_RULE, SPLITS, WEIGHTS_RULE, GridTable, IncompleteTableError, ScoreSlice
 from .metrics import CONTEXT_MRR, METRIC_NAMES, MetricUndefinedError, aggregate
 from .searchspace import RagConfig, SearchSpace
 
@@ -60,25 +60,12 @@ class Objective:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "metrics", tuple(self.metrics))
-        if not self.metrics:
-            raise ValueError("objective needs at least one metric")
-        unknown = [m for m in self.metrics if m not in METRIC_NAMES]
-        if unknown:
-            raise ValueError(f"unknown metric names {unknown}; expected {sorted(METRIC_NAMES)}")
-        if len(set(self.metrics)) != len(self.metrics):
-            raise ValueError(f"duplicate metrics in objective: {self.metrics}")
+        METRICS_RULE.check(self.metrics, "metrics")
         if self.weights is not None:
-            try:
-                object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-            except OverflowError:  # an int too large for a float
-                raise ValueError("weights must be numbers that a float can hold") from None
+            WEIGHTS_RULE.check(self.weights, "weights")
             if len(self.weights) != len(self.metrics):
                 raise ValueError("weights must match metrics one-to-one")
-            if any(w < 0 for w in self.weights):
-                raise ValueError(f"weights must be non-negative, got {self.weights}")
-            if abs(sum(self.weights) - 1.0) > 1e-9:
-                raise ValueError(f"weights must sum to 1, got {sum(self.weights)}")
-            object.__setattr__(self, "weights", _normalized(self.weights))
+            object.__setattr__(self, "weights", _normalized(tuple(map(float, self.weights))))
 
     def weighted_metrics(self) -> tuple[tuple[str, float], ...]:
         if self.weights is None:

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import dataio
 from .costs import ZERO_COST, CostDelta
-from .dataio import _dump_canonical, _read_jsonl, atomic_write, check_fields
+from .dataio import RUN_FORMAT_VERSION, _dump_canonical, _read_jsonl, atomic_write, check_fields
 from .evaluator import Evaluator, Objective
 from .metrics import CONTEXT_MRR
 from .optimizers import (
@@ -37,8 +37,6 @@ from .optimizers import (
 from .searchspace import IndexConfig, SearchSpace
 
 log = logging.getLogger(__name__)
-
-RUN_FORMAT_VERSION = 1
 
 
 class CostLedger:
@@ -108,16 +106,12 @@ class RunSpec:
         # One optimizer, built now, rejects an unknown algorithm or a bad
         # option before any evaluation is paid for.
         create_optimizer(self.algorithm, self.space, 0, **self.optimizer_options)
-        if self.budget < 1:
-            raise ValueError(f"budget must be >= 1, got {self.budget}")
+        dataio.BUDGET_RULE.check(self.budget, "budget")
         if self.budget > self.space.total_size:
             raise ValueError(
                 f"budget {self.budget} exceeds the space size {self.space.total_size}"
             )
-        if not self.seeds:
-            raise ValueError("seeds must name at least one seed")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ValueError(f"seeds must be distinct, got {self.seeds}")
+        dataio.SEEDS_RULE.check(self.seeds, "seeds")
 
 
 @dataclass(frozen=True)
@@ -268,16 +262,12 @@ def _spec_header(spec: RunSpec) -> dict:
 
 def _spec_from_header(header: dict, space: SearchSpace) -> RunSpec:
     """The spec of a run_header row that :data:`~raghpo.dataio.RUN_HEADER_FIELDS` checked."""
-    weights = header["objective_weights"]
     return RunSpec(
         space=space,
         algorithm=header["algorithm"],
-        objective=Objective(
-            metrics=tuple(header["objective_metrics"]),
-            weights=None if weights is None else tuple(weights),
-        ),
+        objective=Objective(header["objective_metrics"], header["objective_weights"]),
         budget=header["budget"],
-        seeds=tuple(header["seeds"]),
+        seeds=header["seeds"],
         optimizer_options=header["optimizer_options"],
     )
 
@@ -371,8 +361,6 @@ def load_run(path: str | Path) -> RunRecord:
             if spec is not None:
                 raise ValueError(f"{where}: a second run_header row")
             check_fields(row, "run_header", dataio.RUN_HEADER_FIELDS, where)
-            if (version := row["format_version"]) != RUN_FORMAT_VERSION:
-                raise ValueError(f"{where}: unsupported run format_version {version!r}")
             space = dataio.read_space(row["space"], where)
             try:
                 spec = _spec_from_header(row, space)

@@ -32,9 +32,18 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .costs import CostDelta, ZERO_COST
+from .rules import Choice, Interval
 from .searchspace import ORDINAL_ORDER, ParamName, RagConfig, SearchSpace
 
 ALGORITHMS = ("random", "tpe", "greedy_m", "greedy_r", "greedy_rcc")
+MAX_CANDIDATES = 1_000  # the most TPE candidates, each drawn per parameter on every suggestion
+
+#: The value rules of a run's algorithm and of the optimizers' options.
+ALGORITHM_RULE = Choice(ALGORITHMS)
+GAMMA_RULE = Interval(0, 1, "()")
+CANDIDATES_RULE = Interval(1, MAX_CANDIDATES)
+INIT_RULE = Interval(0)
+SUFFIX_MODE_RULE = Choice(("shared", "per_candidate"))
 
 #: Which score drove a trial: the run objective, or retrieval quality.
 DRIVER_OBJECTIVE = "objective"
@@ -113,10 +122,6 @@ class TrialHistory:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TrialHistory) and self._trials == other._trials
-
-    @property
-    def trials(self) -> tuple[Trial, ...]:
-        return tuple(self._trials)
 
 
 @dataclass(frozen=True)
@@ -238,7 +243,7 @@ class TpeOptimizer(Optimizer):
     fit with add-one smoothing over the full value list, ``n_candidates``
     configurations are drawn from the good density, and the unexplored
     candidate maximizing the good/bad likelihood ratio is suggested. All
-    constants are overridable.
+    constants are overridable, within their rules.
     """
 
     algorithm = "tpe"
@@ -252,12 +257,9 @@ class TpeOptimizer(Optimizer):
         n_init: int = 5,
     ):
         super().__init__(space, seed)
-        if not 0.0 < gamma < 1.0:
-            raise ValueError(f"gamma must be in (0, 1), got {gamma}")
-        if n_candidates < 1:
-            raise ValueError(f"n_candidates must be >= 1, got {n_candidates}")
-        if n_init < 0:
-            raise ValueError(f"n_init must be >= 0, got {n_init}")
+        GAMMA_RULE.check(gamma, "gamma")
+        CANDIDATES_RULE.check(n_candidates, "n_candidates")
+        INIT_RULE.check(n_init, "n_init")
         self.gamma = gamma
         self.n_candidates = n_candidates
         self.n_init = n_init
@@ -384,8 +386,7 @@ class GreedyOptimizer(Optimizer):
     ):
         if algorithm not in GREEDY_ORDERINGS:
             raise ValueError(f"unknown greedy variant {algorithm!r}")
-        if suffix_mode not in ("shared", "per_candidate"):
-            raise ValueError(f"suffix_mode must be 'shared' or 'per_candidate', got {suffix_mode!r}")
+        SUFFIX_MODE_RULE.check(suffix_mode, "suffix_mode")
         super().__init__(space, seed)
         self.algorithm = algorithm
         self.ordering = GREEDY_ORDERINGS[algorithm]
@@ -496,13 +497,12 @@ def create_optimizer(
     greedy_suffix_mode: str = "shared",
 ) -> Optimizer:
     """Instantiate one of the five algorithms by id."""
+    ALGORITHM_RULE.check(algorithm, "algorithm")
     if algorithm == "random":
         return RandomOptimizer(space, seed)
     if algorithm == "tpe":
         return TpeOptimizer(
             space, seed, gamma=tpe_gamma, n_candidates=tpe_candidates, n_init=tpe_init
         )
-    if algorithm in GREEDY_ORDERINGS:
-        return GreedyOptimizer(space, seed, algorithm, suffix_mode=greedy_suffix_mode)
-    raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+    return GreedyOptimizer(space, seed, algorithm, suffix_mode=greedy_suffix_mode)
 

@@ -62,8 +62,13 @@ import numpy as np
 
 from .costs import CostDelta
 from .dataio import (
+    BACKOFF_RULE,
+    EMBED_BATCH_SIZE_RULE,
     ENDPOINT_FIELDS,
+    MAX_ATTEMPTS_RULE,
+    PARALLELISM_RULE,
     SPLITS,
+    TIMEOUT_RULE,
     Dataset,
     Document,
     GridKey,
@@ -86,7 +91,7 @@ from .metrics import (
     lexical_answer_correctness,
     tokenize,
 )
-from .searchspace import IndexConfig, RagConfig, SearchSpace
+from .searchspace import CHUNK_OVERLAP_RULE, CHUNK_SIZE_RULE, IndexConfig, RagConfig, SearchSpace
 
 log = logging.getLogger(__name__)
 
@@ -116,10 +121,8 @@ def chunk_spans(n_tokens: int, chunk_size: int, chunk_overlap: float) -> list[tu
     end of the document, so every token is covered exactly once by the
     non-overlapping remainder.
     """
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    if not 0.0 <= chunk_overlap < 1.0:
-        raise ValueError(f"chunk_overlap must be in [0, 1), got {chunk_overlap}")
+    CHUNK_SIZE_RULE.check(chunk_size, "chunk_size")
+    CHUNK_OVERLAP_RULE.check(chunk_overlap, "chunk_overlap")
     if n_tokens == 0:
         return []
     stride = chunk_size - floor(chunk_size * chunk_overlap)
@@ -242,11 +245,6 @@ class VectorIndex:
 # Service clients
 # ---------------------------------------------------------------------------
 
-#: The longest timeout or backoff, in seconds: ``time.sleep`` fails once the monotonic
-#: clock plus the wait passes ``threading.TIMEOUT_MAX``, so half of it leaves room.
-_MAX_WAIT = threading.TIMEOUT_MAX / 2
-
-
 @dataclass(frozen=True)
 class ServiceEndpoint:
     """Where a model service lives and how hard to try."""
@@ -270,14 +268,9 @@ class ServiceEndpoint:
             raise ValueError(f"base_url has an invalid port: {url!r}") from None
         if parts.scheme not in ("http", "https") or not parts.hostname:
             raise ValueError(f"base_url must be an http:// or https:// URL with a host, got {url!r}")
-        if not 0 < self.timeout <= _MAX_WAIT:
-            raise ValueError(f"timeout must be > 0 and <= {_MAX_WAIT:.0f}, got {self.timeout}")
-        if self.max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if not 0 <= self.backoff_seconds <= _MAX_WAIT:
-            raise ValueError(
-                f"backoff_seconds must be >= 0 and <= {_MAX_WAIT:.0f}, got {self.backoff_seconds}"
-            )
+        TIMEOUT_RULE.check(self.timeout, "timeout")
+        MAX_ATTEMPTS_RULE.check(self.max_attempts, "max_attempts")
+        BACKOFF_RULE.check(self.backoff_seconds, "backoff_seconds")
 
     def headers(self) -> dict[str, str]:
         """The bearer token from ``auth_env``, or no headers when it is unset or empty."""
@@ -462,8 +455,7 @@ class EmbeddingClient(_ServiceClient):
     """
 
     def __init__(self, endpoint: ServiceEndpoint, batch_size: int = 32):
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        EMBED_BATCH_SIZE_RULE.check(batch_size, "batch_size")
         super().__init__(endpoint)
         self.batch_size = batch_size
 
@@ -790,8 +782,7 @@ class LivePipelineEvaluator(StoredScores):
         parallelism: int = 1,
         replies: ReplyStore | None = None,
     ):
-        if parallelism < 1:
-            raise ValueError(f"parallelism must be >= 1, got {parallelism}")
+        PARALLELISM_RULE.check(parallelism, "parallelism")
         self.dataset = dataset
         self.generator = generator
         self.templates = templates or TemplateStore.builtin()

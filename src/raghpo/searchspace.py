@@ -18,6 +18,8 @@ from enum import Enum
 from functools import cached_property
 from operator import attrgetter
 
+from .rules import Interval
+
 
 class ParamName(str, Enum):
     """The five tunable pipeline parameters."""
@@ -40,6 +42,13 @@ ORDINAL_ORDER: tuple[ParamName, ...] = (
 )
 
 SPACE_FORMAT_VERSION = 1
+
+#: The value rules of the three numeric parameters, for a configuration and each value of a space.
+CHUNK_SIZE_RULE = Interval(1)
+CHUNK_OVERLAP_RULE = Interval(0, 1, "[)")
+TOP_K_RULE = Interval(1)
+_RULES = {ParamName.CHUNK_SIZE: CHUNK_SIZE_RULE, ParamName.CHUNK_OVERLAP: CHUNK_OVERLAP_RULE,
+          ParamName.TOP_K: TOP_K_RULE}
 
 # Where each parameter lives: its value on a RagConfig, its value list on a SearchSpace.
 _CONFIG_FIELD = {
@@ -71,12 +80,8 @@ class IndexConfig:
     embedding_model: str
 
     def __post_init__(self) -> None:
-        if self.chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
-        if not 0.0 <= self.chunk_overlap < 1.0:
-            raise ValueError(
-                f"chunk_overlap must be a fraction in [0, 1), got {self.chunk_overlap}"
-            )
+        CHUNK_SIZE_RULE.check(self.chunk_size, "chunk_size")
+        CHUNK_OVERLAP_RULE.check(self.chunk_overlap, "chunk_overlap")
 
 
 @dataclass(frozen=True)
@@ -87,8 +92,7 @@ class AnswerConfig:
     generative_model: str
 
     def __post_init__(self) -> None:
-        if self.top_k < 1:
-            raise ValueError(f"top_k must be >= 1, got {self.top_k}")
+        TOP_K_RULE.check(self.top_k, "top_k")
 
 
 @dataclass(frozen=True)
@@ -163,15 +167,9 @@ class SearchSpace:
                 raise ValueError(f"value list for {param.value} is empty")
             if len(set(values)) != len(values):
                 raise ValueError(f"value list for {param.value} has duplicates: {values}")
-        for size in self.chunk_sizes:
-            if size < 1:
-                raise ValueError(f"chunk_size values must be >= 1, got {size}")
-        for overlap in self.chunk_overlaps:
-            if not 0.0 <= overlap < 1.0:
-                raise ValueError(f"chunk_overlap values must be in [0, 1), got {overlap}")
-        for k in self.top_ks:
-            if k < 1:
-                raise ValueError(f"top_k values must be >= 1, got {k}")
+        for param, rule in _RULES.items():
+            for value in self.values_of(param):
+                rule.check(value, param.value)
 
     @classmethod
     def default(cls) -> "SearchSpace":

@@ -3,9 +3,11 @@ import contextlib
 import gc
 import itertools
 import json
+import math
 import os
 import random
 import re
+import reprlib
 import shutil
 import sqlite3
 import struct
@@ -18,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from raghpo import analysis, cli, pipeline
+from raghpo import analysis, cli, dataio, pipeline
 from raghpo.cli import (
     EXIT_OK,
     EXIT_SUSPENDED,
@@ -29,6 +31,7 @@ from raghpo.costs import CostDelta
 from raghpo.dataio import load_dataset, load_grid, store_dataset, store_grid
 from raghpo.harness import load_run
 from raghpo.metrics import CONTEXT_MRR, FAITHFULNESS, LEXICAL_AC
+from raghpo.optimizers import CANDIDATES_RULE, GAMMA_RULE, MAX_CANDIDATES, SUFFIX_MODE_RULE
 from raghpo.pipeline import LivePipelineEvaluator
 from raghpo.searchspace import SearchSpace
 
@@ -234,6 +237,15 @@ def _wrong_type(kind: str, field: str, value, where: str = "{config}") -> str:
     return f"{where}: {kind} field {field!r} has the wrong type: {value!r}"
 
 
+def _refused(name: str, rule, value) -> str:
+    """The message of a value that ``rule`` refuses, of the field or flag ``name``."""
+    return f"{name} must be {rule.text}, got {repr(value) if isinstance(value, str) else reprlib.repr(value)}"
+
+
+METRICS = dataio.METRICS_RULE
+SEEDS_PAST_THE_BOUND = list(range(1, dataio.MAX_SEEDS + 2))
+
+
 #: case -> (command, backend, config values, message); ``{config}`` is the config file.
 BAD_RUN_CONFIG_VALUES = {
     "parallelism": ("optimize", "replay", {"parallelism": "two"}, _wrong_type("run config", "parallelism", "two")),
@@ -280,7 +292,7 @@ BAD_RUN_CONFIG_VALUES = {
     ),
     "space chunk_overlap too large for a float": (
         "optimize", "replay", {"space": {**STOCK_SPACE, "chunk_overlap": [10**400]}},
-        "{config}: int too large to convert to float",
+        _refused("{config}: search space field 'chunk_overlap'", dataio.CHUNK_OVERLAP_RULE, 10**400),
     ),
     "space model a lone surrogate": (
         "optimize", "replay", {"space": {**STOCK_SPACE, "generative_model": ["g\ud800"]}},
@@ -294,21 +306,22 @@ BAD_RUN_CONFIG_VALUES = {
     ),
     "grid_table names no file": (
         "optimize", "replay", {"grid_table": "no/such/grid.jsonl"},
-        "{config}: run config field 'grid_table' names no file: no/such/grid.jsonl",
+        _refused("{config}: run config field 'grid_table'", dataio.FILE_RULE, "no/such/grid.jsonl"),
     ),
     "space names no file": (
         "optimize", "replay", {"space": "no/such/space.json"},
-        "{config}: run config field 'space' names no file: no/such/space.json",
+        _refused("{config}: run config field 'space'", dataio.FILE_RULE, "no/such/space.json"),
     ),
     "grid space names no file": (
         "grid", "live", {"space": "no/such/space.json"},
-        "{config}: run config field 'space' names no file: no/such/space.json",
+        _refused("{config}: run config field 'space'", dataio.FILE_RULE, "no/such/space.json"),
     ),
     "objective an empty list": (
-        "optimize", "replay", {"objective": []}, "{config}: run config field 'objective' names no metric"
+        "optimize", "replay", {"objective": []}, _refused("{config}: run config field 'objective'", METRICS, [])
     ),
     "objective without a metric": (
-        "optimize", "replay", {"objective": {"metrics": []}}, "{config}: objective field 'metrics' names no metric"
+        "optimize", "replay", {"objective": {"metrics": []}},
+        _refused("{config}: objective field 'metrics'", METRICS, []),
     ),
     "live without endpoints": (
         "optimize", "live", {"endpoints": {}},
@@ -331,7 +344,7 @@ BAD_RUN_CONFIG_VALUES = {
     ),
     "objective weight too large for a float": (
         "optimize", "replay", {"objective": {"metrics": ["lexical_ac"], "weights": [10**400]}},
-        "weights must be numbers that a float can hold",
+        _refused("{config}: objective field 'weights'", dataio.WEIGHTS_RULE, [10**400]),
     ),
     "sample fraction": (
         "optimize", "live", {"sample": {"qa_fraction": "half", "noise_ratio": 1, "seed": 1}},
@@ -361,16 +374,14 @@ BAD_RUN_CONFIG_VALUES = {
         "grid", "live", {"embed_batch_size": 31.9}, _wrong_type("run config", "embed_batch_size", 31.9)
     ),
     "grid unknown split": (
-        "grid", "live", {"splits": "tset"},
-        "splits: expected a comma-separated list of dev and test, got 'tset'",
+        "grid", "live", {"splits": "tset"}, _refused("{config}: run config field 'splits'", dataio.SPLITS_RULE, "tset")
     ),
     "grid no split": (
-        "grid", "live", {"splits": ","},
-        "splits: expected a comma-separated list of dev and test, got ','",
+        "grid", "live", {"splits": ","}, _refused("{config}: run config field 'splits'", dataio.SPLITS_RULE, ",")
     ),
     "grid unknown split in a list": (
         "grid", "live", {"splits": ["dev", "tset"]},
-        "splits: expected a comma-separated list of dev and test, got ['dev', 'tset']",
+        _refused("{config}: run config field 'splits'", dataio.SPLITS_RULE, ["dev", "tset"]),
     ),
     "grid split list holding a number": (
         "grid", "live", {"splits": ["dev", 1]}, _wrong_type("run config", "splits", ["dev", 1])
@@ -382,15 +393,13 @@ BAD_RUN_CONFIG_VALUES = {
     ),
     "objective a number": ("optimize", "replay", {"objective": 3}, _wrong_type("run config", "objective", 3)),
     "grid unknown metric": (
-        "grid", "live", {"metrics": "nope"},
-        "unknown metric names ['nope']; expected "
-        "['context_mrr', 'faithfulness', 'judge_ac', 'lexical_ac']",
+        "grid", "live", {"metrics": "nope"}, _refused("{config}: run config field 'metrics'", METRICS, "nope")
     ),
     "grid judge_ac without a judge": (
         "grid", "live", {"metrics": "judge_ac"}, NO_JUDGE,
     ),
     "grid parallelism zero": (
-        "grid", "live", {"parallelism": 0}, "parallelism must be >= 1, got 0"
+        "grid", "live", {"parallelism": 0}, _refused("{config}: run config field 'parallelism'", dataio.PARALLELISM_RULE, 0)
     ),
     "live objective judge_ac without a judge": (
         "optimize", "live", {"objective": "judge_ac"}, NO_JUDGE,
@@ -403,11 +412,32 @@ BAD_RUN_CONFIG_VALUES = {
     ),
     "live tpe gamma out of range": (
         "optimize", "live", {"algorithm": "tpe", "tpe": {"gamma": 1.5}},
-        "gamma must be in (0, 1), got 1.5",
+        _refused("{config}: tpe field 'gamma'", GAMMA_RULE, 1.5),
     ),
     "live greedy suffix mode": (
         "optimize", "live", {"algorithm": "greedy_m", "greedy": {"suffix_mode": "x"}},
-        "suffix_mode must be 'shared' or 'per_candidate', got 'x'",
+        _refused("{config}: greedy field 'suffix_mode'", SUFFIX_MODE_RULE, "x"),
+    ),
+    # Each of these was accepted: replay or the algorithm ignored it, or no bound held it.
+    "replay parallelism zero": (
+        "optimize", "replay", {"parallelism": 0},
+        _refused("{config}: run config field 'parallelism'", dataio.PARALLELISM_RULE, 0),
+    ),
+    "random tpe gamma out of range": (
+        "optimize", "replay", {"algorithm": "random", "tpe": {"gamma": 1.5}},
+        _refused("{config}: tpe field 'gamma'", GAMMA_RULE, 1.5),
+    ),
+    "random greedy suffix mode": (
+        "optimize", "replay", {"algorithm": "random", "greedy": {"suffix_mode": "x"}},
+        _refused("{config}: greedy field 'suffix_mode'", SUFFIX_MODE_RULE, "x"),
+    ),
+    "replay dataset names no directory": (
+        "optimize", "replay", {"dataset": "no/such/dataset"},
+        _refused("{config}: run config field 'dataset'", dataio.DIRECTORY_RULE, "no/such/dataset"),
+    ),
+    "replay seed list past the bound": (
+        "optimize", "replay", {"seeds": SEEDS_PAST_THE_BOUND},
+        _refused("{config}: run config field 'seeds'", dataio.SEEDS_RULE, SEEDS_PAST_THE_BOUND),
     ),
 }
 
@@ -440,9 +470,9 @@ def test_bad_run_config_value_exits_2_naming_its_key(
 @pytest.mark.parametrize(
     "flags, message",
     [
-        (["--grid", "no/such/grid.jsonl"], "grid table not found: no/such/grid.jsonl"),
-        (["--space", "no/such/space.json"], "search space file not found: no/such/space.json"),
-        (["--objective", ","], "objective needs at least one metric"),
+        (["--grid", "no/such/grid.jsonl"], _refused("--grid", dataio.FILE_RULE, "no/such/grid.jsonl")),
+        (["--space", "no/such/space.json"], _refused("--space", dataio.FILE_RULE, "no/such/space.json")),
+        (["--objective", ","], _refused("--objective", METRICS, ",")),
     ],
     ids=["grid", "space", "objective"],
 )
@@ -453,6 +483,64 @@ def test_a_bad_flag_over_a_good_config_keeps_the_flags_message(
     config_path.write_text(json.dumps({"grid_table": str(fixture_table), "out": str(tmp_path / "o")}))
     assert main(["optimize", "--config", str(config_path), *flags]) == EXIT_VALIDATION
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+#: case -> (argv ending in the bad flag, its rule, the value refused); ``{grid}`` and ``{dataset}`` are paths.
+BAD_FLAGS = {
+    "budget": (["optimize", "--grid", "{grid}", "--budget", "0"], dataio.BUDGET_RULE, 0),
+    "seeds count": (["optimize", "--grid", "{grid}", "--seeds", "0"], dataio.SEEDS_RULE, 0),
+    "seeds repeated": (["optimize", "--grid", "{grid}", "--seeds", "1,1"], dataio.SEEDS_RULE, [1, 1]),
+    "parallelism": (["optimize", "--grid", "{grid}", "--parallelism", "65"], dataio.PARALLELISM_RULE, 65),
+    "objective": (["optimize", "--grid", "{grid}", "--objective", "nope"], METRICS, "nope"),
+    "dataset": (["optimize", "--dataset", "no/such/dataset"], dataio.DIRECTORY_RULE, "no/such/dataset"),
+    "splits": (["grid", "--dataset", "{dataset}", "--splits", "dev,tset"], dataio.SPLITS_RULE, "dev,tset"),
+    "metrics": (["grid", "--dataset", "{dataset}", "--metrics", "nope"], METRICS, "nope"),
+    "bins": (["analyze", "--table", "{grid}", "--bins", "0"], analysis.BIN_COUNT_RULE, 0),
+    "metric": (["analyze", "--table", "{grid}", "--metric", "nope"], dataio.METRIC_RULE, "nope"),
+    "fraction": (
+        ["sample", "--dataset", "{dataset}", "--noise", "1", "--seed", "1", "--fraction", "1.5"],
+        dataio.QA_FRACTION_RULE, 1.5,
+    ),
+    "noise": (
+        ["sample", "--dataset", "{dataset}", "--fraction", "0.5", "--seed", "1", "--noise", "-1"],
+        dataio.NOISE_RATIO_RULE, -1,
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, rule, value", BAD_FLAGS.values(), ids=BAD_FLAGS.keys())
+def test_a_bad_flag_exits_2_naming_it_and_writes_nothing(
+    tmp_path, fixture_table, dataset_dir, capsys, argv, rule, value
+):
+    out = tmp_path / "out"
+    argv = [arg.format(grid=fixture_table, dataset=dataset_dir) for arg in argv] + ["--out", str(out)]
+    assert main(argv) == EXIT_VALIDATION
+    flag = argv[-4]
+    assert capsys.readouterr().err == f"error: {_refused(flag, rule, value)}\n"
+    assert not out.exists()
+    assert not list(tmp_path.rglob("*.replies.sqlite3*"))
+
+
+@pytest.mark.parametrize(
+    "values, name, rule, value",
+    [
+        ({"seeds": SEEDS_PAST_THE_BOUND}, "run config field 'seeds'", dataio.SEEDS_RULE, SEEDS_PAST_THE_BOUND),
+        ({"algorithm": "tpe", "tpe": {"candidates": MAX_CANDIDATES + 1}}, "tpe field 'candidates'",
+         CANDIDATES_RULE, MAX_CANDIDATES + 1),
+        ({"parallelism": dataio.MAX_PARALLELISM + 1}, "run config field 'parallelism'",
+         dataio.PARALLELISM_RULE, dataio.MAX_PARALLELISM + 1),
+    ],
+    ids=["seeds", "candidates", "parallelism"],
+)
+def test_a_count_one_past_its_bound_exits_2_before_a_run_or_a_pool_is_built(
+    tmp_path, fixture_table, capsys, monkeypatch, values, name, rule, value
+):
+    monkeypatch.setattr(cli.harness, "RunSpec", None)
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", None)
+    config_path = tmp_path / "run_config.json"
+    config_path.write_text(json.dumps({"grid_table": str(fixture_table), "out": str(tmp_path / "o"), **values}))
+    assert main(["optimize", "--config", str(config_path)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {_refused(f'{config_path}: {name}', rule, value)}\n"
 
 
 def test_objective_list_in_a_run_config_means_the_comma_string(tmp_path, default_space):
@@ -621,8 +709,8 @@ def test_a_seed_count_past_the_bound_exits_2_naming_seeds(tmp_path, fixture_tabl
     argv = ["optimize", "--config", str(config_path), "--grid", str(fixture_table),
             "--budget", "2", "--out", str(tmp_path / "run.jsonl")]
     assert main(argv + (["--seeds", str(count)] if where == "flag" else [])) == EXIT_VALIDATION
-    message = f"error: seeds must be a count of at most {cli.MAX_SEEDS} or a list, got {count}\n"
-    assert capsys.readouterr().err == message
+    name = "--seeds" if where == "flag" else f"{config_path}: run config field 'seeds'"
+    assert capsys.readouterr().err == f"error: {_refused(name, dataio.SEEDS_RULE, count)}\n"
     assert not list(tmp_path.glob("run.jsonl*"))
 
 
@@ -675,11 +763,11 @@ def test_analyze_with_no_bin_exits_2_and_writes_nothing(tmp_path, fixture_table,
     assert main(["analyze", "--table", str(fixture_table), "--bins", "0", "--out", str(out)]) == (
         EXIT_VALIDATION
     )
-    assert capsys.readouterr().err == "error: bin_count must be >= 1, got 0\n"
+    assert capsys.readouterr().err == f"error: {_refused('--bins', analysis.BIN_COUNT_RULE, 0)}\n"
     assert list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize("count", [cli.MAX_BINS + 1, 10**19])
+@pytest.mark.parametrize("count", [analysis.MAX_BINS + 1, 10**19])
 def test_analyze_with_bins_past_the_bound_exits_2_and_writes_nothing(
     tmp_path, fixture_table, capsys, monkeypatch, count
 ):
@@ -687,7 +775,7 @@ def test_analyze_with_bins_past_the_bound_exits_2_and_writes_nothing(
     monkeypatch.setattr(cli.analysis, "normalized_bins", None)  # refused before it is called
     argv = ["analyze", "--table", str(fixture_table), "--bins", str(count), "--out", str(out)]
     assert main(argv) == EXIT_VALIDATION
-    assert capsys.readouterr().err == f"error: bins must be at most {cli.MAX_BINS}, got {count}\n"
+    assert capsys.readouterr().err == f"error: {_refused('--bins', analysis.BIN_COUNT_RULE, count)}\n"
     assert not out.exists()
 
 
@@ -844,10 +932,10 @@ def test_integer_too_long_in_a_space_file_exits_2_naming_it(tmp_path, fixture_ta
 @pytest.mark.parametrize(
     "argv, what",
     [
-        pytest.param(["optimize", "--grid", "{path}"], "grid table", id="optimize-grid"),
-        pytest.param(["analyze", "--table", "{path}"], "grid table", id="analyze-table"),
-        pytest.param(["analyze", "--run", "{path}"], "run export", id="analyze-run"),
-        pytest.param(["analyze", "--table", "{table}", "--run", "{path}"], "run export",
+        pytest.param(["optimize", "--grid", "{path}"], "--grid", id="optimize-grid"),
+        pytest.param(["analyze", "--table", "{path}"], "--table", id="analyze-table"),
+        pytest.param(["analyze", "--run", "{path}"], "--run", id="analyze-run"),
+        pytest.param(["analyze", "--table", "{table}", "--run", "{path}"], "--run",
                      id="analyze-good-table-missing-run"),
     ],
 )
@@ -858,7 +946,7 @@ def test_missing_input_file_exits_2_naming_it(tmp_path, fixture_table, capsys, a
     out = tmp_path / "out"
     argv = [a.format(path=path, table=fixture_table) for a in argv] + ["--out", str(out)]
     assert main(argv) == EXIT_VALIDATION
-    assert capsys.readouterr().err == f"error: {what} not found: {path}\n"
+    assert capsys.readouterr().err == f"error: {_refused(what, dataio.FILE_RULE, str(path))}\n"
     assert not out.exists()
 
 
@@ -1119,10 +1207,11 @@ def test_grid_holds_one_index_at_a_time(live_setup, tiny_space, tmp_path, monkey
     # index, over a copy of the dataset with a reply store of its own.
     stub.server.calls.clear()
     args = argparse.Namespace(config=str(live_setup["config_path"]))
-    config = cli._load_config(args.config)
+    config = cli._load_config(args)
+    config["space"] = space
     config["dataset"] = str(shutil.copytree(config["dataset"], tmp_path / "kept"))
     metrics = (LEXICAL_AC, FAITHFULNESS, CONTEXT_MRR)
-    with cli._live_evaluator(args, config, space, metrics, 1) as evaluator:
+    with cli._live_evaluator(args, config, metrics) as evaluator:
         for ordinal in range(space.total_size):
             for split in ("dev", "test"):
                 evaluator.fill(space.config_at(ordinal), split, metrics)
@@ -1399,11 +1488,11 @@ BAD_ENDPOINTS = {
     # Each is past what a socket timeout or time.sleep accepts.
     "timeout too long": (
         {"base_url": "http://127.0.0.1:9", "timeout": 1e10},
-        "{config}: endpoints.generate: timeout must be > 0 and <= 4611686018, got 10000000000.0",
+        _refused("{config}: endpoints.generate: endpoint field 'timeout'", dataio.TIMEOUT_RULE, 1e10),
     ),
     "backoff infinite": (
         {"base_url": "http://127.0.0.1:9", "backoff_seconds": float("inf")},
-        "{config}: endpoints.generate: backoff_seconds must be >= 0 and <= 4611686018, got inf",
+        _refused("{config}: endpoints.generate: endpoint field 'backoff_seconds'", dataio.BACKOFF_RULE, math.inf),
     ),
     "auth_env a lone surrogate": (
         {"base_url": "http://127.0.0.1:9", "auth_env": "\ud800"},
@@ -1871,6 +1960,24 @@ def test_a_model_with_no_prompt_template_exits_2_before_any_request(live_setup, 
     assert capsys.readouterr().err.startswith("error: no prompt template registered for model 'my-model'; ")
     assert _sent(live_setup["stub"]) == {"/embed": [], "/generate": []}
     assert not list(tmp_path.rglob("*.replies.sqlite3*"))
+    assert not list(tmp_path.glob("out.jsonl*"))
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_an_unknown_metric_over_an_untemplated_space_is_named_before_the_template(
+    live_setup, tmp_path, capsys, where
+):
+    config = json.loads(live_setup["config_path"].read_text())
+    config.update(space=str(_untemplated_space(live_setup, tmp_path)), out=str(tmp_path / "out.jsonl"))
+    if where == "config":
+        config["metrics"] = "nope"
+    config_path = tmp_path / "untemplated_config.json"
+    config_path.write_text(json.dumps(config))
+    flags = ["--metrics", "nope"] if where == "flag" else []
+    assert main(["grid", "--config", str(config_path), *flags]) == EXIT_VALIDATION
+    name = "--metrics" if where == "flag" else f"{config_path}: run config field 'metrics'"
+    assert capsys.readouterr().err == f"error: {_refused(name, METRICS, 'nope')}\n"
+    assert _sent(live_setup["stub"]) == {"/embed": [], "/generate": []}
     assert not list(tmp_path.glob("out.jsonl*"))
 
 

@@ -2,24 +2,25 @@
 
 For each ``*_FIELDS`` table, the record of that kind that a command reads
 is written with each field dropped, and then set to each value of
-:data:`VALUES`. The command runs in process. It must exit 0 or 2, print no
-traceback, start no thread that outlives it, and leave nothing behind
-when it refuses. A refusal of a record read from a data file names the
-file, the line in a JSON-lines file, and the field, unless the refusal is
-one of :data:`ELSEWHERE`. A lone surrogate in a field that takes text, a
-string or a list of strings, is always refused, with the message that the
-field is not valid Unicode text. A run config's settings merge with flags,
-so a config value that its field table accepts but a later check refuses
-is reported by that check, which need not name the config file; a
-refusal that does name it names the field too. The hand-written cases in
-``test_cli.py`` and ``test_dataio.py`` pin exact messages; these pin the
-shape of every answer to every field.
+:data:`VALUES` and, for a field with a value rule, to each value that
+:func:`_probes` derives from the rule. The command runs in process. It
+must exit 0 or 2, print no traceback, start no thread that outlives it,
+and leave nothing behind when it refuses. A refusal names the file, the
+line in a JSON-lines file, and the field, unless the refusal is one of
+:data:`ELSEWHERE`; for a run config, the file is the config. A lone
+surrogate in a field that takes text, a string or a list of strings, is
+always refused, with the message that the field is not valid Unicode
+text, and a value of the field's type that its rule refuses is refused
+with the rule's message. The hand-written cases in ``test_cli.py`` and
+``test_dataio.py`` pin exact messages; these pin the shape of every
+answer to every field.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import math
 import re
 import sys
 import threading
@@ -30,6 +31,7 @@ from pathlib import Path
 import pytest
 
 from raghpo import dataio
+from raghpo.rules import Choice, Interval
 from raghpo.cli import EXIT_OK, EXIT_VALIDATION, main
 from raghpo.dataio import Dataset, GridTable, QaPair, store_dataset, store_grid
 from raghpo.costs import CostDelta
@@ -61,8 +63,24 @@ ELSEWHERE = {
     "and a missing row has no line",
     r"trial row seed \d+ is not one of the run_header's seeds": "a header naming fewer seeds "
     "is valid; the first trial row of a seed it lacks is refused at its own line",
-    r"bad run_header: (objective needs at least one metric|weights must match metrics)": "the "
-    "objective's own check names its metrics and weights",
+    r"weights must match metrics one-to-one": "a refusal of two fields, the objective's "
+    "metrics and weights, each of which its rule admits",
+    r"holds \d+ of the run_header's \d+ iterations|exceeds the run_header's budget": "a header "
+    "whose budget or seeds its rules admit, but which the file's trial rows do not fill",
+    r"budget \d+ exceeds the space size": "a refusal of two settings, the budget and the space",
+    r"does not match the active search space": "a valid space that is not the one the grid "
+    "table, another file, was computed against",
+    r"grid table has no rows for metric|greedy_rcc needs retrieval quality": "a valid metric or "
+    "algorithm whose rows the grid table, another file, lacks",
+}
+
+#: The values to set a field to whose rule is neither an interval nor a choice, by rule.
+PROBES = {
+    dataio.SEEDS_RULE: [1, 0, dataio.MAX_SEEDS, dataio.MAX_SEEDS + 1,
+                        list(range(1, dataio.MAX_SEEDS + 2)), [1, 1]],
+    dataio.WEIGHTS_RULE: [[1], [0.5], [0.5, 0.5], [2]],
+    dataio.FILE_RULE: ["no/such/file", "dataset"],
+    dataio.DIRECTORY_RULE: ["no/such/directory", "grid.jsonl"],
 }
 
 #: Tables whose records only a live command reads, and the test that covers them.
@@ -177,16 +195,39 @@ def _record_line(source: Source, lines: list[str]) -> int:
     raise AssertionError(f"no {source.kind} row in {source.file}")
 
 
+def _probes(rule) -> list:
+    """An interval's finite ends, one past and one inside each, and a value between
+    them; a choice's members and one non-member; else the values :data:`PROBES` lists."""
+    if isinstance(rule, Interval):
+        ends = [end for end in (rule.low, rule.high) if math.isfinite(end)]
+        between = [(rule.low + rule.high) / 2] if len(ends) == 2 else []
+        return sorted({value for end in ends for value in (end - 1, end, end + 1)} | set(between))
+    if isinstance(rule, Choice):
+        return [*rule.choices, "not one of them"]
+    return PROBES[rule]
+
+
 def _mutations(fields: dict):
-    for name in fields:
+    for name, spec in fields.items():
         yield name, "dropped", None
         for label, value in VALUES.items():
             yield name, label, value
+        rule = dataio.spec_parts(spec)[2]
+        for value in _probes(rule) if rule else ():
+            yield name, f"probe {value!r}"[:60], value
+
+
+def _refused_by_rule(value, spec) -> bool:
+    """Whether ``value``, of the type ``spec`` admits, is one that the rule of ``spec`` refuses."""
+    spec, _, rule = dataio.spec_parts(spec)
+    if rule is None or value is None or isinstance(value, dict) or not dataio.is_a(value, spec):
+        return False
+    return not all(map(rule.admits, value if rule.each and isinstance(value, list) else [value]))
 
 
 def _lone_surrogate(value, spec) -> bool:
     """Whether ``value``, text of the type ``spec`` admits, holds a lone surrogate."""
-    spec = spec[0] if isinstance(spec, tuple) else spec
+    spec = dataio.spec_parts(spec)[0]
     texts = value if isinstance(value, list) else [value]
     return dataio.is_a(value, spec) and any(isinstance(t, str) and "\ud800" in t for t in texts)
 
@@ -251,10 +292,13 @@ def test_each_field_dropped_or_of_another_type_exits_0_or_2_naming_it(
             message = rf"error: {re.escape(where)}: [\w ]+ field '{name}' is not valid Unicode text\n"
             if code != EXIT_VALIDATION or not re.fullmatch(message, err):
                 failures.append(f"{case} is not the text message at {where} for {name!r}")
+        elif label != "dropped" and _refused_by_rule(value, fields[name]):
+            text = re.escape(dataio.spec_parts(fields[name])[2].text)
+            message = rf"error: {re.escape(where)}: [\w ]+ field '{name}' must be {text}, got .*\n"
+            if code != EXIT_VALIDATION or not re.fullmatch(message, err, re.DOTALL):
+                failures.append(f"{case} is not the rule's message at {where} for {name!r}")
         if code == EXIT_VALIDATION:
             named = where in err and name in err
-            if source.file == "config.json":
-                named = named or where not in err
             if not (err.startswith("error: ") and (named or _elsewhere(err))):
                 failures.append(f"{case} does not name {where} and {name!r}")
             if made:

@@ -202,7 +202,7 @@ def test_rcc_probes_get_free_objective_backfill(default_space):
     evaluator, dev = scored_evaluator(default_space)
     record = run(spec_for(default_space, algorithm="greedy_rcc", budget=10, seeds=(4,)), evaluator)
     history = record.seed_runs[0].history
-    for trial in history.trials[:8]:
+    for trial in history._trials[:8]:
         assert trial.driver == "context_mrr"
         assert trial.retrieval_score is not None
         # Grid replay backfills the objective at zero cost.
@@ -468,11 +468,15 @@ STOCK_SPACE = SearchSpace.default().to_dict()
             {"space": {**STOCK_SPACE, "chunk_size": [256.0, 512]}},
             "search space field 'chunk_size' has the wrong type: [256.0, 512]",
         ),
-        ({"space": {**STOCK_SPACE, "format_version": 2}}, "unsupported search-space format_version 2"),
-        ({"space": {**STOCK_SPACE, "chunk_overlap": [1.5]}}, "chunk_overlap values must be in [0, 1), got 1.5"),
+        ({"space": {**STOCK_SPACE, "format_version": 2}}, "search space field 'format_version' must be one of 1, got 2"),
+        (
+            {"space": {**STOCK_SPACE, "chunk_overlap": [1.5]}},
+            "search space field 'chunk_overlap' must be in [0, 1), got 1.5",
+        ),
         (
             {"objective_weights": [10**400]},
-            "bad run_header: weights must be numbers that a float can hold",
+            "run_header field 'objective_weights' must be numbers >= 0 that sum to 1, "
+            f"got [{'1' + '0' * 17}...{'0' * 19}]",
         ),
     ],
 )

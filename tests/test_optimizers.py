@@ -241,7 +241,7 @@ def test_greedy_full_pass_structure_without_collisions(default_space):
     assert len({t.config for t in history}) == 14
     blocks = [(0, 3), (3, 6), (6, 9), (9, 11), (11, 14)]
     for (start, end), param in zip(blocks, GREEDY_ORDERINGS["greedy_m"]):
-        values = {t.config.value_of(param) for t in history.trials[start:end]}
+        values = {t.config.value_of(param) for t in history[start:end]}
         assert values == set(default_space.values_of(param))
 
 
@@ -457,7 +457,7 @@ def test_history_rejects_duplicate_configs(tiny_space):
 
 
 def test_unknown_algorithm_rejected(tiny_space):
-    with pytest.raises(ValueError, match="unknown algorithm"):
+    with pytest.raises(ValueError, match="^algorithm must be one of random, tpe, "):
         create_optimizer("bohb", tiny_space, 1)
 
 
@@ -535,7 +535,7 @@ def test_incremental_view_suggests_what_a_full_rebuild_does(
     while len(history) < space.total_size:
         iteration = len(history) + 1
         if iteration in swaps:
-            history = _copied(history.trials[: swaps.pop(iteration)])
+            history = _copied(history._trials[: swaps.pop(iteration)])
             iteration = len(history) + 1
         rebuilt = create_optimizer(algorithm, space, seed, **options)
         rebuilt.load_state_dict(json.loads(json.dumps(optimizer.state_dict())))

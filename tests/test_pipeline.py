@@ -518,8 +518,8 @@ def test_request_carries_the_token_and_the_json_payload(stub_service, monkeypatc
         ({"base_url": "http://host:port"}, "invalid port"),
         ({"base_url": "http://host/a b"}, "without spaces"),
         ({"base_url": 9}, "must be a string"),
-        ({"base_url": "http://host", "timeout": 0.0}, "timeout must be > 0"),
-        ({"base_url": "http://host", "backoff_seconds": -1.0}, "backoff_seconds must be >= 0"),
+        ({"base_url": "http://host", "timeout": 0.0}, r"timeout must be in \(0, 4611686018\], got 0.0"),
+        ({"base_url": "http://host", "backoff_seconds": -1.0}, r"backoff_seconds must be in \[0, 4611686018\]"),
     ],
 )
 def test_endpoint_rejects_a_bad_field(fields, message):
